@@ -89,22 +89,14 @@ impl AlarmIndex {
         inactive: Option<&HashSet<AlarmId>>,
     ) -> AlarmIndex {
         debug_assert!(alarms.iter().enumerate().all(|(i, a)| a.id().0 as usize == i));
-        let entries: Vec<(Rect, AlarmId)> = alarms
-            .iter()
-            .filter(|a| inactive.is_none_or(|dead| !dead.contains(&a.id())))
-            .map(|a| (a.region(), a.id()))
-            .collect();
+        let active = |a: &&SpatialAlarm| inactive.is_none_or(|dead| !dead.contains(&a.id()));
+        let entries: Vec<(Rect, AlarmId)> =
+            alarms.iter().filter(active).map(|a| (a.region(), a.id())).collect();
         let tree = RStarTree::bulk_load(entries);
         let mut personal: HashMap<SubscriberId, Vec<AlarmId>> = HashMap::new();
-        for a in &alarms {
-            match a.scope() {
-                AlarmScope::Private { owner } => personal.entry(*owner).or_default().push(a.id()),
-                AlarmScope::Shared { subscribers, .. } => {
-                    for s in subscribers {
-                        personal.entry(*s).or_default().push(a.id());
-                    }
-                }
-                AlarmScope::Public { .. } => {}
+        for a in alarms.iter().filter(active) {
+            for s in personal_subscribers(a.scope()) {
+                personal.entry(*s).or_default().push(a.id());
             }
         }
         AlarmIndex { tree, alarms, personal }
@@ -145,6 +137,25 @@ impl AlarmIndex {
             }
         }
         (best, stats)
+    }
+
+    /// The distance [`AlarmIndex::nearest_relevant_distance`] reports,
+    /// without its [`QueryStats`] and without touching the heap — the
+    /// form the live server's safe-period grant runs per update.
+    pub fn nearest_relevant_distance_unmetered<F: Fn(AlarmId) -> bool>(
+        &self,
+        user: SubscriberId,
+        pos: Point,
+        keep: F,
+    ) -> Option<f64> {
+        let public = self
+            .tree
+            .nearest_distance_matching(pos, |id| self.alarm(*id).is_public() && keep(*id));
+        self.personal_alarms(user)
+            .iter()
+            .filter(|&&id| keep(id))
+            .map(|&id| self.alarm(id).region().distance_to_point(pos))
+            .fold(public, nearer)
     }
 
     /// Number of installed alarms.
@@ -196,6 +207,14 @@ impl AlarmIndex {
                 f(a);
             }
         });
+    }
+
+    /// Visits every alarm (regardless of subscriber) whose region
+    /// intersects `area`, in [`AlarmIndex::all_intersecting`]'s order,
+    /// without materializing a result vector — the form the server's
+    /// region refreshes build their obstacle lists from.
+    pub fn all_intersecting_visit(&self, area: Rect, mut f: impl FnMut(&SpatialAlarm)) {
+        self.tree.visit_intersecting(area, |_, id| f(self.alarm(*id)));
     }
 
     /// Alarms relevant to `user` whose regions intersect `area` — the set
@@ -261,28 +280,44 @@ impl AlarmIndex {
             });
         }
         self.tree.insert(alarm.region(), alarm.id());
-        match alarm.scope() {
-            AlarmScope::Private { owner } => {
-                self.personal.entry(*owner).or_default().push(alarm.id())
-            }
-            AlarmScope::Shared { subscribers, .. } => {
-                for s in subscribers {
-                    self.personal.entry(*s).or_default().push(alarm.id());
-                }
-            }
-            AlarmScope::Public { .. } => {}
+        for s in personal_subscribers(alarm.scope()) {
+            self.personal.entry(*s).or_default().push(alarm.id());
         }
         self.alarms.push(alarm);
         Ok(())
     }
 
-    /// Removes an alarm from the spatial index (e.g., a cancelled alarm).
-    /// The alarm metadata stays addressable by id; only queries stop
-    /// reporting it. Returns true when the alarm was still indexed.
+    /// Removes an alarm from the spatial index and its subscribers'
+    /// personal lists (e.g., a cancelled alarm). The alarm metadata stays
+    /// addressable by id; only queries stop reporting it. Returns true
+    /// when the alarm was still indexed.
     pub fn deactivate(&mut self, id: AlarmId) -> bool {
-        let region = self.alarm(id).region();
-        self.tree.remove(region, |x| *x == id).is_some()
+        let alarm = &self.alarms[id.0 as usize];
+        let removed = self.tree.remove(alarm.region(), |x| *x == id).is_some();
+        if removed {
+            for s in personal_subscribers(alarm.scope()) {
+                if let Some(list) = self.personal.get_mut(s) {
+                    list.retain(|&a| a != id);
+                }
+            }
+        }
+        removed
     }
+}
+
+/// The subscribers whose personal lists carry an alarm of this scope
+/// (none for a public alarm — the tree serves those).
+fn personal_subscribers(scope: &AlarmScope) -> &[SubscriberId] {
+    match scope {
+        AlarmScope::Private { owner } => std::slice::from_ref(owner),
+        AlarmScope::Shared { subscribers, .. } => subscribers,
+        AlarmScope::Public { .. } => &[],
+    }
+}
+
+/// `best` or `d`, whichever is nearer — the first of equals.
+pub(crate) fn nearer(best: Option<f64>, d: f64) -> Option<f64> {
+    if best.is_none_or(|b| d < b) { Some(d) } else { best }
 }
 
 #[cfg(test)]
@@ -451,6 +486,7 @@ mod nearest_tests {
             for k in 0..10 {
                 let pos = Point::new(k as f64 * 997.0 % 10_000.0, k as f64 * 773.0 % 10_000.0);
                 let (got, _) = index.nearest_relevant_distance(user, pos, |_| true);
+                assert_eq!(index.nearest_relevant_distance_unmetered(user, pos, |_| true), got);
                 let expected = w
                     .alarms()
                     .iter()

@@ -22,7 +22,7 @@
 //! *removed* alarm firing once more is indistinguishable from the race
 //! where the cancel arrived just after the trigger check.
 
-use crate::index::{AlarmIndex, NonDenseIdError};
+use crate::index::{nearer, AlarmIndex, NonDenseIdError};
 use crate::{AlarmId, SpatialAlarm, SubscriberId};
 use parking_lot::{Mutex, RwLock};
 use sa_geometry::{Point, Rect};
@@ -265,6 +265,24 @@ impl AlarmSnapshot {
             }
         }
         (best, stats)
+    }
+
+    /// The distance [`AlarmSnapshot::nearest_relevant_distance`] reports,
+    /// without its [`QueryStats`] and without touching the heap.
+    pub fn nearest_relevant_distance_unmetered<F: Fn(AlarmId) -> bool>(
+        &self,
+        user: SubscriberId,
+        pos: Point,
+        keep: F,
+    ) -> Option<f64> {
+        let base = self
+            .base
+            .nearest_relevant_distance_unmetered(user, pos, |id| self.live(id) && keep(id));
+        self.delta
+            .iter()
+            .filter(|a| self.live(a.id()) && a.is_relevant_to(user) && keep(a.id()))
+            .map(|a| a.region().distance_to_point(pos))
+            .fold(base, nearer)
     }
 }
 

@@ -1,5 +1,6 @@
 //! Property-based equivalence: an epoch-pinned [`AlarmSnapshot`] must
-//! answer `relevant_at` / `relevant_intersecting` exactly like a fresh
+//! answer `relevant_at` / `relevant_intersecting` / the nearest-distance
+//! queries exactly like a fresh
 //! mutable [`AlarmIndex`] built from the same surviving alarm set, across
 //! randomized interleavings of install / deactivate / query — and a
 //! generation pinned mid-sequence must keep answering for the state it
@@ -82,6 +83,14 @@ fn verify(snap: &AlarmSnapshot, installed: &[SpatialAlarm], dead: &[AlarmId]) {
             snap.relevant_at_visit(user, p, |a| visited.push(a.id().0));
             visited.sort_unstable();
             assert_eq!(visited, got, "relevant_at_visit diverged from relevant_at");
+            // Both nearest forms agree with each other and the reference,
+            // with and without a filter.
+            for modulus in [1, 2] {
+                let keep = |id: AlarmId| id.0.is_multiple_of(modulus);
+                let metered = snap.nearest_relevant_distance(user, p, keep).0;
+                assert_eq!(snap.nearest_relevant_distance_unmetered(user, p, keep), metered);
+                assert_eq!(metered, refidx.nearest_relevant_distance(user, p, keep).0);
+            }
         }
         for &area in &rects {
             let mut got: Vec<u64> =

@@ -16,11 +16,22 @@
 //! The baseline is truncated because at paper scale the per-request
 //! path is exactly what this binary exists to prove too slow to gate on.
 //!
+//! The report also carries the driver-side `us_per_update` (the median
+//! step's) of the first and of the last quarter of the steps and their
+//! ratio. The traffic is statistically the same all hour while the
+//! server's per-subscriber state (fired alarms above all) only grows,
+//! so a ratio well above 1 means an update got dearer with elapsed
+//! firings — `--max-late-early-ratio` turns that into a CI failure.
+//!
 //! Usage: `scale_replay [--scale F] [--steps N] [--workers N]
-//!                      [--baseline-steps N] [--out PATH]`
+//!                      [--baseline-steps N] [--max-late-early-ratio F]
+//!                      [--out PATH]`
 
 use sa_server::wire::StrategySpec;
-use sa_server::{replay_batched_in_proc, replay_in_proc, ReplayConfig, ServerConfig, TraceMode};
+use sa_server::{
+    quarter_us_per_update, replay_batched_in_proc, replay_in_proc, ReplayConfig, ServerConfig,
+    TraceMode,
+};
 use sa_sim::{SimulationConfig, SimulationHarness};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -31,6 +42,7 @@ struct Opts {
     steps: Option<u32>,
     workers: usize,
     baseline_steps: u32,
+    max_late_early_ratio: Option<f64>,
     out: PathBuf,
 }
 
@@ -42,6 +54,7 @@ fn parse_args() -> Opts {
         steps: None,
         workers: default_workers,
         baseline_steps: 300,
+        max_late_early_ratio: None,
         out: PathBuf::from("BENCH_scale_replay.json"),
     };
     let mut args = std::env::args().skip(1);
@@ -60,11 +73,15 @@ fn parse_args() -> Opts {
                 opts.baseline_steps =
                     value().parse().expect("--baseline-steps expects an integer");
             }
+            "--max-late-early-ratio" => {
+                opts.max_late_early_ratio =
+                    Some(value().parse().expect("--max-late-early-ratio expects a float"));
+            }
             "--out" => opts.out = PathBuf::from(value()),
             "--help" | "-h" => {
                 eprintln!(
                     "usage: scale_replay [--scale F] [--steps N] [--workers N] \
-                     [--baseline-steps N] [--out PATH]"
+                     [--baseline-steps N] [--max-late-early-ratio F] [--out PATH]"
                 );
                 std::process::exit(0);
             }
@@ -120,6 +137,8 @@ fn main() {
     let steps_per_sec = outcome.steps as f64 / wall_seconds.max(1e-9);
     let updates_per_sec = outcome.server.location_updates as f64 / wall_seconds.max(1e-9);
     let cache_ratio = hit_ratio(outcome.cache.hits, outcome.cache.misses);
+    let [early_us, _, _, late_us] = quarter_us_per_update(&outcome.step_costs, outcome.steps);
+    let late_early_ratio = if early_us > 0.0 { late_us / early_us } else { 0.0 };
 
     // Per-request baseline over a truncated prefix of the same trace.
     let (baseline_steps, baseline_updates_per_sec) = if opts.baseline_steps == 0 {
@@ -155,6 +174,9 @@ fn main() {
     let _ = writeln!(json, "  \"location_updates\": {},", outcome.server.location_updates);
     let _ = writeln!(json, "  \"updates_per_sec\": {updates_per_sec:.3},");
     let _ = writeln!(json, "  \"triggers\": {},", outcome.server.triggers);
+    let _ = writeln!(json, "  \"us_per_update_first_quarter\": {early_us:.3},");
+    let _ = writeln!(json, "  \"us_per_update_last_quarter\": {late_us:.3},");
+    let _ = writeln!(json, "  \"late_early_ratio\": {late_early_ratio:.3},");
     let _ = writeln!(json, "  \"update_rtt_ns\": {{");
     let _ = writeln!(json, "    \"p50\": {},", rtt.p50);
     let _ = writeln!(json, "    \"p90\": {},", rtt.p90);
@@ -176,7 +198,8 @@ fn main() {
     std::fs::write(&opts.out, &json).expect("writing the benchmark report");
     println!(
         "batched replay: {} steps × {} vehicles in {:.2}s ({:.1} steps/s, \
-         {:.0} updates/s, rtt p99={}ns, cache hit ratio {:.1}%); \
+         {:.0} updates/s, rtt p99={}ns, cache hit ratio {:.1}%, \
+         {early_us:.1} → {late_us:.1} µs/update first → last quarter = {late_early_ratio:.2}×); \
          per-request baseline {:.0} updates/s over {} steps → {:.1}× speedup → {}",
         outcome.steps,
         outcome.clients.len(),
@@ -190,4 +213,14 @@ fn main() {
         speedup,
         opts.out.display()
     );
+    if let Some(max) = opts.max_late_early_ratio {
+        if late_early_ratio > max {
+            eprintln!(
+                "FAIL: an update cost {late_early_ratio:.2}× as much in the last quarter of the \
+                 replay as in the first (limit {max}) — per-update cost is growing with elapsed \
+                 firings again"
+            );
+            std::process::exit(1);
+        }
+    }
 }

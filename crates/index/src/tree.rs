@@ -334,6 +334,41 @@ impl<T> RStarTree<T> {
         (None, stats)
     }
 
+    /// Distance from `p` to the nearest item satisfying `pred` — the
+    /// distance [`RStarTree::nearest_matching`] reports, found by a
+    /// depth-first branch-and-bound walk that never touches the heap
+    /// (no priority queue, no [`QueryStats`]). For hot paths that need
+    /// only the distance, e.g. the server's safe-period grant.
+    pub fn nearest_distance_matching<F: Fn(&T) -> bool>(&self, p: Point, pred: F) -> Option<f64> {
+        fn walk<T, F: Fn(&T) -> bool>(node: &Node<T>, p: Point, pred: &F, best: &mut f64) {
+            match node {
+                Node::Leaf(es) => {
+                    for e in es {
+                        let d = e.rect.distance_to_point(p);
+                        if d < *best && pred(&e.item) {
+                            *best = d;
+                        }
+                    }
+                }
+                Node::Internal(es) => {
+                    // Closest child first: the bound it leaves prunes
+                    // most of its siblings.
+                    let dist = |e: &ChildEntry<T>| e.rect.distance_to_point(p);
+                    let first = es.iter().map(dist).enumerate().min_by(|a, b| a.1.total_cmp(&b.1));
+                    let first = first.map(|(i, _)| i);
+                    for i in first.into_iter().chain((0..es.len()).filter(|&i| Some(i) != first)) {
+                        if dist(&es[i]) < *best {
+                            walk(&es[i].child, p, pred, best);
+                        }
+                    }
+                }
+            }
+        }
+        let mut best = f64::INFINITY;
+        walk(&self.root, p, &pred, &mut best);
+        (best < f64::INFINITY).then_some(best)
+    }
+
     /// Visits every stored `(rect, item)` pair in unspecified order.
     pub fn for_each(&self, mut f: impl FnMut(Rect, &T)) {
         fn walk<T>(node: &Node<T>, f: &mut impl FnMut(Rect, &T)) {
@@ -969,6 +1004,22 @@ mod nearest_tests {
         assert!(stats.entries_tested >= 64, "tested {}", stats.entries_tested);
         assert!(stats.nodes_visited >= 1);
         assert_eq!(stats.matches, 0);
+    }
+
+    #[test]
+    fn heap_free_nearest_distance_equals_the_best_first_search() {
+        let tree = scattered(500);
+        assert_eq!(RStarTree::<u8>::new().nearest_distance_matching(Point::new(0.0, 0.0), |_| true), None);
+        assert_eq!(tree.nearest_distance_matching(Point::new(1.0, 1.0), |_| false), None);
+        for i in 0..200usize {
+            let p = Point::new(((i * 613) % 1100) as f64 - 50.0, ((i * 389) % 1100) as f64 - 50.0);
+            // Dense, sparse and (nearly) empty predicates.
+            for modulus in [1, 3, 97] {
+                let pred = |v: &usize| v.is_multiple_of(modulus);
+                let want = tree.nearest_matching(p, pred).0.map(|(_, _, d)| d);
+                assert_eq!(tree.nearest_distance_matching(p, pred), want, "{p:?} mod {modulus}");
+            }
+        }
     }
 
     #[test]

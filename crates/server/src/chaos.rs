@@ -581,6 +581,7 @@ pub fn chaos_replay_in_proc(
             cache: server.cache_stats(),
             metrics: server.registry().snapshot(),
             steps,
+            step_costs: Vec::new(),
         },
         injected: by_kind,
         injected_total,

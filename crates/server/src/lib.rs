@@ -43,6 +43,7 @@
 //! server  ── router + sessions; LocationUpdate → bounded shard queues
 //! shard   ── VersionedShardIndex (global↔local alarm ids, epoch-
 //!            versioned snapshots) + ShardPool workers
+//! fired   ── per-subscriber fired-alarm lists (exactly-once state)
 //! cache   ── (cell, height) → public bitmap, epoch-invalidated
 //! wire    ── Request/Response codec, sizes == sa-sim payload constants
 //! ```
@@ -54,6 +55,7 @@ pub mod cache;
 pub mod chaos;
 pub mod client;
 pub mod clock;
+mod fired;
 pub mod netfront;
 pub mod reactor;
 pub mod replay;
@@ -74,7 +76,8 @@ pub use netfront::{
 };
 pub use reactor::{Reactor, ReactorConfig};
 pub use replay::{
-    replay, replay_batched_in_proc, replay_in_proc, replay_tcp, ReplayConfig, ReplayOutcome,
+    quarter_us_per_update, replay, replay_batched_in_proc, replay_in_proc, replay_tcp,
+    ReplayConfig, ReplayOutcome, StepCost,
 };
 pub use sa_obs::TraceMode;
 pub use server::{quantize_rect, Server, ServerConfig, ServerStats};

@@ -22,6 +22,7 @@ use sa_obs::{FlightBundle, Snapshot, TraceMode};
 use sa_roadnet::Fleet;
 use sa_sim::{FiredEvent, GroundTruth, SimulationHarness};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// What to replay and through what server shape.
 #[derive(Debug, Clone)]
@@ -54,6 +55,36 @@ impl Default for ReplayConfig {
     }
 }
 
+/// What one [`replay_batched_in_proc`] worker spent on one step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StepCost {
+    /// The step.
+    pub step: u32,
+    /// Location updates the worker sent for the step (first attempts; an
+    /// overload retry is cost, not another update).
+    pub updates: u32,
+    /// Worker time inside the step: sampling, client monitoring and the
+    /// batch exchanges.
+    pub busy: Duration,
+}
+
+/// The median per-step cost, in worker microseconds per update, of each
+/// quarter of a `steps`-long replay (steps that sent nothing carry no
+/// cost per update and are skipped; 0 for a quarter with none left).
+/// A median, not a mean: on a shared box a burst of noise lands on some
+/// steps of a quarter, not on most of them.
+pub fn quarter_us_per_update(costs: &[StepCost], steps: u32) -> [f64; 4] {
+    let mut quarters: [Vec<f64>; 4] = Default::default();
+    for c in costs.iter().filter(|c| c.updates > 0 && c.step < steps) {
+        let quarter = (u64::from(c.step) * 4 / u64::from(steps)) as usize;
+        quarters[quarter].push(c.busy.as_secs_f64() * 1e6 / f64::from(c.updates));
+    }
+    quarters.map(|mut q| {
+        q.sort_by(f64::total_cmp);
+        q.get(q.len() / 2).copied().unwrap_or(0.0)
+    })
+}
+
 /// The result of one replay.
 #[derive(Debug)]
 pub struct ReplayOutcome {
@@ -74,6 +105,9 @@ pub struct ReplayOutcome {
     pub metrics: Snapshot,
     /// Steps actually replayed.
     pub steps: u32,
+    /// Per-worker, per-step driver cost (see [`quarter_us_per_update`]).
+    /// Only [`replay_batched_in_proc`] meters it; empty elsewhere.
+    pub step_costs: Vec<StepCost>,
 }
 
 impl ReplayOutcome {
@@ -174,6 +208,7 @@ where
         cache: server.cache_stats(),
         metrics: server.registry().snapshot(),
         steps,
+        step_costs: Vec::new(),
     };
     server.shutdown();
     Ok(outcome)
@@ -283,9 +318,11 @@ pub fn replay_batched_in_proc(
 
     let mut fired = Vec::new();
     let mut per_client = Vec::new();
-    for (worker_fired, worker_clients) in results {
+    let mut step_costs = Vec::new();
+    for (worker_fired, worker_clients, worker_costs) in results {
         fired.extend(worker_fired);
         per_client.extend(worker_clients);
+        step_costs.extend(worker_costs);
     }
 
     let expected: Vec<FiredEvent> = harness
@@ -306,6 +343,7 @@ pub fn replay_batched_in_proc(
         cache: server.cache_stats(),
         metrics: server.registry().snapshot(),
         steps,
+        step_costs,
     };
     server.shutdown();
     Ok(outcome)
@@ -336,8 +374,10 @@ fn batch_worker(
     let mut fleet = Fleet::with_id_range(harness.network(), &harness.config().fleet, range.clone());
     let mut samples = Vec::new();
     let mut batch_seq = 0u32;
+    let mut step_costs = Vec::with_capacity(steps as usize);
 
     for step in 0..steps {
+        let step_started = Instant::now();
         fleet.step_into(dt, &mut samples);
         let mut entries: Vec<BatchedUpdate> = Vec::new();
         let mut owners: Vec<usize> = Vec::new();
@@ -350,6 +390,7 @@ fn batch_worker(
                 owners.push(local);
             }
         }
+        let updates = entries.len() as u32;
         // Exchange (and re-exchange overloaded entries) until the step
         // is fully absorbed — every client must complete step `step`
         // before any polls `step + 1`.
@@ -387,6 +428,7 @@ fn batch_worker(
             entries = retry_entries;
             owners = retry_owners;
         }
+        step_costs.push(StepCost { step, updates, busy: step_started.elapsed() });
     }
 
     let mut fired = Vec::new();
@@ -395,10 +437,11 @@ fn batch_worker(
         per_client.push((client.user(), client.strategy(), client.stats()));
         fired.extend(client.take_fired());
     }
-    Ok((fired, per_client))
+    Ok((fired, per_client, step_costs))
 }
 
-type WorkerOutcome = (Vec<FiredEvent>, Vec<(SubscriberId, StrategySpec, ClientStats)>);
+type WorkerOutcome =
+    (Vec<FiredEvent>, Vec<(SubscriberId, StrategySpec, ClientStats)>, Vec<StepCost>);
 
 /// One batch frame round trip, unwrapped to its reply groups.
 fn exchange_batch(
@@ -476,6 +519,31 @@ mod tests {
         };
         assert_eq!(totals(&batched), totals(&per_request));
         assert!(totals(&batched).0 > 0, "someone must have talked to the server");
+        // Every worker meters every step, and the metered updates are
+        // the uplinks (the smoke run never overloads a shard).
+        assert_eq!(batched.step_costs.len(), 3 * 120);
+        let metered: u64 = batched.step_costs.iter().map(|c| u64::from(c.updates)).sum();
+        assert_eq!(metered, totals(&batched).0);
+        assert!(per_request.step_costs.is_empty());
+    }
+
+    #[test]
+    fn quarter_cost_is_the_median_step_of_each_quarter() {
+        let cost = |step, updates, us| StepCost { step, updates, busy: Duration::from_micros(us) };
+        let costs = [
+            // Quarter 0 (steps 0–1): 10, 30 and a 1000 µs/update burst.
+            cost(0, 2, 20),
+            cost(1, 1, 30),
+            cost(1, 1, 1_000),
+            // Quarter 1: nothing sent — no cost per update to speak of.
+            cost(2, 0, 500),
+            // Quarter 3 (steps 6–7), two workers.
+            cost(6, 4, 80),
+            cost(7, 1, 40),
+            // Past the replayed steps: ignored.
+            cost(8, 1, 9_999),
+        ];
+        assert_eq!(quarter_us_per_update(&costs, 8), [30.0, 0.0, 0.0, 40.0]);
     }
 
     #[test]

@@ -19,6 +19,7 @@
 use crate::arena::ReplyPool;
 use crate::cache::{CacheStats, RegionCache};
 use crate::clock::{SharedClock, SystemClock};
+use crate::fired::FiredTable;
 use crate::shard::{
     shard_of_index, Job, JobPayload, ShardPool, ShardSnapshot, ShardUpdate, SubmitError,
     VersionedShardIndex,
@@ -39,7 +40,7 @@ use sa_obs::{
     SpanKind, SpanRecorder, TimeSource, TraceCtx, TraceMode, TraceRing,
 };
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -48,6 +49,11 @@ thread_local! {
     /// across updates so the steady-state case (no triggering alarms)
     /// never touches the heap.
     static TRIGGER_SCRATCH: RefCell<Vec<AlarmId>> = const { RefCell::new(Vec::new()) };
+    /// Per-thread copy of the refreshing subscriber's fired ids (sorted):
+    /// the fired table's stripe lock is dropped before any compute runs.
+    static FIRED_SCRATCH: RefCell<Vec<AlarmId>> = const { RefCell::new(Vec::new()) };
+    /// Per-thread obstacle list of the region refresh in progress.
+    static OBSTACLE_SCRATCH: RefCell<Vec<Rect>> = const { RefCell::new(Vec::new()) };
     /// Per-thread pinned generation of the worker's shard index. While no
     /// install/deactivate has published, a refresh is one atomic epoch
     /// load — no lock, no allocation.
@@ -126,7 +132,7 @@ struct Session {
 /// above the shard counts the configs use, so session ids spread across
 /// stripes and the batch router, the shard workers, and the federation
 /// handoff exporter almost always lock different stripes.
-const SESSION_STRIPES: usize = 16;
+pub(crate) const SESSION_STRIPES: usize = 16;
 
 /// The session registry, striped by session id so no single lock
 /// serializes every session touch the way the old
@@ -293,8 +299,9 @@ struct Core {
     /// Shard-local indexes over the alarms intersecting each shard's
     /// cells, each epoch-versioned like the global index.
     shard_indexes: Vec<VersionedShardIndex>,
-    /// (subscriber, alarm) pairs that already fired — alarms fire once.
-    fired: RwLock<HashSet<(SubscriberId, AlarmId)>>,
+    /// Which alarms already fired for which subscriber — alarms fire
+    /// once, for the lifetime of the server.
+    fired: FiredTable,
     sessions: SessionTable,
     /// Federation membership, when [`Server::enable_federation`] was
     /// called; `None` on a standalone server (no ownership checks).
@@ -430,7 +437,7 @@ impl Server {
                 .iter()
                 .map(|owned| VersionedShardIndex::build(owned))
                 .collect(),
-            fired: RwLock::new(HashSet::new()),
+            fired: FiredTable::new(),
             sessions: SessionTable::new(),
             fed: RwLock::new(None),
             cell_updates,
@@ -504,10 +511,10 @@ impl Server {
         self.core.sessions.len()
     }
 
-    /// Drops a session's server-side state (safe region, delivery log,
-    /// fired set). Called by the network front end when a connection
-    /// closes. Returns `false` when the session was never registered
-    /// (e.g. the peer disconnected before `Hello`).
+    /// Drops a session's server-side state (last cell, delivery log) —
+    /// not the subscriber's fired alarms, which outlive sessions. Called
+    /// by the network front end when a connection closes. Returns `false`
+    /// when the session was never registered (no `Hello` seen).
     pub fn close_session(&self, session: u32) -> bool {
         self.core.sessions.remove(session).is_some()
     }
@@ -818,8 +825,10 @@ impl Server {
     /// response groups in batch entry order. A shard whose queue is full
     /// bounces its whole slice as per-update `Overloaded` (the driver
     /// retries those entries); unknown sessions error individually
-    /// without touching any shard. The wall clock is read exactly once,
-    /// at entry, and threaded through every job.
+    /// without touching any shard. Shards are submitted to in shard
+    /// order, so the job order is the same on every run. The clock is
+    /// read once at entry (threaded through every job) and once per
+    /// shard reply.
     ///
     /// The reply channel is leased from the slot pool, but the per-update
     /// grouping and reply vectors still allocate — the allocation-free
@@ -838,7 +847,8 @@ impl Server {
         // Group by owning shard, preserving batch order within a slice.
         // Session lookups hit the striped table per entry — no single
         // guard serializes the whole batch against the workers anymore.
-        let mut by_shard: HashMap<usize, Vec<ShardUpdate>> = HashMap::new();
+        let mut by_shard: Vec<Vec<ShardUpdate>> =
+            (0..self.core.num_shards).map(|_| Vec::new()).collect();
         for (index, u) in updates.into_iter().enumerate() {
             let pos = self.core.clamped_position(u.x_fx, u.y_fx);
             let cell = self.core.grid.cell_of(pos);
@@ -855,7 +865,7 @@ impl Server {
                 continue;
             }
             let shard = shard_of_index(self.core.grid.cell_index(cell), self.core.num_shards);
-            by_shard.entry(shard).or_default().push(ShardUpdate {
+            by_shard[shard].push(ShardUpdate {
                 index: index as u32,
                 session: u.session,
                 req: Request::LocationUpdate {
@@ -883,7 +893,10 @@ impl Server {
         // shutdown() is never blocked behind a slow worker.
         {
             let pool = self.pool.read();
-            for (shard, slice) in by_shard {
+            for (shard, slice) in by_shard.into_iter().enumerate() {
+                if slice.is_empty() {
+                    continue;
+                }
                 match pool.as_ref() {
                     None => bounce(&mut replies, slice, false),
                     Some(pool) => {
@@ -919,10 +932,10 @@ impl Server {
         // keeps its sender alive for the next lease).
         for _ in 0..submitted {
             let Ok(groups) = slot.rx.recv() else { break };
+            // Each batched update's round trip is the batch's: entry to
+            // its shard's reply.
+            let elapsed = self.core.clock.elapsed_since(entered_ns);
             for (index, responses) in groups {
-                // Each batched update's round trip is the batch's: entry
-                // to its worker reply.
-                let elapsed = self.core.clock.elapsed_since(entered_ns);
                 self.core.metrics.update_rtt.record_duration(elapsed);
                 let session = replies[index as usize].session;
                 let trace = trace_id_for(session, seqs[index as usize]);
@@ -1210,8 +1223,8 @@ impl Core {
     }
 
     /// The first leg of a handoff: a read-only snapshot of the named
-    /// session plus the subscriber's fired alarms, sorted so the blob's
-    /// encoding is deterministic.
+    /// session plus the subscriber's fired alarms (the table keeps them
+    /// sorted, so the blob's encoding is deterministic).
     fn export_session(&self, seq: u32, target: u32, trace: TraceCtxExt) -> Vec<Response> {
         let started_ns = self.clock.now_ns();
         let Some((user, strategy, last_cell, delivery_log)) = self.sessions.snapshot(target)
@@ -1220,8 +1233,6 @@ impl Core {
             // here; the mesh treats NO_SESSION as "already moved".
             return vec![Response::Error { seq, code: error_code::NO_SESSION }];
         };
-        let mut fired: Vec<u32> = self.fired_for(user).into_iter().map(|a| a.0 as u32).collect();
-        fired.sort_unstable();
         self.metrics.handoff_exports.inc();
         self.tracer.event(self.num_shards, "handoff_export", target as u64, user.0 as u64);
         self.control_span(
@@ -1236,14 +1247,14 @@ impl Core {
             strategy,
             last_cell: last_cell.map(|c| self.grid.cell_index(c) as u32),
             delivery_log,
-            fired,
+            fired: self.fired.sorted_u32(user),
         };
         vec![Response::SessionState { seq, state }]
     }
 
     /// The second leg of a handoff: installs the blob at `target`,
     /// overwriting any stale copy, and unions the fired alarms into the
-    /// fired set — both idempotent, so a retried import is harmless.
+    /// fired table — both idempotent, so a retried import is harmless.
     fn import_session(
         &self,
         seq: u32,
@@ -1259,13 +1270,14 @@ impl Core {
             Some(w) => Some(self.grid.cell_at_index(u64::from(w))),
             None => None,
         };
-        let user = SubscriberId(state.user);
-        {
-            let mut fired = self.fired.write();
-            for &alarm in &state.fired {
-                fired.insert((user, AlarmId(u64::from(alarm))));
-            }
+        // An id the index never issued is a malformed blob; accepting it
+        // would let a peer grow the table past the alarm count.
+        let alarm_count = self.global_index.len();
+        if state.fired.iter().any(|&alarm| alarm as usize >= alarm_count) {
+            return vec![Response::Error { seq, code: error_code::BAD_REQUEST }];
         }
+        let user = SubscriberId(state.user);
+        self.fired.extend(user, state.fired.iter().map(|&alarm| AlarmId(u64::from(alarm))));
         self.sessions.insert(
             target,
             Session {
@@ -1357,19 +1369,29 @@ impl Core {
         }
     }
 
-    /// The subscriber's already-fired alarm set (snapshot).
-    fn fired_for(&self, user: SubscriberId) -> HashSet<AlarmId> {
-        self.fired.read().iter().filter(|(u, _)| *u == user).map(|(_, a)| *a).collect()
+    /// Runs `f` on a per-thread copy of the subscriber's fired alarm ids
+    /// (sorted) — no table lock is held while `f` computes.
+    fn with_fired<R>(&self, user: SubscriberId, f: impl FnOnce(&[AlarmId]) -> R) -> R {
+        FIRED_SCRATCH.with(|scratch| {
+            let mut fired = scratch.borrow_mut();
+            self.fired.copy_into(user, &mut fired);
+            f(&fired)
+        })
     }
 
     /// OPT client-side trigger notification: record the firing (routed
-    /// inline — it only touches the fired set).
+    /// inline — it only touches the fired table). An id the index never
+    /// issued is refused, so a subscriber's list stays bounded by the
+    /// alarm count.
     fn notify_trigger(&self, session: u32, seq: u32, alarm: u32) -> Vec<Response> {
         let user = match self.sessions.peek(session) {
             Some((user, _, _)) => user,
             None => return vec![Response::Error { seq, code: error_code::NO_SESSION }],
         };
-        if self.fired.write().insert((user, AlarmId(alarm as u64))) {
+        if alarm as usize >= self.global_index.len() {
+            return vec![Response::Error { seq, code: error_code::UNKNOWN_ALARM }];
+        }
+        if self.fired.insert(user, AlarmId(alarm as u64)) {
             self.metrics.triggers.inc();
             self.tracer.event(self.num_shards, "trigger", user.0 as u64, alarm as u64);
         }
@@ -1444,7 +1466,7 @@ impl Core {
         // is owned by this shard. Hits land in a per-thread scratch
         // buffer, so the steady-state case (no triggering alarms) queries
         // the pinned snapshot lock-free, finds nothing, and never
-        // allocates — and the `fired` write lock is not taken at all.
+        // allocates — and the fired table is not touched at all.
         let fired_now = TRIGGER_SCRATCH.with(|scratch| {
             let mut triggering = scratch.borrow_mut();
             triggering.clear();
@@ -1455,14 +1477,11 @@ impl Core {
                 return false;
             }
             let mut newly_fired = Vec::new();
-            {
-                let mut fired = self.fired.write();
-                for &id in triggering.iter() {
-                    if fired.insert((user, id)) {
-                        self.metrics.triggers.inc();
-                        self.tracer.event(shard, "trigger", user.0 as u64, id.0);
-                        newly_fired.push(id.0 as u32);
-                    }
+            for &id in triggering.iter() {
+                if self.fired.insert(user, id) {
+                    self.metrics.triggers.inc();
+                    self.tracer.event(shard, "trigger", user.0 as u64, id.0);
+                    newly_fired.push(id.0 as u32);
                 }
             }
             if newly_fired.is_empty() {
@@ -1475,31 +1494,22 @@ impl Core {
             true
         });
 
+        // Closes a strategy arm's compute: latency histogram plus span.
+        let computed = |started_ns: u64| {
+            let elapsed = self.clock.elapsed_since(started_ns);
+            self.metrics.compute_hist(strategy).record_duration(elapsed);
+            let (a, b) = (session as u64, cell_word as u64);
+            self.worker_span(shard, trace, SpanKind::RegionCompute, started_ns, a, b);
+        };
         match strategy {
             StrategySpec::Mwpsr => {
-                let candidates =
-                    self.with_shard_snapshot(shard, |s| s.relevant_intersecting(user, cell_rect));
-                let fired = self.fired_for(user);
-                let obstacles: Vec<Rect> = candidates
-                    .iter()
-                    .filter(|v| !fired.contains(&v.id))
-                    .map(|v| v.region)
-                    .collect();
                 self.metrics.region_computations.inc();
-                let started_ns = self.clock.now_ns();
-                let region =
-                    MwpsrComputer::non_weighted().compute(pos, heading, cell_rect, &obstacles);
-                self.metrics
-                    .compute_hist(strategy)
-                    .record_duration(self.clock.elapsed_since(started_ns));
-                self.worker_span(
-                    shard,
-                    trace,
-                    SpanKind::RegionCompute,
-                    started_ns,
-                    session as u64,
-                    cell_word as u64,
-                );
+                let (started_ns, region) =
+                    self.with_unfired_obstacles(shard, user, cell_rect, |obstacles, _| {
+                        let mwpsr = MwpsrComputer::non_weighted();
+                        (self.clock.now_ns(), mwpsr.compute(pos, heading, cell_rect, obstacles))
+                    });
+                computed(started_ns);
                 out.push(Response::RectInstall {
                     seq,
                     cell: cell_word,
@@ -1522,17 +1532,7 @@ impl Core {
                     let eff = degraded_cap.map_or(height, |cap| height.min(cap.max(1)));
                     let started_ns = self.clock.now_ns();
                     let region = self.pbsr_region(shard, user, cell, cell_rect, eff, trace);
-                    self.metrics
-                        .compute_hist(strategy)
-                        .record_duration(self.clock.elapsed_since(started_ns));
-                    self.worker_span(
-                        shard,
-                        trace,
-                        SpanKind::RegionCompute,
-                        started_ns,
-                        session as u64,
-                        cell_word as u64,
-                    );
+                    computed(started_ns);
                     out.push(Response::BitmapInstall {
                         seq,
                         cell: cell_word,
@@ -1542,59 +1542,74 @@ impl Core {
             }
             StrategySpec::Opt => {
                 let started_ns = self.clock.now_ns();
-                let views =
-                    self.with_shard_snapshot(shard, |s| s.all_intersecting(user, cell_rect));
-                let fired = self.fired_for(user);
                 self.metrics.region_computations.inc();
-                let alarms = views
-                    .iter()
-                    .filter(|v| !fired.contains(&v.id))
-                    .map(|v| crate::wire::PushedAlarm {
-                        alarm: v.id.0 as u32,
-                        relevant: v.relevant,
-                        rect: quantize_rect(v.region),
-                    })
-                    .collect();
-                self.metrics
-                    .compute_hist(strategy)
-                    .record_duration(self.clock.elapsed_since(started_ns));
-                self.worker_span(
-                    shard,
-                    trace,
-                    SpanKind::RegionCompute,
-                    started_ns,
-                    session as u64,
-                    cell_word as u64,
-                );
+                let mut alarms = Vec::new();
+                self.with_fired(user, |fired| {
+                    self.with_shard_snapshot(shard, |s| {
+                        s.for_each_intersecting(user, cell_rect, |v| {
+                            if fired.binary_search(&v.id).is_err() {
+                                alarms.push(crate::wire::PushedAlarm {
+                                    alarm: v.id.0 as u32,
+                                    relevant: v.relevant,
+                                    rect: quantize_rect(v.region),
+                                });
+                            }
+                        });
+                    });
+                });
+                computed(started_ns);
                 out.push(Response::AlarmPush { seq, cell: cell_word, alarms });
             }
             StrategySpec::SafePeriod => {
                 self.metrics.region_computations.inc();
                 let started_ns = self.clock.now_ns();
-                let fired = self.fired_for(user);
-                let (nearest, _) = self.with_global_snapshot(|g| {
-                    g.nearest_relevant_distance(user, pos, |id| !fired.contains(&id))
+                let nearest = self.with_fired(user, |fired| {
+                    let unfired = |id: AlarmId| fired.binary_search(&id).is_err();
+                    self.with_global_snapshot(|g| {
+                        g.nearest_relevant_distance_unmetered(user, pos, unfired)
+                    })
                 });
                 let universe = self.grid.universe();
                 let max_extent = universe.width().max(universe.height()) * 2.0;
                 let period_s = nearest.unwrap_or(max_extent) / self.v_max;
-                self.metrics
-                    .compute_hist(strategy)
-                    .record_duration(self.clock.elapsed_since(started_ns));
-                self.worker_span(
-                    shard,
-                    trace,
-                    SpanKind::RegionCompute,
-                    started_ns,
-                    session as u64,
-                    cell_word as u64,
-                );
+                computed(started_ns);
                 // Flooring to milliseconds only shortens the silence —
                 // the safe direction.
                 let period_ms = ((period_s * 1_000.0).floor() as u64).min(SEQ_MASK as u64) as u32;
                 out.push(Response::SafePeriodGrant { period_ms });
             }
         }
+    }
+
+    /// Runs `f` on the regions of the unfired alarms relevant to `user`
+    /// that intersect `cell_rect` — collected straight from the index
+    /// visitor into per-thread scratch — and on whether that obstacle
+    /// set is exactly the cell's public one (no personal obstacle, no
+    /// fired public alarm).
+    fn with_unfired_obstacles<R>(
+        &self,
+        shard: usize,
+        user: SubscriberId,
+        cell_rect: Rect,
+        f: impl FnOnce(&[Rect], bool) -> R,
+    ) -> R {
+        OBSTACLE_SCRATCH.with(|scratch| {
+            let mut obstacles = scratch.borrow_mut();
+            obstacles.clear();
+            let mut public_view = true;
+            self.with_fired(user, |fired| {
+                self.with_shard_snapshot(shard, |s| {
+                    s.for_each_relevant_intersecting(user, cell_rect, |v| {
+                        let unfired = fired.binary_search(&v.id).is_err();
+                        if unfired {
+                            obstacles.push(v.region);
+                        }
+                        public_view &= unfired == v.public;
+                    });
+                });
+            });
+            f(&obstacles, public_view)
+        })
     }
 
     /// The PBSR terminal payload for one (user, cell): served from the
@@ -1610,17 +1625,12 @@ impl Core {
         height: u32,
         trace: u64,
     ) -> sa_core::BitmapSafeRegion {
-        let views = self.with_shard_snapshot(shard, |s| s.relevant_intersecting(user, cell_rect));
-        let fired = self.fired_for(user);
-        let personal_unfired: Vec<Rect> = views
-            .iter()
-            .filter(|v| !v.public && !fired.contains(&v.id))
-            .map(|v| v.region)
-            .collect();
-        let any_public_fired = views.iter().any(|v| v.public && fired.contains(&v.id));
         let computer = PyramidComputer::new(PyramidConfig::three_by_three(height));
-
-        if personal_unfired.is_empty() && !any_public_fired {
+        self.with_unfired_obstacles(shard, user, cell_rect, |obstacles, public_view| {
+            if !public_view {
+                self.metrics.region_computations.inc();
+                return computer.compute(cell_rect, obstacles);
+            }
             // The user's obstacle set is exactly the cell's public set:
             // the cacheable case the paper precomputes offline.
             let cell_index = self.grid.cell_index(cell);
@@ -1641,21 +1651,11 @@ impl Core {
                 return region;
             }
             let epoch = self.cache.epoch(cell_index);
-            let public: Vec<Rect> =
-                views.iter().filter(|v| v.public).map(|v| v.region).collect();
             self.metrics.region_computations.inc();
-            let region = computer.compute(cell_rect, &public);
+            let region = computer.compute(cell_rect, obstacles);
             self.cache.insert(cell_index, height, epoch, region.clone());
             region
-        } else {
-            let obstacles: Vec<Rect> = views
-                .iter()
-                .filter(|v| !fired.contains(&v.id))
-                .map(|v| v.region)
-                .collect();
-            self.metrics.region_computations.inc();
-            computer.compute(cell_rect, &obstacles)
-        }
+        })
     }
 }
 

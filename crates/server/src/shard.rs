@@ -149,34 +149,48 @@ impl ShardIndex {
         });
     }
 
-    /// Views of the alarms relevant to `user` intersecting `area` — the
-    /// obstacle candidates for a safe-region computation.
-    pub fn relevant_intersecting(&self, user: SubscriberId, area: Rect) -> Vec<AlarmView> {
-        self.index
-            .relevant_intersecting(user, area)
-            .into_iter()
-            .map(|a| AlarmView {
-                id: self.global(a.id()),
-                region: a.region(),
-                public: a.is_public(),
-                relevant: true,
-            })
-            .collect()
-    }
-
-    /// Views of **all** alarms intersecting `area` (the OPT push payload),
-    /// with per-user relevance flags.
-    pub fn all_intersecting(&self, user: SubscriberId, area: Rect) -> Vec<AlarmView> {
-        self.index
-            .all_intersecting(area)
-            .into_iter()
-            .map(|a| AlarmView {
+    /// Visits a view of **every** alarm intersecting `area`, with
+    /// per-user relevance flags, without allocating — region refreshes
+    /// build their obstacle and push lists straight from this.
+    pub fn for_each_intersecting(&self, user: SubscriberId, area: Rect, mut f: impl FnMut(AlarmView)) {
+        self.index.all_intersecting_visit(area, |a| {
+            f(AlarmView {
                 id: self.global(a.id()),
                 region: a.region(),
                 public: a.is_public(),
                 relevant: a.is_relevant_to(user),
-            })
-            .collect()
+            });
+        });
+    }
+
+    /// Visits a view of every alarm relevant to `user` intersecting
+    /// `area` — the obstacle candidates for a safe-region computation.
+    pub fn for_each_relevant_intersecting(
+        &self,
+        user: SubscriberId,
+        area: Rect,
+        mut f: impl FnMut(AlarmView),
+    ) {
+        self.for_each_intersecting(user, area, |v| {
+            if v.relevant {
+                f(v);
+            }
+        });
+    }
+
+    /// The views [`ShardIndex::for_each_relevant_intersecting`] visits.
+    pub fn relevant_intersecting(&self, user: SubscriberId, area: Rect) -> Vec<AlarmView> {
+        let mut views = Vec::new();
+        self.for_each_relevant_intersecting(user, area, |v| views.push(v));
+        views
+    }
+
+    /// The views [`ShardIndex::for_each_intersecting`] visits (the OPT
+    /// push payload).
+    pub fn all_intersecting(&self, user: SubscriberId, area: Rect) -> Vec<AlarmView> {
+        let mut views = Vec::new();
+        self.for_each_intersecting(user, area, |v| views.push(v));
+        views
     }
 }
 
@@ -237,39 +251,18 @@ impl ShardSnapshot {
         out
     }
 
-    /// Views of the alarms relevant to `user` intersecting `area`.
-    pub fn relevant_intersecting(&self, user: SubscriberId, area: Rect) -> Vec<AlarmView> {
-        let mut views: Vec<AlarmView> = self
-            .base
-            .relevant_intersecting(user, area)
-            .into_iter()
-            .filter(|v| self.live(v.id))
-            .collect();
-        for a in &self.delta {
-            if self.live(a.id()) && a.is_relevant_to(user) && a.region().intersects(&area) {
-                views.push(AlarmView {
-                    id: a.id(),
-                    region: a.region(),
-                    public: a.is_public(),
-                    relevant: true,
-                });
+    /// Visits a view of **every** live alarm intersecting `area`, with
+    /// per-user relevance flags, without allocating. See
+    /// [`ShardIndex::for_each_intersecting`].
+    pub fn for_each_intersecting(&self, user: SubscriberId, area: Rect, mut f: impl FnMut(AlarmView)) {
+        self.base.for_each_intersecting(user, area, |v| {
+            if self.live(v.id) {
+                f(v);
             }
-        }
-        views
-    }
-
-    /// Views of **all** alarms intersecting `area`, with per-user
-    /// relevance flags.
-    pub fn all_intersecting(&self, user: SubscriberId, area: Rect) -> Vec<AlarmView> {
-        let mut views: Vec<AlarmView> = self
-            .base
-            .all_intersecting(user, area)
-            .into_iter()
-            .filter(|v| self.live(v.id))
-            .collect();
+        });
         for a in &self.delta {
             if self.live(a.id()) && a.region().intersects(&area) {
-                views.push(AlarmView {
+                f(AlarmView {
                     id: a.id(),
                     region: a.region(),
                     public: a.is_public(),
@@ -277,6 +270,34 @@ impl ShardSnapshot {
                 });
             }
         }
+    }
+
+    /// Visits a view of every live alarm relevant to `user` intersecting
+    /// `area`.
+    pub fn for_each_relevant_intersecting(
+        &self,
+        user: SubscriberId,
+        area: Rect,
+        mut f: impl FnMut(AlarmView),
+    ) {
+        self.for_each_intersecting(user, area, |v| {
+            if v.relevant {
+                f(v);
+            }
+        });
+    }
+
+    /// The views [`ShardSnapshot::for_each_relevant_intersecting`] visits.
+    pub fn relevant_intersecting(&self, user: SubscriberId, area: Rect) -> Vec<AlarmView> {
+        let mut views = Vec::new();
+        self.for_each_relevant_intersecting(user, area, |v| views.push(v));
+        views
+    }
+
+    /// The views [`ShardSnapshot::for_each_intersecting`] visits.
+    pub fn all_intersecting(&self, user: SubscriberId, area: Rect) -> Vec<AlarmView> {
+        let mut views = Vec::new();
+        self.for_each_intersecting(user, area, |v| views.push(v));
         views
     }
 }

@@ -9,13 +9,21 @@
 //! the allocation count, drives more updates, and asserts the counter
 //! did not move. Tracing is forced to `TraceMode::Off` — the span gate
 //! is an atomic load, so that mode is part of the steady-state contract.
+//!
+//! A second test pins the region-refresh path the same way: a warm
+//! safe-period grant allocates nothing even for a subscriber with fired
+//! history, and what a warm MWPSR or cache-hit PBSR refresh allocates
+//! depends neither on the subscriber's own fired history nor on how
+//! many firings the server holds for everybody else. The counter is
+//! process-wide, so the tests take turns on [`SERIAL`].
 
 use sa_alarms::{AlarmId, AlarmScope, AlarmTarget, SpatialAlarm, SubscriberId};
-use sa_geometry::{Grid, Point, Rect};
-use sa_server::wire::{quantize_m, Request, StrategySpec};
+use sa_geometry::{Grid, Rect};
+use sa_server::wire::{quantize_m, Request, Response, SessionState, StrategySpec};
 use sa_server::{Server, ServerConfig, TraceMode};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Counts every allocation (alloc, zeroed alloc, realloc) made anywhere
 /// in the process. Deallocations are not counted — the invariant is
@@ -49,21 +57,29 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static COUNTER: CountingAllocator = CountingAllocator;
 
+/// Held by each test for its whole body: one measured window at a time.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn public_alarm(id: u64, min_x: f64, min_y: f64, side: f64) -> SpatialAlarm {
+    let region = Rect::new(min_x, min_y, min_x + side, min_y + side).unwrap();
+    SpatialAlarm::new(
+        AlarmId(id),
+        region,
+        AlarmTarget::Static(region.center()),
+        AlarmScope::Public { owner: SubscriberId(99) },
+    )
+}
+
 #[test]
 fn steady_state_update_path_allocates_nothing() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let universe = Rect::new(0.0, 0.0, 10_000.0, 10_000.0).unwrap();
     let grid = Grid::new(universe, 1_000.0).unwrap();
     // One public alarm far from the subscriber: the index is non-trivial
     // but nothing ever triggers on the steady path.
-    let alarm = SpatialAlarm::new(
-        AlarmId(0),
-        Rect::new(9_000.0, 9_000.0, 9_500.0, 9_500.0).unwrap(),
-        AlarmTarget::Static(Point::new(9_250.0, 9_250.0)),
-        AlarmScope::Public { owner: SubscriberId(99) },
-    );
     let server = Server::start(
         grid,
-        vec![alarm],
+        vec![public_alarm(0, 9_000.0, 9_000.0, 500.0)],
         30.0,
         ServerConfig { num_shards: 1, queue_capacity: 16 },
     );
@@ -105,5 +121,110 @@ fn steady_state_update_path_allocates_nothing() {
         "steady-state updates allocated {delta} times over {STEADY_UPDATES} updates \
          — the hot path must stay allocation-free"
     );
+    server.shutdown();
+}
+
+/// Allocations (process-wide) of `rounds` passes over `requests` on
+/// `session`, after as many unmeasured warm-up passes.
+fn refresh_allocations(server: &Server, session: u32, requests: &[Request], rounds: u32) -> u64 {
+    let mut out = Vec::new();
+    let pass = |out: &mut Vec<Response>| {
+        for req in requests {
+            out.clear();
+            server.handle_into(session, req.clone(), out);
+        }
+    };
+    for _ in 0..rounds {
+        pass(&mut out);
+    }
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    for _ in 0..rounds {
+        pass(&mut out);
+    }
+    let delta = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    assert!(
+        !matches!(out.last(), None | Some(Response::Error { .. } | Response::Ack { .. })),
+        "every measured request must be answered with a region refresh, got {out:?}"
+    );
+    delta
+}
+
+#[test]
+fn refresh_allocations_do_not_depend_on_anyones_fired_history() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    const FOREIGN_SUBSCRIBERS: u32 = 100;
+    const ALARMS: u32 = 1_000;
+    let universe = Rect::new(0.0, 0.0, 10_000.0, 10_000.0).unwrap();
+    // Alarm 0 gives the subject its fired history; 1 and 2 are the
+    // obstacles of the two cells the refreshes alternate between; the
+    // rest sit far away and exist to be fired by everybody else.
+    let mut alarms = vec![
+        public_alarm(0, 2_000.0, 2_000.0, 500.0),
+        public_alarm(1, 600.0, 600.0, 100.0),
+        public_alarm(2, 1_600.0, 600.0, 100.0),
+    ];
+    alarms.extend((3..u64::from(ALARMS)).map(|id| {
+        public_alarm(id, 5_000.0 + (id % 30) as f64 * 100.0, 5_000.0 + (id / 30) as f64 * 100.0, 50.0)
+    }));
+    let server = Server::start(
+        Grid::new(universe, 1_000.0).unwrap(),
+        alarms,
+        30.0,
+        ServerConfig { num_shards: 1, queue_capacity: 16 },
+    );
+    server.set_trace_mode(TraceMode::Off);
+
+    let hello = |user, strategy| {
+        let session = server.open_session();
+        let resps = server.handle(session, Request::Hello { seq: 0, user, strategy });
+        assert_eq!(resps, vec![Response::Ack { seq: 0 }]);
+        session
+    };
+    let at = |x: f64, y: f64| Request::LocationUpdate {
+        seq: 1,
+        x_fx: quantize_m(x),
+        y_fx: quantize_m(y),
+        motion: 0,
+    };
+    // Two cells, alternately: every PBSR update is a cell change, hence
+    // a full refresh — a cache hit once both cells' bitmaps are cached.
+    let hops = [at(500.0, 500.0), at(1_500.0, 500.0)];
+    let pbsr = StrategySpec::Pbsr { height: 3 };
+
+    // Subscriber 7 crosses alarm 0 once; subscriber 8 never fires.
+    let mwpsr_7 = hello(7, StrategySpec::Mwpsr);
+    let fired = server.handle(mwpsr_7, at(2_250.0, 2_250.0));
+    assert!(matches!(fired.first(), Some(Response::TriggerDelivery { alarm: 0, .. })));
+    let (pbsr_7, period_7) = (hello(7, pbsr), hello(7, StrategySpec::SafePeriod));
+    let (mwpsr_8, pbsr_8) = (hello(8, StrategySpec::Mwpsr), hello(8, pbsr));
+
+    const ROUNDS: u32 = 32;
+    let measure = |session| refresh_allocations(&server, session, &hops, ROUNDS);
+    let quiet = (measure(period_7), measure(mwpsr_7), measure(pbsr_7));
+    assert_eq!(quiet.0, 0, "a warm safe-period grant must not allocate");
+    assert_eq!(quiet.1, measure(mwpsr_8), "MWPSR refresh: own fired history must cost no allocation");
+    assert_eq!(quiet.2, measure(pbsr_8), "PBSR cache hit: own fired history must cost no allocation");
+
+    // 100,000 firings of other subscribers, loaded the way a federation
+    // peer would hand them over.
+    let every_alarm: Vec<u32> = (0..ALARMS).collect();
+    for user in 0..FOREIGN_SUBSCRIBERS {
+        let state = SessionState {
+            user: 1_000 + user,
+            strategy: StrategySpec::Mwpsr,
+            last_cell: None,
+            delivery_log: Vec::new(),
+            fired: every_alarm.clone(),
+        };
+        let import = Request::HandoffImport {
+            seq: 1,
+            session: server.open_session(),
+            state,
+            trace: Default::default(),
+        };
+        assert_eq!(server.handle(mwpsr_8, import), vec![Response::Ack { seq: 1 }]);
+    }
+    let loaded = (measure(period_7), measure(mwpsr_7), measure(pbsr_7));
+    assert_eq!(loaded, quiet, "(safe period, MWPSR, PBSR) allocations moved with foreign firings");
     server.shutdown();
 }

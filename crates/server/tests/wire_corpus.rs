@@ -235,6 +235,17 @@ fn corpus() -> Vec<Case> {
             expected: ServerError { code: error_code::UNKNOWN_ALARM },
         },
         Case {
+            name: "req_trigger_notify_unknown_alarm",
+            direction: Req,
+            // A well-formed OPT trigger notification for an alarm id the
+            // index never issued (the live server has none installed).
+            // Used to be recorded and counted — a client looping over
+            // ids grew the fired table without bound; must answer
+            // `Error { UNKNOWN_ALARM }` and record nothing.
+            bytes: frame(&[head(3, 2), 0xDEAD_BEEF], &[]),
+            expected: ServerError { code: error_code::UNKNOWN_ALARM },
+        },
+        Case {
             name: "net_oversized_frame_live",
             direction: Direction::Socket,
             // A length prefix one past MAX_FRAME_LEN on an otherwise
