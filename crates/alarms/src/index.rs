@@ -213,7 +213,7 @@ impl AlarmIndex {
     /// intersects `area`, in [`AlarmIndex::all_intersecting`]'s order,
     /// without materializing a result vector — the form the server's
     /// region refreshes build their obstacle lists from.
-    pub fn all_intersecting_visit(&self, area: Rect, mut f: impl FnMut(&SpatialAlarm)) {
+    pub fn all_intersecting_visit<'a>(&'a self, area: Rect, mut f: impl FnMut(&'a SpatialAlarm)) {
         self.tree.visit_intersecting(area, |_, id| f(self.alarm(*id)));
     }
 

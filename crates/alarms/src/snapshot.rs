@@ -165,21 +165,6 @@ impl AlarmSnapshot {
         self.dead.is_empty() || !self.dead.contains(&id)
     }
 
-    /// Alarms relevant to `user` whose regions contain `pos` — the
-    /// trigger check, with traversal statistics.
-    pub fn relevant_at(&self, user: SubscriberId, pos: Point) -> (Vec<&SpatialAlarm>, QueryStats) {
-        let (hits, mut stats) = self.base.relevant_at(user, pos);
-        let mut hits: Vec<&SpatialAlarm> =
-            hits.into_iter().filter(|a| self.live(a.id())).collect();
-        for a in &self.delta {
-            stats.entries_tested += 1;
-            if self.live(a.id()) && a.is_relevant_to(user) && a.contains(pos) {
-                hits.push(a);
-            }
-        }
-        (hits, stats)
-    }
-
     /// Visits each alarm relevant to `user` containing `pos` without
     /// materializing a vector — the allocation-free trigger check the
     /// shard workers run per position update.
@@ -201,46 +186,40 @@ impl AlarmSnapshot {
         }
     }
 
-    /// Alarms relevant to `user` intersecting `area` — safe-region scoping.
-    pub fn relevant_intersecting(&self, user: SubscriberId, area: Rect) -> Vec<&SpatialAlarm> {
-        self.relevant_intersecting_with_stats(user, area).0
-    }
-
-    /// Like [`AlarmSnapshot::relevant_intersecting`], with traversal stats.
-    pub fn relevant_intersecting_with_stats(
-        &self,
-        user: SubscriberId,
-        area: Rect,
-    ) -> (Vec<&SpatialAlarm>, QueryStats) {
-        let (hits, mut stats) = self.base.relevant_intersecting_with_stats(user, area);
-        let mut hits: Vec<&SpatialAlarm> =
-            hits.into_iter().filter(|a| self.live(a.id())).collect();
+    /// Visits every live alarm (regardless of subscriber) whose region
+    /// intersects `area` without materializing a vector — base in
+    /// [`AlarmIndex::all_intersecting_visit`]'s order, then the delta in
+    /// install order. The live server's region refreshes (MWPSR/PBSR
+    /// obstacles, the OPT push list) read the index through this.
+    pub fn all_intersecting_visit<'a>(&'a self, area: Rect, mut f: impl FnMut(&'a SpatialAlarm)) {
+        self.base.all_intersecting_visit(area, |a| {
+            if self.live(a.id()) {
+                f(a);
+            }
+        });
         for a in &self.delta {
-            stats.entries_tested += 1;
-            if self.live(a.id()) && a.is_relevant_to(user) && a.region().intersects(&area) {
-                hits.push(a);
+            if self.live(a.id()) && a.region().intersects(&area) {
+                f(a);
             }
         }
-        (hits, stats)
+    }
+
+    /// Alarms relevant to `user` intersecting `area` — safe-region scoping.
+    pub fn relevant_intersecting(&self, user: SubscriberId, area: Rect) -> Vec<&SpatialAlarm> {
+        let mut hits = Vec::new();
+        self.all_intersecting_visit(area, |a| {
+            if a.is_relevant_to(user) {
+                hits.push(a);
+            }
+        });
+        hits
     }
 
     /// All alarms intersecting `area`, regardless of subscriber.
     pub fn all_intersecting(&self, area: Rect) -> Vec<&SpatialAlarm> {
-        self.all_intersecting_with_stats(area).0
-    }
-
-    /// Like [`AlarmSnapshot::all_intersecting`], with traversal stats.
-    pub fn all_intersecting_with_stats(&self, area: Rect) -> (Vec<&SpatialAlarm>, QueryStats) {
-        let (hits, mut stats) = self.base.all_intersecting_with_stats(area);
-        let mut hits: Vec<&SpatialAlarm> =
-            hits.into_iter().filter(|a| self.live(a.id())).collect();
-        for a in &self.delta {
-            stats.entries_tested += 1;
-            if self.live(a.id()) && a.region().intersects(&area) {
-                hits.push(a);
-            }
-        }
-        (hits, stats)
+        let mut hits = Vec::new();
+        self.all_intersecting_visit(area, |a| hits.push(a));
+        hits
     }
 
     /// Distance from `pos` to the nearest alarm relevant to `user`
@@ -468,8 +447,8 @@ mod tests {
     }
 
     fn ids_at(snap: &AlarmSnapshot, user: u32, x: f64, y: f64) -> Vec<u64> {
-        let (hits, _) = snap.relevant_at(SubscriberId(user), Point::new(x, y));
-        let mut v: Vec<u64> = hits.iter().map(|a| a.id().0).collect();
+        let mut v = Vec::new();
+        snap.relevant_at_visit(SubscriberId(user), Point::new(x, y), |a| v.push(a.id().0));
         v.sort_unstable();
         v
     }
@@ -515,9 +494,7 @@ mod tests {
         let snap = v.snapshot();
         assert_eq!(snap.len(), 10);
         for i in 0..10u64 {
-            let p = Point::new(50.0 * i as f64, 50.0 * i as f64);
-            let (hits, _) = snap.relevant_at(SubscriberId(3), p);
-            let got: Vec<u64> = hits.iter().map(|a| a.id().0).collect();
+            let got = ids_at(&snap, 3, 50.0 * i as f64, 50.0 * i as f64);
             assert_eq!(got.contains(&i), i != 4, "alarm {i} at its own center");
         }
         // A deactivate folded into a merged base stays deactivated, and
@@ -527,8 +504,7 @@ mod tests {
         }
         assert!(!v.deactivate(AlarmId(4)));
         let merged = v.snapshot();
-        let (hits, _) = merged.relevant_at(SubscriberId(3), Point::new(200.0, 200.0));
-        assert!(hits.iter().all(|a| a.id() != AlarmId(4)));
+        assert!(!ids_at(&merged, 3, 200.0, 200.0).contains(&4));
     }
 
     #[test]
@@ -595,13 +571,12 @@ mod tests {
                     for k in 0..2_000u64 {
                         let snap = v.load_cached(&mut cache);
                         let p = Point::new((k % 100) as f64 * 10.0, 500.0);
-                        let (hits, _) = snap.relevant_at(SubscriberId(1), p);
                         // Every hit must come from a consistent generation:
                         // its id addressable, its region containing p.
-                        for a in &hits {
+                        snap.relevant_at_visit(SubscriberId(1), p, |a| {
                             assert!(a.contains(p));
                             assert_eq!(snap.alarm(a.id()).id(), a.id());
-                        }
+                        });
                     }
                 })
             })

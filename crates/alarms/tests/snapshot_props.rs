@@ -1,6 +1,6 @@
 //! Property-based equivalence: an epoch-pinned [`AlarmSnapshot`] must
-//! answer `relevant_at` / `relevant_intersecting` / the nearest-distance
-//! queries exactly like a fresh
+//! answer `relevant_at_visit` / `relevant_intersecting` /
+//! `all_intersecting` / the nearest-distance queries exactly like a fresh
 //! mutable [`AlarmIndex`] built from the same surviving alarm set, across
 //! randomized interleavings of install / deactivate / query — and a
 //! generation pinned mid-sequence must keep answering for the state it
@@ -72,17 +72,13 @@ fn verify(snap: &AlarmSnapshot, installed: &[SpatialAlarm], dead: &[AlarmId]) {
     let (points, rects) = probes();
     for user in [SubscriberId(0), SubscriberId(2), SubscriberId(4)] {
         for &p in &points {
-            let mut got: Vec<u64> = snap.relevant_at(user, p).0.iter().map(|a| a.id().0).collect();
+            let mut got: Vec<u64> = Vec::new();
+            snap.relevant_at_visit(user, p, |a| got.push(a.id().0));
             got.sort_unstable();
             let mut want: Vec<u64> =
                 refidx.relevant_at(user, p).0.iter().map(|a| a.id().0).collect();
             want.sort_unstable();
-            assert_eq!(got, want, "relevant_at diverged for user {user:?} at {p:?}");
-            // The visit-based form must agree with the materializing one.
-            let mut visited: Vec<u64> = Vec::new();
-            snap.relevant_at_visit(user, p, |a| visited.push(a.id().0));
-            visited.sort_unstable();
-            assert_eq!(visited, got, "relevant_at_visit diverged from relevant_at");
+            assert_eq!(got, want, "relevant_at_visit diverged for user {user:?} at {p:?}");
             // Both nearest forms agree with each other and the reference,
             // with and without a filter.
             for modulus in [1, 2] {
@@ -101,6 +97,13 @@ fn verify(snap: &AlarmSnapshot, installed: &[SpatialAlarm], dead: &[AlarmId]) {
             want.sort_unstable();
             assert_eq!(got, want, "relevant_intersecting diverged for user {user:?}");
         }
+    }
+    for &area in &rects {
+        let mut got: Vec<u64> = snap.all_intersecting(area).iter().map(|a| a.id().0).collect();
+        got.sort_unstable();
+        let mut want: Vec<u64> = refidx.all_intersecting(area).iter().map(|a| a.id().0).collect();
+        want.sort_unstable();
+        assert_eq!(got, want, "all_intersecting diverged over {area:?}");
     }
 }
 

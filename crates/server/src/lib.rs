@@ -3,8 +3,9 @@
 //! Where `sa-sim` *models* the client–server message exchange of
 //! Bamba et al.'s safe-region strategies with abstract bit accounting,
 //! this crate *runs* it: a real binary wire protocol ([`wire`]), a
-//! server whose alarm state is sharded across worker threads by grid
-//! cell ([`server`], [`shard`]), an epoch-versioned cache of public
+//! server whose update work is sharded across worker threads by grid
+//! cell, all reading one epoch-versioned alarm index ([`server`],
+//! [`shard`]), an epoch-versioned cache of public
 //! safe-region bitmaps ([`cache`]), two interchangeable transports —
 //! in-process and loopback TCP ([`transport`]) — and client-side
 //! strategy mirrors plus a trace replay driver that cross-checks every
@@ -40,9 +41,9 @@
 //! client  ── per-strategy mirrors (MWPSR / PBSR / OPT / safe-period)
 //!            + retry → degraded → resync → steady resilience machine
 //! transport ─ InProc | Tcp, both framing through the wire codec
-//! server  ── router + sessions; LocationUpdate → bounded shard queues
-//! shard   ── VersionedShardIndex (global↔local alarm ids, epoch-
-//!            versioned snapshots) + ShardPool workers
+//! server  ── router + sessions + the one VersionedAlarmIndex;
+//!            LocationUpdate → bounded shard queues
+//! shard   ── cell → shard mapping + ShardPool workers
 //! fired   ── per-subscriber fired-alarm lists (exactly-once state)
 //! cache   ── (cell, height) → public bitmap, epoch-invalidated
 //! wire    ── Request/Response codec, sizes == sa-sim payload constants
@@ -81,7 +82,7 @@ pub use replay::{
 };
 pub use sa_obs::TraceMode;
 pub use server::{quantize_rect, Server, ServerConfig, ServerStats};
-pub use shard::{shard_of_index, ShardIndex, ShardPool, ShardSnapshot, VersionedShardIndex};
+pub use shard::{shard_of_index, ShardPool};
 pub use transport::{
     InProcTransport, ReconnectingTcpTransport, TcpServerHandle, TcpTransport, Transport,
     TransportError,

@@ -20,10 +20,7 @@ use crate::arena::ReplyPool;
 use crate::cache::{CacheStats, RegionCache};
 use crate::clock::{SharedClock, SystemClock};
 use crate::fired::FiredTable;
-use crate::shard::{
-    shard_of_index, Job, JobPayload, ShardPool, ShardSnapshot, ShardUpdate, SubmitError,
-    VersionedShardIndex,
-};
+use crate::shard::{shard_of_index, Job, JobPayload, ShardPool, ShardUpdate, SubmitError};
 use crate::wire::{
     dequantize_m, quantize_m, unpack_motion, BatchReply, BatchedUpdate, CellRange, Request,
     Response, SessionState, StrategySpec, TraceCtxExt, SEQ_MASK,
@@ -54,13 +51,9 @@ thread_local! {
     static FIRED_SCRATCH: RefCell<Vec<AlarmId>> = const { RefCell::new(Vec::new()) };
     /// Per-thread obstacle list of the region refresh in progress.
     static OBSTACLE_SCRATCH: RefCell<Vec<Rect>> = const { RefCell::new(Vec::new()) };
-    /// Per-thread pinned generation of the worker's shard index. While no
+    /// Per-thread pinned generation of the alarm index. While no
     /// install/deactivate has published, a refresh is one atomic epoch
     /// load — no lock, no allocation.
-    static SHARD_SNAP: RefCell<SnapshotCache<ShardSnapshot>> =
-        const { RefCell::new(SnapshotCache::new()) };
-    /// Per-thread pinned generation of the global alarm index (the
-    /// safe-period nearest-distance path).
     static GLOBAL_SNAP: RefCell<SnapshotCache<AlarmSnapshot>> =
         const { RefCell::new(SnapshotCache::new()) };
 }
@@ -292,13 +285,10 @@ struct Core {
     grid: Grid,
     v_max: f64,
     num_shards: usize,
-    /// Global index (dense ids) — safe-period nearest-distance queries
-    /// must see every alarm, wherever it lives. Epoch-versioned: readers
-    /// pin snapshots, installs publish new generations.
+    /// The one alarm index (dense ids) every worker and the router read.
+    /// Epoch-versioned: readers pin snapshots, installs publish new
+    /// generations.
     global_index: VersionedAlarmIndex,
-    /// Shard-local indexes over the alarms intersecting each shard's
-    /// cells, each epoch-versioned like the global index.
-    shard_indexes: Vec<VersionedShardIndex>,
     /// Which alarms already fired for which subscriber — alarms fire
     /// once, for the lifetime of the server.
     fired: FiredTable,
@@ -362,7 +352,7 @@ impl std::fmt::Debug for Server {
 }
 
 impl Server {
-    /// Builds the shard indexes from `alarms` and spawns the worker
+    /// Bulk-loads the alarm index from `alarms` and spawns the worker
     /// threads.
     ///
     /// # Panics
@@ -399,20 +389,6 @@ impl Server {
         assert!(v_max > 0.0, "maximum speed must be positive");
         assert!(config.num_shards > 0, "need at least one shard");
 
-        // Partition: each shard owns the alarms intersecting its cells.
-        let mut per_shard: Vec<Vec<SpatialAlarm>> = vec![Vec::new(); config.num_shards];
-        for alarm in &alarms {
-            let mut owners: Vec<usize> = grid
-                .cells_intersecting(alarm.region())
-                .map(|cell| shard_of_index(grid.cell_index(cell), config.num_shards))
-                .collect();
-            owners.sort_unstable();
-            owners.dedup();
-            for shard in owners {
-                per_shard[shard].push(alarm.clone());
-            }
-        }
-
         let registry = Arc::new(Registry::new());
         let metrics = ServerMetrics::new(&registry);
         // Trace rings and spans timestamp on the *server clock's* axis:
@@ -433,10 +409,6 @@ impl Server {
             num_shards: config.num_shards,
             v_max,
             global_index: VersionedAlarmIndex::new(alarms).unwrap_or_else(|e| panic!("{e}")),
-            shard_indexes: per_shard
-                .iter()
-                .map(|owned| VersionedShardIndex::build(owned))
-                .collect(),
             fired: FiredTable::new(),
             sessions: SessionTable::new(),
             fed: RwLock::new(None),
@@ -956,10 +928,10 @@ impl Server {
         out.push(Response::Batch { seq, replies });
     }
 
-    /// Installs a static-target alarm everywhere it belongs: the global
-    /// index, every intersecting shard, and the epoch/invalidations of
-    /// every intersecting cell. Moving-target alarms are not part of wire
-    /// protocol v1.
+    /// Installs a static-target alarm: one index publish, then the
+    /// epoch bump (cache invalidation) of every intersecting cell — in
+    /// that order, which `pbsr_region` relies on. Moving-target alarms
+    /// are not part of wire protocol v1.
     fn install_alarm(&self, session: u32, seq: u32, alarm: u32, flags: u32, rect: [u32; 4]) -> Vec<Response> {
         if !self.core.session_exists(session) {
             return vec![Response::Error { seq, code: error_code::NO_SESSION }];
@@ -984,19 +956,17 @@ impl Server {
         // A gapped or out-of-order id is a malformed (wire-reachable)
         // frame: reject it with a typed error mapped to a response, never
         // a panic on a worker or router thread.
-        if self.core.global_index.try_install(alarm.clone()).is_err() {
+        let id = alarm.id();
+        if self.core.global_index.try_install(alarm).is_err() {
             return vec![Response::Error { seq, code: error_code::UNKNOWN_ALARM }];
         }
-        for shard in self.core.shards_of_region(region) {
-            self.core.shard_indexes[shard].install(&alarm);
-        }
         self.core.bump_cells(region);
-        self.core.tracer.event(self.core.num_shards, "install", alarm.id().0, session as u64);
+        self.core.tracer.event(self.core.num_shards, "install", id.0, session as u64);
         vec![Response::Ack { seq }]
     }
 
-    /// Deactivates an alarm in the global and shard indexes and
-    /// invalidates the cached regions of every cell it intersected.
+    /// Deactivates an alarm (one index publish), then invalidates the
+    /// cached regions of every cell it intersected.
     fn remove_alarm(&self, session: u32, seq: u32, alarm: u32) -> Vec<Response> {
         if !self.core.session_exists(session) {
             return vec![Response::Error { seq, code: error_code::NO_SESSION }];
@@ -1011,9 +981,6 @@ impl Server {
         };
         if !self.core.global_index.deactivate(id) {
             return vec![Response::Error { seq, code: error_code::UNKNOWN_ALARM }];
-        }
-        for shard in self.core.shards_of_region(region) {
-            self.core.shard_indexes[shard].deactivate(id);
         }
         self.core.bump_cells(region);
         self.core.tracer.event(self.core.num_shards, "remove", id.0, session as u64);
@@ -1093,18 +1060,9 @@ impl Core {
         self.sessions.contains(session)
     }
 
-    /// Runs `f` against this thread's pinned generation of `shard`'s
+    /// Runs `f` against this thread's pinned generation of the alarm
     /// index. Steady state (no publish since the last call on this
     /// thread) is one atomic load — no lock, no allocation.
-    fn with_shard_snapshot<R>(&self, shard: usize, f: impl FnOnce(&ShardSnapshot) -> R) -> R {
-        SHARD_SNAP.with(|c| {
-            let mut cache = c.borrow_mut();
-            f(self.shard_indexes[shard].load_cached(&mut cache))
-        })
-    }
-
-    /// Runs `f` against this thread's pinned generation of the global
-    /// alarm index.
     fn with_global_snapshot<R>(&self, f: impl FnOnce(&AlarmSnapshot) -> R) -> R {
         GLOBAL_SNAP.with(|c| {
             let mut cache = c.borrow_mut();
@@ -1352,17 +1310,6 @@ impl Core {
         )
     }
 
-    fn shards_of_region(&self, region: Rect) -> Vec<usize> {
-        let mut shards: Vec<usize> = self
-            .grid
-            .cells_intersecting(region)
-            .map(|cell| shard_of_index(self.grid.cell_index(cell), self.num_shards))
-            .collect();
-        shards.sort_unstable();
-        shards.dedup();
-        shards
-    }
-
     fn bump_cells(&self, region: Rect) {
         for cell in self.grid.cells_intersecting(region) {
             self.cache.bump_epoch(self.grid.cell_index(cell));
@@ -1461,17 +1408,19 @@ impl Core {
             );
         }
 
-        // Server-side trigger check against the shard-local index; the
-        // triggering alarm contains `pos`, hence intersects `cell`, hence
-        // is owned by this shard. Hits land in a per-thread scratch
+        // Server-side trigger check. Hits land in a per-thread scratch
         // buffer, so the steady-state case (no triggering alarms) queries
         // the pinned snapshot lock-free, finds nothing, and never
         // allocates — and the fired table is not touched at all.
         let fired_now = TRIGGER_SCRATCH.with(|scratch| {
             let mut triggering = scratch.borrow_mut();
             triggering.clear();
-            self.with_shard_snapshot(shard, |snap| {
-                snap.for_each_triggering(user, pos, |id| triggering.push(id));
+            self.with_global_snapshot(|snap| {
+                snap.relevant_at_visit(user, pos, |a| {
+                    if a.triggers_at(pos) {
+                        triggering.push(a.id());
+                    }
+                });
             });
             if triggering.is_empty() {
                 return false;
@@ -1505,7 +1454,7 @@ impl Core {
             StrategySpec::Mwpsr => {
                 self.metrics.region_computations.inc();
                 let (started_ns, region) =
-                    self.with_unfired_obstacles(shard, user, cell_rect, |obstacles, _| {
+                    self.with_unfired_obstacles(user, cell_rect, |obstacles, _| {
                         let mwpsr = MwpsrComputer::non_weighted();
                         (self.clock.now_ns(), mwpsr.compute(pos, heading, cell_rect, obstacles))
                     });
@@ -1545,13 +1494,13 @@ impl Core {
                 self.metrics.region_computations.inc();
                 let mut alarms = Vec::new();
                 self.with_fired(user, |fired| {
-                    self.with_shard_snapshot(shard, |s| {
-                        s.for_each_intersecting(user, cell_rect, |v| {
-                            if fired.binary_search(&v.id).is_err() {
+                    self.with_global_snapshot(|s| {
+                        s.all_intersecting_visit(cell_rect, |a| {
+                            if fired.binary_search(&a.id()).is_err() {
                                 alarms.push(crate::wire::PushedAlarm {
-                                    alarm: v.id.0 as u32,
-                                    relevant: v.relevant,
-                                    rect: quantize_rect(v.region),
+                                    alarm: a.id().0 as u32,
+                                    relevant: a.is_relevant_to(user),
+                                    rect: quantize_rect(a.region()),
                                 });
                             }
                         });
@@ -1588,7 +1537,6 @@ impl Core {
     /// fired public alarm).
     fn with_unfired_obstacles<R>(
         &self,
-        shard: usize,
         user: SubscriberId,
         cell_rect: Rect,
         f: impl FnOnce(&[Rect], bool) -> R,
@@ -1598,13 +1546,16 @@ impl Core {
             obstacles.clear();
             let mut public_view = true;
             self.with_fired(user, |fired| {
-                self.with_shard_snapshot(shard, |s| {
-                    s.for_each_relevant_intersecting(user, cell_rect, |v| {
-                        let unfired = fired.binary_search(&v.id).is_err();
-                        if unfired {
-                            obstacles.push(v.region);
+                self.with_global_snapshot(|s| {
+                    s.all_intersecting_visit(cell_rect, |a| {
+                        if !a.is_relevant_to(user) {
+                            return;
                         }
-                        public_view &= unfired == v.public;
+                        let unfired = fired.binary_search(&a.id()).is_err();
+                        if unfired {
+                            obstacles.push(a.region());
+                        }
+                        public_view &= unfired == a.is_public();
                     });
                 });
             });
@@ -1626,14 +1577,19 @@ impl Core {
         trace: u64,
     ) -> sa_core::BitmapSafeRegion {
         let computer = PyramidComputer::new(PyramidConfig::three_by_three(height));
-        self.with_unfired_obstacles(shard, user, cell_rect, |obstacles, public_view| {
+        let cell_index = self.grid.cell_index(cell);
+        // Read *before* the snapshot is pinned: writers publish, then
+        // bump, so an epoch read first can be older than the obstacles
+        // (a rejected insert) but never newer (a cached bitmap missing
+        // an alarm the epoch claims to cover).
+        let epoch = self.cache.epoch(cell_index);
+        self.with_unfired_obstacles(user, cell_rect, |obstacles, public_view| {
             if !public_view {
                 self.metrics.region_computations.inc();
                 return computer.compute(cell_rect, obstacles);
             }
             // The user's obstacle set is exactly the cell's public set:
             // the cacheable case the paper precomputes offline.
-            let cell_index = self.grid.cell_index(cell);
             let lookup_started_ns = self.clock.now_ns();
             let cached = self.cache.lookup(cell_index, height);
             self.metrics
@@ -1650,7 +1606,6 @@ impl Core {
             if let Some(region) = cached {
                 return region;
             }
-            let epoch = self.cache.epoch(cell_index);
             self.metrics.region_computations.inc();
             let region = computer.compute(cell_rect, obstacles);
             self.cache.insert(cell_index, height, epoch, region.clone());

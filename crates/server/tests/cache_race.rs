@@ -1,17 +1,27 @@
-//! Concurrency regression for [`sa_server::RegionCache`]: installers
-//! racing `bump_epoch` must keep the cache bounded (no leaked stale
-//! entries) and must never let a lookup resurrect an entry stamped with
-//! a superseded epoch.
+//! Concurrency regressions for [`sa_server::RegionCache`], alone and
+//! mounted in a live server.
 //!
-//! The dangerous interleaving is the insert TOCTOU: an installer reads
-//! the cell epoch, an alarm install bumps it, and the installer then
-//! stores a bitmap stamped with the old epoch. The entry may land in
-//! the map, but it must be unservable (epoch mismatch ⇒ miss) and must
-//! be bounded to one slot per `(cell, height)` pair.
+//! Alone: installers racing `bump_epoch` must keep the cache bounded (no
+//! leaked stale entries) and must never let a lookup resurrect an entry
+//! stamped with a superseded epoch. The dangerous interleaving is the
+//! insert TOCTOU: an installer reads the cell epoch, an alarm install
+//! bumps it, and the installer then stores a bitmap stamped with the old
+//! epoch. The entry may land in the map, but it must be unservable
+//! (epoch mismatch ⇒ miss) and must be bounded to one slot per
+//! `(cell, height)` pair.
+//!
+//! In the server: the same TOCTOU one level up. A worker that gathers a
+//! cell's obstacles and only *then* reads the cell's epoch can pair the
+//! obstacles of the generation before an install with the epoch after
+//! it, and the cache accepts the poisoned bitmap.
 
+use sa_alarms::AlarmId;
 use sa_core::{BitmapSafeRegion, PyramidComputer, PyramidConfig};
-use sa_geometry::Rect;
-use sa_server::RegionCache;
+use sa_geometry::{Grid, Point, Rect};
+use sa_server::wire::{quantize_m, Request, Response, StrategySpec};
+use sa_server::{quantize_rect, shard_of_index, RegionCache, Server, ServerConfig};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
 
@@ -100,4 +110,128 @@ fn racing_installs_and_bumps_stay_bounded_and_never_serve_stale_epochs() {
     // epoch hits.
     cache.insert(0, HEIGHTS[0], cache.epoch(0), templates[0].1.clone());
     assert!(cache.lookup(0, HEIGHTS[0]).is_some());
+}
+
+const STORM_HEIGHT: u32 = 3;
+const STORM_ROUNDS: u64 = 2_000;
+/// Storm alarms alive at once; older ones are removed again.
+const STORM_LIVE: usize = 6;
+/// Refreshing subscribers per touched cell.
+const REFRESHERS_PER_CELL: u32 = 2;
+
+/// The PBSR bitmap a fresh subscriber `user` is installed at `pos`.
+fn fresh_bitmap(server: &Server, user: u32, pos: Point) -> sa_core::BitVec {
+    let session = server.open_session();
+    let strategy = StrategySpec::Pbsr { height: STORM_HEIGHT };
+    server.handle(session, Request::Hello { seq: 0, user, strategy });
+    let req = Request::LocationUpdate {
+        seq: 1,
+        x_fx: quantize_m(pos.x),
+        y_fx: quantize_m(pos.y),
+        motion: 0,
+    };
+    let mut resps = server.handle(session, req);
+    server.close_session(session);
+    match resps.pop() {
+        Some(Response::BitmapInstall { bits, .. }) if resps.is_empty() => bits,
+        other => panic!("expected one BitmapInstall, got {other:?} after {resps:?}"),
+    }
+}
+
+#[test]
+fn an_install_storm_never_poisons_a_cell_of_a_live_server() {
+    let universe = Rect::new(0.0, 0.0, 10_000.0, 10_000.0).expect("static universe");
+    let grid = Grid::new(universe, 1_000.0).expect("static grid");
+    let server = Server::start(grid.clone(), Vec::new(), 30.0, ServerConfig::default());
+    // Every storm alarm straddles x = 3000 inside the band y ∈ 2100..2900
+    // of row 2; the refreshing subscribers stand below the band, so no
+    // alarm ever fires and every refresh is a public-view (cacheable) one.
+    let stands = [Point::new(2_500.0, 2_050.0), Point::new(3_500.0, 2_050.0)];
+    let cells: Vec<(u64, Rect)> = stands
+        .iter()
+        .map(|&p| {
+            let cell = grid.cell_of(p);
+            (grid.cell_index(cell), grid.cell_rect(cell))
+        })
+        .collect();
+    let shards = ServerConfig::default().num_shards;
+    assert_ne!(shard_of_index(cells[0].0, shards), shard_of_index(cells[1].0, shards));
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let refreshers: Vec<_> = (0..REFRESHERS_PER_CELL * 2)
+        .map(|n| {
+            let server = Arc::clone(&server);
+            let stop = Arc::clone(&stop);
+            let pos = stands[n as usize % 2];
+            thread::spawn(move || {
+                let session = server.open_session();
+                let strategy = StrategySpec::Pbsr { height: STORM_HEIGHT };
+                server.handle(session, Request::Hello { seq: 0, user: 1_000 + n, strategy });
+                let mut seq = 0;
+                while !stop.load(Ordering::Relaxed) {
+                    seq = (seq + 1) & 0x0FFF_FFFF;
+                    // A resync always reinstalls the full region: no
+                    // quick-update Ack stands between the storm and the
+                    // cache.
+                    let resps = server.handle(
+                        session,
+                        Request::Resync {
+                            seq,
+                            x_fx: quantize_m(pos.x),
+                            y_fx: quantize_m(pos.y),
+                            motion: 0,
+                            acked: 0,
+                        },
+                    );
+                    assert!(matches!(resps.as_slice(), [Response::BitmapInstall { .. }]));
+                }
+            })
+        })
+        .collect();
+
+    let admin = server.open_session();
+    server.handle(admin, Request::Hello { seq: 0, user: 1, strategy: StrategySpec::Mwpsr });
+    let computer = PyramidComputer::new(PyramidConfig::three_by_three(STORM_HEIGHT));
+    let mut live: VecDeque<(AlarmId, Rect)> = VecDeque::new();
+    let mut probe_user = 10_000;
+    // After every acknowledged write, a fresh subscriber must be served
+    // exactly the bitmap of the cell's current public alarms — whatever
+    // the refreshers cached while the write was in flight.
+    let mut check = |live: &VecDeque<(AlarmId, Rect)>, what: &str| {
+        let obstacles: Vec<Rect> = live.iter().map(|&(_, r)| r).collect();
+        for (&pos, &(cell, cell_rect)) in stands.iter().zip(&cells) {
+            probe_user += 1;
+            assert_eq!(
+                fresh_bitmap(&server, probe_user, pos),
+                computer.compute(cell_rect, &obstacles).to_wire_bits(),
+                "cell {cell} serves a stale bitmap after {what}"
+            );
+        }
+    };
+    for id in 0..STORM_ROUNDS {
+        let y = 2_100.0 + (id * 37 % 700) as f64;
+        let region = Rect::new(2_900.0, y, 3_100.0, y + 100.0).expect("static alarm");
+        let install = Request::InstallAlarm {
+            seq: 1,
+            alarm: id as u32,
+            flags: (1 << 1) | 1, // public, owner 1
+            rect: quantize_rect(region),
+        };
+        assert_eq!(server.handle(admin, install), vec![Response::Ack { seq: 1 }]);
+        live.push_back((AlarmId(id), region));
+        check(&live, &format!("install {id}"));
+        if live.len() > STORM_LIVE {
+            let (old, _) = live.pop_front().expect("non-empty");
+            let remove = Request::RemoveAlarm { seq: 2, alarm: old.0 as u32 };
+            assert_eq!(server.handle(admin, remove), vec![Response::Ack { seq: 2 }]);
+            check(&live, &format!("remove {}", old.0));
+        }
+    }
+    stop.store(true, Ordering::Relaxed);
+    for r in refreshers {
+        r.join().expect("no refresher may panic");
+    }
+    // Quiescent: the final state of every touched cell, once more.
+    check(&live, "quiescence");
+    server.shutdown();
 }
