@@ -4,10 +4,11 @@
 //! `sa_client_reconnect_rtt_ns` histogram), the degraded-time fraction,
 //! and the injected-fault counts by kind.
 //!
-//! This is the chaos counterpart of `server_replay`: same trace, same
-//! ground-truth cross-check (the run aborts if any alarm is lost,
-//! duplicated, or mistimed), but every exchange passes through a
-//! seeded `FaultyTransport` and the plan's disconnect windows.
+//! This is the chaos counterpart of `sa_server::replay_in_proc`: same
+//! driver, same trace, same ground-truth cross-check (the run aborts if
+//! any alarm is lost, duplicated, or mistimed), but every exchange
+//! passes through a seeded `FaultyTransport` and the plan's disconnect
+//! windows.
 //!
 //! Usage: `chaos_replay [--steps N] [--preset lossy|partitioned|duplicating|clean] [--seed S] [--out PATH]`
 

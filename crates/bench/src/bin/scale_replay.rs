@@ -1,8 +1,7 @@
 //! Paper-scale replay through the live server's batched update path,
 //! writing `BENCH_scale_replay.json`.
 //!
-//! Where `server_replay` measures the per-request path on the smoke
-//! trace, this binary answers "can the runtime carry the paper's §5.1
+//! This binary answers "can the runtime carry the paper's §5.1
 //! workload?": a proportional fraction of the full hour (10,000 vehicles
 //! × 10,000 alarms at `--scale 1.0`, the CI default `--scale 0.1` being
 //! 1,000 × 1,000) driven through [`sa_server::replay_batched_in_proc`]

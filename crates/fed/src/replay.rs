@@ -2,11 +2,12 @@
 //!
 //! [`fed_replay`] runs a seeded fleet against a live N-member
 //! federation the way `sa-verify`'s `run_case` runs one against a
-//! single server: one [`VirtualClock`] behind every timestamp, every
+//! single server — both are callers of `sa-server`'s one replay driver
+//! ([`drive`]): one [`VirtualClock`] behind every timestamp, every
 //! RNG seeded from the config, one synchronous driver thread, chaos
 //! decorators on the client links (and, fault-plan permitting, the
 //! handoff mesh and coordinator links), and an exact
-//! [`GroundTruth`] gate over the observed firings.
+//! [`sa_sim::GroundTruth`] gate over the observed firings.
 //!
 //! Byte-level determinism is witnessed by an FNV-1a digest folded over
 //! **every** exchange on every link — client, mesh, coordinator and
@@ -24,24 +25,19 @@ use crate::federation::Federation;
 use crate::handoff::HandoffChannel;
 use crate::router::FedTransport;
 use crate::stats::federated_scrape;
-use rand::{rngs::SmallRng, Rng, SeedableRng};
-use sa_alarms::SubscriberId;
 use sa_geometry::Point;
-use sa_obs::{chrome_trace_json, FlightBundle, Span, SpanRecorder, TimeSource};
-use sa_roadnet::Fleet;
+use sa_obs::{chrome_trace_json, Span, SpanRecorder, TimeSource};
+use sa_roadnet::TraceSample;
 use sa_server::wire::{BatchedUpdate, SEQ_MASK};
 use sa_server::{
-    ChaosControls, Client, FaultPlan, FaultyTransport, InProcTransport, InjectedCounts, Request,
-    ResiliencePolicy, Response, ServerConfig, SharedClock, StrategySpec, Transport,
-    TransportError, VirtualClock,
+    connect_fleet, drive, exchange_batch, verify_prefix, ChaosControls, Client, FaultPlan,
+    FaultyTransport, InProcTransport, Request, ResiliencePolicy, Response,
+    ServerConfig, SharedClock, StrategySpec, Transport, TransportError, VirtualClock,
+    MAX_BATCH_ROUNDS,
 };
-use sa_sim::{FiredEvent, GroundTruth, SimulationConfig, SimulationHarness};
+use sa_sim::{FiredEvent, SimulationConfig, SimulationHarness};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-/// Batch retry rounds per step before the driver gives up (guards
-/// against livelock, far above anything a healthy run reaches).
-const MAX_BATCH_ROUNDS: u32 = 10_000;
 
 /// Span-buffer capacity of each client router's recorder.
 const ROUTER_SPAN_CAPACITY: usize = 1024;
@@ -173,12 +169,6 @@ struct DigestTransport<T: Transport> {
     state: DigestState,
 }
 
-impl<T: Transport> DigestTransport<T> {
-    fn new(inner: T, tag: u64, state: DigestState) -> DigestTransport<T> {
-        DigestTransport { inner, tag, state }
-    }
-}
-
 impl<T: Transport> Transport for DigestTransport<T> {
     fn request(&mut self, req: Request) -> Result<Vec<Response>, TransportError> {
         let req_bytes = req.encode();
@@ -211,23 +201,6 @@ fn error_tag(e: &TransportError) -> &'static [u8] {
     }
 }
 
-/// Fisher–Yates under the given RNG (the vendored `rand` has no
-/// `shuffle`).
-fn shuffle<T>(items: &mut [T], rng: &mut SmallRng) {
-    for i in (1..items.len()).rev() {
-        let j = rng.gen_range(0..=i);
-        items.swap(i, j);
-    }
-}
-
-/// The per-client bundle the driver keeps alongside each [`Client`].
-struct Seat {
-    client: Client<FedTransport>,
-    controls: Vec<ChaosControls>,
-    counts: Vec<Arc<InjectedCounts>>,
-    mesh_counts: Vec<Arc<InjectedCounts>>,
-}
-
 /// Executes one federation replay end to end.
 ///
 /// # Errors
@@ -240,14 +213,13 @@ struct Seat {
 ///
 /// Panics when the config carries no strategies or zero partitions.
 pub fn fed_replay(cfg: &FedReplayConfig) -> Result<FedOutcome, TransportError> {
-    assert!(!cfg.strategies.is_empty(), "need at least one strategy to assign");
     assert!(cfg.partitions >= 1, "need at least one partition");
     let config = SimulationConfig::fuzz_slice(cfg.vehicles, cfg.alarms, cfg.steps, cfg.seed);
     config.validate();
     let harness = SimulationHarness::build(&config);
-    let dt = config.sample_period_s;
+    let dt = Duration::from_secs_f64(config.sample_period_s);
     let steps = cfg.steps.max(1).min(config.steps() as u32);
-    let vehicles = config.fleet.vehicles as u32;
+    let vehicles = 0..config.fleet.vehicles as u32;
     let n = cfg.partitions as usize;
 
     let vclock = Arc::new(VirtualClock::new());
@@ -258,7 +230,7 @@ pub fn fed_replay(cfg: &FedReplayConfig) -> Result<FedOutcome, TransportError> {
         harness.v_max(),
         ServerConfig {
             num_shards: cfg.num_shards.max(1),
-            queue_capacity: cfg.queue_capacity.max(vehicles as usize),
+            queue_capacity: cfg.queue_capacity.max(vehicles.len()),
         },
         cfg.partitions,
         Arc::clone(&clock),
@@ -272,168 +244,90 @@ pub fn fed_replay(cfg: &FedReplayConfig) -> Result<FedOutcome, TransportError> {
         TimeSource::new(move || clock.now_ns() / 1_000)
     };
 
-    // Inter-server legs reuse the plan's probabilistic faults but not
-    // the breaker windows: radio outages hit vehicles, not trunks.
+    // Client links run the plan under the switches the step loop flips.
+    // Inter-server legs (mesh, coordinator) reuse the plan's
+    // probabilistic faults, always armed, but not the breaker windows:
+    // radio outages hit vehicles, not trunks. The batch driver speaks to
+    // each member over clean links, as in the single-server harness —
+    // batching never rides chaos.
+    let link = ChaosControls::default();
+    let trunk = ChaosControls::default();
+    trunk.set_armed(true);
     let trunk_plan = FaultPlan { disconnect_steps: Vec::new(), ..cfg.plan.clone() };
-
-    let mut seats: Vec<Seat> = Vec::with_capacity(vehicles as usize);
-    let mut seat_spans: Vec<Arc<SpanRecorder>> = Vec::with_capacity(vehicles as usize);
-    for v in 0..vehicles {
-        let mut controls = Vec::with_capacity(n);
-        let mut counts = Vec::with_capacity(n);
-        let mut mesh_counts = Vec::with_capacity(n);
-        let links: Vec<(Box<dyn Transport + Send>, u32)> = (0..n)
+    let client_chaos = Some((&cfg.plan, &link));
+    let trunk_chaos = Some((&trunk_plan, &trunk));
+    let links = |kind: u32, client: u32, chaos: Option<(&FaultPlan, &ChaosControls)>| {
+        (0..n)
             .map(|s| {
                 let inner = InProcTransport::connect(Arc::clone(fed.server(s)));
                 let session = inner.session();
-                let faulty =
-                    FaultyTransport::new(inner, cfg.plan.clone(), link_salt(0, v, s as u32))
-                        .with_clock(Arc::clone(&clock));
-                controls.push(faulty.controls());
-                counts.push(faulty.counts());
-                let tagged =
-                    DigestTransport::new(faulty, link_salt(0, v, s as u32), Arc::clone(&digest));
-                (Box::new(tagged) as Box<dyn Transport + Send>, session)
+                let tag = link_salt(kind, client, s as u32);
+                let state = Arc::clone(&digest);
+                let tagged: Box<dyn Transport + Send> = match chaos {
+                    Some((plan, controls)) => {
+                        let inner = FaultyTransport::new(inner, plan.clone(), tag)
+                            .with_clock(Arc::clone(&clock))
+                            .sharing(controls);
+                        Box::new(DigestTransport { inner, tag, state })
+                    }
+                    None => Box::new(DigestTransport { inner, tag, state }),
+                };
+                (tagged, session)
             })
-            .collect();
-        let mesh_links: Vec<Box<dyn Transport + Send>> = (0..n)
-            .map(|s| {
-                let inner = InProcTransport::connect(Arc::clone(fed.server(s)));
-                let faulty =
-                    FaultyTransport::new(inner, trunk_plan.clone(), link_salt(1, v, s as u32))
-                        .with_clock(Arc::clone(&clock));
-                faulty.controls().set_armed(true);
-                mesh_counts.push(faulty.counts());
-                let tagged =
-                    DigestTransport::new(faulty, link_salt(1, v, s as u32), Arc::clone(&digest));
-                Box::new(tagged) as Box<dyn Transport + Send>
-            })
-            .collect();
-        let mesh = HandoffChannel::new(mesh_links, Arc::clone(&clock));
-        let mut router = FedTransport::new(
-            links,
-            mesh,
-            harness.grid().clone(),
-            fed.initial_map().clone(),
-        );
+            .collect::<Vec<_>>()
+    };
+    let trunks = |kind, client, chaos| -> Vec<Box<dyn Transport + Send>> {
+        links(kind, client, chaos).into_iter().map(|(link, _)| link).collect()
+    };
+
+    let mut router_spans: Vec<Arc<SpanRecorder>> = Vec::with_capacity(vehicles.len());
+    let mut clients = connect_fleet(&harness, &cfg.strategies, vehicles.clone(), |v| {
+        let member_links = links(0, v, client_chaos);
+        let mesh = HandoffChannel::new(trunks(1, v, trunk_chaos), Arc::clone(&clock));
+        let map = fed.initial_map().clone();
+        let mut router = FedTransport::new(member_links, mesh, harness.grid().clone(), map);
         router.instrument(fed.server(0).registry());
         let spans = Arc::new(SpanRecorder::new(1, ROUTER_SPAN_CAPACITY, time.clone()));
         spans.set_member(ROUTER_MEMBER_BASE + v);
         router.set_spans(Arc::clone(&spans));
-        seat_spans.push(spans);
-        let strategy = cfg.strategies[v as usize % cfg.strategies.len()];
-        let mut client =
-            Client::connect(router, SubscriberId(v), strategy, harness.grid().clone(), dt)?;
+        router_spans.push(spans);
+        Ok(router)
+    })?;
+    for (v, client) in clients.iter_mut().enumerate() {
         client.set_clock(Arc::clone(&clock));
-        client.enable_resilience(ResiliencePolicy::standard(cfg.seed ^ 0xBACC_0FF5 ^ u64::from(v)));
-        seats.push(Seat { client, controls, counts, mesh_counts });
+        client.enable_resilience(ResiliencePolicy::standard(cfg.seed ^ 0xBACC_0FF5 ^ v as u64));
     }
-
-    // The batch driver speaks to each member directly (clean links, as
-    // in the single-server harness — batching never rides chaos).
-    let mut driver_links: Vec<Box<dyn Transport + Send>> = (0..n)
-        .map(|s| {
-            let inner = InProcTransport::connect(Arc::clone(fed.server(s)));
-            let tagged =
-                DigestTransport::new(inner, link_salt(3, u32::MAX, s as u32), Arc::clone(&digest));
-            Box::new(tagged) as Box<dyn Transport + Send>
-        })
-        .collect();
-
-    // The coordinator's links ride the trunk chaos plan.
-    let mut coordinator_counts = Vec::with_capacity(n);
-    let coordinator_links: Vec<Box<dyn Transport + Send>> = (0..n)
-        .map(|s| {
-            let inner = InProcTransport::connect(Arc::clone(fed.server(s)));
-            let faulty =
-                FaultyTransport::new(inner, trunk_plan.clone(), link_salt(2, u32::MAX, s as u32))
-                    .with_clock(Arc::clone(&clock));
-            faulty.controls().set_armed(true);
-            coordinator_counts.push(faulty.counts());
-            let tagged =
-                DigestTransport::new(faulty, link_salt(2, u32::MAX, s as u32), Arc::clone(&digest));
-            Box::new(tagged) as Box<dyn Transport + Send>
-        })
-        .collect();
+    let mut driver_links = trunks(3, u32::MAX, None);
+    let coordinator_links = trunks(2, u32::MAX, trunk_chaos);
     let mut coordinator =
         Coordinator::new(coordinator_links, fed.initial_map().clone(), Arc::clone(&clock));
     let coordinator_spans = Arc::new(SpanRecorder::new(1, COORD_SPAN_CAPACITY, time.clone()));
     coordinator_spans.set_member(COORDINATOR_MEMBER);
     coordinator.set_spans(Arc::clone(&coordinator_spans));
 
-    // Handshakes are done — arm the client-link fault plans.
-    for seat in &seats {
-        for c in &seat.controls {
-            c.set_armed(true);
-        }
-    }
-
-    let mut fleet = Fleet::new(harness.network(), &config.fleet);
-    let mut samples = Vec::new();
-    let mut order_rng = SmallRng::seed_from_u64(cfg.seed ^ 0x0D0E_0A0D_0F00_D5ED);
-    let mut was_down = false;
     let mut batch_seq = 0u32;
     let mut repartitioned = false;
-
-    for step in 0..steps {
-        vclock.advance(Duration::from_secs_f64(dt));
+    let hook = |step, clients: &mut [_], samples: &[_]| {
+        vclock.advance(dt);
         if Some(step) == cfg.repartition_at {
             let loads = fed.cell_loads();
             repartitioned = coordinator.maybe_repartition(fed.grid(), &loads)?;
         }
-        let down = cfg.plan.disconnected_at(step);
-        if down != was_down {
-            for seat in &seats {
-                for c in &seat.controls {
-                    c.set_link_down(down);
-                }
-            }
-            was_down = down;
-        }
-        fleet.step_into(dt, &mut samples);
-        let mut order: Vec<usize> = (0..samples.len()).collect();
-        shuffle(&mut order, &mut order_rng);
-
         if cfg.batch_every > 0 && step % cfg.batch_every == 0 {
-            batch_seq = drive_batched_step(
-                &mut seats,
-                &mut driver_links,
-                &order,
-                &samples,
-                step,
-                batch_seq,
-            )?;
+            drive_batched_step(clients, &mut driver_links, samples, step, &mut batch_seq).map(Some)
         } else {
-            for &i in &order {
-                let s = &samples[i];
-                seats[s.vehicle.0 as usize].client.observe(step, s.pos, s.heading, s.speed)?;
-            }
+            Ok(None)
         }
-    }
+    };
+    let order = Some(cfg.seed);
+    let driven = drive(&harness, vehicles, steps, client_chaos, order, &mut clients, hook)?;
 
-    // The outage is over: restore every link and drain the backlogs.
-    for seat in &seats {
-        for c in &seat.controls {
-            c.set_link_down(false);
-            c.set_armed(false);
-        }
-    }
-    for seat in &mut seats {
-        seat.client.finish()?;
-    }
-
-    let mut fired = Vec::new();
     let mut handoffs = 0u64;
     let mut redirects = 0u64;
-    let mut injected_total = 0u64;
-    for seat in &mut seats {
-        handoffs += seat.client.transport_mut().handoffs();
-        redirects += seat.client.transport_mut().redirects() + seat.client.stats().redirects;
-        injected_total += seat.counts.iter().map(|c| c.total()).sum::<u64>();
-        injected_total += seat.mesh_counts.iter().map(|c| c.total()).sum::<u64>();
-        fired.extend(seat.client.take_fired());
+    for client in &mut clients {
+        handoffs += client.transport_mut().handoffs();
+        redirects += client.transport_mut().redirects() + client.stats().redirects;
     }
-    injected_total += coordinator_counts.iter().map(|c| c.total()).sum::<u64>();
 
     // Merge every recorder — members, client routers, coordinator —
     // into one causally-ordered record while the servers are still up.
@@ -441,7 +335,7 @@ pub fn fed_replay(cfg: &FedReplayConfig) -> Result<FedOutcome, TransportError> {
     for s in fed.servers() {
         all_spans.extend(s.spans());
     }
-    for spans in &seat_spans {
+    for spans in &router_spans {
         all_spans.extend(spans.spans());
     }
     all_spans.extend(coordinator_spans.spans());
@@ -450,25 +344,10 @@ pub fn fed_replay(cfg: &FedReplayConfig) -> Result<FedOutcome, TransportError> {
     let scrape =
         federated_scrape(fed.servers(), fed.grid(), coordinator.map(), &fed.cell_loads());
 
-    let expected: Vec<FiredEvent> = harness
-        .ground_truth()
-        .events()
-        .iter()
-        .filter(|e| e.step < steps)
-        .cloned()
-        .collect();
-    let verification = GroundTruth::new(expected).verify(&fired).map_err(|e| {
-        // The flight recorder: one forensic bundle per divergence —
-        // merged span trees, every member's trace ring, every member's
-        // registry snapshot.
-        let mut bundle = FlightBundle::new(e);
-        bundle.spans = all_spans.clone();
-        for (i, s) in fed.servers().iter().enumerate() {
-            bundle.rings.push((format!("member {i}"), s.trace_dump()));
-            bundle.snapshots.push((format!("member {i}"), s.registry().snapshot()));
-        }
-        bundle.render()
-    });
+    // On a divergence: merged span trees plus every member's trace ring
+    // and registry snapshot.
+    let verification =
+        verify_prefix(&harness, steps, &driven.fired, || all_spans.clone(), fed.servers());
 
     let per_partition_updates: Vec<u64> =
         fed.servers().iter().map(|s| s.stats().location_updates).collect();
@@ -478,7 +357,7 @@ pub fn fed_replay(cfg: &FedReplayConfig) -> Result<FedOutcome, TransportError> {
 
     let digest = *digest.lock().expect("digest lock poisoned");
     Ok(FedOutcome {
-        fired,
+        fired: driven.fired,
         verification,
         digest,
         handoffs,
@@ -487,7 +366,7 @@ pub fn fed_replay(cfg: &FedReplayConfig) -> Result<FedOutcome, TransportError> {
         per_partition_updates,
         final_epoch,
         repartitioned,
-        injected_total,
+        injected_total: link.counts().total() + trunk.counts().total(),
         steps,
         spans: all_spans,
         trace_json,
@@ -498,29 +377,27 @@ pub fn fed_replay(cfg: &FedReplayConfig) -> Result<FedOutcome, TransportError> {
 /// One batched step: poll every client, route each staged entry to its
 /// owner, send one `Request::Batch` per member, absorb replies. A
 /// `WrongOwner` terminal re-routes that entry (refresh + migrate) and
-/// retries it next round; `Overloaded` retries in place.
+/// retries it next round; `Overloaded` retries in place. Returns the
+/// number of updates staged.
 fn drive_batched_step(
-    seats: &mut [Seat],
+    clients: &mut [Client<FedTransport>],
     driver_links: &mut [Box<dyn Transport + Send>],
-    order: &[usize],
-    samples: &[sa_roadnet::TraceSample],
+    samples: &[TraceSample],
     step: u32,
-    mut batch_seq: u32,
+    batch_seq: &mut u32,
 ) -> Result<u32, TransportError> {
     // (vehicle, entry, pos) staged this step, routing re-resolved each
     // round.
     let mut staged: Vec<(usize, BatchedUpdate, Point)> = Vec::new();
-    for &i in order {
-        let s = samples[i];
+    for s in samples {
         let v = s.vehicle.0 as usize;
-        let owner = seats[v].client.transport_mut().route_for(s.pos)?;
-        let session = seats[v].client.transport_mut().session_on(owner);
-        if let Some(entry) =
-            seats[v].client.poll_update(session, step, s.pos, s.heading, s.speed)?
-        {
+        let owner = clients[v].transport_mut().route_for(s.pos)?;
+        let session = clients[v].transport_mut().session_on(owner);
+        if let Some(entry) = clients[v].poll_update(session, step, s.pos, s.heading, s.speed)? {
             staged.push((v, entry, s.pos));
         }
     }
+    let updates = staged.len() as u32;
     let mut rounds = 0u32;
     while !staged.is_empty() {
         rounds += 1;
@@ -530,8 +407,8 @@ fn drive_batched_step(
         // Group the staged entries by owning member, preserving order.
         let mut per_member: Vec<Vec<usize>> = vec![Vec::new(); driver_links.len()];
         for (slot, (v, entry, pos)) in staged.iter_mut().enumerate() {
-            let owner = seats[*v].client.transport_mut().route_for(*pos)?;
-            entry.session = seats[*v].client.transport_mut().session_on(owner);
+            let owner = clients[*v].transport_mut().route_for(*pos)?;
+            entry.session = clients[*v].transport_mut().session_on(owner);
             per_member[owner].push(slot);
         }
         let mut retry_slots = Vec::new();
@@ -540,35 +417,20 @@ fn drive_batched_step(
                 continue;
             }
             let updates: Vec<BatchedUpdate> = slots.iter().map(|&i| staged[i].1).collect();
-            batch_seq = (batch_seq + 1) & SEQ_MASK;
-            let resps =
-                driver_links[member].request(Request::Batch { seq: batch_seq, updates })?;
-            let replies = match resps.into_iter().next() {
-                Some(Response::Batch { seq, replies }) if seq == batch_seq => replies,
-                _ => {
-                    return Err(TransportError::Protocol(
-                        "batch request answered without a batch reply",
-                    ))
-                }
-            };
-            if replies.len() != slots.len() {
-                return Err(TransportError::Protocol("batch reply count mismatch"));
-            }
+            *batch_seq = (*batch_seq + 1) & SEQ_MASK;
+            let replies = exchange_batch(&mut *driver_links[member], *batch_seq, &updates)?;
             for (reply, &slot) in replies.into_iter().zip(slots) {
                 let (v, entry, _) = staged[slot];
-                if reply.session != entry.session {
-                    return Err(TransportError::Protocol("batch reply session mismatch"));
-                }
                 match reply.responses.last() {
                     Some(Response::WrongOwner { .. }) => {
                         // The member's map is newer: refresh from it and
                         // re-route this entry next round (the client's
                         // staged state stays pending).
-                        seats[v].client.transport_mut().note_bounce(member, entry.seq)?;
+                        clients[v].transport_mut().note_bounce(member, entry.seq)?;
                         retry_slots.push(slot);
                     }
                     _ => {
-                        if !seats[v].client.complete_update(reply.responses)? {
+                        if !clients[v].complete_update(reply.responses)? {
                             retry_slots.push(slot);
                         }
                     }
@@ -578,7 +440,7 @@ fn drive_batched_step(
         retry_slots.sort_unstable();
         staged = retry_slots.into_iter().map(|i| staged[i]).collect();
     }
-    Ok(batch_seq)
+    Ok(updates)
 }
 
 /// Decorrelated chaos/digest salts per (kind, client, member) — kind 0:

@@ -7,7 +7,7 @@
 //! * every member's full snapshot, each series tagged with a `member`
 //!   label so identically named series stay distinguishable;
 //! * federation-level histogram roll-ups under `member="federation"`,
-//!   produced by [`sa_obs::Histogram::merge`] — bucket-wise exact, so the
+//!   produced by [`sa_obs::Histogram::absorb`] — bucket-wise exact, so the
 //!   merged quantiles are what a single global histogram would have
 //!   reported (within one bucket width);
 //! * coordinator gauges: the partition-map epoch, per-member owned-cell
@@ -82,21 +82,19 @@ pub fn federated_scrape(
 ) -> String {
     let mut out = String::new();
 
-    // Section 1: every member's registry, member-labelled.
-    for (i, server) in members.iter().enumerate() {
-        out.push_str(&render_snapshot(&relabel(server.registry().snapshot(), &i.to_string())));
-    }
-
-    // Section 2: federation-level roll-ups — merge every member's
-    // histogram series into one under member="federation".
+    // Section 1: every member's registry, member-labelled. Each
+    // snapshot's histogram series also fold into the federation-level
+    // roll-ups under member="federation" (section 2, rendered below).
     let merged = Registry::new();
-    for server in members {
-        for (key, hist) in server.registry().histograms() {
+    for (i, server) in members.iter().enumerate() {
+        let snap = server.registry().snapshot();
+        for (key, hist) in &snap.histograms {
             let mut labels: Vec<(&str, &str)> =
                 key.labels.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
             labels.push(("member", "federation"));
-            merged.histogram_with(&key.name, &labels).merge(&hist);
+            merged.histogram_with(&key.name, &labels).absorb(hist);
         }
+        out.push_str(&render_snapshot(&relabel(snap, &i.to_string())));
     }
 
     // Section 3: coordinator gauges on the same roll-up registry.

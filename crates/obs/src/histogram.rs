@@ -138,31 +138,15 @@ impl Histogram {
         self.core.count.load(Ordering::Relaxed)
     }
 
-    /// Adds every recorded value of `other` into `self`, bucket-wise —
-    /// the federation aggregation: summing member histograms bucket by
-    /// bucket gives exactly the histogram a single process would have
-    /// recorded (the layout is identical everywhere), so merged
-    /// quantiles carry the same one-bucket-width error bound as local
-    /// ones. `other` is read with relaxed loads; merging a live
-    /// histogram folds in some valid point-in-time interleaving.
-    pub fn merge(&self, other: &Histogram) {
-        for (mine, theirs) in self.core.buckets.iter().zip(&other.core.buckets) {
-            let n = theirs.load(Ordering::Relaxed);
-            if n != 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.core.count.fetch_add(other.core.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.core.sum.fetch_add(other.core.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.core.max.fetch_max(other.core.max.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
     /// Adds every value a [`HistogramSnapshot`] recorded into `self`,
-    /// bucket-wise — [`Histogram::merge`] for snapshots. Snapshots carry
-    /// their sparse bucket counts precisely so that a histogram captured
-    /// in one process (or one bench run) can be folded, exactly, into a
-    /// live registry elsewhere: the scaling bench uses this to build
-    /// per-scale labeled roll-ups from per-run snapshots.
+    /// bucket-wise. Snapshots carry their sparse bucket counts precisely
+    /// so that a histogram captured in one process, member or bench run
+    /// can be folded, exactly, into a live registry elsewhere: summing
+    /// bucket by bucket gives the histogram a single recorder would have
+    /// produced (the layout is identical everywhere), so the quantiles
+    /// of the sum carry the same one-bucket-width error bound as local
+    /// ones. The federated scrape rolls member histograms up this way,
+    /// the scaling bench its per-run snapshots.
     pub fn absorb(&self, snap: &HistogramSnapshot) {
         for &(i, n) in &snap.buckets {
             if let Some(bucket) = self.core.buckets.get(i as usize) {
@@ -314,8 +298,8 @@ mod tests {
 
     #[test]
     fn merged_quantiles_match_pooled_exact_within_one_bucket_width() {
-        // Property over seeded pseudo-random member splits: merging N
-        // member histograms bucket-wise must estimate the *pooled*
+        // Property over seeded pseudo-random member splits: absorbing N
+        // member snapshots bucket-wise must estimate the *pooled*
         // quantiles within one bucket width, exactly as if one process
         // had recorded everything.
         let mut rng = 0x5EED_CAFEu64;
@@ -337,7 +321,7 @@ mod tests {
             pooled.sort_unstable();
             let merged = Histogram::new();
             for m in &members {
-                merged.merge(m);
+                merged.absorb(&m.snapshot());
             }
             let snap = merged.snapshot();
             assert_eq!(snap.count, pooled.len() as u64);
@@ -352,24 +336,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn absorbing_a_snapshot_equals_merging_the_histogram() {
-        // A snapshot carries its sparse buckets, so absorb must be
-        // exactly as faithful as a live bucket-wise merge.
-        let source = Histogram::new();
-        for v in [0u64, 3, 7, 512, 513, 90_000, 90_000, u64::MAX / 5] {
-            source.record(v);
-        }
-        let via_merge = Histogram::new();
-        via_merge.merge(&source);
-        let via_absorb = Histogram::new();
-        via_absorb.absorb(&source.snapshot());
-        assert_eq!(via_absorb.snapshot(), via_merge.snapshot());
-        // Absorbing accumulates, like merge.
-        via_absorb.absorb(&source.snapshot());
-        assert_eq!(via_absorb.snapshot().count, 2 * source.snapshot().count);
     }
 
     #[test]

@@ -148,14 +148,6 @@ impl Registry {
             .clone()
     }
 
-    /// Live handles to every registered histogram series — the
-    /// federation aggregator walks these and [`Histogram::merge`]s them
-    /// into its own series without re-registering every name.
-    pub fn histograms(&self) -> Vec<(MetricKey, Histogram)> {
-        let inner = self.inner.read().expect("registry poisoned");
-        inner.histograms.iter().map(|(k, h)| (k.clone(), h.clone())).collect()
-    }
-
     /// Clones every registered series' current value into plain data.
     pub fn snapshot(&self) -> Snapshot {
         let inner = self.inner.read().expect("registry poisoned");

@@ -24,25 +24,22 @@
 //! [`FaultPlan`] plus a per-client salt, so a chaos run is exactly
 //! reproducible. Injections are observable as
 //! `sa_chaos_injected_total{kind=…}` counters and through the
-//! [`InjectedCounts`] handle shared with the driver.
+//! [`InjectedCounts`] of the [`ChaosControls`] shared with the driver.
 //!
-//! [`chaos_replay_in_proc`] is the end-to-end harness: it replays a
-//! simulator trace through resilient clients on faulty transports,
-//! drives the disconnect windows from the plan's step ranges, and
-//! verifies the fired-alarm sequence against the ground truth — the
-//! paper's 100%-accuracy requirement must survive the fault plan.
+//! [`chaos_replay_in_proc`] is the end-to-end harness: the one replay
+//! driver ([`crate::replay::drive`]) over resilient clients on faulty
+//! transports under the plan's disconnect windows — the paper's
+//! 100%-accuracy requirement must survive the fault plan.
 
-use crate::client::{Client, ResiliencePolicy};
+use crate::client::{ClientStats, ResiliencePolicy};
 use crate::clock::{SharedClock, SystemClock};
-use crate::replay::{ReplayConfig, ReplayOutcome};
+use crate::replay::{conclude, connect_fleet, drive, ReplayConfig, ReplayOutcome};
 use crate::server::Server;
 use crate::transport::{InProcTransport, Transport, TransportError};
 use crate::wire::{Request, Response};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
-use sa_alarms::SubscriberId;
 use sa_obs::{Counter, Registry};
-use sa_roadnet::Fleet;
-use sa_sim::{FiredEvent, GroundTruth, SimulationHarness};
+use sa_sim::SimulationHarness;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -147,52 +144,44 @@ impl FaultPlan {
     }
 }
 
+/// The injectable fault kinds, in reporting order: the slots of
+/// [`InjectedCounts`] and the `kind` labels of `sa_chaos_injected_total`.
+const KINDS: [&str; 7] =
+    ["drop_up", "drop_down", "dup_up", "dup_down", "delay_up", "delay_down", "disconnect"];
+/// A request dropped before the server saw it.
+const DROP_UP: usize = 0;
+/// A response sequence dropped after the server processed.
+const DROP_DOWN: usize = 1;
+/// A request delivered to the server twice.
+const DUP_UP: usize = 2;
+/// Response frames delivered to the client twice.
+const DUP_DOWN: usize = 3;
+/// A delay injected before the request.
+const DELAY_UP: usize = 4;
+/// A delay injected after the response.
+const DELAY_DOWN: usize = 5;
+/// An exchange refused while the breaker was down.
+const DISCONNECT: usize = 6;
+
 /// Shared tally of injected faults, one counter per kind.
 #[derive(Debug, Default)]
-pub struct InjectedCounts {
-    /// Requests dropped before the server saw them.
-    pub drop_up: AtomicU64,
-    /// Response sequences dropped after the server processed.
-    pub drop_down: AtomicU64,
-    /// Requests delivered to the server twice.
-    pub dup_up: AtomicU64,
-    /// Response frames delivered to the client twice.
-    pub dup_down: AtomicU64,
-    /// Delays injected before the request.
-    pub delay_up: AtomicU64,
-    /// Delays injected after the response.
-    pub delay_down: AtomicU64,
-    /// Exchanges refused while the breaker was down.
-    pub disconnect: AtomicU64,
-}
+pub struct InjectedCounts([AtomicU64; KINDS.len()]);
 
 impl InjectedCounts {
     /// Sum over every fault kind.
     pub fn total(&self) -> u64 {
-        self.drop_up.load(Ordering::Relaxed)
-            + self.drop_down.load(Ordering::Relaxed)
-            + self.dup_up.load(Ordering::Relaxed)
-            + self.dup_down.load(Ordering::Relaxed)
-            + self.delay_up.load(Ordering::Relaxed)
-            + self.delay_down.load(Ordering::Relaxed)
-            + self.disconnect.load(Ordering::Relaxed)
+        self.0.iter().map(|n| n.load(Ordering::Relaxed)).sum()
     }
 
     /// `(kind, count)` pairs for reporting, in a stable order.
     pub fn by_kind(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("drop_up", self.drop_up.load(Ordering::Relaxed)),
-            ("drop_down", self.drop_down.load(Ordering::Relaxed)),
-            ("dup_up", self.dup_up.load(Ordering::Relaxed)),
-            ("dup_down", self.dup_down.load(Ordering::Relaxed)),
-            ("delay_up", self.delay_up.load(Ordering::Relaxed)),
-            ("delay_down", self.delay_down.load(Ordering::Relaxed)),
-            ("disconnect", self.disconnect.load(Ordering::Relaxed)),
-        ]
+        KINDS.iter().zip(&self.0).map(|(kind, n)| (*kind, n.load(Ordering::Relaxed))).collect()
     }
 }
 
-/// External switches of one faulty link, shared with the driver.
+/// The driver's end of a faulty link — or, shared
+/// ([`FaultyTransport::sharing`]), of every faulty link of a run: its
+/// external switches and its injected-fault tally.
 #[derive(Debug, Clone, Default)]
 pub struct ChaosControls {
     /// While true, every exchange fails with `Closed`.
@@ -200,6 +189,7 @@ pub struct ChaosControls {
     /// While false, the transport is a pure passthrough (used to keep
     /// handshakes and final drains fault-free).
     armed: Arc<AtomicBool>,
+    counts: Arc<InjectedCounts>,
 }
 
 impl ChaosControls {
@@ -217,32 +207,10 @@ impl ChaosControls {
     pub fn is_link_down(&self) -> bool {
         self.link_down.load(Ordering::SeqCst)
     }
-}
 
-/// Pre-resolved `sa_chaos_injected_total{kind=…}` handles.
-#[derive(Debug, Clone)]
-struct ChaosMeter {
-    drop_up: Counter,
-    drop_down: Counter,
-    dup_up: Counter,
-    dup_down: Counter,
-    delay_up: Counter,
-    delay_down: Counter,
-    disconnect: Counter,
-}
-
-impl ChaosMeter {
-    fn new(registry: &Registry) -> ChaosMeter {
-        let k = |kind| registry.counter_with("sa_chaos_injected_total", &[("kind", kind)]);
-        ChaosMeter {
-            drop_up: k("drop_up"),
-            drop_down: k("drop_down"),
-            dup_up: k("dup_up"),
-            dup_down: k("dup_down"),
-            delay_up: k("delay_up"),
-            delay_down: k("delay_down"),
-            disconnect: k("disconnect"),
-        }
+    /// The faults injected on the controlled link(s) so far.
+    pub fn counts(&self) -> &InjectedCounts {
+        &self.counts
     }
 }
 
@@ -253,8 +221,8 @@ pub struct FaultyTransport<T: Transport> {
     plan: FaultPlan,
     rng: SmallRng,
     controls: ChaosControls,
-    counts: Arc<InjectedCounts>,
-    meter: Option<ChaosMeter>,
+    /// Pre-resolved `sa_chaos_injected_total{kind=…}` handles, by kind.
+    meter: Option<[Counter; KINDS.len()]>,
     /// Injected delays sleep on this clock; under a
     /// [`crate::clock::VirtualClock`] they advance simulated time
     /// instead of blocking, keeping chaos runs deterministic and fast.
@@ -273,7 +241,6 @@ impl<T: Transport> FaultyTransport<T> {
             plan,
             rng: SmallRng::seed_from_u64(seed),
             controls: ChaosControls::default(),
-            counts: Arc::new(InjectedCounts::default()),
             meter: None,
             clock: SystemClock::shared(),
         }
@@ -285,22 +252,33 @@ impl<T: Transport> FaultyTransport<T> {
         self
     }
 
-    /// The switches the driver flips (breaker, arming). Clone it
-    /// before handing the transport to a client.
-    pub fn controls(&self) -> ChaosControls {
-        self.controls.clone()
+    /// Replaces this link's switches and tally with ones shared by every
+    /// faulty link of a run (builder-style): the driver flips and reads
+    /// one [`ChaosControls`].
+    pub fn sharing(mut self, controls: &ChaosControls) -> FaultyTransport<T> {
+        self.controls = controls.clone();
+        self
     }
 
-    /// The shared injected-fault tally. Clone it before handing the
-    /// transport to a client.
-    pub fn counts(&self) -> Arc<InjectedCounts> {
-        Arc::clone(&self.counts)
+    /// The switches the driver flips (breaker, arming) and the tally it
+    /// reads. Clone it before handing the transport to a client.
+    pub fn controls(&self) -> ChaosControls {
+        self.controls.clone()
     }
 
     /// Registers the `sa_chaos_injected_total{kind=…}` counters on
     /// `registry`; all instrumented transports aggregate there.
     pub fn instrument(&mut self, registry: &Registry) {
-        self.meter = Some(ChaosMeter::new(registry));
+        let series = |kind| registry.counter_with("sa_chaos_injected_total", &[("kind", kind)]);
+        self.meter = Some(KINDS.map(series));
+    }
+
+    /// Tallies one injected fault of `kind`.
+    fn note(&self, kind: usize) {
+        self.controls.counts.0[kind].fetch_add(1, Ordering::Relaxed);
+        if let Some(meter) = &self.meter {
+            meter[kind].inc();
+        }
     }
 
     fn roll(&mut self, p: f64) -> bool {
@@ -322,27 +300,18 @@ impl<T: Transport> Transport for FaultyTransport<T> {
             return self.inner.request(req);
         }
         if self.controls.link_down.load(Ordering::SeqCst) {
-            self.counts.disconnect.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &self.meter {
-                m.disconnect.inc();
-            }
+            self.note(DISCONNECT);
             return Err(TransportError::Closed);
         }
         let up = self.plan.up;
         let down = self.plan.down;
         if self.roll(up.delay) {
-            self.counts.delay_up.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &self.meter {
-                m.delay_up.inc();
-            }
+            self.note(DELAY_UP);
             self.inject_delay(up.max_delay);
         }
         if self.roll(up.drop) {
             // The server never sees the request.
-            self.counts.drop_up.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &self.meter {
-                m.drop_up.inc();
-            }
+            self.note(DROP_UP);
             return Err(TransportError::TimedOut);
         }
         let mut resps = if self.roll(up.duplicate) {
@@ -350,10 +319,7 @@ impl<T: Transport> Transport for FaultyTransport<T> {
             // the first response set and never learns about the replay.
             // (A lost first response is a different fault — drop_down —
             // which forces the client through Resync.)
-            self.counts.dup_up.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &self.meter {
-                m.dup_up.inc();
-            }
+            self.note(DUP_UP);
             let resps = self.inner.request(req.clone())?;
             let _ = self.inner.request(req)?;
             resps
@@ -361,28 +327,19 @@ impl<T: Transport> Transport for FaultyTransport<T> {
             self.inner.request(req)?
         };
         if self.roll(down.delay) {
-            self.counts.delay_down.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &self.meter {
-                m.delay_down.inc();
-            }
+            self.note(DELAY_DOWN);
             self.inject_delay(down.max_delay);
         }
         if self.roll(down.drop) {
             // The server processed and answered, but the client hears
             // nothing — the divergence Resync repairs.
-            self.counts.drop_down.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &self.meter {
-                m.drop_down.inc();
-            }
+            self.note(DROP_DOWN);
             return Err(TransportError::TimedOut);
         }
         if self.roll(down.duplicate) {
             // Double every non-terminal frame (trigger deliveries);
             // duplicating the terminal would be a framing violation.
-            self.counts.dup_down.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &self.meter {
-                m.dup_down.inc();
-            }
+            self.note(DUP_DOWN);
             let mut doubled = Vec::with_capacity(resps.len() * 2);
             for r in resps {
                 if !r.is_terminal() {
@@ -427,11 +384,9 @@ pub struct ChaosOutcome {
 }
 
 /// Replays `harness`'s trace through resilient clients on
-/// [`FaultyTransport`]-wrapped in-proc connections, driving the plan's
-/// disconnect windows, and verifies the fired sequence against the
-/// ground truth. The handshake runs fault-free; faults arm for the
-/// replayed steps; the final drain ([`Client::finish`]) runs with the
-/// link restored, as a real outage ends.
+/// [`FaultyTransport`]-wrapped in-proc connections — the one step loop,
+/// [`drive`], under the plan's disconnect windows — and verifies the
+/// fired sequence against the ground truth.
 ///
 /// # Errors
 ///
@@ -445,156 +400,51 @@ pub fn chaos_replay_in_proc(
     harness: &SimulationHarness,
     cfg: &ChaosConfig,
 ) -> Result<ChaosOutcome, TransportError> {
-    assert!(
-        harness.moving_alarms().is_none(),
-        "the live wire protocol carries static alarms only"
-    );
-    assert!(!cfg.replay.strategies.is_empty(), "need at least one strategy to assign");
+    let (server, steps) = cfg.replay.start(harness, SystemClock::shared());
+    chaos_replay_on(harness, cfg, &server, steps)
+}
 
-    let config = harness.config();
-    let dt = config.sample_period_s;
-    let steps = cfg.replay.steps.unwrap_or(config.steps() as u32).min(config.steps() as u32);
+/// [`chaos_replay_in_proc`] on an already started `server`.
+fn chaos_replay_on(
+    harness: &SimulationHarness,
+    cfg: &ChaosConfig,
+    server: &Arc<Server>,
+    steps: u32,
+) -> Result<ChaosOutcome, TransportError> {
+    let vehicles = 0..harness.config().fleet.vehicles as u32;
+    let link = ChaosControls::default();
 
-    let server = Server::start(
-        harness.grid().clone(),
-        harness.index().alarms().to_vec(),
-        harness.v_max(),
-        cfg.replay.server,
-    );
-    let registry = server.registry().clone();
-
-    let mut controls = Vec::new();
-    let mut counts = Vec::new();
-    let mut clients: Vec<Client<FaultyTransport<InProcTransport>>> = (0..config
-        .fleet
-        .vehicles as u32)
-        .map(|v| {
-            let strategy = cfg.replay.strategies[v as usize % cfg.replay.strategies.len()];
-            let inner = InProcTransport::connect(Arc::clone(&server));
-            let mut transport = FaultyTransport::new(inner, cfg.plan.clone(), u64::from(v));
-            transport.instrument(&registry);
-            controls.push(transport.controls());
-            counts.push(transport.counts());
-            let mut client = Client::connect(
-                transport,
-                SubscriberId(v),
-                strategy,
-                harness.grid().clone(),
-                dt,
-            )?;
-            let policy = cfg
-                .policy
-                .unwrap_or_else(|| ResiliencePolicy::standard(cfg.plan.seed ^ u64::from(v)));
-            client.enable_resilience(policy);
-            client.instrument(&registry);
-            Ok(client)
-        })
-        .collect::<Result<_, TransportError>>()?;
-
-    // Handshakes are done — let the faults fly.
-    for c in &controls {
-        c.set_armed(true);
+    let mut clients = connect_fleet(harness, &cfg.replay.strategies, vehicles.clone(), |v| {
+        let inner = InProcTransport::connect(Arc::clone(server));
+        let mut transport =
+            FaultyTransport::new(inner, cfg.plan.clone(), u64::from(v)).sharing(&link);
+        transport.instrument(server.registry());
+        Ok(transport)
+    })?;
+    for (v, client) in clients.iter_mut().enumerate() {
+        let policy =
+            cfg.policy.unwrap_or_else(|| ResiliencePolicy::standard(cfg.plan.seed ^ v as u64));
+        client.enable_resilience(policy);
+        client.instrument(server.registry());
     }
 
-    let mut fleet = Fleet::new(harness.network(), &config.fleet);
-    let mut samples = Vec::new();
-    let mut was_down = false;
-    for step in 0..steps {
-        let down = cfg.plan.disconnected_at(step);
-        if down != was_down {
-            for c in &controls {
-                c.set_link_down(down);
-            }
-            was_down = down;
-        }
-        fleet.step_into(dt, &mut samples);
-        for s in &samples {
-            clients[s.vehicle.0 as usize].observe(step, s.pos, s.heading, s.speed)?;
-        }
-    }
+    let faults = Some((&cfg.plan, &link));
+    let driven = drive(harness, vehicles, steps, faults, None, &mut clients, |_, _, _| Ok(None))?;
 
-    // The outage is over: restore the link, keep probabilistic faults
-    // off for the drain, and reconcile every backlog.
-    for c in &controls {
-        c.set_link_down(false);
-        c.set_armed(false);
-    }
-    for client in &mut clients {
-        client.finish()?;
-    }
-
-    let mut fired = Vec::new();
-    let mut per_client = Vec::new();
-    let mut degraded_steps = 0u64;
-    let mut retries = 0u64;
-    let mut resyncs = 0u64;
-    for client in &mut clients {
-        let stats = client.stats();
-        degraded_steps += stats.degraded_steps;
-        retries += stats.retries;
-        resyncs += stats.resyncs;
-        per_client.push((client.user(), client.strategy(), stats));
-        fired.extend(client.take_fired());
-    }
-
-    let expected: Vec<FiredEvent> = harness
-        .ground_truth()
-        .events()
-        .iter()
-        .filter(|e| e.step < steps)
-        .cloned()
-        .collect();
-    let verification = GroundTruth::new(expected).verify(&fired).map_err(|e| {
-        let dump = server.trace_dump();
-        if dump.is_empty() {
-            e
-        } else {
-            format!("{e}\nserver trace ring:\n{dump}")
-        }
-    });
-
-    // Fold the per-transport tallies into one.
-    let mut by_kind: Vec<(&'static str, u64)> = vec![
-        ("drop_up", 0),
-        ("drop_down", 0),
-        ("dup_up", 0),
-        ("dup_down", 0),
-        ("delay_up", 0),
-        ("delay_down", 0),
-        ("disconnect", 0),
-    ];
-    for c in &counts {
-        for (slot, (kind, n)) in by_kind.iter_mut().zip(c.by_kind()) {
-            debug_assert_eq!(slot.0, kind);
-            slot.1 += n;
-        }
-    }
-    let injected_total: u64 = by_kind.iter().map(|(_, n)| n).sum();
-
-    let total_samples = u64::from(steps) * config.fleet.vehicles as u64;
-    let outcome = ChaosOutcome {
-        replay: ReplayOutcome {
-            fired,
-            verification,
-            clients: per_client,
-            server: server.stats(),
-            cache: server.cache_stats(),
-            metrics: server.registry().snapshot(),
-            steps,
-            step_costs: Vec::new(),
-        },
-        injected: by_kind,
-        injected_total,
-        degraded_fraction: if total_samples == 0 {
-            0.0
-        } else {
-            degraded_steps as f64 / total_samples as f64
-        },
+    let sum = |field: fn(&ClientStats) -> u64| -> u64 {
+        driven.clients.iter().map(|(_, _, stats)| field(stats)).sum()
+    };
+    let total_samples = u64::from(steps) * clients.len() as u64;
+    let degraded_fraction = sum(|s| s.degraded_steps) as f64 / total_samples.max(1) as f64;
+    let (retries, resyncs) = (sum(|s| s.retries), sum(|s| s.resyncs));
+    Ok(ChaosOutcome {
+        replay: conclude(harness, server, steps, driven),
+        injected: link.counts().by_kind(),
+        injected_total: link.counts().total(),
+        degraded_fraction,
         retries,
         resyncs,
-    };
-    server.shutdown();
-    Ok(outcome)
+    })
 }
 
 #[cfg(test)]
@@ -602,6 +452,8 @@ mod tests {
     use super::*;
     use crate::server::ServerConfig;
     use crate::wire::StrategySpec;
+    use sa_obs::TraceMode;
+    use sa_sim::SimulationConfig;
     use sa_geometry::{Grid, Rect};
 
     fn tiny_server() -> Arc<Server> {
@@ -624,7 +476,7 @@ mod tests {
         for seq in 2..=200 {
             assert!(t.request(Request::Stats { seq }).is_ok(), "exchange {seq} interfered");
         }
-        assert_eq!(t.counts().total(), 0);
+        assert_eq!(t.controls().counts().total(), 0);
         server.shutdown();
     }
 
@@ -634,14 +486,13 @@ mod tests {
         let inner = InProcTransport::connect(Arc::clone(&server));
         let mut t = FaultyTransport::new(inner, FaultPlan::clean(), 0);
         let controls = t.controls();
-        let counts = t.counts();
         assert!(t.request(hello(1)).is_ok());
         controls.set_armed(true);
         controls.set_link_down(true);
         assert!(controls.is_link_down());
         let err = t.request(hello(2)).unwrap_err();
         assert!(err.is_transient(), "a thrown breaker must look transient: {err}");
-        assert_eq!(counts.disconnect.load(Ordering::Relaxed), 1);
+        assert_eq!(controls.counts().by_kind()[DISCONNECT], ("disconnect", 1));
         controls.set_link_down(false);
         assert!(t.request(hello(3)).is_ok());
         server.shutdown();
@@ -671,8 +522,8 @@ mod tests {
         let server = tiny_server();
         let inner = InProcTransport::connect(Arc::clone(&server));
         let mut t = FaultyTransport::new(inner, FaultPlan::lossy(7), 1);
-        t.controls().set_armed(true);
-        let counts = t.counts();
+        let controls = t.controls();
+        controls.set_armed(true);
         let mut failures = 0;
         for seq in 1..=300 {
             let req = if seq == 1 { hello(seq) } else { Request::Stats { seq } };
@@ -681,9 +532,27 @@ mod tests {
             }
         }
         assert!(failures > 0, "10% drop over 300 exchanges must fail sometimes");
-        assert!(
-            counts.drop_up.load(Ordering::Relaxed) + counts.drop_down.load(Ordering::Relaxed) > 0
-        );
+        let by_kind = controls.counts().by_kind();
+        assert!(by_kind[DROP_UP].1 + by_kind[DROP_DOWN].1 > 0);
         server.shutdown();
+    }
+
+    #[test]
+    fn a_faulted_replay_honours_the_trace_mode() {
+        let harness = SimulationHarness::build(&SimulationConfig::smoke_test());
+        let cfg = ChaosConfig {
+            replay: ReplayConfig {
+                steps: Some(120),
+                trace_mode: TraceMode::Off,
+                ..ReplayConfig::default()
+            },
+            plan: FaultPlan::lossy(5),
+            policy: None,
+        };
+        let (server, steps) = cfg.replay.start(&harness, SystemClock::shared());
+        let outcome = chaos_replay_on(&harness, &cfg, &server, steps).expect("no fatal errors");
+        outcome.replay.assert_accurate();
+        assert!(outcome.injected_total > 0, "the lossy plan must have injected something");
+        assert!(server.spans().is_empty(), "TraceMode::Off must record no span");
     }
 }

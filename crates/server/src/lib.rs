@@ -7,9 +7,10 @@
 //! cell, all reading one epoch-versioned alarm index ([`server`],
 //! [`shard`]), an epoch-versioned cache of public
 //! safe-region bitmaps ([`cache`]), two interchangeable transports —
-//! in-process and loopback TCP ([`transport`]) — and client-side
-//! strategy mirrors plus a trace replay driver that cross-checks every
-//! firing against the simulator's ground truth ([`client`], [`mod@replay`]).
+//! in-process and TCP ([`transport`]) — one readiness-driven TCP front
+//! end ([`reactor`], [`netfront`]), and client-side strategy mirrors
+//! plus the one trace replay driver that cross-checks every firing
+//! against the simulator's ground truth ([`client`], [`mod@replay`]).
 //!
 //! Every layer is instrumented through `sa-obs`: one registry per server
 //! holds the cache/shard/router counters, queue-depth gauges, and
@@ -35,12 +36,17 @@
 //! The layering, bottom-up:
 //!
 //! ```text
-//! chaos   ── FaultyTransport decorator + chaos replay harness
-//! replay  ── drives clients over a sa-roadnet trace (per-request or
-//!            batched multi-worker), verifies vs GroundTruth
+//! chaos   ── FaultyTransport decorator; chaos replay = the replay
+//!            driver under a FaultPlan
+//! replay  ── the one driver: drive (step loop) + BatchDriver (batched
+//!            exchange) + verify_prefix (GroundTruth diff → FlightBundle);
+//!            per-request / TCP / batched multi-worker are thin callers,
+//!            as are sa-verify's run_case and sa-fed's fed_replay
 //! client  ── per-strategy mirrors (MWPSR / PBSR / OPT / safe-period)
 //!            + retry → degraded → resync → steady resilience machine
 //! transport ─ InProc | Tcp, both framing through the wire codec
+//! reactor ── the one TCP server: nonblocking accept + per-connection
+//!            FrameReader / WriteQueue (netfront), admission, reaping
 //! server  ── router + sessions + the one VersionedAlarmIndex;
 //!            LocationUpdate → bounded shard queues
 //! shard   ── cell → shard mapping + ShardPool workers
@@ -77,14 +83,14 @@ pub use netfront::{
 };
 pub use reactor::{Reactor, ReactorConfig};
 pub use replay::{
-    quarter_us_per_update, replay, replay_batched_in_proc, replay_in_proc, replay_tcp,
-    ReplayConfig, ReplayOutcome, StepCost,
+    connect_fleet, drive, exchange_batch, quarter_us_per_update, replay, replay_batched_in_proc,
+    replay_in_proc, replay_tcp, verify_prefix, BatchDriver, Driven, ReplayConfig, ReplayOutcome,
+    StepCost, MAX_BATCH_ROUNDS,
 };
 pub use sa_obs::TraceMode;
 pub use server::{quantize_rect, Server, ServerConfig, ServerStats};
 pub use shard::{shard_of_index, ShardPool};
 pub use transport::{
-    InProcTransport, ReconnectingTcpTransport, TcpServerHandle, TcpTransport, Transport,
-    TransportError,
+    InProcTransport, ReconnectingTcpTransport, TcpTransport, Transport, TransportError,
 };
 pub use wire::{CellRange, Request, Response, SessionState, StrategySpec, WireError};

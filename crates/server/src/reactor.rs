@@ -1,8 +1,9 @@
 //! A readiness-driven, non-blocking TCP front end.
 //!
-//! The thread-per-connection loop in [`crate::transport`] is fine for
-//! smoke tests but caps out at a few hundred clients — every idle
-//! connection pins a parked thread and its stack. This module
+//! The one TCP server of the runtime — every [`crate::transport`] TCP
+//! client dials it. A thread per connection caps out at a few hundred
+//! clients (every idle connection pins a parked thread and its stack),
+//! so this module
 //! multiplexes thousands of connections onto a small fixed pool of
 //! worker threads with a hand-rolled readiness loop over nonblocking
 //! [`std::net`] sockets (the repo vendors its dependencies; no tokio,

@@ -1,4 +1,4 @@
-//! Trace replay through the live server.
+//! Trace replay through the live server: the one driver.
 //!
 //! Rebuilds the simulator's world (road network, fleet, alarms), starts
 //! a [`Server`] over it, connects one [`Client`] per vehicle through a
@@ -8,19 +8,34 @@
 //! live runtime must reproduce the paper's 100%-accuracy requirement,
 //! end to end through real message encoding and real threads.
 //!
+//! Every replay in the workspace is the same three routines: [`drive`]
+//! (arm the faulty links → per step: toggle the link, step the fleet,
+//! exchange per request or batched → drain), [`BatchDriver`] (chunking,
+//! reply checks and the `Overloaded` retry budget of a batched step) and
+//! [`verify_prefix`] (ground-truth-prefix diff, a [`FlightBundle`] on
+//! divergence). [`replay`], [`replay_tcp`], [`replay_batched_in_proc`],
+//! [`crate::chaos::chaos_replay_in_proc`], `sa_verify::run_case` and
+//! `sa_fed::fed_replay` supply only a transport factory, a fault plan,
+//! vehicle-range workers or a per-step hook.
+//!
 //! Only static alarms are replayed (the wire protocol carries no
 //! moving-target coordination); build the harness with
 //! `config.moving_alarms == 0`.
 
+use crate::chaos::{ChaosControls, FaultPlan};
 use crate::client::{Client, ClientStats};
+use crate::clock::{SharedClock, SystemClock};
+use crate::reactor::{Reactor, ReactorConfig};
 use crate::server::{Server, ServerConfig, ServerStats};
-use crate::transport::{InProcTransport, TcpServerHandle, TcpTransport, Transport, TransportError};
+use crate::transport::{InProcTransport, TcpTransport, Transport, TransportError};
 use crate::wire::{BatchReply, BatchedUpdate, Request, Response, StrategySpec, SEQ_MASK};
 use crate::CacheStats;
+use rand::{rngs::SmallRng, Rng, SeedableRng};
 use sa_alarms::SubscriberId;
-use sa_obs::{FlightBundle, Snapshot, TraceMode};
-use sa_roadnet::Fleet;
+use sa_obs::{FlightBundle, Snapshot, Span, TraceMode};
+use sa_roadnet::{Fleet, TraceSample};
 use sa_sim::{FiredEvent, GroundTruth, SimulationHarness};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -55,7 +70,32 @@ impl Default for ReplayConfig {
     }
 }
 
-/// What one [`replay_batched_in_proc`] worker spent on one step.
+impl ReplayConfig {
+    /// Starts this config's server over `harness`'s world, every
+    /// timestamp on `clock`; also returns the steps a replay drives.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the harness was built with moving-target alarms.
+    pub fn start(&self, harness: &SimulationHarness, clock: SharedClock) -> (Arc<Server>, u32) {
+        assert!(
+            harness.moving_alarms().is_none(),
+            "the live wire protocol carries static alarms only"
+        );
+        let server = Server::start_with_clock(
+            harness.grid().clone(),
+            harness.index().alarms().to_vec(),
+            harness.v_max(),
+            self.server,
+            clock,
+        );
+        server.set_trace_mode(self.trace_mode);
+        let all = harness.config().steps() as u32;
+        (server, self.steps.unwrap_or(all).min(all))
+    }
+}
+
+/// What [`drive`] spent on one batched step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepCost {
     /// The step.
@@ -63,7 +103,7 @@ pub struct StepCost {
     /// Location updates the worker sent for the step (first attempts; an
     /// overload retry is cost, not another update).
     pub updates: u32,
-    /// Worker time inside the step: sampling, client monitoring and the
+    /// Driver time inside the step: sampling, client monitoring and the
     /// batch exchanges.
     pub busy: Duration,
 }
@@ -105,8 +145,8 @@ pub struct ReplayOutcome {
     pub metrics: Snapshot,
     /// Steps actually replayed.
     pub steps: u32,
-    /// Per-worker, per-step driver cost (see [`quarter_us_per_update`]).
-    /// Only [`replay_batched_in_proc`] meters it; empty elsewhere.
+    /// Per-worker cost of every batched step (see
+    /// [`quarter_us_per_update`]); empty from the per-request drivers.
     pub step_costs: Vec<StepCost>,
 }
 
@@ -124,276 +164,218 @@ impl ReplayOutcome {
     }
 }
 
-/// Replays `harness`'s trace through a fresh server, connecting each
-/// client with `connect`. Generic over the transport so the in-proc and
-/// TCP paths share one driver.
-///
-/// # Errors
-///
-/// Fails when any client's transport breaks mid-replay.
-///
-/// # Panics
-///
-/// Panics when the harness was built with moving-target alarms.
-pub fn replay<T, F>(
-    harness: &SimulationHarness,
-    cfg: &ReplayConfig,
-    mut connect: F,
-) -> Result<ReplayOutcome, TransportError>
-where
-    T: Transport,
-    F: FnMut(&Arc<Server>) -> Result<T, TransportError>,
-{
-    assert!(
-        harness.moving_alarms().is_none(),
-        "the live wire protocol carries static alarms only"
-    );
-    assert!(!cfg.strategies.is_empty(), "need at least one strategy to assign");
-
-    let config = harness.config();
-    let dt = config.sample_period_s;
-    let steps = cfg.steps.unwrap_or(config.steps() as u32).min(config.steps() as u32);
-
-    let server = Server::start(
-        harness.grid().clone(),
-        harness.index().alarms().to_vec(),
-        harness.v_max(),
-        cfg.server,
-    );
-    server.set_trace_mode(cfg.trace_mode);
-
-    let mut clients: Vec<Client<T>> = (0..config.fleet.vehicles as u32)
-        .map(|v| {
-            let strategy = cfg.strategies[v as usize % cfg.strategies.len()];
-            let transport = connect(&server)?;
-            Client::connect(transport, SubscriberId(v), strategy, harness.grid().clone(), dt)
-        })
-        .collect::<Result<_, _>>()?;
-
-    let mut fleet = Fleet::new(harness.network(), &config.fleet);
-    let mut samples = Vec::new();
-    for step in 0..steps {
-        fleet.step_into(dt, &mut samples);
-        for s in &samples {
-            clients[s.vehicle.0 as usize].observe(step, s.pos, s.heading, s.speed)?;
-        }
-    }
-
-    let mut fired = Vec::new();
-    let mut per_client = Vec::new();
-    for client in &mut clients {
-        per_client.push((client.user(), client.strategy(), client.stats()));
-        fired.extend(client.take_fired());
-    }
-
-    // A firing at step s depends only on samples up to s, so the ground
-    // truth restricted to the replayed prefix is exact.
-    let expected: Vec<FiredEvent> = harness
-        .ground_truth()
-        .events()
-        .iter()
-        .filter(|e| e.step < steps)
-        .cloned()
-        .collect();
-    // On a divergence, the failure message is a flight-recorder bundle:
-    // span trees, trace ring and registry snapshot in one document.
-    let verification =
-        GroundTruth::new(expected).verify(&fired).map_err(|e| divergence_bundle(e, &server));
-
-    let outcome = ReplayOutcome {
-        fired,
-        verification,
-        clients: per_client,
-        server: server.stats(),
-        cache: server.cache_stats(),
-        metrics: server.registry().snapshot(),
-        steps,
-        step_costs: Vec::new(),
-    };
-    server.shutdown();
-    Ok(outcome)
-}
-
-/// Renders the single-server divergence flight bundle (see
-/// [`FlightBundle`]).
-fn divergence_bundle(reason: String, server: &Server) -> String {
-    let mut bundle = FlightBundle::new(reason);
-    bundle.spans = server.spans();
-    bundle.rings.push(("server".to_string(), server.trace_dump()));
-    bundle.snapshots.push(("server".to_string(), server.registry().snapshot()));
-    bundle.render()
-}
-
-/// [`replay`] over the in-process transport.
-///
-/// # Errors
-///
-/// Fails when a client exchange breaks (see [`replay`]).
-pub fn replay_in_proc(
-    harness: &SimulationHarness,
-    cfg: &ReplayConfig,
-) -> Result<ReplayOutcome, TransportError> {
-    replay(harness, cfg, |server| Ok(InProcTransport::connect(Arc::clone(server))))
-}
-
 /// Hard cap on entries per [`Request::Batch`] frame, keeping the worst
 /// case reply frame (a height-5 bitmap install for *every* entry) well
 /// under [`crate::wire::MAX_FRAME_LEN`].
 const MAX_BATCH_ENTRIES: usize = 1024;
 
-/// Overload retry rounds per step before a batch worker gives up.
-const MAX_BATCH_ROUNDS: u32 = 10_000;
+/// Retry rounds per batched step before the driver gives up — a livelock
+/// guard, far above anything a healthy run reaches.
+pub const MAX_BATCH_ROUNDS: u32 = 10_000;
 
-/// The multi-worker batched replay: splits the fleet into `workers`
-/// contiguous vehicle-id ranges (the [`Fleet::with_id_range`] sharding —
-/// each shard reproduces exactly its slice of the full trace), drives
-/// each range on its own thread, and submits each worker's step as
-/// [`Request::Batch`] frames over in-proc transport instead of one
-/// request/RTT per vehicle. Firings are still cross-checked against the
-/// simulator's [`GroundTruth`] exactly.
-///
-/// Free-running workers are sound because alarms fire per (subscriber,
-/// alarm): one vehicle's firings never depend on another vehicle's
-/// position, so worker skew cannot change what fires or when. Within a
-/// worker, each client completes its step-`n` responses before polling
-/// step `n + 1`, preserving per-client strategy semantics.
+/// Salt of the seeded visiting order's RNG stream.
+const ORDER_SALT: u64 = 0x0D0E_0A0D_0F00_D5ED;
+
+/// Fisher–Yates under the given RNG (the vendored `rand` has no
+/// `shuffle`; this mirrors `SliceRandom::shuffle`).
+fn shuffle<T>(items: &mut [T], rng: &mut SmallRng) {
+    for i in (1..items.len()).rev() {
+        let j = rng.gen_range(0..=i);
+        items.swap(i, j);
+    }
+}
+
+/// Connects one client per vehicle of `vehicles` — strategies assigned
+/// round-robin by vehicle id — each over the transport `link` opens.
 ///
 /// # Errors
 ///
-/// Fails when a transport breaks, the server answers outside the batch
-/// protocol, or a shard queue stays overloaded past the retry budget.
+/// Fails when a link cannot be opened or a handshake is rejected.
 ///
 /// # Panics
 ///
-/// Panics when the harness was built with moving-target alarms.
-pub fn replay_batched_in_proc(
+/// Panics when `strategies` is empty.
+pub fn connect_fleet<T: Transport>(
     harness: &SimulationHarness,
-    cfg: &ReplayConfig,
-    workers: usize,
-) -> Result<ReplayOutcome, TransportError> {
-    assert!(
-        harness.moving_alarms().is_none(),
-        "the live wire protocol carries static alarms only"
-    );
-    assert!(!cfg.strategies.is_empty(), "need at least one strategy to assign");
-
-    let config = harness.config();
-    let dt = config.sample_period_s;
-    let steps = cfg.steps.unwrap_or(config.steps() as u32).min(config.steps() as u32);
-    let server = Server::start(
-        harness.grid().clone(),
-        harness.index().alarms().to_vec(),
-        harness.v_max(),
-        cfg.server,
-    );
-    server.set_trace_mode(cfg.trace_mode);
-
-    // One contiguous vehicle range per worker, like the simulator's own
-    // parallel replay.
-    let vehicles = config.fleet.vehicles as u32;
-    let workers = (workers.max(1) as u32).min(vehicles.max(1));
-    let base = vehicles / workers;
-    let extra = vehicles % workers;
-    let mut ranges = Vec::with_capacity(workers as usize);
-    let mut start = 0u32;
-    for w in 0..workers {
-        let len = base + u32::from(w < extra);
-        if len > 0 {
-            ranges.push(start..start + len);
-            start += len;
-        }
-    }
-
-    let results: Result<Vec<_>, TransportError> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|range| {
-                let server = Arc::clone(&server);
-                scope.spawn(move || batch_worker(&server, harness, cfg, range, steps, dt))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("batch worker panicked")).collect()
-    });
-    let results = results?;
-
-    let mut fired = Vec::new();
-    let mut per_client = Vec::new();
-    let mut step_costs = Vec::new();
-    for (worker_fired, worker_clients, worker_costs) in results {
-        fired.extend(worker_fired);
-        per_client.extend(worker_clients);
-        step_costs.extend(worker_costs);
-    }
-
-    let expected: Vec<FiredEvent> = harness
-        .ground_truth()
-        .events()
-        .iter()
-        .filter(|e| e.step < steps)
-        .cloned()
-        .collect();
-    let verification =
-        GroundTruth::new(expected).verify(&fired).map_err(|e| divergence_bundle(e, &server));
-
-    let outcome = ReplayOutcome {
-        fired,
-        verification,
-        clients: per_client,
-        server: server.stats(),
-        cache: server.cache_stats(),
-        metrics: server.registry().snapshot(),
-        steps,
-        step_costs,
-    };
-    server.shutdown();
-    Ok(outcome)
+    strategies: &[StrategySpec],
+    vehicles: Range<u32>,
+    mut link: impl FnMut(u32) -> Result<T, TransportError>,
+) -> Result<Vec<Client<T>>, TransportError> {
+    assert!(!strategies.is_empty(), "need at least one strategy to assign");
+    let dt = harness.config().sample_period_s;
+    vehicles
+        .map(|v| {
+            let strategy = strategies[v as usize % strategies.len()];
+            Client::connect(link(v)?, SubscriberId(v), strategy, harness.grid().clone(), dt)
+        })
+        .collect()
 }
 
-/// One worker of [`replay_batched_in_proc`]: drives the vehicles of
-/// `range` over its own driver connection, one batch exchange per step
-/// (chunked at [`MAX_BATCH_ENTRIES`]).
-fn batch_worker(
-    server: &Arc<Server>,
-    harness: &SimulationHarness,
-    cfg: &ReplayConfig,
-    range: std::ops::Range<u32>,
-    steps: u32,
-    dt: f64,
-) -> Result<WorkerOutcome, TransportError> {
-    let mut sessions = Vec::with_capacity(range.len());
-    let mut clients: Vec<Client<InProcTransport>> = range
-        .clone()
-        .map(|v| {
-            let strategy = cfg.strategies[v as usize % cfg.strategies.len()];
-            let transport = InProcTransport::connect(Arc::clone(server));
-            sessions.push(transport.session());
-            Client::connect(transport, SubscriberId(v), strategy, harness.grid().clone(), dt)
-        })
-        .collect::<Result<_, _>>()?;
-    let mut driver = InProcTransport::connect(Arc::clone(server));
-    let mut fleet = Fleet::with_id_range(harness.network(), &harness.config().fleet, range.clone());
-    let mut samples = Vec::new();
-    let mut batch_seq = 0u32;
-    let mut step_costs = Vec::with_capacity(steps as usize);
+/// What [`drive`] observed.
+#[derive(Debug, Default)]
+pub struct Driven {
+    /// Every firing observed by the driven clients, unsorted.
+    pub fired: Vec<FiredEvent>,
+    /// Per-client `(subscriber, strategy, counters)`.
+    pub clients: Vec<(SubscriberId, StrategySpec, ClientStats)>,
+    /// Cost of every batched step.
+    pub step_costs: Vec<StepCost>,
+}
 
+/// The one trace-replay step loop: streams `steps` steps of the trace of
+/// `vehicles` — the whole fleet, or one worker's contiguous slice of it
+/// ([`Fleet::with_id_range`] reproduces exactly that slice) — through
+/// `clients` (`clients[i]` is vehicle `vehicles.start + i`).
+///
+/// `faults` is the plan and the switches every faulty link of the run
+/// shares: handshakes ran before the loop and stay fault-free, faults arm
+/// for the replayed steps with the breaker following the plan's
+/// disconnect windows, and the final drain of every client's backlog runs
+/// disarmed with the link restored, as a real outage ends. `order_seed`
+/// seeds a fresh pseudo-random visiting order each step, so shared server
+/// state (cache epochs, delivery logs) meets many arrival orders while
+/// staying a function of the seed; `None` visits in vehicle order.
+///
+/// Each step, before anything is exchanged, `hook` runs (advance a
+/// virtual clock, repartition a federation, …) and either exchanges the
+/// step itself — batched — returning the number of updates it sent, or
+/// returns `None` to have every sample [`Client::observe`]d per request.
+///
+/// # Errors
+///
+/// Fails when a client's transport breaks non-transiently or `hook`
+/// fails.
+pub fn drive<T, H>(
+    harness: &SimulationHarness,
+    vehicles: Range<u32>,
+    steps: u32,
+    faults: Option<(&FaultPlan, &ChaosControls)>,
+    order_seed: Option<u64>,
+    clients: &mut [Client<T>],
+    mut hook: H,
+) -> Result<Driven, TransportError>
+where
+    T: Transport,
+    H: FnMut(u32, &mut [Client<T>], &[TraceSample]) -> Result<Option<u32>, TransportError>,
+{
+    let config = harness.config();
+    let dt = config.sample_period_s;
+    let mut fleet = Fleet::with_id_range(harness.network(), &config.fleet, vehicles.clone());
+    let mut order_rng = order_seed.map(|seed| SmallRng::seed_from_u64(seed ^ ORDER_SALT));
+    let mut samples = Vec::new();
+    let mut driven = Driven::default();
+
+    if let Some((_, link)) = faults {
+        link.set_armed(true);
+    }
     for step in 0..steps {
-        let step_started = Instant::now();
+        let started = Instant::now();
+        if let Some((plan, link)) = faults {
+            link.set_link_down(plan.disconnected_at(step));
+        }
         fleet.step_into(dt, &mut samples);
+        if let Some(rng) = &mut order_rng {
+            shuffle(&mut samples, rng);
+        }
+        match hook(step, clients, &samples)? {
+            Some(updates) => {
+                driven.step_costs.push(StepCost { step, updates, busy: started.elapsed() });
+            }
+            None => {
+                for s in &samples {
+                    let client = &mut clients[(s.vehicle.0 - vehicles.start) as usize];
+                    client.observe(step, s.pos, s.heading, s.speed)?;
+                }
+            }
+        }
+    }
+    if let Some((_, link)) = faults {
+        link.set_link_down(false);
+        link.set_armed(false);
+    }
+    for client in clients.iter_mut() {
+        client.finish()?;
+    }
+    for client in clients.iter_mut() {
+        driven.clients.push((client.user(), client.strategy(), client.stats()));
+        driven.fired.extend(client.take_fired());
+    }
+    Ok(driven)
+}
+
+/// One [`Request::Batch`] round trip on `link`, unwrapped to its reply
+/// groups: one per update, in order, each on its update's session.
+///
+/// # Errors
+///
+/// Fails when the link breaks or the server answers outside the batch
+/// protocol.
+pub fn exchange_batch<D: Transport + ?Sized>(
+    link: &mut D,
+    seq: u32,
+    updates: &[BatchedUpdate],
+) -> Result<Vec<BatchReply>, TransportError> {
+    let resps = link.request(Request::Batch { seq, updates: updates.to_vec() })?;
+    let replies = match resps.into_iter().next() {
+        Some(Response::Batch { seq: echoed, replies }) if echoed == seq => replies,
+        _ => return Err(TransportError::Protocol("batch request answered without a batch reply")),
+    };
+    if replies.len() != updates.len() {
+        return Err(TransportError::Protocol("batch reply count mismatch"));
+    }
+    if replies.iter().zip(updates).any(|(reply, update)| reply.session != update.session) {
+        return Err(TransportError::Protocol("batch reply session mismatch"));
+    }
+    Ok(replies)
+}
+
+/// The batched exchange of a single-server replay: a driver connection
+/// that submits a whole step of [`drive`]'s clients as
+/// [`Request::Batch`] frames instead of one request/RTT per vehicle.
+pub struct BatchDriver<D: Transport> {
+    link: D,
+    seq: u32,
+    /// `sessions[i]` is the session of `clients[i]`.
+    sessions: Vec<u32>,
+    /// The vehicle id of `clients[0]`.
+    first_vehicle: u32,
+}
+
+impl<D: Transport> BatchDriver<D> {
+    /// A driver over `link` for the clients speaking on `sessions`, the
+    /// first of them vehicle `first_vehicle`.
+    pub fn new(link: D, sessions: Vec<u32>, first_vehicle: u32) -> BatchDriver<D> {
+        BatchDriver { link, seq: 0, sessions, first_vehicle }
+    }
+
+    /// Exchanges one step: polls every sample's client, sends the staged
+    /// entries (chunked at `MAX_BATCH_ENTRIES`) and re-sends the
+    /// `Overloaded` ones until every client has absorbed step `step`.
+    /// Returns the updates sent (first attempts; a retry is cost, not
+    /// another update).
+    ///
+    /// # Errors
+    ///
+    /// Fails when a transport breaks, the server answers outside the
+    /// batch protocol, or a shard queue stays overloaded past
+    /// [`MAX_BATCH_ROUNDS`].
+    pub fn exchange_step<T: Transport>(
+        &mut self,
+        clients: &mut [Client<T>],
+        step: u32,
+        samples: &[TraceSample],
+    ) -> Result<u32, TransportError> {
         let mut entries: Vec<BatchedUpdate> = Vec::new();
         let mut owners: Vec<usize> = Vec::new();
-        for s in &samples {
-            let local = (s.vehicle.0 - range.start) as usize;
-            if let Some(entry) =
-                clients[local].poll_update(sessions[local], step, s.pos, s.heading, s.speed)?
-            {
+        for s in samples {
+            let local = (s.vehicle.0 - self.first_vehicle) as usize;
+            let (client, session) = (&mut clients[local], self.sessions[local]);
+            if let Some(entry) = client.poll_update(session, step, s.pos, s.heading, s.speed)? {
                 entries.push(entry);
                 owners.push(local);
             }
         }
         let updates = entries.len() as u32;
-        // Exchange (and re-exchange overloaded entries) until the step
-        // is fully absorbed — every client must complete step `step`
-        // before any polls `step + 1`.
         let mut rounds = 0u32;
         while !entries.is_empty() {
             if rounds >= MAX_BATCH_ROUNDS {
@@ -405,17 +387,9 @@ fn batch_worker(
             for (chunk, chunk_owners) in
                 entries.chunks(MAX_BATCH_ENTRIES).zip(owners.chunks(MAX_BATCH_ENTRIES))
             {
-                batch_seq = (batch_seq + 1) & SEQ_MASK;
-                let replies = exchange_batch(&mut driver, batch_seq, chunk)?;
-                if replies.len() != chunk.len() {
-                    return Err(TransportError::Protocol("batch reply count mismatch"));
-                }
-                for ((reply, &owner), &entry) in
-                    replies.into_iter().zip(chunk_owners).zip(chunk)
-                {
-                    if reply.session != entry.session {
-                        return Err(TransportError::Protocol("batch reply session mismatch"));
-                    }
+                self.seq = (self.seq + 1) & SEQ_MASK;
+                let replies = exchange_batch(&mut self.link, self.seq, chunk)?;
+                for ((reply, &owner), &entry) in replies.into_iter().zip(chunk_owners).zip(chunk) {
                     if !clients[owner].complete_update(reply.responses)? {
                         retry_entries.push(entry);
                         retry_owners.push(owner);
@@ -428,36 +402,98 @@ fn batch_worker(
             entries = retry_entries;
             owners = retry_owners;
         }
-        step_costs.push(StepCost { step, updates, busy: step_started.elapsed() });
-    }
-
-    let mut fired = Vec::new();
-    let mut per_client = Vec::new();
-    for client in &mut clients {
-        per_client.push((client.user(), client.strategy(), client.stats()));
-        fired.extend(client.take_fired());
-    }
-    Ok((fired, per_client, step_costs))
-}
-
-type WorkerOutcome =
-    (Vec<FiredEvent>, Vec<(SubscriberId, StrategySpec, ClientStats)>, Vec<StepCost>);
-
-/// One batch frame round trip, unwrapped to its reply groups.
-fn exchange_batch(
-    driver: &mut InProcTransport,
-    seq: u32,
-    updates: &[BatchedUpdate],
-) -> Result<Vec<BatchReply>, TransportError> {
-    let resps = driver.request(Request::Batch { seq, updates: updates.to_vec() })?;
-    match resps.into_iter().next() {
-        Some(Response::Batch { seq: echoed, replies }) if echoed == seq => Ok(replies),
-        _ => Err(TransportError::Protocol("batch request answered without a batch reply")),
+        Ok(updates)
     }
 }
 
-/// [`replay`] over loopback TCP: starts an accept loop, gives every
-/// client its own connection, and tears the listener down afterwards.
+/// Diffs `fired` against the ground truth restricted to the replayed
+/// prefix — a firing at step `s` depends only on samples up to `s`, so
+/// the prefix is exact. On a divergence the error is a rendered
+/// [`FlightBundle`]: the discrepancy, `spans()` assembled into trees, and
+/// every member server's trace ring and registry snapshot.
+///
+/// # Errors
+///
+/// Describes the first missed, mistimed or spurious firing.
+pub fn verify_prefix(
+    harness: &SimulationHarness,
+    steps: u32,
+    fired: &[FiredEvent],
+    spans: impl FnOnce() -> Vec<Span>,
+    members: &[Arc<Server>],
+) -> Result<(), String> {
+    let expected: Vec<FiredEvent> =
+        harness.ground_truth().events().iter().filter(|e| e.step < steps).cloned().collect();
+    GroundTruth::new(expected).verify(fired).map_err(|reason| {
+        let mut bundle = FlightBundle::new(reason);
+        bundle.spans = spans();
+        for (i, server) in members.iter().enumerate() {
+            bundle.rings.push((format!("member {i}"), server.trace_dump()));
+            bundle.snapshots.push((format!("member {i}"), server.registry().snapshot()));
+        }
+        bundle.render()
+    })
+}
+
+/// Verifies a single-server run, gathers the server's counters and shuts
+/// it down.
+pub(crate) fn conclude(
+    harness: &SimulationHarness,
+    server: &Arc<Server>,
+    steps: u32,
+    driven: Driven,
+) -> ReplayOutcome {
+    let lone = std::slice::from_ref(server);
+    let outcome = ReplayOutcome {
+        verification: verify_prefix(harness, steps, &driven.fired, || server.spans(), lone),
+        fired: driven.fired,
+        clients: driven.clients,
+        server: server.stats(),
+        cache: server.cache_stats(),
+        metrics: server.registry().snapshot(),
+        steps,
+        step_costs: driven.step_costs,
+    };
+    server.shutdown();
+    outcome
+}
+
+/// Replays `steps` steps of `harness`'s trace per request through
+/// `server` (both from [`ReplayConfig::start`]), each client over the
+/// transport `connect` opens — generic so in-proc and TCP share it.
+///
+/// # Errors
+///
+/// Fails when any client's transport breaks mid-replay.
+pub fn replay<T: Transport>(
+    harness: &SimulationHarness,
+    cfg: &ReplayConfig,
+    server: &Arc<Server>,
+    steps: u32,
+    connect: impl FnMut(u32) -> Result<T, TransportError>,
+) -> Result<ReplayOutcome, TransportError> {
+    let vehicles = 0..harness.config().fleet.vehicles as u32;
+    let mut clients = connect_fleet(harness, &cfg.strategies, vehicles.clone(), connect)?;
+    let driven = drive(harness, vehicles, steps, None, None, &mut clients, |_, _, _| Ok(None))?;
+    Ok(conclude(harness, server, steps, driven))
+}
+
+/// [`replay`] over the in-process transport.
+///
+/// # Errors
+///
+/// Fails when a client exchange breaks (see [`replay`]).
+pub fn replay_in_proc(
+    harness: &SimulationHarness,
+    cfg: &ReplayConfig,
+) -> Result<ReplayOutcome, TransportError> {
+    let (server, steps) = cfg.start(harness, SystemClock::shared());
+    replay(harness, cfg, &server, steps, |_| Ok(InProcTransport::connect(Arc::clone(&server))))
+}
+
+/// [`replay`] over loopback TCP: binds a [`Reactor`] front end, gives
+/// every client its own connection, and tears the listener down
+/// afterwards.
 ///
 /// # Errors
 ///
@@ -466,18 +502,70 @@ pub fn replay_tcp(
     harness: &SimulationHarness,
     cfg: &ReplayConfig,
 ) -> Result<ReplayOutcome, TransportError> {
-    let mut handle: Option<TcpServerHandle> = None;
-    let outcome = replay(harness, cfg, |server| {
-        if handle.is_none() {
-            handle = Some(TcpServerHandle::serve(Arc::clone(server))?);
-        }
-        let addr = handle.as_ref().expect("listener just started").addr();
-        Ok(TcpTransport::connect(addr)?)
-    });
-    if let Some(mut h) = handle {
-        h.shutdown();
-    }
+    let (server, steps) = cfg.start(harness, SystemClock::shared());
+    let mut reactor = Reactor::bind(Arc::clone(&server), ReactorConfig::default())?;
+    let addr = reactor.addr();
+    let outcome = replay(harness, cfg, &server, steps, |_| Ok(TcpTransport::connect(addr)?));
+    reactor.shutdown();
     outcome
+}
+
+/// The multi-worker batched replay: splits the fleet into `workers`
+/// contiguous vehicle-id ranges, drives each range on its own thread,
+/// and submits each worker's step through its own [`BatchDriver`] over
+/// in-proc transport. Firings are still cross-checked against the
+/// simulator's [`GroundTruth`] exactly.
+///
+/// Free-running workers are sound because alarms fire per (subscriber,
+/// alarm): one vehicle's firings never depend on another vehicle's
+/// position, so worker skew cannot change what fires or when. Within a
+/// worker, each client completes its step-`n` responses before polling
+/// step `n + 1`, preserving per-client strategy semantics.
+///
+/// # Errors
+///
+/// Fails when a transport breaks, the server answers outside the batch
+/// protocol, or a shard queue stays overloaded past the retry budget.
+pub fn replay_batched_in_proc(
+    harness: &SimulationHarness,
+    cfg: &ReplayConfig,
+    workers: usize,
+) -> Result<ReplayOutcome, TransportError> {
+    let (server, steps) = cfg.start(harness, SystemClock::shared());
+    let vehicles = harness.config().fleet.vehicles as u32;
+    let workers = (workers.max(1) as u32).min(vehicles.max(1));
+    // Worker `w` drives vehicles `cut(w)..cut(w + 1)`: `vehicles / workers`
+    // each, the remainder spread over the first workers.
+    let cut = |w: u32| w * (vehicles / workers) + w.min(vehicles % workers);
+
+    let worker = |range: Range<u32>| -> Result<Driven, TransportError> {
+        let mut sessions = Vec::with_capacity(range.len());
+        let mut clients = connect_fleet(harness, &cfg.strategies, range.clone(), |_| {
+            let transport = InProcTransport::connect(Arc::clone(&server));
+            sessions.push(transport.session());
+            Ok(transport)
+        })?;
+        let link = InProcTransport::connect(Arc::clone(&server));
+        let mut driver = BatchDriver::new(link, sessions, range.start);
+        drive(harness, range, steps, None, None, &mut clients, |step, clients, samples| {
+            driver.exchange_step(clients, step, samples).map(Some)
+        })
+    };
+    let results: Vec<Result<Driven, TransportError>> = std::thread::scope(|scope| {
+        let (worker, cut) = (&worker, &cut);
+        let handles: Vec<_> =
+            (0..workers).map(|w| scope.spawn(move || worker(cut(w)..cut(w + 1)))).collect();
+        handles.into_iter().map(|h| h.join().expect("batch worker panicked")).collect()
+    });
+
+    let mut driven = Driven::default();
+    for result in results {
+        let part = result?;
+        driven.fired.extend(part.fired);
+        driven.clients.extend(part.clients);
+        driven.step_costs.extend(part.step_costs);
+    }
+    Ok(conclude(harness, &server, steps, driven))
 }
 
 #[cfg(test)]
@@ -486,45 +574,44 @@ mod tests {
     use sa_sim::SimulationConfig;
 
     #[test]
-    fn in_proc_replay_fires_exactly_the_ground_truth_prefix() {
-        let harness = SimulationHarness::build(&SimulationConfig::smoke_test());
-        let cfg = ReplayConfig { steps: Some(120), ..ReplayConfig::default() };
-        let outcome = replay_in_proc(&harness, &cfg).expect("transport must hold");
-        outcome.assert_accurate();
-        assert_eq!(outcome.steps, 120);
-        assert_eq!(outcome.clients.len(), harness.config().fleet.vehicles);
-        let uplinks: u64 = outcome.clients.iter().map(|(_, _, s)| s.uplinks).sum();
-        assert!(uplinks > 0, "someone must have talked to the server");
-        assert!(
-            uplinks < harness.config().fleet.vehicles as u64 * 120,
-            "safe regions must suppress most samples"
-        );
-    }
-
-    #[test]
     fn batched_replay_matches_ground_truth_and_per_request_traffic() {
         let harness = SimulationHarness::build(&SimulationConfig::smoke_test());
         let cfg = ReplayConfig { steps: Some(120), ..ReplayConfig::default() };
         let batched = replay_batched_in_proc(&harness, &cfg, 3).expect("transport must hold");
-        batched.assert_accurate();
-        assert_eq!(batched.steps, 120);
-        assert_eq!(batched.clients.len(), harness.config().fleet.vehicles);
-        // Batching changes the framing, not the strategies: the same
-        // uplinks, installs and deliveries as the per-request driver.
         let per_request = replay_in_proc(&harness, &cfg).expect("transport must hold");
+        let tcp = replay_tcp(&harness, &cfg).expect("loopback transport must hold");
+        // Batching and the reactor's sockets change the framing, not the
+        // strategies: the same uplinks, installs, deliveries and firings
+        // whichever way the trace reaches the server.
         let totals = |o: &ReplayOutcome| {
             o.clients.iter().fold((0u64, 0u64, 0u64), |(u, i, d), (_, _, s)| {
                 (u + s.uplinks, i + s.region_installs, d + s.deliveries)
             })
         };
-        assert_eq!(totals(&batched), totals(&per_request));
-        assert!(totals(&batched).0 > 0, "someone must have talked to the server");
+        let fired = |o: &ReplayOutcome| {
+            let mut fired = o.fired.clone();
+            fired.sort_by_key(|e| (e.step, e.subscriber.0, e.alarm.0));
+            fired
+        };
+        for outcome in [&batched, &per_request, &tcp] {
+            outcome.assert_accurate();
+            assert_eq!(outcome.steps, 120);
+            assert_eq!(outcome.clients.len(), harness.config().fleet.vehicles);
+            assert_eq!(totals(outcome), totals(&per_request));
+            assert_eq!(fired(outcome), fired(&per_request));
+        }
+        let uplinks = totals(&per_request).0;
+        assert!(uplinks > 0, "someone must have talked to the server");
+        assert!(
+            uplinks < harness.config().fleet.vehicles as u64 * 120,
+            "safe regions must suppress most samples"
+        );
         // Every worker meters every step, and the metered updates are
         // the uplinks (the smoke run never overloads a shard).
         assert_eq!(batched.step_costs.len(), 3 * 120);
         let metered: u64 = batched.step_costs.iter().map(|c| u64::from(c.updates)).sum();
         assert_eq!(metered, totals(&batched).0);
-        assert!(per_request.step_costs.is_empty());
+        assert!(per_request.step_costs.is_empty() && tcp.step_costs.is_empty());
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! [`InProcTransport`] calls the server directly but still round-trips
 //! every message through the wire codec, so in-process tests exercise
 //! exactly the bytes a socket would carry. [`TcpTransport`] speaks
-//! length-prefixed frames over a loopback [`std::net::TcpStream`] to a
-//! [`TcpServerHandle`] accept loop.
+//! length-prefixed frames over a [`std::net::TcpStream`] to the one TCP
+//! front end, [`crate::reactor::Reactor`].
 //!
 //! A request's response sequence is zero or more
 //! [`Response::TriggerDelivery`] frames followed by exactly one terminal
@@ -12,12 +12,11 @@
 //! the whole sequence.
 
 use crate::server::Server;
-use crate::wire::{frame, read_frame, write_frame, Request, Response, WireError};
+use crate::wire::{frame, read_frame, Request, Response, WireError};
 use std::io::Write as _;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// Failure while exchanging one request.
 #[derive(Debug)]
@@ -152,92 +151,19 @@ impl Transport for InProcTransport {
     }
 }
 
-/// A running TCP accept loop serving one [`Server`] on loopback.
-pub struct TcpServerHandle {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-}
-
-impl TcpServerHandle {
-    /// Binds `127.0.0.1:0` and starts accepting connections; each
-    /// connection gets its own session and handler thread.
-    pub fn serve(server: Arc<Server>) -> std::io::Result<TcpServerHandle> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let accept_thread = std::thread::Builder::new()
-            .name("sa-accept".into())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    if stop_flag.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let server = Arc::clone(&server);
-                    // Detached on purpose: a connection thread lives
-                    // exactly as long as its client keeps the socket
-                    // open, and joining it here would deadlock a
-                    // shutdown racing a still-connected client.
-                    std::thread::Builder::new()
-                        .name("sa-conn".into())
-                        .spawn(move || serve_connection(server, stream))
-                        .expect("spawn connection thread");
-                }
-            })
-            .expect("spawn accept thread");
-        Ok(TcpServerHandle { addr, stop, accept_thread: Some(accept_thread) })
-    }
-
-    /// The bound loopback address clients connect to.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stops accepting and joins the accept loop. Connections already
-    /// open finish when their client disconnects.
-    pub fn shutdown(&mut self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Unblock the blocking accept with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for TcpServerHandle {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// Per-connection loop: one session, frames in, frames out, until the
-/// client disconnects or a frame fails to parse.
-fn serve_connection(server: Arc<Server>, mut stream: TcpStream) {
-    let session = server.open_session();
-    stream.set_nodelay(true).ok();
-    let clock = Arc::clone(server.clock());
-    while let Ok(Some(body)) = read_frame(&mut stream) {
-        let decode_started_ns = clock.now_ns();
-        let decoded = Request::decode(&body);
-        server.metrics().wire_decode.record_duration(clock.elapsed_since(decode_started_ns));
-        let Ok(req) = decoded else { break };
-        let mut failed = false;
-        for resp in server.handle(session, req) {
-            let encode_started_ns = clock.now_ns();
-            let bytes = resp.encode();
-            server.metrics().wire_encode.record_duration(clock.elapsed_since(encode_started_ns));
-            if write_frame(&mut stream, &bytes).is_err() {
-                failed = true;
-                break;
-            }
-        }
-        if failed || stream.flush().is_err() {
-            break;
+/// One blocking exchange on `stream`: writes the framed request, then
+/// reads response frames up to and including the terminal one.
+fn exchange(stream: &mut TcpStream, req: &Request) -> Result<Vec<Response>, TransportError> {
+    stream.write_all(&frame(&req.encode()))?;
+    stream.flush()?;
+    let mut out = Vec::new();
+    loop {
+        let body = read_frame(stream)?.ok_or(TransportError::Closed)?;
+        let resp = Response::decode(&body)?;
+        let terminal = resp.is_terminal();
+        out.push(resp);
+        if terminal {
+            return Ok(out);
         }
     }
 }
@@ -248,7 +174,8 @@ pub struct TcpTransport {
 }
 
 impl TcpTransport {
-    /// Connects to a [`TcpServerHandle`]'s address.
+    /// Connects to a listening front end's address
+    /// ([`crate::reactor::Reactor::addr`]).
     pub fn connect(addr: SocketAddr) -> std::io::Result<TcpTransport> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
@@ -258,18 +185,7 @@ impl TcpTransport {
 
 impl Transport for TcpTransport {
     fn request(&mut self, req: Request) -> Result<Vec<Response>, TransportError> {
-        self.stream.write_all(&frame(&req.encode()))?;
-        self.stream.flush()?;
-        let mut out = Vec::new();
-        loop {
-            let body = read_frame(&mut self.stream)?.ok_or(TransportError::Closed)?;
-            let resp = Response::decode(&body)?;
-            let terminal = resp.is_terminal();
-            out.push(resp);
-            if terminal {
-                return Ok(out);
-            }
-        }
+        exchange(&mut self.stream, &req)
     }
 }
 
@@ -289,7 +205,7 @@ pub struct ReconnectingTcpTransport {
     addr: SocketAddr,
     stream: Option<TcpStream>,
     hello: Option<Request>,
-    reconnects: Arc<std::sync::atomic::AtomicU64>,
+    reconnects: Arc<AtomicU64>,
 }
 
 impl ReconnectingTcpTransport {
@@ -302,31 +218,14 @@ impl ReconnectingTcpTransport {
             addr,
             stream: Some(stream),
             hello: None,
-            reconnects: Arc::new(std::sync::atomic::AtomicU64::new(0)),
+            reconnects: Arc::new(AtomicU64::new(0)),
         })
     }
 
     /// A shareable handle onto the reconnect counter (dials after the
     /// initial connect).
-    pub fn reconnect_counter(&self) -> Arc<std::sync::atomic::AtomicU64> {
+    pub fn reconnect_counter(&self) -> Arc<AtomicU64> {
         Arc::clone(&self.reconnects)
-    }
-
-    /// Exchanges one already-framed request on `stream` and reads its
-    /// response sequence.
-    fn exchange(stream: &mut TcpStream, req: &Request) -> Result<Vec<Response>, TransportError> {
-        stream.write_all(&frame(&req.encode()))?;
-        stream.flush()?;
-        let mut out = Vec::new();
-        loop {
-            let body = read_frame(stream)?.ok_or(TransportError::Closed)?;
-            let resp = Response::decode(&body)?;
-            let terminal = resp.is_terminal();
-            out.push(resp);
-            if terminal {
-                return Ok(out);
-            }
-        }
     }
 
     /// Returns a live socket, dialing and replaying the cached `Hello`
@@ -340,11 +239,11 @@ impl ReconnectingTcpTransport {
             let stream = TcpStream::connect(self.addr)?;
             stream.set_nodelay(true)?;
             self.stream = Some(stream);
-            self.reconnects.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.reconnects.fetch_add(1, Ordering::Relaxed);
             if !dialing_for_hello {
                 if let Some(hello) = self.hello.clone() {
                     let stream = self.stream.as_mut().expect("just connected");
-                    match Self::exchange(stream, &hello) {
+                    match exchange(stream, &hello) {
                         // The replay must actually re-register the
                         // session: an `Error`/`Overloaded` terminal
                         // means the fresh connection has no session, so
@@ -378,7 +277,7 @@ impl Transport for ReconnectingTcpTransport {
             self.hello = Some(req.clone());
         }
         let stream = self.ensure_connected(is_hello)?;
-        match Self::exchange(stream, &req) {
+        match exchange(stream, &req) {
             Ok(out) => Ok(out),
             Err(e) => {
                 // Any failed exchange leaves the stream position
@@ -396,9 +295,11 @@ impl Transport for ReconnectingTcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reactor::{Reactor, ReactorConfig};
     use crate::server::ServerConfig;
-    use crate::wire::StrategySpec;
+    use crate::wire::{write_frame, StrategySpec};
     use sa_geometry::{Grid, Rect};
+    use std::net::TcpListener;
 
     fn tiny_server() -> Arc<Server> {
         let universe = Rect::new(0.0, 0.0, 3_000.0, 3_000.0).unwrap();
@@ -424,16 +325,16 @@ mod tests {
     #[test]
     fn tcp_serves_frames_on_loopback() {
         let server = tiny_server();
-        let mut handle = TcpServerHandle::serve(Arc::clone(&server)).unwrap();
-        let mut a = TcpTransport::connect(handle.addr()).unwrap();
-        let mut b = TcpTransport::connect(handle.addr()).unwrap();
+        let mut reactor = Reactor::bind(Arc::clone(&server), ReactorConfig::default()).unwrap();
+        let mut a = TcpTransport::connect(reactor.addr()).unwrap();
+        let mut b = TcpTransport::connect(reactor.addr()).unwrap();
         assert_eq!(a.request(hello(1)).unwrap(), vec![Response::Ack { seq: 1 }]);
         assert_eq!(b.request(hello(9)).unwrap(), vec![Response::Ack { seq: 9 }]);
         // Sessions are per-connection: both clients said Hello for user 7
         // but on distinct sessions, so each Bye only tears down its own.
         assert_eq!(a.request(Request::Bye { seq: 2 }).unwrap(), vec![Response::Ack { seq: 2 }]);
         assert_eq!(b.request(Request::Bye { seq: 10 }).unwrap(), vec![Response::Ack { seq: 10 }]);
-        handle.shutdown();
+        reactor.shutdown();
         server.shutdown();
     }
 
@@ -478,7 +379,7 @@ mod tests {
         // still be gone: the next request redials instead of reading
         // from the middle of the old stream.
         assert_eq!(t.request(Request::Stats { seq: 2 }).unwrap(), vec![Response::Ack { seq: 2 }]);
-        assert_eq!(reconnects.load(std::sync::atomic::Ordering::Relaxed), 1);
+        assert_eq!(reconnects.load(Ordering::Relaxed), 1);
         peer.join().unwrap();
     }
 

@@ -257,6 +257,6 @@ proptest! {
             let got_bytes: Vec<_> = got.iter().map(Response::encode).collect();
             prop_assert_eq!(want_bytes, got_bytes);
         }
-        prop_assert_eq!(faulty.counts().total(), 0, "nothing may be injected");
+        prop_assert_eq!(faulty.controls().counts().total(), 0, "nothing may be injected");
     }
 }

@@ -7,7 +7,7 @@
 use sa_alarms::SubscriberId;
 use sa_roadnet::Fleet;
 use sa_server::wire::{Request, Response, StrategySpec};
-use sa_server::{Client, Server, ServerConfig, TcpServerHandle, TcpTransport, Transport};
+use sa_server::{Client, Reactor, ReactorConfig, Server, ServerConfig, TcpTransport, Transport};
 use sa_sim::{SimulationConfig, SimulationHarness};
 use std::sync::Arc;
 
@@ -32,7 +32,7 @@ fn live_tcp_scrape_reports_updates_and_per_algorithm_histograms() {
         harness.v_max(),
         ServerConfig { num_shards: 3, queue_capacity: 32 },
     );
-    let mut handle = TcpServerHandle::serve(Arc::clone(&server)).unwrap();
+    let mut reactor = Reactor::bind(Arc::clone(&server), ReactorConfig::default()).unwrap();
 
     // All four strategies round-robin, so every per-algorithm histogram
     // sees traffic.
@@ -44,7 +44,7 @@ fn live_tcp_scrape_reports_updates_and_per_algorithm_histograms() {
     ];
     let mut clients: Vec<Client<TcpTransport>> = (0..config.fleet.vehicles as u32)
         .map(|v| {
-            let transport = TcpTransport::connect(handle.addr()).unwrap();
+            let transport = TcpTransport::connect(reactor.addr()).unwrap();
             Client::connect(
                 transport,
                 SubscriberId(v),
@@ -67,7 +67,7 @@ fn live_tcp_scrape_reports_updates_and_per_algorithm_histograms() {
 
     // Scrape over a connection that carried no other traffic — the
     // metrics are server-global, not per-session.
-    let mut scraper = TcpTransport::connect(handle.addr()).unwrap();
+    let mut scraper = TcpTransport::connect(reactor.addr()).unwrap();
     let resps = scraper.request(Request::Stats { seq: 77 }).unwrap();
     let [Response::Stats { seq: 77, text }] = resps.as_slice() else {
         panic!("expected one stats reply, got {resps:?}");
@@ -89,6 +89,6 @@ fn live_tcp_scrape_reports_updates_and_per_algorithm_histograms() {
     assert_eq!(sample_value(text, "sa_server_location_updates_total"), Some(updates));
 
     drop(clients);
-    handle.shutdown();
+    reactor.shutdown();
     server.shutdown();
 }

@@ -21,16 +21,12 @@
 use crate::oracle::check_transcript;
 use crate::transcript::{RecordingTransport, SharedTranscript, Transcript, DRIVER_TAG};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
-use sa_alarms::SubscriberId;
-use sa_obs::FlightBundle;
-use sa_roadnet::Fleet;
-use sa_server::wire::SEQ_MASK;
 use sa_server::{
-    Client, FaultLeg, FaultPlan, FaultyTransport, InProcTransport, Request, ResiliencePolicy,
-    Response, Server, ServerConfig, SharedClock, StrategySpec, Transport, TransportError,
-    VirtualClock,
+    connect_fleet, drive, verify_prefix, BatchDriver, ChaosControls, Client, FaultLeg, FaultPlan,
+    FaultyTransport, InProcTransport, ReplayConfig, ResiliencePolicy,
+    ServerConfig, SharedClock, StrategySpec, TraceMode, TransportError, VirtualClock,
 };
-use sa_sim::{FiredEvent, GroundTruth, SimulationConfig, SimulationHarness};
+use sa_sim::{FiredEvent, SimulationConfig, SimulationHarness};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -50,7 +46,7 @@ pub struct FuzzCase {
     pub strategies: Vec<StrategySpec>,
     /// The fault schedule every client link runs under.
     pub plan: FaultPlan,
-    /// Every `batch_every`-th step is driven as one [`Request::Batch`]
+    /// Every `batch_every`-th step is driven as one [`sa_server::Request::Batch`]
     /// frame instead of per-client exchanges; `0` never batches. Only
     /// meaningful under a clean plan — [`FuzzCase::from_seed`] never
     /// combines batching with faults, because the chaos semantics
@@ -164,21 +160,9 @@ impl CaseOutcome {
     }
 }
 
-/// Fisher–Yates under the given RNG (the vendored `rand` has no
-/// `shuffle`; this mirrors `SliceRandom::shuffle`).
-fn shuffle<T>(items: &mut [T], rng: &mut SmallRng) {
-    for i in (1..items.len()).rev() {
-        let j = rng.gen_range(0..=i);
-        items.swap(i, j);
-    }
-}
-
-/// Overload retry rounds per batched step before giving up. Sized far
-/// above anything reachable: [`run_case`] sizes queues so `Overloaded`
-/// cannot occur, so a retry here already signals a bug worth failing on.
-const MAX_BATCH_ROUNDS: u32 = 10_000;
-
-/// Executes one [`FuzzCase`] end to end and returns its outcome.
+/// Executes one [`FuzzCase`] end to end — `sa-server`'s one replay
+/// driver on a [`VirtualClock`], every link recorded — and returns its
+/// outcome.
 ///
 /// # Errors
 ///
@@ -189,184 +173,67 @@ const MAX_BATCH_ROUNDS: u32 = 10_000;
 ///
 /// Panics when the case carries an empty strategy list.
 pub fn run_case(case: &FuzzCase) -> Result<CaseOutcome, TransportError> {
-    assert!(!case.strategies.is_empty(), "need at least one strategy to assign");
     let config =
         SimulationConfig::fuzz_slice(case.vehicles, case.alarms, case.steps, case.seed);
     config.validate();
     let harness = SimulationHarness::build(&config);
-    let dt = config.sample_period_s;
-    let steps = case.steps.max(1).min(config.steps() as u32);
-    let vehicles = config.fleet.vehicles as u32;
-
-    let vclock = Arc::new(VirtualClock::new());
-    let clock: SharedClock = vclock.clone();
-    let server = Server::start_with_clock(
-        harness.grid().clone(),
-        harness.index().alarms().to_vec(),
-        harness.v_max(),
-        ServerConfig {
+    let dt = Duration::from_secs_f64(config.sample_period_s);
+    let vehicles = 0..config.fleet.vehicles as u32;
+    let replay = ReplayConfig {
+        steps: Some(case.steps.max(1)),
+        server: ServerConfig {
             num_shards: case.num_shards.max(1),
             // A batched step submits up to one job per vehicle to a
             // single shard queue before any reply is read; holding the
             // whole fan-out keeps Overloaded — the one
             // scheduling-dependent response — unreachable.
-            queue_capacity: case.queue_capacity.max(vehicles as usize),
+            queue_capacity: case.queue_capacity.max(vehicles.len()),
         },
-        Arc::clone(&clock),
-    );
-
+        strategies: case.strategies.clone(),
+        trace_mode: TraceMode::Full,
+    };
+    let vclock = Arc::new(VirtualClock::new());
+    let clock: SharedClock = vclock.clone();
+    let (server, steps) = replay.start(&harness, Arc::clone(&clock));
     let log: SharedTranscript = Arc::new(Mutex::new(Transcript::new()));
-    let mut controls = Vec::with_capacity(vehicles as usize);
-    let mut counts = Vec::with_capacity(vehicles as usize);
-    let mut sessions = Vec::with_capacity(vehicles as usize);
-    let mut strategies = Vec::with_capacity(vehicles as usize);
-    let mut clients: Vec<Client<RecordingTransport<FaultyTransport<InProcTransport>>>> = (0
-        ..vehicles)
-        .map(|v| {
-            let strategy = case.strategies[v as usize % case.strategies.len()];
-            strategies.push(strategy);
-            let inner = InProcTransport::connect(Arc::clone(&server));
-            sessions.push(inner.session());
-            let faulty = FaultyTransport::new(inner, case.plan.clone(), u64::from(v))
-                .with_clock(Arc::clone(&clock));
-            controls.push(faulty.controls());
-            counts.push(faulty.counts());
-            let recording = RecordingTransport::new(faulty, v, Arc::clone(&log));
-            let mut client = Client::connect(
-                recording,
-                SubscriberId(v),
-                strategy,
-                harness.grid().clone(),
-                dt,
-            )?;
-            client.set_clock(Arc::clone(&clock));
-            client.enable_resilience(ResiliencePolicy::standard(
-                case.seed ^ 0xBACC_0FF5 ^ u64::from(v),
-            ));
-            Ok(client)
-        })
-        .collect::<Result<_, TransportError>>()?;
-    let mut driver = RecordingTransport::new(
-        InProcTransport::connect(Arc::clone(&server)),
-        DRIVER_TAG,
-        Arc::clone(&log),
+    let link = ChaosControls::default();
+    let mut sessions = Vec::with_capacity(vehicles.len());
+    let mut clients = connect_fleet(&harness, &case.strategies, vehicles.clone(), |v| {
+        let inner = InProcTransport::connect(Arc::clone(&server));
+        sessions.push(inner.session());
+        let faulty = FaultyTransport::new(inner, case.plan.clone(), u64::from(v))
+            .with_clock(Arc::clone(&clock))
+            .sharing(&link);
+        Ok(RecordingTransport::new(faulty, v, Arc::clone(&log)))
+    })?;
+    for (v, client) in clients.iter_mut().enumerate() {
+        client.set_clock(Arc::clone(&clock));
+        client.enable_resilience(ResiliencePolicy::standard(case.seed ^ 0xBACC_0FF5 ^ v as u64));
+    }
+    let strategies: Vec<StrategySpec> = clients.iter().map(Client::strategy).collect();
+    let mut driver = BatchDriver::new(
+        RecordingTransport::new(
+            InProcTransport::connect(Arc::clone(&server)),
+            DRIVER_TAG,
+            Arc::clone(&log),
+        ),
+        sessions.clone(),
+        0,
     );
 
-    // Handshakes are done — arm the fault plan.
-    for c in &controls {
-        c.set_armed(true);
-    }
-
-    let mut fleet = Fleet::new(harness.network(), &config.fleet);
-    let mut samples = Vec::new();
-    let mut order_rng = SmallRng::seed_from_u64(case.seed ^ 0x0D0E_0A0D_0F00_D5ED);
-    let mut was_down = false;
-    let mut batch_seq = 0u32;
-
-    for step in 0..steps {
-        vclock.advance(Duration::from_secs_f64(dt));
-        let down = case.plan.disconnected_at(step);
-        if down != was_down {
-            for c in &controls {
-                c.set_link_down(down);
-            }
-            was_down = down;
-        }
-        fleet.step_into(dt, &mut samples);
-        // The seeded scheduler interleaving: clients are visited in a
-        // fresh pseudo-random order each step (and batched entries are
-        // submitted in that order), so shared server state — cache
-        // epochs, session delivery logs — is exercised under many
-        // arrival orders while staying a function of the seed.
-        let mut order: Vec<usize> = (0..samples.len()).collect();
-        shuffle(&mut order, &mut order_rng);
-
+    let faults = Some((&case.plan, &link));
+    let hook = |step, clients: &mut [_], samples: &[_]| {
+        vclock.advance(dt);
         if case.batch_every > 0 && step % case.batch_every == 0 {
-            let mut entries = Vec::new();
-            let mut owners = Vec::new();
-            for &i in &order {
-                let s = &samples[i];
-                let v = s.vehicle.0 as usize;
-                if let Some(entry) =
-                    clients[v].poll_update(sessions[v], step, s.pos, s.heading, s.speed)?
-                {
-                    entries.push(entry);
-                    owners.push(v);
-                }
-            }
-            let mut rounds = 0u32;
-            while !entries.is_empty() {
-                rounds += 1;
-                if rounds > MAX_BATCH_ROUNDS {
-                    return Err(TransportError::Protocol("server stayed overloaded"));
-                }
-                batch_seq = (batch_seq + 1) & SEQ_MASK;
-                let resps =
-                    driver.request(Request::Batch { seq: batch_seq, updates: entries.clone() })?;
-                let replies = match resps.into_iter().next() {
-                    Some(Response::Batch { seq, replies }) if seq == batch_seq => replies,
-                    _ => {
-                        return Err(TransportError::Protocol(
-                            "batch request answered without a batch reply",
-                        ))
-                    }
-                };
-                if replies.len() != entries.len() {
-                    return Err(TransportError::Protocol("batch reply count mismatch"));
-                }
-                let mut retry_entries = Vec::new();
-                let mut retry_owners = Vec::new();
-                for ((reply, &owner), &entry) in replies.into_iter().zip(&owners).zip(&entries) {
-                    if reply.session != entry.session {
-                        return Err(TransportError::Protocol("batch reply session mismatch"));
-                    }
-                    if !clients[owner].complete_update(reply.responses)? {
-                        retry_entries.push(entry);
-                        retry_owners.push(owner);
-                    }
-                }
-                entries = retry_entries;
-                owners = retry_owners;
-            }
+            driver.exchange_step(clients, step, samples).map(Some)
         } else {
-            for &i in &order {
-                let s = &samples[i];
-                clients[s.vehicle.0 as usize].observe(step, s.pos, s.heading, s.speed)?;
-            }
+            Ok(None)
         }
-    }
+    };
+    let driven = drive(&harness, vehicles, steps, faults, Some(case.seed), &mut clients, hook)?;
 
-    // The outage is over: restore every link and drain the backlogs.
-    for c in &controls {
-        c.set_link_down(false);
-        c.set_armed(false);
-    }
-    for client in &mut clients {
-        client.finish()?;
-    }
-
-    let mut fired = Vec::new();
-    for client in &mut clients {
-        fired.extend(client.take_fired());
-    }
-
-    let expected: Vec<FiredEvent> = harness
-        .ground_truth()
-        .events()
-        .iter()
-        .filter(|e| e.step < steps)
-        .cloned()
-        .collect();
-    let verification = GroundTruth::new(expected).verify(&fired).map_err(|e| {
-        // The flight recorder: the failure message is the forensic
-        // record — span trees, trace ring, registry snapshot.
-        let mut bundle = FlightBundle::new(e);
-        bundle.spans = server.spans();
-        bundle.rings.push(("server".to_string(), server.trace_dump()));
-        bundle.snapshots.push(("server".to_string(), server.registry().snapshot()));
-        bundle.render()
-    });
-    let injected_total: u64 = counts.iter().map(|c| c.total()).sum();
+    let lone = std::slice::from_ref(&server);
+    let verification = verify_prefix(&harness, steps, &driven.fired, || server.spans(), lone);
     server.shutdown();
 
     let transcript = log.lock().expect("transcript lock poisoned").clone();
@@ -374,10 +241,10 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseOutcome, TransportError> {
     Ok(CaseOutcome {
         digest: transcript.digest(),
         transcript,
-        fired,
+        fired: driven.fired,
         verification,
         oracle,
-        injected_total,
+        injected_total: link.counts().total(),
         steps,
     })
 }
