@@ -7,7 +7,7 @@
 //! cell, all reading one epoch-versioned alarm index ([`server`],
 //! [`shard`]), an epoch-versioned cache of public
 //! safe-region bitmaps ([`cache`]), two interchangeable transports —
-//! in-process and TCP ([`transport`]) — one readiness-driven TCP front
+//! in-process and TCP ([`transport`]) — one event-driven TCP front
 //! end ([`reactor`], [`netfront`]), and client-side strategy mirrors
 //! plus the one trace replay driver that cross-checks every firing
 //! against the simulator's ground truth ([`client`], [`mod@replay`]).
@@ -45,8 +45,9 @@
 //! client  ── per-strategy mirrors (MWPSR / PBSR / OPT / safe-period)
 //!            + retry → degraded → resync → steady resilience machine
 //! transport ─ InProc | Tcp, both framing through the wire codec
-//! reactor ── the one TCP server: nonblocking accept + per-connection
-//!            FrameReader / WriteQueue (netfront), admission, reaping
+//! reactor ── the one TCP server: per-worker epoll (poller), one
+//!            edge-triggered registration per connection, FrameReader /
+//!            WriteQueue (netfront), admission, deadline-sweep reaping
 //! server  ── router + sessions + the one VersionedAlarmIndex;
 //!            LocationUpdate → bounded shard queues
 //! shard   ── cell → shard mapping + ShardPool workers
@@ -56,6 +57,10 @@
 //! ```
 
 #![warn(missing_docs)]
+// The epoll binding in `poller` is the workspace's only non-test
+// `unsafe`; everything else in the crate is held to the siblings'
+// standard.
+#![deny(unsafe_code)]
 
 mod arena;
 pub mod cache;
@@ -64,6 +69,8 @@ pub mod client;
 pub mod clock;
 mod fired;
 pub mod netfront;
+#[allow(unsafe_code)]
+mod poller;
 pub mod reactor;
 pub mod replay;
 pub mod server;

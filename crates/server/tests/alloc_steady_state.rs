@@ -10,12 +10,17 @@
 //! did not move. Tracing is forced to `TraceMode::Off` — the span gate
 //! is an atomic load, so that mode is part of the steady-state contract.
 //!
-//! A second test pins the region-refresh path the same way: a warm
+//! A second body pins the region-refresh path the same way: a warm
 //! safe-period grant allocates nothing even for a subscriber with fired
 //! history, and what a warm MWPSR or cache-hit PBSR refresh allocates
 //! depends neither on the subscriber's own fired history nor on how
-//! many firings the server holds for everybody else. The counter is
-//! process-wide, so the tests take turns on [`SERIAL`].
+//! many firings the server holds for everybody else.
+//!
+//! The whole file is ONE `#[test]` on purpose (as in `net_soak.rs`):
+//! the counter is process-wide, and libtest's main thread allocates
+//! when it records a finished test's result — with two tests, inside
+//! whichever measured window was still open. A lock between the bodies
+//! serialises them, not the harness.
 
 use sa_alarms::{AlarmId, AlarmScope, AlarmTarget, SpatialAlarm, SubscriberId};
 use sa_geometry::{Grid, Rect};
@@ -23,7 +28,6 @@ use sa_server::wire::{quantize_m, Request, Response, SessionState, StrategySpec}
 use sa_server::{Server, ServerConfig, TraceMode};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Counts every allocation (alloc, zeroed alloc, realloc) made anywhere
 /// in the process. Deallocations are not counted — the invariant is
@@ -57,9 +61,6 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static COUNTER: CountingAllocator = CountingAllocator;
 
-/// Held by each test for its whole body: one measured window at a time.
-static SERIAL: Mutex<()> = Mutex::new(());
-
 fn public_alarm(id: u64, min_x: f64, min_y: f64, side: f64) -> SpatialAlarm {
     let region = Rect::new(min_x, min_y, min_x + side, min_y + side).unwrap();
     SpatialAlarm::new(
@@ -71,8 +72,12 @@ fn public_alarm(id: u64, min_x: f64, min_y: f64, side: f64) -> SpatialAlarm {
 }
 
 #[test]
+fn steady_state_paths_allocate_nothing_they_should_not() {
+    steady_state_update_path_allocates_nothing();
+    refresh_allocations_do_not_depend_on_anyones_fired_history();
+}
+
 fn steady_state_update_path_allocates_nothing() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let universe = Rect::new(0.0, 0.0, 10_000.0, 10_000.0).unwrap();
     let grid = Grid::new(universe, 1_000.0).unwrap();
     // One public alarm far from the subscriber: the index is non-trivial
@@ -149,9 +154,7 @@ fn refresh_allocations(server: &Server, session: u32, requests: &[Request], roun
     delta
 }
 
-#[test]
 fn refresh_allocations_do_not_depend_on_anyones_fired_history() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     const FOREIGN_SUBSCRIBERS: u32 = 100;
     const ALARMS: u32 = 1_000;
     let universe = Rect::new(0.0, 0.0, 10_000.0, 10_000.0).unwrap();
