@@ -88,7 +88,7 @@ fn main() {
         .histogram("sa_client_reconnect_rtt_ns", &[])
         .unwrap_or_default();
     let degraded_seconds = replay.metrics.counter("sa_client_degraded_seconds", &[]).unwrap_or(0);
-    let throughput = replay.server.location_updates as f64 / wall_seconds.max(1e-9);
+    let throughput = replay.location_updates() as f64 / wall_seconds.max(1e-9);
 
     // Hand-rolled JSON: the vendored serde stub has no serializer, and
     // the shape here is flat enough not to need one.
@@ -98,8 +98,9 @@ fn main() {
     let _ = writeln!(json, "  \"steps\": {},", replay.steps);
     let _ = writeln!(json, "  \"vehicles\": {},", replay.clients.len());
     let _ = writeln!(json, "  \"wall_seconds\": {wall_seconds:.6},");
-    let _ = writeln!(json, "  \"location_updates\": {},", replay.server.location_updates);
-    let _ = writeln!(json, "  \"triggers\": {},", replay.server.triggers);
+    let _ = writeln!(json, "  \"location_updates\": {},", replay.location_updates());
+    let triggers = replay.metrics.counter("sa_server_triggers_total", &[]).unwrap_or(0);
+    let _ = writeln!(json, "  \"triggers\": {triggers},");
     let _ = writeln!(json, "  \"throughput_updates_per_sec\": {throughput:.3},");
     let _ = writeln!(json, "  \"injected_faults_total\": {},", outcome.injected_total);
     let _ = writeln!(json, "  \"injected_faults\": {{");

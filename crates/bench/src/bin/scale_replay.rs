@@ -134,7 +134,7 @@ fn main() {
         .histogram("sa_update_rtt_ns", &[])
         .expect("the replay must have recorded round-trip latencies");
     let steps_per_sec = outcome.steps as f64 / wall_seconds.max(1e-9);
-    let updates_per_sec = outcome.server.location_updates as f64 / wall_seconds.max(1e-9);
+    let updates_per_sec = outcome.location_updates() as f64 / wall_seconds.max(1e-9);
     let cache_ratio = hit_ratio(outcome.cache.hits, outcome.cache.misses);
     let [early_us, _, _, late_us] = quarter_us_per_update(&outcome.step_costs, outcome.steps);
     let late_early_ratio = if early_us > 0.0 { late_us / early_us } else { 0.0 };
@@ -152,7 +152,7 @@ fn main() {
             replay_in_proc(&harness, &base_cfg).expect("in-proc transport must hold");
         let base_wall = base_started.elapsed().as_secs_f64();
         base.assert_accurate();
-        (base.steps, base.server.location_updates as f64 / base_wall.max(1e-9))
+        (base.steps, base.location_updates() as f64 / base_wall.max(1e-9))
     };
     let speedup = if baseline_updates_per_sec > 0.0 {
         updates_per_sec / baseline_updates_per_sec
@@ -170,9 +170,10 @@ fn main() {
     let _ = writeln!(json, "  \"steps\": {},", outcome.steps);
     let _ = writeln!(json, "  \"wall_seconds\": {wall_seconds:.6},");
     let _ = writeln!(json, "  \"steps_per_sec\": {steps_per_sec:.3},");
-    let _ = writeln!(json, "  \"location_updates\": {},", outcome.server.location_updates);
+    let _ = writeln!(json, "  \"location_updates\": {},", outcome.location_updates());
     let _ = writeln!(json, "  \"updates_per_sec\": {updates_per_sec:.3},");
-    let _ = writeln!(json, "  \"triggers\": {},", outcome.server.triggers);
+    let triggers = outcome.metrics.counter("sa_server_triggers_total", &[]).unwrap_or(0);
+    let _ = writeln!(json, "  \"triggers\": {triggers},");
     let _ = writeln!(json, "  \"us_per_update_first_quarter\": {early_us:.3},");
     let _ = writeln!(json, "  \"us_per_update_last_quarter\": {late_us:.3},");
     let _ = writeln!(json, "  \"late_early_ratio\": {late_early_ratio:.3},");

@@ -257,8 +257,7 @@ fn main() {
                     &[("scale", &format!("{scale}")), ("workers", &format!("{workers}"))],
                 )
                 .absorb(&rtt);
-            let updates_per_sec =
-                outcome.server.location_updates as f64 / wall.max(1e-9);
+            let updates_per_sec = outcome.location_updates() as f64 / wall.max(1e-9);
             eprintln!(
                 "  workers {workers}: {:.0} updates/s ({:.0}/core) in {wall:.2}s",
                 updates_per_sec,
@@ -270,7 +269,7 @@ fn main() {
                 vehicles: outcome.clients.len(),
                 alarms: sim.workload.alarms,
                 wall_seconds: wall,
-                updates: outcome.server.location_updates,
+                updates: outcome.location_updates(),
                 updates_per_sec,
                 rtt_p50: rtt.p50,
                 rtt_p99: rtt.p99,

@@ -131,8 +131,8 @@ fn main() {
         }
         if let Some(failure) = &outcome.failure {
             // A divergence failure carries the rendered flight bundle
-            // (span trees, trace rings, registry snapshots) — persist
-            // it whole rather than losing it to a truncated log line.
+            // (span trees, registry snapshots) — persist it whole rather
+            // than losing it to a truncated log line.
             let path = opts.out.with_file_name(format!("FLIGHT_{}.txt", outcome.name));
             std::fs::write(&path, failure).expect("writing the flight bundle");
             let v = format!("federation case '{}': {failure}", outcome.name);

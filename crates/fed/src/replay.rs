@@ -9,10 +9,10 @@
 //! handoff mesh and coordinator links), and an exact
 //! [`sa_sim::GroundTruth`] gate over the observed firings.
 //!
-//! Byte-level determinism is witnessed by an FNV-1a digest folded over
-//! **every** exchange on every link — client, mesh, coordinator and
-//! batch-driver — tagged by link, in driver order. Two runs of the
-//! same config must produce the same digest.
+//! Byte-level determinism is witnessed by the digest of one
+//! [`Transcript`] recording **every** exchange on every link — client,
+//! mesh, coordinator and batch-driver — tagged by link, in driver
+//! order. Two runs of the same config must produce the same digest.
 //!
 //! Mid-run, at `repartition_at`, the driver reads the federation-wide
 //! per-cell load counters and lets the [`Coordinator`] re-cut the map.
@@ -28,12 +28,12 @@ use crate::stats::federated_scrape;
 use sa_geometry::Point;
 use sa_obs::{chrome_trace_json, Span, SpanRecorder, TimeSource};
 use sa_roadnet::TraceSample;
+use sa_server::transcript::{RecordingTransport, SharedTranscript, Transcript};
 use sa_server::wire::{BatchedUpdate, SEQ_MASK};
 use sa_server::{
     connect_fleet, drive, exchange_batch, verify_prefix, ChaosControls, Client, FaultPlan,
-    FaultyTransport, InProcTransport, Request, ResiliencePolicy, Response,
-    ServerConfig, SharedClock, StrategySpec, Transport, TransportError, VirtualClock,
-    MAX_BATCH_ROUNDS,
+    FaultyTransport, InProcTransport, ResiliencePolicy, Response, ServerConfig, SharedClock,
+    StrategySpec, Transport, TransportError, VirtualClock, MAX_BATCH_ROUNDS,
 };
 use sa_sim::{FiredEvent, SimulationConfig, SimulationHarness};
 use std::sync::{Arc, Mutex};
@@ -117,7 +117,7 @@ pub struct FedOutcome {
     pub fired: Vec<FiredEvent>,
     /// Exact diff against the simulator's ground truth.
     pub verification: Result<(), String>,
-    /// FNV-1a digest over every exchange on every link.
+    /// [`Transcript::digest`] over every exchange on every link.
     pub digest: u64,
     /// Completed session migrations across all clients.
     pub handoffs: u64,
@@ -144,61 +144,6 @@ pub struct FedOutcome {
     pub trace_json: String,
     /// The federated Prometheus scrape taken at the end of the run.
     pub scrape: String,
-}
-
-/// FNV-1a folded over tagged exchange bytes, shared by every
-/// [`DigestTransport`] of a run. The driver is single-threaded, so the
-/// fold order — and hence the digest — is deterministic.
-type DigestState = Arc<Mutex<u64>>;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv(state: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *state ^= u64::from(b);
-        *state = state.wrapping_mul(FNV_PRIME);
-    }
-}
-
-/// A [`Transport`] decorator hashing every exchange into the shared
-/// run digest.
-struct DigestTransport<T: Transport> {
-    inner: T,
-    tag: u64,
-    state: DigestState,
-}
-
-impl<T: Transport> Transport for DigestTransport<T> {
-    fn request(&mut self, req: Request) -> Result<Vec<Response>, TransportError> {
-        let req_bytes = req.encode();
-        let result = self.inner.request(req);
-        let mut h = self.state.lock().expect("digest lock poisoned");
-        fnv(&mut h, &self.tag.to_be_bytes());
-        fnv(&mut h, &req_bytes);
-        match &result {
-            Ok(resps) => {
-                for r in resps {
-                    fnv(&mut h, &r.encode());
-                }
-            }
-            Err(e) => fnv(&mut h, error_tag(e)),
-        }
-        result
-    }
-}
-
-/// Stable one-byte tags for error kinds (payloads can carry
-/// nondeterministic OS detail; the kind is what the digest asserts).
-fn error_tag(e: &TransportError) -> &'static [u8] {
-    match e {
-        TransportError::Io(_) => b"\x01",
-        TransportError::Wire(_) => b"\x02",
-        TransportError::Closed => b"\x03",
-        TransportError::TimedOut => b"\x04",
-        TransportError::Protocol(_) => b"\x05",
-        TransportError::WrongOwner { .. } => b"\x06",
-    }
 }
 
 /// Executes one federation replay end to end.
@@ -235,7 +180,7 @@ pub fn fed_replay(cfg: &FedReplayConfig) -> Result<FedOutcome, TransportError> {
         cfg.partitions,
         Arc::clone(&clock),
     );
-    let digest: DigestState = Arc::new(Mutex::new(FNV_OFFSET));
+    let log: SharedTranscript = Arc::new(Mutex::new(Transcript::new()));
 
     // One time source for every recorder in the run, reading the shared
     // virtual clock — merged spans land on a single time axis.
@@ -262,15 +207,15 @@ pub fn fed_replay(cfg: &FedReplayConfig) -> Result<FedOutcome, TransportError> {
                 let inner = InProcTransport::connect(Arc::clone(fed.server(s)));
                 let session = inner.session();
                 let tag = link_salt(kind, client, s as u32);
-                let state = Arc::clone(&digest);
+                let log = Arc::clone(&log);
                 let tagged: Box<dyn Transport + Send> = match chaos {
                     Some((plan, controls)) => {
                         let inner = FaultyTransport::new(inner, plan.clone(), tag)
                             .with_clock(Arc::clone(&clock))
                             .sharing(controls);
-                        Box::new(DigestTransport { inner, tag, state })
+                        Box::new(RecordingTransport::new(inner, tag, log))
                     }
-                    None => Box::new(DigestTransport { inner, tag, state }),
+                    None => Box::new(RecordingTransport::new(inner, tag, log)),
                 };
                 (tagged, session)
             })
@@ -344,18 +289,21 @@ pub fn fed_replay(cfg: &FedReplayConfig) -> Result<FedOutcome, TransportError> {
     let scrape =
         federated_scrape(fed.servers(), fed.grid(), coordinator.map(), &fed.cell_loads());
 
-    // On a divergence: merged span trees plus every member's trace ring
-    // and registry snapshot.
+    // On a divergence: merged span trees plus every member's registry
+    // snapshot.
     let verification =
         verify_prefix(&harness, steps, &driven.fired, || all_spans.clone(), fed.servers());
 
     let per_partition_updates: Vec<u64> =
-        fed.servers().iter().map(|s| s.stats().location_updates).collect();
+        fed.servers()
+            .iter()
+            .map(|s| s.registry().counter("sa_server_location_updates_total").get())
+            .collect();
     let wrong_owner_bounces: u64 = fed.servers().iter().map(|s| s.wrong_owner_total()).sum();
     let final_epoch = fed.server(0).topology().0;
     fed.shutdown();
 
-    let digest = *digest.lock().expect("digest lock poisoned");
+    let digest = log.lock().expect("transcript lock poisoned").digest();
     Ok(FedOutcome {
         fired: driven.fired,
         verification,

@@ -479,6 +479,13 @@ mod tests {
         assert_eq!(t.epoch(), 1);
         assert_eq!(t.handoffs(), 1);
         assert!(fed.server(0).wrong_owner_total() >= 1);
+        // Both exchanges are in the members' span records: the untraced
+        // push under its own derived trace, the bounce naming the owner.
+        let recorded = |member: usize, kind, a| {
+            fed.server(member).spans().iter().any(|s| s.kind == kind && s.a == a)
+        };
+        assert!(recorded(0, SpanKind::TopologyInstall, 1) && recorded(1, SpanKind::TopologyInstall, 1));
+        assert!(recorded(0, SpanKind::WrongOwner, 1));
         fed.shutdown();
     }
 }

@@ -13,9 +13,10 @@
 use sa_alarms::{AlarmId, AlarmScope, SpatialAlarm, SubscriberId};
 use sa_fed::{Federation, HandoffChannel, PartitionMap};
 use sa_geometry::{CellId, Grid, Point, Rect};
+use sa_obs::SpanKind;
 use sa_server::wire::{pack_motion, quantize_m, StrategySpec};
 use sa_server::{
-    InProcTransport, Request, Response, ServerConfig, SharedClock, Transport, VirtualClock,
+    InProcTransport, Request, Response, Server, ServerConfig, SharedClock, Transport, VirtualClock,
 };
 use std::sync::Arc;
 
@@ -34,6 +35,11 @@ fn positioned(seq: u32, pos: Point, resync_acked: Option<u32>) -> Request {
         None => Request::LocationUpdate { seq, x_fx, y_fx, motion },
         Some(acked) => Request::Resync { seq, x_fx, y_fx, motion, acked },
     }
+}
+
+/// Whether `server` recorded a span of `kind` whose first operand is `a`.
+fn recorded(server: &Server, kind: SpanKind, a: u64) -> bool {
+    server.spans().iter().any(|s| s.kind == kind && s.a == a)
 }
 
 fn deliveries(resps: &[Response]) -> Vec<u32> {
@@ -120,6 +126,19 @@ fn handoff_mid_redelivery_fires_exactly_once() {
         matches!(resps.last(), Some(Response::WrongOwner { .. })),
         "the old owner must bounce a stale route, got {resps:?}"
     );
+
+    // Every exchange above left its span on the member that served it.
+    // `migrate` sends no trace context, so the three handoff legs were
+    // recorded under their own derived traces.
+    let (a, b) = (fed.server(0), fed.server(1));
+    let (sa, sb) = (u64::from(sa), u64::from(sb));
+    assert!(recorded(a, SpanKind::Trigger, 7), "the firing, by subscriber");
+    assert!(recorded(a, SpanKind::HandoffExport, sa));
+    assert!(recorded(b, SpanKind::HandoffImport, sb));
+    assert!(recorded(a, SpanKind::HandoffRelease, sa));
+    assert!(recorded(b, SpanKind::Redelivery, sb), "both resyncs ran the redelivery leg");
+    assert!(recorded(a, SpanKind::WrongOwner, 1), "the bounce names the owner");
+    assert!(!recorded(b, SpanKind::Trigger, 7), "the imported firing is not a second one");
 
     fed.shutdown();
 }

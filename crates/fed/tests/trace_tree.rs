@@ -3,9 +3,10 @@
 //! The pinned `handoff-during-disconnect` gate case must reconstruct a
 //! migrated session's update as **one connected span tree** spanning at
 //! least two federation members, containing both handoff legs — and the
-//! run's post-handoff redelivery must itself assemble connected. The
-//! same run must export loadable Chrome trace-event JSON carrying all
-//! of it.
+//! run's post-handoff redelivery must itself assemble connected. Every
+//! firing the clients observed must be a `trigger` span, carrying its
+//! alarm id, under the dispatch of the update that fired it. The same
+//! run must export loadable Chrome trace-event JSON carrying all of it.
 
 use sa_fed::{fed_replay, handoff_during_disconnect_case};
 use sa_obs::{assemble, render_tree, SpanKind, TraceTree};
@@ -67,8 +68,34 @@ fn handoff_case_assembles_one_connected_multi_member_trace() {
         render_tree(std::slice::from_ref(&redelivery.clone()))
     );
 
+    // Each observed firing is one trigger span (`a` = subscriber, `b` =
+    // alarm), a child of its update's dispatch in a connected tree that
+    // reaches back to the client root. (The pinned case's resyncs find
+    // nothing pending, so the firings sit in the trees of the updates
+    // that fired them, not in the redelivery trees.)
+    let mut traced: Vec<(u32, u64)> = Vec::new();
+    for tree in &trees {
+        for (i, s) in tree.spans.iter().enumerate().filter(|(_, s)| s.kind == SpanKind::Trigger) {
+            traced.push((s.a as u32, s.b));
+            let parent = tree.children.iter().position(|c| c.contains(&i));
+            assert!(
+                tree.is_connected()
+                    && has(tree, SpanKind::ClientUpdate)
+                    && parent.is_some_and(|p| tree.spans[p].kind == SpanKind::UpdateDispatch),
+                "a trigger must hang under its update's dispatch:\n{}",
+                render_tree(std::slice::from_ref(tree))
+            );
+        }
+    }
+    let mut observed: Vec<(u32, u64)> =
+        out.fired.iter().map(|e| (e.subscriber.0, e.alarm.0)).collect();
+    traced.sort_unstable();
+    observed.sort_unstable();
+    assert!(!observed.is_empty(), "the case must fire at least one alarm");
+    assert_eq!(traced, observed, "one trigger span per observed firing");
+
     // The exported Chrome JSON carries the same record.
-    for name in ["handoff_export", "handoff_import", "client_update", "redelivery"] {
+    for name in ["handoff_export", "handoff_import", "client_update", "redelivery", "trigger"] {
         assert!(
             out.trace_json.contains(&format!("\"name\":\"{name}\"")),
             "trace JSON must carry {name} events"

@@ -186,7 +186,10 @@ proptest! {
         if region.contains_point(p) {
             prop_assert!(region.bounding_box().expect("non-empty").contains_point(p));
         }
-        prop_assert_eq!(region.is_empty(), region.len() == 0);
+        // `is_empty` agreeing with `len` is the property under test.
+        #[allow(clippy::len_zero)]
+        let no_members = region.len() == 0;
+        prop_assert_eq!(region.is_empty(), no_members);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! The divergence flight recorder: one forensic bundle per failure.
 //!
 //! When a replay or verification run diverges from ground truth, the
-//! scattered evidence — which spans led up to the divergent firing,
-//! what each member's trace ring held, what the counters said — used to
-//! be a bare trace-ring text append. A [`FlightBundle`] gathers all
-//! three into one renderable document so the failure message *is* the
-//! forensic record: the assembled span trees around the divergence,
-//! every member's ring dump, and every member's registry snapshot in
+//! evidence is scattered: which spans led up to the divergent firing,
+//! what the counters said. A [`FlightBundle`] gathers both into one
+//! renderable document so the failure message *is* the forensic
+//! record: the assembled span trees around the divergence — each
+//! firing a `trigger` span, with its alarm id, inside the tree of the
+//! update that caused it — and every member's registry snapshot in
 //! Prometheus text.
 
 use crate::export::{assemble, render_tree};
@@ -22,8 +22,6 @@ pub struct FlightBundle {
     pub reason: String,
     /// Spans collected from every member and router, merged.
     pub spans: Vec<Span>,
-    /// `(source label, trace-ring dump)` per member.
-    pub rings: Vec<(String, String)>,
     /// `(source label, registry snapshot)` per member.
     pub snapshots: Vec<(String, Snapshot)>,
 }
@@ -35,7 +33,7 @@ impl FlightBundle {
     }
 
     /// Renders the bundle as one text document: the reason, the
-    /// assembled span trees, then per-source ring dumps and snapshots.
+    /// assembled span trees, then per-source snapshots.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{}", self.reason);
@@ -46,14 +44,6 @@ impl FlightBundle {
         } else {
             let _ = writeln!(out, "\n-- span trees ({} traces) --", trees.len());
             out.push_str(&render_tree(&trees));
-        }
-        for (label, dump) in &self.rings {
-            let _ = writeln!(out, "\n-- trace ring: {label} --");
-            if dump.is_empty() {
-                let _ = writeln!(out, "(empty)");
-            } else {
-                out.push_str(dump);
-            }
         }
         for (label, snap) in &self.snapshots {
             let _ = writeln!(out, "\n-- registry snapshot: {label} --");
@@ -69,31 +59,37 @@ mod tests {
     use crate::registry::Registry;
     use crate::span::{SpanKind, TraceCtx};
 
+    fn span(id: u64, parent: u64, kind: SpanKind, a: u64, b: u64) -> Span {
+        Span {
+            ctx: TraceCtx { trace_id: 7, span_id: id, parent },
+            kind,
+            start_us: id,
+            dur_us: 0,
+            member: 0,
+            shard: 0,
+            a,
+            b,
+        }
+    }
+
     #[test]
-    fn render_carries_reason_trees_rings_and_snapshots() {
+    fn render_carries_reason_trees_and_snapshots() {
         let registry = Registry::new();
         registry.counter("sa_fired_total").add(3);
         let mut bundle = FlightBundle::new("fired #4 expected (1,2) got (1,3)");
-        bundle.spans.push(Span {
-            ctx: TraceCtx { trace_id: 7, span_id: 1, parent: 0 },
-            kind: SpanKind::ClientUpdate,
-            start_us: 0,
-            dur_us: 2,
-            member: 0,
-            shard: 0,
-            a: 0,
-            b: 0,
-        });
-        bundle.rings.push(("member 0".to_string(), "+0us shard=0 trigger a=1 b=2\n".to_string()));
-        bundle.rings.push(("member 1".to_string(), String::new()));
+        bundle.spans.push(span(1, 0, SpanKind::ClientUpdate, 0, 0));
+        bundle.spans.push(span(2, 1, SpanKind::UpdateDispatch, 1, 4));
+        bundle.spans.push(span(3, 2, SpanKind::Trigger, 1, 4242));
         bundle.snapshots.push(("member 0".to_string(), registry.snapshot()));
         let text = bundle.render();
         assert!(text.starts_with("fired #4 expected (1,2) got (1,3)"));
         assert!(text.contains("=== flight recorder ==="));
         assert!(text.contains("span trees (1 traces)"));
         assert!(text.contains("client_update"));
-        assert!(text.contains("-- trace ring: member 0 --"));
-        assert!(text.contains("(empty)"), "empty rings say so instead of vanishing");
+        assert!(
+            text.contains("      trigger [m0/s0] +3us 0us a=1 b=4242"),
+            "the firing, with its alarm id, nests under the update's dispatch:\n{text}"
+        );
         assert!(text.contains("sa_fired_total 3"));
     }
 }

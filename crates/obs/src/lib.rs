@@ -13,18 +13,18 @@
 //! * [`Histogram`] — log-bucketed (HDR-style) latency histograms with
 //!   lossless small-value buckets, bounded relative error thereafter, and
 //!   p50/p90/p99/max snapshots. Concurrent recorders never lose counts.
-//! * [`TraceRing`] — a per-shard, fixed-capacity, drop-oldest event ring
-//!   with a merged text dump, for post-mortem debugging of replay
-//!   mismatches without a debugger attached.
-//! * [`SpanRecorder`] — typed causal spans keyed by
-//!   `{trace_id, span_id, parent}`, with deterministic data-plane trace
+//! * [`SpanRecorder`] — the one event recorder: typed causal spans
+//!   keyed by `{trace_id, span_id, parent}` in per-lane, fixed-capacity,
+//!   drop-oldest buffers, with deterministic data-plane trace
 //!   derivation ([`trace_id_for`]) so the paper's bit-accounted frames
-//!   stay byte-identical; [`assemble`] / [`chrome_trace_json`] merge
-//!   many members' buffers into one Perfetto-loadable timeline.
+//!   stay byte-identical. Point events (a firing, an overload bounce,
+//!   an alarm write) are zero-duration spans inside the tree of the
+//!   exchange that caused them; [`assemble`] / [`chrome_trace_json`]
+//!   merge many members' buffers into one Perfetto-loadable timeline.
 //! * [`Exemplars`] — per-histogram-bucket trace ids linking a p99
 //!   readout to a trace that actually landed in that bucket.
-//! * [`FlightBundle`] — the divergence flight recorder: span trees,
-//!   ring dumps and registry snapshots rendered as one forensic text.
+//! * [`FlightBundle`] — the divergence flight recorder: span trees
+//!   and registry snapshots rendered as one forensic text.
 //! * [`render`] — the Prometheus text exposition format, used both by the
 //!   wire-level `StatsRequest` scrape and by the offline drivers, so a
 //!   live server and a replay log read identically.
@@ -42,7 +42,6 @@ pub mod histogram;
 pub mod prometheus;
 pub mod registry;
 pub mod span;
-pub mod trace;
 
 pub use exemplar::{Exemplar, Exemplars};
 pub use export::{assemble, chrome_trace_json, render_tree, TraceTree};
@@ -51,7 +50,6 @@ pub use histogram::{Histogram, HistogramSnapshot};
 pub use prometheus::{render, render_snapshot};
 pub use registry::{Counter, Gauge, MetricKey, Registry, Snapshot};
 pub use span::{
-    client_root_span, dispatch_span, trace_id_for, Span, SpanKind, SpanRecorder, TraceCtx,
-    TraceMode,
+    client_root_span, dispatch_span, trace_id_for, Span, SpanKind, SpanRecorder, TimeSource,
+    TraceCtx, TraceMode,
 };
-pub use trace::{TimeSource, TraceEvent, TraceRing};

@@ -23,16 +23,53 @@
 //!
 //! # Recording
 //!
-//! [`SpanRecorder`] mirrors the trace-ring design: per-lane
-//! drop-oldest buffers behind short mutexes, a [`TraceMode`] gate read
-//! with one atomic load when tracing is off, and fresh span ids minted
-//! from an atomic counter namespaced by member id so ids never collide
-//! across the federation.
+//! [`SpanRecorder`] is the one event recorder: per-lane drop-oldest
+//! buffers behind short mutexes (a misbehaving shard can never crowd
+//! out its siblings' history), a [`TraceMode`] gate read with one
+//! atomic load when tracing is off, and fresh span ids minted from an
+//! atomic counter namespaced by member id so ids never collide across
+//! the federation. Point events — a firing, an overload bounce, an
+//! alarm write — are zero-duration spans in the tree of the exchange
+//! that caused them, so a forensic reader finds them *inside* the
+//! update, not in a side log.
+//!
+//! Timestamps come from a [`TimeSource`] so a runtime driven by a
+//! virtual clock records identical spans per seed.
 
-use crate::trace::TimeSource;
 use std::collections::VecDeque;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
+
+/// Where span timestamps come from: a shared closure returning
+/// microseconds on some monotonic axis.
+///
+/// sa-obs cannot depend on the server's `Clock` seam (the dependency
+/// points the other way), so the seam is threaded in as a closure: the
+/// server wraps its clock, tests wrap a counter.
+#[derive(Clone)]
+pub struct TimeSource {
+    now_us: Arc<dyn Fn() -> u64 + Send + Sync>,
+}
+
+impl TimeSource {
+    /// A source reading `now_us` — typically a closure over a shared
+    /// clock, converting its nanoseconds to microseconds.
+    pub fn new(now_us: impl Fn() -> u64 + Send + Sync + 'static) -> TimeSource {
+        TimeSource { now_us: Arc::new(now_us) }
+    }
+
+    /// Current time in microseconds.
+    pub fn now_us(&self) -> u64 {
+        (self.now_us)()
+    }
+}
+
+impl fmt::Debug for TimeSource {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TimeSource").finish_non_exhaustive()
+    }
+}
 
 /// The causal identity of one span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -73,6 +110,21 @@ pub enum SpanKind {
     TopologyInstall,
     /// Redelivery of unacknowledged firings on a resync.
     Redelivery,
+    /// An alarm fired, first time, for a subscriber (zero duration;
+    /// `a` = subscriber, `b` = alarm id).
+    Trigger,
+    /// An update bounced off a full shard queue (zero duration;
+    /// `a` = session, `b` = shard).
+    Overload,
+    /// A position-bearing request bounced to the cell's owner (zero
+    /// duration; `a` = owner, `b` = epoch).
+    WrongOwner,
+    /// An alarm installed over the wire (zero duration; `a` = alarm
+    /// id, `b` = session).
+    AlarmInstall,
+    /// An alarm removed over the wire (zero duration; `a` = alarm id,
+    /// `b` = session).
+    AlarmRemove,
 }
 
 impl SpanKind {
@@ -91,6 +143,11 @@ impl SpanKind {
             SpanKind::TopologyPush => "topology_push",
             SpanKind::TopologyInstall => "topology_install",
             SpanKind::Redelivery => "redelivery",
+            SpanKind::Trigger => "trigger",
+            SpanKind::Overload => "overload",
+            SpanKind::WrongOwner => "wrong_owner",
+            SpanKind::AlarmInstall => "alarm_install",
+            SpanKind::AlarmRemove => "alarm_remove",
         }
     }
 }
@@ -148,8 +205,8 @@ pub struct SpanRecorder {
 impl SpanRecorder {
     /// A recorder with `lanes` drop-oldest buffers of `capacity` spans
     /// each, reading timestamps from `time`, initially in
-    /// [`TraceMode::Full`]. Lanes shard the recording lock the same way
-    /// trace rings do — pass the shard count plus one for the router.
+    /// [`TraceMode::Full`]. Lanes shard the recording lock — pass the
+    /// shard count plus one for the router.
     ///
     /// # Panics
     ///
@@ -216,8 +273,10 @@ impl SpanRecorder {
         (member << 48) | (self.next_span.fetch_add(1, Ordering::Relaxed) & 0xFFFF_FFFF_FFFF)
     }
 
-    /// Records one span on `lane` (clamped like trace-ring shards),
-    /// dropping that lane's oldest span at capacity. Callers should
+    /// Records one span on `lane`, dropping that lane's oldest span at
+    /// capacity. An out-of-range lane is clamped to the last one (the
+    /// router's) rather than panicking — tracing must never take a hot
+    /// path down. Callers should
     /// check [`SpanRecorder::enabled`] first; this method re-checks so
     /// an unguarded call in a cold path stays correct.
     pub fn record(&self, lane: usize, span: Span) {

@@ -65,7 +65,7 @@ use sa_alarms::{AlarmId, SubscriberId};
 use sa_core::{BitmapSafeRegion, PyramidConfig, SafeRegion as _};
 use sa_geometry::{CellId, Grid, Point, Rect};
 use sa_obs::{Counter, Histogram, Registry};
-use sa_sim::FiredEvent;
+use sa_sim::{silent_steps, FiredEvent};
 use std::collections::{HashSet, VecDeque};
 use std::time::Duration;
 
@@ -984,10 +984,8 @@ impl<T: Transport> Client<T> {
                 self.stats.alarm_pushes += 1;
             }
             Response::SafePeriodGrant { period_ms } => {
-                // Mirror the simulator: silent for floor(period / dt)
-                // steps, at least one.
-                let silent_steps = ((f64::from(period_ms) / 1_000.0) / self.dt).floor() as u32;
-                self.state = State::SafePeriod { until: step + silent_steps.max(1) };
+                let silent = silent_steps(f64::from(period_ms) / 1_000.0, self.dt);
+                self.state = State::SafePeriod { until: step + silent };
                 self.stats.grants += 1;
             }
             Response::Ack { .. } => {

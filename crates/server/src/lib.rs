@@ -38,6 +38,8 @@
 //! ```text
 //! chaos   ── FaultyTransport decorator; chaos replay = the replay
 //!            driver under a FaultPlan
+//! transcript ─ RecordingTransport decorator: every exchange on every
+//!            link, digested — the determinism gates' witness
 //! replay  ── the one driver: drive (step loop) + BatchDriver (batched
 //!            exchange) + verify_prefix (GroundTruth diff → FlightBundle);
 //!            per-request / TCP / batched multi-worker are thin callers,
@@ -75,6 +77,7 @@ pub mod reactor;
 pub mod replay;
 pub mod server;
 pub mod shard;
+pub mod transcript;
 pub mod transport;
 pub mod wire;
 
@@ -95,7 +98,7 @@ pub use replay::{
     StepCost, MAX_BATCH_ROUNDS,
 };
 pub use sa_obs::TraceMode;
-pub use server::{quantize_rect, Server, ServerConfig, ServerStats};
+pub use server::{quantize_rect, Server, ServerConfig};
 pub use shard::{shard_of_index, ShardPool};
 pub use transport::{
     InProcTransport, ReconnectingTcpTransport, TcpTransport, Transport, TransportError,

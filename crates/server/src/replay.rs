@@ -26,7 +26,7 @@ use crate::chaos::{ChaosControls, FaultPlan};
 use crate::client::{Client, ClientStats};
 use crate::clock::{SharedClock, SystemClock};
 use crate::reactor::{Reactor, ReactorConfig};
-use crate::server::{Server, ServerConfig, ServerStats};
+use crate::server::{Server, ServerConfig};
 use crate::transport::{InProcTransport, TcpTransport, Transport, TransportError};
 use crate::wire::{BatchReply, BatchedUpdate, Request, Response, StrategySpec, SEQ_MASK};
 use crate::CacheStats;
@@ -135,12 +135,11 @@ pub struct ReplayOutcome {
     pub verification: Result<(), String>,
     /// Per-client `(subscriber, strategy, counters)`.
     pub clients: Vec<(SubscriberId, StrategySpec, ClientStats)>,
-    /// Server counters.
-    pub server: ServerStats,
     /// Safe-region cache counters.
     pub cache: CacheStats,
     /// Full registry snapshot (every counter, gauge, and histogram),
-    /// captured just before the server shut down. Render with
+    /// captured just before the server shut down — the server's own
+    /// counters are its `sa_server_*_total` entries. Render with
     /// [`sa_obs::render_snapshot`] for the Prometheus text form.
     pub metrics: Snapshot,
     /// Steps actually replayed.
@@ -151,6 +150,12 @@ pub struct ReplayOutcome {
 }
 
 impl ReplayOutcome {
+    /// Location updates the server's workers processed: the
+    /// `sa_server_location_updates_total` counter of [`Self::metrics`].
+    pub fn location_updates(&self) -> u64 {
+        self.metrics.counter("sa_server_location_updates_total", &[]).unwrap_or(0)
+    }
+
     /// Panics with the discrepancy when the replay missed, mistimed or
     /// spuriously fired an alarm.
     ///
@@ -409,8 +414,9 @@ impl<D: Transport> BatchDriver<D> {
 /// Diffs `fired` against the ground truth restricted to the replayed
 /// prefix — a firing at step `s` depends only on samples up to `s`, so
 /// the prefix is exact. On a divergence the error is a rendered
-/// [`FlightBundle`]: the discrepancy, `spans()` assembled into trees, and
-/// every member server's trace ring and registry snapshot.
+/// [`FlightBundle`]: the discrepancy, `spans()` assembled into trees —
+/// every firing a `trigger` span inside its update's tree — and every
+/// member server's registry snapshot.
 ///
 /// # Errors
 ///
@@ -428,7 +434,6 @@ pub fn verify_prefix(
         let mut bundle = FlightBundle::new(reason);
         bundle.spans = spans();
         for (i, server) in members.iter().enumerate() {
-            bundle.rings.push((format!("member {i}"), server.trace_dump()));
             bundle.snapshots.push((format!("member {i}"), server.registry().snapshot()));
         }
         bundle.render()
@@ -448,7 +453,6 @@ pub(crate) fn conclude(
         verification: verify_prefix(harness, steps, &driven.fired, || server.spans(), lone),
         fired: driven.fired,
         clients: driven.clients,
-        server: server.stats(),
         cache: server.cache_stats(),
         metrics: server.registry().snapshot(),
         steps,
@@ -612,6 +616,55 @@ mod tests {
         let metered: u64 = batched.step_costs.iter().map(|c| u64::from(c.updates)).sum();
         assert_eq!(metered, totals(&batched).0);
         assert!(per_request.step_costs.is_empty() && tcp.step_costs.is_empty());
+    }
+
+    /// A forced divergence: the run is exact, then the latest firing is
+    /// withheld from the diff. The rendered bundle must show that firing
+    /// as a `trigger` span, alarm id and all, inside the tree of the
+    /// update that fired it — so "which update, on which shard" is
+    /// answered by the failure message itself.
+    #[test]
+    fn a_divergence_bundle_shows_the_trigger_inside_its_updates_tree() {
+        let harness = SimulationHarness::build(&SimulationConfig::smoke_test());
+        let cfg = ReplayConfig {
+            steps: Some(120),
+            strategies: vec![StrategySpec::Mwpsr],
+            ..ReplayConfig::default()
+        };
+        let (server, steps) = cfg.start(&harness, SystemClock::shared());
+        let vehicles = 0..harness.config().fleet.vehicles as u32;
+        let link = |_| Ok(InProcTransport::connect(Arc::clone(&server)));
+        let mut clients = connect_fleet(&harness, &cfg.strategies, vehicles.clone(), link)
+            .expect("in-proc handshakes");
+        let mut fired = drive(&harness, vehicles, steps, None, None, &mut clients, |_, _, _| Ok(None))
+            .expect("in-proc transport must hold")
+            .fired;
+        let lone = std::slice::from_ref(&server);
+        verify_prefix(&harness, steps, &fired, || server.spans(), lone).expect("the run is exact");
+
+        fired.sort_by_key(|e| e.step);
+        let withheld = fired.pop().expect("the smoke run fires alarms");
+        let text = verify_prefix(&harness, steps, &fired, || server.spans(), lone)
+            .expect_err("a withheld firing is a divergence");
+        server.shutdown();
+
+        assert!(text.contains("=== flight recorder ==="), "{text}");
+        let lines: Vec<&str> = text.lines().collect();
+        let operands = format!(" a={} b={}", withheld.subscriber.0, withheld.alarm.0);
+        let at = lines
+            .iter()
+            .position(|l| l.trim_start().starts_with("trigger ") && l.ends_with(&operands))
+            .unwrap_or_else(|| panic!("no trigger span for {withheld:?} in:\n{text}"));
+        let indent = |l: &str| l.len() - l.trim_start().len();
+        let parent = lines[..at]
+            .iter()
+            .rev()
+            .find(|l| indent(l) < indent(lines[at]))
+            .expect("a trigger is never a root");
+        assert!(
+            parent.trim_start().starts_with("update_dispatch "),
+            "the trigger must nest under its update's dispatch, not {parent:?}"
+        );
     }
 
     #[test]

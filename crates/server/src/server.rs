@@ -34,8 +34,9 @@ use sa_core::{BitVec, MwpsrComputer, PyramidComputer, PyramidConfig};
 use sa_geometry::{CellId, Grid, Point, Rect};
 use sa_obs::{
     client_root_span, dispatch_span, trace_id_for, Counter, Exemplars, Histogram, Registry, Span,
-    SpanKind, SpanRecorder, TimeSource, TraceCtx, TraceMode, TraceRing,
+    SpanKind, SpanRecorder, TimeSource, TraceCtx, TraceMode,
 };
+use sa_sim::safe_period_s;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -83,21 +84,6 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig { num_shards: 4, queue_capacity: 64 }
     }
-}
-
-/// Aggregate counter snapshot of one server instance — a thin view over
-/// the server's `sa-obs` registry, kept so existing callers of
-/// [`Server::stats`] don't change.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ServerStats {
-    /// Location updates processed by workers.
-    pub location_updates: u64,
-    /// Alarm firings recorded (server- or client-detected).
-    pub triggers: u64,
-    /// Requests bounced with `Overloaded`.
-    pub overloads: u64,
-    /// Safe-region / safe-period computations performed.
-    pub region_computations: u64,
 }
 
 #[derive(Debug)]
@@ -308,11 +294,9 @@ struct Core {
     /// over the wire via [`Request::Stats`].
     registry: Arc<Registry>,
     metrics: ServerMetrics,
-    /// One ring per shard plus a router pseudo-shard (index
-    /// `num_shards`).
-    tracer: TraceRing,
-    /// Typed causal spans, one lane per shard plus the router lane —
-    /// the raw material of the federation-wide trace assembly.
+    /// Typed causal spans, one lane per shard plus the router lane
+    /// (index `num_shards`) — the server's one event record and the raw
+    /// material of the federation-wide trace assembly.
     spans: SpanRecorder,
     /// Per-bucket trace exemplars of `sa_update_rtt_ns`, linking a p99
     /// readout to a trace that actually landed in that bucket.
@@ -322,9 +306,6 @@ struct Core {
     /// [`crate::clock::VirtualClock`] and timings become simulated.
     clock: SharedClock,
 }
-
-/// Ring capacity per shard of the server's [`TraceRing`].
-const TRACE_RING_CAPACITY: usize = 256;
 
 /// Span capacity per lane of the server's [`SpanRecorder`] — sized so a
 /// replay-scale run keeps every span of its final divergence window.
@@ -391,10 +372,8 @@ impl Server {
 
         let registry = Arc::new(Registry::new());
         let metrics = ServerMetrics::new(&registry);
-        // Trace rings and spans timestamp on the *server clock's* axis:
-        // under a VirtualClock two identical schedules produce
-        // byte-identical ring dumps (the old Instant-based axis leaked
-        // wall time into them).
+        // Spans timestamp on the *server clock's* axis: under a
+        // VirtualClock two identical schedules record identical spans.
         let time = {
             let clock = Arc::clone(&clock);
             TimeSource::new(move || clock.now_ns() / 1_000)
@@ -416,13 +395,8 @@ impl Server {
             cache: RegionCache::with_registry(&registry),
             replies: ReplyPool::new(),
             metrics,
-            // One extra pseudo-shard ring for router-side events
-            // (overloads, session open/close).
-            tracer: TraceRing::with_time_source(
-                config.num_shards + 1,
-                TRACE_RING_CAPACITY,
-                time.clone(),
-            ),
+            // One extra lane for router-side spans (dispatches,
+            // overloads, alarm writes, control exchanges).
             spans: SpanRecorder::new(config.num_shards + 1, SPAN_LANE_CAPACITY, time),
             rtt_exemplars: Exemplars::new(),
             registry,
@@ -557,17 +531,6 @@ impl Server {
         self.core.metrics.wrong_owner.get()
     }
 
-    /// Counter snapshot.
-    pub fn stats(&self) -> ServerStats {
-        let m = &self.core.metrics;
-        ServerStats {
-            location_updates: m.location_updates.get(),
-            triggers: m.triggers.get(),
-            overloads: m.overloads.get(),
-            region_computations: m.region_computations.get(),
-        }
-    }
-
     /// Safe-region cache counter snapshot.
     pub fn cache_stats(&self) -> CacheStats {
         self.core.cache.stats()
@@ -585,15 +548,9 @@ impl Server {
         sa_obs::render(&self.core.registry)
     }
 
-    /// The merged, time-sorted trace-ring dump (router pseudo-shard is
-    /// index `num_shards`).
-    pub fn trace_dump(&self) -> String {
-        self.core.tracer.dump()
-    }
-
-    /// Switches causal-span recording between [`TraceMode::Off`],
-    /// sampled, and full. The trace ring is unaffected; already-buffered
-    /// spans stay.
+    /// Switches span recording between [`TraceMode::Off`], sampled, and
+    /// full. Firings, overloads, bounces and alarm writes are spans too,
+    /// so `Off` records none of them; already-buffered spans stay.
     pub fn set_trace_mode(&self, mode: TraceMode) {
         self.core.spans.set_mode(mode);
     }
@@ -681,9 +638,11 @@ impl Server {
                 out.push(Response::Topology { seq, epoch, ranges });
             }
             Request::HandoffExport { seq, session: target, trace } => {
+                let trace = control_ctx(trace, session, seq);
                 out.extend(self.core.export_session(seq, target, trace));
             }
             Request::HandoffImport { seq, session: target, state, trace } => {
+                let trace = control_ctx(trace, session, seq);
                 out.extend(self.core.import_session(seq, target, state, trace));
             }
             Request::HandoffRelease { seq, session: target, trace } => {
@@ -693,10 +652,9 @@ impl Server {
                 // suppress an already-fired alarm, never add a firing.
                 let started_ns = self.core.clock.now_ns();
                 self.core.sessions.remove(target);
-                self.core.tracer.event(self.core.num_shards, "handoff_release", target as u64, 0);
                 self.core.control_span(
                     SpanKind::HandoffRelease,
-                    trace,
+                    control_ctx(trace, session, seq),
                     started_ns,
                     u64::from(target),
                     0,
@@ -704,6 +662,7 @@ impl Server {
                 out.push(Response::Ack { seq });
             }
             Request::InstallTopology { seq, epoch, ranges, trace } => {
+                let trace = control_ctx(trace, session, seq);
                 out.extend(self.core.install_topology(seq, epoch, ranges, trace));
             }
             req @ (Request::LocationUpdate { .. } | Request::Resync { .. }) => {
@@ -715,7 +674,7 @@ impl Server {
                 // Ownership precedes the session check: mid-handoff the
                 // old owner has released the session, and the useful
                 // answer there is the redirect, not NO_SESSION.
-                if let Some(bounce) = self.core.wrong_owner(cell, seq) {
+                if let Some(bounce) = self.core.wrong_owner(cell, session, seq) {
                     out.push(bounce);
                     return;
                 }
@@ -745,10 +704,11 @@ impl Server {
                         slot.reclaim(job.scratch);
                         self.core.replies.release(slot);
                         self.core.metrics.overloads.inc();
-                        self.core.tracer.event(
-                            self.core.num_shards,
-                            "overload",
-                            session as u64,
+                        self.core.router_event(
+                            SpanKind::Overload,
+                            session,
+                            seq,
+                            u64::from(session),
                             shard as u64,
                         );
                         out.push(Response::Overloaded { seq });
@@ -827,7 +787,7 @@ impl Server {
             // Ownership precedes the session check, as on the
             // single-update path: mid-handoff the released session
             // should redirect, not error.
-            if let Some(bounce) = self.core.wrong_owner(cell, u.seq) {
+            if let Some(bounce) = self.core.wrong_owner(cell, u.session, u.seq) {
                 replies[index].responses = vec![bounce];
                 continue;
             }
@@ -880,12 +840,18 @@ impl Server {
                                     unreachable!("batch jobs carry batch payloads")
                                 };
                                 self.core.metrics.overloads.add(slice.len() as u64);
-                                self.core.tracer.event(
-                                    self.core.num_shards,
-                                    "overload",
-                                    slice.len() as u64,
-                                    shard as u64,
-                                );
+                                // One span per bounced update, each in
+                                // its own trace: the retry reuses
+                                // `(session, seq)` and lands beside it.
+                                for u in &slice {
+                                    self.core.router_event(
+                                        SpanKind::Overload,
+                                        u.session,
+                                        u.req.seq(),
+                                        u64::from(u.session),
+                                        shard as u64,
+                                    );
+                                }
                                 bounce(&mut replies, slice, true);
                             }
                             Err(SubmitError::Disconnected(job)) => {
@@ -961,7 +927,7 @@ impl Server {
             return vec![Response::Error { seq, code: error_code::UNKNOWN_ALARM }];
         }
         self.core.bump_cells(region);
-        self.core.tracer.event(self.core.num_shards, "install", id.0, session as u64);
+        self.core.router_event(SpanKind::AlarmInstall, session, seq, id.0, u64::from(session));
         vec![Response::Ack { seq }]
     }
 
@@ -983,7 +949,7 @@ impl Server {
             return vec![Response::Error { seq, code: error_code::UNKNOWN_ALARM }];
         }
         self.core.bump_cells(region);
-        self.core.tracer.event(self.core.num_shards, "remove", id.0, session as u64);
+        self.core.router_event(SpanKind::AlarmRemove, session, seq, id.0, u64::from(session));
         vec![Response::Ack { seq }]
     }
 
@@ -1053,6 +1019,25 @@ pub(crate) fn pad_bitmap_wire_bits(
         zeros = block;
     }
     bits
+}
+
+/// The context a data-plane exchange's router-side spans record under:
+/// the trace derived from `(session, seq)`, parented on its client root.
+fn derived_ctx(session: u32, seq: u32) -> TraceCtxExt {
+    let trace_id = trace_id_for(session, seq);
+    TraceCtxExt { trace_id, parent_span: client_root_span(trace_id) }
+}
+
+/// The context a control exchange records under: the wire-carried one,
+/// or — from an untraced peer (all zero) — the exchange's own derived
+/// trace, so a handoff leg or topology install is recorded whoever
+/// sent it.
+fn control_ctx(wire: TraceCtxExt, session: u32, seq: u32) -> TraceCtxExt {
+    if wire.trace_id == 0 {
+        derived_ctx(session, seq)
+    } else {
+        wire
+    }
 }
 
 impl Core {
@@ -1138,10 +1123,11 @@ impl Core {
         );
     }
 
-    /// Records a federation control-plane span under the wire-carried
-    /// context. A zero trace id (an untraced peer) records nothing.
+    /// Records a router-lane span under an explicit context: a
+    /// federation control exchange's (see [`control_ctx`]) or a derived
+    /// one ([`Core::router_event`]).
     fn control_span(&self, kind: SpanKind, trace: TraceCtxExt, started_ns: u64, a: u64, b: u64) {
-        if trace.trace_id == 0 || !self.spans.enabled(trace.trace_id) {
+        if !self.spans.enabled(trace.trace_id) {
             return;
         }
         self.spans.record(
@@ -1163,12 +1149,20 @@ impl Core {
         );
     }
 
+    /// Records a zero-duration router-side event — a bounce, an alarm
+    /// write, a client-reported firing — in the trace of the exchange
+    /// `(session, seq)`, under its derived client root: these exchanges
+    /// have no dispatch span to hang from.
+    fn router_event(&self, kind: SpanKind, session: u32, seq: u32, a: u64, b: u64) {
+        self.control_span(kind, derived_ctx(session, seq), self.clock.now_ns(), a, b);
+    }
+
     /// When federation is enabled and `cell` belongs to another member,
     /// the `WrongOwner` bounce for it; `None` means "process locally"
     /// (standalone server, locally owned cell, or a map gap — the last
     /// treated as local so a malformed map degrades to the
     /// single-server behavior instead of bouncing traffic into a void).
-    fn wrong_owner(&self, cell: CellId, seq: u32) -> Option<Response> {
+    fn wrong_owner(&self, cell: CellId, session: u32, seq: u32) -> Option<Response> {
         let fed = self.fed.read();
         let fed = fed.as_ref()?;
         let owner = fed.owner_of(self.grid.morton_of(cell)).unwrap_or(fed.self_id);
@@ -1176,7 +1170,7 @@ impl Core {
             return None;
         }
         self.metrics.wrong_owner.inc();
-        self.tracer.event(self.num_shards, "wrong_owner", owner as u64, fed.epoch);
+        self.router_event(SpanKind::WrongOwner, session, seq, u64::from(owner), fed.epoch);
         Some(Response::WrongOwner { seq, owner, epoch: fed.epoch })
     }
 
@@ -1192,7 +1186,6 @@ impl Core {
             return vec![Response::Error { seq, code: error_code::NO_SESSION }];
         };
         self.metrics.handoff_exports.inc();
-        self.tracer.event(self.num_shards, "handoff_export", target as u64, user.0 as u64);
         self.control_span(
             SpanKind::HandoffExport,
             trace,
@@ -1250,7 +1243,6 @@ impl Core {
             },
         );
         self.metrics.handoff_imports.inc();
-        self.tracer.event(self.num_shards, "handoff_import", target as u64, user.0 as u64);
         self.control_span(
             SpanKind::HandoffImport,
             trace,
@@ -1285,7 +1277,6 @@ impl Core {
                 if epoch > state.epoch {
                     state.epoch = epoch;
                     state.ranges = ranges;
-                    self.tracer.event(self.num_shards, "topology", epoch, 0);
                     self.control_span(
                         SpanKind::TopologyInstall,
                         trace,
@@ -1340,7 +1331,7 @@ impl Core {
         }
         if self.fired.insert(user, AlarmId(alarm as u64)) {
             self.metrics.triggers.inc();
-            self.tracer.event(self.num_shards, "trigger", user.0 as u64, alarm as u64);
+            self.router_event(SpanKind::Trigger, session, seq, u64::from(user.0), u64::from(alarm));
         }
         vec![Response::Ack { seq }]
     }
@@ -1385,7 +1376,6 @@ impl Core {
             // on a broken downlink) and drop the quick-update shortcut
             // so the terminal response reinstalls a full region.
             self.metrics.resyncs.inc();
-            self.tracer.event(shard, "resync", session as u64, acked as u64);
             let redeliver_started_ns = self.clock.now_ns();
             let redeliver = self.sessions.with_mut(session, |s| {
                 s.last_cell = None;
@@ -1429,7 +1419,8 @@ impl Core {
             for &id in triggering.iter() {
                 if self.fired.insert(user, id) {
                     self.metrics.triggers.inc();
-                    self.tracer.event(shard, "trigger", user.0 as u64, id.0);
+                    let now_ns = self.clock.now_ns();
+                    self.worker_span(shard, trace, SpanKind::Trigger, now_ns, u64::from(user.0), id.0);
                     newly_fired.push(id.0 as u32);
                 }
             }
@@ -1518,9 +1509,7 @@ impl Core {
                         g.nearest_relevant_distance_unmetered(user, pos, unfired)
                     })
                 });
-                let universe = self.grid.universe();
-                let max_extent = universe.width().max(universe.height()) * 2.0;
-                let period_s = nearest.unwrap_or(max_extent) / self.v_max;
+                let period_s = safe_period_s(nearest, self.grid.universe(), self.v_max);
                 computed(started_ns);
                 // Flooring to milliseconds only shortens the silence —
                 // the safe direction.

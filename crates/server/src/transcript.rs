@@ -3,21 +3,24 @@
 //! A [`RecordingTransport`] wraps any [`Transport`] and appends every
 //! exchange — the encoded request body, and either the encoded response
 //! bodies or the failure kind — to a shared [`Transcript`]. Because the
-//! harness drives one virtual-clocked run from a single thread, the
-//! transcript is a total order over every byte that crossed the wire;
+//! deterministic harnesses (`sa_verify::run_case`, `sa_fed::fed_replay`)
+//! drive one virtual-clocked run from a single thread, the transcript is
+//! a total order over every byte that crossed any link;
 //! [`Transcript::digest`] folds it into one `u64`, and the determinism
-//! gate asserts that the same [`crate::FuzzCase`] always produces the
-//! same digest, byte for byte.
+//! gates assert that the same case always produces the same digest,
+//! byte for byte.
 
-use sa_server::{Request, Transport, TransportError};
+use crate::transport::{Transport, TransportError};
+use crate::wire::{Request, Response};
 use std::sync::{Arc, Mutex};
 
 /// One recorded exchange: who spoke, what was sent, what came back.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TranscriptEntry {
     /// Connection tag: the client index, or [`DRIVER_TAG`] for the
-    /// batch driver connection.
-    pub tag: u32,
+    /// batch driver connection (`sa-verify`); a per-link salt over
+    /// (kind, client, member) in the federation replay.
+    pub tag: u64,
     /// The encoded request body.
     pub request: Vec<u8>,
     /// The encoded response bodies in delivery order, or the failure
@@ -26,7 +29,7 @@ pub struct TranscriptEntry {
 }
 
 /// Tag of the batch driver connection in [`TranscriptEntry::tag`].
-pub const DRIVER_TAG: u32 = u32::MAX;
+pub const DRIVER_TAG: u64 = u64::MAX;
 
 /// The ordered exchange log of one harness run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -111,19 +114,19 @@ pub fn error_kind(e: &TransportError) -> &'static str {
 /// [`Transcript`] and passes the result through untouched.
 pub struct RecordingTransport<T: Transport> {
     inner: T,
-    tag: u32,
+    tag: u64,
     log: SharedTranscript,
 }
 
 impl<T: Transport> RecordingTransport<T> {
     /// Wraps `inner`, recording under `tag` into `log`.
-    pub fn new(inner: T, tag: u32, log: SharedTranscript) -> RecordingTransport<T> {
+    pub fn new(inner: T, tag: u64, log: SharedTranscript) -> RecordingTransport<T> {
         RecordingTransport { inner, tag, log }
     }
 }
 
 impl<T: Transport> Transport for RecordingTransport<T> {
-    fn request(&mut self, req: Request) -> Result<Vec<sa_server::Response>, TransportError> {
+    fn request(&mut self, req: Request) -> Result<Vec<Response>, TransportError> {
         let request = req.encode().to_vec();
         let result = self.inner.request(req);
         let outcome = match &result {
@@ -142,7 +145,7 @@ impl<T: Transport> Transport for RecordingTransport<T> {
 mod tests {
     use super::*;
 
-    fn entry(tag: u32, request: Vec<u8>, outcome: Result<Vec<Vec<u8>>, &'static str>) -> TranscriptEntry {
+    fn entry(tag: u64, request: Vec<u8>, outcome: Result<Vec<Vec<u8>>, &'static str>) -> TranscriptEntry {
         TranscriptEntry { tag, request, outcome }
     }
 

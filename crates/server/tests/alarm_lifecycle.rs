@@ -6,6 +6,7 @@
 use sa_alarms::{AlarmId, AlarmScope, AlarmTarget, SpatialAlarm, SubscriberId};
 use sa_core::{BitmapSafeRegion, PyramidConfig, SafeRegion};
 use sa_geometry::{Grid, Point, Rect};
+use sa_obs::{trace_id_for, SpanKind};
 use sa_server::server::error_code;
 use sa_server::wire::{dequantize_m, quantize_m, Request, Response, StrategySpec};
 use sa_server::{quantize_rect, shard_of_index, Server, ServerConfig};
@@ -67,6 +68,12 @@ fn update(server: &Server, session: u32, seq: u32, pos: Point) -> Vec<Response> 
         motion: 0,
     };
     server.handle(session, req)
+}
+
+/// The `(alarm id, session, trace)` of every span of `kind` the server
+/// holds.
+fn alarm_writes(server: &Server, kind: SpanKind) -> Vec<(u64, u64, u64)> {
+    server.spans().iter().filter(|s| s.kind == kind).map(|s| (s.a, s.b, s.ctx.trace_id)).collect()
 }
 
 fn deliveries(resps: &[Response]) -> Vec<u32> {
@@ -168,6 +175,12 @@ fn an_installed_alarm_reaches_every_strategy_in_every_cell_and_removal_reverts_i
     );
     assert_eq!(server.handle(admin, install(2)), vec![Response::Ack { seq: 2 }]);
     assert_eq!(server.cache_stats().invalidations, 2, "one cached bitmap per intersected cell");
+    // The acknowledged write — not the refused one — is a span in the
+    // installing exchange's own trace.
+    assert_eq!(
+        alarm_writes(&server, SpanKind::AlarmInstall),
+        vec![(u64::from(ALARM), u64::from(admin), trace_id_for(admin, 2))]
+    );
 
     for (i, (outside, inside)) in probes().into_iter().enumerate() {
         let a = ask(&server, 200 + 10 * i as u32, outside);
@@ -199,6 +212,10 @@ fn an_installed_alarm_reaches_every_strategy_in_every_cell_and_removal_reverts_i
         vec![Response::Ack { seq: 4 }]
     );
     assert_eq!(server.cache_stats().invalidations, 4);
+    assert_eq!(
+        alarm_writes(&server, SpanKind::AlarmRemove),
+        vec![(u64::from(ALARM), u64::from(admin), trace_id_for(admin, 4))]
+    );
     assert_unaware(&server, 400);
     let late = hello(&server, 500, StrategySpec::Mwpsr);
     assert!(deliveries(&update(&server, late, 1, first_half)).is_empty());

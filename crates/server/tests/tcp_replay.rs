@@ -39,7 +39,7 @@ fn tcp_loopback_replay_fires_exactly_the_ground_truth_sequence() {
         uplinks < samples / 2,
         "live safe regions should suppress most samples: {uplinks} of {samples}"
     );
-    assert_eq!(outcome.server.location_updates, uplinks);
+    assert_eq!(outcome.location_updates(), uplinks);
 }
 
 #[test]

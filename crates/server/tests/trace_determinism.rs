@@ -1,30 +1,35 @@
 //! Trace-axis determinism regression.
 //!
-//! The trace ring and span recorder read time through the server's
-//! [`Clock`] seam (an earlier revision stamped ring events from
-//! `Instant::now()`, which leaked wall time into dumps and broke
-//! byte-level replay comparison). Two servers driven through an
+//! The span recorder reads time through the server's `Clock` seam, so
+//! wall time never leaks into a record. Two servers driven through an
 //! identical schedule on identically advanced virtual clocks must
-//! produce **byte-identical** trace-ring dumps and identical span
-//! records.
+//! produce identical span records — firings included: each alarm the
+//! walk crosses is one `trigger` span inside the tree of the update
+//! that fired it. An overload bounce — the one router-side event no
+//! single-threaded schedule can produce — is checked on its own below.
 
 use sa_alarms::{AlarmId, AlarmScope, SpatialAlarm, SubscriberId};
 use sa_geometry::{Grid, Point, Rect};
-use sa_obs::Span;
+use sa_obs::{client_root_span, trace_id_for, Span, SpanKind};
+use sa_server::wire::quantize_m;
 use sa_server::{
-    Client, InProcTransport, Server, ServerConfig, SharedClock, StrategySpec, VirtualClock,
+    Client, InProcTransport, Request, Response, Server, ServerConfig, SharedClock, StrategySpec,
+    VirtualClock,
 };
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
-fn run_once() -> (String, Vec<Span>) {
+const ALARMS: u64 = 4;
+
+fn run_once() -> Vec<Span> {
     let universe = Rect::new(0.0, 0.0, 4_000.0, 4_000.0).unwrap();
     let grid = Grid::new(universe, 1_000.0).unwrap();
     let vclock = Arc::new(VirtualClock::new());
     let clock: SharedClock = vclock.clone();
-    // Alarms along the walk's diagonal so triggers (and their ring
-    // events) fire at fixed steps.
-    let alarms: Vec<SpatialAlarm> = (0..4)
+    // Alarms along the walk's diagonal so triggers (and their spans)
+    // fire at fixed steps.
+    let alarms: Vec<SpatialAlarm> = (0..ALARMS)
         .map(|i| {
             SpatialAlarm::around_static_target(
                 AlarmId(i),
@@ -55,18 +60,90 @@ fn run_once() -> (String, Vec<Span>) {
         client.observe(step, Point::new(100.0 + d, 100.0 + d), 0.785, 12.0).unwrap();
     }
 
-    let dump = server.trace_dump();
     let spans = server.spans();
     server.shutdown();
-    (dump, spans)
+    spans
 }
 
 #[test]
-fn identical_virtual_schedules_dump_byte_identical_traces() {
-    let (dump_a, spans_a) = run_once();
-    let (dump_b, spans_b) = run_once();
-    assert!(!dump_a.is_empty(), "the walk must have left ring events");
-    assert_eq!(dump_a, dump_b, "trace-ring dumps must be byte-identical across runs");
-    assert!(!spans_a.is_empty(), "the walk must have recorded spans");
+fn identical_virtual_schedules_record_identical_spans() {
+    let spans_a = run_once();
+    let spans_b = run_once();
     assert_eq!(spans_a, spans_b, "span records must be identical across runs");
+
+    // One trigger per alarm the walk crosses (`b` = alarm id), each a
+    // child of the dispatch span of the update that fired it.
+    let triggers: Vec<&Span> = spans_a.iter().filter(|s| s.kind == SpanKind::Trigger).collect();
+    let mut fired: Vec<u64> = triggers.iter().map(|s| s.b).collect();
+    fired.sort_unstable();
+    assert_eq!(fired, (0..ALARMS).collect::<Vec<_>>(), "every crossed alarm, exactly once");
+    for trigger in triggers {
+        assert_eq!(trigger.a, 7, "the firing names its subscriber");
+        let parent = spans_a
+            .iter()
+            .find(|s| s.ctx.span_id == trigger.ctx.parent)
+            .expect("a trigger's parent span is recorded");
+        assert_eq!(parent.kind, SpanKind::UpdateDispatch);
+        assert_eq!(parent.ctx.trace_id, trigger.ctx.trace_id, "in the update's own trace");
+    }
+}
+
+/// One shard with a one-slot queue, four callers released together and
+/// sending back to back: a submit soon finds the slot taken. The bounce
+/// must be an `overload` span in the bounced update's own trace, under
+/// its derived client root (there is no dispatch span to hang from).
+#[test]
+fn an_overload_bounce_is_a_span_in_the_bounced_updates_trace() {
+    const CALLERS: u32 = 4;
+    let universe = Rect::new(0.0, 0.0, 4_000.0, 4_000.0).unwrap();
+    let grid = Grid::new(universe, 1_000.0).unwrap();
+    let server =
+        Server::start(grid, Vec::new(), 30.0, ServerConfig { num_shards: 1, queue_capacity: 1 });
+    let start = Barrier::new(CALLERS as usize);
+    let done = AtomicBool::new(false);
+    let deadline = Instant::now() + Duration::from_secs(60);
+
+    let bounced: Vec<(u32, u32)> = std::thread::scope(|scope| {
+        let callers: Vec<_> = (0..CALLERS)
+            .map(|user| {
+                let (server, start, done) = (&server, &start, &done);
+                scope.spawn(move || {
+                    let session = server.open_session();
+                    let hello = Request::Hello { seq: 0, user, strategy: StrategySpec::Mwpsr };
+                    assert_eq!(server.handle(session, hello), vec![Response::Ack { seq: 0 }]);
+                    start.wait();
+                    let (x_fx, y_fx) = (quantize_m(500.0), quantize_m(500.0));
+                    let mut seq = 0;
+                    while !done.load(Ordering::SeqCst) && Instant::now() < deadline {
+                        seq += 1;
+                        let update = Request::LocationUpdate { seq, x_fx, y_fx, motion: 0 };
+                        if server.handle(session, update) == [Response::Overloaded { seq }] {
+                            done.store(true, Ordering::SeqCst);
+                            return Some((session, seq));
+                        }
+                    }
+                    None
+                })
+            })
+            .collect();
+        callers.into_iter().filter_map(|c| c.join().expect("caller thread")).collect()
+    });
+
+    assert!(!bounced.is_empty(), "four callers on a one-slot queue must overload it");
+    let spans = server.spans();
+    for (session, seq) in bounced {
+        let trace = trace_id_for(session, seq);
+        let span = spans
+            .iter()
+            .find(|s| s.kind == SpanKind::Overload && s.ctx.trace_id == trace)
+            .expect("the bounce is recorded in the bounced update's trace");
+        assert_eq!((span.a, span.b), (u64::from(session), 0), "session and shard");
+        assert_eq!(span.ctx.parent, client_root_span(trace));
+        assert!(
+            !spans.iter().any(|s| s.kind == SpanKind::UpdateDispatch && s.ctx.trace_id == trace),
+            "a bounced update was never dispatched"
+        );
+    }
+    assert!(server.registry().counter("sa_server_overloads_total").get() >= 1);
+    server.shutdown();
 }

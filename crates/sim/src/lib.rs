@@ -55,7 +55,7 @@ pub use config::SimulationConfig;
 pub use energy::EnergyModel;
 pub use engine::{RunReport, SimulationHarness};
 pub use ground_truth::{FiredEvent, GroundTruth};
-pub use message::payload;
+pub use message::{payload, safe_period_s, silent_steps};
 pub use moving::{MovingAlarmTable, MovingAwareStrategy, MovingCoordinator};
 pub use metrics::{Metrics, ServerOps};
 pub use server::ServerCtx;

@@ -21,7 +21,7 @@
 //! The same inductive argument as the safe-period baseline guarantees the
 //! alarm fires at exactly the ground-truth sample.
 
-use crate::message::payload;
+use crate::message::{payload, silent_steps};
 use crate::ServerCtx;
 use sa_alarms::{AlarmId, AlarmTarget, SpatialAlarm, SubscriberId};
 use sa_geometry::{Point, Rect};
@@ -216,8 +216,7 @@ impl<'a> MovingCoordinator<'a> {
                 envelope.distance_to_point(pos)
             };
             // Both subscriber and target close the gap at at most v_max.
-            let steps = ((dist / (2.0 * self.v_max)) / dt).floor() as u32;
-            min_steps = min_steps.min(steps.max(1));
+            min_steps = min_steps.min(silent_steps(dist / (2.0 * self.v_max), dt));
         }
         if min_steps == u32::MAX {
             // No relevant moving alarms: effectively unbounded.
@@ -225,6 +224,53 @@ impl<'a> MovingCoordinator<'a> {
         } else {
             min_steps
         }
+    }
+}
+
+/// Wraps any static-alarm strategy with moving-target coordination: the
+/// subscriber additionally reports whenever its moving-alarm silent window
+/// expires, independent of the inner strategy's own safe-region logic.
+pub struct MovingAwareStrategy<'a> {
+    inner: Box<dyn crate::strategy::Strategy>,
+    coordinator: MovingCoordinator<'a>,
+    deadlines: HashMap<SubscriberId, u32>,
+}
+
+impl<'a> MovingAwareStrategy<'a> {
+    /// Wraps `inner` with coordination against `table`.
+    pub fn new(
+        inner: Box<dyn crate::strategy::Strategy>,
+        table: &'a MovingAlarmTable,
+        v_max: f64,
+    ) -> MovingAwareStrategy<'a> {
+        MovingAwareStrategy {
+            inner,
+            coordinator: MovingCoordinator::new(table, v_max),
+            deadlines: HashMap::new(),
+        }
+    }
+}
+
+impl crate::strategy::Strategy for MovingAwareStrategy<'_> {
+    fn on_sample(
+        &mut self,
+        step: u32,
+        sample: &sa_roadnet::TraceSample,
+        server: &mut ServerCtx<'_>,
+    ) {
+        let user = SubscriberId(sample.vehicle.0);
+        let due = self.deadlines.get(&user).is_none_or(|&d| step >= d);
+        if due {
+            // Moving-alarm report: one uplink, then a fresh grant.
+            server.metrics.uplink_messages += 1;
+            let grant = self.coordinator.service(step, user, sample.pos, server);
+            self.deadlines.insert(user, step.saturating_add(grant));
+        }
+        self.inner.on_sample(step, sample, server);
+    }
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
     }
 }
 
@@ -329,52 +375,5 @@ mod tests {
         // The poll was paid for.
         assert!(server.metrics.uplink_messages >= 1);
         assert!(server.metrics.downlink_messages >= 1);
-    }
-}
-
-/// Wraps any static-alarm strategy with moving-target coordination: the
-/// subscriber additionally reports whenever its moving-alarm silent window
-/// expires, independent of the inner strategy's own safe-region logic.
-pub struct MovingAwareStrategy<'a> {
-    inner: Box<dyn crate::strategy::Strategy>,
-    coordinator: MovingCoordinator<'a>,
-    deadlines: HashMap<SubscriberId, u32>,
-}
-
-impl<'a> MovingAwareStrategy<'a> {
-    /// Wraps `inner` with coordination against `table`.
-    pub fn new(
-        inner: Box<dyn crate::strategy::Strategy>,
-        table: &'a MovingAlarmTable,
-        v_max: f64,
-    ) -> MovingAwareStrategy<'a> {
-        MovingAwareStrategy {
-            inner,
-            coordinator: MovingCoordinator::new(table, v_max),
-            deadlines: HashMap::new(),
-        }
-    }
-}
-
-impl crate::strategy::Strategy for MovingAwareStrategy<'_> {
-    fn on_sample(
-        &mut self,
-        step: u32,
-        sample: &sa_roadnet::TraceSample,
-        server: &mut ServerCtx<'_>,
-    ) {
-        let user = SubscriberId(sample.vehicle.0);
-        let due = self.deadlines.get(&user).is_none_or(|&d| step >= d);
-        if due {
-            // Moving-alarm report: one uplink, then a fresh grant.
-            server.metrics.uplink_messages += 1;
-            let grant = self.coordinator.service(step, user, sample.pos, server);
-            self.deadlines.insert(user, step.saturating_add(grant));
-        }
-        self.inner.on_sample(step, sample, server);
-    }
-
-    fn name(&self) -> &'static str {
-        self.inner.name()
     }
 }

@@ -1,4 +1,4 @@
-use crate::message::payload;
+use crate::message::{payload, safe_period_s};
 use crate::{FiredEvent, Metrics};
 use sa_alarms::{AlarmId, AlarmIndex, SubscriberId};
 use sa_geometry::{Grid, Point, Rect};
@@ -207,9 +207,7 @@ impl<'a> ServerCtx<'a> {
         // The index traversal is charged above; the period computation
         // itself is one division.
         self.metrics.server.region_compute_ops += 1;
-        let universe = self.grid.universe();
-        let max_extent = universe.width().max(universe.height()) * 2.0;
-        nearest.unwrap_or(max_extent) / self.v_max
+        safe_period_s(nearest, self.grid.universe(), self.v_max)
     }
 
     /// Sends a safe region (or alarm set) of `payload_bits` to the client.

@@ -1,4 +1,4 @@
-use crate::message::payload;
+use crate::message::{payload, silent_steps};
 use crate::strategy::Strategy;
 use crate::ServerCtx;
 use sa_alarms::SubscriberId;
@@ -41,10 +41,8 @@ impl Strategy for SafePeriodStrategy {
         server.metrics.uplink_messages += 1;
         server.check_triggers(step, user, sample.pos);
         let period_s = server.compute_safe_period(user, sample.pos);
-        // Silence for floor(period / dt) samples (≥ 1): rounding *up* could
-        // let the client slip inside an alarm region before its next report.
-        let silent_steps = (period_s.max(0.0) / server.sample_period_s()).floor() as u32;
-        self.silent_until.insert(user, step + silent_steps.max(1));
+        let silent = silent_steps(period_s, server.sample_period_s());
+        self.silent_until.insert(user, step + silent);
         server.send_downlink(payload::SAFE_PERIOD_BITS);
     }
 
@@ -86,28 +84,52 @@ mod tests {
     #[test]
     fn far_client_is_granted_long_silence() {
         let (index, grid) = world();
-        let mut server = ServerCtx::new(&index, &grid, 30.0, 1.0);
-        let mut strategy = SafePeriodStrategy::new();
-        // A client parked far from the only alarm reports once, then stays
-        // silent for a long stretch.
-        for step in 0..200u32 {
-            strategy.on_sample(step, &sample_at(step, 100.0, 100.0), &mut server);
+        // Far from the only alarm, and — second input — in a world with
+        // no alarm at all, where the grant is the fallback horizon
+        // (2 × 10 km at 30 m/s = 666 whole samples): one report, then
+        // silence for the whole run.
+        let empty = AlarmIndex::build(Vec::new());
+        for index in [&index, &empty] {
+            let mut server = ServerCtx::new(index, &grid, 30.0, 1.0);
+            let mut strategy = SafePeriodStrategy::new();
+            for step in 0..200u32 {
+                strategy.on_sample(step, &sample_at(step, 100.0, 100.0), &mut server);
+            }
+            assert_eq!(server.metrics.uplink_messages, 1, "one report suffices");
+            assert_eq!(server.metrics.samples, 200);
         }
-        assert_eq!(server.metrics.uplink_messages, 1, "one report suffices");
-        assert_eq!(server.metrics.samples, 200);
+        let horizon_s = crate::safe_period_s(None, grid.universe(), 30.0);
+        assert_eq!(silent_steps(horizon_s, 1.0), 666);
     }
 
     #[test]
     fn client_near_alarm_reports_frequently() {
         let (index, grid) = world();
-        let mut server = ServerCtx::new(&index, &grid, 30.0, 1.0);
-        let mut strategy = SafePeriodStrategy::new();
-        // 150 m from the region edge at v_max 30 → periods of ~5 samples.
-        for step in 0..50u32 {
-            strategy.on_sample(step, &sample_at(step, 8_750.0, 9_000.0), &mut server);
+        // Parked `gap_m` from the region's edge (x = 8900) at v_max 30,
+        // dt 1 s: silent for floor(period / dt) samples, at least one.
+        for (gap_m, silent) in [
+            (150.0, 5), // period == 5·dt exactly: 5, not 6
+            (149.0, 4), // a hair under: rounds down
+            (100.0, 3), // 3.33 s
+            (20.0, 1),  // period < dt: the next sample, never zero
+        ] {
+            let mut server = ServerCtx::new(&index, &grid, 30.0, 1.0);
+            let mut strategy = SafePeriodStrategy::new();
+            for step in 0..50u32 {
+                strategy.on_sample(step, &sample_at(step, 8_900.0 - gap_m, 9_000.0), &mut server);
+            }
+            assert_eq!(
+                server.metrics.uplink_messages,
+                50u64.div_ceil(silent),
+                "{gap_m} m: a report every {silent} samples"
+            );
+            // The live client sees the grant floored to milliseconds
+            // and must fall silent for exactly as long.
+            let period_s = gap_m / 30.0;
+            let wire_s = (period_s * 1_000.0).floor() / 1_000.0;
+            assert_eq!(silent_steps(wire_s, 1.0) as u64, silent);
+            assert_eq!(silent_steps(period_s, 1.0) as u64, silent);
         }
-        let msgs = server.metrics.uplink_messages;
-        assert!((5..=15).contains(&msgs), "messages {msgs}");
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! observes thread timing.
 
 use crate::oracle::check_transcript;
-use crate::transcript::{RecordingTransport, SharedTranscript, Transcript, DRIVER_TAG};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
+use sa_server::transcript::{RecordingTransport, SharedTranscript, Transcript, DRIVER_TAG};
 use sa_server::{
     connect_fleet, drive, verify_prefix, BatchDriver, ChaosControls, Client, FaultLeg, FaultPlan,
     FaultyTransport, InProcTransport, ReplayConfig, ResiliencePolicy,
@@ -204,7 +204,7 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseOutcome, TransportError> {
         let faulty = FaultyTransport::new(inner, case.plan.clone(), u64::from(v))
             .with_clock(Arc::clone(&clock))
             .sharing(&link);
-        Ok(RecordingTransport::new(faulty, v, Arc::clone(&log)))
+        Ok(RecordingTransport::new(faulty, u64::from(v), Arc::clone(&log)))
     })?;
     for (v, client) in clients.iter_mut().enumerate() {
         client.set_clock(Arc::clone(&clock));

@@ -31,7 +31,6 @@ mod fuzz;
 mod harness;
 mod minimize;
 mod oracle;
-mod transcript;
 
 pub use fuzz::{
     differential_seed, fuzz_differential, fuzz_schedule, shard_independence, FuzzFailure,
@@ -40,6 +39,6 @@ pub use fuzz::{
 pub use harness::{run_case, CaseOutcome, FuzzCase};
 pub use minimize::{reproducer, shrink_case, shrink_elements, test_artifact};
 pub use oracle::{check_transcript, strictly_inside, GEOMETRY_TOL_M};
-pub use transcript::{
+pub use sa_server::transcript::{
     error_kind, RecordingTransport, SharedTranscript, Transcript, TranscriptEntry, DRIVER_TAG,
 };

@@ -21,7 +21,7 @@
 //! comparisons against the unquantized workload would flag phantom
 //! sub-micrometer overlaps.
 
-use crate::transcript::{Transcript, DRIVER_TAG};
+use sa_server::transcript::{Transcript, DRIVER_TAG};
 use sa_alarms::{SpatialAlarm, SubscriberId};
 use sa_core::oracle::{check_bitmap_against_mask, check_sound};
 use sa_core::{BitmapSafeRegion, PyramidConfig};
@@ -272,7 +272,7 @@ pub fn check_transcript(
         // phantom violations.
         if let Request::TriggerNotify { alarm, .. } = req {
             if entry.tag != DRIVER_TAG {
-                state.fired.insert((entry.tag, u64::from(alarm)));
+                state.fired.insert((entry.tag as u32, u64::from(alarm)));
             }
         }
         let Ok(frames) = &entry.outcome else { continue };
@@ -320,7 +320,7 @@ pub fn check_transcript(
                 .position_fx()
                 .map(|(x, y)| Point::new(dequantize_m(x), dequantize_m(y)));
             state
-                .absorb_responses(entry.tag, strategies[client], pos, &responses)
+                .absorb_responses(client as u32, strategies[client], pos, &responses)
                 .map_err(|e| format!("entry {n}: {e}"))?;
         }
     }

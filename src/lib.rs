@@ -8,7 +8,7 @@
 //! - [`roadnet`] — the road-network mobility simulator,
 //! - [`alarms`] — the spatial alarm model and workload generator,
 //! - [`core`] — safe-region computation (MWPSR, GBSR, PBSR),
-//! - [`obs`] — metrics registry, latency histograms, trace rings and the
+//! - [`obs`] — metrics registry, latency histograms, causal spans and the
 //!   Prometheus text exposition,
 //! - [`sim`] — the distributed processing simulation and baselines,
 //! - [`server`] — the live grid-sharded safe-region service runtime,
