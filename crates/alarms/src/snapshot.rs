@@ -167,7 +167,7 @@ impl AlarmSnapshot {
 
     /// Visits each alarm relevant to `user` containing `pos` without
     /// materializing a vector — the allocation-free trigger check the
-    /// shard workers run per position update.
+    /// server runs per position update.
     pub fn relevant_at_visit(
         &self,
         user: SubscriberId,

@@ -92,8 +92,6 @@ fn main() {
         plan,
         batch_every: 0,
         repartition_at: opts.repartition_at,
-        num_shards: 2,
-        queue_capacity: 64,
         strategies: vec![
             StrategySpec::Mwpsr,
             StrategySpec::Pbsr { height: 5 },

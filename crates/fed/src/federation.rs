@@ -85,7 +85,7 @@ impl Federation {
     pub fn cell_loads(&self) -> Vec<u64> {
         let mut total = vec![0u64; self.grid.cell_count() as usize];
         for server in &self.servers {
-            for (slot, n) in total.iter_mut().zip(server.cell_update_counts()) {
+            for (slot, n) in total.iter_mut().zip(server.cell_updates()) {
                 *slot += n;
             }
         }

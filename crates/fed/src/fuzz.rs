@@ -77,8 +77,6 @@ pub fn handoff_during_disconnect_case() -> FedCase {
             },
             batch_every: 0,
             repartition_at: None,
-            num_shards: 2,
-            queue_capacity: 16,
             strategies: vec![
                 StrategySpec::Mwpsr,
                 StrategySpec::Pbsr { height: 3 },
@@ -107,8 +105,6 @@ pub fn repartition_during_batch_case() -> FedCase {
             plan: FaultPlan::clean(),
             batch_every: 2,
             repartition_at: Some(24),
-            num_shards: 2,
-            queue_capacity: 16,
             strategies: vec![
                 StrategySpec::Mwpsr,
                 StrategySpec::Pbsr { height: 3 },

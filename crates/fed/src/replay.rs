@@ -52,6 +52,11 @@ const ROUTER_MEMBER_BASE: u32 = 100;
 /// Pseudo-member id of the coordinator in merged span records.
 const COORDINATOR_MEMBER: u32 = 200;
 
+/// Every member's sizing. The shard count is unobservable on the wire,
+/// and the synchronous driver queues at most one batch job per shard, so
+/// neither knob is worth a config field.
+const MEMBER_CONFIG: ServerConfig = ServerConfig { num_shards: 2, queue_capacity: 16 };
+
 /// One fully-specified federation replay.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FedReplayConfig {
@@ -77,10 +82,6 @@ pub struct FedReplayConfig {
     /// Step at which the coordinator reads the load counters and
     /// re-cuts the map; `None` never repartitions.
     pub repartition_at: Option<u32>,
-    /// Per-member shard count.
-    pub num_shards: usize,
-    /// Per-member shard queue capacity (raised to the fleet size).
-    pub queue_capacity: usize,
     /// Strategies assigned round-robin.
     pub strategies: Vec<StrategySpec>,
 }
@@ -98,8 +99,6 @@ impl FedReplayConfig {
             plan: FaultPlan::lossy(seed),
             batch_every: 0,
             repartition_at: Some(24),
-            num_shards: 2,
-            queue_capacity: 16,
             strategies: vec![
                 StrategySpec::Mwpsr,
                 StrategySpec::Pbsr { height: 3 },
@@ -173,10 +172,7 @@ pub fn fed_replay(cfg: &FedReplayConfig) -> Result<FedOutcome, TransportError> {
         harness.grid().clone(),
         harness.index().alarms().to_vec(),
         harness.v_max(),
-        ServerConfig {
-            num_shards: cfg.num_shards.max(1),
-            queue_capacity: cfg.queue_capacity.max(vehicles.len()),
-        },
+        MEMBER_CONFIG,
         cfg.partitions,
         Arc::clone(&clock),
     );
@@ -411,8 +407,6 @@ mod tests {
             plan,
             batch_every,
             repartition_at: None,
-            num_shards: 2,
-            queue_capacity: 8,
             strategies: vec![
                 StrategySpec::Mwpsr,
                 StrategySpec::Pbsr { height: 2 },

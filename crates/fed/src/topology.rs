@@ -69,7 +69,7 @@ impl PartitionMap {
     /// Re-cuts the ranges so each member carries a (nearly) equal share
     /// of the observed per-cell load, keeping the member count and
     /// Morton contiguity. `loads` is indexed by flattened cell index
-    /// (the layout of [`sa_server::Server::cell_update_counts`]); every
+    /// (the layout of [`sa_server::Server::cell_updates`]); every
     /// cell is weighted `load + 1` so zero-traffic cells still spread
     /// and no member ends up empty.
     ///

@@ -3,9 +3,10 @@
 //! Where `sa-sim` *models* the client–server message exchange of
 //! Bamba et al.'s safe-region strategies with abstract bit accounting,
 //! this crate *runs* it: a real binary wire protocol ([`wire`]), a
-//! server whose update work is sharded across worker threads by grid
-//! cell, all reading one epoch-versioned alarm index ([`server`],
-//! [`shard`]), an epoch-versioned cache of public
+//! server that answers each location update on the thread that decoded
+//! it and fans batch frames out across worker shards by grid cell, all
+//! reading one epoch-versioned alarm index ([`server`], [`shard`]), an
+//! epoch-versioned cache of public
 //! safe-region bitmaps ([`cache`]), two interchangeable transports —
 //! in-process and TCP ([`transport`]) — one event-driven TCP front
 //! end ([`reactor`], [`netfront`]), and client-side strategy mirrors
@@ -51,8 +52,9 @@
 //!            edge-triggered registration per connection, FrameReader /
 //!            WriteQueue (netfront), admission, deadline-sweep reaping
 //! server  ── router + sessions + the one VersionedAlarmIndex;
-//!            LocationUpdate → bounded shard queues
-//! shard   ── cell → shard mapping + ShardPool workers
+//!            LocationUpdate → process_into on the caller's thread,
+//!            Batch → bounded shard queues
+//! shard   ── cell → shard mapping + the batch fan-out's ShardPool
 //! fired   ── per-subscriber fired-alarm lists (exactly-once state)
 //! cache   ── (cell, height) → public bitmap, epoch-invalidated
 //! wire    ── Request/Response codec, sizes == sa-sim payload constants
@@ -64,7 +66,6 @@
 // standard.
 #![deny(unsafe_code)]
 
-mod arena;
 pub mod cache;
 pub mod chaos;
 pub mod client;

@@ -1,30 +1,33 @@
 //! The concurrent safe-region server: session registry, request router,
-//! and the per-shard worker logic.
+//! and the per-update processing logic.
 //!
-//! The router ([`Server::handle`]) is intentionally thin. Control
-//! messages (`Hello`, `Bye`, alarm install/remove, OPT trigger notify)
-//! are answered inline — they touch only lock-protected shared maps and
-//! never compute geometry. Location updates — the hot path — are routed
-//! to the owning shard's bounded queue; a full queue answers
-//! [`Response::Overloaded`] immediately instead of blocking the caller
-//! behind a slow shard.
+//! Every request runs to completion on the thread that hands it to
+//! [`Server::handle`] — a reactor worker that decoded it off a socket,
+//! or an in-proc caller. Control messages (`Hello`, `Bye`, alarm
+//! install/remove, OPT trigger notify) touch only lock-protected shared
+//! maps and never compute geometry. A location update — the hot path —
+//! is the paper's one job: check triggers, then refresh the safe region,
+//! with no queue and no thread hop in between. Only a
+//! [`Request::Batch`] frame fans out, one job per shard onto bounded
+//! queues; a full queue answers its slice [`Response::Overloaded`]
+//! instead of blocking the caller behind a slow shard.
 //!
-//! Lock discipline: workers and the router take at most one lock at a
-//! time. Alarm-index reads never lock at all — workers pin an
-//! epoch-versioned snapshot through a per-thread cache (see
-//! [`sa_alarms::VersionedAlarmIndex`]) and query it while the install
+//! Lock discipline: every thread that processes a request takes at most
+//! one lock at a time. Alarm-index reads never lock at all — each thread
+//! pins an epoch-versioned snapshot through a per-thread cache (see
+//! [`sa_alarms::VersionedAlarmIndex`]) and queries it while the install
 //! path publishes the next generation; no writer ever takes a second
 //! lock, so no cycle exists.
 
-use crate::arena::ReplyPool;
 use crate::cache::{CacheStats, RegionCache};
 use crate::clock::{SharedClock, SystemClock};
 use crate::fired::FiredTable;
-use crate::shard::{shard_of_index, Job, JobPayload, ShardPool, ShardUpdate, SubmitError};
+use crate::shard::{shard_of_index, Job, ShardPool, ShardUpdate, SubmitError};
 use crate::wire::{
     dequantize_m, quantize_m, unpack_motion, BatchReply, BatchedUpdate, CellRange, Request,
     Response, SessionState, StrategySpec, TraceCtxExt, SEQ_MASK,
 };
+use crossbeam::channel::bounded;
 use parking_lot::RwLock;
 use sa_alarms::{
     AlarmId, AlarmScope, AlarmSnapshot, AlarmTarget, SnapshotCache, SpatialAlarm, SubscriberId,
@@ -43,7 +46,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 thread_local! {
-    /// Per-thread scratch for the worker trigger check's hit list, reused
+    /// Per-thread scratch for the trigger check's hit list, reused
     /// across updates so the steady-state case (no triggering alarms)
     /// never touches the heap.
     static TRIGGER_SCRATCH: RefCell<Vec<AlarmId>> = const { RefCell::new(Vec::new()) };
@@ -72,11 +75,14 @@ pub mod error_code {
 /// Sizing knobs of a [`Server`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
-    /// Number of worker shards (grid cells map to shards round-robin by
-    /// flattened index).
+    /// Width of the batch fan-out: the worker threads a
+    /// [`Request::Batch`] frame's entries are sliced across (grid cells
+    /// map to shards round-robin by flattened index). A single location
+    /// update runs on the caller's thread; its shard only picks the span
+    /// lane it records on.
     pub num_shards: usize,
-    /// Bounded per-shard queue capacity; a full queue answers
-    /// `Overloaded`.
+    /// Bounded per-shard queue of the batch fan-out; a slice that finds
+    /// its queue full answers each of its entries `Overloaded`.
     pub queue_capacity: usize,
 }
 
@@ -213,8 +219,8 @@ pub(crate) struct ServerMetrics {
     handoff_exports: Counter,
     /// Sessions imported from another federation member.
     handoff_imports: Counter,
-    /// End-to-end location-update round trip: router entry to worker
-    /// reply received.
+    /// End-to-end location-update round trip: router entry to answer
+    /// (for a batch entry, to its shard's reply).
     update_rtt: Histogram,
     /// One `RegionCache::lookup` call inside the PBSR path.
     cache_lookup: Histogram,
@@ -286,10 +292,6 @@ struct Core {
     /// load signal the federation's hot-cell repartitioner reads.
     cell_updates: Vec<Counter>,
     cache: RegionCache,
-    /// Recycled reply channels and buffers for routed updates — the
-    /// steady-state hot path leases a warm slot instead of allocating a
-    /// one-shot channel per request.
-    replies: ReplyPool,
     /// Every counter/gauge/histogram of this server instance — scrapeable
     /// over the wire via [`Request::Stats`].
     registry: Arc<Registry>,
@@ -315,6 +317,7 @@ const SPAN_LANE_CAPACITY: usize = 1024;
 /// through a [`crate::transport::Transport`].
 pub struct Server {
     core: Arc<Core>,
+    /// The batch fan-out; `None` after [`Server::shutdown`].
     pool: RwLock<Option<ShardPool>>,
 }
 
@@ -333,8 +336,8 @@ impl std::fmt::Debug for Server {
 }
 
 impl Server {
-    /// Bulk-loads the alarm index from `alarms` and spawns the worker
-    /// threads.
+    /// Bulk-loads the alarm index from `alarms` and spawns the batch
+    /// fan-out's worker threads.
     ///
     /// # Panics
     ///
@@ -393,7 +396,6 @@ impl Server {
             fed: RwLock::new(None),
             cell_updates,
             cache: RegionCache::with_registry(&registry),
-            replies: ReplyPool::new(),
             metrics,
             // One extra lane for router-side spans (dispatches,
             // overloads, alarm writes, control exchanges).
@@ -407,32 +409,15 @@ impl Server {
 
         let worker_core = Arc::clone(&core);
         let handler = Arc::new(move |shard: usize, job: Job| {
-            let Job { payload, reply, enqueued_at_ns, mut scratch } = job;
-            match payload {
-                JobPayload::Single { session, req } => {
-                    worker_core.shard_wait_span(shard, session, req.seq(), enqueued_at_ns);
-                    // Fill the router's pooled buffers instead of
-                    // allocating; an unseeded job (only tests build
-                    // those) falls back to fresh vectors.
-                    let (_, mut responses) = scratch.pop().unwrap_or((0, Vec::new()));
-                    responses.clear();
-                    worker_core.process_into(shard, session, &req, &mut responses);
-                    scratch.clear();
-                    scratch.push((0, responses));
-                    let _ = reply.send(scratch);
-                }
-                JobPayload::Batch(updates) => {
-                    scratch.clear();
-                    scratch.reserve(updates.len());
-                    for u in updates {
-                        worker_core.shard_wait_span(shard, u.session, u.req.seq(), enqueued_at_ns);
-                        let mut responses = Vec::new();
-                        worker_core.process_into(shard, u.session, &u.req, &mut responses);
-                        scratch.push((u.index, responses));
-                    }
-                    let _ = reply.send(scratch);
-                }
+            let Job { updates, reply, enqueued_at_ns } = job;
+            let mut groups = Vec::with_capacity(updates.len());
+            for u in updates {
+                worker_core.shard_wait_span(shard, u.session, u.req.seq(), enqueued_at_ns);
+                let mut responses = Vec::new();
+                worker_core.process_into(shard, u.session, &u.req, &mut responses);
+                groups.push((u.index, responses));
             }
+            let _ = reply.send(groups);
         });
         let pool = ShardPool::spawn(
             config.num_shards,
@@ -521,7 +506,7 @@ impl Server {
 
     /// Per-cell update counts (indexed by flattened cell index) — the
     /// load distribution the repartitioning coordinator balances on.
-    pub fn cell_update_counts(&self) -> Vec<u64> {
+    pub fn cell_updates(&self) -> Vec<u64> {
         self.core.cell_updates.iter().map(Counter::get).collect()
     }
 
@@ -595,12 +580,18 @@ impl Server {
     /// more trigger deliveries followed by one terminal response) to
     /// `out`.
     ///
+    /// A location update runs to completion on the calling thread: no
+    /// queue, so never `Overloaded` (over TCP the reactor's admission
+    /// control and read throttling are the overload response; an
+    /// in-proc caller is its own backpressure). Per-session order is the
+    /// caller's — one reactor worker pumps each connection, and each
+    /// in-proc session has one caller.
+    ///
     /// This is the allocation-free entry point of the update hot path:
-    /// once `out`, the reply-slot pool, and the shard queues are warm, a
-    /// steady-state location update (the PBSR quick-update answer) runs
-    /// router → shard queue → worker → reply without a single heap
-    /// allocation — the invariant the `alloc_steady_state` integration
-    /// test pins with a counting allocator.
+    /// once `out` and the calling thread's scratch are warm, a
+    /// steady-state location update (the PBSR quick-update answer)
+    /// allocates nothing — the invariant the `alloc_steady_state`
+    /// integration test pins with a counting allocator.
     pub fn handle_into(&self, session: u32, req: Request, out: &mut Vec<Response>) {
         let seq = req.seq();
         match req {
@@ -682,64 +673,9 @@ impl Server {
                     out.push(Response::Error { seq, code: error_code::NO_SESSION });
                     return;
                 }
+                // The cell's shard only picks the span lane.
                 let shard = shard_of_index(self.core.grid.cell_index(cell), self.core.num_shards);
-                // Lease a warm reply slot: channel and reply buffers are
-                // recycled across requests instead of allocated anew.
-                let mut slot = self.core.replies.acquire();
-                let mut job = Job::new(session, req, slot.tx.clone(), entered_ns);
-                job.scratch = slot.take_scratch();
-                // Submit under the read guard, but wait for the reply
-                // outside it so shutdown() is never blocked behind a
-                // slow worker.
-                let submitted = {
-                    let pool = self.pool.read();
-                    match pool.as_ref() {
-                        Some(pool) => pool.try_submit(shard, job),
-                        None => Err(SubmitError::Disconnected(job)),
-                    }
-                };
-                match submitted {
-                    Ok(()) => {}
-                    Err(SubmitError::Full(job)) => {
-                        slot.reclaim(job.scratch);
-                        self.core.replies.release(slot);
-                        self.core.metrics.overloads.inc();
-                        self.core.router_event(
-                            SpanKind::Overload,
-                            session,
-                            seq,
-                            u64::from(session),
-                            shard as u64,
-                        );
-                        out.push(Response::Overloaded { seq });
-                        return;
-                    }
-                    Err(SubmitError::Disconnected(job)) => {
-                        slot.reclaim(job.scratch);
-                        self.core.replies.release(slot);
-                        out.push(Response::Error { seq, code: error_code::BAD_REQUEST });
-                        return;
-                    }
-                }
-                match slot.rx.recv() {
-                    Ok(mut groups) => match groups.pop() {
-                        Some((_, mut responses)) => {
-                            // Move the worker's responses out, then hand
-                            // the emptied buffers back to the slot.
-                            out.append(&mut responses);
-                            groups.push((0, responses));
-                            slot.restore(groups);
-                        }
-                        None => {
-                            slot.restore(groups);
-                            out.push(Response::Error { seq, code: error_code::BAD_REQUEST });
-                        }
-                    },
-                    // Unreachable while the slot holds its sender, kept
-                    // total for safety.
-                    Err(_) => out.push(Response::Error { seq, code: error_code::BAD_REQUEST }),
-                }
-                self.core.replies.release(slot);
+                self.core.process_into(shard, session, &req, out);
                 let elapsed = self.core.clock.elapsed_since(entered_ns);
                 self.core.metrics.update_rtt.record_duration(elapsed);
                 let trace = trace_id_for(session, seq);
@@ -762,10 +698,10 @@ impl Server {
     /// read once at entry (threaded through every job) and once per
     /// shard reply.
     ///
-    /// The reply channel is leased from the slot pool, but the per-update
-    /// grouping and reply vectors still allocate — the allocation-free
-    /// invariant covers the single-update path only; batches amortize
-    /// their allocations over the whole frame.
+    /// The frame's reply channel, the per-update grouping and the reply
+    /// vectors allocate — the allocation-free invariant covers the
+    /// single-update path only; batches amortize their allocations over
+    /// the whole frame.
     fn handle_batch(&self, seq: u32, updates: Vec<BatchedUpdate>, out: &mut Vec<Response>) {
         let entered_ns = self.core.clock.now_ns();
         // Per-update sequence numbers, kept so the reply loop can derive
@@ -809,8 +745,9 @@ impl Server {
             });
         }
 
-        let slot = self.core.replies.acquire();
-        let mut submitted = 0usize;
+        // Each shard sends at most one reply per frame, so a channel of
+        // `num_shards` slots never blocks a worker.
+        let (reply_tx, reply_rx) = bounded(self.core.num_shards);
         // Bounce a whole shard slice as per-update responses.
         let bounce = |replies: &mut Vec<BatchReply>, slice: Vec<ShardUpdate>, overloaded| {
             for u in slice {
@@ -832,18 +769,19 @@ impl Server {
                 match pool.as_ref() {
                     None => bounce(&mut replies, slice, false),
                     Some(pool) => {
-                        match pool.try_submit(shard, Job::batch(slice, slot.tx.clone(), entered_ns))
-                        {
-                            Ok(()) => submitted += 1,
+                        let job = Job {
+                            updates: slice,
+                            reply: reply_tx.clone(),
+                            enqueued_at_ns: entered_ns,
+                        };
+                        match pool.try_submit(shard, job) {
+                            Ok(()) => {}
                             Err(SubmitError::Full(job)) => {
-                                let JobPayload::Batch(slice) = job.payload else {
-                                    unreachable!("batch jobs carry batch payloads")
-                                };
-                                self.core.metrics.overloads.add(slice.len() as u64);
+                                self.core.metrics.overloads.add(job.updates.len() as u64);
                                 // One span per bounced update, each in
                                 // its own trace: the retry reuses
                                 // `(session, seq)` and lands beside it.
-                                for u in &slice {
+                                for u in &job.updates {
                                     self.core.router_event(
                                         SpanKind::Overload,
                                         u.session,
@@ -852,24 +790,20 @@ impl Server {
                                         shard as u64,
                                     );
                                 }
-                                bounce(&mut replies, slice, true);
+                                bounce(&mut replies, job.updates, true);
                             }
                             Err(SubmitError::Disconnected(job)) => {
-                                let JobPayload::Batch(slice) = job.payload else {
-                                    unreachable!("batch jobs carry batch payloads")
-                                };
-                                bounce(&mut replies, slice, false);
+                                bounce(&mut replies, job.updates, false)
                             }
                         }
                     }
                 }
             }
         }
-        // Every submitted job sends exactly one reply, so the loop count
-        // replaces the old sender-drop/disconnect protocol (the slot
-        // keeps its sender alive for the next lease).
-        for _ in 0..submitted {
-            let Ok(groups) = slot.rx.recv() else { break };
+        // Every submitted job holds a sender until its worker replies (or
+        // drops it unanswered), so the loop ends with the last reply.
+        drop(reply_tx);
+        for groups in reply_rx.iter() {
             // Each batched update's round trip is the batch's: entry to
             // its shard's reply.
             let elapsed = self.core.clock.elapsed_since(entered_ns);
@@ -890,14 +824,13 @@ impl Server {
                 replies[index as usize].responses = responses;
             }
         }
-        self.core.replies.release(slot);
         out.push(Response::Batch { seq, replies });
     }
 
-    /// Installs a static-target alarm: one index publish, then the
-    /// epoch bump (cache invalidation) of every intersecting cell — in
-    /// that order, which `pbsr_region` relies on. Moving-target alarms
-    /// are not part of wire protocol v1.
+    /// Installs a static-target alarm: one index publish, then — for a
+    /// public alarm — the epoch bump (cache invalidation) of every
+    /// intersecting cell. Moving-target alarms are not part of wire
+    /// protocol v1.
     fn install_alarm(&self, session: u32, seq: u32, alarm: u32, flags: u32, rect: [u32; 4]) -> Vec<Response> {
         if !self.core.session_exists(session) {
             return vec![Response::Error { seq, code: error_code::NO_SESSION }];
@@ -922,39 +855,47 @@ impl Server {
         // A gapped or out-of-order id is a malformed (wire-reachable)
         // frame: reject it with a typed error mapped to a response, never
         // a panic on a worker or router thread.
-        let id = alarm.id();
+        let (id, public) = (alarm.id(), alarm.is_public());
         if self.core.global_index.try_install(alarm).is_err() {
             return vec![Response::Error { seq, code: error_code::UNKNOWN_ALARM }];
         }
-        self.core.bump_cells(region);
+        if public {
+            self.core.bump_cells(region);
+        }
         self.core.router_event(SpanKind::AlarmInstall, session, seq, id.0, u64::from(session));
         vec![Response::Ack { seq }]
     }
 
-    /// Deactivates an alarm (one index publish), then invalidates the
-    /// cached regions of every cell it intersected.
+    /// Deactivates an alarm (one index publish), then — for a public
+    /// alarm — invalidates the cached regions of every cell it
+    /// intersected.
     fn remove_alarm(&self, session: u32, seq: u32, alarm: u32) -> Vec<Response> {
         if !self.core.session_exists(session) {
             return vec![Response::Error { seq, code: error_code::NO_SESSION }];
         }
         let id = AlarmId(alarm as u64);
-        let region = {
+        let (region, public) = {
             let global = self.core.global_index.snapshot();
             if id.0 as usize >= global.len() {
                 return vec![Response::Error { seq, code: error_code::UNKNOWN_ALARM }];
             }
-            global.alarm(id).region()
+            let alarm = global.alarm(id);
+            (alarm.region(), alarm.is_public())
         };
         if !self.core.global_index.deactivate(id) {
             return vec![Response::Error { seq, code: error_code::UNKNOWN_ALARM }];
         }
-        self.core.bump_cells(region);
+        if public {
+            self.core.bump_cells(region);
+        }
         self.core.router_event(SpanKind::AlarmRemove, session, seq, id.0, u64::from(session));
         vec![Response::Ack { seq }]
     }
 
-    /// Stops the worker threads (queued jobs finish first). Subsequent
-    /// location updates are rejected.
+    /// Stops the batch fan-out's worker threads (queued jobs finish
+    /// first). Later batch frames answer every entry `BAD_REQUEST`; a
+    /// single location update runs on its caller's thread and is still
+    /// answered.
     pub fn shutdown(&self) {
         if let Some(pool) = self.pool.write().take() {
             pool.shutdown();
@@ -1301,6 +1242,14 @@ impl Core {
         )
     }
 
+    /// Invalidates the cached bitmaps of every cell `region` touches.
+    /// Writers call it after they publish a *public* alarm write, never
+    /// before: `pbsr_region` reads the epoch before it pins a snapshot,
+    /// so a refresh that raced the publish stamps its bitmap with the
+    /// pre-bump epoch and the cache refuses it. Other writes skip it —
+    /// the cache holds public views only, and an unfired non-public
+    /// alarm takes its subscribers off the public view
+    /// (`with_unfired_obstacles`), so no cached bitmap can depend on one.
     fn bump_cells(&self, region: Rect) {
         for cell in self.grid.cells_intersecting(region) {
             self.cache.bump_epoch(self.grid.cell_index(cell));
@@ -1336,9 +1285,10 @@ impl Core {
         vec![Response::Ack { seq }]
     }
 
-    /// The shard-worker entry point: evaluate one location update or
-    /// post-failure resync, appending the response sequence to `out`
-    /// (normally a recycled buffer from the router's reply-slot pool).
+    /// Evaluates one location update or post-failure resync, appending
+    /// the response sequence to `out` — on the router's calling thread
+    /// for a single update, on a shard worker for a batch entry. `shard`
+    /// is the span lane.
     fn process_into(&self, shard: usize, session: u32, req: &Request, out: &mut Vec<Response>) {
         let (seq, x_fx, y_fx, motion, resync_acked) = match *req {
             Request::LocationUpdate { seq, x_fx, y_fx, motion } => {

@@ -1,16 +1,19 @@
-//! Grid-cell sharding: worker threads and bounded job queues with
-//! explicit backpressure.
+//! Grid-cell sharding of batch frames: worker threads and bounded job
+//! queues with explicit backpressure.
 //!
-//! The router maps every grid cell to one shard with the deterministic
-//! [`shard_of_index`] function, so all updates for one cell are
-//! serialised on one worker. Shards partition *work*, not data: every
-//! worker reads the server's one alarm index through a pinned immutable
-//! snapshot.
+//! A single location update never comes here — it runs to completion on
+//! the thread that decoded it. Only a [`crate::wire::Request::Batch`]
+//! frame fans out: the router maps every entry's grid cell to one shard
+//! with the deterministic [`shard_of_index`] function and submits one
+//! [`Job`] per shard, so the entries of one frame that share a cell are
+//! processed in frame order on one worker. Shards partition *work*, not
+//! data: every worker reads the server's one alarm index through a
+//! pinned immutable snapshot.
 //!
 //! Jobs reach workers through **bounded** channels. The router only ever
 //! uses [`ShardPool::try_submit`]: when a shard's queue is full the
-//! submission fails immediately and the router answers
-//! `Response::Overloaded` instead of blocking behind a slow shard.
+//! submission fails immediately and the router answers each entry of the
+//! slice `Response::Overloaded` instead of blocking behind a slow shard.
 
 use crate::clock::SharedClock;
 use crate::wire::{Request, Response};
@@ -37,87 +40,26 @@ pub struct ShardUpdate {
     pub req: Request,
 }
 
-/// What a shard worker is asked to do.
-#[derive(Debug)]
-pub enum JobPayload {
-    /// One decoded request on one session — the per-request path.
-    Single {
-        /// The session the request arrived on.
-        session: u32,
-        /// The decoded request.
-        req: Request,
-    },
-    /// The shard's slice of a [`crate::wire::Request::Batch`]: every
-    /// update whose cell this shard owns, in batch order. The worker
-    /// processes them back to back and answers once.
-    Batch(Vec<ShardUpdate>),
-}
-
-/// One reply unit a worker sends back: the batch index the responses
-/// belong to (0 for single-request jobs) and the full response sequence
-/// of that update.
+/// What a worker sends back for one job: each update's batch index and
+/// its full response sequence.
 pub type JobReply = Vec<(u32, Vec<Response>)>;
 
-/// One queued unit of shard work: a payload plus the reply channel the
-/// worker answers on.
+/// One queued unit of shard work: the shard's slice of a batch frame —
+/// every entry whose cell this shard owns, in frame order — plus the
+/// reply channel the worker answers on, once, after processing them
+/// back to back.
 #[derive(Debug)]
 pub struct Job {
-    /// What to do.
-    pub payload: JobPayload,
+    /// The shard's slice of the frame.
+    pub updates: Vec<ShardUpdate>,
     /// Where the worker sends the indexed response sequences.
     pub reply: Sender<JobReply>,
-    /// When the request entered the router, in the server clock's
+    /// When the frame entered the router, in the server clock's
     /// nanoseconds — stamped **once** at router entry and threaded
-    /// through, so the hot path pays a single clock read per request
-    /// instead of one per job hop. The dispatch-wait histogram
-    /// therefore measures router-entry→worker-pickup (queue wait plus
-    /// the router's constant-time fan-out work).
+    /// through, so the dispatch-wait histogram measures
+    /// router-entry→worker-pickup (queue wait plus the router's fan-out
+    /// work).
     pub enqueued_at_ns: u64,
-    /// Pre-allocated reply buffers the worker fills and sends back over
-    /// `reply` instead of allocating its own. The router's reply-slot
-    /// pool seeds this with warmed (already-at-capacity) vectors and
-    /// recycles them once the reply is consumed, making the steady-state
-    /// single-update round trip allocation-free. An empty scratch is
-    /// always valid — the worker falls back to fresh vectors.
-    pub scratch: JobReply,
-}
-
-impl Job {
-    /// A single-request job carrying the router's entry timestamp.
-    pub fn new(session: u32, req: Request, reply: Sender<JobReply>, entered_ns: u64) -> Job {
-        Job {
-            payload: JobPayload::Single { session, req },
-            reply,
-            enqueued_at_ns: entered_ns,
-            scratch: Vec::new(),
-        }
-    }
-
-    /// A batch-slice job carrying the router's entry timestamp.
-    pub fn batch(updates: Vec<ShardUpdate>, reply: Sender<JobReply>, entered_ns: u64) -> Job {
-        Job {
-            payload: JobPayload::Batch(updates),
-            reply,
-            enqueued_at_ns: entered_ns,
-            scratch: Vec::new(),
-        }
-    }
-
-    /// The single request inside a [`JobPayload::Single`] job, if any.
-    pub fn request(&self) -> Option<&Request> {
-        match &self.payload {
-            JobPayload::Single { req, .. } => Some(req),
-            JobPayload::Batch(_) => None,
-        }
-    }
-
-    /// Number of position updates this job carries.
-    pub fn update_count(&self) -> usize {
-        match &self.payload {
-            JobPayload::Single { .. } => 1,
-            JobPayload::Batch(updates) => updates.len(),
-        }
-    }
 }
 
 /// Per-shard instrumentation handles.
@@ -255,22 +197,18 @@ impl ShardPool {
     }
 
     /// Non-blocking submission. The job keeps the router-entry
-    /// timestamp it was built with — no re-stamp, no extra clock read on
-    /// the hot path.
+    /// timestamp it was built with — no re-stamp, no extra clock read.
     ///
     /// # Errors
     ///
     /// [`SubmitError::Full`] when the shard's queue is at capacity (the
     /// router converts this to `Overloaded`), [`SubmitError::Disconnected`]
-    /// after shutdown.
+    /// after shutdown. Either way the job comes back by value, so the
+    /// router can answer its entries.
     ///
     /// # Panics
     ///
     /// Panics when `shard` is out of range.
-    // The large Err is the point: a bounced job comes back by value so
-    // the router can reclaim its pooled scratch buffers, and the error
-    // path (queue full / shutdown) is cold by construction.
-    #[allow(clippy::result_large_err)]
     pub fn try_submit(&self, shard: usize, job: Job) -> Result<(), SubmitError> {
         match self.senders[shard].try_send(job) {
             Ok(()) => {
@@ -301,20 +239,30 @@ impl ShardPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::StrategySpec;
     use crossbeam::channel::unbounded;
+
+    /// A one-entry batch slice whose entry carries `seq` as both its
+    /// frame index and its sequence number.
+    fn job(seq: u32, reply: &Sender<JobReply>) -> Job {
+        let req = Request::LocationUpdate { seq, x_fx: 0, y_fx: 0, motion: 0 };
+        Job {
+            updates: vec![ShardUpdate { index: seq, session: 0, req }],
+            reply: reply.clone(),
+            enqueued_at_ns: 0,
+        }
+    }
 
     #[test]
     fn full_queue_reports_backpressure_without_blocking() {
         let registry = Registry::new();
         let pool = ShardPool::without_workers(2, 1, &registry);
         let (reply, _keep) = unbounded();
-        let job = |seq| Job::new(0, Request::Bye { seq }, reply.clone(), 0);
-        assert!(pool.try_submit(0, job(1)).is_ok());
+        assert!(pool.try_submit(0, job(1, &reply)).is_ok());
         let start = std::time::Instant::now();
-        match pool.try_submit(0, job(2)) {
+        match pool.try_submit(0, job(2, &reply)) {
+            // The bounced slice comes back whole, for the router to answer.
             Err(SubmitError::Full(job)) => {
-                assert_eq!(job.request(), Some(&Request::Bye { seq: 2 }))
+                assert_eq!(job.updates.iter().map(|u| u.req.seq()).collect::<Vec<_>>(), [2])
             }
             other => panic!("expected Full, got {other:?}"),
         }
@@ -323,7 +271,7 @@ mod tests {
             "try_submit must not block on a full queue"
         );
         // The sibling shard still accepts work.
-        assert!(pool.try_submit(1, job(3)).is_ok());
+        assert!(pool.try_submit(1, job(3, &reply)).is_ok());
         assert_eq!(pool.queue_len(0), 1);
         pool.shutdown();
     }
@@ -331,10 +279,9 @@ mod tests {
     #[test]
     fn workers_drain_jobs_and_answer_on_the_reply_channel() {
         let handler = Arc::new(|shard: usize, job: Job| {
-            let seq = job.request().expect("single job").seq();
-            let _ = job
-                .reply
-                .send(vec![(0, vec![Response::Error { seq, code: shard as u32 }])]);
+            let answer = |u: &ShardUpdate| Response::Error { seq: u.req.seq(), code: shard as u32 };
+            let reply = job.updates.iter().map(|u| (u.index, vec![answer(u)])).collect();
+            let _ = job.reply.send(reply);
         });
         let registry = Registry::new();
         let pool =
@@ -342,21 +289,13 @@ mod tests {
         assert_eq!(pool.num_shards(), 3);
         let (reply_tx, reply_rx) = unbounded();
         for shard in 0..3 {
-            pool.try_submit(
-                shard,
-                Job::new(
-                    1,
-                    Request::Hello { seq: shard as u32, user: 0, strategy: StrategySpec::Mwpsr },
-                    reply_tx.clone(),
-                    0,
-                ),
-            )
-            .unwrap();
+            pool.try_submit(shard, job(shard as u32, &reply_tx)).unwrap();
         }
         let mut codes: Vec<u32> = (0..3)
-            .map(|_| match reply_rx.recv().unwrap().pop().unwrap() {
-                (0, resps) => match resps.last() {
-                    Some(Response::Error { code, .. }) => *code,
+            .map(|_| match reply_rx.recv().unwrap().as_slice() {
+                // Each slice is answered by the shard it was sent to.
+                [(index, resps)] => match resps.as_slice() {
+                    [Response::Error { code, .. }] if code == index => *code,
                     other => panic!("unexpected {other:?}"),
                 },
                 other => panic!("unexpected {other:?}"),
@@ -385,18 +324,17 @@ mod tests {
         let (reply, _keep) = unbounded();
         // Fill shard 1 to capacity, then push two more over the brim.
         for seq in 0..CAPACITY as u32 {
-            pool.try_submit(1, Job::new(0, Request::Bye { seq }, reply.clone(), 0)).unwrap();
+            pool.try_submit(1, job(seq, &reply)).unwrap();
         }
         for seq in 0..2 {
-            let job = Job::new(0, Request::Bye { seq: 100 + seq }, reply.clone(), 0);
-            match pool.try_submit(1, job) {
+            match pool.try_submit(1, job(100 + seq, &reply)) {
                 Err(SubmitError::Full(_)) => {}
                 other => panic!("expected Full, got {other:?}"),
             }
         }
         // One stray job on shard 2 so "only shard 1 spikes" is tested
         // against a non-idle sibling, not an empty pool.
-        pool.try_submit(2, Job::new(0, Request::Bye { seq: 7 }, reply.clone(), 0)).unwrap();
+        pool.try_submit(2, job(7, &reply)).unwrap();
 
         let snap = registry.snapshot();
         assert_eq!(

@@ -1,6 +1,6 @@
 //! Runtime alarm lifecycle through a live server: one public alarm is
-//! installed over the wire across two cells that different shard workers
-//! serve, and every strategy's answer from both cells must see it as
+//! installed over the wire across two cells of different shards, and
+//! every strategy's answer from both cells must see it as
 //! soon as the `Ack` returns — then stop seeing it after `RemoveAlarm`.
 
 use sa_alarms::{AlarmId, AlarmScope, AlarmTarget, SpatialAlarm, SubscriberId};
@@ -153,7 +153,7 @@ fn an_installed_alarm_reaches_every_strategy_in_every_cell_and_removal_reverts_i
     assert_ne!(
         shard_of_index(cells[0], NUM_SHARDS),
         shard_of_index(cells[1], NUM_SHARDS),
-        "the alarm must straddle two shard workers"
+        "the alarm must straddle two shards"
     );
 
     // Before: nobody sees the alarm, and both cells' public bitmaps are

@@ -1,8 +1,8 @@
-//! Pins the allocation-free shard invariant: once the reply-slot pool,
-//! the shard queues, and the caller's response buffer are warm, a
-//! steady-state location update (the PBSR quick-update answer — same
-//! cell, nothing fired) runs router → shard queue → worker → reply with
-//! **zero** heap allocations, on every thread of the process.
+//! Pins the allocation-free update invariant: once the caller's response
+//! buffer and its thread's scratch are warm, a steady-state location
+//! update (the PBSR quick-update answer — same cell, nothing fired) runs
+//! to completion on the caller's thread with **zero** heap allocations,
+//! counted on every thread of the process.
 //!
 //! The test installs a counting `#[global_allocator]` (its own binary,
 //! so no other test pollutes the counter), warms the path, snapshots
@@ -24,7 +24,7 @@
 
 use sa_alarms::{AlarmId, AlarmScope, AlarmTarget, SpatialAlarm, SubscriberId};
 use sa_geometry::{Grid, Rect};
-use sa_server::wire::{quantize_m, Request, Response, SessionState, StrategySpec};
+use sa_server::wire::{quantize_m, BatchedUpdate, Request, Response, SessionState, StrategySpec};
 use sa_server::{Server, ServerConfig, TraceMode};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -71,6 +71,17 @@ fn public_alarm(id: u64, min_x: f64, min_y: f64, side: f64) -> SpatialAlarm {
     )
 }
 
+/// Sends one batch frame through the fan-out's only worker and waits for
+/// the reply. A freshly spawned thread allocates once while it starts,
+/// and no single update waits for a worker any more: unless the worker
+/// is started here, that allocation lands in whichever measured window
+/// is open when the scheduler first runs it.
+fn start_the_worker(server: &Server, session: u32) {
+    let entry = BatchedUpdate { session, seq: 0, x_fx: 0, y_fx: 0, motion: 0 };
+    let resps = server.handle(session, Request::Batch { seq: 0, updates: vec![entry] });
+    assert!(matches!(resps.as_slice(), [Response::Batch { .. }]));
+}
+
 #[test]
 fn steady_state_paths_allocate_nothing_they_should_not() {
     steady_state_update_path_allocates_nothing();
@@ -97,13 +108,14 @@ fn steady_state_update_path_allocates_nothing() {
         Request::Hello { seq: 0, user: 7, strategy: StrategySpec::Pbsr { height: 2 } },
         &mut out,
     );
+    start_the_worker(&server, session);
     let (x_fx, y_fx) = (quantize_m(500.0), quantize_m(500.0));
     let update = |seq| Request::LocationUpdate { seq, x_fx, y_fx, motion: 0 };
 
     // Warm-up: the first update computes and caches the cell's bitmap;
-    // the rest exercise the quick-update path until every buffer — reply
-    // slot, shard queue deque, response vector, trigger scratch — has
-    // reached its high-water capacity.
+    // the rest exercise the quick-update path until every buffer —
+    // response vector, trigger scratch, pinned snapshot — has reached its
+    // high-water capacity.
     for seq in 1..=64u32 {
         out.clear();
         server.handle_into(session, update(seq), &mut out);
@@ -200,6 +212,7 @@ fn refresh_allocations_do_not_depend_on_anyones_fired_history() {
     assert!(matches!(fired.first(), Some(Response::TriggerDelivery { alarm: 0, .. })));
     let (pbsr_7, period_7) = (hello(7, pbsr), hello(7, StrategySpec::SafePeriod));
     let (mwpsr_8, pbsr_8) = (hello(8, StrategySpec::Mwpsr), hello(8, pbsr));
+    start_the_worker(&server, mwpsr_8);
 
     const ROUNDS: u32 = 32;
     let measure = |session| refresh_allocations(&server, session, &hops, ROUNDS);

@@ -14,6 +14,9 @@
 //! cell's obstacles and only *then* reads the cell's epoch can pair the
 //! obstacles of the generation before an install with the epoch after
 //! it, and the cache accepts the poisoned bitmap.
+//!
+//! And the other way round: only a public alarm write may invalidate a
+//! cell's cached bitmap — a private one cannot change any public view.
 
 use sa_alarms::AlarmId;
 use sa_core::{BitmapSafeRegion, PyramidComputer, PyramidConfig};
@@ -234,4 +237,65 @@ fn an_install_storm_never_poisons_a_cell_of_a_live_server() {
     // Quiescent: the final state of every touched cell, once more.
     check(&live, "quiescence");
     server.shutdown();
+}
+
+/// Installs, then removes, one alarm owned by subscriber 1 inside a cell
+/// whose public bitmap is cached, checking after each write that the
+/// owner is served exactly the bitmap of what is live for them. Returns
+/// how far each write moved `sa_cache_invalidations_total`.
+fn invalidations_per_write(public: bool) -> (u64, u64) {
+    const OWNER: u32 = 1;
+    let universe = Rect::new(0.0, 0.0, 4_000.0, 4_000.0).expect("static universe");
+    let grid = Grid::new(universe, 1_000.0).expect("static grid");
+    let server = Server::start(grid.clone(), Vec::new(), 30.0, ServerConfig::default());
+    let pos = Point::new(500.0, 500.0);
+    let cell_rect = grid.cell_rect(grid.cell_of(pos));
+    let region = Rect::new(200.0, 200.0, 400.0, 400.0).expect("static alarm");
+    let computer = PyramidComputer::new(PyramidConfig::three_by_three(STORM_HEIGHT));
+    let owner_sees = |obstacles: &[Rect], what: &str| {
+        assert_eq!(
+            fresh_bitmap(&server, OWNER, pos),
+            computer.compute(cell_rect, obstacles).to_wire_bits(),
+            "the owner's refresh after {what}"
+        );
+    };
+    let invalidations = || {
+        let snap = server.registry().snapshot();
+        snap.counter("sa_cache_invalidations_total", &[]).expect("registered")
+    };
+
+    // A bystander's refresh caches the cell's (empty) public bitmap.
+    fresh_bitmap(&server, 2, pos);
+    let admin = server.open_session();
+    server.handle(admin, Request::Hello { seq: 0, user: OWNER, strategy: StrategySpec::Mwpsr });
+    let before = invalidations();
+    let install = Request::InstallAlarm {
+        seq: 1,
+        alarm: 0,
+        flags: (OWNER << 1) | u32::from(public),
+        rect: quantize_rect(region),
+    };
+    assert_eq!(server.handle(admin, install), vec![Response::Ack { seq: 1 }]);
+    let installed = invalidations();
+    owner_sees(&[region], "the install");
+    let remove = Request::RemoveAlarm { seq: 2, alarm: 0 };
+    assert_eq!(server.handle(admin, remove), vec![Response::Ack { seq: 2 }]);
+    let removed = invalidations();
+    owner_sees(&[], "the remove");
+    server.shutdown();
+    (installed - before, removed - installed)
+}
+
+#[test]
+fn a_private_alarm_write_leaves_cached_public_bitmaps_alone() {
+    // The cache holds public views only, and the owner of an unfired
+    // private alarm is off the public view: no cached bitmap can change.
+    assert_eq!(invalidations_per_write(false), (0, 0));
+}
+
+#[test]
+fn a_public_alarm_write_invalidates_its_cells_cached_bitmap() {
+    // One cached entry (the cell at STORM_HEIGHT) per write: the
+    // bystander's before the install, the owner's before the remove.
+    assert_eq!(invalidations_per_write(true), (1, 1));
 }

@@ -6,12 +6,14 @@
 //! produce identical span records — firings included: each alarm the
 //! walk crosses is one `trigger` span inside the tree of the update
 //! that fired it. An overload bounce — the one router-side event no
-//! single-threaded schedule can produce — is checked on its own below.
+//! single-threaded schedule can produce, and since location updates run
+//! on their caller's thread one only a batch frame can meet — is checked
+//! on its own below, beside the single-update path's no-queue contract.
 
 use sa_alarms::{AlarmId, AlarmScope, SpatialAlarm, SubscriberId};
 use sa_geometry::{Grid, Point, Rect};
 use sa_obs::{client_root_span, trace_id_for, Span, SpanKind};
-use sa_server::wire::quantize_m;
+use sa_server::wire::{quantize_m, BatchedUpdate};
 use sa_server::{
     Client, InProcTransport, Request, Response, Server, ServerConfig, SharedClock, StrategySpec,
     VirtualClock,
@@ -88,17 +90,74 @@ fn identical_virtual_schedules_record_identical_spans() {
     }
 }
 
-/// One shard with a one-slot queue, four callers released together and
-/// sending back to back: a submit soon finds the slot taken. The bounce
-/// must be an `overload` span in the bounced update's own trace, under
-/// its derived client root (there is no dispatch span to hang from).
-#[test]
-fn an_overload_bounce_is_a_span_in_the_bounced_updates_trace() {
-    const CALLERS: u32 = 4;
+/// Callers released together on a server whose one shard queues one
+/// batch job: the setup that overloads the batch fan-out.
+const CALLERS: u32 = 4;
+
+fn one_slot_server() -> Arc<Server> {
     let universe = Rect::new(0.0, 0.0, 4_000.0, 4_000.0).unwrap();
     let grid = Grid::new(universe, 1_000.0).unwrap();
-    let server =
-        Server::start(grid, Vec::new(), 30.0, ServerConfig { num_shards: 1, queue_capacity: 1 });
+    Server::start(grid, Vec::new(), 30.0, ServerConfig { num_shards: 1, queue_capacity: 1 })
+}
+
+/// Opens an MWPSR session for `user`.
+fn hello(server: &Server, user: u32) -> u32 {
+    let session = server.open_session();
+    let hello = Request::Hello { seq: 0, user, strategy: StrategySpec::Mwpsr };
+    assert_eq!(server.handle(session, hello), vec![Response::Ack { seq: 0 }]);
+    session
+}
+
+/// The single-update contract: a location update runs on its caller's
+/// thread, so the four-caller storm that bounces batch slices off a
+/// one-slot queue gets every update answered, none `Overloaded`, and
+/// none waits in a shard queue.
+#[test]
+fn single_updates_run_on_the_caller_and_never_overload() {
+    const UPDATES: u32 = 2_000;
+    let server = one_slot_server();
+    let start = Barrier::new(CALLERS as usize);
+    let (x_fx, y_fx) = (quantize_m(500.0), quantize_m(500.0));
+    std::thread::scope(|scope| {
+        for user in 0..CALLERS {
+            let (server, start) = (&server, &start);
+            scope.spawn(move || {
+                let session = hello(server, user);
+                start.wait();
+                for seq in 1..=UPDATES {
+                    let update = Request::LocationUpdate { seq, x_fx, y_fx, motion: 0 };
+                    let resps = server.handle(session, update);
+                    let answered = matches!(
+                        resps.as_slice(),
+                        [Response::RectInstall { seq: s, .. }] if *s == seq
+                    );
+                    assert!(answered, "update {seq} of session {session} answered {resps:?}");
+                }
+            });
+        }
+    });
+    let snap = server.registry().snapshot();
+    assert_eq!(snap.counter("sa_server_overloads_total", &[]), Some(0));
+    assert_eq!(
+        snap.counter("sa_server_location_updates_total", &[]),
+        Some(u64::from(CALLERS * UPDATES))
+    );
+    assert_eq!(
+        snap.histogram("sa_shard_dispatch_wait_ns", &[]).map(|h| h.count),
+        Some(0),
+        "no single update may pass through a shard queue"
+    );
+    server.shutdown();
+}
+
+/// The batch fan-out is the one path with a queue left. Four callers
+/// send one-entry batch frames back to back: a submit soon finds the
+/// slot taken. The bounced entry must be an `overload` span in its own
+/// `(session, seq)` trace, under its derived client root (there is no
+/// dispatch span to hang from).
+#[test]
+fn an_overload_bounce_is_a_span_in_the_bounced_updates_trace() {
+    let server = one_slot_server();
     let start = Barrier::new(CALLERS as usize);
     let done = AtomicBool::new(false);
     let deadline = Instant::now() + Duration::from_secs(60);
@@ -108,16 +167,19 @@ fn an_overload_bounce_is_a_span_in_the_bounced_updates_trace() {
             .map(|user| {
                 let (server, start, done) = (&server, &start, &done);
                 scope.spawn(move || {
-                    let session = server.open_session();
-                    let hello = Request::Hello { seq: 0, user, strategy: StrategySpec::Mwpsr };
-                    assert_eq!(server.handle(session, hello), vec![Response::Ack { seq: 0 }]);
+                    let session = hello(server, user);
                     start.wait();
                     let (x_fx, y_fx) = (quantize_m(500.0), quantize_m(500.0));
                     let mut seq = 0;
                     while !done.load(Ordering::SeqCst) && Instant::now() < deadline {
                         seq += 1;
-                        let update = Request::LocationUpdate { seq, x_fx, y_fx, motion: 0 };
-                        if server.handle(session, update) == [Response::Overloaded { seq }] {
+                        let entry = BatchedUpdate { session, seq, x_fx, y_fx, motion: 0 };
+                        let frame = Request::Batch { seq, updates: vec![entry] };
+                        let Response::Batch { replies, .. } = &server.handle(session, frame)[0]
+                        else {
+                            panic!("a batch frame is answered with a batch");
+                        };
+                        if replies[0].responses == [Response::Overloaded { seq }] {
                             done.store(true, Ordering::SeqCst);
                             return Some((session, seq));
                         }

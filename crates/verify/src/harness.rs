@@ -11,12 +11,12 @@
 //! including its byte-level [`Transcript`], is a pure function of the
 //! case.
 //!
-//! Determinism boundary: shard workers run on real threads, but a
-//! synchronous driver keeps at most one per-request job in flight, and
-//! [`run_case`] sizes each shard queue to hold a whole batch fan-out,
-//! so `Overloaded` backpressure — the one response that depends on
-//! worker scheduling — can never occur. The transcript therefore never
-//! observes thread timing.
+//! Determinism boundary: a location update runs on the driver thread
+//! itself, and a batch frame — the only thing shard workers on real
+//! threads ever run — queues at most one job per shard before the
+//! synchronous driver reads its reply, so `Overloaded` backpressure —
+//! the one response that depends on worker scheduling — can never
+//! occur. The transcript therefore never observes thread timing.
 
 use crate::oracle::check_transcript;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
@@ -55,9 +55,6 @@ pub struct FuzzCase {
     pub batch_every: u32,
     /// Server shard count.
     pub num_shards: usize,
-    /// Requested shard queue capacity ([`run_case`] raises it to the
-    /// fleet size so backpressure stays scheduling-independent).
-    pub queue_capacity: usize,
 }
 
 impl FuzzCase {
@@ -99,7 +96,6 @@ impl FuzzCase {
             plan,
             batch_every,
             num_shards: rng.gen_range(1..=4usize),
-            queue_capacity: rng.gen_range(8..=64usize),
         }
     }
 }
@@ -181,14 +177,7 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseOutcome, TransportError> {
     let vehicles = 0..config.fleet.vehicles as u32;
     let replay = ReplayConfig {
         steps: Some(case.steps.max(1)),
-        server: ServerConfig {
-            num_shards: case.num_shards.max(1),
-            // A batched step submits up to one job per vehicle to a
-            // single shard queue before any reply is read; holding the
-            // whole fan-out keeps Overloaded — the one
-            // scheduling-dependent response — unreachable.
-            queue_capacity: case.queue_capacity.max(vehicles.len()),
-        },
+        server: ServerConfig { num_shards: case.num_shards.max(1), ..ServerConfig::default() },
         strategies: case.strategies.clone(),
         trace_mode: TraceMode::Full,
     };
@@ -286,7 +275,6 @@ mod tests {
             plan: FaultPlan::clean(),
             batch_every: 2,
             num_shards: 2,
-            queue_capacity: 8,
         };
         let outcome = run_case(&case).expect("transport must hold");
         outcome.assert_clean();

@@ -187,7 +187,6 @@ pub fn reproducer(case: &FuzzCase, violation: &str) -> String {
          \x20   plan: {plan},\n\
          \x20   batch_every: {batch_every},\n\
          \x20   num_shards: {num_shards},\n\
-         \x20   queue_capacity: {queue_capacity},\n\
          }};\n\
          let outcome = sa_verify::run_case(&case).expect(\"transport must hold\");\n\
          outcome.assert_clean();",
@@ -198,7 +197,6 @@ pub fn reproducer(case: &FuzzCase, violation: &str) -> String {
         plan = plan_literal(&case.plan),
         batch_every = case.batch_every,
         num_shards = case.num_shards,
-        queue_capacity = case.queue_capacity,
     );
     test_artifact(&format!("sa_verify_minimized_seed_{}", case.seed), violation, &body)
 }

@@ -20,7 +20,6 @@ fn fixed_case() -> FuzzCase {
         plan: FaultPlan::clean(),
         batch_every: 3,
         num_shards: 2,
-        queue_capacity: 16,
     }
 }
 
