@@ -33,7 +33,7 @@ use sa_server::wire::{BatchedUpdate, SEQ_MASK};
 use sa_server::{
     connect_fleet, drive, exchange_batch, verify_prefix, ChaosControls, Client, FaultPlan,
     FaultyTransport, InProcTransport, ResiliencePolicy, Response, ServerConfig, SharedClock,
-    StrategySpec, Transport, TransportError, VirtualClock, MAX_BATCH_ROUNDS,
+    StrategySpec, Transport, TransportError, VirtualClock,
 };
 use sa_sim::{FiredEvent, SimulationConfig, SimulationHarness};
 use std::sync::{Arc, Mutex};
@@ -53,9 +53,13 @@ const ROUTER_MEMBER_BASE: u32 = 100;
 const COORDINATOR_MEMBER: u32 = 200;
 
 /// Every member's sizing. The shard count is unobservable on the wire,
-/// and the synchronous driver queues at most one batch job per shard, so
-/// neither knob is worth a config field.
-const MEMBER_CONFIG: ServerConfig = ServerConfig { num_shards: 2, queue_capacity: 16 };
+/// so it is not worth a config field.
+const MEMBER_CONFIG: ServerConfig = ServerConfig { num_shards: 2 };
+
+/// Re-route rounds per batched step before the driver gives up — a
+/// livelock guard against members that keep bouncing an entry with
+/// `WrongOwner`, far above the one or two rounds a repartition costs.
+const MAX_REROUTE_ROUNDS: u32 = 10_000;
 
 /// One fully-specified federation replay.
 #[derive(Debug, Clone, PartialEq)]
@@ -321,8 +325,7 @@ pub fn fed_replay(cfg: &FedReplayConfig) -> Result<FedOutcome, TransportError> {
 /// One batched step: poll every client, route each staged entry to its
 /// owner, send one `Request::Batch` per member, absorb replies. A
 /// `WrongOwner` terminal re-routes that entry (refresh + migrate) and
-/// retries it next round; `Overloaded` retries in place. Returns the
-/// number of updates staged.
+/// retries it next round. Returns the number of updates staged.
 fn drive_batched_step(
     clients: &mut [Client<FedTransport>],
     driver_links: &mut [Box<dyn Transport + Send>],
@@ -345,7 +348,7 @@ fn drive_batched_step(
     let mut rounds = 0u32;
     while !staged.is_empty() {
         rounds += 1;
-        if rounds > MAX_BATCH_ROUNDS {
+        if rounds > MAX_REROUTE_ROUNDS {
             return Err(TransportError::Protocol("batched step failed to converge"));
         }
         // Group the staged entries by owning member, preserving order.
@@ -375,7 +378,9 @@ fn drive_batched_step(
                     }
                     _ => {
                         if !clients[v].complete_update(reply.responses)? {
-                            retry_slots.push(slot);
+                            return Err(TransportError::Protocol(
+                                "batched update answered Overloaded",
+                            ));
                         }
                     }
                 }

@@ -1,8 +1,7 @@
 //! The client-side federation router.
 //!
-//! [`FedTransport`] implements the plain
-//! [`Transport`](sa_server::Transport) trait over a whole federation,
-//! so every `sa-server` client strategy mirror — and the entire
+//! [`FedTransport`] implements the plain [`Transport`] trait over a
+//! whole federation, so every `sa-server` client strategy mirror — and the entire
 //! retry/degraded/resync resilience machine — works against N members
 //! unchanged. Routing policy:
 //!

@@ -17,8 +17,8 @@
 //!   keyed by `{trace_id, span_id, parent}` in per-lane, fixed-capacity,
 //!   drop-oldest buffers, with deterministic data-plane trace
 //!   derivation ([`trace_id_for`]) so the paper's bit-accounted frames
-//!   stay byte-identical. Point events (a firing, an overload bounce,
-//!   an alarm write) are zero-duration spans inside the tree of the
+//!   stay byte-identical. Point events (a firing, a `WrongOwner`
+//!   bounce, an alarm write) are zero-duration spans inside the tree of the
 //!   exchange that caused them; [`assemble`] / [`chrome_trace_json`]
 //!   merge many members' buffers into one Perfetto-loadable timeline.
 //! * [`Exemplars`] — per-histogram-bucket trace ids linking a p99

@@ -28,8 +28,8 @@
 //! out its siblings' history), a [`TraceMode`] gate read with one
 //! atomic load when tracing is off, and fresh span ids minted from an
 //! atomic counter namespaced by member id so ids never collide across
-//! the federation. Point events — a firing, an overload bounce, an
-//! alarm write — are zero-duration spans in the tree of the exchange
+//! the federation. Point events — a firing, a `WrongOwner` bounce,
+//! an alarm write — are zero-duration spans in the tree of the exchange
 //! that caused them, so a forensic reader finds them *inside* the
 //! update, not in a side log.
 //!
@@ -113,9 +113,6 @@ pub enum SpanKind {
     /// An alarm fired, first time, for a subscriber (zero duration;
     /// `a` = subscriber, `b` = alarm id).
     Trigger,
-    /// An update bounced off a full shard queue (zero duration;
-    /// `a` = session, `b` = shard).
-    Overload,
     /// A position-bearing request bounced to the cell's owner (zero
     /// duration; `a` = owner, `b` = epoch).
     WrongOwner,
@@ -144,7 +141,6 @@ impl SpanKind {
             SpanKind::TopologyInstall => "topology_install",
             SpanKind::Redelivery => "redelivery",
             SpanKind::Trigger => "trigger",
-            SpanKind::Overload => "overload",
             SpanKind::WrongOwner => "wrong_owner",
             SpanKind::AlarmInstall => "alarm_install",
             SpanKind::AlarmRemove => "alarm_remove",

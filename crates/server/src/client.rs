@@ -57,7 +57,7 @@
 use crate::clock::{SharedClock, SystemClock};
 use crate::transport::{Transport, TransportError};
 use crate::wire::{
-    dequantize_m, pack_motion, quantize_m, BatchedUpdate, PushedAlarm, Request, Response,
+    dequantize_rect, pack_motion, quantize_m, BatchedUpdate, PushedAlarm, Request, Response,
     StrategySpec,
 };
 use rand::{rngs::SmallRng, Rng, SeedableRng};
@@ -68,9 +68,6 @@ use sa_obs::{Counter, Histogram, Registry};
 use sa_sim::{silent_steps, FiredEvent};
 use std::collections::{HashSet, VecDeque};
 use std::time::Duration;
-
-/// How many times an `Overloaded` bounce is retried before giving up.
-const MAX_OVERLOAD_RETRIES: u32 = 10_000;
 
 /// Reconciliation rounds [`Client::finish`] attempts before declaring
 /// the backlog undeliverable.
@@ -217,14 +214,16 @@ pub struct ClientStats {
     pub deliveries: u64,
     /// Firings the client detected locally (OPT only).
     pub client_fires: u64,
-    /// `Overloaded` bounces that were retried.
+    /// Batched entries answered `Overloaded`, for which
+    /// [`Client::complete_update`] returned `false` (the caller re-sends
+    /// them). `sa-server` itself never answers `Overloaded`, so against
+    /// it this stays 0.
     pub overload_retries: u64,
     /// Encoded request bytes sent.
     pub bytes_up: u64,
     /// Encoded response bytes received.
     pub bytes_down: u64,
-    /// Transient-failure retries (backoff attempts), excluding
-    /// overload bounces.
+    /// Transient-failure retries (backoff attempts).
     pub retries: u64,
     /// `Resync` requests acknowledged (retry path + reconciliation).
     pub resyncs: u64,
@@ -521,7 +520,8 @@ impl<T: Transport> Client<T> {
     }
 
     /// Absorbs the response group a batched update produced. Returns
-    /// `false` when the terminal response was `Overloaded` — the staged
+    /// `false` when the terminal response was `Overloaded` (wire protocol
+    /// v1 keeps the message; `sa-server` never sends it) — the staged
     /// state stays pending and the caller must re-send the same entry
     /// (its retransmission bytes are charged here).
     ///
@@ -707,7 +707,7 @@ impl<T: Transport> Client<T> {
             y_fx: quantize_m(pos.y),
             motion: pack_motion(heading, speed),
         };
-        match self.exchange_with_retry(first) {
+        match self.exchange_routed(first) {
             Ok(resps) => {
                 self.note_recovery();
                 return Ok(Some(resps));
@@ -746,7 +746,7 @@ impl<T: Transport> Client<T> {
             motion: pack_motion(heading, speed),
             acked: self.counted_deliveries.len() as u32,
         };
-        match self.exchange_with_retry(req) {
+        match self.exchange_routed(req) {
             Ok(resps) => {
                 self.stats.resyncs += 1;
                 if let Some(m) = &self.meter {
@@ -768,7 +768,7 @@ impl<T: Transport> Client<T> {
         let mut attempt = 0;
         loop {
             let seq = self.next_seq();
-            match self.exchange_with_retry(Request::TriggerNotify { seq, alarm }) {
+            match self.exchange_routed(Request::TriggerNotify { seq, alarm }) {
                 Ok(resps) => {
                     if !matches!(resps.as_slice(), [Response::Ack { .. }]) {
                         return Err(TransportError::Protocol(
@@ -824,7 +824,7 @@ impl<T: Transport> Client<T> {
                 }
                 PendingOp::Notify { alarm } => {
                     let seq = self.next_seq();
-                    match self.exchange_with_retry(Request::TriggerNotify { seq, alarm }) {
+                    match self.exchange_routed(Request::TriggerNotify { seq, alarm }) {
                         Ok(resps) => {
                             if !matches!(resps.as_slice(), [Response::Ack { .. }]) {
                                 return Err(TransportError::Protocol(
@@ -938,13 +938,8 @@ impl<T: Transport> Client<T> {
                 }
             }
             Response::RectInstall { rect, .. } => {
-                let region = Rect::new(
-                    dequantize_m(rect[0]),
-                    dequantize_m(rect[1]),
-                    dequantize_m(rect[2]),
-                    dequantize_m(rect[3]),
-                )
-                .map_err(|_| TransportError::Protocol("degenerate safe-region rectangle"))?;
+                let region = dequantize_rect(rect)
+                    .map_err(|_| TransportError::Protocol("degenerate safe-region rectangle"))?;
                 self.state = State::Rect { region: Some(region) };
                 self.stats.region_installs += 1;
             }
@@ -966,20 +961,11 @@ impl<T: Transport> Client<T> {
                 let set = alarms
                     .iter()
                     .map(|a: &PushedAlarm| {
-                        Rect::new(
-                            dequantize_m(a.rect[0]),
-                            dequantize_m(a.rect[1]),
-                            dequantize_m(a.rect[2]),
-                            dequantize_m(a.rect[3]),
-                        )
-                        .map(|rect| LocalAlarm {
-                            id: AlarmId(a.alarm as u64),
-                            relevant: a.relevant,
-                            rect,
-                        })
-                        .map_err(|_| TransportError::Protocol("degenerate pushed alarm"))
+                        let rect = dequantize_rect(a.rect)
+                            .map_err(|_| TransportError::Protocol("degenerate pushed alarm"))?;
+                        Ok(LocalAlarm { id: AlarmId(a.alarm as u64), relevant: a.relevant, rect })
                     })
-                    .collect::<Result<Vec<_>, _>>()?;
+                    .collect::<Result<Vec<_>, TransportError>>()?;
                 self.state = State::Opt { last_cell: Some(cell), alarms: set };
                 self.stats.alarm_pushes += 1;
             }
@@ -992,7 +978,7 @@ impl<T: Transport> Client<T> {
                 // PBSR quick-update path: the installed bitmap stands.
             }
             Response::Overloaded { .. } => {
-                return Err(TransportError::Protocol("overload leaked past the retry loop"));
+                return Err(TransportError::Protocol("overload reply to a location update"));
             }
             Response::Stats { .. } => {
                 return Err(TransportError::Protocol("stats reply to a location update"));
@@ -1007,7 +993,7 @@ impl<T: Transport> Client<T> {
                 return Err(TransportError::Protocol("topology reply to a location update"));
             }
             Response::WrongOwner { .. } => {
-                // exchange_with_retry converts bounces into
+                // exchange_routed converts bounces into
                 // TransportError::WrongOwner before absorb ever runs.
                 return Err(TransportError::Protocol("wrong-owner bounce leaked past routing"));
             }
@@ -1040,31 +1026,22 @@ impl<T: Transport> Client<T> {
         Ok(resps)
     }
 
-    /// Exchange that retries `Overloaded` bounces, yielding between
-    /// attempts so the shard worker can drain its queue. A federation
-    /// `WrongOwner` bounce is **not** retried: resending to the same
-    /// server can never succeed, so it surfaces immediately as the
+    /// [`Self::exchange`], with a federation `WrongOwner` terminal turned
+    /// into an error. The bounce is **not** retried: resending to the
+    /// same server can never succeed, so it surfaces immediately as the
     /// non-transient [`TransportError::WrongOwner`] — the federation
     /// router catches it and re-routes; a plain client propagates it.
-    fn exchange_with_retry(&mut self, req: Request) -> Result<Vec<Response>, TransportError> {
-        for _ in 0..MAX_OVERLOAD_RETRIES {
-            let resps = self.exchange(req.clone())?;
-            if matches!(resps.last(), Some(Response::Overloaded { .. })) {
-                self.stats.overload_retries += 1;
-                std::thread::yield_now();
-                continue;
+    fn exchange_routed(&mut self, req: Request) -> Result<Vec<Response>, TransportError> {
+        let resps = self.exchange(req)?;
+        if let Some(Response::WrongOwner { owner, epoch, .. }) = resps.last() {
+            let (owner, epoch) = (*owner, *epoch);
+            self.stats.redirects += 1;
+            if let Some(m) = &self.meter {
+                m.redirects.inc();
             }
-            if let Some(Response::WrongOwner { owner, epoch, .. }) = resps.last() {
-                let (owner, epoch) = (*owner, *epoch);
-                self.stats.redirects += 1;
-                if let Some(m) = &self.meter {
-                    m.redirects.inc();
-                }
-                return Err(TransportError::WrongOwner { owner, epoch });
-            }
-            return Ok(resps);
+            return Err(TransportError::WrongOwner { owner, epoch });
         }
-        Err(TransportError::Protocol("server stayed overloaded"))
+        Ok(resps)
     }
 }
 

@@ -14,7 +14,7 @@
 //! against the simulator's ground truth ([`client`], [`mod@replay`]).
 //!
 //! Every layer is instrumented through `sa-obs`: one registry per server
-//! holds the cache/shard/router counters, queue-depth gauges, and
+//! holds the cache/router counters, shard queue-depth gauges, and
 //! latency histograms (shard dispatch wait, per-algorithm safe-region
 //! computation, cache lookup, wire encode/decode, end-to-end update
 //! round trip), scrapeable live over the wire with [`Request::Stats`]
@@ -53,7 +53,7 @@
 //!            WriteQueue (netfront), admission, deadline-sweep reaping
 //! server  ── router + sessions + the one VersionedAlarmIndex;
 //!            LocationUpdate → process_into on the caller's thread,
-//!            Batch → bounded shard queues
+//!            Batch → one job per shard, the caller waits for the replies
 //! shard   ── cell → shard mapping + the batch fan-out's ShardPool
 //! fired   ── per-subscriber fired-alarm lists (exactly-once state)
 //! cache   ── (cell, height) → public bitmap, epoch-invalidated
@@ -89,19 +89,19 @@ pub use chaos::{
 };
 pub use client::{Backoff, Client, ClientStats, ResiliencePolicy};
 pub use clock::{Clock, SharedClock, SystemClock, VirtualClock};
-pub use netfront::{
-    AdmissionConfig, AdmissionController, FrameError, FrameReader, WriteQueue,
-};
+pub use netfront::{AdmissionConfig, FrameError, FrameReader, WriteQueue};
 pub use reactor::{Reactor, ReactorConfig};
 pub use replay::{
     connect_fleet, drive, exchange_batch, quarter_us_per_update, replay, replay_batched_in_proc,
     replay_in_proc, replay_tcp, verify_prefix, BatchDriver, Driven, ReplayConfig, ReplayOutcome,
-    StepCost, MAX_BATCH_ROUNDS,
+    StepCost,
 };
 pub use sa_obs::TraceMode;
-pub use server::{quantize_rect, Server, ServerConfig};
+pub use server::{Server, ServerConfig};
 pub use shard::{shard_of_index, ShardPool};
 pub use transport::{
     InProcTransport, ReconnectingTcpTransport, TcpTransport, Transport, TransportError,
 };
-pub use wire::{CellRange, Request, Response, SessionState, StrategySpec, WireError};
+pub use wire::{
+    quantize_rect, CellRange, Request, Response, SessionState, StrategySpec, WireError,
+};

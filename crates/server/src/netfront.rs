@@ -20,8 +20,8 @@
 //!   the protocol forbids dropping response frames mid-sequence, so the
 //!   reactor instead stops *reading* from a connection whose queue is
 //!   above watermark and lets TCP push the backpressure to the client.
-//! * [`AdmissionController`] — decides whether a new session is
-//!   admitted at full quality or degraded to coarser safe regions
+//! * [`AdmissionConfig`] — when the reactor admits a new session at
+//!   full quality and when it degrades it to coarser safe regions
 //!   (lower PBSR pyramid height). Overload never refuses a Hello; it
 //!   only cheapens the regions the session will be granted, counted by
 //!   `sa_net_degraded_admissions_total`.
@@ -29,7 +29,6 @@
 use crate::wire::MAX_FRAME_LEN;
 use std::collections::VecDeque;
 use std::io::{self, Write};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// A fatal framing violation on the byte stream: the connection must be
@@ -235,15 +234,19 @@ impl WriteQueue {
     }
 }
 
-/// Sizing knobs of the [`AdmissionController`].
+/// Connection admission control: under overload, new sessions are
+/// **degraded to coarser safe regions instead of dropped**. Coarser
+/// regions are cheaper for the server to compute (fewer pyramid levels
+/// of geometry probes) at the price of more uplinks from that client —
+/// the load-shedding direction the paper's accuracy requirement
+/// permits, since a coarser region is still sound (no unfired relevant
+/// alarm intersects it). The signal is the open-connection count, read
+/// when a `Hello` arrives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionConfig {
     /// Sessions admitted while more than this many connections are open
     /// are degraded.
     pub soft_session_cap: usize,
-    /// Sessions admitted within this window after an `Overloaded`
-    /// bounce (or a write-queue watermark breach) are degraded.
-    pub overload_cooldown: Duration,
     /// The PBSR pyramid-height cap applied to degraded sessions; their
     /// safe regions are computed at `min(requested, cap)` levels and
     /// re-encoded at the requested height (see `DESIGN.md` S18).
@@ -252,53 +255,7 @@ pub struct AdmissionConfig {
 
 impl Default for AdmissionConfig {
     fn default() -> AdmissionConfig {
-        AdmissionConfig {
-            soft_session_cap: 1024,
-            overload_cooldown: Duration::from_millis(50),
-            degraded_pbsr_height: 2,
-        }
-    }
-}
-
-/// Connection admission control: under overload, new sessions are
-/// **degraded to coarser safe regions instead of dropped**. Coarser
-/// regions are cheaper for the server to compute (fewer pyramid levels
-/// of geometry probes) at the price of more uplinks from that client —
-/// the load-shedding direction the paper's accuracy requirement
-/// permits, since a coarser region is still sound (no unfired relevant
-/// alarm intersects it).
-#[derive(Debug)]
-pub struct AdmissionController {
-    cfg: AdmissionConfig,
-    /// `now_ns` of the most recent overload signal; 0 = never.
-    last_overload_ns: AtomicU64,
-}
-
-impl AdmissionController {
-    /// A controller under `cfg`, with no overload recorded yet.
-    pub fn new(cfg: AdmissionConfig) -> AdmissionController {
-        AdmissionController { cfg, last_overload_ns: AtomicU64::new(0) }
-    }
-
-    /// The configuration the controller was built with.
-    pub fn config(&self) -> &AdmissionConfig {
-        &self.cfg
-    }
-
-    /// Records an overload signal (an `Overloaded` bounce from the
-    /// shard queues, or a connection crossing its write watermark).
-    pub fn note_overload(&self, now_ns: u64) {
-        self.last_overload_ns.fetch_max(now_ns, Ordering::Relaxed);
-    }
-
-    /// Whether a session admitted now should be degraded: too many
-    /// open connections, or an overload signal inside the cooldown.
-    pub fn should_degrade(&self, now_ns: u64, open_connections: usize) -> bool {
-        if open_connections > self.cfg.soft_session_cap {
-            return true;
-        }
-        let last = self.last_overload_ns.load(Ordering::Relaxed);
-        last != 0 && now_ns.saturating_sub(last) < self.cfg.overload_cooldown.as_nanos() as u64
+        AdmissionConfig { soft_session_cap: 1024, degraded_pbsr_height: 2 }
     }
 }
 
@@ -492,20 +449,6 @@ mod tests {
         let mut q = WriteQueue::new(8);
         q.push_frame(vec![1, 2, 3]);
         assert_eq!(q.write_some(&mut Dead).unwrap_err().kind(), io::ErrorKind::BrokenPipe);
-    }
-
-    #[test]
-    fn admission_degrades_over_cap_and_inside_cooldown() {
-        let ctl = AdmissionController::new(AdmissionConfig {
-            soft_session_cap: 10,
-            overload_cooldown: Duration::from_millis(1),
-            degraded_pbsr_height: 2,
-        });
-        assert!(!ctl.should_degrade(1_000, 5), "quiet and under cap");
-        assert!(ctl.should_degrade(1_000, 11), "over the soft cap");
-        ctl.note_overload(10_000_000);
-        assert!(ctl.should_degrade(10_500_000, 5), "inside the cooldown");
-        assert!(!ctl.should_degrade(12_000_001, 5), "cooldown expired");
     }
 
     #[test]

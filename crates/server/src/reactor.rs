@@ -17,9 +17,11 @@
 //! frames from arbitrarily split reads, and a [`WriteQueue`] with
 //! partial-write resumption whose high watermark throttles *reading*
 //! from that connection (responses are never dropped — TCP pushes the
-//! backpressure to the client). Overload never refuses a session:
-//! admission control ([`AdmissionController`]) degrades sessions
-//! admitted under pressure to coarser safe regions instead, counted by
+//! backpressure to the client). That and admission control are the
+//! server's whole overload response. Overload never refuses a session:
+//! a `Hello` that arrives while more than
+//! [`AdmissionConfig::soft_session_cap`] connections are open is admitted
+//! degraded to coarser safe regions instead, counted by
 //! `sa_net_degraded_admissions_total` (see `DESIGN.md` S18 for the
 //! soundness argument). Idle connections and slow-loris half-frames
 //! are reaped by a sweep every quarter of `min(idle_timeout,
@@ -41,7 +43,7 @@
 //! | `sa_net_poll_wakeups_total` | counter | returns from `epoll_wait`, sweeps included |
 //! | `sa_net_poll_events_total` | counter | readiness reports served (÷ wake-ups: connections per wake-up) |
 
-use crate::netfront::{AdmissionConfig, AdmissionController, FrameError, FrameReader, WriteQueue};
+use crate::netfront::{AdmissionConfig, FrameError, FrameReader, WriteQueue};
 use crate::poller::{Event, Poller};
 use crate::server::Server;
 use crate::wire::{frame, Request, Response};
@@ -166,7 +168,6 @@ struct Shared {
     cfg: ReactorConfig,
     stop: AtomicBool,
     open: AtomicUsize,
-    admission: AdmissionController,
     meter: NetMeter,
     /// One per worker; worker 0 is the acceptor.
     ports: Vec<WorkerPort>,
@@ -190,7 +191,6 @@ impl Shared {
         ports[0].poller.register(listener.as_fd(), LISTENER)?;
         Ok(Shared {
             meter: NetMeter::new(&server),
-            admission: AdmissionController::new(cfg.admission),
             server,
             listener,
             cfg,
@@ -287,7 +287,7 @@ impl Conn {
         let oversized = |FrameError::Oversized { .. }| CloseReason::Protocol;
         while let Some(body) = self.reader.next_frame(now_ns).map_err(oversized)? {
             self.last_activity_ns = now_ns;
-            self.process_frame(shared, &body, now_ns)?;
+            self.process_frame(shared, &body)?;
         }
 
         self.flush(now_ns)?;
@@ -309,12 +309,7 @@ impl Conn {
 
     /// Decodes one request frame, routes it through the server, and
     /// queues its response frames.
-    fn process_frame(
-        &mut self,
-        shared: &Shared,
-        body: &[u8],
-        now_ns: u64,
-    ) -> Result<(), CloseReason> {
+    fn process_frame(&mut self, shared: &Shared, body: &[u8]) -> Result<(), CloseReason> {
         let (clock, metrics) = (shared.server.clock(), shared.server.metrics());
         let decode_started_ns = clock.now_ns();
         let decoded = Request::decode(body);
@@ -323,27 +318,21 @@ impl Conn {
         shared.meter.rx_frames.inc();
 
         // Admission control happens at Hello: decide *before* routing
-        // (the open-connection count and overload recency are the
-        // signal), apply the cap right after the session exists. Same
-        // thread, so no request on this session can interleave.
+        // (the open-connection count is the signal), apply the cap right
+        // after the session exists. Same thread, so no request on this
+        // session can interleave.
+        let admission = &shared.cfg.admission;
         let degrade = matches!(req, Request::Hello { .. })
-            && shared.admission.should_degrade(now_ns, shared.open.load(Ordering::Relaxed));
+            && shared.open.load(Ordering::Relaxed) > admission.soft_session_cap;
 
         self.responses.clear();
         shared.server.handle_into(self.session, req, &mut self.responses);
 
-        if degrade
-            && shared
-                .server
-                .degrade_session(self.session, shared.admission.config().degraded_pbsr_height)
-        {
+        if degrade && shared.server.degrade_session(self.session, admission.degraded_pbsr_height) {
             shared.meter.degraded_admissions.inc();
         }
 
         for resp in self.responses.drain(..) {
-            if matches!(resp, Response::Overloaded { .. }) {
-                shared.admission.note_overload(now_ns);
-            }
             let encode_started_ns = clock.now_ns();
             let bytes = frame(&resp.encode()).to_vec();
             metrics.wire_encode.record_duration(clock.elapsed_since(encode_started_ns));
@@ -789,6 +778,8 @@ mod tests {
         }
         client.finish().unwrap();
         assert!(fired > 0 || !client.take_fired().is_empty(), "alarm must fire over TCP");
+        // One connection against the default cap of 1,024: admitted whole.
+        assert_eq!(reactor.degraded_admissions(), 0);
 
         // Session cleanup: the client's Bye removed the session.
         drop(client);

@@ -10,10 +10,10 @@
 //!
 //! Every replay in the workspace is the same three routines: [`drive`]
 //! (arm the faulty links → per step: toggle the link, step the fleet,
-//! exchange per request or batched → drain), [`BatchDriver`] (chunking,
-//! reply checks and the `Overloaded` retry budget of a batched step) and
-//! [`verify_prefix`] (ground-truth-prefix diff, a [`FlightBundle`] on
-//! divergence). [`replay`], [`replay_tcp`], [`replay_batched_in_proc`],
+//! exchange per request or batched → drain), [`BatchDriver`] (chunking
+//! and reply checks of a batched step) and [`verify_prefix`]
+//! (ground-truth-prefix diff, a [`FlightBundle`] on divergence).
+//! [`replay`], [`replay_tcp`], [`replay_batched_in_proc`],
 //! [`crate::chaos::chaos_replay_in_proc`], `sa_verify::run_case` and
 //! `sa_fed::fed_replay` supply only a transport factory, a fault plan,
 //! vehicle-range workers or a per-step hook.
@@ -100,8 +100,7 @@ impl ReplayConfig {
 pub struct StepCost {
     /// The step.
     pub step: u32,
-    /// Location updates the worker sent for the step (first attempts; an
-    /// overload retry is cost, not another update).
+    /// Location updates the worker sent for the step.
     pub updates: u32,
     /// Driver time inside the step: sampling, client monitoring and the
     /// batch exchanges.
@@ -173,10 +172,6 @@ impl ReplayOutcome {
 /// case reply frame (a height-5 bitmap install for *every* entry) well
 /// under [`crate::wire::MAX_FRAME_LEN`].
 const MAX_BATCH_ENTRIES: usize = 1024;
-
-/// Retry rounds per batched step before the driver gives up — a livelock
-/// guard, far above anything a healthy run reaches.
-pub const MAX_BATCH_ROUNDS: u32 = 10_000;
 
 /// Salt of the seeded visiting order's RNG stream.
 const ORDER_SALT: u64 = 0x0D0E_0A0D_0F00_D5ED;
@@ -354,16 +349,13 @@ impl<D: Transport> BatchDriver<D> {
     }
 
     /// Exchanges one step: polls every sample's client, sends the staged
-    /// entries (chunked at `MAX_BATCH_ENTRIES`) and re-sends the
-    /// `Overloaded` ones until every client has absorbed step `step`.
-    /// Returns the updates sent (first attempts; a retry is cost, not
-    /// another update).
+    /// entries (chunked at `MAX_BATCH_ENTRIES`) and hands each client its
+    /// reply group. Returns the updates sent.
     ///
     /// # Errors
     ///
-    /// Fails when a transport breaks, the server answers outside the
-    /// batch protocol, or a shard queue stays overloaded past
-    /// [`MAX_BATCH_ROUNDS`].
+    /// Fails when a transport breaks or the server answers outside the
+    /// batch protocol — an `Overloaded` entry included.
     pub fn exchange_step<T: Transport>(
         &mut self,
         clients: &mut [Client<T>],
@@ -380,34 +372,18 @@ impl<D: Transport> BatchDriver<D> {
                 owners.push(local);
             }
         }
-        let updates = entries.len() as u32;
-        let mut rounds = 0u32;
-        while !entries.is_empty() {
-            if rounds >= MAX_BATCH_ROUNDS {
-                return Err(TransportError::Protocol("server stayed overloaded"));
-            }
-            rounds += 1;
-            let mut retry_entries = Vec::new();
-            let mut retry_owners = Vec::new();
-            for (chunk, chunk_owners) in
-                entries.chunks(MAX_BATCH_ENTRIES).zip(owners.chunks(MAX_BATCH_ENTRIES))
-            {
-                self.seq = (self.seq + 1) & SEQ_MASK;
-                let replies = exchange_batch(&mut self.link, self.seq, chunk)?;
-                for ((reply, &owner), &entry) in replies.into_iter().zip(chunk_owners).zip(chunk) {
-                    if !clients[owner].complete_update(reply.responses)? {
-                        retry_entries.push(entry);
-                        retry_owners.push(owner);
-                    }
+        for (chunk, chunk_owners) in
+            entries.chunks(MAX_BATCH_ENTRIES).zip(owners.chunks(MAX_BATCH_ENTRIES))
+        {
+            self.seq = (self.seq + 1) & SEQ_MASK;
+            let replies = exchange_batch(&mut self.link, self.seq, chunk)?;
+            for (reply, &owner) in replies.into_iter().zip(chunk_owners) {
+                if !clients[owner].complete_update(reply.responses)? {
+                    return Err(TransportError::Protocol("batched update answered Overloaded"));
                 }
             }
-            if !retry_entries.is_empty() {
-                std::thread::yield_now();
-            }
-            entries = retry_entries;
-            owners = retry_owners;
         }
-        Ok(updates)
+        Ok(entries.len() as u32)
     }
 }
 
@@ -528,8 +504,8 @@ pub fn replay_tcp(
 ///
 /// # Errors
 ///
-/// Fails when a transport breaks, the server answers outside the batch
-/// protocol, or a shard queue stays overloaded past the retry budget.
+/// Fails when a transport breaks or the server answers outside the batch
+/// protocol.
 pub fn replay_batched_in_proc(
     harness: &SimulationHarness,
     cfg: &ReplayConfig,
@@ -611,7 +587,7 @@ mod tests {
             "safe regions must suppress most samples"
         );
         // Every worker meters every step, and the metered updates are
-        // the uplinks (the smoke run never overloads a shard).
+        // the uplinks.
         assert_eq!(batched.step_costs.len(), 3 * 120);
         let metered: u64 = batched.step_costs.iter().map(|c| u64::from(c.updates)).sum();
         assert_eq!(metered, totals(&batched).0);

@@ -8,9 +8,10 @@
 //! maps and never compute geometry. A location update — the hot path —
 //! is the paper's one job: check triggers, then refresh the safe region,
 //! with no queue and no thread hop in between. Only a
-//! [`Request::Batch`] frame fans out, one job per shard onto bounded
-//! queues; a full queue answers its slice [`Response::Overloaded`]
-//! instead of blocking the caller behind a slow shard.
+//! [`Request::Batch`] frame fans out, one job per shard, and its caller
+//! waits for the replies. No request is ever answered
+//! [`Response::Overloaded`]: over TCP the reactor's admission control
+//! and read throttling are the overload response.
 //!
 //! Lock discipline: every thread that processes a request takes at most
 //! one lock at a time. Alarm-index reads never lock at all — each thread
@@ -22,10 +23,10 @@
 use crate::cache::{CacheStats, RegionCache};
 use crate::clock::{SharedClock, SystemClock};
 use crate::fired::FiredTable;
-use crate::shard::{shard_of_index, Job, ShardPool, ShardUpdate, SubmitError};
+use crate::shard::{shard_of_index, Job, ShardPool, ShardUpdate};
 use crate::wire::{
-    dequantize_m, quantize_m, unpack_motion, BatchReply, BatchedUpdate, CellRange, Request,
-    Response, SessionState, StrategySpec, TraceCtxExt, SEQ_MASK,
+    dequantize_m, dequantize_rect, quantize_rect, unpack_motion, BatchReply, BatchedUpdate,
+    CellRange, Request, Response, SessionState, StrategySpec, TraceCtxExt, SEQ_MASK,
 };
 use crossbeam::channel::bounded;
 use parking_lot::RwLock;
@@ -81,14 +82,11 @@ pub struct ServerConfig {
     /// update runs on the caller's thread; its shard only picks the span
     /// lane it records on.
     pub num_shards: usize,
-    /// Bounded per-shard queue of the batch fan-out; a slice that finds
-    /// its queue full answers each of its entries `Overloaded`.
-    pub queue_capacity: usize,
 }
 
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
-        ServerConfig { num_shards: 4, queue_capacity: 64 }
+        ServerConfig { num_shards: 4 }
     }
 }
 
@@ -207,7 +205,6 @@ impl FedState {
 pub(crate) struct ServerMetrics {
     location_updates: Counter,
     triggers: Counter,
-    overloads: Counter,
     region_computations: Counter,
     /// `Resync` requests processed by workers.
     resyncs: Counter,
@@ -243,7 +240,6 @@ impl ServerMetrics {
         ServerMetrics {
             location_updates: registry.counter("sa_server_location_updates_total"),
             triggers: registry.counter("sa_server_triggers_total"),
-            overloads: registry.counter("sa_server_overloads_total"),
             region_computations: registry.counter("sa_server_region_computations_total"),
             resyncs: registry.counter("sa_server_resyncs_total"),
             redeliveries: registry.counter("sa_server_redeliveries_total"),
@@ -341,8 +337,8 @@ impl Server {
     ///
     /// # Panics
     ///
-    /// Panics when `v_max` is not positive or the config has zero shards
-    /// or queue capacity.
+    /// Panics when `v_max` is not positive or the config has zero
+    /// shards.
     pub fn start(
         grid: Grid,
         alarms: Vec<SpatialAlarm>,
@@ -361,8 +357,8 @@ impl Server {
     ///
     /// # Panics
     ///
-    /// Panics when `v_max` is not positive or the config has zero shards
-    /// or queue capacity.
+    /// Panics when `v_max` is not positive or the config has zero
+    /// shards.
     pub fn start_with_clock(
         grid: Grid,
         alarms: Vec<SpatialAlarm>,
@@ -397,8 +393,8 @@ impl Server {
             cell_updates,
             cache: RegionCache::with_registry(&registry),
             metrics,
-            // One extra lane for router-side spans (dispatches,
-            // overloads, alarm writes, control exchanges).
+            // One extra lane for router-side spans (dispatches, bounces,
+            // alarm writes, control exchanges).
             spans: SpanRecorder::new(config.num_shards + 1, SPAN_LANE_CAPACITY, time),
             rtt_exemplars: Exemplars::new(),
             registry,
@@ -419,13 +415,8 @@ impl Server {
             }
             let _ = reply.send(groups);
         });
-        let pool = ShardPool::spawn(
-            config.num_shards,
-            config.queue_capacity,
-            handler,
-            &core.registry,
-            Arc::clone(&core.clock),
-        );
+        let pool =
+            ShardPool::spawn(config.num_shards, handler, &core.registry, Arc::clone(&core.clock));
         Arc::new(Server { core, pool: RwLock::new(Some(pool)) })
     }
 
@@ -534,7 +525,7 @@ impl Server {
     }
 
     /// Switches span recording between [`TraceMode::Off`], sampled, and
-    /// full. Firings, overloads, bounces and alarm writes are spans too,
+    /// full. Firings, bounces and alarm writes are spans too,
     /// so `Off` records none of them; already-buffered spans stay.
     pub fn set_trace_mode(&self, mode: TraceMode) {
         self.core.spans.set_mode(mode);
@@ -580,10 +571,10 @@ impl Server {
     /// more trigger deliveries followed by one terminal response) to
     /// `out`.
     ///
-    /// A location update runs to completion on the calling thread: no
-    /// queue, so never `Overloaded` (over TCP the reactor's admission
-    /// control and read throttling are the overload response; an
-    /// in-proc caller is its own backpressure). Per-session order is the
+    /// A location update runs to completion on the calling thread, with
+    /// no queue (over TCP the reactor's admission control and read
+    /// throttling are the overload response; an in-proc caller is its
+    /// own backpressure). Per-session order is the
     /// caller's — one reactor worker pumps each connection, and each
     /// in-proc session has one caller.
     ///
@@ -689,13 +680,14 @@ impl Server {
     }
 
     /// Routes one [`Request::Batch`]: group the updates by owning shard,
-    /// submit **once per shard queue**, and reassemble the per-update
-    /// response groups in batch entry order. A shard whose queue is full
-    /// bounces its whole slice as per-update `Overloaded` (the driver
-    /// retries those entries); unknown sessions error individually
-    /// without touching any shard. Shards are submitted to in shard
-    /// order, so the job order is the same on every run. The clock is
-    /// read once at entry (threaded through every job) and once per
+    /// submit **once per shard queue**, wait for the replies, and
+    /// reassemble the per-update response groups in batch entry order.
+    /// Every entry is answered by a worker, except that unknown sessions
+    /// error individually without touching any shard and a slice the
+    /// pool cannot take (after [`Server::shutdown`], or when its worker
+    /// died) answers each entry `BAD_REQUEST`. Shards are submitted to in
+    /// shard order, so the job order is the same on every run. The clock
+    /// is read once at entry (threaded through every job) and once per
     /// shard reply.
     ///
     /// The frame's reply channel, the per-update grouping and the reply
@@ -748,14 +740,10 @@ impl Server {
         // Each shard sends at most one reply per frame, so a channel of
         // `num_shards` slots never blocks a worker.
         let (reply_tx, reply_rx) = bounded(self.core.num_shards);
-        // Bounce a whole shard slice as per-update responses.
-        let bounce = |replies: &mut Vec<BatchReply>, slice: Vec<ShardUpdate>, overloaded| {
+        let refuse = |replies: &mut Vec<BatchReply>, slice: Vec<ShardUpdate>| {
             for u in slice {
-                replies[u.index as usize].responses = vec![if overloaded {
-                    Response::Overloaded { seq: u.req.seq() }
-                } else {
-                    Response::Error { seq: u.req.seq(), code: error_code::BAD_REQUEST }
-                }];
+                replies[u.index as usize].responses =
+                    vec![Response::Error { seq: u.req.seq(), code: error_code::BAD_REQUEST }];
             }
         };
         // Submit under the read guard, but wait for replies outside it so
@@ -766,37 +754,14 @@ impl Server {
                 if slice.is_empty() {
                     continue;
                 }
-                match pool.as_ref() {
-                    None => bounce(&mut replies, slice, false),
-                    Some(pool) => {
-                        let job = Job {
-                            updates: slice,
-                            reply: reply_tx.clone(),
-                            enqueued_at_ns: entered_ns,
-                        };
-                        match pool.try_submit(shard, job) {
-                            Ok(()) => {}
-                            Err(SubmitError::Full(job)) => {
-                                self.core.metrics.overloads.add(job.updates.len() as u64);
-                                // One span per bounced update, each in
-                                // its own trace: the retry reuses
-                                // `(session, seq)` and lands beside it.
-                                for u in &job.updates {
-                                    self.core.router_event(
-                                        SpanKind::Overload,
-                                        u.session,
-                                        u.req.seq(),
-                                        u64::from(u.session),
-                                        shard as u64,
-                                    );
-                                }
-                                bounce(&mut replies, job.updates, true);
-                            }
-                            Err(SubmitError::Disconnected(job)) => {
-                                bounce(&mut replies, job.updates, false)
-                            }
-                        }
-                    }
+                let Some(pool) = pool.as_ref() else {
+                    refuse(&mut replies, slice);
+                    continue;
+                };
+                let reply = reply_tx.clone();
+                let job = Job { updates: slice, reply, enqueued_at_ns: entered_ns };
+                if let Err(job) = pool.submit(shard, job) {
+                    refuse(&mut replies, job.updates);
                 }
             }
         }
@@ -835,9 +800,8 @@ impl Server {
         if !self.core.session_exists(session) {
             return vec![Response::Error { seq, code: error_code::NO_SESSION }];
         }
-        let region = match dequantize_rect(rect) {
-            Some(r) => r,
-            None => return vec![Response::Error { seq, code: error_code::BAD_REQUEST }],
+        let Ok(region) = dequantize_rect(rect) else {
+            return vec![Response::Error { seq, code: error_code::BAD_REQUEST }];
         };
         let owner = SubscriberId(flags >> 1);
         let scope = if flags & 1 == 1 {
@@ -907,26 +871,6 @@ impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown();
     }
-}
-
-fn dequantize_rect(rect: [u32; 4]) -> Option<Rect> {
-    Rect::new(
-        dequantize_m(rect[0]),
-        dequantize_m(rect[1]),
-        dequantize_m(rect[2]),
-        dequantize_m(rect[3]),
-    )
-    .ok()
-}
-
-/// Quantizes a rect to its wire corners.
-pub fn quantize_rect(rect: Rect) -> [u32; 4] {
-    [
-        quantize_m(rect.min_x()),
-        quantize_m(rect.min_y()),
-        quantize_m(rect.max_x()),
-        quantize_m(rect.max_y()),
-    ]
 }
 
 /// Re-encodes a pyramid region computed at a *lower* height into the
@@ -1162,10 +1106,12 @@ impl Core {
             Some(w) => Some(self.grid.cell_at_index(u64::from(w))),
             None => None,
         };
-        // An id the index never issued is a malformed blob; accepting it
-        // would let a peer grow the table past the alarm count.
+        // An id the index never issued is a malformed blob: in the fired
+        // list it would grow the table past the alarm count, in the
+        // delivery log a later `Resync` would deliver it.
         let alarm_count = self.global_index.len();
-        if state.fired.iter().any(|&alarm| alarm as usize >= alarm_count) {
+        let ids = state.fired.iter().chain(&state.delivery_log);
+        if ids.copied().any(|alarm| alarm as usize >= alarm_count) {
             return vec![Response::Error { seq, code: error_code::BAD_REQUEST }];
         }
         let user = SubscriberId(state.user);

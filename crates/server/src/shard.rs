@@ -1,5 +1,5 @@
-//! Grid-cell sharding of batch frames: worker threads and bounded job
-//! queues with explicit backpressure.
+//! Grid-cell sharding of batch frames: worker threads and their job
+//! queues.
 //!
 //! A single location update never comes here — it runs to completion on
 //! the thread that decoded it. Only a [`crate::wire::Request::Batch`]
@@ -10,15 +10,16 @@
 //! data: every worker reads the server's one alarm index through a
 //! pinned immutable snapshot.
 //!
-//! Jobs reach workers through **bounded** channels. The router only ever
-//! uses [`ShardPool::try_submit`]: when a shard's queue is full the
-//! submission fails immediately and the router answers each entry of the
-//! slice `Response::Overloaded` instead of blocking behind a slow shard.
+//! The queues have no bound and a submission never fails while the
+//! worker lives. Their depth stays bounded anyway: a batch caller
+//! submits at most one job per shard and then waits for its own
+//! replies, so a queue never holds more jobs than there are callers
+//! blocked in [`crate::Server::handle`].
 
 use crate::clock::SharedClock;
 use crate::wire::{Request, Response};
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
-use sa_obs::{Counter, Gauge, Registry};
+use crossbeam::channel::{unbounded, Receiver, Sender};
+use sa_obs::{Gauge, Registry};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -62,64 +63,30 @@ pub struct Job {
     pub enqueued_at_ns: u64,
 }
 
-/// Per-shard instrumentation handles.
-#[derive(Debug, Clone)]
-struct ShardMeter {
-    /// Jobs currently sitting in (or being drained from) the queue.
-    depth: Gauge,
-    /// Submissions bounced because the queue was at capacity.
-    queue_full: Counter,
-}
-
-/// Submission failure modes of [`ShardPool::try_submit`].
-#[derive(Debug)]
-pub enum SubmitError {
-    /// The shard's bounded queue is full — answer `Overloaded`.
-    Full(Job),
-    /// The shard's worker is gone (pool shut down).
-    Disconnected(Job),
-}
-
-/// The worker shards: one bounded queue and (normally) one thread each.
+/// The worker shards: one queue and one thread each.
 ///
 /// Instrumentation registered on the pool's registry: a
-/// `sa_shard_queue_depth{shard=…}` gauge and a
-/// `sa_shard_queue_full_total{shard=…}` counter per shard — so an
-/// `Overloaded` bounce is attributable to the one shard that was
-/// saturated — plus one `sa_shard_dispatch_wait_ns` histogram of the
-/// submit-to-pickup queue wait.
+/// `sa_shard_queue_depth{shard=…}` gauge per shard plus one
+/// `sa_shard_dispatch_wait_ns` histogram of the submit-to-pickup queue
+/// wait.
 #[derive(Debug)]
 pub struct ShardPool {
     senders: Vec<Sender<Job>>,
     workers: Vec<JoinHandle<()>>,
-    meters: Vec<ShardMeter>,
-}
-
-fn shard_meters(num_shards: usize, registry: &Registry) -> Vec<ShardMeter> {
-    (0..num_shards)
-        .map(|shard| {
-            let label = shard.to_string();
-            ShardMeter {
-                depth: registry.gauge_with("sa_shard_queue_depth", &[("shard", &label)]),
-                queue_full: registry
-                    .counter_with("sa_shard_queue_full_total", &[("shard", &label)]),
-            }
-        })
-        .collect()
+    depths: Vec<Gauge>,
 }
 
 impl ShardPool {
-    /// Spawns `num_shards` workers, each draining its own queue of
-    /// capacity `queue_capacity` through `handler(shard, job)`, with
-    /// queue instrumentation registered on `registry`. Queue-wait
-    /// measurements read `clock` — the same clock that stamped the jobs.
+    /// Spawns `num_shards` workers, each draining its own queue through
+    /// `handler(shard, job)`, with queue instrumentation registered on
+    /// `registry`. Queue-wait measurements read `clock` — the same clock
+    /// that stamped the jobs.
     ///
     /// # Panics
     ///
-    /// Panics when `num_shards` or `queue_capacity` is zero.
+    /// Panics when `num_shards` is zero.
     pub fn spawn<H>(
         num_shards: usize,
-        queue_capacity: usize,
         handler: Arc<H>,
         registry: &Registry,
         clock: SharedClock,
@@ -128,16 +95,17 @@ impl ShardPool {
         H: Fn(usize, Job) + Send + Sync + 'static,
     {
         assert!(num_shards > 0, "need at least one shard");
-        assert!(queue_capacity > 0, "queues must hold at least one job");
-        let meters = shard_meters(num_shards, registry);
         let dispatch_wait = registry.histogram("sa_shard_dispatch_wait_ns");
         let mut senders = Vec::with_capacity(num_shards);
         let mut workers = Vec::with_capacity(num_shards);
-        for (shard, meter) in meters.iter().enumerate() {
-            let (tx, rx): (Sender<Job>, Receiver<Job>) = bounded(queue_capacity);
+        let mut depths = Vec::with_capacity(num_shards);
+        for shard in 0..num_shards {
+            let (tx, rx): (Sender<Job>, Receiver<Job>) = unbounded();
             senders.push(tx);
+            let depth =
+                registry.gauge_with("sa_shard_queue_depth", &[("shard", &shard.to_string())]);
+            depths.push(depth.clone());
             let handler = Arc::clone(&handler);
-            let depth = meter.depth.clone();
             let dispatch_wait = dispatch_wait.clone();
             let clock = Arc::clone(&clock);
             workers.push(
@@ -153,37 +121,7 @@ impl ShardPool {
                     .expect("spawning a shard worker"),
             );
         }
-        ShardPool { senders, workers, meters }
-    }
-
-    /// A pool with queues but **no worker threads** — nothing ever drains
-    /// the queues, so `queue_capacity` submissions fill a shard. Only
-    /// useful to test backpressure.
-    pub fn without_workers(
-        num_shards: usize,
-        queue_capacity: usize,
-        registry: &Registry,
-    ) -> ShardPool {
-        assert!(num_shards > 0, "need at least one shard");
-        assert!(queue_capacity > 0, "queues must hold at least one job");
-        let meters = shard_meters(num_shards, registry);
-        let mut senders = Vec::with_capacity(num_shards);
-        let mut workers = Vec::new();
-        for _ in 0..num_shards {
-            let (tx, rx): (Sender<Job>, Receiver<Job>) = bounded(queue_capacity);
-            // Park the receiver in a thread that never reads, keeping the
-            // channel connected so try_send reports Full, not Disconnected.
-            senders.push(tx);
-            workers.push(
-                std::thread::Builder::new()
-                    .spawn(move || {
-                        let _rx = rx;
-                        std::thread::park();
-                    })
-                    .expect("spawning a parked holder"),
-            );
-        }
-        ShardPool { senders, workers, meters }
+        ShardPool { senders, workers, depths }
     }
 
     /// Number of shards.
@@ -191,45 +129,27 @@ impl ShardPool {
         self.senders.len()
     }
 
-    /// Queue depth of one shard (for tests and stats).
-    pub fn queue_len(&self, shard: usize) -> usize {
-        self.senders[shard].len()
-    }
-
-    /// Non-blocking submission. The job keeps the router-entry
+    /// Queues `job` on `shard`'s worker. The job keeps the router-entry
     /// timestamp it was built with — no re-stamp, no extra clock read.
     ///
     /// # Errors
     ///
-    /// [`SubmitError::Full`] when the shard's queue is at capacity (the
-    /// router converts this to `Overloaded`), [`SubmitError::Disconnected`]
-    /// after shutdown. Either way the job comes back by value, so the
-    /// router can answer its entries.
+    /// The job comes back by value when the shard's worker is gone (it
+    /// panicked), so the router can answer its entries.
     ///
     /// # Panics
     ///
     /// Panics when `shard` is out of range.
-    pub fn try_submit(&self, shard: usize, job: Job) -> Result<(), SubmitError> {
-        match self.senders[shard].try_send(job) {
-            Ok(()) => {
-                self.meters[shard].depth.inc();
-                Ok(())
-            }
-            Err(TrySendError::Full(job)) => {
-                self.meters[shard].queue_full.inc();
-                Err(SubmitError::Full(job))
-            }
-            Err(TrySendError::Disconnected(job)) => Err(SubmitError::Disconnected(job)),
-        }
+    pub fn submit(&self, shard: usize, job: Job) -> Result<(), Job> {
+        self.senders[shard].send(job).map_err(|e| e.0)?;
+        self.depths[shard].inc();
+        Ok(())
     }
 
     /// Drops the queues and joins the workers. Workers holding queued
-    /// jobs finish them first; parked no-worker holders are unparked.
+    /// jobs finish them first.
     pub fn shutdown(self) {
         drop(self.senders);
-        for worker in &self.workers {
-            worker.thread().unpark();
-        }
         for worker in self.workers {
             let _ = worker.join();
         }
@@ -239,7 +159,6 @@ impl ShardPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
 
     /// A one-entry batch slice whose entry carries `seq` as both its
     /// frame index and its sequence number.
@@ -253,30 +172,6 @@ mod tests {
     }
 
     #[test]
-    fn full_queue_reports_backpressure_without_blocking() {
-        let registry = Registry::new();
-        let pool = ShardPool::without_workers(2, 1, &registry);
-        let (reply, _keep) = unbounded();
-        assert!(pool.try_submit(0, job(1, &reply)).is_ok());
-        let start = std::time::Instant::now();
-        match pool.try_submit(0, job(2, &reply)) {
-            // The bounced slice comes back whole, for the router to answer.
-            Err(SubmitError::Full(job)) => {
-                assert_eq!(job.updates.iter().map(|u| u.req.seq()).collect::<Vec<_>>(), [2])
-            }
-            other => panic!("expected Full, got {other:?}"),
-        }
-        assert!(
-            start.elapsed() < std::time::Duration::from_millis(100),
-            "try_submit must not block on a full queue"
-        );
-        // The sibling shard still accepts work.
-        assert!(pool.try_submit(1, job(3, &reply)).is_ok());
-        assert_eq!(pool.queue_len(0), 1);
-        pool.shutdown();
-    }
-
-    #[test]
     fn workers_drain_jobs_and_answer_on_the_reply_channel() {
         let handler = Arc::new(|shard: usize, job: Job| {
             let answer = |u: &ShardUpdate| Response::Error { seq: u.req.seq(), code: shard as u32 };
@@ -284,12 +179,11 @@ mod tests {
             let _ = job.reply.send(reply);
         });
         let registry = Registry::new();
-        let pool =
-            ShardPool::spawn(3, 4, handler, &registry, crate::clock::SystemClock::shared());
+        let pool = ShardPool::spawn(3, handler, &registry, crate::clock::SystemClock::shared());
         assert_eq!(pool.num_shards(), 3);
         let (reply_tx, reply_rx) = unbounded();
         for shard in 0..3 {
-            pool.try_submit(shard, job(shard as u32, &reply_tx)).unwrap();
+            pool.submit(shard, job(shard as u32, &reply_tx)).unwrap();
         }
         let mut codes: Vec<u32> = (0..3)
             .map(|_| match reply_rx.recv().unwrap().as_slice() {
@@ -313,44 +207,6 @@ mod tests {
             snap.histogram("sa_shard_dispatch_wait_ns", &[]).map(|h| h.count),
             Some(3)
         );
-        pool.shutdown();
-    }
-
-    #[test]
-    fn saturating_one_shard_spikes_only_its_gauge() {
-        const CAPACITY: usize = 5;
-        let registry = Registry::new();
-        let pool = ShardPool::without_workers(3, CAPACITY, &registry);
-        let (reply, _keep) = unbounded();
-        // Fill shard 1 to capacity, then push two more over the brim.
-        for seq in 0..CAPACITY as u32 {
-            pool.try_submit(1, job(seq, &reply)).unwrap();
-        }
-        for seq in 0..2 {
-            match pool.try_submit(1, job(100 + seq, &reply)) {
-                Err(SubmitError::Full(_)) => {}
-                other => panic!("expected Full, got {other:?}"),
-            }
-        }
-        // One stray job on shard 2 so "only shard 1 spikes" is tested
-        // against a non-idle sibling, not an empty pool.
-        pool.try_submit(2, job(7, &reply)).unwrap();
-
-        let snap = registry.snapshot();
-        assert_eq!(
-            snap.gauge("sa_shard_queue_depth", &[("shard", "1")]),
-            Some(CAPACITY as i64),
-            "the saturated shard's gauge shows a full queue"
-        );
-        assert_eq!(snap.gauge("sa_shard_queue_depth", &[("shard", "0")]), Some(0));
-        assert_eq!(snap.gauge("sa_shard_queue_depth", &[("shard", "2")]), Some(1));
-        assert_eq!(
-            snap.counter("sa_shard_queue_full_total", &[("shard", "1")]),
-            Some(2),
-            "both bounces are charged to the saturated shard"
-        );
-        assert_eq!(snap.counter("sa_shard_queue_full_total", &[("shard", "0")]), Some(0));
-        assert_eq!(snap.counter("sa_shard_queue_full_total", &[("shard", "2")]), Some(0));
         pool.shutdown();
     }
 }

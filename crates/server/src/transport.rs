@@ -245,9 +245,9 @@ impl ReconnectingTcpTransport {
                     let stream = self.stream.as_mut().expect("just connected");
                     match exchange(stream, &hello) {
                         // The replay must actually re-register the
-                        // session: an `Error`/`Overloaded` terminal
-                        // means the fresh connection has no session, so
-                        // the reconnect failed — surface that here
+                        // session: any other terminal than `Ack` means
+                        // the fresh connection has no session, so the
+                        // reconnect failed — surface that here
                         // rather than letting the next request die with
                         // a confusing NO_SESSION.
                         Ok(responses)

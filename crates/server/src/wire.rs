@@ -25,6 +25,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use sa_core::BitVec;
+use sa_geometry::{GeometryError, Rect};
 use sa_sim::payload;
 use std::fmt;
 
@@ -66,6 +67,27 @@ pub fn quantize_m(meters: f64) -> u32 {
 /// Inverse of [`quantize_m`].
 pub fn dequantize_m(fx: u32) -> f64 {
     fx as f64 / 65_536.0
+}
+
+/// Quantizes a rect to its wire corners, `[min_x, min_y, max_x, max_y]`
+/// in Q16.16 meters.
+pub fn quantize_rect(rect: Rect) -> [u32; 4] {
+    [
+        quantize_m(rect.min_x()),
+        quantize_m(rect.min_y()),
+        quantize_m(rect.max_x()),
+        quantize_m(rect.max_y()),
+    ]
+}
+
+/// Inverse of [`quantize_rect`].
+///
+/// # Errors
+///
+/// Fails when the corners are inverted: no rect has them.
+pub fn dequantize_rect(rect: [u32; 4]) -> Result<Rect, GeometryError> {
+    let [min_x, min_y, max_x, max_y] = rect.map(dequantize_m);
+    Rect::new(min_x, min_y, max_x, max_y)
 }
 
 /// Packs heading (radians) and speed (m/s) into one word: heading in the
@@ -471,8 +493,9 @@ pub enum Response {
         /// the silence, which is the safe direction).
         period_ms: u32,
     },
-    /// The target shard's bounded queue was full; the client should back
-    /// off and retry. Never blocks the router.
+    /// The server could not take the request now; the client should back
+    /// off and retry. Part of protocol v1, but `sa-server` never sends
+    /// it: its overload response is the reactor's admission control.
     Overloaded {
         /// Echoed request sequence number.
         seq: u32,

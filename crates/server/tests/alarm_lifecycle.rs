@@ -8,7 +8,7 @@ use sa_core::{BitmapSafeRegion, PyramidConfig, SafeRegion};
 use sa_geometry::{Grid, Point, Rect};
 use sa_obs::{trace_id_for, SpanKind};
 use sa_server::server::error_code;
-use sa_server::wire::{dequantize_m, quantize_m, Request, Response, StrategySpec};
+use sa_server::wire::{dequantize_rect, quantize_m, Request, Response, StrategySpec};
 use sa_server::{quantize_rect, shard_of_index, Server, ServerConfig};
 use std::sync::Arc;
 
@@ -49,7 +49,7 @@ fn server() -> Arc<Server> {
         AlarmTarget::Static(Point::new(8_100.0, 8_100.0)),
         AlarmScope::Private { owner: SubscriberId(999) },
     );
-    let config = ServerConfig { num_shards: NUM_SHARDS, ..ServerConfig::default() };
+    let config = ServerConfig { num_shards: NUM_SHARDS };
     Server::start(grid(), vec![far], V_MAX, config)
 }
 
@@ -108,13 +108,7 @@ fn ask(server: &Server, first_user: u32, pos: Point) -> Answers {
     let Response::RectInstall { rect, .. } = terminal(0, StrategySpec::Mwpsr) else {
         panic!("MWPSR must answer a RectInstall");
     };
-    let mwpsr = Rect::new(
-        dequantize_m(rect[0]),
-        dequantize_m(rect[1]),
-        dequantize_m(rect[2]),
-        dequantize_m(rect[3]),
-    )
-    .unwrap();
+    let mwpsr = dequantize_rect(rect).unwrap();
     let Response::BitmapInstall { bits, .. } = terminal(1, StrategySpec::Pbsr { height: HEIGHT })
     else {
         panic!("PBSR must answer a BitmapInstall");

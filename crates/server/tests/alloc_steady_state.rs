@@ -97,7 +97,7 @@ fn steady_state_update_path_allocates_nothing() {
         grid,
         vec![public_alarm(0, 9_000.0, 9_000.0, 500.0)],
         30.0,
-        ServerConfig { num_shards: 1, queue_capacity: 16 },
+        ServerConfig { num_shards: 1 },
     );
     server.set_trace_mode(TraceMode::Off);
 
@@ -185,7 +185,7 @@ fn refresh_allocations_do_not_depend_on_anyones_fired_history() {
         Grid::new(universe, 1_000.0).unwrap(),
         alarms,
         30.0,
-        ServerConfig { num_shards: 1, queue_capacity: 16 },
+        ServerConfig { num_shards: 1 },
     );
     server.set_trace_mode(TraceMode::Off);
 

@@ -94,45 +94,54 @@ fn trigger_notify_for_an_unknown_alarm_is_refused_and_records_nothing() {
 }
 
 #[test]
-fn handoff_import_with_an_unknown_fired_id_is_refused_whole() {
+fn handoff_import_with_an_unknown_fired_or_delivered_id_is_refused_whole() {
     let server = server();
     let admin = hello(&server, 1, StrategySpec::Mwpsr);
-    let import = |seq, target, user, fired| Request::HandoffImport {
+    let import = |seq, target, user, fired, delivery_log| Request::HandoffImport {
         seq,
         session: target,
         state: SessionState {
             user,
             strategy: StrategySpec::Mwpsr,
             last_cell: None,
-            delivery_log: Vec::new(),
+            delivery_log,
             fired,
         },
         trace: Default::default(),
     };
     let target = server.open_session();
-    assert_eq!(
-        server.handle(admin, import(1, target, 7, vec![0, 1])),
-        vec![Response::Error { seq: 1, code: error_code::BAD_REQUEST }]
-    );
-    // Nothing of the blob landed: no session, and not even its valid id.
-    assert_eq!(
-        update(&server, target, 1, 500.0, 500.0),
-        vec![Response::Error { seq: 1, code: error_code::NO_SESSION }]
-    );
+    // Alarm 1 in the fired list, or 4242 in the delivery log: the index
+    // issued neither, so neither blob imports.
+    for (seq, fired, log) in [(1, vec![0, 1], vec![]), (2, vec![0], vec![4242])] {
+        assert_eq!(
+            server.handle(admin, import(seq, target, 7, fired, log)),
+            vec![Response::Error { seq, code: error_code::BAD_REQUEST }]
+        );
+        // Nothing of the blob landed: no session to re-deliver from.
+        let (x_fx, y_fx) = (quantize_m(500.0), quantize_m(500.0));
+        let resync = Request::Resync { seq, x_fx, y_fx, motion: 0, acked: 0 };
+        assert_eq!(
+            server.handle(target, resync),
+            vec![Response::Error { seq, code: error_code::NO_SESSION }]
+        );
+    }
+    // Not even the blobs' valid fired id landed.
     let probe = hello(&server, 7, StrategySpec::Mwpsr);
     assert_eq!(deliveries(&update(&server, probe, 1, 2_250.0, 2_250.0)), vec![0]);
 
     // A well-formed blob imports, suppresses the delivery it carries,
     // and exports the same ids again.
-    assert_eq!(server.handle(admin, import(2, target, 9, vec![0])), vec![Response::Ack { seq: 2 }]);
+    let imported = server.handle(admin, import(3, target, 9, vec![0], vec![0]));
+    assert_eq!(imported, vec![Response::Ack { seq: 3 }]);
     assert!(deliveries(&update(&server, target, 1, 2_250.0, 2_250.0)).is_empty());
     let export = server.handle(
         admin,
-        Request::HandoffExport { seq: 3, session: target, trace: Default::default() },
+        Request::HandoffExport { seq: 4, session: target, trace: Default::default() },
     );
     let [Response::SessionState { state: exported, .. }] = export.as_slice() else {
         panic!("export must answer one SessionState, got {export:?}");
     };
-    assert_eq!((exported.user, exported.fired.as_slice()), (9, &[0][..]));
+    let ids = (exported.fired.as_slice(), exported.delivery_log.as_slice());
+    assert_eq!((exported.user, ids), (9, (&[0][..], &[0][..])));
     server.shutdown();
 }

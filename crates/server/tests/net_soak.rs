@@ -216,7 +216,7 @@ fn soak_churn_under_faults_leaks_nothing() {
         harness.grid().clone(),
         harness.index().alarms().to_vec(),
         harness.v_max(),
-        ServerConfig { num_shards: 2, queue_capacity: 128 },
+        ServerConfig { num_shards: 2 },
     );
     let reactor_cfg = ReactorConfig {
         workers: 2,

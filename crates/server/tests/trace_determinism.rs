@@ -5,22 +5,22 @@
 //! identical schedule on identically advanced virtual clocks must
 //! produce identical span records — firings included: each alarm the
 //! walk crosses is one `trigger` span inside the tree of the update
-//! that fired it. An overload bounce — the one router-side event no
-//! single-threaded schedule can produce, and since location updates run
-//! on their caller's thread one only a batch frame can meet — is checked
-//! on its own below, beside the single-update path's no-queue contract.
+//! that fired it. Below them, the contracts that leave no response to
+//! thread scheduling: four concurrent callers get every single update
+//! and every batch entry answered, none bounced, and the one batch
+//! refusal left is the one `shutdown` causes.
 
 use sa_alarms::{AlarmId, AlarmScope, SpatialAlarm, SubscriberId};
 use sa_geometry::{Grid, Point, Rect};
-use sa_obs::{client_root_span, trace_id_for, Span, SpanKind};
+use sa_obs::{Span, SpanKind};
+use sa_server::server::error_code;
 use sa_server::wire::{quantize_m, BatchedUpdate};
 use sa_server::{
     Client, InProcTransport, Request, Response, Server, ServerConfig, SharedClock, StrategySpec,
     VirtualClock,
 };
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const ALARMS: u64 = 4;
 
@@ -46,7 +46,7 @@ fn run_once() -> Vec<Span> {
         grid.clone(),
         alarms,
         30.0,
-        ServerConfig { num_shards: 2, queue_capacity: 8 },
+        ServerConfig { num_shards: 2 },
         Arc::clone(&clock),
     );
     let transport = InProcTransport::connect(Arc::clone(&server));
@@ -90,14 +90,14 @@ fn identical_virtual_schedules_record_identical_spans() {
     }
 }
 
-/// Callers released together on a server whose one shard queues one
-/// batch job: the setup that overloads the batch fan-out.
+/// Callers released together on a one-shard server: every batch slice
+/// lands on one queue.
 const CALLERS: u32 = 4;
 
-fn one_slot_server() -> Arc<Server> {
+fn one_shard_server() -> Arc<Server> {
     let universe = Rect::new(0.0, 0.0, 4_000.0, 4_000.0).unwrap();
     let grid = Grid::new(universe, 1_000.0).unwrap();
-    Server::start(grid, Vec::new(), 30.0, ServerConfig { num_shards: 1, queue_capacity: 1 })
+    Server::start(grid, Vec::new(), 30.0, ServerConfig { num_shards: 1 })
 }
 
 /// Opens an MWPSR session for `user`.
@@ -108,36 +108,43 @@ fn hello(server: &Server, user: u32) -> u32 {
     session
 }
 
-/// The single-update contract: a location update runs on its caller's
-/// thread, so the four-caller storm that bounces batch slices off a
-/// one-slot queue gets every update answered, none `Overloaded`, and
-/// none waits in a shard queue.
-#[test]
-fn single_updates_run_on_the_caller_and_never_overload() {
-    const UPDATES: u32 = 2_000;
-    let server = one_slot_server();
+/// Runs `requests` requests from each of [`CALLERS`] threads released
+/// together, each on its own MWPSR session; `request(session, seq)`
+/// sends one and checks its answer.
+fn storm(server: &Server, requests: u32, request: impl Fn(u32, u32) + Sync) {
     let start = Barrier::new(CALLERS as usize);
-    let (x_fx, y_fx) = (quantize_m(500.0), quantize_m(500.0));
     std::thread::scope(|scope| {
         for user in 0..CALLERS {
-            let (server, start) = (&server, &start);
+            let (start, request) = (&start, &request);
             scope.spawn(move || {
                 let session = hello(server, user);
                 start.wait();
-                for seq in 1..=UPDATES {
-                    let update = Request::LocationUpdate { seq, x_fx, y_fx, motion: 0 };
-                    let resps = server.handle(session, update);
-                    let answered = matches!(
-                        resps.as_slice(),
-                        [Response::RectInstall { seq: s, .. }] if *s == seq
-                    );
-                    assert!(answered, "update {seq} of session {session} answered {resps:?}");
+                for seq in 1..=requests {
+                    request(session, seq);
                 }
             });
         }
     });
+}
+
+/// The single-update contract: a location update runs on its caller's
+/// thread, so four concurrent callers get every update answered and
+/// none waits in a shard queue.
+#[test]
+fn single_updates_run_on_the_caller_and_never_overload() {
+    const UPDATES: u32 = 2_000;
+    let server = one_shard_server();
+    let (x_fx, y_fx) = (quantize_m(500.0), quantize_m(500.0));
+    storm(&server, UPDATES, |session, seq| {
+        let update = Request::LocationUpdate { seq, x_fx, y_fx, motion: 0 };
+        let resps = server.handle(session, update);
+        let answered = matches!(
+            resps.as_slice(),
+            [Response::RectInstall { seq: s, .. }] if *s == seq
+        );
+        assert!(answered, "update {seq} of session {session} answered {resps:?}");
+    });
     let snap = server.registry().snapshot();
-    assert_eq!(snap.counter("sa_server_overloads_total", &[]), Some(0));
     assert_eq!(
         snap.counter("sa_server_location_updates_total", &[]),
         Some(u64::from(CALLERS * UPDATES))
@@ -150,62 +157,57 @@ fn single_updates_run_on_the_caller_and_never_overload() {
     server.shutdown();
 }
 
-/// The batch fan-out is the one path with a queue left. Four callers
-/// send one-entry batch frames back to back: a submit soon finds the
-/// slot taken. The bounced entry must be an `overload` span in its own
-/// `(session, seq)` trace, under its derived client root (there is no
-/// dispatch span to hang from).
+/// The batch contract: the fan-out's queues have no bound, so four
+/// callers racing one-entry frames onto one shard get every entry
+/// answered by the worker with its `RectInstall` — no bounce.
 #[test]
-fn an_overload_bounce_is_a_span_in_the_bounced_updates_trace() {
-    let server = one_slot_server();
-    let start = Barrier::new(CALLERS as usize);
-    let done = AtomicBool::new(false);
-    let deadline = Instant::now() + Duration::from_secs(60);
-
-    let bounced: Vec<(u32, u32)> = std::thread::scope(|scope| {
-        let callers: Vec<_> = (0..CALLERS)
-            .map(|user| {
-                let (server, start, done) = (&server, &start, &done);
-                scope.spawn(move || {
-                    let session = hello(server, user);
-                    start.wait();
-                    let (x_fx, y_fx) = (quantize_m(500.0), quantize_m(500.0));
-                    let mut seq = 0;
-                    while !done.load(Ordering::SeqCst) && Instant::now() < deadline {
-                        seq += 1;
-                        let entry = BatchedUpdate { session, seq, x_fx, y_fx, motion: 0 };
-                        let frame = Request::Batch { seq, updates: vec![entry] };
-                        let Response::Batch { replies, .. } = &server.handle(session, frame)[0]
-                        else {
-                            panic!("a batch frame is answered with a batch");
-                        };
-                        if replies[0].responses == [Response::Overloaded { seq }] {
-                            done.store(true, Ordering::SeqCst);
-                            return Some((session, seq));
-                        }
-                    }
-                    None
-                })
-            })
-            .collect();
-        callers.into_iter().filter_map(|c| c.join().expect("caller thread")).collect()
-    });
-
-    assert!(!bounced.is_empty(), "four callers on a one-slot queue must overload it");
-    let spans = server.spans();
-    for (session, seq) in bounced {
-        let trace = trace_id_for(session, seq);
-        let span = spans
-            .iter()
-            .find(|s| s.kind == SpanKind::Overload && s.ctx.trace_id == trace)
-            .expect("the bounce is recorded in the bounced update's trace");
-        assert_eq!((span.a, span.b), (u64::from(session), 0), "session and shard");
-        assert_eq!(span.ctx.parent, client_root_span(trace));
-        assert!(
-            !spans.iter().any(|s| s.kind == SpanKind::UpdateDispatch && s.ctx.trace_id == trace),
-            "a bounced update was never dispatched"
+fn concurrent_batch_frames_on_one_shard_are_all_answered() {
+    const FRAMES: u32 = 500;
+    let server = one_shard_server();
+    let (x_fx, y_fx) = (quantize_m(500.0), quantize_m(500.0));
+    storm(&server, FRAMES, |session, seq| {
+        let entry = BatchedUpdate { session, seq, x_fx, y_fx, motion: 0 };
+        let resps = server.handle(session, Request::Batch { seq, updates: vec![entry] });
+        let [Response::Batch { replies, .. }] = resps.as_slice() else {
+            panic!("a batch frame is answered with a batch, got {resps:?}");
+        };
+        let answered = matches!(
+            replies[0].responses.as_slice(),
+            [Response::RectInstall { seq: s, .. }] if *s == seq
         );
-    }
-    assert!(server.registry().counter("sa_server_overloads_total").get() >= 1);
+        assert!(answered, "entry {seq} of session {session} answered {replies:?}");
+    });
+    let snap = server.registry().snapshot();
+    assert_eq!(
+        snap.counter("sa_server_location_updates_total", &[]),
+        Some(u64::from(CALLERS * FRAMES))
+    );
     server.shutdown();
+}
+
+/// The batch path's one refusal: after `shutdown` no worker is left to
+/// take a slice, so a batch frame answers every entry `BAD_REQUEST` —
+/// while a single location update, which never needed a worker, is
+/// still answered.
+#[test]
+fn after_shutdown_batches_are_refused_and_single_updates_answered() {
+    let server = one_shard_server();
+    let (a, b) = (hello(&server, 0), hello(&server, 1));
+    server.shutdown();
+    let (x_fx, y_fx) = (quantize_m(500.0), quantize_m(500.0));
+    let entries = vec![
+        BatchedUpdate { session: a, seq: 1, x_fx, y_fx, motion: 0 },
+        BatchedUpdate { session: b, seq: 2, x_fx, y_fx, motion: 0 },
+    ];
+    let resps = server.handle(a, Request::Batch { seq: 7, updates: entries });
+    let [Response::Batch { seq: 7, replies }] = resps.as_slice() else {
+        panic!("a batch frame is answered with a batch, got {resps:?}");
+    };
+    let refused: Vec<_> = replies.iter().map(|r| (r.session, r.responses.clone())).collect();
+    let bad = |seq| vec![Response::Error { seq, code: error_code::BAD_REQUEST }];
+    assert_eq!(refused, vec![(a, bad(1)), (b, bad(2))]);
+
+    let update = Request::LocationUpdate { seq: 3, x_fx, y_fx, motion: 0 };
+    let resps = server.handle(a, update);
+    assert!(matches!(resps.as_slice(), [Response::RectInstall { seq: 3, .. }]), "{resps:?}");
 }

@@ -13,10 +13,9 @@
 //!
 //! Determinism boundary: a location update runs on the driver thread
 //! itself, and a batch frame — the only thing shard workers on real
-//! threads ever run — queues at most one job per shard before the
-//! synchronous driver reads its reply, so `Overloaded` backpressure —
-//! the one response that depends on worker scheduling — can never
-//! occur. The transcript therefore never observes thread timing.
+//! threads ever run — is answered entry by entry by its workers, with
+//! no response that depends on when they ran. The transcript therefore
+//! never observes thread timing.
 
 use crate::oracle::check_transcript;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
@@ -177,7 +176,7 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseOutcome, TransportError> {
     let vehicles = 0..config.fleet.vehicles as u32;
     let replay = ReplayConfig {
         steps: Some(case.steps.max(1)),
-        server: ServerConfig { num_shards: case.num_shards.max(1), ..ServerConfig::default() },
+        server: ServerConfig { num_shards: case.num_shards.max(1) },
         strategies: case.strategies.clone(),
         trace_mode: TraceMode::Full,
     };

@@ -26,7 +26,7 @@ use sa_alarms::{SpatialAlarm, SubscriberId};
 use sa_core::oracle::{check_bitmap_against_mask, check_sound};
 use sa_core::{BitmapSafeRegion, PyramidConfig};
 use sa_geometry::{CellId, Grid, Point, Rect};
-use sa_server::wire::{dequantize_m, PushedAlarm};
+use sa_server::wire::{dequantize_m, dequantize_rect, PushedAlarm};
 use sa_server::{Request, Response, StrategySpec};
 use sa_sim::SimulationHarness;
 use std::collections::{HashMap, HashSet};
@@ -68,16 +68,6 @@ fn wire_cell_rect(grid: &Grid, index: u32) -> Result<Rect, String> {
     Ok(grid.cell_rect(cell))
 }
 
-fn dequantize_rect(rect: [u32; 4]) -> Result<Rect, String> {
-    Rect::new(
-        dequantize_m(rect[0]),
-        dequantize_m(rect[1]),
-        dequantize_m(rect[2]),
-        dequantize_m(rect[3]),
-    )
-    .map_err(|e| format!("wire rect does not decode to a rectangle: {e}"))
-}
-
 /// Per-run context shared by every per-response check.
 struct OracleState<'a> {
     grid: &'a Grid,
@@ -99,7 +89,8 @@ impl OracleState<'_> {
     }
 
     fn check_rect_install(&self, user: u32, cell: u32, rect: [u32; 4]) -> Result<(), String> {
-        let region = dequantize_rect(rect)?;
+        let region = dequantize_rect(rect)
+            .map_err(|e| format!("wire rect does not decode to a rectangle: {e}"))?;
         let cell_rect = wire_cell_rect(self.grid, cell)?;
         let inflated = cell_rect
             .inflated(GEOMETRY_TOL_M)

@@ -28,7 +28,7 @@ fn main() {
 
     let replay_cfg = ReplayConfig {
         steps: Some(60), // one minute at 1 Hz
-        server: ServerConfig { num_shards: 4, queue_capacity: 64 },
+        server: ServerConfig { num_shards: 4 },
         trace_mode: TraceMode::Full,
         strategies: vec![
             StrategySpec::Mwpsr,
