@@ -3,7 +3,7 @@
 //! The paper's server model (§5.1) treats the alarm R*-tree as static, but
 //! production publishers install and cancel alarms continuously. Guarding
 //! the index with a reader-writer lock makes every install stall every
-//! shard's trigger checks. This module removes the contention:
+//! reader's trigger checks. This module removes the contention:
 //!
 //! - [`VersionedAlarmIndex`] keeps the current generation as an immutable
 //!   [`AlarmSnapshot`] behind a [`SnapshotCell`]. Writers (installs,

@@ -14,7 +14,7 @@
 
 use sa_server::chaos::{chaos_replay_in_proc, ChaosConfig, FaultPlan};
 use sa_server::wire::StrategySpec;
-use sa_server::{ReplayConfig, ServerConfig, TraceMode};
+use sa_server::{ReplayConfig, TraceMode};
 use sa_sim::{SimulationConfig, SimulationHarness};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -64,7 +64,6 @@ fn main() {
     let cfg = ChaosConfig {
         replay: ReplayConfig {
             steps: Some(opts.steps),
-            server: ServerConfig::default(),
             trace_mode: TraceMode::Full,
             strategies: vec![
                 StrategySpec::Mwpsr,

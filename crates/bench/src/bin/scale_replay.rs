@@ -28,8 +28,7 @@
 
 use sa_server::wire::StrategySpec;
 use sa_server::{
-    quarter_us_per_update, replay_batched_in_proc, replay_in_proc, ReplayConfig, ServerConfig,
-    TraceMode,
+    quarter_us_per_update, replay_batched_in_proc, replay_in_proc, ReplayConfig, TraceMode,
 };
 use sa_sim::{SimulationConfig, SimulationHarness};
 use std::fmt::Write as _;
@@ -113,7 +112,6 @@ fn main() {
     let harness = SimulationHarness::build(&sim);
     let cfg = ReplayConfig {
         steps: opts.steps,
-        server: ServerConfig::default(),
         trace_mode: TraceMode::Full,
         strategies: vec![
             StrategySpec::Mwpsr,

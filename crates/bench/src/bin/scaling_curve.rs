@@ -35,7 +35,7 @@ use sa_bench::{fit_power_law, render_table, PowerLawFit};
 use sa_core::BitVec;
 use sa_obs::{render_snapshot, Registry};
 use sa_server::wire::StrategySpec;
-use sa_server::{replay_batched_in_proc, ReplayConfig, ServerConfig, TraceMode};
+use sa_server::{replay_batched_in_proc, ReplayConfig, TraceMode};
 use sa_sim::{SimulationConfig, SimulationHarness};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -230,7 +230,6 @@ fn main() {
         for &workers in &opts.workers {
             let cfg = ReplayConfig {
                 steps: Some(opts.steps),
-                server: ServerConfig::default(),
                 trace_mode: TraceMode::Off,
                 strategies: vec![
                     StrategySpec::Mwpsr,

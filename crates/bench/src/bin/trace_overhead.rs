@@ -15,7 +15,7 @@
 //!   [--out PATH]`
 
 use sa_server::wire::StrategySpec;
-use sa_server::{replay_in_proc, ReplayConfig, ServerConfig, TraceMode};
+use sa_server::{replay_in_proc, ReplayConfig, TraceMode};
 use sa_sim::{SimulationConfig, SimulationHarness};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -62,7 +62,6 @@ fn parse_args() -> Opts {
 fn cfg_for(steps: u32, mode: TraceMode) -> ReplayConfig {
     ReplayConfig {
         steps: Some(steps),
-        server: ServerConfig::default(),
         trace_mode: mode,
         strategies: vec![
             StrategySpec::Mwpsr,

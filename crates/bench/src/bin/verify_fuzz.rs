@@ -3,13 +3,11 @@
 //! Runs the cheap differential oracle over a wide seed range, then
 //! drives a slice of end-to-end schedule seeds through the full
 //! deterministic harness (virtual clock, chaos plans, batching, the
-//! transcript oracle) — each case also replayed at 1 and at 4 shards,
-//! which must write the same transcript — then the named federation
-//! schedules (partition handoff during a disconnect window,
-//! repartition during a batch cadence — each run twice for digest
-//! determinism). Any violation is minimized, rendered as a `#[test]`
-//! reproducer next to the report, and turns the exit code nonzero so
-//! the CI job fails loudly.
+//! transcript oracle), then the named federation schedules (partition
+//! handoff during a disconnect window, repartition during a batch
+//! cadence — each run twice for digest determinism). Any violation is
+//! minimized, rendered as a `#[test]` reproducer next to the report,
+//! and turns the exit code nonzero so the CI job fails loudly.
 //!
 //! Usage: `verify_fuzz [--seeds N] [--schedule-seeds N] [--start S]
 //! [--budget-s SECS] [--out PATH]`
@@ -19,7 +17,7 @@
 //! failing the run, so a slow CI runner degrades coverage, not health.
 
 use sa_fed::{gating_cases, run_fed_case};
-use sa_verify::{differential_seed, fuzz_schedule, shard_independence, FuzzCase};
+use sa_verify::{differential_seed, fuzz_schedule};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -99,7 +97,6 @@ fn main() {
     let schedule_started = Instant::now();
     let mut report = sa_verify::FuzzReport::default();
     let mut skipped = 0u64;
-    let mut shard_failures: Vec<String> = Vec::new();
     for seed in opts.start..opts.start.saturating_add(opts.schedule_seeds) {
         if schedule_started.elapsed().as_secs_f64() > opts.budget_s {
             skipped = opts.start + opts.schedule_seeds - seed;
@@ -108,10 +105,6 @@ fn main() {
         let one = fuzz_schedule([seed], true);
         report.seeds_run += one.seeds_run;
         report.failures.extend(one.failures);
-        if let Err(v) = shard_independence(&FuzzCase::from_seed(seed)) {
-            eprintln!("SHARD-COUNT VIOLATION: {v}");
-            shard_failures.push(v);
-        }
     }
     let schedule_seconds = schedule_started.elapsed().as_secs_f64();
 
@@ -159,7 +152,6 @@ fn main() {
     let _ = writeln!(json, "  \"schedule_seeds_run\": {},", report.seeds_run);
     let _ = writeln!(json, "  \"schedule_seeds_skipped_budget\": {skipped},");
     let _ = writeln!(json, "  \"schedule_seconds\": {schedule_seconds:.3},");
-    let _ = writeln!(json, "  \"shard_independent\": {},", shard_failures.is_empty());
     let _ = writeln!(json, "  \"start\": {},", opts.start);
     let _ = writeln!(json, "  \"federation_seconds\": {fed_seconds:.3},");
     let _ = writeln!(json, "  \"federation_cases\": [");
@@ -185,7 +177,6 @@ fn main() {
         .iter()
         .cloned()
         .chain(report.failures.iter().map(|f| f.violation.clone()))
-        .chain(shard_failures.iter().cloned())
         .chain(fed_failures.iter().cloned())
         .collect();
     for (i, v) in all.iter().enumerate() {

@@ -176,9 +176,7 @@ mod tests {
     use super::*;
     use crate::federation::Federation;
     use sa_geometry::Rect;
-    use sa_server::{
-        FaultLeg, FaultPlan, FaultyTransport, InProcTransport, ServerConfig, VirtualClock,
-    };
+    use sa_server::{FaultLeg, FaultPlan, FaultyTransport, InProcTransport, VirtualClock};
     use std::sync::Arc;
 
     fn launch() -> (Federation, SharedClock) {
@@ -189,7 +187,6 @@ mod tests {
             grid,
             Vec::new(),
             30.0,
-            ServerConfig::default(),
             2,
             Arc::clone(&clock),
         );
@@ -219,7 +216,6 @@ mod tests {
         }
         // Same skew again: the cut is already balanced for it.
         assert!(!coord.maybe_repartition(&grid, &loads).unwrap());
-        fed.shutdown();
     }
 
     #[test]
@@ -255,6 +251,5 @@ mod tests {
         for s in fed.servers() {
             assert_eq!(s.topology().0, 1);
         }
-        fed.shutdown();
     }
 }

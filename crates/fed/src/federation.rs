@@ -3,7 +3,7 @@
 use crate::topology::PartitionMap;
 use sa_alarms::SpatialAlarm;
 use sa_geometry::Grid;
-use sa_server::{Server, ServerConfig, SharedClock};
+use sa_server::{Server, SharedClock};
 use std::sync::Arc;
 
 /// A running fleet of federation members sharing one grid, one alarm
@@ -28,12 +28,11 @@ impl Federation {
     /// # Panics
     ///
     /// Panics when `partitions` is zero or exceeds the grid's cell
-    /// count, or when `Server::start_with_clock` rejects the config.
+    /// count, or when `v_max` is not positive.
     pub fn launch(
         grid: Grid,
         alarms: Vec<SpatialAlarm>,
         v_max: f64,
-        config: ServerConfig,
         partitions: u32,
         clock: SharedClock,
     ) -> Federation {
@@ -44,7 +43,6 @@ impl Federation {
                     grid.clone(),
                     alarms.clone(),
                     v_max,
-                    config,
                     Arc::clone(&clock),
                 );
                 server.enable_federation(id, map.epoch, map.ranges.clone());
@@ -91,13 +89,6 @@ impl Federation {
         }
         total
     }
-
-    /// Shuts every member down.
-    pub fn shutdown(&self) {
-        for server in &self.servers {
-            server.shutdown();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -111,8 +102,7 @@ mod tests {
         let universe = Rect::new(0.0, 0.0, 4_000.0, 4_000.0).unwrap();
         let grid = Grid::new(universe, 1_000.0).unwrap();
         let clock: SharedClock = Arc::new(VirtualClock::new());
-        let fed =
-            Federation::launch(grid, Vec::new(), 30.0, ServerConfig::default(), 3, clock);
+        let fed = Federation::launch(grid, Vec::new(), 30.0, 3, clock);
         assert_eq!(fed.servers().len(), 3);
         for (id, server) in fed.servers().iter().enumerate() {
             assert_eq!(server.federation_id(), Some(id as u32));
@@ -120,6 +110,5 @@ mod tests {
             assert_eq!(epoch, 0);
             assert_eq!(ranges, fed.initial_map().ranges);
         }
-        fed.shutdown();
     }
 }

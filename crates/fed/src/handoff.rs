@@ -172,24 +172,15 @@ mod tests {
     use super::*;
     use sa_geometry::{Grid, Rect};
     use sa_server::wire::StrategySpec;
-    use sa_server::{
-        FaultLeg, FaultPlan, FaultyTransport, InProcTransport, Server, ServerConfig, VirtualClock,
-    };
+    use sa_server::{FaultLeg, FaultPlan, FaultyTransport, InProcTransport, Server, VirtualClock};
     use std::sync::Arc;
 
     fn pair() -> (Arc<Server>, Arc<Server>, SharedClock) {
         let universe = Rect::new(0.0, 0.0, 4_000.0, 4_000.0).unwrap();
         let grid = Grid::new(universe, 1_000.0).unwrap();
         let clock: SharedClock = Arc::new(VirtualClock::new());
-        let a = Server::start_with_clock(
-            grid.clone(),
-            Vec::new(),
-            30.0,
-            ServerConfig::default(),
-            Arc::clone(&clock),
-        );
-        let b =
-            Server::start_with_clock(grid, Vec::new(), 30.0, ServerConfig::default(), Arc::clone(&clock));
+        let a = Server::start_with_clock(grid.clone(), Vec::new(), 30.0, Arc::clone(&clock));
+        let b = Server::start_with_clock(grid, Vec::new(), 30.0, Arc::clone(&clock));
         (a, b, clock)
     }
 
@@ -215,8 +206,6 @@ mod tests {
         assert_eq!(mesh.handoffs(), 1);
         // Re-entering after completion observes the released session.
         assert!(!mesh.migrate(0, sa, 1, sb).unwrap(), "re-run must see it already moved");
-        a.shutdown();
-        b.shutdown();
     }
 
     #[test]
@@ -248,7 +237,5 @@ mod tests {
             .collect();
         let mut mesh = HandoffChannel::new(links, clock);
         assert!(mesh.migrate(0, sa, 1, sb).unwrap(), "retries must ride out the loss");
-        a.shutdown();
-        b.shutdown();
     }
 }

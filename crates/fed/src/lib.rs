@@ -1,7 +1,7 @@
 //! sa-fed: N `sa-server` instances as one logical alarm service.
 //!
 //! The paper distributes safe-region computation across *servers*;
-//! everything below `sa-fed` runs on a single grid-cell-sharded
+//! everything below `sa-fed` runs on a single server
 //! process. This crate adds the missing layer:
 //!
 //! * [`topology`] — a cell-ownership [`PartitionMap`]: contiguous

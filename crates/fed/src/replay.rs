@@ -32,8 +32,8 @@ use sa_server::transcript::{RecordingTransport, SharedTranscript, Transcript};
 use sa_server::wire::{BatchedUpdate, SEQ_MASK};
 use sa_server::{
     connect_fleet, drive, exchange_batch, verify_prefix, ChaosControls, Client, FaultPlan,
-    FaultyTransport, InProcTransport, ResiliencePolicy, Response, ServerConfig, SharedClock,
-    StrategySpec, Transport, TransportError, VirtualClock,
+    FaultyTransport, InProcTransport, ResiliencePolicy, Response, SharedClock, StrategySpec,
+    Transport, TransportError, VirtualClock,
 };
 use sa_sim::{FiredEvent, SimulationConfig, SimulationHarness};
 use std::sync::{Arc, Mutex};
@@ -51,10 +51,6 @@ const ROUTER_MEMBER_BASE: u32 = 100;
 
 /// Pseudo-member id of the coordinator in merged span records.
 const COORDINATOR_MEMBER: u32 = 200;
-
-/// Every member's sizing. The shard count is unobservable on the wire,
-/// so it is not worth a config field.
-const MEMBER_CONFIG: ServerConfig = ServerConfig { num_shards: 2 };
 
 /// Re-route rounds per batched step before the driver gives up — a
 /// livelock guard against members that keep bouncing an entry with
@@ -176,7 +172,6 @@ pub fn fed_replay(cfg: &FedReplayConfig) -> Result<FedOutcome, TransportError> {
         harness.grid().clone(),
         harness.index().alarms().to_vec(),
         harness.v_max(),
-        MEMBER_CONFIG,
         cfg.partitions,
         Arc::clone(&clock),
     );
@@ -301,7 +296,6 @@ pub fn fed_replay(cfg: &FedReplayConfig) -> Result<FedOutcome, TransportError> {
             .collect();
     let wrong_owner_bounces: u64 = fed.servers().iter().map(|s| s.wrong_owner_total()).sum();
     let final_epoch = fed.server(0).topology().0;
-    fed.shutdown();
 
     let digest = log.lock().expect("transcript lock poisoned").digest();
     Ok(FedOutcome {

@@ -366,9 +366,7 @@ mod tests {
     use crate::federation::Federation;
     use sa_geometry::Rect;
     use sa_server::wire::StrategySpec;
-    use sa_server::{
-        InProcTransport, Server, ServerConfig, SharedClock, VirtualClock,
-    };
+    use sa_server::{InProcTransport, Server, SharedClock, VirtualClock};
     use std::sync::Arc;
 
     fn launch(partitions: u32) -> (Federation, SharedClock) {
@@ -379,7 +377,6 @@ mod tests {
             grid,
             Vec::new(),
             30.0,
-            ServerConfig::default(),
             partitions,
             Arc::clone(&clock),
         );
@@ -443,7 +440,6 @@ mod tests {
         t.request(update(3, p1)).unwrap();
         assert_eq!(t.owner(), Some(1));
         assert_eq!(t.handoffs(), 1, "boundary crossing must migrate the session");
-        fed.shutdown();
     }
 
     #[test]
@@ -485,6 +481,5 @@ mod tests {
         };
         assert!(recorded(0, SpanKind::TopologyInstall, 1) && recorded(1, SpanKind::TopologyInstall, 1));
         assert!(recorded(0, SpanKind::WrongOwner, 1));
-        fed.shutdown();
     }
 }

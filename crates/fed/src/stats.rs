@@ -137,7 +137,7 @@ mod tests {
     use super::*;
     use crate::federation::Federation;
     use sa_geometry::Rect;
-    use sa_server::{ServerConfig, SharedClock, VirtualClock};
+    use sa_server::{SharedClock, VirtualClock};
 
     #[test]
     fn scrape_labels_members_and_exposes_coordinator_gauges() {
@@ -148,7 +148,6 @@ mod tests {
             grid.clone(),
             Vec::new(),
             30.0,
-            ServerConfig::default(),
             2,
             clock,
         );
@@ -161,6 +160,5 @@ mod tests {
         assert!(text.contains("sa_fed_owned_cells{member=\"0\"}"));
         // Uniform load over an even cut is perfectly balanced.
         assert!(text.contains("sa_fed_load_imbalance_milli 1000"));
-        fed.shutdown();
     }
 }

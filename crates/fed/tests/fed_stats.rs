@@ -6,7 +6,7 @@
 
 use sa_fed::{federated_scrape, Coordinator, Federation};
 use sa_geometry::{Grid, Rect};
-use sa_server::{InProcTransport, ServerConfig, SharedClock, Transport, VirtualClock};
+use sa_server::{InProcTransport, SharedClock, Transport, VirtualClock};
 use std::sync::Arc;
 
 /// The value of the sample line starting with `prefix ` (name + labels).
@@ -25,7 +25,6 @@ fn mid_repartition_scrape_reports_disjoint_complete_cell_ownership() {
         grid.clone(),
         Vec::new(),
         30.0,
-        ServerConfig::default(),
         3,
         Arc::clone(&clock),
     );
@@ -81,5 +80,4 @@ fn mid_repartition_scrape_reports_disjoint_complete_cell_ownership() {
         );
     }
     assert!(text.contains("member=\"federation\""), "histogram roll-ups must be present");
-    fed.shutdown();
 }

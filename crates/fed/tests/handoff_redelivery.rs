@@ -15,9 +15,7 @@ use sa_fed::{Federation, HandoffChannel, PartitionMap};
 use sa_geometry::{CellId, Grid, Point, Rect};
 use sa_obs::SpanKind;
 use sa_server::wire::{pack_motion, quantize_m, StrategySpec};
-use sa_server::{
-    InProcTransport, Request, Response, Server, ServerConfig, SharedClock, Transport, VirtualClock,
-};
+use sa_server::{InProcTransport, Request, Response, Server, SharedClock, Transport, VirtualClock};
 use std::sync::Arc;
 
 /// First cell (in scan order) the epoch-0 map assigns to `owner`.
@@ -76,7 +74,6 @@ fn handoff_mid_redelivery_fires_exactly_once() {
         grid.clone(),
         vec![alarm],
         30.0,
-        ServerConfig::default(),
         2,
         Arc::clone(&clock),
     );
@@ -140,5 +137,4 @@ fn handoff_mid_redelivery_fires_exactly_once() {
     assert!(recorded(a, SpanKind::WrongOwner, 1), "the bounce names the owner");
     assert!(!recorded(b, SpanKind::Trigger, 7), "the imported firing is not a second one");
 
-    fed.shutdown();
 }

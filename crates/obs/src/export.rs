@@ -6,7 +6,7 @@
 //!
 //! * [`chrome_trace_json`] — the Chrome trace-event format (an array of
 //!   `ph: "X"` complete events), loadable in Perfetto / `chrome://tracing`.
-//!   `pid` carries the member, `tid` the shard, `args` the hex trace and
+//!   `pid` carries the member, `tid` the lane, `args` the hex trace and
 //!   span ids, so one federation run reads as one timeline with a row
 //!   per member.
 //! * [`render_tree`] — an indented text tree per trace, the
@@ -83,7 +83,7 @@ pub fn assemble(spans: &[Span]) -> Vec<TraceTree> {
 }
 
 /// Renders assembled traces as indented text trees — one block per
-/// trace, each line `kind [member/shard] +start dur a b`.
+/// trace, each line `kind [member/lane] +start dur a b`.
 pub fn render_tree(trees: &[TraceTree]) -> String {
     let mut out = String::new();
     for tree in trees {
@@ -123,7 +123,7 @@ fn render_node(out: &mut String, tree: &TraceTree, i: usize, depth: usize) {
 
 /// Renders `spans` as Chrome trace-event JSON (the `traceEvents` array
 /// format Perfetto loads directly). Every span becomes one complete
-/// (`ph: "X"`) event; `pid` = member, `tid` = shard.
+/// (`ph: "X"`) event; `pid` = member, `tid` = lane.
 pub fn chrome_trace_json(spans: &[Span]) -> String {
     let mut sorted: Vec<&Span> = spans.iter().collect();
     sorted.sort_by_key(|s| (s.start_us, s.ctx.span_id));

@@ -1,7 +1,7 @@
 //! Typed causal spans and the per-process span recorder.
 //!
-//! A span is one timed unit of work — an update dispatch, a shard queue
-//! wait, a safe-region computation, a handoff leg — keyed by a
+//! A span is one timed unit of work — an update dispatch, a safe-region
+//! computation, a cache probe, a handoff leg — keyed by a
 //! [`TraceCtx`]: the trace it belongs to, its own span id, and its
 //! parent's span id. Spans recorded on different federation members are
 //! merged after the fact into one causally ordered tree (see
@@ -24,8 +24,8 @@
 //! # Recording
 //!
 //! [`SpanRecorder`] is the one event recorder: per-lane drop-oldest
-//! buffers behind short mutexes (a misbehaving shard can never crowd
-//! out its siblings' history), a [`TraceMode`] gate read with one
+//! buffers behind short mutexes (a busy lane can never crowd out its
+//! siblings' history), a [`TraceMode`] gate read with one
 //! atomic load when tracing is off, and fresh span ids minted from an
 //! atomic counter namespaced by member id so ids never collide across
 //! the federation. Point events — a firing, a `WrongOwner` bounce,
@@ -90,8 +90,6 @@ pub enum SpanKind {
     ClientUpdate,
     /// A member's handling of one update (router entry → reply).
     UpdateDispatch,
-    /// Queue wait between router submit and shard-worker pickup.
-    ShardWait,
     /// One safe-region computation (any strategy).
     RegionCompute,
     /// One region-cache probe.
@@ -130,7 +128,6 @@ impl SpanKind {
         match self {
             SpanKind::ClientUpdate => "client_update",
             SpanKind::UpdateDispatch => "update_dispatch",
-            SpanKind::ShardWait => "shard_wait",
             SpanKind::RegionCompute => "region_compute",
             SpanKind::CacheLookup => "cache_lookup",
             SpanKind::RedirectHop => "redirect_hop",
@@ -161,7 +158,8 @@ pub struct Span {
     pub dur_us: u64,
     /// Federation member (or pseudo-member for routers) that recorded it.
     pub member: u32,
-    /// Shard within the member (0 when not shard-scoped).
+    /// The recorder lane within the member the work is attributed to
+    /// (0 when not lane-scoped).
     pub shard: u32,
     /// First operand (meaning depends on `kind`: session, epoch, cell…).
     pub a: u64,
@@ -201,8 +199,8 @@ pub struct SpanRecorder {
 impl SpanRecorder {
     /// A recorder with `lanes` drop-oldest buffers of `capacity` spans
     /// each, reading timestamps from `time`, initially in
-    /// [`TraceMode::Full`]. Lanes shard the recording lock — pass the
-    /// shard count plus one for the router.
+    /// [`TraceMode::Full`]. Lanes split the recording lock between
+    /// concurrent recorders.
     ///
     /// # Panics
     ///
@@ -332,7 +330,7 @@ pub fn client_root_span(trace_id: u64) -> u64 {
 }
 
 /// The span id of `member`'s dispatch span within `trace_id` — derived,
-/// so shard-level child spans on the member and redirect hops on the
+/// so the compute spans on the member and redirect hops on the
 /// client agree on the parent without coordination.
 pub fn dispatch_span(trace_id: u64, member: u32) -> u64 {
     trace_id
@@ -408,14 +406,14 @@ mod tests {
     fn lanes_drop_oldest_and_out_of_range_lanes_clamp() {
         let r = SpanRecorder::new(2, 2, ticking());
         for i in 0..4 {
-            let mut s = span(&r, 1, SpanKind::ShardWait);
+            let mut s = span(&r, 1, SpanKind::RegionCompute);
             s.a = i;
             r.record(0, s);
         }
         r.record(99, span(&r, 1, SpanKind::ClientUpdate));
         assert_eq!(r.len(), 3, "lane 0 capped at 2, clamped lane holds 1");
         let kept: Vec<u64> =
-            r.spans().iter().filter(|s| s.kind == SpanKind::ShardWait).map(|s| s.a).collect();
+            r.spans().iter().filter(|s| s.kind == SpanKind::RegionCompute).map(|s| s.a).collect();
         assert_eq!(kept, vec![2, 3]);
     }
 

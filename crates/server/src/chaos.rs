@@ -477,7 +477,6 @@ mod tests {
             assert!(t.request(Request::Stats { seq }).is_ok(), "exchange {seq} interfered");
         }
         assert_eq!(t.controls().counts().total(), 0);
-        server.shutdown();
     }
 
     #[test]
@@ -495,7 +494,6 @@ mod tests {
         assert_eq!(controls.counts().by_kind()[DISCONNECT], ("disconnect", 1));
         controls.set_link_down(false);
         assert!(t.request(hello(3)).is_ok());
-        server.shutdown();
     }
 
     #[test]
@@ -510,7 +508,6 @@ mod tests {
             for seq in 2..200 {
                 pattern.push(t.request(Request::Stats { seq }).is_ok());
             }
-            server.shutdown();
             pattern
         };
         assert_eq!(outcomes(3), outcomes(3), "same salt must replay identically");
@@ -534,7 +531,6 @@ mod tests {
         assert!(failures > 0, "10% drop over 300 exchanges must fail sometimes");
         let by_kind = controls.counts().by_kind();
         assert!(by_kind[DROP_UP].1 + by_kind[DROP_DOWN].1 > 0);
-        server.shutdown();
     }
 
     #[test]

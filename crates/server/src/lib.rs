@@ -1,12 +1,11 @@
-//! sa-server: a concurrent, grid-sharded safe-region service runtime.
+//! sa-server: a concurrent safe-region service runtime.
 //!
 //! Where `sa-sim` *models* the client–server message exchange of
 //! Bamba et al.'s safe-region strategies with abstract bit accounting,
 //! this crate *runs* it: a real binary wire protocol ([`wire`]), a
-//! server that answers each location update on the thread that decoded
-//! it and fans batch frames out across worker shards by grid cell, all
-//! reading one epoch-versioned alarm index ([`server`], [`shard`]), an
-//! epoch-versioned cache of public
+//! server that answers each location update — alone or inside a batch
+//! frame — on the thread that decoded it, reading one epoch-versioned
+//! alarm index ([`server`]), an epoch-versioned cache of public
 //! safe-region bitmaps ([`cache`]), two interchangeable transports —
 //! in-process and TCP ([`transport`]) — one event-driven TCP front
 //! end ([`reactor`], [`netfront`]), and client-side strategy mirrors
@@ -14,11 +13,11 @@
 //! against the simulator's ground truth ([`client`], [`mod@replay`]).
 //!
 //! Every layer is instrumented through `sa-obs`: one registry per server
-//! holds the cache/router counters, shard queue-depth gauges, and
-//! latency histograms (shard dispatch wait, per-algorithm safe-region
-//! computation, cache lookup, wire encode/decode, end-to-end update
-//! round trip), scrapeable live over the wire with [`Request::Stats`]
-//! and rendered as Prometheus text.
+//! holds the cache/router counters, the reactor's connection gauges, and
+//! latency histograms (per-algorithm safe-region computation, cache
+//! lookup, wire encode/decode, end-to-end update round trip),
+//! scrapeable live over the wire with [`Request::Stats`] and rendered
+//! as Prometheus text.
 //!
 //! The runtime is failure-aware end to end ([`chaos`]): transports can
 //! be wrapped in a deterministic fault injector (drops, duplicates,
@@ -28,7 +27,7 @@
 //! exchange recovers lost trigger deliveries from the server's
 //! per-session delivery log.
 //!
-//! All timing — router entry stamps, shard queue waits, injected chaos
+//! All timing — router entry stamps, compute timers, injected chaos
 //! delays, client backoff sleeps — goes through the [`clock::Clock`]
 //! trait, so the `sa-verify` harness can substitute a
 //! [`clock::VirtualClock`] and make an entire server+fleet+fault run
@@ -52,9 +51,8 @@
 //!            edge-triggered registration per connection, FrameReader /
 //!            WriteQueue (netfront), admission, deadline-sweep reaping
 //! server  ── router + sessions + the one VersionedAlarmIndex;
-//!            LocationUpdate → process_into on the caller's thread,
-//!            Batch → one job per shard, the caller waits for the replies
-//! shard   ── cell → shard mapping + the batch fan-out's ShardPool
+//!            LocationUpdate and every Batch entry, in frame order →
+//!            process_into on the caller's thread
 //! fired   ── per-subscriber fired-alarm lists (exactly-once state)
 //! cache   ── (cell, height) → public bitmap, epoch-invalidated
 //! wire    ── Request/Response codec, sizes == sa-sim payload constants
@@ -77,7 +75,6 @@ mod poller;
 pub mod reactor;
 pub mod replay;
 pub mod server;
-pub mod shard;
 pub mod transcript;
 pub mod transport;
 pub mod wire;
@@ -98,7 +95,6 @@ pub use replay::{
 };
 pub use sa_obs::TraceMode;
 pub use server::{Server, ServerConfig};
-pub use shard::{shard_of_index, ShardPool};
 pub use transport::{
     InProcTransport, ReconnectingTcpTransport, TcpTransport, Transport, TransportError,
 };

@@ -683,7 +683,6 @@ mod tests {
         assert!(matches!(answer, Response::BitmapInstall { seq: 1, .. }), "{answer:?}");
         assert_eq!(next_response(&mut client), None, "then the server closes its half");
         assert_eq!(server.session_count(), 0);
-        server.shutdown();
     }
 
     #[test]
@@ -726,7 +725,6 @@ mod tests {
         worker.dispatch(0);
         worker.dispatch(17);
         assert_eq!(shared.open.load(Ordering::SeqCst), 0);
-        server.shutdown();
     }
 
     #[test]
@@ -757,7 +755,6 @@ mod tests {
         assert_eq!(shared.ports[0].serving.get(), 0);
         assert!(worker.conns[0].is_none() && worker.free == [0]);
         assert_eq!(next_response(&mut client), None, "the peer sees the close");
-        server.shutdown();
     }
 
     #[test]
@@ -790,7 +787,6 @@ mod tests {
         assert_eq!(server.session_count(), 0, "session must be gone after Bye+close");
         reactor.shutdown();
         assert_eq!(reactor.open_connections(), 0);
-        server.shutdown();
     }
 
     #[test]
@@ -821,7 +817,6 @@ mod tests {
         assert_eq!(fired.len(), 1, "degraded session must still fire exactly once");
         assert!(reactor.degraded_admissions() >= 1, "admission must be counted as degraded");
         reactor.shutdown();
-        server.shutdown();
     }
 
     #[test]
@@ -843,7 +838,6 @@ mod tests {
             "close must be attributed to the slow-loris reaper"
         );
         assert_eq!(reactor.open_connections(), 0, "half-frame must be reaped");
-        server.shutdown();
     }
 
     #[test]
@@ -861,7 +855,6 @@ mod tests {
             "idle connection must be reaped"
         );
         assert_eq!(reactor.open_connections(), 0);
-        server.shutdown();
     }
 
     #[test]
@@ -872,6 +865,5 @@ mod tests {
         stream.write_all(&(crate::wire::MAX_FRAME_LEN as u32 + 1).to_be_bytes()).unwrap();
         stream.flush().unwrap();
         assert_eq!(wait_for_close(&server, "protocol", Duration::from_secs(10)), Some(1));
-        server.shutdown();
     }
 }

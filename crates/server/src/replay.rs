@@ -26,7 +26,7 @@ use crate::chaos::{ChaosControls, FaultPlan};
 use crate::client::{Client, ClientStats};
 use crate::clock::{SharedClock, SystemClock};
 use crate::reactor::{Reactor, ReactorConfig};
-use crate::server::{Server, ServerConfig};
+use crate::server::Server;
 use crate::transport::{InProcTransport, TcpTransport, Transport, TransportError};
 use crate::wire::{BatchReply, BatchedUpdate, Request, Response, StrategySpec, SEQ_MASK};
 use crate::CacheStats;
@@ -39,13 +39,11 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// What to replay and through what server shape.
+/// What to replay, with which strategies and span-recording mode.
 #[derive(Debug, Clone)]
 pub struct ReplayConfig {
     /// Steps to replay; `None` replays the harness's full trace.
     pub steps: Option<u32>,
-    /// Server sizing.
-    pub server: ServerConfig,
     /// Strategies assigned to vehicles round-robin.
     pub strategies: Vec<StrategySpec>,
     /// Span-recording mode installed on the server at start — the
@@ -58,7 +56,6 @@ impl Default for ReplayConfig {
     fn default() -> ReplayConfig {
         ReplayConfig {
             steps: None,
-            server: ServerConfig::default(),
             trace_mode: TraceMode::Full,
             strategies: vec![
                 StrategySpec::Mwpsr,
@@ -71,7 +68,7 @@ impl Default for ReplayConfig {
 }
 
 impl ReplayConfig {
-    /// Starts this config's server over `harness`'s world, every
+    /// Starts a server over `harness`'s world, every
     /// timestamp on `clock`; also returns the steps a replay drives.
     ///
     /// # Panics
@@ -86,7 +83,6 @@ impl ReplayConfig {
             harness.grid().clone(),
             harness.index().alarms().to_vec(),
             harness.v_max(),
-            self.server,
             clock,
         );
         server.set_trace_mode(self.trace_mode);
@@ -416,8 +412,7 @@ pub fn verify_prefix(
     })
 }
 
-/// Verifies a single-server run, gathers the server's counters and shuts
-/// it down.
+/// Verifies a single-server run and gathers the server's counters.
 pub(crate) fn conclude(
     harness: &SimulationHarness,
     server: &Arc<Server>,
@@ -425,7 +420,7 @@ pub(crate) fn conclude(
     driven: Driven,
 ) -> ReplayOutcome {
     let lone = std::slice::from_ref(server);
-    let outcome = ReplayOutcome {
+    ReplayOutcome {
         verification: verify_prefix(harness, steps, &driven.fired, || server.spans(), lone),
         fired: driven.fired,
         clients: driven.clients,
@@ -433,9 +428,7 @@ pub(crate) fn conclude(
         metrics: server.registry().snapshot(),
         steps,
         step_costs: driven.step_costs,
-    };
-    server.shutdown();
-    outcome
+    }
 }
 
 /// Replays `steps` steps of `harness`'s trace per request through
@@ -597,7 +590,7 @@ mod tests {
     /// A forced divergence: the run is exact, then the latest firing is
     /// withheld from the diff. The rendered bundle must show that firing
     /// as a `trigger` span, alarm id and all, inside the tree of the
-    /// update that fired it — so "which update, on which shard" is
+    /// update that fired it — so "which update, in which cell" is
     /// answered by the failure message itself.
     #[test]
     fn a_divergence_bundle_shows_the_trigger_inside_its_updates_tree() {
@@ -622,7 +615,6 @@ mod tests {
         let withheld = fired.pop().expect("the smoke run fires alarms");
         let text = verify_prefix(&harness, steps, &fired, || server.spans(), lone)
             .expect_err("a withheld firing is a divergence");
-        server.shutdown();
 
         assert!(text.contains("=== flight recorder ==="), "{text}");
         let lines: Vec<&str> = text.lines().collect();

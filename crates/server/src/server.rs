@@ -7,11 +7,11 @@
 //! install/remove, OPT trigger notify) touch only lock-protected shared
 //! maps and never compute geometry. A location update — the hot path —
 //! is the paper's one job: check triggers, then refresh the safe region,
-//! with no queue and no thread hop in between. Only a
-//! [`Request::Batch`] frame fans out, one job per shard, and its caller
-//! waits for the replies. No request is ever answered
-//! [`Response::Overloaded`]: over TCP the reactor's admission control
-//! and read throttling are the overload response.
+//! with no queue and no thread hop in between. A [`Request::Batch`]
+//! frame is its entries run one after another, in frame order, through
+//! that same path; the server owns no threads. No request is ever
+//! answered [`Response::Overloaded`]: over TCP the reactor's admission
+//! control and read throttling are the overload response.
 //!
 //! Lock discipline: every thread that processes a request takes at most
 //! one lock at a time. Alarm-index reads never lock at all — each thread
@@ -23,12 +23,10 @@
 use crate::cache::{CacheStats, RegionCache};
 use crate::clock::{SharedClock, SystemClock};
 use crate::fired::FiredTable;
-use crate::shard::{shard_of_index, Job, ShardPool, ShardUpdate};
 use crate::wire::{
-    dequantize_m, dequantize_rect, quantize_rect, unpack_motion, BatchReply, BatchedUpdate,
-    CellRange, Request, Response, SessionState, StrategySpec, TraceCtxExt, SEQ_MASK,
+    dequantize_m, dequantize_rect, quantize_rect, unpack_motion, BatchReply, CellRange, Request,
+    Response, SessionState, StrategySpec, TraceCtxExt, SEQ_MASK,
 };
-use crossbeam::channel::bounded;
 use parking_lot::RwLock;
 use sa_alarms::{
     AlarmId, AlarmScope, AlarmSnapshot, AlarmTarget, SnapshotCache, SpatialAlarm, SubscriberId,
@@ -73,22 +71,11 @@ pub mod error_code {
     pub const UNKNOWN_ALARM: u32 = 3;
 }
 
-/// Sizing knobs of a [`Server`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServerConfig {
-    /// Width of the batch fan-out: the worker threads a
-    /// [`Request::Batch`] frame's entries are sliced across (grid cells
-    /// map to shards round-robin by flattened index). A single location
-    /// update runs on the caller's thread; its shard only picks the span
-    /// lane it records on.
-    pub num_shards: usize,
-}
-
-impl Default for ServerConfig {
-    fn default() -> ServerConfig {
-        ServerConfig { num_shards: 4 }
-    }
-}
+/// The argument [`Server::start`] takes. It has no fields: the server
+/// runs every request on its caller's thread, so there is nothing left
+/// to size. It stays so that existing `Server::start` callers compile.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ServerConfig {}
 
 #[derive(Debug)]
 struct Session {
@@ -112,9 +99,9 @@ struct Session {
 }
 
 /// Stripe count of the [`SessionTable`] — a power of two comfortably
-/// above the shard counts the configs use, so session ids spread across
-/// stripes and the batch router, the shard workers, and the federation
-/// handoff exporter almost always lock different stripes.
+/// above the reactor's worker count, so session ids spread across
+/// stripes and concurrent callers and the federation handoff exporter
+/// almost always lock different stripes.
 pub(crate) const SESSION_STRIPES: usize = 16;
 
 /// The session registry, striped by session id so no single lock
@@ -216,8 +203,8 @@ pub(crate) struct ServerMetrics {
     handoff_exports: Counter,
     /// Sessions imported from another federation member.
     handoff_imports: Counter,
-    /// End-to-end location-update round trip: router entry to answer
-    /// (for a batch entry, to its shard's reply).
+    /// End-to-end location-update round trip: routing plus processing,
+    /// the same span for a single update and for each batch entry.
     update_rtt: Histogram,
     /// One `RegionCache::lookup` call inside the PBSR path.
     cache_lookup: Histogram,
@@ -268,12 +255,24 @@ impl ServerMetrics {
     }
 }
 
-/// Shared state reachable from the router and every worker.
-struct Core {
+/// Span capacity per lane of the server's [`SpanRecorder`] — sized so a
+/// replay-scale run keeps every span of its final divergence window.
+const SPAN_LANE_CAPACITY: usize = 1024;
+
+/// Data lanes of the server's [`SpanRecorder`]: an update's compute
+/// spans go to lane `cell_index % SPAN_LANES`, so concurrent updates in
+/// different cells mostly take different lane locks. Lane `SPAN_LANES`
+/// is the router lane (dispatches, bounces, alarm writes, control
+/// exchanges).
+const SPAN_LANES: usize = 4;
+
+/// The live safe-region service, shared by every thread that calls into
+/// it. Build with [`Server::start`], talk to it through a
+/// [`crate::transport::Transport`].
+pub struct Server {
     grid: Grid,
     v_max: f64,
-    num_shards: usize,
-    /// The one alarm index (dense ids) every worker and the router read.
+    /// The one alarm index (dense ids) every caller reads.
     /// Epoch-versioned: readers pin snapshots, installs publish new
     /// generations.
     global_index: VersionedAlarmIndex,
@@ -292,9 +291,9 @@ struct Core {
     /// over the wire via [`Request::Stats`].
     registry: Arc<Registry>,
     metrics: ServerMetrics,
-    /// Typed causal spans, one lane per shard plus the router lane
-    /// (index `num_shards`) — the server's one event record and the raw
-    /// material of the federation-wide trace assembly.
+    /// Typed causal spans, [`SPAN_LANES`] data lanes plus the router
+    /// lane — the server's one event record and the raw material of the
+    /// federation-wide trace assembly.
     spans: SpanRecorder,
     /// Per-bucket trace exemplars of `sa_update_rtt_ns`, linking a p99
     /// readout to a trace that actually landed in that bucket.
@@ -305,25 +304,12 @@ struct Core {
     clock: SharedClock,
 }
 
-/// Span capacity per lane of the server's [`SpanRecorder`] — sized so a
-/// replay-scale run keeps every span of its final divergence window.
-const SPAN_LANE_CAPACITY: usize = 1024;
-
-/// The live safe-region service. Build with [`Server::start`], talk to it
-/// through a [`crate::transport::Transport`].
-pub struct Server {
-    core: Arc<Core>,
-    /// The batch fan-out; `None` after [`Server::shutdown`].
-    pool: RwLock<Option<ShardPool>>,
-}
-
 impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut s = f.debug_struct("Server");
-        s.field("num_shards", &self.core.num_shards);
         // fmt must never block: debug-logging a server while a writer is
         // mid-publish degrades to a placeholder instead of deadlocking.
-        match self.core.global_index.try_peek() {
+        match self.global_index.try_peek() {
             Some(snap) => s.field("alarms", &snap.len()),
             None => s.field("alarms", &"<locked>"),
         };
@@ -332,42 +318,37 @@ impl std::fmt::Debug for Server {
 }
 
 impl Server {
-    /// Bulk-loads the alarm index from `alarms` and spawns the batch
-    /// fan-out's worker threads.
+    /// Bulk-loads the alarm index from `alarms`.
     ///
     /// # Panics
     ///
-    /// Panics when `v_max` is not positive or the config has zero
-    /// shards.
+    /// Panics when `v_max` is not positive.
     pub fn start(
         grid: Grid,
         alarms: Vec<SpatialAlarm>,
         v_max: f64,
-        config: ServerConfig,
+        _config: ServerConfig,
     ) -> Arc<Server> {
-        Server::start_with_clock(grid, alarms, v_max, config, SystemClock::shared())
+        Server::start_with_clock(grid, alarms, v_max, SystemClock::shared())
     }
 
     /// [`Server::start`] with an explicit [`SharedClock`]. Every
-    /// timestamp the server takes (router entry, shard queue wait,
-    /// safe-region compute timing, cache lookups, wire codec timing on
-    /// the attached transports) reads this clock, so a
+    /// timestamp the server takes (router entry, safe-region compute
+    /// timing, cache lookups, wire codec timing on the attached
+    /// transports) reads this clock, so a
     /// [`crate::clock::VirtualClock`] makes the whole run's timing
     /// deterministic.
     ///
     /// # Panics
     ///
-    /// Panics when `v_max` is not positive or the config has zero
-    /// shards.
+    /// Panics when `v_max` is not positive.
     pub fn start_with_clock(
         grid: Grid,
         alarms: Vec<SpatialAlarm>,
         v_max: f64,
-        config: ServerConfig,
         clock: SharedClock,
     ) -> Arc<Server> {
         assert!(v_max > 0.0, "maximum speed must be positive");
-        assert!(config.num_shards > 0, "need at least one shard");
 
         let registry = Arc::new(Registry::new());
         let metrics = ServerMetrics::new(&registry);
@@ -383,8 +364,7 @@ impl Server {
                 registry.counter_with("sa_cell_updates_total", &[("cell", &label)])
             })
             .collect();
-        let core = Arc::new(Core {
-            num_shards: config.num_shards,
+        Arc::new(Server {
             v_max,
             global_index: VersionedAlarmIndex::new(alarms).unwrap_or_else(|e| panic!("{e}")),
             fired: FiredTable::new(),
@@ -393,44 +373,26 @@ impl Server {
             cell_updates,
             cache: RegionCache::with_registry(&registry),
             metrics,
-            // One extra lane for router-side spans (dispatches, bounces,
-            // alarm writes, control exchanges).
-            spans: SpanRecorder::new(config.num_shards + 1, SPAN_LANE_CAPACITY, time),
+            spans: SpanRecorder::new(SPAN_LANES + 1, SPAN_LANE_CAPACITY, time),
             rtt_exemplars: Exemplars::new(),
             registry,
             next_session: AtomicU32::new(1),
             clock,
             grid,
-        });
-
-        let worker_core = Arc::clone(&core);
-        let handler = Arc::new(move |shard: usize, job: Job| {
-            let Job { updates, reply, enqueued_at_ns } = job;
-            let mut groups = Vec::with_capacity(updates.len());
-            for u in updates {
-                worker_core.shard_wait_span(shard, u.session, u.req.seq(), enqueued_at_ns);
-                let mut responses = Vec::new();
-                worker_core.process_into(shard, u.session, &u.req, &mut responses);
-                groups.push((u.index, responses));
-            }
-            let _ = reply.send(groups);
-        });
-        let pool =
-            ShardPool::spawn(config.num_shards, handler, &core.registry, Arc::clone(&core.clock));
-        Arc::new(Server { core, pool: RwLock::new(Some(pool)) })
+        })
     }
 
     /// Allocates a fresh session id. The session only becomes usable
     /// after a [`Request::Hello`] on it.
     pub fn open_session(&self) -> u32 {
-        self.core.next_session.fetch_add(1, Ordering::Relaxed)
+        self.next_session.fetch_add(1, Ordering::Relaxed)
     }
 
     /// How many sessions are currently registered (i.e. have completed
     /// a `Hello` and not been closed). The reactor's soak tests use
     /// this to assert the table returns to baseline after churn.
     pub fn session_count(&self) -> usize {
-        self.core.sessions.len()
+        self.sessions.len()
     }
 
     /// Drops a session's server-side state (last cell, delivery log) —
@@ -438,7 +400,7 @@ impl Server {
     /// by the network front end when a connection closes. Returns `false`
     /// when the session was never registered (no `Hello` seen).
     pub fn close_session(&self, session: u32) -> bool {
-        self.core.sessions.remove(session).is_some()
+        self.sessions.remove(session).is_some()
     }
 
     /// Caps the pyramid height this session's PBSR regions are
@@ -449,15 +411,14 @@ impl Server {
     /// sessions admitted under overload. Returns `false` for an
     /// unknown session.
     pub fn degrade_session(&self, session: u32, height_cap: u32) -> bool {
-        self.core
-            .sessions
+        self.sessions
             .with_mut(session, |s| s.degraded_height_cap = Some(height_cap.max(1)))
             .is_some()
     }
 
-    /// The grid the server shards over.
+    /// The grid the server partitions space with.
     pub fn grid(&self) -> &Grid {
-        &self.core.grid
+        &self.grid
     }
 
     /// Joins a federation as member `self_id` under the given partition
@@ -476,15 +437,15 @@ impl Server {
             ranges.windows(2).all(|w| w[0].start <= w[1].start),
             "partition ranges must be sorted by start key"
         );
-        self.core.spans.set_member(self_id);
-        *self.core.fed.write() = Some(FedState { self_id, epoch, ranges });
+        self.spans.set_member(self_id);
+        *self.fed.write() = Some(FedState { self_id, epoch, ranges });
     }
 
     /// The server's current partition map: `(epoch, ranges)`. A
     /// standalone server reports the trivial epoch-0 map owning the
     /// whole key space as member 0.
     pub fn topology(&self) -> (u64, Vec<CellRange>) {
-        match self.core.fed.read().as_ref() {
+        match self.fed.read().as_ref() {
             Some(f) => (f.epoch, f.ranges.clone()),
             None => (0, vec![CellRange { start: 0, end: u64::MAX, owner: 0 }]),
         }
@@ -492,49 +453,49 @@ impl Server {
 
     /// This member's federation id, when federation is enabled.
     pub fn federation_id(&self) -> Option<u32> {
-        self.core.fed.read().as_ref().map(|f| f.self_id)
+        self.fed.read().as_ref().map(|f| f.self_id)
     }
 
     /// Per-cell update counts (indexed by flattened cell index) — the
     /// load distribution the repartitioning coordinator balances on.
     pub fn cell_updates(&self) -> Vec<u64> {
-        self.core.cell_updates.iter().map(Counter::get).collect()
+        self.cell_updates.iter().map(Counter::get).collect()
     }
 
     /// How many position-bearing requests this member bounced with
     /// [`Response::WrongOwner`].
     pub fn wrong_owner_total(&self) -> u64 {
-        self.core.metrics.wrong_owner.get()
+        self.metrics.wrong_owner.get()
     }
 
     /// Safe-region cache counter snapshot.
     pub fn cache_stats(&self) -> CacheStats {
-        self.core.cache.stats()
+        self.cache.stats()
     }
 
     /// The metrics registry every counter, gauge, and histogram of this
-    /// server (cache, shards, wire, algorithms) is registered on.
+    /// server (router, cache, wire, algorithms) is registered on.
     pub fn registry(&self) -> &Arc<Registry> {
-        &self.core.registry
+        &self.registry
     }
 
     /// The full metric state rendered in Prometheus text exposition
     /// format — the same text a [`Request::Stats`] scrape returns.
     pub fn prometheus(&self) -> String {
-        sa_obs::render(&self.core.registry)
+        sa_obs::render(&self.registry)
     }
 
     /// Switches span recording between [`TraceMode::Off`], sampled, and
     /// full. Firings, bounces and alarm writes are spans too,
     /// so `Off` records none of them; already-buffered spans stay.
     pub fn set_trace_mode(&self, mode: TraceMode) {
-        self.core.spans.set_mode(mode);
+        self.spans.set_mode(mode);
     }
 
     /// Every causal span this server retains, start-time ordered —
     /// one member's contribution to the federation-wide trace assembly.
     pub fn spans(&self) -> Vec<Span> {
-        self.core.spans.spans()
+        self.spans.spans()
     }
 
     /// Per-bucket trace exemplars of the `sa_update_rtt_ns` histogram:
@@ -542,18 +503,18 @@ impl Server {
     /// [`Exemplars::for_value`] and get the trace id of a request that
     /// actually landed in that latency bucket.
     pub fn rtt_exemplars(&self) -> &Exemplars {
-        &self.core.rtt_exemplars
+        &self.rtt_exemplars
     }
 
     /// Pre-resolved metric handles, for the transports' wire timers.
     pub(crate) fn metrics(&self) -> &ServerMetrics {
-        &self.core.metrics
+        &self.metrics
     }
 
     /// The clock every runtime timestamp reads (the transports time
     /// their codec work against it too).
     pub fn clock(&self) -> &SharedClock {
-        &self.core.clock
+        &self.clock
     }
 
     /// Routes one request and returns its full response sequence: zero or
@@ -574,7 +535,9 @@ impl Server {
     /// A location update runs to completion on the calling thread, with
     /// no queue (over TCP the reactor's admission control and read
     /// throttling are the overload response; an in-proc caller is its
-    /// own backpressure). Per-session order is the
+    /// own backpressure). A batch frame's entries take the same path one
+    /// after another, in frame order, so a batch is answered exactly as
+    /// its entries sent one by one would be. Per-session order is the
     /// caller's — one reactor worker pumps each connection, and each
     /// in-proc session has one caller.
     ///
@@ -584,10 +547,9 @@ impl Server {
     /// allocates nothing — the invariant the `alloc_steady_state`
     /// integration test pins with a counting allocator.
     pub fn handle_into(&self, session: u32, req: Request, out: &mut Vec<Response>) {
-        let seq = req.seq();
         match req {
             Request::Hello { seq, user, strategy } => {
-                self.core.sessions.insert(
+                self.sessions.insert(
                     session,
                     Session {
                         user: SubscriberId(user),
@@ -600,11 +562,11 @@ impl Server {
                 out.push(Response::Ack { seq });
             }
             Request::Bye { seq } => {
-                self.core.sessions.remove(session);
+                self.sessions.remove(session);
                 out.push(Response::Ack { seq });
             }
             Request::TriggerNotify { seq, alarm } => {
-                out.extend(self.core.notify_trigger(session, seq, alarm));
+                out.extend(self.notify_trigger(session, seq, alarm));
             }
             Request::InstallAlarm { seq, alarm, flags, rect } => {
                 out.extend(self.install_alarm(session, seq, alarm, flags, rect));
@@ -621,20 +583,20 @@ impl Server {
             }
             Request::HandoffExport { seq, session: target, trace } => {
                 let trace = control_ctx(trace, session, seq);
-                out.extend(self.core.export_session(seq, target, trace));
+                out.extend(self.export_session(seq, target, trace));
             }
             Request::HandoffImport { seq, session: target, state, trace } => {
                 let trace = control_ctx(trace, session, seq);
-                out.extend(self.core.import_session(seq, target, state, trace));
+                out.extend(self.import_session(seq, target, state, trace));
             }
             Request::HandoffRelease { seq, session: target, trace } => {
                 // Idempotent by design: releasing an absent session (a
                 // retried handoff's second release) still acks. The
                 // subscriber's fired entries stay — they can only
                 // suppress an already-fired alarm, never add a firing.
-                let started_ns = self.core.clock.now_ns();
-                self.core.sessions.remove(target);
-                self.core.control_span(
+                let started_ns = self.clock.now_ns();
+                self.sessions.remove(target);
+                self.control_span(
                     SpanKind::HandoffRelease,
                     control_ctx(trace, session, seq),
                     started_ns,
@@ -645,151 +607,32 @@ impl Server {
             }
             Request::InstallTopology { seq, epoch, ranges, trace } => {
                 let trace = control_ctx(trace, session, seq);
-                out.extend(self.core.install_topology(seq, epoch, ranges, trace));
+                out.extend(self.install_topology(seq, epoch, ranges, trace));
             }
             req @ (Request::LocationUpdate { .. } | Request::Resync { .. }) => {
-                let (x_fx, y_fx) =
-                    req.position_fx().expect("position-bearing requests carry coordinates");
-                let entered_ns = self.core.clock.now_ns();
-                let pos = self.core.clamped_position(x_fx, y_fx);
-                let cell = self.core.grid.cell_of(pos);
-                // Ownership precedes the session check: mid-handoff the
-                // old owner has released the session, and the useful
-                // answer there is the redirect, not NO_SESSION.
-                if let Some(bounce) = self.core.wrong_owner(cell, session, seq) {
-                    out.push(bounce);
-                    return;
-                }
-                if !self.core.session_exists(session) {
-                    out.push(Response::Error { seq, code: error_code::NO_SESSION });
-                    return;
-                }
-                // The cell's shard only picks the span lane.
-                let shard = shard_of_index(self.core.grid.cell_index(cell), self.core.num_shards);
-                self.core.process_into(shard, session, &req, out);
-                let elapsed = self.core.clock.elapsed_since(entered_ns);
-                self.core.metrics.update_rtt.record_duration(elapsed);
-                let trace = trace_id_for(session, seq);
-                self.core
-                    .rtt_exemplars
-                    .observe(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX), trace);
-                self.core.record_dispatch(shard as u32, trace, entered_ns, session, seq);
+                self.update_into(session, &req, out);
             }
-            Request::Batch { seq, updates } => self.handle_batch(seq, updates, out),
-        }
-    }
-
-    /// Routes one [`Request::Batch`]: group the updates by owning shard,
-    /// submit **once per shard queue**, wait for the replies, and
-    /// reassemble the per-update response groups in batch entry order.
-    /// Every entry is answered by a worker, except that unknown sessions
-    /// error individually without touching any shard and a slice the
-    /// pool cannot take (after [`Server::shutdown`], or when its worker
-    /// died) answers each entry `BAD_REQUEST`. Shards are submitted to in
-    /// shard order, so the job order is the same on every run. The clock
-    /// is read once at entry (threaded through every job) and once per
-    /// shard reply.
-    ///
-    /// The frame's reply channel, the per-update grouping and the reply
-    /// vectors allocate — the allocation-free invariant covers the
-    /// single-update path only; batches amortize their allocations over
-    /// the whole frame.
-    fn handle_batch(&self, seq: u32, updates: Vec<BatchedUpdate>, out: &mut Vec<Response>) {
-        let entered_ns = self.core.clock.now_ns();
-        // Per-update sequence numbers, kept so the reply loop can derive
-        // each update's trace id after `updates` is consumed.
-        let seqs: Vec<u32> = updates.iter().map(|u| u.seq).collect();
-        let mut replies: Vec<BatchReply> = updates
-            .iter()
-            .map(|u| BatchReply { session: u.session, responses: Vec::new() })
-            .collect();
-
-        // Group by owning shard, preserving batch order within a slice.
-        // Session lookups hit the striped table per entry — no single
-        // guard serializes the whole batch against the workers anymore.
-        let mut by_shard: Vec<Vec<ShardUpdate>> =
-            (0..self.core.num_shards).map(|_| Vec::new()).collect();
-        for (index, u) in updates.into_iter().enumerate() {
-            let pos = self.core.clamped_position(u.x_fx, u.y_fx);
-            let cell = self.core.grid.cell_of(pos);
-            // Ownership precedes the session check, as on the
-            // single-update path: mid-handoff the released session
-            // should redirect, not error.
-            if let Some(bounce) = self.core.wrong_owner(cell, u.session, u.seq) {
-                replies[index].responses = vec![bounce];
-                continue;
-            }
-            if !self.core.sessions.contains(u.session) {
-                replies[index].responses =
-                    vec![Response::Error { seq: u.seq, code: error_code::NO_SESSION }];
-                continue;
-            }
-            let shard = shard_of_index(self.core.grid.cell_index(cell), self.core.num_shards);
-            by_shard[shard].push(ShardUpdate {
-                index: index as u32,
-                session: u.session,
-                req: Request::LocationUpdate {
-                    seq: u.seq,
-                    x_fx: u.x_fx,
-                    y_fx: u.y_fx,
-                    motion: u.motion,
-                },
-            });
-        }
-
-        // Each shard sends at most one reply per frame, so a channel of
-        // `num_shards` slots never blocks a worker.
-        let (reply_tx, reply_rx) = bounded(self.core.num_shards);
-        let refuse = |replies: &mut Vec<BatchReply>, slice: Vec<ShardUpdate>| {
-            for u in slice {
-                replies[u.index as usize].responses =
-                    vec![Response::Error { seq: u.req.seq(), code: error_code::BAD_REQUEST }];
-            }
-        };
-        // Submit under the read guard, but wait for replies outside it so
-        // shutdown() is never blocked behind a slow worker.
-        {
-            let pool = self.pool.read();
-            for (shard, slice) in by_shard.into_iter().enumerate() {
-                if slice.is_empty() {
-                    continue;
-                }
-                let Some(pool) = pool.as_ref() else {
-                    refuse(&mut replies, slice);
-                    continue;
-                };
-                let reply = reply_tx.clone();
-                let job = Job { updates: slice, reply, enqueued_at_ns: entered_ns };
-                if let Err(job) = pool.submit(shard, job) {
-                    refuse(&mut replies, job.updates);
-                }
+            // Each entry's responses are its own vector — the
+            // allocation-free invariant covers the single-update path;
+            // a batch amortizes its allocations over the whole frame.
+            Request::Batch { seq, updates } => {
+                let replies = updates
+                    .into_iter()
+                    .map(|u| {
+                        let mut responses = Vec::new();
+                        let req = Request::LocationUpdate {
+                            seq: u.seq,
+                            x_fx: u.x_fx,
+                            y_fx: u.y_fx,
+                            motion: u.motion,
+                        };
+                        self.update_into(u.session, &req, &mut responses);
+                        BatchReply { session: u.session, responses }
+                    })
+                    .collect();
+                out.push(Response::Batch { seq, replies });
             }
         }
-        // Every submitted job holds a sender until its worker replies (or
-        // drops it unanswered), so the loop ends with the last reply.
-        drop(reply_tx);
-        for groups in reply_rx.iter() {
-            // Each batched update's round trip is the batch's: entry to
-            // its shard's reply.
-            let elapsed = self.core.clock.elapsed_since(entered_ns);
-            for (index, responses) in groups {
-                self.core.metrics.update_rtt.record_duration(elapsed);
-                let session = replies[index as usize].session;
-                let trace = trace_id_for(session, seqs[index as usize]);
-                self.core
-                    .rtt_exemplars
-                    .observe(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX), trace);
-                self.core.record_dispatch(
-                    self.core.num_shards as u32,
-                    trace,
-                    entered_ns,
-                    session,
-                    seqs[index as usize],
-                );
-                replies[index as usize].responses = responses;
-            }
-        }
-        out.push(Response::Batch { seq, replies });
     }
 
     /// Installs a static-target alarm: one index publish, then — for a
@@ -797,7 +640,7 @@ impl Server {
     /// intersecting cell. Moving-target alarms are not part of wire
     /// protocol v1.
     fn install_alarm(&self, session: u32, seq: u32, alarm: u32, flags: u32, rect: [u32; 4]) -> Vec<Response> {
-        if !self.core.session_exists(session) {
+        if !self.session_exists(session) {
             return vec![Response::Error { seq, code: error_code::NO_SESSION }];
         }
         let Ok(region) = dequantize_rect(rect) else {
@@ -820,13 +663,13 @@ impl Server {
         // frame: reject it with a typed error mapped to a response, never
         // a panic on a worker or router thread.
         let (id, public) = (alarm.id(), alarm.is_public());
-        if self.core.global_index.try_install(alarm).is_err() {
+        if self.global_index.try_install(alarm).is_err() {
             return vec![Response::Error { seq, code: error_code::UNKNOWN_ALARM }];
         }
         if public {
-            self.core.bump_cells(region);
+            self.bump_cells(region);
         }
-        self.core.router_event(SpanKind::AlarmInstall, session, seq, id.0, u64::from(session));
+        self.router_event(SpanKind::AlarmInstall, session, seq, id.0, u64::from(session));
         vec![Response::Ack { seq }]
     }
 
@@ -834,98 +677,35 @@ impl Server {
     /// alarm — invalidates the cached regions of every cell it
     /// intersected.
     fn remove_alarm(&self, session: u32, seq: u32, alarm: u32) -> Vec<Response> {
-        if !self.core.session_exists(session) {
+        if !self.session_exists(session) {
             return vec![Response::Error { seq, code: error_code::NO_SESSION }];
         }
         let id = AlarmId(alarm as u64);
         let (region, public) = {
-            let global = self.core.global_index.snapshot();
+            let global = self.global_index.snapshot();
             if id.0 as usize >= global.len() {
                 return vec![Response::Error { seq, code: error_code::UNKNOWN_ALARM }];
             }
             let alarm = global.alarm(id);
             (alarm.region(), alarm.is_public())
         };
-        if !self.core.global_index.deactivate(id) {
+        if !self.global_index.deactivate(id) {
             return vec![Response::Error { seq, code: error_code::UNKNOWN_ALARM }];
         }
         if public {
-            self.core.bump_cells(region);
+            self.bump_cells(region);
         }
-        self.core.router_event(SpanKind::AlarmRemove, session, seq, id.0, u64::from(session));
+        self.router_event(SpanKind::AlarmRemove, session, seq, id.0, u64::from(session));
         vec![Response::Ack { seq }]
     }
 
-    /// Stops the batch fan-out's worker threads (queued jobs finish
-    /// first). Later batch frames answer every entry `BAD_REQUEST`; a
-    /// single location update runs on its caller's thread and is still
-    /// answered.
-    pub fn shutdown(&self) {
-        if let Some(pool) = self.pool.write().take() {
-            pool.shutdown();
-        }
-    }
-}
+    /// Does nothing. The server owns no threads — every request runs on
+    /// the thread that hands it to [`Server::handle`] — so there is
+    /// nothing to stop; the method stays so that callers pairing
+    /// [`Server::start`] with a shutdown compile unchanged. A server
+    /// keeps answering after this call.
+    pub fn shutdown(&self) {}
 
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// Re-encodes a pyramid region computed at a *lower* height into the
-/// nominal wire layout of `target_height`, by appending the phantom
-/// all-zero child blocks the deeper levels would carry.
-///
-/// In the paper's layout every zero bit at level `l < h` owns a
-/// `U × V` child block at level `l + 1`; when the region was computed
-/// at height `d < h`, levels `d+1..=h` are exactly those phantom
-/// blocks — all zeros, sized `zeros(level) × fanout` cascading. The
-/// padded encoding therefore decodes (at `target_height`) to the
-/// *same* geometric region the height-`d` computation produced:
-/// coarser than a native height-`h` region, but sound, and cheaper by
-/// `h − d` levels of geometry probes. This is the degraded-admission
-/// encoding bridge (see `DESIGN.md` S18): the client keeps decoding at
-/// the height it asked for.
-pub(crate) fn pad_bitmap_wire_bits(
-    region: &sa_core::BitmapSafeRegion,
-    target_height: u32,
-) -> BitVec {
-    let mut bits = region.to_wire_bits();
-    let cfg = region.config();
-    if region.is_whole_cell_free() || cfg.height >= target_height {
-        return bits;
-    }
-    let fanout = u64::from(cfg.split_u) * u64::from(cfg.split_v);
-    let mut zeros = region.nominal_level_zeros().last().copied().unwrap_or(0);
-    for _ in cfg.height..target_height {
-        let block = zeros.saturating_mul(fanout);
-        bits.push_zeros(block as usize);
-        zeros = block;
-    }
-    bits
-}
-
-/// The context a data-plane exchange's router-side spans record under:
-/// the trace derived from `(session, seq)`, parented on its client root.
-fn derived_ctx(session: u32, seq: u32) -> TraceCtxExt {
-    let trace_id = trace_id_for(session, seq);
-    TraceCtxExt { trace_id, parent_span: client_root_span(trace_id) }
-}
-
-/// The context a control exchange records under: the wire-carried one,
-/// or — from an untraced peer (all zero) — the exchange's own derived
-/// trace, so a handoff leg or topology install is recorded whoever
-/// sent it.
-fn control_ctx(wire: TraceCtxExt, session: u32, seq: u32) -> TraceCtxExt {
-    if wire.trace_id == 0 {
-        derived_ctx(session, seq)
-    } else {
-        wire
-    }
-}
-
-impl Core {
     fn session_exists(&self, session: u32) -> bool {
         self.sessions.contains(session)
     }
@@ -940,17 +720,48 @@ impl Core {
         })
     }
 
-    /// Records the member's dispatch span for one routed update. Its id
-    /// and its parent (the client-side root) are *derived* from the
-    /// trace id, so worker-side children on this member and the root on
-    /// the client join up in assembly with no wire bytes spent.
-    fn record_dispatch(&self, shard: u32, trace: u64, entered_ns: u64, session: u32, seq: u32) {
+    /// Answers one position-bearing request — a `LocationUpdate`, a
+    /// `Resync`, or one entry of a batch frame — on the calling thread:
+    /// the ownership check, the session check, [`Server::process_into`],
+    /// then the round-trip sample, its exemplar and the dispatch span.
+    fn update_into(&self, session: u32, req: &Request, out: &mut Vec<Response>) {
+        let seq = req.seq();
+        let (x_fx, y_fx) = req.position_fx().expect("position-bearing requests carry coordinates");
+        let entered_ns = self.clock.now_ns();
+        let pos = self.clamped_position(x_fx, y_fx);
+        let cell = self.grid.cell_of(pos);
+        // Ownership precedes the session check: mid-handoff the old
+        // owner has released the session, and the useful answer there is
+        // the redirect, not NO_SESSION.
+        if let Some(bounce) = self.wrong_owner(cell, session, seq) {
+            out.push(bounce);
+            return;
+        }
+        if !self.session_exists(session) {
+            out.push(Response::Error { seq, code: error_code::NO_SESSION });
+            return;
+        }
+        let lane = (self.grid.cell_index(cell) % SPAN_LANES as u64) as usize;
+        self.process_into(lane, session, req, out);
+        let elapsed = self.clock.elapsed_since(entered_ns);
+        self.metrics.update_rtt.record_duration(elapsed);
+        let trace = trace_id_for(session, seq);
+        self.rtt_exemplars.observe(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX), trace);
+        self.record_dispatch(lane as u32, trace, entered_ns, session, seq);
+    }
+
+    /// Records the member's dispatch span for one routed update on the
+    /// router lane, naming the update's data `lane`. Its id and its
+    /// parent (the client-side root) are *derived* from the trace id, so
+    /// the compute spans on this member and the root on the client join
+    /// up in assembly with no wire bytes spent.
+    fn record_dispatch(&self, lane: u32, trace: u64, entered_ns: u64, session: u32, seq: u32) {
         if !self.spans.enabled(trace) {
             return;
         }
         let member = self.spans.member();
         self.spans.record(
-            self.num_shards,
+            SPAN_LANES,
             Span {
                 ctx: TraceCtx {
                     trace_id: trace,
@@ -961,22 +772,22 @@ impl Core {
                 start_us: entered_ns / 1_000,
                 dur_us: self.clock.elapsed_since(entered_ns).as_micros() as u64,
                 member,
-                shard,
+                shard: lane,
                 a: u64::from(session),
                 b: u64::from(seq),
             },
         );
     }
 
-    /// Records a worker-side span as a child of the update's dispatch
-    /// span, `started_ns` to now.
-    fn worker_span(&self, shard: usize, trace: u64, kind: SpanKind, started_ns: u64, a: u64, b: u64) {
+    /// Records a compute-side span on `lane` as a child of the update's
+    /// dispatch span, `started_ns` to now.
+    fn worker_span(&self, lane: usize, trace: u64, kind: SpanKind, started_ns: u64, a: u64, b: u64) {
         if !self.spans.enabled(trace) {
             return;
         }
         let member = self.spans.member();
         self.spans.record(
-            shard,
+            lane,
             Span {
                 ctx: TraceCtx {
                     trace_id: trace,
@@ -987,36 +798,22 @@ impl Core {
                 start_us: started_ns / 1_000,
                 dur_us: self.clock.elapsed_since(started_ns).as_micros() as u64,
                 member,
-                shard: shard as u32,
+                shard: lane as u32,
                 a,
                 b,
             },
         );
     }
 
-    /// The shard-queue wait of one update: submit (`enqueued_at_ns`) to
-    /// worker pickup (now).
-    fn shard_wait_span(&self, shard: usize, session: u32, seq: u32, enqueued_at_ns: u64) {
-        let trace = trace_id_for(session, seq);
-        self.worker_span(
-            shard,
-            trace,
-            SpanKind::ShardWait,
-            enqueued_at_ns,
-            u64::from(session),
-            u64::from(seq),
-        );
-    }
-
     /// Records a router-lane span under an explicit context: a
     /// federation control exchange's (see [`control_ctx`]) or a derived
-    /// one ([`Core::router_event`]).
+    /// one ([`Server::router_event`]).
     fn control_span(&self, kind: SpanKind, trace: TraceCtxExt, started_ns: u64, a: u64, b: u64) {
         if !self.spans.enabled(trace.trace_id) {
             return;
         }
         self.spans.record(
-            self.num_shards,
+            SPAN_LANES,
             Span {
                 ctx: TraceCtx {
                     trace_id: trace.trace_id,
@@ -1027,7 +824,7 @@ impl Core {
                 start_us: started_ns / 1_000,
                 dur_us: self.clock.elapsed_since(started_ns).as_micros() as u64,
                 member: self.spans.member(),
-                shard: self.num_shards as u32,
+                shard: SPAN_LANES as u32,
                 a,
                 b,
             },
@@ -1232,10 +1029,8 @@ impl Core {
     }
 
     /// Evaluates one location update or post-failure resync, appending
-    /// the response sequence to `out` — on the router's calling thread
-    /// for a single update, on a shard worker for a batch entry. `shard`
-    /// is the span lane.
-    fn process_into(&self, shard: usize, session: u32, req: &Request, out: &mut Vec<Response>) {
+    /// the response sequence to `out`. `lane` is the span lane.
+    fn process_into(&self, lane: usize, session: u32, req: &Request, out: &mut Vec<Response>) {
         let (seq, x_fx, y_fx, motion, resync_acked) = match *req {
             Request::LocationUpdate { seq, x_fx, y_fx, motion } => {
                 (seq, x_fx, y_fx, motion, None)
@@ -1285,7 +1080,7 @@ impl Core {
             // leg ran, and a post-handoff resync delivering 0 is as
             // causally interesting as one delivering 5 (b = count).
             self.worker_span(
-                shard,
+                lane,
                 trace,
                 SpanKind::Redelivery,
                 redeliver_started_ns,
@@ -1316,7 +1111,7 @@ impl Core {
                 if self.fired.insert(user, id) {
                     self.metrics.triggers.inc();
                     let now_ns = self.clock.now_ns();
-                    self.worker_span(shard, trace, SpanKind::Trigger, now_ns, u64::from(user.0), id.0);
+                    self.worker_span(lane, trace, SpanKind::Trigger, now_ns, u64::from(user.0), id.0);
                     newly_fired.push(id.0 as u32);
                 }
             }
@@ -1335,7 +1130,7 @@ impl Core {
             let elapsed = self.clock.elapsed_since(started_ns);
             self.metrics.compute_hist(strategy).record_duration(elapsed);
             let (a, b) = (session as u64, cell_word as u64);
-            self.worker_span(shard, trace, SpanKind::RegionCompute, started_ns, a, b);
+            self.worker_span(lane, trace, SpanKind::RegionCompute, started_ns, a, b);
         };
         match strategy {
             StrategySpec::Mwpsr => {
@@ -1367,7 +1162,7 @@ impl Core {
                     // cheaper (DESIGN.md S18).
                     let eff = degraded_cap.map_or(height, |cap| height.min(cap.max(1)));
                     let started_ns = self.clock.now_ns();
-                    let region = self.pbsr_region(shard, user, cell, cell_rect, eff, trace);
+                    let region = self.pbsr_region(lane, user, cell, cell_rect, eff, trace);
                     computed(started_ns);
                     out.push(Response::BitmapInstall {
                         seq,
@@ -1454,7 +1249,7 @@ impl Core {
     /// computed fresh otherwise.
     fn pbsr_region(
         &self,
-        shard: usize,
+        lane: usize,
         user: SubscriberId,
         cell: CellId,
         cell_rect: Rect,
@@ -1481,7 +1276,7 @@ impl Core {
                 .cache_lookup
                 .record_duration(self.clock.elapsed_since(lookup_started_ns));
             self.worker_span(
-                shard,
+                lane,
                 trace,
                 SpanKind::CacheLookup,
                 lookup_started_ns,
@@ -1496,6 +1291,58 @@ impl Core {
             self.cache.insert(cell_index, height, epoch, region.clone());
             region
         })
+    }
+}
+
+/// Re-encodes a pyramid region computed at a *lower* height into the
+/// nominal wire layout of `target_height`, by appending the phantom
+/// all-zero child blocks the deeper levels would carry.
+///
+/// In the paper's layout every zero bit at level `l < h` owns a
+/// `U × V` child block at level `l + 1`; when the region was computed
+/// at height `d < h`, levels `d+1..=h` are exactly those phantom
+/// blocks — all zeros, sized `zeros(level) × fanout` cascading. The
+/// padded encoding therefore decodes (at `target_height`) to the
+/// *same* geometric region the height-`d` computation produced:
+/// coarser than a native height-`h` region, but sound, and cheaper by
+/// `h − d` levels of geometry probes. This is the degraded-admission
+/// encoding bridge (see `DESIGN.md` S18): the client keeps decoding at
+/// the height it asked for.
+pub(crate) fn pad_bitmap_wire_bits(
+    region: &sa_core::BitmapSafeRegion,
+    target_height: u32,
+) -> BitVec {
+    let mut bits = region.to_wire_bits();
+    let cfg = region.config();
+    if region.is_whole_cell_free() || cfg.height >= target_height {
+        return bits;
+    }
+    let fanout = u64::from(cfg.split_u) * u64::from(cfg.split_v);
+    let mut zeros = region.nominal_level_zeros().last().copied().unwrap_or(0);
+    for _ in cfg.height..target_height {
+        let block = zeros.saturating_mul(fanout);
+        bits.push_zeros(block as usize);
+        zeros = block;
+    }
+    bits
+}
+
+/// The context a data-plane exchange's router-side spans record under:
+/// the trace derived from `(session, seq)`, parented on its client root.
+fn derived_ctx(session: u32, seq: u32) -> TraceCtxExt {
+    let trace_id = trace_id_for(session, seq);
+    TraceCtxExt { trace_id, parent_span: client_root_span(trace_id) }
+}
+
+/// The context a control exchange records under: the wire-carried one,
+/// or — from an untraced peer (all zero) — the exchange's own derived
+/// trace, so a handoff leg or topology install is recorded whoever
+/// sent it.
+fn control_ctx(wire: TraceCtxExt, session: u32, seq: u32) -> TraceCtxExt {
+    if wire.trace_id == 0 {
+        derived_ctx(session, seq)
+    } else {
+        wire
     }
 }
 

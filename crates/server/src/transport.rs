@@ -319,7 +319,6 @@ mod tests {
         assert_eq!(resp, vec![Response::Ack { seq: 1 }]);
         let resp = t.request(Request::Bye { seq: 2 }).unwrap();
         assert_eq!(resp, vec![Response::Ack { seq: 2 }]);
-        server.shutdown();
     }
 
     #[test]
@@ -335,7 +334,6 @@ mod tests {
         assert_eq!(a.request(Request::Bye { seq: 2 }).unwrap(), vec![Response::Ack { seq: 2 }]);
         assert_eq!(b.request(Request::Bye { seq: 10 }).unwrap(), vec![Response::Ack { seq: 10 }]);
         reactor.shutdown();
-        server.shutdown();
     }
 
     #[test]
@@ -431,6 +429,5 @@ mod tests {
             .request(Request::LocationUpdate { seq: 3, x_fx: 0, y_fx: 0, motion: 0 })
             .unwrap();
         assert!(matches!(resp.as_slice(), [Response::Error { seq: 3, .. }]));
-        server.shutdown();
     }
 }

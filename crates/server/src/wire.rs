@@ -350,8 +350,8 @@ pub enum Request {
     /// A whole simulation step of position updates sharing one frame
     /// header — the replay driver's bulk path. Each entry names the
     /// session it belongs to, so one driver connection can carry updates
-    /// for many clients; the router fans the batch out by shard, submits
-    /// once per shard queue, and answers with a single
+    /// for many clients; the server runs the entries in frame order, each
+    /// exactly as if it had arrived alone, and answers with a single
     /// [`Response::Batch`] whose groups preserve entry order.
     Batch {
         /// Request sequence number of the batch frame itself (28 bits).
@@ -866,8 +866,8 @@ impl Request {
     }
 
     /// The quantized position carried by this request, when it has one
-    /// (location updates and resyncs — the requests the router ships to a
-    /// shard).
+    /// (location updates and resyncs — the requests the router checks
+    /// for cell ownership).
     pub fn position_fx(&self) -> Option<(u32, u32)> {
         match self {
             Request::LocationUpdate { x_fx, y_fx, .. }

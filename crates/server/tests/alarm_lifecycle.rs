@@ -1,5 +1,5 @@
 //! Runtime alarm lifecycle through a live server: one public alarm is
-//! installed over the wire across two cells of different shards, and
+//! installed over the wire across two cells, and
 //! every strategy's answer from both cells must see it as
 //! soon as the `Ack` returns — then stop seeing it after `RemoveAlarm`.
 
@@ -9,10 +9,9 @@ use sa_geometry::{Grid, Point, Rect};
 use sa_obs::{trace_id_for, SpanKind};
 use sa_server::server::error_code;
 use sa_server::wire::{dequantize_rect, quantize_m, Request, Response, StrategySpec};
-use sa_server::{quantize_rect, shard_of_index, Server, ServerConfig};
+use sa_server::{quantize_rect, Server, ServerConfig};
 use std::sync::Arc;
 
-const NUM_SHARDS: usize = 3;
 const V_MAX: f64 = 30.0;
 const HEIGHT: u32 = 3;
 /// The runtime alarm's id: it continues the one pre-installed alarm.
@@ -49,8 +48,7 @@ fn server() -> Arc<Server> {
         AlarmTarget::Static(Point::new(8_100.0, 8_100.0)),
         AlarmScope::Private { owner: SubscriberId(999) },
     );
-    let config = ServerConfig { num_shards: NUM_SHARDS };
-    Server::start(grid(), vec![far], V_MAX, config)
+    Server::start(grid(), vec![far], V_MAX, ServerConfig::default())
 }
 
 fn hello(server: &Server, user: u32, strategy: StrategySpec) -> u32 {
@@ -143,12 +141,7 @@ fn an_installed_alarm_reaches_every_strategy_in_every_cell_and_removal_reverts_i
     let grid = grid();
     let cells: Vec<u64> =
         grid.cells_intersecting(alarm_region()).map(|c| grid.cell_index(c)).collect();
-    assert_eq!(cells.len(), 2);
-    assert_ne!(
-        shard_of_index(cells[0], NUM_SHARDS),
-        shard_of_index(cells[1], NUM_SHARDS),
-        "the alarm must straddle two shards"
-    );
+    assert_eq!(cells.len(), 2, "the alarm must straddle two cells");
 
     // Before: nobody sees the alarm, and both cells' public bitmaps are
     // now cached.
@@ -186,8 +179,8 @@ fn an_installed_alarm_reaches_every_strategy_in_every_cell_and_removal_reverts_i
         assert!(a.period_ms as f64 <= 100.0 / V_MAX * 1_000.0, "grant {} ms", a.period_ms);
     }
 
-    // One subscriber crosses the alarm through both cells (two workers):
-    // exactly one delivery.
+    // One subscriber crosses the alarm through both cells: exactly one
+    // delivery.
     let walker = hello(&server, 300, StrategySpec::Mwpsr);
     let [(outside, first_half), (_, second_half)] = probes();
     let mut delivered = Vec::new();
@@ -217,5 +210,4 @@ fn an_installed_alarm_reaches_every_strategy_in_every_cell_and_removal_reverts_i
         server.handle(admin, Request::RemoveAlarm { seq: 5, alarm: ALARM }),
         vec![Response::Error { seq: 5, code: error_code::UNKNOWN_ALARM }]
     );
-    server.shutdown();
 }

@@ -24,7 +24,7 @@
 
 use sa_alarms::{AlarmId, AlarmScope, AlarmTarget, SpatialAlarm, SubscriberId};
 use sa_geometry::{Grid, Rect};
-use sa_server::wire::{quantize_m, BatchedUpdate, Request, Response, SessionState, StrategySpec};
+use sa_server::wire::{quantize_m, Request, Response, SessionState, StrategySpec};
 use sa_server::{Server, ServerConfig, TraceMode};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -71,17 +71,6 @@ fn public_alarm(id: u64, min_x: f64, min_y: f64, side: f64) -> SpatialAlarm {
     )
 }
 
-/// Sends one batch frame through the fan-out's only worker and waits for
-/// the reply. A freshly spawned thread allocates once while it starts,
-/// and no single update waits for a worker any more: unless the worker
-/// is started here, that allocation lands in whichever measured window
-/// is open when the scheduler first runs it.
-fn start_the_worker(server: &Server, session: u32) {
-    let entry = BatchedUpdate { session, seq: 0, x_fx: 0, y_fx: 0, motion: 0 };
-    let resps = server.handle(session, Request::Batch { seq: 0, updates: vec![entry] });
-    assert!(matches!(resps.as_slice(), [Response::Batch { .. }]));
-}
-
 #[test]
 fn steady_state_paths_allocate_nothing_they_should_not() {
     steady_state_update_path_allocates_nothing();
@@ -97,7 +86,7 @@ fn steady_state_update_path_allocates_nothing() {
         grid,
         vec![public_alarm(0, 9_000.0, 9_000.0, 500.0)],
         30.0,
-        ServerConfig { num_shards: 1 },
+        ServerConfig::default(),
     );
     server.set_trace_mode(TraceMode::Off);
 
@@ -108,7 +97,6 @@ fn steady_state_update_path_allocates_nothing() {
         Request::Hello { seq: 0, user: 7, strategy: StrategySpec::Pbsr { height: 2 } },
         &mut out,
     );
-    start_the_worker(&server, session);
     let (x_fx, y_fx) = (quantize_m(500.0), quantize_m(500.0));
     let update = |seq| Request::LocationUpdate { seq, x_fx, y_fx, motion: 0 };
 
@@ -138,7 +126,6 @@ fn steady_state_update_path_allocates_nothing() {
         "steady-state updates allocated {delta} times over {STEADY_UPDATES} updates \
          — the hot path must stay allocation-free"
     );
-    server.shutdown();
 }
 
 /// Allocations (process-wide) of `rounds` passes over `requests` on
@@ -185,7 +172,7 @@ fn refresh_allocations_do_not_depend_on_anyones_fired_history() {
         Grid::new(universe, 1_000.0).unwrap(),
         alarms,
         30.0,
-        ServerConfig { num_shards: 1 },
+        ServerConfig::default(),
     );
     server.set_trace_mode(TraceMode::Off);
 
@@ -212,7 +199,6 @@ fn refresh_allocations_do_not_depend_on_anyones_fired_history() {
     assert!(matches!(fired.first(), Some(Response::TriggerDelivery { alarm: 0, .. })));
     let (pbsr_7, period_7) = (hello(7, pbsr), hello(7, StrategySpec::SafePeriod));
     let (mwpsr_8, pbsr_8) = (hello(8, StrategySpec::Mwpsr), hello(8, pbsr));
-    start_the_worker(&server, mwpsr_8);
 
     const ROUNDS: u32 = 32;
     let measure = |session| refresh_allocations(&server, session, &hops, ROUNDS);
@@ -242,5 +228,4 @@ fn refresh_allocations_do_not_depend_on_anyones_fired_history() {
     }
     let loaded = (measure(period_7), measure(mwpsr_7), measure(pbsr_7));
     assert_eq!(loaded, quiet, "(safe period, MWPSR, PBSR) allocations moved with foreign firings");
-    server.shutdown();
 }

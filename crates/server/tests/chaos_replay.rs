@@ -172,7 +172,6 @@ fn resilience_machine_walks_retry_degraded_resync_steady() {
     assert_eq!(client.stats().uplinks, uplinks, "inside the fresh region: no uplink");
 
     client.finish().expect("nothing left to drain");
-    server.shutdown();
 }
 
 /// A live wire scrape after an outage shows the chaos and client
@@ -216,7 +215,6 @@ fn live_stats_scrape_exposes_failure_series() {
     assert!(text.contains("sa_client_retries_total"));
     assert!(text.contains("sa_client_degraded_seconds"));
     assert!(text.contains("sa_server_resyncs_total"));
-    server.shutdown();
 }
 
 /// A fixed-script transport for the passthrough property: answers every

@@ -69,7 +69,6 @@ fn a_reconnected_subscriber_is_not_delivered_the_same_alarm_twice() {
     // Another subscriber crossing the same alarm still gets it.
     let other = hello(&server, 8, StrategySpec::Mwpsr);
     assert_eq!(deliveries(&update(&server, other, 1, 2_250.0, 2_250.0)), vec![0]);
-    server.shutdown();
 }
 
 #[test]
@@ -90,7 +89,6 @@ fn trigger_notify_for_an_unknown_alarm_is_refused_and_records_nothing() {
         assert_eq!(resps, vec![Response::Ack { seq }]);
     }
     assert_eq!(triggers(&server), 1);
-    server.shutdown();
 }
 
 #[test]
@@ -143,5 +141,4 @@ fn handoff_import_with_an_unknown_fired_or_delivered_id_is_refused_whole() {
     };
     let ids = (exported.fired.as_slice(), exported.delivery_log.as_slice());
     assert_eq!((exported.user, ids), (9, (&[0][..], &[0][..])));
-    server.shutdown();
 }

@@ -216,7 +216,7 @@ fn soak_churn_under_faults_leaks_nothing() {
         harness.grid().clone(),
         harness.index().alarms().to_vec(),
         harness.v_max(),
-        ServerConfig { num_shards: 2 },
+        ServerConfig::default(),
     );
     let reactor_cfg = ReactorConfig {
         workers: 2,
@@ -317,7 +317,6 @@ fn soak_churn_under_faults_leaks_nothing() {
     assert!(closed("eof") >= 1, "no clean EOF closes recorded");
 
     reactor.shutdown();
-    server.shutdown();
     println!(
         "soak: {rounds} truth rounds, {waves} churn waves, peak {max_open} connections, \
          fd baseline {fd_baseline} restored"

@@ -113,5 +113,4 @@ fn listener_death_and_restart_recovers_via_resync() {
     client.finish().expect("idempotent finish");
     drop(client);
     reactor.shutdown();
-    server.shutdown();
 }

@@ -30,7 +30,7 @@ fn live_tcp_scrape_reports_updates_and_per_algorithm_histograms() {
         harness.grid().clone(),
         harness.index().alarms().to_vec(),
         harness.v_max(),
-        ServerConfig { num_shards: 3 },
+        ServerConfig::default(),
     );
     let mut reactor = Reactor::bind(Arc::clone(&server), ReactorConfig::default()).unwrap();
 
@@ -90,5 +90,4 @@ fn live_tcp_scrape_reports_updates_and_per_algorithm_histograms() {
 
     drop(clients);
     reactor.shutdown();
-    server.shutdown();
 }

@@ -3,7 +3,7 @@
 //! exactly the simulator's ground-truth alarm sequence.
 
 use sa_server::wire::StrategySpec;
-use sa_server::{replay_tcp, ReplayConfig, ServerConfig, TraceMode};
+use sa_server::{replay_tcp, ReplayConfig, TraceMode};
 use sa_sim::{SimulationConfig, SimulationHarness};
 
 #[test]
@@ -11,7 +11,6 @@ fn tcp_loopback_replay_fires_exactly_the_ground_truth_sequence() {
     let harness = SimulationHarness::build(&SimulationConfig::smoke_test());
     let cfg = ReplayConfig {
         steps: None, // the full trace
-        server: ServerConfig { num_shards: 3 },
         trace_mode: TraceMode::Full,
         strategies: vec![
             StrategySpec::Mwpsr,
@@ -43,13 +42,13 @@ fn tcp_loopback_replay_fires_exactly_the_ground_truth_sequence() {
 }
 
 #[test]
-fn tcp_replay_works_on_one_shard() {
-    // A single shard, so every update records on span lane 0: accuracy
-    // must not depend on the shard count.
+fn tcp_replay_works_with_a_two_strategy_mix() {
+    // A shorter replay whose round robin alternates MWPSR with a
+    // shallow PBSR tree: accuracy must not depend on which strategy a
+    // vehicle drew.
     let harness = SimulationHarness::build(&SimulationConfig::smoke_test());
     let cfg = ReplayConfig {
         steps: Some(120),
-        server: ServerConfig { num_shards: 1 },
         trace_mode: TraceMode::Full,
         strategies: vec![StrategySpec::Mwpsr, StrategySpec::Pbsr { height: 3 }],
     };

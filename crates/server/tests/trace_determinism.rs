@@ -5,15 +5,15 @@
 //! identical schedule on identically advanced virtual clocks must
 //! produce identical span records — firings included: each alarm the
 //! walk crosses is one `trigger` span inside the tree of the update
-//! that fired it. Below them, the contracts that leave no response to
-//! thread scheduling: four concurrent callers get every single update
-//! and every batch entry answered, none bounced, and the one batch
-//! refusal left is the one `shutdown` causes.
+//! that fired it. A batch frame is its entries run in frame order, so
+//! it is answered — and recorded — exactly as the same updates sent one
+//! by one. Below them, the contract that leaves no response to thread
+//! scheduling: four concurrent callers get every single update and
+//! every batch entry answered, none bounced.
 
 use sa_alarms::{AlarmId, AlarmScope, SpatialAlarm, SubscriberId};
 use sa_geometry::{Grid, Point, Rect};
 use sa_obs::{Span, SpanKind};
-use sa_server::server::error_code;
 use sa_server::wire::{quantize_m, BatchedUpdate};
 use sa_server::{
     Client, InProcTransport, Request, Response, Server, ServerConfig, SharedClock, StrategySpec,
@@ -24,13 +24,14 @@ use std::time::Duration;
 
 const ALARMS: u64 = 4;
 
-fn run_once() -> Vec<Span> {
+fn grid() -> Grid {
     let universe = Rect::new(0.0, 0.0, 4_000.0, 4_000.0).unwrap();
-    let grid = Grid::new(universe, 1_000.0).unwrap();
-    let vclock = Arc::new(VirtualClock::new());
-    let clock: SharedClock = vclock.clone();
-    // Alarms along the walk's diagonal so triggers (and their spans)
-    // fire at fixed steps.
+    Grid::new(universe, 1_000.0).unwrap()
+}
+
+/// A server on `clock` with public alarms along the diagonal, one per
+/// diagonal cell, so a diagonal walk fires them at fixed steps.
+fn diagonal_server(clock: SharedClock) -> Arc<Server> {
     let alarms: Vec<SpatialAlarm> = (0..ALARMS)
         .map(|i| {
             SpatialAlarm::around_static_target(
@@ -42,16 +43,16 @@ fn run_once() -> Vec<Span> {
             .unwrap()
         })
         .collect();
-    let server = Server::start_with_clock(
-        grid.clone(),
-        alarms,
-        30.0,
-        ServerConfig { num_shards: 2 },
-        Arc::clone(&clock),
-    );
+    Server::start_with_clock(grid(), alarms, 30.0, clock)
+}
+
+fn run_once() -> Vec<Span> {
+    let vclock = Arc::new(VirtualClock::new());
+    let clock: SharedClock = vclock.clone();
+    let server = diagonal_server(Arc::clone(&clock));
     let transport = InProcTransport::connect(Arc::clone(&server));
     let mut client =
-        Client::connect(transport, SubscriberId(7), StrategySpec::Mwpsr, grid, 1.0).unwrap();
+        Client::connect(transport, SubscriberId(7), StrategySpec::Mwpsr, grid(), 1.0).unwrap();
     client.set_clock(Arc::clone(&clock));
 
     // A fixed diagonal walk; every step advances the virtual clock by
@@ -61,10 +62,7 @@ fn run_once() -> Vec<Span> {
         let d = f64::from(step) * 220.0;
         client.observe(step, Point::new(100.0 + d, 100.0 + d), 0.785, 12.0).unwrap();
     }
-
-    let spans = server.spans();
-    server.shutdown();
-    spans
+    server.spans()
 }
 
 #[test]
@@ -90,20 +88,83 @@ fn identical_virtual_schedules_record_identical_spans() {
     }
 }
 
-/// Callers released together on a one-shard server: every batch slice
-/// lands on one queue.
-const CALLERS: u32 = 4;
+/// A batch whose entries move one PBSR session between two cells —
+/// firing an alarm in one, coming back to the other, standing still
+/// there — interleaved with a second, MWPSR session that fires the same
+/// alarms: every answer depends on the entries before it. The batch
+/// must be answered, and recorded, exactly as the same entries sent one
+/// by one, in frame order, to an identical server.
+#[test]
+fn a_batch_is_answered_like_its_entries_sent_one_by_one() {
+    let at = |session, seq, x: f64, y: f64| BatchedUpdate {
+        session,
+        seq,
+        x_fx: quantize_m(x),
+        y_fx: quantize_m(y),
+        motion: 0,
+    };
+    let open = || {
+        let server = diagonal_server(Arc::new(VirtualClock::new()));
+        let walker = hello(&server, 7, StrategySpec::Pbsr { height: 3 });
+        let other = hello(&server, 8, StrategySpec::Mwpsr);
+        (server, walker, other)
+    };
+    let (batched, walker, other) = open();
+    let (single, ..) = open();
+    let entries = vec![
+        at(walker, 1, 200.0, 200.0),
+        at(other, 1, 500.0, 500.0),
+        at(walker, 2, 1_200.0, 1_200.0),
+        at(walker, 3, 1_400.0, 1_400.0),
+        at(walker, 4, 300.0, 300.0),
+        at(walker, 5, 250.0, 250.0),
+        at(other, 2, 1_400.0, 1_400.0),
+    ];
 
-fn one_shard_server() -> Arc<Server> {
-    let universe = Rect::new(0.0, 0.0, 4_000.0, 4_000.0).unwrap();
-    let grid = Grid::new(universe, 1_000.0).unwrap();
-    Server::start(grid, Vec::new(), 30.0, ServerConfig { num_shards: 1 })
+    let resps = batched.handle(walker, Request::Batch { seq: 9, updates: entries.clone() });
+    let [Response::Batch { seq: 9, replies }] = resps.as_slice() else {
+        panic!("a batch frame is answered with a batch, got {resps:?}");
+    };
+    let one_by_one: Vec<(u32, Vec<Response>)> = entries
+        .iter()
+        .map(|e| {
+            let update =
+                Request::LocationUpdate { seq: e.seq, x_fx: e.x_fx, y_fx: e.y_fx, motion: 0 };
+            (e.session, single.handle(e.session, update))
+        })
+        .collect();
+    let answered: Vec<(u32, Vec<Response>)> =
+        replies.iter().map(|r| (r.session, r.responses.clone())).collect();
+    assert_eq!(answered, one_by_one);
+    assert_eq!(batched.spans(), single.spans(), "a batch entry records what a single update does");
+
+    // Not vacuous: the walker's answers are the order-dependent ones.
+    let walker_answers: Vec<&[Response]> = answered
+        .iter()
+        .filter(|(session, _)| *session == walker)
+        .map(|(_, r)| r.as_slice())
+        .collect();
+    assert!(matches!(walker_answers[0], [Response::BitmapInstall { .. }]));
+    assert!(matches!(walker_answers[1], [Response::BitmapInstall { .. }]));
+    assert!(matches!(
+        walker_answers[2],
+        [Response::TriggerDelivery { alarm: 1, .. }, Response::BitmapInstall { .. }]
+    ));
+    assert!(matches!(walker_answers[3], [Response::BitmapInstall { .. }]));
+    assert_eq!(walker_answers[4], [Response::Ack { seq: 5 }], "same cell, nothing fired");
 }
 
-/// Opens an MWPSR session for `user`.
-fn hello(server: &Server, user: u32) -> u32 {
+/// Callers released together on one server.
+const CALLERS: u32 = 4;
+
+fn default_server() -> Arc<Server> {
+    Server::start(grid(), Vec::new(), 30.0, ServerConfig::default())
+}
+
+/// Opens a session for `user` under `strategy`.
+fn hello(server: &Server, user: u32, strategy: StrategySpec) -> u32 {
     let session = server.open_session();
-    let hello = Request::Hello { seq: 0, user, strategy: StrategySpec::Mwpsr };
+    let hello = Request::Hello { seq: 0, user, strategy };
     assert_eq!(server.handle(session, hello), vec![Response::Ack { seq: 0 }]);
     session
 }
@@ -117,7 +178,7 @@ fn storm(server: &Server, requests: u32, request: impl Fn(u32, u32) + Sync) {
         for user in 0..CALLERS {
             let (start, request) = (&start, &request);
             scope.spawn(move || {
-                let session = hello(server, user);
+                let session = hello(server, user, StrategySpec::Mwpsr);
                 start.wait();
                 for seq in 1..=requests {
                     request(session, seq);
@@ -128,12 +189,11 @@ fn storm(server: &Server, requests: u32, request: impl Fn(u32, u32) + Sync) {
 }
 
 /// The single-update contract: a location update runs on its caller's
-/// thread, so four concurrent callers get every update answered and
-/// none waits in a shard queue.
+/// thread, so four concurrent callers get every update answered.
 #[test]
 fn single_updates_run_on_the_caller_and_never_overload() {
     const UPDATES: u32 = 2_000;
-    let server = one_shard_server();
+    let server = default_server();
     let (x_fx, y_fx) = (quantize_m(500.0), quantize_m(500.0));
     storm(&server, UPDATES, |session, seq| {
         let update = Request::LocationUpdate { seq, x_fx, y_fx, motion: 0 };
@@ -149,21 +209,14 @@ fn single_updates_run_on_the_caller_and_never_overload() {
         snap.counter("sa_server_location_updates_total", &[]),
         Some(u64::from(CALLERS * UPDATES))
     );
-    assert_eq!(
-        snap.histogram("sa_shard_dispatch_wait_ns", &[]).map(|h| h.count),
-        Some(0),
-        "no single update may pass through a shard queue"
-    );
-    server.shutdown();
 }
 
-/// The batch contract: the fan-out's queues have no bound, so four
-/// callers racing one-entry frames onto one shard get every entry
-/// answered by the worker with its `RectInstall` — no bounce.
+/// The batch contract: four callers racing one-entry frames into one
+/// cell get every entry answered with its `RectInstall` — no bounce.
 #[test]
-fn concurrent_batch_frames_on_one_shard_are_all_answered() {
+fn concurrent_batch_frames_are_all_answered() {
     const FRAMES: u32 = 500;
-    let server = one_shard_server();
+    let server = default_server();
     let (x_fx, y_fx) = (quantize_m(500.0), quantize_m(500.0));
     storm(&server, FRAMES, |session, seq| {
         let entry = BatchedUpdate { session, seq, x_fx, y_fx, motion: 0 };
@@ -182,32 +235,4 @@ fn concurrent_batch_frames_on_one_shard_are_all_answered() {
         snap.counter("sa_server_location_updates_total", &[]),
         Some(u64::from(CALLERS * FRAMES))
     );
-    server.shutdown();
-}
-
-/// The batch path's one refusal: after `shutdown` no worker is left to
-/// take a slice, so a batch frame answers every entry `BAD_REQUEST` —
-/// while a single location update, which never needed a worker, is
-/// still answered.
-#[test]
-fn after_shutdown_batches_are_refused_and_single_updates_answered() {
-    let server = one_shard_server();
-    let (a, b) = (hello(&server, 0), hello(&server, 1));
-    server.shutdown();
-    let (x_fx, y_fx) = (quantize_m(500.0), quantize_m(500.0));
-    let entries = vec![
-        BatchedUpdate { session: a, seq: 1, x_fx, y_fx, motion: 0 },
-        BatchedUpdate { session: b, seq: 2, x_fx, y_fx, motion: 0 },
-    ];
-    let resps = server.handle(a, Request::Batch { seq: 7, updates: entries });
-    let [Response::Batch { seq: 7, replies }] = resps.as_slice() else {
-        panic!("a batch frame is answered with a batch, got {resps:?}");
-    };
-    let refused: Vec<_> = replies.iter().map(|r| (r.session, r.responses.clone())).collect();
-    let bad = |seq| vec![Response::Error { seq, code: error_code::BAD_REQUEST }];
-    assert_eq!(refused, vec![(a, bad(1)), (b, bad(2))]);
-
-    let update = Request::LocationUpdate { seq: 3, x_fx, y_fx, motion: 0 };
-    let resps = server.handle(a, update);
-    assert!(matches!(resps.as_slice(), [Response::RectInstall { seq: 3, .. }]), "{resps:?}");
 }

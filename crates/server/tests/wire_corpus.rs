@@ -334,7 +334,6 @@ fn reactor_close_reason_for(bytes: &[u8], reason: &str) -> Option<u64> {
     };
     drop(sock);
     drop(reactor);
-    server.shutdown();
     count
 }
 

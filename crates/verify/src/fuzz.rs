@@ -1,6 +1,6 @@
 //! Seed-driven fuzzing entry points.
 //!
-//! Two sweeps and one cross-check, all pure functions of their seeds:
+//! Two sweeps, both pure functions of their seeds:
 //!
 //! * [`fuzz_differential`] — the cheap per-cell sweep: each seed builds
 //!   a random (position, heading, cell, obstacle set) and runs
@@ -11,8 +11,6 @@
 //!   a [`FuzzCase`] and drives the whole server/fleet/chaos stack
 //!   through [`run_case`]; any invariant violation is shrunk to a
 //!   minimal case and rendered as a `#[test]` reproducer.
-//! * [`shard_independence`] — replays one case at 1 and at 4 shards and
-//!   demands the same bytes: shards partition work, never answers.
 
 use crate::harness::{run_case, FuzzCase};
 use crate::minimize::{reproducer, shrink_case};
@@ -85,33 +83,6 @@ pub fn fuzz_schedule(seeds: impl IntoIterator<Item = u64>, minimize: bool) -> Fu
         });
     }
     report
-}
-
-/// Replays `case` at `num_shards = 1` and `= 4`: the shard count is a
-/// sizing knob, so both runs must produce the same transcript digest
-/// and the same fired list.
-///
-/// # Errors
-///
-/// Which of the two diverged (or the transport error a run escaped
-/// with).
-pub fn shard_independence(case: &FuzzCase) -> Result<(), String> {
-    let at = |num_shards: usize| {
-        run_case(&FuzzCase { num_shards, ..case.clone() })
-            .map_err(|e| format!("seed {} at {num_shards} shard(s): {e}", case.seed))
-    };
-    let (one, four) = (at(1)?, at(4)?);
-    if one.digest != four.digest {
-        return Err(format!(
-            "seed {}: the shard count reached the wire — transcript digest {:#018x} at 1 shard, \
-             {:#018x} at 4",
-            case.seed, one.digest, four.digest
-        ));
-    }
-    if one.fired != four.fired {
-        return Err(format!("seed {}: fired lists differ between 1 and 4 shards", case.seed));
-    }
-    Ok(())
 }
 
 /// Builds the random per-cell differential case of `seed` and runs

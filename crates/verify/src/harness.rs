@@ -1,8 +1,8 @@
 //! The deterministic schedule harness.
 //!
 //! [`FuzzCase`] is a complete description of one end-to-end run — fleet
-//! slice, alarm workload, strategy mix, fault plan, batching cadence and
-//! server sizing — derivable from a single `u64` seed
+//! slice, alarm workload, strategy mix, fault plan and batching cadence
+//! — derivable from a single `u64` seed
 //! ([`FuzzCase::from_seed`]). [`run_case`] executes it against the live
 //! `sa-server` stack on a [`VirtualClock`]: every timestamp, injected
 //! delay and backoff sleep advances simulated time instead of wall
@@ -11,19 +11,18 @@
 //! including its byte-level [`Transcript`], is a pure function of the
 //! case.
 //!
-//! Determinism boundary: a location update runs on the driver thread
-//! itself, and a batch frame — the only thing shard workers on real
-//! threads ever run — is answered entry by entry by its workers, with
-//! no response that depends on when they ran. The transcript therefore
-//! never observes thread timing.
+//! Determinism boundary: the server owns no threads. Every request —
+//! a batch frame's entries included, in frame order — runs on the
+//! driver thread itself, so the transcript never observes thread
+//! timing.
 
 use crate::oracle::check_transcript;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use sa_server::transcript::{RecordingTransport, SharedTranscript, Transcript, DRIVER_TAG};
 use sa_server::{
     connect_fleet, drive, verify_prefix, BatchDriver, ChaosControls, Client, FaultLeg, FaultPlan,
-    FaultyTransport, InProcTransport, ReplayConfig, ResiliencePolicy,
-    ServerConfig, SharedClock, StrategySpec, TraceMode, TransportError, VirtualClock,
+    FaultyTransport, InProcTransport, ReplayConfig, ResiliencePolicy, SharedClock, StrategySpec,
+    TraceMode, TransportError, VirtualClock,
 };
 use sa_sim::{FiredEvent, SimulationConfig, SimulationHarness};
 use std::sync::{Arc, Mutex};
@@ -52,8 +51,6 @@ pub struct FuzzCase {
     /// (retry, resync, degraded mode) are defined on the per-request
     /// path.
     pub batch_every: u32,
-    /// Server shard count.
-    pub num_shards: usize,
 }
 
 impl FuzzCase {
@@ -86,16 +83,7 @@ impl FuzzCase {
         };
         let clean = plan == FaultPlan::clean();
         let batch_every = if clean { rng.gen_range(0..3u32) } else { 0 };
-        FuzzCase {
-            seed,
-            vehicles,
-            alarms,
-            steps,
-            strategies,
-            plan,
-            batch_every,
-            num_shards: rng.gen_range(1..=4usize),
-        }
+        FuzzCase { seed, vehicles, alarms, steps, strategies, plan, batch_every }
     }
 }
 
@@ -176,7 +164,6 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseOutcome, TransportError> {
     let vehicles = 0..config.fleet.vehicles as u32;
     let replay = ReplayConfig {
         steps: Some(case.steps.max(1)),
-        server: ServerConfig { num_shards: case.num_shards.max(1) },
         strategies: case.strategies.clone(),
         trace_mode: TraceMode::Full,
     };
@@ -222,7 +209,6 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseOutcome, TransportError> {
 
     let lone = std::slice::from_ref(&server);
     let verification = verify_prefix(&harness, steps, &driven.fired, || server.spans(), lone);
-    server.shutdown();
 
     let transcript = log.lock().expect("transcript lock poisoned").clone();
     let oracle = check_transcript(&transcript, &harness, &sessions, &strategies);
@@ -273,7 +259,6 @@ mod tests {
             strategies: vec![StrategySpec::Mwpsr, StrategySpec::Pbsr { height: 2 }],
             plan: FaultPlan::clean(),
             batch_every: 2,
-            num_shards: 2,
         };
         let outcome = run_case(&case).expect("transport must hold");
         outcome.assert_clean();

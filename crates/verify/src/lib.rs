@@ -32,10 +32,7 @@ mod harness;
 mod minimize;
 mod oracle;
 
-pub use fuzz::{
-    differential_seed, fuzz_differential, fuzz_schedule, shard_independence, FuzzFailure,
-    FuzzReport,
-};
+pub use fuzz::{differential_seed, fuzz_differential, fuzz_schedule, FuzzFailure, FuzzReport};
 pub use harness::{run_case, CaseOutcome, FuzzCase};
 pub use minimize::{reproducer, shrink_case, shrink_elements, test_artifact};
 pub use oracle::{check_transcript, strictly_inside, GEOMETRY_TOL_M};

@@ -5,7 +5,7 @@
 //! plan usually shrinks to a couple of vehicles over a handful of steps
 //! with no faults at all. [`shrink_case`] walks the case's dimensions
 //! greedily — drop the fault plan, drop batching, halve steps, halve
-//! the fleet and workload, collapse shards, thin the strategy mix —
+//! the fleet and workload, thin the strategy mix —
 //! keeping each reduction only if the failure survives, until a full
 //! pass makes no progress. [`shrink_elements`] is the same idea for
 //! plain element sets (the obstacle lists of the region oracles).
@@ -72,7 +72,6 @@ fn candidates(case: &FuzzCase) -> Vec<FuzzCase> {
     push(&|c| c.vehicles = c.vehicles.saturating_sub(1).max(1));
     push(&|c| c.alarms = (c.alarms / 2).max(1));
     push(&|c| c.alarms = c.alarms.saturating_sub(1).max(1));
-    push(&|c| c.num_shards = 1);
     for i in 0..case.strategies.len() {
         if case.strategies.len() > 1 {
             push(&|c| {
@@ -186,7 +185,6 @@ pub fn reproducer(case: &FuzzCase, violation: &str) -> String {
          \x20   strategies: vec![{strategies}],\n\
          \x20   plan: {plan},\n\
          \x20   batch_every: {batch_every},\n\
-         \x20   num_shards: {num_shards},\n\
          }};\n\
          let outcome = sa_verify::run_case(&case).expect(\"transport must hold\");\n\
          outcome.assert_clean();",
@@ -196,7 +194,6 @@ pub fn reproducer(case: &FuzzCase, violation: &str) -> String {
         steps = case.steps,
         plan = plan_literal(&case.plan),
         batch_every = case.batch_every,
-        num_shards = case.num_shards,
     );
     test_artifact(&format!("sa_verify_minimized_seed_{}", case.seed), violation, &body)
 }

@@ -9,7 +9,7 @@
 //! Run with: `cargo run --release --example live_server`
 
 use spatial_alarms::server::wire::StrategySpec;
-use spatial_alarms::server::{replay_in_proc, ReplayConfig, ServerConfig, TraceMode};
+use spatial_alarms::server::{replay_in_proc, ReplayConfig, TraceMode};
 use spatial_alarms::sim::{SimulationConfig, SimulationHarness};
 
 fn main() {
@@ -28,7 +28,6 @@ fn main() {
 
     let replay_cfg = ReplayConfig {
         steps: Some(60), // one minute at 1 Hz
-        server: ServerConfig { num_shards: 4 },
         trace_mode: TraceMode::Full,
         strategies: vec![
             StrategySpec::Mwpsr,

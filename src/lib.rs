@@ -11,7 +11,7 @@
 //! - [`obs`] — metrics registry, latency histograms, causal spans and the
 //!   Prometheus text exposition,
 //! - [`sim`] — the distributed processing simulation and baselines,
-//! - [`server`] — the live grid-sharded safe-region service runtime,
+//! - [`server`] — the live safe-region service runtime,
 //! - [`fed`] — multi-server federation: partitioned cell ownership,
 //!   session handoff and live repartitioning,
 //! - [`viz`] — SVG rendering of networks, workloads and safe regions.

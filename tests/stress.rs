@@ -4,7 +4,7 @@
 //! `cargo test --release --test stress -- --ignored` (a few minutes).
 
 use spatial_alarms::server::wire::StrategySpec;
-use spatial_alarms::server::{replay_batched_in_proc, ReplayConfig, ServerConfig, TraceMode};
+use spatial_alarms::server::{replay_batched_in_proc, ReplayConfig, TraceMode};
 use spatial_alarms::sim::{SimulationConfig, SimulationHarness, StrategyKind};
 
 /// A tenth of the paper's workload (1,000 vehicles × 1,000 alarms) for
@@ -20,7 +20,6 @@ fn tenth_scale_full_hour_batched_accuracy() {
     assert!(harness.ground_truth().len() > 100, "expected a busy world");
     let cfg = ReplayConfig {
         steps: None,
-        server: ServerConfig::default(),
         trace_mode: TraceMode::Full,
         strategies: vec![
             StrategySpec::Mwpsr,

@@ -19,7 +19,6 @@ fn fixed_case() -> FuzzCase {
         ],
         plan: FaultPlan::clean(),
         batch_every: 3,
-        num_shards: 2,
     }
 }
 
