@@ -1,7 +1,7 @@
 use crate::{AlarmId, AlarmScope, SpatialAlarm, SubscriberId};
 use sa_geometry::{Point, Rect};
 use sa_index::{QueryStats, RStarTree};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// An alarm id broke the dense `0..len` id space [`AlarmIndex`] requires
 /// (ids double as vector indexes). Returned by [`AlarmIndex::try_build`]
@@ -41,12 +41,17 @@ impl std::error::Error for NonDenseIdError {}
 /// work to the server-load model.
 #[derive(Debug)]
 pub struct AlarmIndex {
-    tree: RStarTree<AlarmId>,
+    /// Items are positions in `alarms`, so the tree never assumes an
+    /// alarm's id is its position.
+    tree: RStarTree<usize>,
+    /// In ascending id order: exactly `0..len` on an index from
+    /// [`AlarmIndex::try_build`], the live alarms of a snapshot
+    /// generation on one from [`AlarmIndex::from_live`].
     alarms: Vec<SpatialAlarm>,
-    /// Per-subscriber private/shared alarm ids (the subscriber's "personal"
-    /// alarms). Public alarms are not listed — they are relevant to
-    /// everyone and answered by spatial queries.
-    personal: HashMap<SubscriberId, Vec<AlarmId>>,
+    /// Per-subscriber private/shared alarms (the subscriber's "personal"
+    /// alarms), as positions in `alarms`. Public alarms are not listed —
+    /// they are relevant to everyone and answered by spatial queries.
+    personal: HashMap<SubscriberId, Vec<usize>>,
 }
 
 impl AlarmIndex {
@@ -75,37 +80,32 @@ impl AlarmIndex {
                 return Err(NonDenseIdError { expected: i as u64, got: a.id().0 });
             }
         }
-        Ok(AlarmIndex::build_dense(alarms, None))
+        Ok(AlarmIndex::from_live(alarms))
     }
 
-    /// Builds the index over dense-id `alarms`, bulk loading the tree
-    /// with every alarm whose id is in `inactive` left out (their
-    /// metadata stays addressable, exactly as if they had been installed
-    /// and then [`AlarmIndex::deactivate`]d). The snapshot merge path
-    /// uses this to fold accumulated deactivations into a rebuilt base
-    /// without paying one tree deletion per dead alarm.
-    pub(crate) fn build_dense(
-        alarms: Vec<SpatialAlarm>,
-        inactive: Option<&HashSet<AlarmId>>,
-    ) -> AlarmIndex {
-        debug_assert!(alarms.iter().enumerate().all(|(i, a)| a.id().0 as usize == i));
-        let active = |a: &&SpatialAlarm| inactive.is_none_or(|dead| !dead.contains(&a.id()));
-        let entries: Vec<(Rect, AlarmId)> =
-            alarms.iter().filter(active).map(|a| (a.region(), a.id())).collect();
+    /// Builds the index over `alarms`, whose ids ascend but may have
+    /// gaps: the live alarms a snapshot generation folds into its base,
+    /// dead ones already dropped. Never mutated afterwards: `install`
+    /// assumes the dense id space of `try_build`.
+    pub(crate) fn from_live(alarms: Vec<SpatialAlarm>) -> AlarmIndex {
+        debug_assert!(alarms.windows(2).all(|w| w[0].id() < w[1].id()));
+        let entries: Vec<(Rect, usize)> =
+            alarms.iter().enumerate().map(|(p, a)| (a.region(), p)).collect();
         let tree = RStarTree::bulk_load(entries);
-        let mut personal: HashMap<SubscriberId, Vec<AlarmId>> = HashMap::new();
-        for a in alarms.iter().filter(active) {
+        let mut personal: HashMap<SubscriberId, Vec<usize>> = HashMap::new();
+        for (p, a) in alarms.iter().enumerate() {
             for s in personal_subscribers(a.scope()) {
-                personal.entry(*s).or_default().push(a.id());
+                personal.entry(*s).or_default().push(p);
             }
         }
         AlarmIndex { tree, alarms, personal }
     }
 
-    /// The subscriber's private/shared alarm ids (empty for subscribers
-    /// who own and share nothing). Public alarms are excluded.
-    pub fn personal_alarms(&self, user: SubscriberId) -> &[AlarmId] {
-        self.personal.get(&user).map_or(&[], Vec::as_slice)
+    /// The subscriber's private/shared alarms (none for subscribers who
+    /// own and share nothing). Public alarms are excluded.
+    pub fn personal_alarms(&self, user: SubscriberId) -> impl Iterator<Item = &SpatialAlarm> {
+        let positions = self.personal.get(&user).map_or(&[][..], Vec::as_slice);
+        positions.iter().map(|&p| &self.alarms[p])
     }
 
     /// Distance from `pos` to the nearest alarm region that is relevant to
@@ -121,17 +121,17 @@ impl AlarmIndex {
         // The probe's stats count whether or not it found a match — a
         // fruitless nearest-neighbor walk is still server work the
         // Figure 4(b)/6(d) load model must see.
-        let (public, mut stats) = self.tree.nearest_matching(pos, |id| {
-            let a = self.alarm(*id);
-            a.is_public() && keep(*id)
+        let (public, mut stats) = self.tree.nearest_matching(pos, |&p| {
+            let a = &self.alarms[p];
+            a.is_public() && keep(a.id())
         });
         let mut best: Option<f64> = public.map(|(_, _, d)| d);
-        for &id in self.personal_alarms(user) {
+        for a in self.personal_alarms(user) {
             stats.entries_tested += 1;
-            if !keep(id) {
+            if !keep(a.id()) {
                 continue;
             }
-            let d = self.alarm(id).region().distance_to_point(pos);
+            let d = a.region().distance_to_point(pos);
             if best.is_none_or(|b| d < b) {
                 best = Some(d);
             }
@@ -148,13 +148,13 @@ impl AlarmIndex {
         pos: Point,
         keep: F,
     ) -> Option<f64> {
-        let public = self
-            .tree
-            .nearest_distance_matching(pos, |id| self.alarm(*id).is_public() && keep(*id));
+        let public = self.tree.nearest_distance_matching(pos, |&p| {
+            let a = &self.alarms[p];
+            a.is_public() && keep(a.id())
+        });
         self.personal_alarms(user)
-            .iter()
-            .filter(|&&id| keep(id))
-            .map(|&id| self.alarm(id).region().distance_to_point(pos))
+            .filter(|a| keep(a.id()))
+            .map(|a| a.region().distance_to_point(pos))
             .fold(public, nearer)
     }
 
@@ -169,8 +169,28 @@ impl AlarmIndex {
     }
 
     /// Alarm lookup by id.
+    ///
+    /// # Panics
+    ///
+    /// Panics when no alarm with this id was installed.
     pub fn alarm(&self, id: AlarmId) -> &SpatialAlarm {
-        &self.alarms[id.0 as usize]
+        self.get(id).unwrap_or_else(|| panic!("alarm {} is not in the index", id.0))
+    }
+
+    /// Alarm lookup by id, `None` for an id this index does not hold.
+    pub(crate) fn get(&self, id: AlarmId) -> Option<&SpatialAlarm> {
+        self.position(id).map(|p| &self.alarms[p])
+    }
+
+    /// Where alarm `id` sits in `alarms`. O(1) on a dense index, whose
+    /// ids are positions; on a snapshot base, a binary search of the
+    /// alarms below that position (ids ascend, so none sits past its id).
+    fn position(&self, id: AlarmId) -> Option<usize> {
+        let guess = usize::try_from(id.0).map_or(self.alarms.len(), |i| i.min(self.alarms.len()));
+        if self.alarms.get(guess).is_some_and(|a| a.id() == id) {
+            return Some(guess);
+        }
+        self.alarms[..guess].binary_search_by_key(&id, SpatialAlarm::id).ok()
     }
 
     /// All installed alarms.
@@ -184,7 +204,7 @@ impl AlarmIndex {
         let (hits, stats) = self.tree.search_point_with_stats(pos);
         let filtered = hits
             .into_iter()
-            .map(|id| self.alarm(*id))
+            .map(|&p| &self.alarms[p])
             .filter(|a| a.is_relevant_to(user))
             .collect();
         (filtered, stats)
@@ -201,8 +221,8 @@ impl AlarmIndex {
         pos: Point,
         mut f: impl FnMut(&SpatialAlarm),
     ) {
-        self.tree.visit_point(pos, |id| {
-            let a = self.alarm(*id);
+        self.tree.visit_point(pos, |&p| {
+            let a = &self.alarms[p];
             if a.is_relevant_to(user) {
                 f(a);
             }
@@ -214,7 +234,7 @@ impl AlarmIndex {
     /// without materializing a result vector — the form the server's
     /// region refreshes build their obstacle lists from.
     pub fn all_intersecting_visit<'a>(&'a self, area: Rect, mut f: impl FnMut(&'a SpatialAlarm)) {
-        self.tree.visit_intersecting(area, |_, id| f(self.alarm(*id)));
+        self.tree.visit_intersecting(area, |_, &p| f(&self.alarms[p]));
     }
 
     /// Alarms relevant to `user` whose regions intersect `area` — the set
@@ -233,7 +253,7 @@ impl AlarmIndex {
         let (hits, stats) = self.tree.search_intersecting_with_stats(area);
         let filtered = hits
             .into_iter()
-            .map(|(_, id)| self.alarm(*id))
+            .map(|(_, &p)| &self.alarms[p])
             .filter(|a| a.is_relevant_to(user))
             .collect();
         (filtered, stats)
@@ -248,7 +268,7 @@ impl AlarmIndex {
     /// statistics for the server-load model.
     pub fn all_intersecting_with_stats(&self, area: Rect) -> (Vec<&SpatialAlarm>, QueryStats) {
         let (hits, stats) = self.tree.search_intersecting_with_stats(area);
-        (hits.into_iter().map(|(_, id)| self.alarm(*id)).collect(), stats)
+        (hits.into_iter().map(|(_, &p)| &self.alarms[p]).collect(), stats)
     }
 
     /// Installs a new alarm at runtime (publishers install alarms over the
@@ -279,9 +299,10 @@ impl AlarmIndex {
                 got: alarm.id().0,
             });
         }
-        self.tree.insert(alarm.region(), alarm.id());
+        let p = self.alarms.len();
+        self.tree.insert(alarm.region(), p);
         for s in personal_subscribers(alarm.scope()) {
-            self.personal.entry(*s).or_default().push(alarm.id());
+            self.personal.entry(*s).or_default().push(p);
         }
         self.alarms.push(alarm);
         Ok(())
@@ -292,12 +313,15 @@ impl AlarmIndex {
     /// addressable by id; only queries stop reporting it. Returns true
     /// when the alarm was still indexed.
     pub fn deactivate(&mut self, id: AlarmId) -> bool {
-        let alarm = &self.alarms[id.0 as usize];
-        let removed = self.tree.remove(alarm.region(), |x| *x == id).is_some();
+        let Some(p) = self.position(id) else {
+            return false;
+        };
+        let alarm = &self.alarms[p];
+        let removed = self.tree.remove(alarm.region(), |&x| x == p).is_some();
         if removed {
             for s in personal_subscribers(alarm.scope()) {
                 if let Some(list) = self.personal.get_mut(s) {
-                    list.retain(|&a| a != id);
+                    list.retain(|&x| x != p);
                 }
             }
         }
@@ -316,7 +340,7 @@ fn personal_subscribers(scope: &AlarmScope) -> &[SubscriberId] {
 }
 
 /// `best` or `d`, whichever is nearer — the first of equals.
-pub(crate) fn nearer(best: Option<f64>, d: f64) -> Option<f64> {
+fn nearer(best: Option<f64>, d: f64) -> Option<f64> {
     if best.is_none_or(|b| d < b) { Some(d) } else { best }
 }
 
@@ -458,8 +482,7 @@ mod nearest_tests {
         let mut listed = 0usize;
         for u in 0..50 {
             let user = SubscriberId(u);
-            for &id in index.personal_alarms(user) {
-                let a = index.alarm(id);
+            for a in index.personal_alarms(user) {
                 assert!(!a.is_public());
                 assert!(a.is_relevant_to(user));
                 listed += 1;
@@ -589,7 +612,9 @@ mod install_tests {
         )
         .unwrap();
         index.install(private);
-        assert_eq!(index.personal_alarms(SubscriberId(9)), &[AlarmId(1)]);
+        let ids: Vec<AlarmId> =
+            index.personal_alarms(SubscriberId(9)).map(SpatialAlarm::id).collect();
+        assert_eq!(ids, vec![AlarmId(1)]);
         // And the nearest-relevant query sees it.
         let (d, _) = index.nearest_relevant_distance(
             SubscriberId(9),

@@ -8,8 +8,15 @@
 //! - [`VersionedAlarmIndex`] keeps the current generation as an immutable
 //!   [`AlarmSnapshot`] behind a [`SnapshotCell`]. Writers (installs,
 //!   deactivations) build the *next* generation — usually by cloning a
-//!   small delta fringe, occasionally by STR-bulk-rebuilding the base —
-//!   and publish it with an `Arc` swap plus an epoch bump.
+//!   small delta fringe, occasionally by folding it into an
+//!   STR-bulk-rebuilt base — and publish it with an `Arc` swap plus an
+//!   epoch bump.
+//! - A generation holds live alarms only. A fold rebuilds the base from
+//!   the alarms still live and drops the dead ones, metadata included, so
+//!   a fold costs O(live alarms), not O(every alarm ever installed).
+//!   Ids stay dense — [`AlarmSnapshot::len`] is the next id an install
+//!   must carry, and dead alarms still count in it — but a dead id is not
+//!   addressable: [`AlarmSnapshot::get`] answers `None` for it.
 //! - Readers pin a generation via a per-thread [`SnapshotCache`]: the
 //!   steady state is a single atomic epoch load and a pointer deref — no
 //!   lock, no allocation — so trigger checks proceed at full speed during
@@ -22,7 +29,7 @@
 //! *removed* alarm firing once more is indistinguishable from the race
 //! where the cancel arrived just after the trigger check.
 
-use crate::index::{nearer, AlarmIndex, NonDenseIdError};
+use crate::index::{AlarmIndex, NonDenseIdError};
 use crate::{AlarmId, SpatialAlarm, SubscriberId};
 use parking_lot::{Mutex, RwLock};
 use sa_geometry::{Point, Rect};
@@ -125,44 +132,74 @@ impl<S> Default for SnapshotCache<S> {
     }
 }
 
-/// One immutable generation of the alarm index: an STR-bulk-loaded base,
-/// a small ordered delta of alarms installed since the base was built
-/// (their ids continue the base's dense id space), and the set of alarm
-/// ids deactivated since. Queries consult all three; the delta and dead
-/// set are kept small by generation merges in [`VersionedAlarmIndex`].
+/// One immutable generation of the alarm index: an STR-bulk-loaded base
+/// of the alarms live when it was built, a small ordered delta of alarms
+/// installed since (their ids continue the dense id space), and the set
+/// of alarm ids deactivated since. Queries consult all three; the delta
+/// and dead set are kept small by folds in [`VersionedAlarmIndex`], and a
+/// fold drops every dead alarm, so a generation holds live alarms only
+/// plus at most a dead set's worth of not-yet-folded ones.
 #[derive(Debug)]
 pub struct AlarmSnapshot {
     base: Arc<AlarmIndex>,
     delta: Vec<SpatialAlarm>,
     dead: HashSet<AlarmId>,
+    /// The id the next install must carry.
+    next: u64,
 }
 
 impl AlarmSnapshot {
-    /// Number of installed alarms (deactivated alarms still count; their
-    /// metadata stays addressable, exactly like [`AlarmIndex::len`]).
+    /// The next dense id: the number of alarms ever installed, dead ones
+    /// included, though a dead alarm is no longer addressable.
     pub fn len(&self) -> usize {
-        self.base.len() + self.delta.len()
+        self.next as usize
     }
 
-    /// True when no alarms are installed.
+    /// True when no alarm was ever installed.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Alarm lookup by id (base or delta).
-    pub fn alarm(&self, id: AlarmId) -> &SpatialAlarm {
-        let base_len = self.base.len();
-        if (id.0 as usize) < base_len {
-            self.base.alarm(id)
+    /// The live alarm `id` (base or delta); `None` for a dead or unknown
+    /// id.
+    pub fn get(&self, id: AlarmId) -> Option<&SpatialAlarm> {
+        let first_delta = self.next - self.delta.len() as u64;
+        let alarm = if id.0 >= self.next {
+            None
+        } else if id.0 >= first_delta {
+            self.delta.get((id.0 - first_delta) as usize)
         } else {
-            &self.delta[id.0 as usize - base_len]
-        }
+            self.base.get(id)
+        };
+        alarm.filter(|_| self.live(id))
     }
 
     /// True unless `id` was deactivated in this generation. The common
-    /// case (nothing deactivated since the last merge) is one branch.
+    /// case (nothing deactivated since the last fold) is one branch.
     fn live(&self, id: AlarmId) -> bool {
         self.dead.is_empty() || !self.dead.contains(&id)
+    }
+
+    /// The next generation with everything folded into a fresh base: this
+    /// generation's live alarms except `retiring`, then `installed`, in id
+    /// order. Costs O(live alarms), however many have ever died.
+    fn fold(&self, installed: Option<SpatialAlarm>, retiring: Option<AlarmId>) -> AlarmSnapshot {
+        let next = self.next + u64::from(installed.is_some());
+        let live: Vec<SpatialAlarm> = self
+            .base
+            .alarms()
+            .iter()
+            .chain(&self.delta)
+            .filter(|a| self.live(a.id()) && Some(a.id()) != retiring)
+            .cloned()
+            .chain(installed)
+            .collect();
+        AlarmSnapshot {
+            base: Arc::new(AlarmIndex::from_live(live)),
+            delta: Vec::new(),
+            dead: HashSet::new(),
+            next,
+        }
     }
 
     /// Visits each alarm relevant to `user` containing `pos` without
@@ -180,7 +217,7 @@ impl AlarmSnapshot {
             }
         });
         for a in &self.delta {
-            if self.live(a.id()) && a.is_relevant_to(user) && a.contains(pos) {
+            if a.contains(pos) && a.is_relevant_to(user) && self.live(a.id()) {
                 f(a);
             }
         }
@@ -198,7 +235,7 @@ impl AlarmSnapshot {
             }
         });
         for a in &self.delta {
-            if self.live(a.id()) && a.region().intersects(&area) {
+            if a.region().intersects(&area) && self.live(a.id()) {
                 f(a);
             }
         }
@@ -231,19 +268,10 @@ impl AlarmSnapshot {
         pos: Point,
         keep: F,
     ) -> (Option<f64>, QueryStats) {
-        let (mut best, mut stats) =
+        let (best, mut stats) =
             self.base.nearest_relevant_distance(user, pos, |id| self.live(id) && keep(id));
-        for a in &self.delta {
-            stats.entries_tested += 1;
-            if !self.live(a.id()) || !a.is_relevant_to(user) || !keep(a.id()) {
-                continue;
-            }
-            let d = a.region().distance_to_point(pos);
-            if best.is_none_or(|b| d < b) {
-                best = Some(d);
-            }
-        }
-        (best, stats)
+        stats.entries_tested += self.delta.len();
+        (self.delta_nearest(user, pos, &keep, best), stats)
     }
 
     /// The distance [`AlarmSnapshot::nearest_relevant_distance`] reports,
@@ -254,14 +282,30 @@ impl AlarmSnapshot {
         pos: Point,
         keep: F,
     ) -> Option<f64> {
-        let base = self
+        let best = self
             .base
             .nearest_relevant_distance_unmetered(user, pos, |id| self.live(id) && keep(id));
-        self.delta
-            .iter()
-            .filter(|a| self.live(a.id()) && a.is_relevant_to(user) && keep(a.id()))
-            .map(|a| a.region().distance_to_point(pos))
-            .fold(base, nearer)
+        self.delta_nearest(user, pos, &keep, best)
+    }
+
+    /// `best`, or the distance to a nearer delta alarm relevant to `user`
+    /// passing `keep`. Cheapest test first: the scope compare, then the
+    /// distance (a `hypot` call), and the dead-set lookup last.
+    fn delta_nearest(
+        &self,
+        user: SubscriberId,
+        pos: Point,
+        keep: impl Fn(AlarmId) -> bool,
+        best: Option<f64>,
+    ) -> Option<f64> {
+        self.delta.iter().filter(|a| a.is_relevant_to(user)).fold(best, |best, a| {
+            let d = a.region().distance_to_point(pos);
+            if best.is_none_or(|b| d < b) && keep(a.id()) && self.live(a.id()) {
+                Some(d)
+            } else {
+                best
+            }
+        })
     }
 }
 
@@ -270,16 +314,6 @@ impl AlarmSnapshot {
 /// the linear delta scan stays negligible next to a tree descent, large
 /// enough that rebuilds amortize.
 const DEFAULT_MERGE_THRESHOLD: usize = 64;
-
-/// Writer-side state, guarded by a mutex so installs and deactivations
-/// serialize (readers never touch this).
-#[derive(Debug)]
-struct WriterState {
-    /// Every id ever deactivated. Never cleared: generation merges reset
-    /// the snapshot's `dead` fringe, but a repeated deactivate must still
-    /// report `false`, and the next rebuild must still exclude these.
-    retired: HashSet<AlarmId>,
-}
 
 /// The churn-tolerant alarm index: an epoch-versioned sequence of
 /// immutable [`AlarmSnapshot`] generations. Readers pin a generation
@@ -291,7 +325,7 @@ struct WriterState {
 #[derive(Debug)]
 pub struct VersionedAlarmIndex {
     cell: SnapshotCell<AlarmSnapshot>,
-    writer: Mutex<WriterState>,
+    writer: Mutex<()>,
     merge_threshold: usize,
 }
 
@@ -315,14 +349,16 @@ impl VersionedAlarmIndex {
         alarms: Vec<SpatialAlarm>,
         merge_threshold: usize,
     ) -> Result<VersionedAlarmIndex, NonDenseIdError> {
+        let next = alarms.len() as u64;
         let base = AlarmIndex::try_build(alarms)?;
         Ok(VersionedAlarmIndex {
             cell: SnapshotCell::new(AlarmSnapshot {
                 base: Arc::new(base),
                 delta: Vec::new(),
                 dead: HashSet::new(),
+                next,
             }),
-            writer: Mutex::new(WriterState { retired: HashSet::new() }),
+            writer: Mutex::new(()),
             merge_threshold: merge_threshold.max(1),
         })
     }
@@ -348,12 +384,12 @@ impl VersionedAlarmIndex {
         self.cell.epoch()
     }
 
-    /// Number of installed alarms in the current generation.
+    /// The next dense id of the current generation ([`AlarmSnapshot::len`]).
     pub fn len(&self) -> usize {
         self.snapshot().len()
     }
 
-    /// True when no alarms are installed.
+    /// True when no alarm was ever installed.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -367,54 +403,48 @@ impl VersionedAlarmIndex {
     /// dense id space — the wire-reachable malformed-install case; the
     /// server maps this to an error response instead of panicking.
     pub fn try_install(&self, alarm: SpatialAlarm) -> Result<(), NonDenseIdError> {
-        let w = self.writer.lock();
+        let _writer = self.writer.lock();
         let cur = self.cell.load();
-        let expected = cur.len() as u64;
-        if alarm.id().0 != expected {
-            return Err(NonDenseIdError { expected, got: alarm.id().0 });
+        if alarm.id().0 != cur.next {
+            return Err(NonDenseIdError { expected: cur.next, got: alarm.id().0 });
         }
         let next = if cur.delta.len() + 1 >= self.merge_threshold {
-            let mut alarms: Vec<SpatialAlarm> = cur.base.alarms().to_vec();
-            alarms.extend(cur.delta.iter().cloned());
-            alarms.push(alarm);
-            AlarmSnapshot {
-                base: Arc::new(AlarmIndex::build_dense(alarms, Some(&w.retired))),
-                delta: Vec::new(),
-                dead: HashSet::new(),
-            }
+            cur.fold(Some(alarm), None)
         } else {
             let mut delta = cur.delta.clone();
             delta.push(alarm);
-            AlarmSnapshot { base: Arc::clone(&cur.base), delta, dead: cur.dead.clone() }
+            AlarmSnapshot {
+                base: Arc::clone(&cur.base),
+                delta,
+                dead: cur.dead.clone(),
+                next: cur.next + 1,
+            }
         };
         self.cell.publish(Arc::new(next));
         Ok(())
     }
 
     /// Deactivates alarm `id` in the next generation. Returns `false`
-    /// when the id is unknown or was already deactivated (matching
-    /// [`AlarmIndex::deactivate`]'s idempotence), `true` otherwise.
+    /// when the current generation holds no live alarm `id` — unknown,
+    /// or already deactivated (matching [`AlarmIndex::deactivate`]'s
+    /// idempotence) — and `true` otherwise.
     pub fn deactivate(&self, id: AlarmId) -> bool {
-        let mut w = self.writer.lock();
+        let _writer = self.writer.lock();
         let cur = self.cell.load();
-        if id.0 as usize >= cur.len() {
-            return false;
-        }
-        if !w.retired.insert(id) {
+        if cur.get(id).is_none() {
             return false;
         }
         let next = if cur.dead.len() + 1 >= self.merge_threshold {
-            let mut alarms: Vec<SpatialAlarm> = cur.base.alarms().to_vec();
-            alarms.extend(cur.delta.iter().cloned());
-            AlarmSnapshot {
-                base: Arc::new(AlarmIndex::build_dense(alarms, Some(&w.retired))),
-                delta: Vec::new(),
-                dead: HashSet::new(),
-            }
+            cur.fold(None, Some(id))
         } else {
             let mut dead = cur.dead.clone();
             dead.insert(id);
-            AlarmSnapshot { base: Arc::clone(&cur.base), delta: cur.delta.clone(), dead }
+            AlarmSnapshot {
+                base: Arc::clone(&cur.base),
+                delta: cur.delta.clone(),
+                dead,
+                next: cur.next,
+            }
         };
         self.cell.publish(Arc::new(next));
         true
@@ -480,8 +510,10 @@ mod tests {
             snap.nearest_relevant_distance(SubscriberId(7), Point::new(100.0, 100.0), |_| true);
         assert_eq!(ids_at(&snap, 7, 100.0, 100.0), vec![0]);
         assert!(d.is_some(), "public alarm 0 still answers");
-        // Metadata stays addressable.
-        assert_eq!(snap.alarm(AlarmId(1)).id(), AlarmId(1));
+        // A dead id is not addressable; a live one is.
+        assert_eq!(snap.get(AlarmId(1)), None);
+        assert_eq!(snap.get(AlarmId(0)), Some(&public(0, 100.0, 100.0)));
+        assert_eq!(snap.len(), 2, "dead alarms still count in the id space");
     }
 
     #[test]
@@ -505,6 +537,23 @@ mod tests {
         assert!(!v.deactivate(AlarmId(4)));
         let merged = v.snapshot();
         assert!(!ids_at(&merged, 3, 200.0, 200.0).contains(&4));
+    }
+
+    #[test]
+    fn a_fold_keeps_only_live_alarms_whatever_the_history() {
+        const LIVE: u64 = 20;
+        let threshold = DEFAULT_MERGE_THRESHOLD;
+        let first = (0..LIVE).map(|i| public(i, 10.0 * i as f64, 0.0)).collect();
+        let v = VersionedAlarmIndex::new(first).unwrap();
+        // Each cycle installs one alarm and retires the oldest live one:
+        // the live count stays fixed while the id space grows tenfold past
+        // the fold threshold.
+        for id in LIVE..LIVE + 10 * threshold as u64 {
+            v.try_install(public(id, 10.0 * (id % 100) as f64, 0.0)).unwrap();
+            assert!(v.deactivate(AlarmId(id - LIVE)));
+            let held = v.snapshot().base.len();
+            assert!(held <= LIVE as usize + threshold, "base holds {held} alarms after id {id}");
+        }
     }
 
     #[test]
@@ -575,7 +624,7 @@ mod tests {
                         // its id addressable, its region containing p.
                         snap.relevant_at_visit(SubscriberId(1), p, |a| {
                             assert!(a.contains(p));
-                            assert_eq!(snap.alarm(a.id()).id(), a.id());
+                            assert_eq!(snap.get(a.id()).map(SpatialAlarm::id), Some(a.id()));
                         });
                     }
                 })

@@ -1,7 +1,8 @@
 //! Property-based equivalence: an epoch-pinned [`AlarmSnapshot`] must
 //! answer `relevant_at_visit` / `relevant_intersecting` /
 //! `all_intersecting` / the nearest-distance queries exactly like a fresh
-//! mutable [`AlarmIndex`] built from the same surviving alarm set, across
+//! mutable [`AlarmIndex`] built from the same surviving alarm set, and
+//! address exactly the surviving alarms by id, across
 //! randomized interleavings of install / deactivate / query — and a
 //! generation pinned mid-sequence must keep answering for the state it
 //! was pinned at, whatever churn follows.
@@ -69,6 +70,12 @@ fn probes() -> (Vec<Point>, Vec<Rect>) {
 fn verify(snap: &AlarmSnapshot, installed: &[SpatialAlarm], dead: &[AlarmId]) {
     let refidx = reference(installed, dead);
     assert_eq!(snap.len(), refidx.len());
+    // Exactly the surviving alarms are addressable, folded or not.
+    for a in installed {
+        let want = (!dead.contains(&a.id())).then_some(a);
+        assert_eq!(snap.get(a.id()), want, "get({:?})", a.id());
+    }
+    assert_eq!(snap.get(AlarmId(installed.len() as u64)), None, "get past the id space");
     let (points, rects) = probes();
     for user in [SubscriberId(0), SubscriberId(2), SubscriberId(4)] {
         for &p in &points {
@@ -140,6 +147,11 @@ fn run(ops: Vec<Op>, merge_threshold: usize) {
     // The current generation answers like a fresh index over the
     // surviving set...
     verify(&v.snapshot(), &installed, &dead);
+    // A dead id stays dead whether it still sits in the dead set or a
+    // fold dropped it from the generation.
+    for &id in &dead {
+        assert!(!v.deactivate(id), "re-deactivate({id:?}) at the end");
+    }
     // ...and the mid-sequence pin still answers for the state it was
     // pinned at, untouched by everything published since.
     if let Some((snap, installed_then, dead_then)) = pinned {

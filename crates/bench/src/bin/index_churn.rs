@@ -27,7 +27,7 @@
 //!
 //! Sweep usage:
 //! `index_churn [--alarms N] [--base N] [--churn-rate N]
-//!              [--merge-threshold N] [--seconds F] [--out PATH]`
+//!              [--seconds F] [--out PATH]`
 //!
 //! Gate usage (fails the run in place, for CI):
 //! `index_churn ... --min-bulk-speedup F --max-churn-ratio F`
@@ -54,8 +54,6 @@ struct Opts {
     base: usize,
     /// Target write ops per second for the churn-on run.
     churn_rate: u64,
-    /// Delta size that triggers a generation merge.
-    merge_threshold: usize,
     /// Wall seconds of query traffic per churn mode.
     seconds: f64,
     out: PathBuf,
@@ -68,7 +66,6 @@ fn parse_args() -> Opts {
         alarms: 1_000_000,
         base: 20_000,
         churn_rate: 10_000,
-        merge_threshold: 64,
         seconds: 3.0,
         out: PathBuf::from("BENCH_index_churn.json"),
         min_bulk_speedup: f64::NEG_INFINITY,
@@ -83,10 +80,6 @@ fn parse_args() -> Opts {
             "--churn-rate" => {
                 opts.churn_rate = value().parse().expect("--churn-rate expects an integer");
             }
-            "--merge-threshold" => {
-                opts.merge_threshold =
-                    value().parse().expect("--merge-threshold expects an integer");
-            }
             "--seconds" => opts.seconds = value().parse().expect("--seconds expects a float"),
             "--out" => opts.out = PathBuf::from(value()),
             "--min-bulk-speedup" => {
@@ -100,8 +93,7 @@ fn parse_args() -> Opts {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: index_churn [--alarms N] [--base N] [--churn-rate N] \
-                     [--merge-threshold N] [--seconds F] [--out PATH] \
-                     [--min-bulk-speedup F] [--max-churn-ratio F]"
+                     [--seconds F] [--out PATH] [--min-bulk-speedup F] [--max-churn-ratio F]"
                 );
                 std::process::exit(0);
             }
@@ -111,7 +103,6 @@ fn parse_args() -> Opts {
     assert!(opts.alarms > 0, "--alarms must be positive");
     assert!(opts.base > 0, "--base must be positive");
     assert!(opts.churn_rate > 0, "--churn-rate must be positive");
-    assert!(opts.merge_threshold > 0, "--merge-threshold must be positive");
     assert!(opts.seconds > 0.0, "--seconds must be positive");
     opts
 }
@@ -317,14 +308,10 @@ fn main() {
     let speedup = insert_s / bulk_s.max(1e-9);
     eprintln!("  bulk {bulk_s:.3}s, insert loop {insert_s:.3}s ({speedup:.1}× speedup)");
 
-    eprintln!(
-        "churn phase: {} base alarms, merge threshold {}, {:.1}s per mode",
-        opts.base, opts.merge_threshold, opts.seconds
-    );
+    eprintln!("churn phase: {} base alarms, {:.1}s per mode", opts.base, opts.seconds);
     let mut rng = Rng(0x5EED_0000_0000_0004);
     let base: Vec<SpatialAlarm> = (0..opts.base).map(|i| alarm(i as u64, &mut rng)).collect();
-    let index = VersionedAlarmIndex::with_merge_threshold(base, opts.merge_threshold)
-        .expect("base ids are dense by construction");
+    let index = VersionedAlarmIndex::new(base).expect("base ids are dense by construction");
     let next_id = AtomicU64::new(opts.base as u64);
 
     let quiet = churn_run(&index, &next_id, opts.seconds, None);
@@ -360,7 +347,6 @@ fn main() {
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"churn\": {{");
     let _ = writeln!(json, "    \"base_alarms\": {},", opts.base);
-    let _ = writeln!(json, "    \"merge_threshold\": {},", opts.merge_threshold);
     let _ = writeln!(json, "    \"seconds_per_mode\": {},", opts.seconds);
     let _ = writeln!(json, "    \"target_write_ops_per_sec\": {},", opts.churn_rate);
     let _ = writeln!(json, "    \"achieved_write_ops_per_sec\": {:.0},", churned.achieved_rate);

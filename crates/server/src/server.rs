@@ -681,13 +681,9 @@ impl Server {
             return vec![Response::Error { seq, code: error_code::NO_SESSION }];
         }
         let id = AlarmId(alarm as u64);
-        let (region, public) = {
-            let global = self.global_index.snapshot();
-            if id.0 as usize >= global.len() {
-                return vec![Response::Error { seq, code: error_code::UNKNOWN_ALARM }];
-            }
-            let alarm = global.alarm(id);
-            (alarm.region(), alarm.is_public())
+        let live = self.with_global_snapshot(|g| g.get(id).map(|a| (a.region(), a.is_public())));
+        let Some((region, public)) = live else {
+            return vec![Response::Error { seq, code: error_code::UNKNOWN_ALARM }];
         };
         if !self.global_index.deactivate(id) {
             return vec![Response::Error { seq, code: error_code::UNKNOWN_ALARM }];

@@ -210,4 +210,16 @@ fn an_installed_alarm_reaches_every_strategy_in_every_cell_and_removal_reverts_i
         server.handle(admin, Request::RemoveAlarm { seq: 5, alarm: ALARM }),
         vec![Response::Error { seq: 5, code: error_code::UNKNOWN_ALARM }]
     );
+
+    // 64 further writes fold the index, which drops the dead alarm from
+    // it altogether: a repeated remove is still refused the same way.
+    let far = quantize_rect(Rect::new(8_000.0, 8_000.0, 8_100.0, 8_100.0).unwrap());
+    for (seq, alarm) in (6..).zip(ALARM + 1..=ALARM + 64) {
+        let private = Request::InstallAlarm { seq, alarm, flags: 999 << 1, rect: far };
+        assert_eq!(server.handle(admin, private), vec![Response::Ack { seq }]);
+    }
+    assert_eq!(
+        server.handle(admin, Request::RemoveAlarm { seq: 100, alarm: ALARM }),
+        vec![Response::Error { seq: 100, code: error_code::UNKNOWN_ALARM }]
+    );
 }
