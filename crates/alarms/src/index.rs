@@ -5,8 +5,9 @@ use std::collections::HashMap;
 
 /// An alarm id broke the dense `0..len` id space [`AlarmIndex`] requires
 /// (ids double as vector indexes). Returned by [`AlarmIndex::try_build`]
-/// and [`AlarmIndex::try_install`]; the server maps it to a wire-level
-/// error response instead of panicking on a malformed install frame.
+/// and [`crate::VersionedAlarmIndex::try_install`]; the server maps it to a
+/// wire-level error response instead of panicking on a malformed install
+/// frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NonDenseIdError {
     /// The id the dense id space required next.
@@ -28,7 +29,9 @@ impl std::fmt::Display for NonDenseIdError {
 impl std::error::Error for NonDenseIdError {}
 
 /// The server-side index of installed spatial alarms: an R*-tree over alarm
-/// regions (paper §5.1) plus per-subscriber relevance filtering.
+/// regions (paper §5.1) plus per-subscriber relevance filtering. Immutable
+/// once built: a changed alarm set is a new index
+/// ([`crate::VersionedAlarmIndex`] builds one per write generation).
 ///
 /// Queries come in two flavors:
 ///
@@ -68,7 +71,7 @@ impl AlarmIndex {
 
     /// Builds the index over `alarms`, rejecting non-dense ids with a
     /// typed error instead of panicking. The R*-tree is STR-bulk-loaded
-    /// in one pass rather than grown by repeated insertion.
+    /// in one pass.
     ///
     /// # Errors
     ///
@@ -85,8 +88,7 @@ impl AlarmIndex {
 
     /// Builds the index over `alarms`, whose ids ascend but may have
     /// gaps: the live alarms a snapshot generation folds into its base,
-    /// dead ones already dropped. Never mutated afterwards: `install`
-    /// assumes the dense id space of `try_build`.
+    /// dead ones already dropped.
     pub(crate) fn from_live(alarms: Vec<SpatialAlarm>) -> AlarmIndex {
         debug_assert!(alarms.windows(2).all(|w| w[0].id() < w[1].id()));
         let entries: Vec<(Rect, usize)> =
@@ -166,15 +168,6 @@ impl AlarmIndex {
     /// True when no alarms are installed.
     pub fn is_empty(&self) -> bool {
         self.alarms.is_empty()
-    }
-
-    /// Alarm lookup by id.
-    ///
-    /// # Panics
-    ///
-    /// Panics when no alarm with this id was installed.
-    pub fn alarm(&self, id: AlarmId) -> &SpatialAlarm {
-        self.get(id).unwrap_or_else(|| panic!("alarm {} is not in the index", id.0))
     }
 
     /// Alarm lookup by id, `None` for an id this index does not hold.
@@ -270,63 +263,6 @@ impl AlarmIndex {
         let (hits, stats) = self.tree.search_intersecting_with_stats(area);
         (hits.into_iter().map(|(_, &p)| &self.alarms[p]).collect(), stats)
     }
-
-    /// Installs a new alarm at runtime (publishers install alarms over the
-    /// life of the service, §1). The alarm's id must continue the dense id
-    /// space. Any safe region previously computed over an area the new
-    /// alarm's region intersects is stale; the caller is responsible for
-    /// invalidating those subscriptions (e.g., by pushing fresh regions).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the alarm's id is not `self.len()`. Callers facing
-    /// untrusted ids (the server's install path) use
-    /// [`AlarmIndex::try_install`] instead.
-    pub fn install(&mut self, alarm: SpatialAlarm) {
-        self.try_install(alarm).unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Installs a new alarm, rejecting an id that does not continue the
-    /// dense id space with a typed error instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// [`NonDenseIdError`] when the alarm's id is not `self.len()`.
-    pub fn try_install(&mut self, alarm: SpatialAlarm) -> Result<(), NonDenseIdError> {
-        if alarm.id().0 as usize != self.alarms.len() {
-            return Err(NonDenseIdError {
-                expected: self.alarms.len() as u64,
-                got: alarm.id().0,
-            });
-        }
-        let p = self.alarms.len();
-        self.tree.insert(alarm.region(), p);
-        for s in personal_subscribers(alarm.scope()) {
-            self.personal.entry(*s).or_default().push(p);
-        }
-        self.alarms.push(alarm);
-        Ok(())
-    }
-
-    /// Removes an alarm from the spatial index and its subscribers'
-    /// personal lists (e.g., a cancelled alarm). The alarm metadata stays
-    /// addressable by id; only queries stop reporting it. Returns true
-    /// when the alarm was still indexed.
-    pub fn deactivate(&mut self, id: AlarmId) -> bool {
-        let Some(p) = self.position(id) else {
-            return false;
-        };
-        let alarm = &self.alarms[p];
-        let removed = self.tree.remove(alarm.region(), |&x| x == p).is_some();
-        if removed {
-            for s in personal_subscribers(alarm.scope()) {
-                if let Some(list) = self.personal.get_mut(s) {
-                    list.retain(|&x| x != p);
-                }
-            }
-        }
-        removed
-    }
 }
 
 /// The subscribers whose personal lists carry an alarm of this scope
@@ -414,17 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn deactivate_removes_from_queries() {
-        let mut index = build_small();
-        assert!(index.deactivate(AlarmId(0)));
-        assert!(!index.deactivate(AlarmId(0)), "second deactivation is a no-op");
-        let (alarms, _) = index.relevant_at(user(9), Point::new(100.0, 100.0));
-        assert!(alarms.is_empty());
-        // Metadata remains addressable.
-        assert_eq!(index.alarm(AlarmId(0)).id(), AlarmId(0));
-    }
-
-    #[test]
     #[should_panic(expected = "dense")]
     fn rejects_sparse_ids() {
         let a = SpatialAlarm::around_static_target(
@@ -435,6 +360,22 @@ mod tests {
         )
         .unwrap();
         AlarmIndex::build(vec![a]);
+    }
+
+    #[test]
+    fn try_build_reports_the_first_offending_id() {
+        let public = |id: u64| {
+            SpatialAlarm::around_static_target(
+                AlarmId(id),
+                Point::new(0.0, 0.0),
+                100.0,
+                AlarmScope::Public { owner: user(0) },
+            )
+            .unwrap()
+        };
+        let err = AlarmIndex::try_build(vec![public(0), public(2)]).unwrap_err();
+        assert_eq!(err, NonDenseIdError { expected: 1, got: 2 });
+        assert!(err.to_string().contains("dense"));
     }
 
     #[test]
@@ -572,91 +513,5 @@ mod nearest_tests {
         // Excluding everything yields none.
         let (none, _) = index.nearest_relevant_distance(SubscriberId(5), pos, |_| false);
         assert!(none.is_none());
-    }
-}
-
-#[cfg(test)]
-mod install_tests {
-    use super::*;
-    use crate::AlarmScope;
-
-    fn public(id: u64, x: f64, y: f64) -> SpatialAlarm {
-        SpatialAlarm::around_static_target(
-            AlarmId(id),
-            Point::new(x, y),
-            100.0,
-            AlarmScope::Public { owner: SubscriberId(0) },
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn install_extends_queries_immediately() {
-        let mut index = AlarmIndex::build(vec![public(0, 1_000.0, 1_000.0)]);
-        assert!(index.relevant_at(SubscriberId(5), Point::new(5_000.0, 5_000.0)).0.is_empty());
-        index.install(public(1, 5_000.0, 5_000.0));
-        assert_eq!(index.len(), 2);
-        let (hits, _) = index.relevant_at(SubscriberId(5), Point::new(5_000.0, 5_000.0));
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].id(), AlarmId(1));
-    }
-
-    #[test]
-    fn install_updates_personal_lists() {
-        let mut index = AlarmIndex::build(vec![public(0, 0.0, 0.0)]);
-        let private = SpatialAlarm::around_static_target(
-            AlarmId(1),
-            Point::new(2_000.0, 2_000.0),
-            50.0,
-            AlarmScope::Private { owner: SubscriberId(9) },
-        )
-        .unwrap();
-        index.install(private);
-        let ids: Vec<AlarmId> =
-            index.personal_alarms(SubscriberId(9)).map(SpatialAlarm::id).collect();
-        assert_eq!(ids, vec![AlarmId(1)]);
-        // And the nearest-relevant query sees it.
-        let (d, _) = index.nearest_relevant_distance(
-            SubscriberId(9),
-            Point::new(2_000.0, 2_500.0),
-            |_| true,
-        );
-        assert!((d.unwrap() - 450.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn install_then_deactivate_round_trips() {
-        let mut index = AlarmIndex::build(vec![public(0, 0.0, 0.0)]);
-        index.install(public(1, 3_000.0, 3_000.0));
-        assert!(index.deactivate(AlarmId(1)));
-        assert!(index.relevant_at(SubscriberId(2), Point::new(3_000.0, 3_000.0)).0.is_empty());
-        // Metadata survives deactivation.
-        assert_eq!(index.alarm(AlarmId(1)).id(), AlarmId(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "dense")]
-    fn install_rejects_id_gaps() {
-        let mut index = AlarmIndex::build(vec![public(0, 0.0, 0.0)]);
-        index.install(public(7, 1.0, 1.0));
-    }
-
-    #[test]
-    fn try_install_reports_gapped_ids_without_panicking() {
-        let mut index = AlarmIndex::build(vec![public(0, 0.0, 0.0)]);
-        let err = index.try_install(public(7, 1.0, 1.0)).unwrap_err();
-        assert_eq!(err, NonDenseIdError { expected: 1, got: 7 });
-        assert!(err.to_string().contains("dense"));
-        assert_eq!(index.len(), 1, "a rejected install leaves the index untouched");
-        // The id space did not advance; the correct next id still works.
-        index.try_install(public(1, 1.0, 1.0)).unwrap();
-        assert_eq!(index.len(), 2);
-    }
-
-    #[test]
-    fn try_build_reports_the_first_offending_id() {
-        let err =
-            AlarmIndex::try_build(vec![public(0, 0.0, 0.0), public(2, 1.0, 1.0)]).unwrap_err();
-        assert_eq!(err, NonDenseIdError { expected: 1, got: 2 });
     }
 }

@@ -58,5 +58,5 @@ mod workload;
 
 pub use alarm::{AlarmId, AlarmScope, AlarmTarget, SpatialAlarm, SubscriberId};
 pub use index::{AlarmIndex, NonDenseIdError};
-pub use snapshot::{AlarmSnapshot, SnapshotCache, SnapshotCell, VersionedAlarmIndex};
+pub use snapshot::{AlarmSnapshot, SnapshotCache, VersionedAlarmIndex};
 pub use workload::{AlarmWorkload, WorkloadConfig};

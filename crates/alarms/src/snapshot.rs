@@ -6,7 +6,7 @@
 //! reader's trigger checks. This module removes the contention:
 //!
 //! - [`VersionedAlarmIndex`] keeps the current generation as an immutable
-//!   [`AlarmSnapshot`] behind a [`SnapshotCell`]. Writers (installs,
+//!   [`AlarmSnapshot`] behind an epoch counter. Writers (installs,
 //!   deactivations) build the *next* generation — usually by cloning a
 //!   small delta fringe, occasionally by folding it into an
 //!   STR-bulk-rebuilt base — and publish it with an `Arc` swap plus an
@@ -38,97 +38,26 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Process-wide counter handing each [`SnapshotCell`] a distinct identity,
-/// so a [`SnapshotCache`] carried across cells (e.g. a thread serving two
-/// servers in tests) never returns another cell's snapshot.
+/// Process-wide counter handing each [`VersionedAlarmIndex`] a distinct
+/// identity, so a [`SnapshotCache`] carried across indexes (e.g. a thread
+/// serving two servers in tests) never returns another index's snapshot.
 static CELL_IDS: AtomicU64 = AtomicU64::new(1);
 
-/// A published, immutable value with an epoch counter. Readers that track
-/// the epoch in a [`SnapshotCache`] refresh only when a writer has
-/// published since their last load; otherwise the read is one atomic load.
-pub struct SnapshotCell<S> {
-    id: u64,
-    epoch: AtomicU64,
-    slot: RwLock<Arc<S>>,
-}
-
-impl<S> SnapshotCell<S> {
-    /// Wraps `initial` as the first published generation (epoch 1).
-    pub fn new(initial: S) -> SnapshotCell<S> {
-        SnapshotCell {
-            id: CELL_IDS.fetch_add(1, Ordering::Relaxed),
-            epoch: AtomicU64::new(1),
-            slot: RwLock::new(Arc::new(initial)),
-        }
-    }
-
-    /// The current publish count. Increases by one per [`SnapshotCell::publish`].
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// Clones out the current generation (pins it for as long as the `Arc`
-    /// is held, regardless of later publishes).
-    pub fn load(&self) -> Arc<S> {
-        Arc::clone(&self.slot.read())
-    }
-
-    /// The hot-path read: returns the cached generation when the epoch is
-    /// unchanged (one atomic load, no lock, no allocation), refreshing the
-    /// cache from the slot otherwise.
-    pub fn load_cached<'a>(&self, cache: &'a mut SnapshotCache<S>) -> &'a S {
-        let epoch = self.epoch.load(Ordering::Acquire);
-        if cache.cell != self.id || cache.epoch != epoch || cache.snap.is_none() {
-            cache.snap = Some(self.load());
-            cache.cell = self.id;
-            cache.epoch = epoch;
-        }
-        cache.snap.as_deref().expect("cache was just refilled")
-    }
-
-    /// Non-blocking peek at the current generation: `None` only while a
-    /// writer is mid-publish. For contexts that must never block (`fmt`).
-    pub fn try_peek(&self) -> Option<Arc<S>> {
-        self.slot.try_read().as_deref().map(Arc::clone)
-    }
-
-    /// Publishes `next` as the new current generation and bumps the epoch.
-    /// The slot write lock is held only for the pointer swap.
-    pub fn publish(&self, next: Arc<S>) {
-        *self.slot.write() = next;
-        self.epoch.fetch_add(1, Ordering::Release);
-    }
-}
-
-impl<S: std::fmt::Debug> std::fmt::Debug for SnapshotCell<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SnapshotCell")
-            .field("id", &self.id)
-            .field("epoch", &self.epoch())
-            .finish_non_exhaustive()
-    }
-}
-
 /// Per-thread (or per-worker) cache of the last generation loaded from a
-/// [`SnapshotCell`]. Construct once with [`SnapshotCache::new`] — e.g. in
-/// a `thread_local!` — and pass to [`SnapshotCell::load_cached`].
-#[derive(Debug)]
-pub struct SnapshotCache<S> {
+/// [`VersionedAlarmIndex`]. Construct once with [`SnapshotCache::new`] —
+/// e.g. in a `thread_local!` — and pass to
+/// [`VersionedAlarmIndex::load_cached`].
+#[derive(Debug, Default)]
+pub struct SnapshotCache {
     cell: u64,
     epoch: u64,
-    snap: Option<Arc<S>>,
+    snap: Option<Arc<AlarmSnapshot>>,
 }
 
-impl<S> SnapshotCache<S> {
+impl SnapshotCache {
     /// An empty cache; the first `load_cached` through it always refreshes.
-    pub const fn new() -> SnapshotCache<S> {
+    pub const fn new() -> SnapshotCache {
         SnapshotCache { cell: 0, epoch: 0, snap: None }
-    }
-}
-
-impl<S> Default for SnapshotCache<S> {
-    fn default() -> SnapshotCache<S> {
-        SnapshotCache::new()
     }
 }
 
@@ -321,12 +250,28 @@ const DEFAULT_MERGE_THRESHOLD: usize = 64;
 /// [`VersionedAlarmIndex::load_cached`]) and query it lock-free; writers
 /// ([`VersionedAlarmIndex::try_install`],
 /// [`VersionedAlarmIndex::deactivate`]) serialize on an internal mutex,
-/// build the next generation, and publish it with an `Arc` swap.
-#[derive(Debug)]
+/// build the next generation, and publish it with an `Arc` swap plus an
+/// epoch bump.
 pub struct VersionedAlarmIndex {
-    cell: SnapshotCell<AlarmSnapshot>,
+    /// This index's identity in a [`SnapshotCache`], from `CELL_IDS`.
+    id: u64,
+    /// The publish count: a cached generation is current while it matches.
+    epoch: AtomicU64,
+    /// The current generation. The write lock is held only for the
+    /// pointer swap.
+    slot: RwLock<Arc<AlarmSnapshot>>,
     writer: Mutex<()>,
     merge_threshold: usize,
+}
+
+impl std::fmt::Debug for VersionedAlarmIndex {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("VersionedAlarmIndex")
+            .field("id", &self.id)
+            .field("epoch", &self.epoch())
+            .field("merge_threshold", &self.merge_threshold)
+            .finish_non_exhaustive()
+    }
 }
 
 impl VersionedAlarmIndex {
@@ -352,36 +297,47 @@ impl VersionedAlarmIndex {
         let next = alarms.len() as u64;
         let base = AlarmIndex::try_build(alarms)?;
         Ok(VersionedAlarmIndex {
-            cell: SnapshotCell::new(AlarmSnapshot {
+            id: CELL_IDS.fetch_add(1, Ordering::Relaxed),
+            epoch: AtomicU64::new(1),
+            slot: RwLock::new(Arc::new(AlarmSnapshot {
                 base: Arc::new(base),
                 delta: Vec::new(),
                 dead: HashSet::new(),
                 next,
-            }),
+            })),
             writer: Mutex::new(()),
             merge_threshold: merge_threshold.max(1),
         })
     }
 
-    /// Pins and returns the current generation.
+    /// Pins and returns the current generation (for as long as the `Arc`
+    /// is held, regardless of later publishes).
     pub fn snapshot(&self) -> Arc<AlarmSnapshot> {
-        self.cell.load()
+        Arc::clone(&self.slot.read())
     }
 
-    /// Hot-path read through a per-thread cache: no lock and no
-    /// allocation while the epoch is unchanged.
-    pub fn load_cached<'a>(&self, cache: &'a mut SnapshotCache<AlarmSnapshot>) -> &'a AlarmSnapshot {
-        self.cell.load_cached(cache)
+    /// The hot-path read: the cached generation while the epoch is
+    /// unchanged (one atomic load, no lock, no allocation), refreshing the
+    /// cache from the slot otherwise.
+    pub fn load_cached<'a>(&self, cache: &'a mut SnapshotCache) -> &'a AlarmSnapshot {
+        let epoch = self.epoch.load(Ordering::Acquire);
+        if cache.cell != self.id || cache.epoch != epoch || cache.snap.is_none() {
+            cache.snap = Some(self.snapshot());
+            cache.cell = self.id;
+            cache.epoch = epoch;
+        }
+        cache.snap.as_deref().expect("cache was just refilled")
     }
 
-    /// Non-blocking peek for contexts that must never wait (`fmt`).
+    /// Non-blocking peek at the current generation: `None` only while a
+    /// writer is mid-publish. For contexts that must never wait (`fmt`).
     pub fn try_peek(&self) -> Option<Arc<AlarmSnapshot>> {
-        self.cell.try_peek()
+        self.slot.try_read().as_deref().map(Arc::clone)
     }
 
     /// The publish count (starts at 1, +1 per install/deactivate).
     pub fn epoch(&self) -> u64 {
-        self.cell.epoch()
+        self.epoch.load(Ordering::Acquire)
     }
 
     /// The next dense id of the current generation ([`AlarmSnapshot::len`]).
@@ -394,6 +350,12 @@ impl VersionedAlarmIndex {
         self.len() == 0
     }
 
+    /// Publishes `next` as the current generation and bumps the epoch.
+    fn publish(&self, next: AlarmSnapshot) {
+        *self.slot.write() = Arc::new(next);
+        self.epoch.fetch_add(1, Ordering::Release);
+    }
+
     /// Installs `alarm` into the next generation and publishes it.
     /// Readers holding the previous generation are unaffected.
     ///
@@ -404,7 +366,7 @@ impl VersionedAlarmIndex {
     /// server maps this to an error response instead of panicking.
     pub fn try_install(&self, alarm: SpatialAlarm) -> Result<(), NonDenseIdError> {
         let _writer = self.writer.lock();
-        let cur = self.cell.load();
+        let cur = self.snapshot();
         if alarm.id().0 != cur.next {
             return Err(NonDenseIdError { expected: cur.next, got: alarm.id().0 });
         }
@@ -420,17 +382,17 @@ impl VersionedAlarmIndex {
                 next: cur.next + 1,
             }
         };
-        self.cell.publish(Arc::new(next));
+        self.publish(next);
         Ok(())
     }
 
     /// Deactivates alarm `id` in the next generation. Returns `false`
     /// when the current generation holds no live alarm `id` — unknown,
-    /// or already deactivated (matching [`AlarmIndex::deactivate`]'s
-    /// idempotence) — and `true` otherwise.
+    /// or already deactivated (so a repeat deactivation is a no-op) — and
+    /// `true` otherwise.
     pub fn deactivate(&self, id: AlarmId) -> bool {
         let _writer = self.writer.lock();
-        let cur = self.cell.load();
+        let cur = self.snapshot();
         if cur.get(id).is_none() {
             return false;
         }
@@ -446,7 +408,7 @@ impl VersionedAlarmIndex {
                 next: cur.next,
             }
         };
-        self.cell.publish(Arc::new(next));
+        self.publish(next);
         true
     }
 }
@@ -587,7 +549,7 @@ mod tests {
         let b = VersionedAlarmIndex::new(Vec::new()).unwrap();
         let mut cache = SnapshotCache::new();
         assert_eq!(a.load_cached(&mut cache).len(), 1);
-        // Same epoch value on both cells — the cell id must disambiguate.
+        // Same epoch value on both indexes — their ids must disambiguate.
         assert_eq!(b.load_cached(&mut cache).len(), 0);
         assert_eq!(a.load_cached(&mut cache).len(), 1);
     }

@@ -104,10 +104,15 @@ impl AlarmWorkload {
             } else {
                 config.region_half_extent_m.0
             };
+            // Corners on the wire's lattice, like every sample: a safe
+            // region or bitmap edge built on an alarm edge then crosses
+            // the wire exactly, and no quantized sample lands on the
+            // wrong side of an edge the ground truth tests in f64.
             let region = Rect::centered_square(target, half)
                 .expect("positive half extent")
                 .intersection(u)
-                .expect("target lies inside the universe");
+                .expect("target lies inside the universe")
+                .snapped();
 
             let owner = SubscriberId(rng.gen_range(0..config.subscribers));
             let scope = if rng.gen_bool(config.public_fraction) {
@@ -180,6 +185,23 @@ mod tests {
         for a in w.alarms() {
             assert!(cfg.universe.contains_rect(&a.region()), "region escapes universe");
             assert!(a.region().area() > 0.0);
+        }
+    }
+
+    #[test]
+    fn every_alarm_corner_is_on_the_wire_lattice() {
+        // A universe whose far edge is off the lattice, so the clip alone
+        // would leave off-lattice corners.
+        let cfg = WorkloadConfig {
+            universe: Rect::new(0.0, 0.0, 9_999.123_456_789, 9_999.987_654_321).unwrap(),
+            ..small_config()
+        };
+        let on_lattice = |m: f64| (m * sa_geometry::LATTICE_STEPS_PER_M).fract() == 0.0;
+        for a in AlarmWorkload::generate(&cfg).alarms() {
+            let r = a.region();
+            for m in [r.min_x(), r.min_y(), r.max_x(), r.max_y()] {
+                assert!(on_lattice(m), "alarm {:?} corner {m} is off the lattice", a.id());
+            }
         }
     }
 

@@ -1,16 +1,15 @@
 //! Property-based equivalence: an epoch-pinned [`AlarmSnapshot`] must
 //! answer `relevant_at_visit` / `relevant_intersecting` /
-//! `all_intersecting` / the nearest-distance queries exactly like a fresh
-//! mutable [`AlarmIndex`] built from the same surviving alarm set, and
-//! address exactly the surviving alarms by id, across
+//! `all_intersecting` / the nearest-distance queries exactly like a
+//! linear scan over the surviving alarm set, and address exactly the
+//! surviving alarms by id, across
 //! randomized interleavings of install / deactivate / query — and a
 //! generation pinned mid-sequence must keep answering for the state it
 //! was pinned at, whatever churn follows.
 
 use proptest::prelude::*;
 use sa_alarms::{
-    AlarmId, AlarmIndex, AlarmScope, AlarmSnapshot, SpatialAlarm, SubscriberId,
-    VersionedAlarmIndex,
+    AlarmId, AlarmScope, AlarmSnapshot, SpatialAlarm, SubscriberId, VersionedAlarmIndex,
 };
 use sa_geometry::{Point, Rect};
 use std::sync::Arc;
@@ -43,14 +42,28 @@ fn make_alarm(id: u64, op: &Op) -> SpatialAlarm {
     SpatialAlarm::around_static_target(AlarmId(id), Point::new(x, y), r, scope).unwrap()
 }
 
-/// The mutable-path reference: build over every installed alarm, then
-/// replay the deactivations.
-fn reference(installed: &[SpatialAlarm], dead: &[AlarmId]) -> AlarmIndex {
-    let mut idx = AlarmIndex::build(installed.to_vec());
-    for &id in dead {
-        idx.deactivate(id);
+/// The reference: a linear scan over the surviving alarms.
+struct Reference<'a>(Vec<&'a SpatialAlarm>);
+
+impl<'a> Reference<'a> {
+    fn new(installed: &'a [SpatialAlarm], dead: &[AlarmId]) -> Reference<'a> {
+        Reference(installed.iter().filter(|a| !dead.contains(&a.id())).collect())
     }
-    idx
+
+    /// Ids of the surviving alarms passing `hit`, ascending.
+    fn ids(&self, hit: impl Fn(&SpatialAlarm) -> bool) -> Vec<u64> {
+        self.0.iter().filter(|a| hit(a)).map(|a| a.id().0).collect()
+    }
+
+    /// Distance from `p` to the nearest surviving alarm relevant to `user`
+    /// that passes `keep`.
+    fn nearest(&self, user: SubscriberId, p: Point, keep: impl Fn(AlarmId) -> bool) -> Option<f64> {
+        self.0
+            .iter()
+            .filter(|a| a.is_relevant_to(user) && keep(a.id()))
+            .map(|a| a.region().distance_to_point(p))
+            .min_by(f64::total_cmp)
+    }
 }
 
 /// Deterministic probe set covering the op-generation area.
@@ -68,8 +81,8 @@ fn probes() -> (Vec<Point>, Vec<Rect>) {
 }
 
 fn verify(snap: &AlarmSnapshot, installed: &[SpatialAlarm], dead: &[AlarmId]) {
-    let refidx = reference(installed, dead);
-    assert_eq!(snap.len(), refidx.len());
+    let reference = Reference::new(installed, dead);
+    assert_eq!(snap.len(), installed.len(), "dead alarms still count in the id space");
     // Exactly the surviving alarms are addressable, folded or not.
     for a in installed {
         let want = (!dead.contains(&a.id())).then_some(a);
@@ -82,9 +95,7 @@ fn verify(snap: &AlarmSnapshot, installed: &[SpatialAlarm], dead: &[AlarmId]) {
             let mut got: Vec<u64> = Vec::new();
             snap.relevant_at_visit(user, p, |a| got.push(a.id().0));
             got.sort_unstable();
-            let mut want: Vec<u64> =
-                refidx.relevant_at(user, p).0.iter().map(|a| a.id().0).collect();
-            want.sort_unstable();
+            let want = reference.ids(|a| a.contains(p) && a.is_relevant_to(user));
             assert_eq!(got, want, "relevant_at_visit diverged for user {user:?} at {p:?}");
             // Both nearest forms agree with each other and the reference,
             // with and without a filter.
@@ -92,24 +103,22 @@ fn verify(snap: &AlarmSnapshot, installed: &[SpatialAlarm], dead: &[AlarmId]) {
                 let keep = |id: AlarmId| id.0.is_multiple_of(modulus);
                 let metered = snap.nearest_relevant_distance(user, p, keep).0;
                 assert_eq!(snap.nearest_relevant_distance_unmetered(user, p, keep), metered);
-                assert_eq!(metered, refidx.nearest_relevant_distance(user, p, keep).0);
+                assert_eq!(metered, reference.nearest(user, p, keep));
             }
         }
         for &area in &rects {
             let mut got: Vec<u64> =
                 snap.relevant_intersecting(user, area).iter().map(|a| a.id().0).collect();
             got.sort_unstable();
-            let mut want: Vec<u64> =
-                refidx.relevant_intersecting(user, area).iter().map(|a| a.id().0).collect();
-            want.sort_unstable();
+            let want =
+                reference.ids(|a| a.region().intersects(&area) && a.is_relevant_to(user));
             assert_eq!(got, want, "relevant_intersecting diverged for user {user:?}");
         }
     }
     for &area in &rects {
         let mut got: Vec<u64> = snap.all_intersecting(area).iter().map(|a| a.id().0).collect();
         got.sort_unstable();
-        let mut want: Vec<u64> = refidx.all_intersecting(area).iter().map(|a| a.id().0).collect();
-        want.sort_unstable();
+        let want = reference.ids(|a| a.region().intersects(&area));
         assert_eq!(got, want, "all_intersecting diverged over {area:?}");
     }
 }
@@ -144,8 +153,7 @@ fn run(ops: Vec<Op>, merge_threshold: usize) {
             pinned = Some((v.snapshot(), installed.clone(), dead.clone()));
         }
     }
-    // The current generation answers like a fresh index over the
-    // surviving set...
+    // The current generation answers like a scan of the surviving set...
     verify(&v.snapshot(), &installed, &dead);
     // A dead id stays dead whether it still sits in the dead set or a
     // fold dropped it from the generation.

@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks for the R*-tree alarm index: point queries
 //! (the per-location-update trigger check) and range queries (the per-cell
 //! alarm gathering for safe-region computation), at the paper's 10,000
-//! alarm scale.
+//! alarm scale, and the STR bulk load that builds the tree.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
@@ -61,26 +61,22 @@ fn bench_range_queries(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_insert_remove(c: &mut Criterion) {
+fn bench_build(c: &mut Criterion) {
     let mut rng = SmallRng::seed_from_u64(31);
-    let rects: Vec<Rect> = (0..10_000)
+    let entries: Vec<(Rect, usize)> = (0..10_000)
         .map(|_| {
             let x = rng.gen_range(0.0..31_000.0);
             let y = rng.gen_range(0.0..31_000.0);
             Rect::new(x, y, x + rng.gen_range(50.0..500.0), y + rng.gen_range(50.0..500.0))
                 .unwrap()
         })
+        .enumerate()
+        .map(|(i, r)| (r, i))
         .collect();
     c.bench_function("rstar/build_10k", |b| {
-        b.iter(|| {
-            let mut tree: RStarTree<usize> = RStarTree::new();
-            for (i, r) in rects.iter().enumerate() {
-                tree.insert(*r, i);
-            }
-            black_box(tree.len())
-        })
+        b.iter(|| black_box(RStarTree::bulk_load(entries.clone()).len()))
     });
 }
 
-criterion_group!(benches, bench_point_queries, bench_range_queries, bench_insert_remove);
+criterion_group!(benches, bench_point_queries, bench_range_queries, bench_build);
 criterion_main!(benches);

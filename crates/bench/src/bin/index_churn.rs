@@ -1,42 +1,27 @@
 //! The alarm-index churn bench: how much does live install/deactivate
-//! traffic cost concurrent readers, and what does STR bulk loading buy
-//! at build time? Writes `BENCH_index_churn.json`.
+//! traffic cost concurrent readers? Writes `BENCH_index_churn.json`.
 //!
-//! Two phases:
-//!
-//! 1. **Bulk load** — build the same R*-tree over N alarm rectangles
-//!    twice: once with [`RStarTree::bulk_load`] (Sort-Tile-Recursive
-//!    packing) and once with the one-at-a-time insert loop the index
-//!    used before. Reports both wall times and the speedup; at the
-//!    default 1M entries STR should be well over 5× faster because it
-//!    does one sort pass instead of a million top-down descents with
-//!    forced-reinsert churn.
-//!
-//! 2. **Churn** — a [`VersionedAlarmIndex`] serving the server's real
-//!    read mix through an epoch-cached snapshot: one grid-cell
-//!    `relevant_intersecting` (the read every MWPSR/PBSR/OPT
-//!    safe-region computation issues) followed by a point
-//!    `relevant_at_visit` trigger probe, timed as one query. The
-//!    p50/p99 per-query latency is measured twice — index quiescent,
-//!    then with a paced writer thread pushing install/deactivate ops
-//!    at `--churn-rate` per second. Readers never take a lock on the
-//!    steady path (one atomic epoch load per query), so the p99 ratio
-//!    between the two runs is the whole cost of snapshot churn: delta
-//!    scans, cache refreshes after each publish, and the memory
-//!    traffic of generation merges.
+//! A [`VersionedAlarmIndex`] serves the server's real read mix through
+//! an epoch-cached snapshot: one grid-cell `relevant_intersecting` (the
+//! read every MWPSR/PBSR/OPT safe-region computation issues) followed by
+//! a point `relevant_at_visit` trigger probe, each timed. The p50/p99
+//! per-read latency is measured twice — index quiescent, then with a
+//! paced writer thread pushing install/deactivate ops at `--churn-rate`
+//! per second. Readers never take a lock on the steady path (one atomic
+//! epoch load per query), so the p99 ratio between the two runs is the
+//! whole cost of snapshot churn: delta scans, cache refreshes after each
+//! publish, and the memory traffic of generation merges.
 //!
 //! Sweep usage:
-//! `index_churn [--alarms N] [--base N] [--churn-rate N]
-//!              [--seconds F] [--out PATH]`
+//! `index_churn [--base N] [--churn-rate N] [--seconds F] [--out PATH]`
 //!
 //! Gate usage (fails the run in place, for CI):
-//! `index_churn ... --min-bulk-speedup F --max-churn-ratio F`
+//! `index_churn ... --max-churn-ratio F`
 
 use sa_alarms::{
     AlarmId, AlarmScope, SnapshotCache, SpatialAlarm, SubscriberId, VersionedAlarmIndex,
 };
 use sa_geometry::{Point, Rect};
-use sa_index::RStarTree;
 use sa_obs::Registry;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -48,8 +33,6 @@ use std::time::{Duration, Instant};
 const UNIVERSE_M: f64 = 100_000.0;
 
 struct Opts {
-    /// Entry count for the bulk-load-vs-insert-loop phase.
-    alarms: usize,
     /// Alarm count the churn phase starts from.
     base: usize,
     /// Target write ops per second for the churn-on run.
@@ -57,58 +40,49 @@ struct Opts {
     /// Wall seconds of query traffic per churn mode.
     seconds: f64,
     out: PathBuf,
-    min_bulk_speedup: f64,
     max_churn_ratio: f64,
 }
 
 fn parse_args() -> Opts {
     let mut opts = Opts {
-        alarms: 1_000_000,
         base: 20_000,
         churn_rate: 10_000,
         seconds: 3.0,
         out: PathBuf::from("BENCH_index_churn.json"),
-        min_bulk_speedup: f64::NEG_INFINITY,
         max_churn_ratio: f64::INFINITY,
     };
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         let mut value = || args.next().unwrap_or_else(|| panic!("missing value for {flag}"));
         match flag.as_str() {
-            "--alarms" => opts.alarms = value().parse().expect("--alarms expects an integer"),
             "--base" => opts.base = value().parse().expect("--base expects an integer"),
             "--churn-rate" => {
                 opts.churn_rate = value().parse().expect("--churn-rate expects an integer");
             }
             "--seconds" => opts.seconds = value().parse().expect("--seconds expects a float"),
             "--out" => opts.out = PathBuf::from(value()),
-            "--min-bulk-speedup" => {
-                opts.min_bulk_speedup =
-                    value().parse().expect("--min-bulk-speedup expects a float");
-            }
             "--max-churn-ratio" => {
                 opts.max_churn_ratio =
                     value().parse().expect("--max-churn-ratio expects a float");
             }
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: index_churn [--alarms N] [--base N] [--churn-rate N] \
-                     [--seconds F] [--out PATH] [--min-bulk-speedup F] [--max-churn-ratio F]"
+                    "usage: index_churn [--base N] [--churn-rate N] [--seconds F] \
+                     [--out PATH] [--max-churn-ratio F]"
                 );
                 std::process::exit(0);
             }
             other => panic!("unknown flag {other}"),
         }
     }
-    assert!(opts.alarms > 0, "--alarms must be positive");
     assert!(opts.base > 0, "--base must be positive");
     assert!(opts.churn_rate > 0, "--churn-rate must be positive");
     assert!(opts.seconds > 0.0, "--seconds must be positive");
     opts
 }
 
-/// Deterministic xorshift stream, so both tree builds and both churn
-/// runs see identical geometry.
+/// Deterministic xorshift stream, so both churn runs see identical
+/// geometry.
 struct Rng(u64);
 
 impl Rng {
@@ -144,35 +118,6 @@ fn alarm(id: u64, rng: &mut Rng) -> SpatialAlarm {
     };
     SpatialAlarm::around_static_target(AlarmId(id), region.center(), region.width() / 2.0, scope)
         .expect("generated alarm is valid")
-}
-
-/// Phase 1: STR bulk load vs the insert loop over identical entries.
-fn bulk_phase(n: usize) -> (f64, f64) {
-    let mut rng = Rng(0x0BAD_5EED_0000_0001);
-    let entries: Vec<(Rect, u64)> = (0..n).map(|i| (alarm_rect(&mut rng), i as u64)).collect();
-
-    let started = Instant::now();
-    let bulk: RStarTree<u64> = RStarTree::bulk_load(entries.clone());
-    let bulk_s = started.elapsed().as_secs_f64();
-    assert_eq!(bulk.len(), n);
-
-    let started = Instant::now();
-    let mut grown: RStarTree<u64> = RStarTree::new();
-    for &(rect, id) in &entries {
-        grown.insert(rect, id);
-    }
-    let insert_s = started.elapsed().as_secs_f64();
-    assert_eq!(grown.len(), n);
-
-    // Same answers on a spot-check query, so neither timing is of a
-    // broken build.
-    let probe = Rect::new(40_000.0, 40_000.0, 42_000.0, 42_000.0).unwrap();
-    let mut a: Vec<u64> = bulk.search_intersecting(probe).into_iter().copied().collect();
-    let mut b: Vec<u64> = grown.search_intersecting(probe).into_iter().copied().collect();
-    a.sort_unstable();
-    b.sort_unstable();
-    assert_eq!(a, b, "bulk-loaded and insert-grown trees disagree");
-    (bulk_s, insert_s)
 }
 
 /// One churn-phase measurement: per-read-kind latency quantiles over
@@ -242,7 +187,7 @@ fn churn_run(
             });
         }
 
-        let mut cache: SnapshotCache<sa_alarms::AlarmSnapshot> = SnapshotCache::new();
+        let mut cache = SnapshotCache::new();
         let mut rng = Rng(0xFACE_0FF0_0000_0002);
         let mut sink = 0usize;
         const CELL_M: f64 = 1_000.0;
@@ -303,11 +248,6 @@ fn churn_run(
 fn main() {
     let opts = parse_args();
 
-    eprintln!("bulk phase: {} entries, STR vs insert loop", opts.alarms);
-    let (bulk_s, insert_s) = bulk_phase(opts.alarms);
-    let speedup = insert_s / bulk_s.max(1e-9);
-    eprintln!("  bulk {bulk_s:.3}s, insert loop {insert_s:.3}s ({speedup:.1}× speedup)");
-
     eprintln!("churn phase: {} base alarms, {:.1}s per mode", opts.base, opts.seconds);
     let mut rng = Rng(0x5EED_0000_0000_0004);
     let base: Vec<SpatialAlarm> = (0..opts.base).map(|i| alarm(i as u64, &mut rng)).collect();
@@ -339,12 +279,6 @@ fn main() {
     let probe_ratio = churned.probe_p99_ns as f64 / (quiet.probe_p99_ns as f64).max(1.0);
 
     let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bulk_load\": {{");
-    let _ = writeln!(json, "    \"alarms\": {},", opts.alarms);
-    let _ = writeln!(json, "    \"bulk_seconds\": {bulk_s:.6},");
-    let _ = writeln!(json, "    \"insert_loop_seconds\": {insert_s:.6},");
-    let _ = writeln!(json, "    \"speedup\": {speedup:.2}");
-    let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"churn\": {{");
     let _ = writeln!(json, "    \"base_alarms\": {},", opts.base);
     let _ = writeln!(json, "    \"seconds_per_mode\": {},", opts.seconds);
@@ -367,30 +301,19 @@ fn main() {
     json.push_str("}\n");
     std::fs::write(&opts.out, &json).expect("writing the churn report");
     println!(
-        "bulk speedup {speedup:.1}×; churn-on region-read p99 {}ns = {ratio:.2}× \
+        "churn-on region-read p99 {}ns = {ratio:.2}× \
          churn-off {}ns → {}",
         churned.region_p99_ns,
         quiet.region_p99_ns,
         opts.out.display()
     );
 
-    let mut failed = false;
-    if speedup < opts.min_bulk_speedup {
-        eprintln!(
-            "BULK LOAD REGRESSION: STR speedup {speedup:.2}× fell below the floor {:.2}×",
-            opts.min_bulk_speedup
-        );
-        failed = true;
-    }
     if ratio > opts.max_churn_ratio {
         eprintln!(
             "CHURN REGRESSION: churn-on region-read p99 is {ratio:.2}× the quiescent p99, \
              above the ceiling {:.2}× — snapshot publishes are bleeding into the read path",
             opts.max_churn_ratio
         );
-        failed = true;
-    }
-    if failed {
         std::process::exit(1);
     }
 }

@@ -44,7 +44,7 @@ mod region;
 pub use error::GeometryError;
 pub use grid::{CellId, Grid};
 pub use motion::{normalize_angle, MotionPdf, QuadrantWeights, FULL_TURN, HALF_TURN};
-pub use point::{Point, Vec2};
+pub use point::{Point, Vec2, LATTICE_STEPS_PER_M};
 pub use rect::Rect;
 pub use region::RectilinearRegion;
 

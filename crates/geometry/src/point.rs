@@ -2,6 +2,13 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
+/// Steps per meter of the coordinate lattice: the wire protocol carries
+/// coordinates as Q16.16 fixed point, so one step is 1/65 536 m (≈ 15 µm).
+/// A position or alarm corner on the lattice crosses the wire unchanged,
+/// and the client, the server and the ground truth then test containment
+/// on the same numbers.
+pub const LATTICE_STEPS_PER_M: f64 = 65_536.0;
+
 /// A position in the planar, meter-denominated coordinate system of the
 /// Universe of Discourse.
 ///
@@ -79,6 +86,13 @@ impl Point {
     /// True when both coordinates are finite.
     pub fn is_finite(self) -> bool {
         self.x.is_finite() && self.y.is_finite()
+    }
+
+    /// This point rounded to the nearest [`LATTICE_STEPS_PER_M`] lattice
+    /// point.
+    pub fn snapped(self) -> Point {
+        let snap = |m: f64| (m * LATTICE_STEPS_PER_M).round() / LATTICE_STEPS_PER_M;
+        Point::new(snap(self.x), snap(self.y))
     }
 }
 

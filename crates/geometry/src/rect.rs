@@ -89,6 +89,19 @@ impl Rect {
         }
     }
 
+    /// This rectangle with each corner rounded to the nearest
+    /// [`crate::LATTICE_STEPS_PER_M`] lattice point. Rounding is monotone,
+    /// so the corners stay ordered.
+    pub fn snapped(&self) -> Rect {
+        let (min, max) = (self.min_corner().snapped(), self.max_corner().snapped());
+        Rect {
+            min_x: min.x,
+            min_y: min.y,
+            max_x: max.x,
+            max_y: max.y,
+        }
+    }
+
     /// Lower-left x.
     pub fn min_x(&self) -> f64 {
         self.min_x

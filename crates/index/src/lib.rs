@@ -1,19 +1,20 @@
-//! An R*-tree spatial index (Beckmann, Kriegel, Schneider, Seeger — SIGMOD
-//! 1990), the access method the paper uses to index installed spatial alarms
-//! ("position parameters are evaluated against installed spatial alarms
-//! indexed in an R*-tree", §5.1).
+//! The spatial index over installed alarm regions. The paper evaluates
+//! position updates "against installed spatial alarms indexed in an
+//! R*-tree" (§5.1) and only ever queries that tree; so does this crate.
 //!
-//! The implementation is a faithful R*-tree rather than a plain R-tree:
+//! [`RStarTree`] is built once, by Sort-Tile-Recursive packing
+//! ([`RStarTree::bulk_load`]), and never mutated: a changed alarm set is a
+//! new tree. It keeps the R*-tree's node layout and fill bounds
+//! ([`RStarParams`], fan-out 32 and 40% minimum fill by default), so every
+//! query answers exactly what an R*-tree over the same entries answers;
+//! packing only gives it the minimum height and fuller nodes. Queries:
 //!
-//! - **ChooseSubtree** minimizes *overlap enlargement* when descending into
-//!   the level above the leaves, and *area enlargement* elsewhere,
-//! - **Forced reinsert**: on the first overflow per level per insertion, the
-//!   30% of entries whose centers lie farthest from the node's center are
-//!   reinserted instead of splitting,
-//! - **R\*-split**: the split axis minimizes the summed margins of all
-//!   candidate distributions; the split index minimizes overlap, with area
-//!   as the tie-breaker,
-//! - **Deletion** with under-full node condensation and orphan reinsertion.
+//! - point and range search, allocation-free ([`RStarTree::visit_point`],
+//!   [`RStarTree::visit_intersecting`]) or with [`QueryStats`] for the
+//!   simulator's server-load model,
+//! - filtered best-first nearest neighbour ([`RStarTree::nearest_matching`])
+//!   and its heap-free distance-only form
+//!   ([`RStarTree::nearest_distance_matching`]).
 //!
 //! # Example
 //!
@@ -22,15 +23,17 @@
 //! use sa_index::RStarTree;
 //!
 //! # fn main() -> Result<(), sa_geometry::GeometryError> {
-//! let mut tree: RStarTree<u32> = RStarTree::new();
-//! tree.insert(Rect::new(0.0, 0.0, 1.0, 1.0)?, 1);
-//! tree.insert(Rect::new(5.0, 5.0, 6.0, 6.0)?, 2);
+//! let tree = RStarTree::bulk_load(vec![
+//!     (Rect::new(0.0, 0.0, 1.0, 1.0)?, 1u32),
+//!     (Rect::new(5.0, 5.0, 6.0, 6.0)?, 2),
+//! ]);
 //!
-//! let hits = tree.search_intersecting(Rect::new(0.5, 0.5, 5.5, 5.5)?);
+//! let (hits, _) = tree.search_intersecting_with_stats(Rect::new(0.5, 0.5, 5.5, 5.5)?);
 //! assert_eq!(hits.len(), 2);
 //!
-//! let here = tree.search_point(Point::new(0.5, 0.5));
-//! assert_eq!(here, vec![&1]);
+//! let mut here = Vec::new();
+//! tree.visit_point(Point::new(0.5, 0.5), |&item| here.push(item));
+//! assert_eq!(here, vec![1]);
 //! # Ok(())
 //! # }
 //! ```

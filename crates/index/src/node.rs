@@ -1,4 +1,3 @@
-use crate::RStarParams;
 use sa_geometry::Rect;
 
 /// A leaf-level entry: a user rectangle and its payload.
@@ -15,7 +14,7 @@ pub(crate) struct ChildEntry<T> {
     pub child: Box<Node<T>>,
 }
 
-/// An R*-tree node. Leaves sit at level 0.
+/// A tree node. Leaves sit at level 0.
 #[derive(Debug)]
 pub(crate) enum Node<T> {
     Leaf(Vec<LeafEntry<T>>),
@@ -23,10 +22,6 @@ pub(crate) enum Node<T> {
 }
 
 impl<T> Node<T> {
-    pub fn new_leaf() -> Node<T> {
-        Node::Leaf(Vec::new())
-    }
-
     pub fn len(&self) -> usize {
         match self {
             Node::Leaf(es) => es.len(),
@@ -51,177 +46,6 @@ impl<T> Node<T> {
     }
 }
 
-/// An entry detached from the tree, waiting to be reinserted.
-#[derive(Debug)]
-pub(crate) enum Pending<T> {
-    Leaf(LeafEntry<T>),
-    /// A whole subtree; `child_level` is the level of the detached node
-    /// (0 = leaf).
-    Subtree {
-        entry: ChildEntry<T>,
-        child_level: usize,
-    },
-}
-
-impl<T> Pending<T> {
-    pub fn rect(&self) -> Rect {
-        match self {
-            Pending::Leaf(e) => e.rect,
-            Pending::Subtree { entry, .. } => entry.rect,
-        }
-    }
-
-    /// Level of the node that should contain this entry.
-    pub fn container_level(&self) -> usize {
-        match self {
-            Pending::Leaf(_) => 0,
-            Pending::Subtree { child_level, .. } => child_level + 1,
-        }
-    }
-}
-
-/// The R*-split: picks the split axis by minimum summed margins over all
-/// legal distributions (both lower- and upper-value sorts), then the split
-/// distribution by minimum overlap (ties: minimum combined area).
-///
-/// Returns `(kept, moved)` — the first group stays in the overflowing node,
-/// the second becomes the new sibling.
-pub(crate) fn rstar_split<E>(
-    entries: Vec<E>,
-    rect_of: impl Fn(&E) -> Rect,
-    params: &RStarParams,
-) -> (Vec<E>, Vec<E>) {
-    let n = entries.len();
-    let m = params.min_entries;
-    debug_assert!(n > params.max_entries, "split called on a non-overflowing node");
-    debug_assert!(n >= 2 * m, "cannot split {n} entries with min fill {m}");
-    let rects: Vec<Rect> = entries.iter().map(&rect_of).collect();
-
-    // Candidate distribution: a sorted permutation and a split position k
-    // (first k entries -> group 1).
-    struct Candidate {
-        order: Vec<usize>,
-        k: usize,
-        overlap: f64,
-        area: f64,
-    }
-
-    let mut best_axis = 0usize;
-    let mut best_margin_sum = f64::INFINITY;
-    let mut axis_candidates: Vec<Candidate> = Vec::new();
-
-    for axis in 0..2usize {
-        let mut margin_sum = 0.0;
-        let mut candidates: Vec<Candidate> = Vec::new();
-        for sort_by_lower in [true, false] {
-            let mut order: Vec<usize> = (0..n).collect();
-            order.sort_by(|&a, &b| {
-                let (pa, sa) = sort_keys(rects[a], axis);
-                let (pb, sb) = sort_keys(rects[b], axis);
-                let ka = if sort_by_lower { (pa, sa) } else { (sa, pa) };
-                let kb = if sort_by_lower { (pb, sb) } else { (sb, pb) };
-                ka.partial_cmp(&kb).expect("rect coordinates are finite")
-            });
-
-            // Prefix and suffix MBRs over the sorted order.
-            let mut prefix: Vec<Rect> = Vec::with_capacity(n);
-            let mut acc = rects[order[0]];
-            prefix.push(acc);
-            for &i in &order[1..] {
-                acc = acc.union(rects[i]);
-                prefix.push(acc);
-            }
-            let mut suffix: Vec<Rect> = vec![rects[order[n - 1]]; n];
-            for j in (0..n - 1).rev() {
-                suffix[j] = suffix[j + 1].union(rects[order[j]]);
-            }
-
-            for k in m..=(n - m) {
-                let bb1 = prefix[k - 1];
-                let bb2 = suffix[k];
-                margin_sum += bb1.perimeter() + bb2.perimeter();
-                candidates.push(Candidate {
-                    order: order.clone(),
-                    k,
-                    overlap: bb1.overlap_area(bb2),
-                    area: bb1.area() + bb2.area(),
-                });
-            }
-        }
-        if margin_sum < best_margin_sum {
-            best_margin_sum = margin_sum;
-            best_axis = axis;
-            axis_candidates = candidates;
-        }
-    }
-    let _ = best_axis;
-
-    let best = axis_candidates
-        .into_iter()
-        .min_by(|a, b| {
-            (a.overlap, a.area)
-                .partial_cmp(&(b.overlap, b.area))
-                .expect("overlap and area are finite")
-        })
-        .expect("at least one candidate distribution exists");
-
-    // Move entries into the two groups following the winning permutation.
-    let mut slots: Vec<Option<E>> = entries.into_iter().map(Some).collect();
-    let mut group1 = Vec::with_capacity(best.k);
-    let mut group2 = Vec::with_capacity(n - best.k);
-    for (pos, &i) in best.order.iter().enumerate() {
-        let e = slots[i].take().expect("each index appears once");
-        if pos < best.k {
-            group1.push(e);
-        } else {
-            group2.push(e);
-        }
-    }
-    (group1, group2)
-}
-
-fn sort_keys(r: Rect, axis: usize) -> (f64, f64) {
-    if axis == 0 {
-        (r.min_x(), r.max_x())
-    } else {
-        (r.min_y(), r.max_y())
-    }
-}
-
-/// Picks the `p` entries whose centers are farthest from the node MBR
-/// center, removing them for reinsertion (R* forced reinsert). The removed
-/// entries are returned sorted by *increasing* distance ("close reinsert").
-pub(crate) fn take_reinsert_victims<E>(
-    entries: &mut Vec<E>,
-    rect_of: impl Fn(&E) -> Rect,
-    p: usize,
-) -> Vec<E> {
-    let node_mbr = entries
-        .iter()
-        .map(&rect_of)
-        .reduce(|a, b| a.union(b))
-        .expect("node is non-empty");
-    let center = node_mbr.center();
-    let mut dist: Vec<(usize, f64)> = entries
-        .iter()
-        .enumerate()
-        .map(|(i, e)| (i, rect_of(e).center().distance_squared(center)))
-        .collect();
-    // Farthest first so we can pop the victims off the end of the list.
-    dist.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("distances are finite"));
-    let victim_set: Vec<usize> = dist.iter().take(p).map(|&(i, _)| i).collect();
-
-    let mut slots: Vec<Option<E>> = std::mem::take(entries).into_iter().map(Some).collect();
-    // Reinsert closest-first: reverse of the farthest-first prefix.
-    let victims: Vec<E> = victim_set
-        .iter()
-        .rev()
-        .map(|&i| slots[i].take().expect("victim indices are unique"))
-        .collect();
-    *entries = slots.into_iter().flatten().collect();
-    victims
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,59 +55,14 @@ mod tests {
     }
 
     #[test]
-    fn split_respects_min_fill() {
-        let params = RStarParams::with_max_entries(4);
-        let entries: Vec<Rect> = (0..5).map(|i| r(i as f64, 0.0, i as f64 + 0.5, 1.0)).collect();
-        let (g1, g2) = rstar_split(entries, |e| *e, &params);
-        assert!(g1.len() >= params.min_entries);
-        assert!(g2.len() >= params.min_entries);
-        assert_eq!(g1.len() + g2.len(), 5);
-    }
-
-    #[test]
-    fn split_separates_two_clusters() {
-        let params = RStarParams::with_max_entries(4);
-        // Two clear clusters on the x axis.
-        let mut entries = vec![
-            r(0.0, 0.0, 1.0, 1.0),
-            r(0.5, 0.2, 1.5, 1.2),
-            r(100.0, 0.0, 101.0, 1.0),
-            r(100.5, 0.1, 101.5, 1.1),
-            r(0.2, 0.4, 1.2, 1.4),
-        ];
-        entries.push(r(100.2, 0.3, 101.2, 1.3));
-        // 6 entries with M=4 -> must split; m=2 so groups of >= 2.
-        let (g1, g2) = rstar_split(entries, |e| *e, &params);
-        let mbr = |g: &[Rect]| g.iter().copied().reduce(|a, b| a.union(b)).unwrap();
-        // The split must not mix clusters: groups' MBRs are disjoint.
-        assert_eq!(mbr(&g1).overlap_area(mbr(&g2)), 0.0);
-    }
-
-    #[test]
-    fn reinsert_victims_are_the_farthest() {
-        let mut entries = vec![
-            r(0.0, 0.0, 1.0, 1.0),   // near center of overall MBR? compute below
-            r(9.0, 9.0, 10.0, 10.0), // far corner
-            r(4.0, 4.0, 6.0, 6.0),   // dead center
-            r(0.0, 9.0, 1.0, 10.0),  // far corner
-        ];
-        let victims = take_reinsert_victims(&mut entries, |e| *e, 2);
-        assert_eq!(victims.len(), 2);
-        assert_eq!(entries.len(), 2);
-        // The dead-center rect must never be a victim.
-        assert!(entries.iter().any(|e| *e == r(4.0, 4.0, 6.0, 6.0)));
-    }
-
-    #[test]
     fn node_mbr_covers_all_entries() {
-        let mut node: Node<u32> = Node::new_leaf();
-        if let Node::Leaf(es) = &mut node {
-            es.push(LeafEntry { rect: r(0.0, 0.0, 1.0, 1.0), item: 1 });
-            es.push(LeafEntry { rect: r(5.0, -3.0, 6.0, 0.0), item: 2 });
-        }
+        let node: Node<u32> = Node::Leaf(vec![
+            LeafEntry { rect: r(0.0, 0.0, 1.0, 1.0), item: 1 },
+            LeafEntry { rect: r(5.0, -3.0, 6.0, 0.0), item: 2 },
+        ]);
         assert_eq!(node.mbr().unwrap(), r(0.0, -3.0, 6.0, 1.0));
         assert_eq!(node.len(), 2);
-        let empty: Node<u32> = Node::new_leaf();
+        let empty: Node<u32> = Node::Leaf(Vec::new());
         assert!(empty.mbr().is_none());
     }
 }

@@ -1,7 +1,7 @@
 /// Structural parameters of an [`crate::RStarTree`].
 ///
-/// The defaults follow the recommendations of the R*-tree paper: minimum
-/// fill 40% of the maximum fan-out and a forced-reinsert fraction of 30%.
+/// The default follows the R*-tree paper's recommendation of a minimum
+/// fill of 40% of the maximum fan-out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RStarParams {
     /// Maximum number of entries per node (`M`). Must be ≥ 4.
@@ -9,15 +9,11 @@ pub struct RStarParams {
     /// Minimum number of entries per node (`m`). Must satisfy
     /// `2 ≤ m ≤ M/2`.
     pub min_entries: usize,
-    /// Number of entries removed and reinserted on the first overflow of a
-    /// level (`p`). Must satisfy `1 ≤ p ≤ M - m + 1` so the node stays
-    /// legal after removal.
-    pub reinsert_count: usize,
 }
 
 impl RStarParams {
-    /// Parameters with fan-out `max_entries`, min fill 40% and reinsert
-    /// fraction 30%, per the original paper's tuning.
+    /// Parameters with fan-out `max_entries` and min fill 40%, per the
+    /// original paper's tuning.
     ///
     /// # Panics
     ///
@@ -25,12 +21,9 @@ impl RStarParams {
     pub fn with_max_entries(max_entries: usize) -> RStarParams {
         assert!(max_entries >= 4, "R*-tree fan-out must be at least 4");
         let min_entries = ((max_entries as f64 * 0.4).round() as usize).clamp(2, max_entries / 2);
-        let reinsert_count =
-            ((max_entries as f64 * 0.3).round() as usize).clamp(1, max_entries - min_entries);
         RStarParams {
             max_entries,
             min_entries,
-            reinsert_count,
         }
     }
 
@@ -39,10 +32,6 @@ impl RStarParams {
         assert!(
             self.min_entries >= 2 && self.min_entries <= self.max_entries / 2,
             "min_entries must satisfy 2 <= m <= M/2"
-        );
-        assert!(
-            self.reinsert_count >= 1 && self.reinsert_count <= self.max_entries - self.min_entries,
-            "reinsert_count must satisfy 1 <= p <= M - m"
         );
     }
 }
@@ -58,11 +47,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_matches_forty_thirty_rule() {
+    fn default_matches_forty_percent_rule() {
         let p = RStarParams::default();
         assert_eq!(p.max_entries, 32);
         assert_eq!(p.min_entries, 13); // 40% of 32
-        assert_eq!(p.reinsert_count, 10); // 30% of 32
         p.validate();
     }
 

@@ -1,79 +1,95 @@
-//! Property-based tests: the R*-tree must agree with a brute-force index
-//! under arbitrary interleavings of inserts, removes and queries, and its
-//! structural invariants must hold throughout.
+//! Property-based tests: a bulk-loaded tree must answer every query kind
+//! exactly like a brute-force scan of its entries, hold its structural
+//! invariants and have the minimum height its fan-out admits.
 
 use proptest::prelude::*;
 use sa_geometry::{Point, Rect};
 use sa_index::{RStarParams, RStarTree};
-
-#[derive(Debug, Clone)]
-enum Op {
-    Insert(Rect),
-    Remove(usize),
-    Query(Rect),
-    PointQuery(Point),
-}
 
 fn arb_rect() -> impl Strategy<Value = Rect> {
     (0.0..1_000.0f64, 0.0..1_000.0f64, 0.0..120.0f64, 0.0..120.0f64)
         .prop_map(|(x, y, w, h)| Rect::new(x, y, x + w, y + h).unwrap())
 }
 
-fn arb_op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        4 => arb_rect().prop_map(Op::Insert),
-        1 => (0usize..64).prop_map(Op::Remove),
-        2 => arb_rect().prop_map(Op::Query),
-        1 => (0.0..1_000.0f64, 0.0..1_000.0f64).prop_map(|(x, y)| Op::PointQuery(Point::new(x, y))),
-    ]
+fn arb_point() -> impl Strategy<Value = Point> {
+    (-100.0..1_100.0f64, -100.0..1_100.0f64).prop_map(|(x, y)| Point::new(x, y))
 }
 
-fn run_scenario(ops: Vec<Op>, params: RStarParams) {
-    let mut tree: RStarTree<u64> = RStarTree::with_params(params);
-    let mut oracle: Vec<(Rect, u64)> = Vec::new();
-    let mut next_id = 0u64;
+/// The ids a brute-force scan of `rects` reports for `hit`, ascending.
+fn scan(rects: &[Rect], hit: impl Fn(&Rect) -> bool) -> Vec<usize> {
+    (0..rects.len()).filter(|&i| hit(&rects[i])).collect()
+}
 
-    for op in ops {
-        match op {
-            Op::Insert(rect) => {
-                tree.insert(rect, next_id);
-                oracle.push((rect, next_id));
-                next_id += 1;
+/// The distance from `p` to the nearest of `rects` whose id passes `keep`.
+fn scan_nearest(rects: &[Rect], p: Point, keep: impl Fn(usize) -> bool) -> Option<f64> {
+    (0..rects.len())
+        .filter(|&i| keep(i))
+        .map(|i| rects[i].distance_to_point(p))
+        .min_by(f64::total_cmp)
+}
+
+fn check_against_scan(rects: &[Rect], max_entries: usize, ranges: &[Rect], points: &[Point]) {
+    let params = RStarParams::with_max_entries(max_entries);
+    let tree: RStarTree<usize> = RStarTree::bulk_load_with_params(
+        params,
+        rects.iter().copied().enumerate().map(|(i, r)| (r, i)).collect(),
+    );
+    tree.check_invariants().expect("structural invariants");
+    assert_eq!(tree.len(), rects.len());
+
+    // STR packs full nodes: the height is the minimum the fan-out admits.
+    let mut min_height = 1usize;
+    let mut capacity = max_entries;
+    while capacity < rects.len() {
+        capacity *= max_entries;
+        min_height += 1;
+    }
+    assert_eq!(tree.height(), min_height, "height is not minimal");
+
+    // Range queries: arbitrary rects plus some entries' own rects.
+    for q in ranges.iter().chain(rects.iter().take(5)) {
+        let (hits, stats) = tree.search_intersecting_with_stats(*q);
+        let mut got: Vec<usize> = hits.into_iter().map(|(_, &i)| i).collect();
+        got.sort_unstable();
+        assert_eq!(stats.matches, got.len());
+        let mut visited: Vec<usize> = Vec::new();
+        tree.visit_intersecting(*q, |_, &i| visited.push(i));
+        visited.sort_unstable();
+        assert_eq!(&visited, &got, "visit and search disagree on {:?}", q);
+        assert_eq!(got, scan(rects, |r| r.intersects(q)), "range answers diverged on {:?}", q);
+    }
+
+    // Point queries: arbitrary points plus some entries' centers.
+    for p in points.iter().copied().chain(rects.iter().take(5).map(Rect::center)) {
+        let mut got: Vec<usize> = tree.search_point_with_stats(p).0.into_iter().copied().collect();
+        got.sort_unstable();
+        let mut visited: Vec<usize> = Vec::new();
+        tree.visit_point(p, |&i| visited.push(i));
+        visited.sort_unstable();
+        assert_eq!(&visited, &got, "visit and search disagree at {:?}", p);
+        assert_eq!(got, scan(rects, |r| r.contains_point(p)), "point answers diverged at {:?}", p);
+
+        // Nearest neighbour under dense, sparse and empty (modulus 0)
+        // predicates.
+        for modulus in [1usize, 3, 97, 0] {
+            let keep = |i: usize| modulus > 0 && i.is_multiple_of(modulus);
+            let want = scan_nearest(rects, p, keep);
+            let (hit, stats) = tree.nearest_matching(p, |&i| keep(i));
+            assert!(stats.nodes_visited >= usize::from(!rects.is_empty()));
+            if let Some((rect, &i, d)) = hit {
+                assert!(keep(i), "nearest returned a filtered-out entry");
+                assert_eq!(rect, rects[i]);
+                assert_eq!(d, rect.distance_to_point(p));
             }
-            Op::Remove(k) => {
-                if oracle.is_empty() {
-                    continue;
-                }
-                let (rect, id) = oracle[k % oracle.len()];
-                let removed = tree.remove(rect, |&i| i == id);
-                assert_eq!(removed, Some(id), "remove of live entry must succeed");
-                oracle.retain(|&(_, i)| i != id);
-            }
-            Op::Query(rect) => {
-                let mut got: Vec<u64> = tree.search_intersecting(rect).into_iter().copied().collect();
-                got.sort_unstable();
-                let mut expected: Vec<u64> = oracle
-                    .iter()
-                    .filter(|(r, _)| r.intersects(&rect))
-                    .map(|&(_, i)| i)
-                    .collect();
-                expected.sort_unstable();
-                assert_eq!(got, expected, "range query diverged from oracle");
-            }
-            Op::PointQuery(p) => {
-                let mut got: Vec<u64> = tree.search_point(p).into_iter().copied().collect();
-                got.sort_unstable();
-                let mut expected: Vec<u64> = oracle
-                    .iter()
-                    .filter(|(r, _)| r.contains_point(p))
-                    .map(|&(_, i)| i)
-                    .collect();
-                expected.sort_unstable();
-                assert_eq!(got, expected, "point query diverged from oracle");
-            }
+            assert_eq!(hit.map(|(_, _, d)| d), want, "nearest at {:?} mod {}", p, modulus);
+            assert_eq!(
+                tree.nearest_distance_matching(p, |&i| keep(i)),
+                want,
+                "nearest distance at {:?} mod {}",
+                p,
+                modulus
+            );
         }
-        assert_eq!(tree.len(), oracle.len());
-        tree.check_invariants().expect("structural invariants");
     }
 }
 
@@ -81,94 +97,37 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn agrees_with_oracle_default_params(ops in prop::collection::vec(arb_op(), 1..150)) {
-        run_scenario(ops, RStarParams::default());
-    }
-
-    #[test]
-    fn agrees_with_oracle_tiny_fanout(ops in prop::collection::vec(arb_op(), 1..150)) {
-        // Small fan-out stresses splits, reinserts and root growth.
-        run_scenario(ops, RStarParams::with_max_entries(4));
-    }
-
-    #[test]
-    fn agrees_with_oracle_medium_fanout(ops in prop::collection::vec(arb_op(), 1..200)) {
-        run_scenario(ops, RStarParams::with_max_entries(10));
-    }
-
-    #[test]
-    fn bulk_insert_then_drain(rects in prop::collection::vec(arb_rect(), 1..300)) {
-        let mut tree: RStarTree<usize> = RStarTree::with_params(RStarParams::with_max_entries(6));
-        for (i, r) in rects.iter().enumerate() {
-            tree.insert(*r, i);
-        }
-        tree.check_invariants().expect("after bulk insert");
-        prop_assert_eq!(tree.len(), rects.len());
-        // The bounding box covers every inserted rectangle.
-        let bb = tree.bounding_box().unwrap();
-        for r in &rects {
-            prop_assert!(bb.contains_rect(r));
-        }
-        // Drain in insertion order.
-        for (i, r) in rects.iter().enumerate() {
-            prop_assert_eq!(tree.remove(*r, |&x| x == i), Some(i));
-        }
-        prop_assert!(tree.is_empty());
-    }
-
-    #[test]
-    fn bulk_load_is_equivalent_to_the_insert_loop(
-        rects in prop::collection::vec(arb_rect(), 0..400),
-        queries in prop::collection::vec(arb_rect(), 1..8),
+    fn agrees_with_a_scan_tiny_fanout(
+        rects in prop::collection::vec(arb_rect(), 0..300),
+        ranges in prop::collection::vec(arb_rect(), 1..8),
+        points in prop::collection::vec(arb_point(), 1..8),
     ) {
-        let params = RStarParams::with_max_entries(8);
-        let bulk: RStarTree<usize> =
-            RStarTree::bulk_load_with_params(params, rects.iter().copied().enumerate().map(|(i, r)| (r, i)).collect());
-        bulk.check_invariants().expect("bulk-loaded invariants");
-        prop_assert_eq!(bulk.len(), rects.len());
+        // Small fan-out stacks the most levels per entry.
+        check_against_scan(&rects, 4, &ranges, &points);
+    }
 
-        let mut grown: RStarTree<usize> = RStarTree::with_params(params);
-        for (i, r) in rects.iter().enumerate() {
-            grown.insert(*r, i);
-        }
-        // Same answers on arbitrary range queries and on every entry's
-        // own rectangle and center point.
-        for q in queries.iter().chain(rects.iter().take(5)) {
-            let mut a: Vec<usize> = bulk.search_intersecting(*q).into_iter().copied().collect();
-            a.sort_unstable();
-            let mut b: Vec<usize> = grown.search_intersecting(*q).into_iter().copied().collect();
-            b.sort_unstable();
-            prop_assert_eq!(a, b, "range answers diverged on {:?}", q);
-        }
-        for r in rects.iter().take(5) {
-            let p = r.center();
-            let mut a: Vec<usize> = bulk.search_point(p).into_iter().copied().collect();
-            a.sort_unstable();
-            let mut b: Vec<usize> = grown.search_point(p).into_iter().copied().collect();
-            b.sort_unstable();
-            prop_assert_eq!(a, b, "point answers diverged at {:?}", p);
-        }
-        // STR packs full nodes: the height is the minimum the fan-out
-        // admits (never worse than the insert-grown tree's).
-        if !rects.is_empty() {
-            let max = 8usize;
-            let mut min_height = 1usize;
-            let mut capacity = max;
-            while capacity < rects.len() {
-                capacity *= max;
-                min_height += 1;
-            }
-            prop_assert_eq!(bulk.height(), min_height, "bulk height is not minimal");
-            prop_assert!(bulk.height() <= grown.height());
-        }
+    #[test]
+    fn agrees_with_a_scan_medium_fanout(
+        rects in prop::collection::vec(arb_rect(), 0..400),
+        ranges in prop::collection::vec(arb_rect(), 1..8),
+        points in prop::collection::vec(arb_point(), 1..8),
+    ) {
+        check_against_scan(&rects, 8, &ranges, &points);
+    }
+
+    #[test]
+    fn agrees_with_a_scan_default_fanout(
+        rects in prop::collection::vec(arb_rect(), 0..1_200),
+        ranges in prop::collection::vec(arb_rect(), 1..8),
+        points in prop::collection::vec(arb_point(), 1..8),
+    ) {
+        check_against_scan(&rects, 32, &ranges, &points);
     }
 
     #[test]
     fn query_stats_are_consistent(rects in prop::collection::vec(arb_rect(), 1..200), q in arb_rect()) {
-        let mut tree: RStarTree<usize> = RStarTree::new();
-        for (i, r) in rects.iter().enumerate() {
-            tree.insert(*r, i);
-        }
+        let tree: RStarTree<usize> =
+            RStarTree::bulk_load(rects.iter().copied().enumerate().map(|(i, r)| (r, i)).collect());
         let (hits, stats) = tree.search_intersecting_with_stats(q);
         prop_assert_eq!(hits.len(), stats.matches);
         prop_assert!(stats.nodes_visited >= 1);

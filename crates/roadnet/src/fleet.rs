@@ -258,7 +258,10 @@ impl<'a> Fleet<'a> {
         out
     }
 
-    /// Allocation-reusing variant of [`Fleet::step`].
+    /// Allocation-reusing variant of [`Fleet::step`]. Sample positions are
+    /// snapped to the [`sa_geometry::LATTICE_STEPS_PER_M`] lattice, so a
+    /// sample crosses the wire unchanged and the server tests the very
+    /// position the ground truth does.
     pub fn step_into(&mut self, dt: f64, out: &mut Vec<TraceSample>) {
         assert!(dt.is_finite() && dt > 0.0, "dt must be positive and finite");
         self.time += dt;
@@ -268,7 +271,7 @@ impl<'a> Fleet<'a> {
             out.push(TraceSample {
                 time: self.time,
                 vehicle: v.id,
-                pos: v.position(self.network),
+                pos: v.position(self.network).snapped(),
                 heading: v.heading(self.network),
                 speed: v.speed(self.network),
             });
@@ -405,7 +408,22 @@ mod tests {
             if d > 1.0 && (s0.heading - s1.heading).abs() < 1e-9 {
                 let observed = s0.pos.heading_to(s1.pos);
                 let diff = sa_geometry::normalize_angle(observed - s1.heading).abs();
-                assert!(diff < 1e-6, "heading {} vs displacement {}", s1.heading, observed);
+                // Both endpoints are snapped to the lattice (≤ 7.7 µm per
+                // axis each); over ≥ 1 m that turns the direction by less
+                // than 2.2e-5 rad.
+                assert!(diff < 1e-4, "heading {} vs displacement {}", s1.heading, observed);
+            }
+        }
+    }
+
+    #[test]
+    fn every_sample_is_on_the_wire_lattice() {
+        let (net, cfg) = small_fleet(20, 25);
+        let mut fleet = Fleet::new(&net, &cfg);
+        let on_lattice = |m: f64| (m * sa_geometry::LATTICE_STEPS_PER_M).fract() == 0.0;
+        for _ in 0..300 {
+            for s in fleet.step(1.0) {
+                assert!(on_lattice(s.pos.x) && on_lattice(s.pos.y), "off-lattice sample {}", s.pos);
             }
         }
     }

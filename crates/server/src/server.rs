@@ -57,8 +57,7 @@ thread_local! {
     /// Per-thread pinned generation of the alarm index. While no
     /// install/deactivate has published, a refresh is one atomic epoch
     /// load — no lock, no allocation.
-    static GLOBAL_SNAP: RefCell<SnapshotCache<AlarmSnapshot>> =
-        const { RefCell::new(SnapshotCache::new()) };
+    static GLOBAL_SNAP: RefCell<SnapshotCache> = const { RefCell::new(SnapshotCache::new()) };
 }
 
 /// Error codes carried by [`Response::Error`].

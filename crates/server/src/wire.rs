@@ -19,13 +19,15 @@
 //! length, byte padding); [`Response::encoded_len`] documents the exact
 //! byte layout.
 //!
-//! Coordinates are quantized to unsigned Q16.16 fixed point (≈ 7.6 µm
-//! resolution — far below any alarm-boundary feature of the simulated
-//! worlds), headings to 16 bits over a full turn, speeds to cm/s.
+//! Coordinates are quantized to unsigned Q16.16 fixed point, the lattice
+//! of [`sa_geometry::LATTICE_STEPS_PER_M`] (steps of ≈ 15 µm; the
+//! generated worlds put every sample and alarm corner on it, so they
+//! cross the wire exactly), headings to 16 bits over a full turn, speeds
+//! to cm/s.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use sa_core::BitVec;
-use sa_geometry::{GeometryError, Rect};
+use sa_geometry::{GeometryError, Rect, LATTICE_STEPS_PER_M};
 use sa_sim::payload;
 use std::fmt;
 
@@ -60,13 +62,16 @@ impl std::error::Error for WireError {}
 /// The simulated universes are at most ~32 km on a side, so the integer
 /// part fits 16 bits with room to spare (2^16 = 65 536 m).
 pub fn quantize_m(meters: f64) -> u32 {
-    debug_assert!((0.0..65_536.0).contains(&meters), "coordinate {meters} out of Q16.16 range");
-    (meters * 65_536.0).round() as u32
+    debug_assert!(
+        (0.0..=f64::from(u32::MAX) / LATTICE_STEPS_PER_M).contains(&meters),
+        "coordinate {meters} out of Q16.16 range"
+    );
+    (meters * LATTICE_STEPS_PER_M).round() as u32
 }
 
 /// Inverse of [`quantize_m`].
 pub fn dequantize_m(fx: u32) -> f64 {
-    fx as f64 / 65_536.0
+    fx as f64 / LATTICE_STEPS_PER_M
 }
 
 /// Quantizes a rect to its wire corners, `[min_x, min_y, max_x, max_y]`
@@ -1628,6 +1633,9 @@ mod tests {
         for &m in &[0.0, 0.015_3, 999.999, 4_000.0, 31_622.776_6] {
             let back = dequantize_m(quantize_m(m));
             assert!((back - m).abs() <= 1.0 / 131_072.0, "{m} → {back}");
+            // A lattice value crosses the wire unchanged.
+            let on = sa_geometry::Point::new(m, m).snapped().x;
+            assert_eq!(dequantize_m(quantize_m(on)), on, "{on}");
         }
         let (h, s) = unpack_motion(pack_motion(-1.25, 33.337));
         assert!((h - (-1.25f64).rem_euclid(std::f64::consts::TAU)).abs() < 1e-4);
