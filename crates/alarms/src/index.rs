@@ -41,12 +41,18 @@ impl std::error::Error for NonDenseIdError {}
 ///   subscriber's current grid cell ([`AlarmIndex::relevant_intersecting`]).
 ///
 /// Both report [`QueryStats`] variants so the simulation can charge index
-/// work to the server-load model.
+/// work to the server-load model. A second tree over the public alarms
+/// alone serves the live server's safe-period nearest search
+/// ([`AlarmIndex::nearest_relevant_distance_unmetered`]).
 #[derive(Debug)]
 pub struct AlarmIndex {
     /// Items are positions in `alarms`, so the tree never assumes an
     /// alarm's id is its position.
     tree: RStarTree<usize>,
+    /// The public alarms' positions alone: the entries a safe-period
+    /// nearest search can return from a spatial query, so the unmetered
+    /// search never opens a leaf of other subscribers' alarms.
+    public: RStarTree<usize>,
     /// In ascending id order: exactly `0..len` on an index from
     /// [`AlarmIndex::try_build`], the live alarms of a snapshot
     /// generation on one from [`AlarmIndex::from_live`].
@@ -93,14 +99,17 @@ impl AlarmIndex {
         debug_assert!(alarms.windows(2).all(|w| w[0].id() < w[1].id()));
         let entries: Vec<(Rect, usize)> =
             alarms.iter().enumerate().map(|(p, a)| (a.region(), p)).collect();
+        let public_entries =
+            entries.iter().filter(|&&(_, p)| alarms[p].is_public()).copied().collect();
         let tree = RStarTree::bulk_load(entries);
+        let public = RStarTree::bulk_load(public_entries);
         let mut personal: HashMap<SubscriberId, Vec<usize>> = HashMap::new();
         for (p, a) in alarms.iter().enumerate() {
             for s in personal_subscribers(a.scope()) {
                 personal.entry(*s).or_default().push(p);
             }
         }
-        AlarmIndex { tree, alarms, personal }
+        AlarmIndex { tree, public, alarms, personal }
     }
 
     /// The subscriber's private/shared alarms (none for subscribers who
@@ -143,17 +152,17 @@ impl AlarmIndex {
 
     /// The distance [`AlarmIndex::nearest_relevant_distance`] reports,
     /// without its [`QueryStats`] and without touching the heap — the
-    /// form the live server's safe-period grant runs per update.
+    /// form the live server's safe-period grant runs per update. It
+    /// searches the public-only tree, so the walk never meets another
+    /// subscriber's alarm; the metered form keeps walking the all-alarm
+    /// tree because the simulator's load model charges that walk.
     pub fn nearest_relevant_distance_unmetered<F: Fn(AlarmId) -> bool>(
         &self,
         user: SubscriberId,
         pos: Point,
         keep: F,
     ) -> Option<f64> {
-        let public = self.tree.nearest_distance_matching(pos, |&p| {
-            let a = &self.alarms[p];
-            a.is_public() && keep(a.id())
-        });
+        let public = self.public.nearest_distance_matching(pos, |&p| keep(self.alarms[p].id()));
         self.personal_alarms(user)
             .filter(|a| keep(a.id()))
             .map(|a| a.region().distance_to_point(pos))
@@ -434,33 +443,64 @@ mod nearest_tests {
         assert!(listed >= non_public, "listed {listed} < non-public {non_public}");
     }
 
+    /// The nearest distance by brute force: the minimum over every alarm
+    /// relevant to `user` that passes `keep`.
+    fn brute_nearest(
+        alarms: &[SpatialAlarm],
+        user: SubscriberId,
+        pos: Point,
+        keep: impl Fn(AlarmId) -> bool,
+    ) -> Option<f64> {
+        alarms
+            .iter()
+            .filter(|a| a.is_relevant_to(user) && keep(a.id()))
+            .map(|a| a.region().distance_to_point(pos))
+            .min_by(f64::total_cmp)
+    }
+
+    /// Both nearest forms — the metered walk of the all-alarm tree and
+    /// the unmetered walk of the public-only tree — give the brute-force
+    /// minimum, to the bit.
     #[test]
     fn nearest_relevant_distance_matches_brute_force() {
         let universe = Rect::new(0.0, 0.0, 10_000.0, 10_000.0).unwrap();
-        let w = AlarmWorkload::generate(&WorkloadConfig {
+        let mixed = AlarmWorkload::generate(&WorkloadConfig {
             alarms: 400,
             subscribers: 40,
             universe,
             seed: 99,
             ..WorkloadConfig::default()
-        });
-        let index = AlarmIndex::build(w.alarms().to_vec());
-        for u in [0u32, 7, 23] {
-            let user = SubscriberId(u);
-            for k in 0..10 {
-                let pos = Point::new(k as f64 * 997.0 % 10_000.0, k as f64 * 773.0 % 10_000.0);
-                let (got, _) = index.nearest_relevant_distance(user, pos, |_| true);
-                assert_eq!(index.nearest_relevant_distance_unmetered(user, pos, |_| true), got);
-                let expected = w
-                    .alarms()
-                    .iter()
-                    .filter(|a| a.is_relevant_to(user))
-                    .map(|a| a.region().distance_to_point(pos))
-                    .min_by(|a, b| a.partial_cmp(b).unwrap());
-                match (got, expected) {
-                    (Some(g), Some(e)) => assert!((g - e).abs() < 1e-9, "user {u} probe {k}"),
-                    (None, None) => {}
-                    other => panic!("mismatch {other:?}"),
+        })
+        .alarms()
+        .to_vec();
+        let all_public: Vec<SpatialAlarm> = mixed
+            .iter()
+            .map(|a| {
+                let scope = crate::AlarmScope::Public { owner: SubscriberId(0) };
+                SpatialAlarm::new(a.id(), a.region(), a.target(), scope)
+            })
+            .collect();
+        // No alarm, one public alarm, only public alarms, and the
+        // generator's mix, where most alarms are not public.
+        let cases = [Vec::new(), all_public[..1].to_vec(), all_public, mixed];
+        for alarms in cases {
+            let index = AlarmIndex::build(alarms.clone());
+            for u in [0u32, 7, 23] {
+                let user = SubscriberId(u);
+                for k in 0..40u32 {
+                    let pos = Point::new(
+                        f64::from(k * 997 % 10_300) - 150.0,
+                        f64::from(k * 773 % 10_300) - 150.0,
+                    );
+                    for modulus in [1, 2, 5] {
+                        let keep = |id: AlarmId| id.0.is_multiple_of(modulus);
+                        let want = brute_nearest(&alarms, user, pos, keep);
+                        let (metered, _) = index.nearest_relevant_distance(user, pos, keep);
+                        let unmetered = index.nearest_relevant_distance_unmetered(user, pos, keep);
+                        let case = format!("{} alarms, user {u}, {pos:?}", alarms.len());
+                        assert_eq!(metered, want, "metered, {case}");
+                        assert_eq!(unmetered, want, "unmetered, {case}");
+                    }
                 }
             }
         }

@@ -123,9 +123,13 @@ fn verify(snap: &AlarmSnapshot, installed: &[SpatialAlarm], dead: &[AlarmId]) {
     }
 }
 
-fn run(ops: Vec<Op>, merge_threshold: usize) {
-    let v = VersionedAlarmIndex::with_merge_threshold(Vec::new(), merge_threshold).unwrap();
-    let mut installed: Vec<SpatialAlarm> = Vec::new();
+/// Builds an index over the installs of `base` (STR-loaded, public tree
+/// included), applies `ops` to it, and checks the final generation and
+/// one pinned mid-sequence against the linear scan.
+fn run(base: &[Op], ops: Vec<Op>, merge_threshold: usize) {
+    let mut installed: Vec<SpatialAlarm> =
+        base.iter().enumerate().map(|(id, op)| make_alarm(id as u64, op)).collect();
+    let v = VersionedAlarmIndex::with_merge_threshold(installed.clone(), merge_threshold).unwrap();
     let mut dead: Vec<AlarmId> = Vec::new();
     // Pinned mid-sequence: the generation plus the state it saw.
     let mut pinned: Option<(Arc<AlarmSnapshot>, Vec<SpatialAlarm>, Vec<AlarmId>)> = None;
@@ -167,12 +171,50 @@ fn run(ops: Vec<Op>, merge_threshold: usize) {
     }
 }
 
+fn install(x: f64, y: f64, scope: u8) -> Op {
+    Op::Install { x, y, r: 40.0, scope, owner: 2 }
+}
+
+/// The safe-period nearest search walks the base's public-only tree,
+/// then the delta, with the dead set filtering both. Each place a public
+/// alarm can sit is pinned here, with exact `f64` equality against the
+/// metered search and the linear scan (`verify`).
+#[test]
+fn nearest_reads_public_alarms_in_the_base_the_delta_and_the_dead_set() {
+    // A 4 × 4 base cycling public / private / shared: alarms 0, 3, 6, 9,
+    // 12 and 15 are public.
+    let base: Vec<Op> = (0..16u8)
+        .map(|i| {
+            let (col, row) = (f64::from(i % 4), f64::from(i / 4));
+            install(150.0 + 200.0 * col, 150.0 + 200.0 * row, i % 3)
+        })
+        .collect();
+    // Public installs between the base alarms, then removes of public
+    // base alarms (3, 6, 12) and one private one (4).
+    let public_installs = [(250.0, 250.0), (650.0, 450.0), (450.0, 850.0)];
+    let ops: Vec<Op> = public_installs
+        .into_iter()
+        .map(|(x, y)| install(x, y, 0))
+        .chain([3, 6, 12, 4].map(Op::Deactivate))
+        .collect();
+    // At threshold 64 the installs stay in the delta and the removes in
+    // the dead set; at 3 both fold into rebuilt bases mid-sequence.
+    for threshold in [64, 3] {
+        run(&base, ops.clone(), threshold);
+    }
+    // Only public alarms, and a base of one public alarm removed again.
+    let all_public: Vec<Op> =
+        (0..9).map(|i| install(100.0 + 100.0 * f64::from(i), 500.0, 0)).collect();
+    run(&all_public, vec![install(500.0, 900.0, 0), Op::Deactivate(4)], 64);
+    run(&all_public[..1], vec![Op::Deactivate(0)], 64);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn snapshot_matches_fresh_index(ops in prop::collection::vec(arb_op(), 1..40)) {
-        run(ops, 64);
+        run(&[], ops, 64);
     }
 
     #[test]
@@ -180,6 +222,18 @@ proptest! {
         // A merge threshold of 3 forces repeated generation merges, so
         // base rebuilds, delta scans, and the dead-set reset all happen
         // inside most sequences.
-        run(ops, 3);
+        run(&[], ops, 3);
+    }
+
+    #[test]
+    fn snapshot_over_a_built_base_matches_fresh_index(
+        base in prop::collection::vec(arb_op(), 0..30),
+        ops in prop::collection::vec(arb_op(), 1..20),
+    ) {
+        // The base is STR-loaded, so its public alarms sit in the public
+        // tree before any fold; removes of them land in the dead set.
+        let base: Vec<Op> =
+            base.into_iter().filter(|op| matches!(op, Op::Install { .. })).collect();
+        run(&base, ops, 64);
     }
 }

@@ -260,9 +260,26 @@ impl Rect {
     /// is inside. Used by the safe-period baseline to bound how soon a user
     /// could reach an alarm region.
     pub fn distance_to_point(&self, p: Point) -> f64 {
+        let (dx, dy) = self.gaps_to_point(p);
+        dx.hypot(dy)
+    }
+
+    /// The square of [`Rect::distance_to_point`], without the `hypot`:
+    /// the cheap key a nearest-neighbor walk prunes on. It is rounded
+    /// differently from the squared `hypot`, so a walk that must report
+    /// `distance_to_point` exactly still computes it for the entries the
+    /// key does not rule out.
+    pub fn distance_squared_to_point(&self, p: Point) -> f64 {
+        let (dx, dy) = self.gaps_to_point(p);
+        dx * dx + dy * dy
+    }
+
+    /// The per-axis gaps from `p` to this rectangle, `0.0` on an axis
+    /// where `p` lies within the rectangle's extent.
+    fn gaps_to_point(&self, p: Point) -> (f64, f64) {
         let dx = (self.min_x - p.x).max(0.0).max(p.x - self.max_x);
         let dy = (self.min_y - p.y).max(0.0).max(p.y - self.max_y);
-        dx.hypot(dy)
+        (dx, dy)
     }
 
     /// The increase in area required for `self` to also cover `other`
@@ -370,6 +387,15 @@ mod tests {
         assert_eq!(a.distance_to_point(Point::new(2.0, 2.0)), 0.0);
         assert_eq!(a.distance_to_point(Point::new(5.0, 2.0)), 3.0);
         assert!((a.distance_to_point(Point::new(5.0, 6.0)) - 5.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn distance_squared_to_point_squares_the_gaps() {
+        let a = r(0.0, 0.0, 2.0, 2.0);
+        assert_eq!(a.distance_squared_to_point(Point::new(1.0, 1.0)), 0.0);
+        assert_eq!(a.distance_squared_to_point(Point::new(5.0, 2.0)), 9.0);
+        assert_eq!(a.distance_squared_to_point(Point::new(5.0, 6.0)), 25.0);
+        assert_eq!(a.distance_squared_to_point(Point::new(-3.0, -4.0)), 25.0);
     }
 
     #[test]

@@ -236,38 +236,69 @@ impl<T> RStarTree<T> {
     }
 
     /// Distance from `p` to the nearest item satisfying `pred` — the
-    /// distance [`RStarTree::nearest_matching`] reports, found by a
-    /// depth-first branch-and-bound walk that never touches the heap
-    /// (no priority queue, no [`QueryStats`]). For hot paths that need
-    /// only the distance, e.g. the server's safe-period grant.
+    /// distance [`RStarTree::nearest_matching`] reports, bit for bit,
+    /// found by a depth-first branch-and-bound walk that never touches
+    /// the heap (no priority queue, no [`QueryStats`]). For hot paths
+    /// that need only the distance, e.g. the server's safe-period grant.
+    ///
+    /// The walk prunes on [`Rect::distance_squared_to_point`], computed
+    /// once per child, and calls `hypot` ([`Rect::distance_to_point`])
+    /// only for the few entries inside the current bound. The bound is
+    /// the best `hypot` squared plus a margin wider than both
+    /// functions' rounding, so no entry whose `hypot` would win is ever
+    /// pruned, and the answer is the minimum `hypot` over the matching
+    /// entries.
     pub fn nearest_distance_matching<F: Fn(&T) -> bool>(&self, p: Point, pred: F) -> Option<f64> {
-        fn walk<T, F: Fn(&T) -> bool>(node: &Node<T>, p: Point, pred: &F, best: &mut f64) {
+        /// Children whose squared distances one stack buffer holds; a
+        /// wider node is walked in chunks of this many.
+        const CHUNK: usize = 64;
+        struct Best {
+            dist: f64,
+            /// No entry with a larger squared distance can have a
+            /// `hypot` below `dist`.
+            bound_sq: f64,
+        }
+        fn walk<T, F: Fn(&T) -> bool>(node: &Node<T>, p: Point, pred: &F, best: &mut Best) {
             match node {
                 Node::Leaf(es) => {
                     for e in es {
+                        if e.rect.distance_squared_to_point(p) > best.bound_sq {
+                            continue;
+                        }
                         let d = e.rect.distance_to_point(p);
-                        if d < *best && pred(&e.item) {
-                            *best = d;
+                        if d < best.dist && pred(&e.item) {
+                            // 16 ε covers `hypot`'s ulp and the three
+                            // roundings of a squared distance many times
+                            // over; the floor keeps it sound below the
+                            // normal range.
+                            let bound_sq = d * d * (1.0 + 16.0 * f64::EPSILON);
+                            *best = Best { dist: d, bound_sq: bound_sq.max(f64::MIN_POSITIVE) };
                         }
                     }
                 }
                 Node::Internal(es) => {
-                    // Closest child first: the bound it leaves prunes
-                    // most of its siblings.
-                    let dist = |e: &ChildEntry<T>| e.rect.distance_to_point(p);
-                    let first = es.iter().map(dist).enumerate().min_by(|a, b| a.1.total_cmp(&b.1));
-                    let first = first.map(|(i, _)| i);
-                    for i in first.into_iter().chain((0..es.len()).filter(|&i| Some(i) != first)) {
-                        if dist(&es[i]) < *best {
-                            walk(&es[i].child, p, pred, best);
+                    for chunk in es.chunks(CHUNK) {
+                        let mut keys = [0.0f64; CHUNK];
+                        for (key, e) in keys.iter_mut().zip(chunk) {
+                            *key = e.rect.distance_squared_to_point(p);
+                        }
+                        let keys = &keys[..chunk.len()];
+                        // Closest child first: the bound it leaves prunes
+                        // most of its siblings.
+                        let first = (0..keys.len()).min_by(|&a, &b| keys[a].total_cmp(&keys[b]));
+                        let rest = (0..keys.len()).filter(|&i| Some(i) != first);
+                        for i in first.into_iter().chain(rest) {
+                            if keys[i] <= best.bound_sq {
+                                walk(&chunk[i].child, p, pred, best);
+                            }
                         }
                     }
                 }
             }
         }
-        let mut best = f64::INFINITY;
+        let mut best = Best { dist: f64::INFINITY, bound_sq: f64::INFINITY };
         walk(&self.root, p, &pred, &mut best);
-        (best < f64::INFINITY).then_some(best)
+        (best.dist < f64::INFINITY).then_some(best.dist)
     }
 
     /// Visits every stored `(rect, item)` pair in unspecified order.

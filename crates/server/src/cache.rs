@@ -26,9 +26,14 @@
 //! server falls back to a per-user computation otherwise (a fired alarm
 //! should rejoin the safe region — serving the cached bitmap instead
 //! would be conservative but chatty).
+//!
+//! An entry holds the bitmap's wire encoding, made once at insert, so a
+//! hit through [`RegionCache::lookup_wire`] is the response payload as
+//! is. [`RegionCache::lookup`] decodes it back into the region.
 
 use parking_lot::RwLock;
-use sa_core::BitmapSafeRegion;
+use sa_core::{BitVec, BitmapSafeRegion, PyramidConfig};
+use sa_geometry::Rect;
 use sa_obs::{Counter, Registry};
 use std::collections::HashMap;
 
@@ -51,7 +56,12 @@ pub struct CacheStats {
 #[derive(Debug)]
 struct Entry {
     epoch: u64,
-    region: BitmapSafeRegion,
+    /// The region's [`BitmapSafeRegion::to_wire_bits`]; with `cell` and
+    /// `config` it decodes back to the region. The region itself is not
+    /// kept beside it: it would double the entry.
+    bits: BitVec,
+    cell: Rect,
+    config: PyramidConfig,
 }
 
 /// The shared public-bitmap cache (see the module docs).
@@ -117,14 +127,31 @@ impl RegionCache {
     }
 
     /// The cached public bitmap for `(cell, height)` if it is stamped with
-    /// the cell's current epoch.
+    /// the cell's current epoch, decoded from its wire bits.
     pub fn lookup(&self, cell: u64, height: u32) -> Option<BitmapSafeRegion> {
+        self.hit(cell, height, |entry| {
+            BitmapSafeRegion::from_wire_bits(entry.cell, entry.config, &entry.bits)
+                .expect("cached bits were encoded from a region of this cell and config")
+        })
+    }
+
+    /// The wire bits of the cached public bitmap for `(cell, height)` if
+    /// it is stamped with the cell's current epoch — the PBSR refresh's
+    /// payload without re-encoding the region.
+    pub fn lookup_wire(&self, cell: u64, height: u32) -> Option<BitVec> {
+        self.hit(cell, height, |entry| entry.bits.clone())
+    }
+
+    /// `read` of the `(cell, height)` entry stamped with the cell's
+    /// current epoch, counted as a hit; `None`, counted as a miss, when
+    /// there is none.
+    fn hit<R>(&self, cell: u64, height: u32, read: impl FnOnce(&Entry) -> R) -> Option<R> {
         let current = self.epoch(cell);
         let entries = self.entries.read();
         match entries.get(&cell).and_then(|heights| heights.get(&height)) {
             Some(entry) if entry.epoch == current => {
                 self.hits.inc();
-                Some(entry.region.clone())
+                Some(read(entry))
             }
             _ => {
                 self.misses.inc();
@@ -133,7 +160,8 @@ impl RegionCache {
         }
     }
 
-    /// Stores a bitmap computed while the cell was at `epoch`.
+    /// Stores a bitmap computed while the cell was at `epoch`, encoded to
+    /// its wire bits once, here.
     ///
     /// An insert stamped with an epoch the cell has already moved past
     /// is dead on arrival (it could never hit) and is rejected rather
@@ -150,9 +178,15 @@ impl RegionCache {
             self.evictions.inc();
             return;
         }
+        let entry = Entry {
+            epoch,
+            bits: region.to_wire_bits(),
+            cell: region.cell(),
+            config: region.config(),
+        };
         let mut entries = self.entries.write();
         let slot = entries.entry(cell).or_default();
-        if let Some(prev) = slot.insert(height, Entry { epoch, region }) {
+        if let Some(prev) = slot.insert(height, entry) {
             if prev.epoch != epoch {
                 self.evictions.inc();
             }
@@ -202,6 +236,22 @@ mod tests {
             cache.stats(),
             CacheStats { hits: 1, misses: 1, invalidations: 0, evictions: 0 }
         );
+    }
+
+    #[test]
+    fn both_lookups_return_the_inserted_regions_bits() {
+        let cache = RegionCache::new();
+        for height in [1, 3, 5] {
+            let inserted = region(height);
+            cache.insert(0, height, 0, inserted.clone());
+            assert_eq!(cache.lookup_wire(0, height), Some(inserted.to_wire_bits()));
+            let decoded = cache.lookup(0, height).expect("a current entry hits");
+            assert_eq!(decoded.to_wire_bits(), inserted.to_wire_bits());
+            assert_eq!((decoded.cell(), decoded.config()), (inserted.cell(), inserted.config()));
+        }
+        assert_eq!(cache.lookup_wire(0, 2), None);
+        assert_eq!(cache.stats().hits, 6);
+        assert_eq!(cache.stats().misses, 1);
     }
 
     #[test]

@@ -982,7 +982,7 @@ impl Server {
 
     /// Invalidates the cached bitmaps of every cell `region` touches.
     /// Writers call it after they publish a *public* alarm write, never
-    /// before: `pbsr_region` reads the epoch before it pins a snapshot,
+    /// before: `pbsr_payload` reads the epoch before it pins a snapshot,
     /// so a refresh that raced the publish stamps its bitmap with the
     /// pre-bump epoch and the cache refuses it. Other writes skip it —
     /// the cache holds public views only, and an unfired non-public
@@ -1157,13 +1157,9 @@ impl Server {
                     // cheaper (DESIGN.md S18).
                     let eff = degraded_cap.map_or(height, |cap| height.min(cap.max(1)));
                     let started_ns = self.clock.now_ns();
-                    let region = self.pbsr_region(lane, user, cell, cell_rect, eff, trace);
+                    let bits = self.pbsr_payload(lane, user, cell, eff, height, trace);
                     computed(started_ns);
-                    out.push(Response::BitmapInstall {
-                        seq,
-                        cell: cell_word,
-                        bits: pad_bitmap_wire_bits(&region, height),
-                    });
+                    out.push(Response::BitmapInstall { seq, cell: cell_word, bits });
                 }
             }
             StrategySpec::Opt => {
@@ -1238,20 +1234,23 @@ impl Server {
         })
     }
 
-    /// The PBSR terminal payload for one (user, cell): served from the
-    /// public-bitmap cache when the user's view of the cell equals the
-    /// public view (no personal obstacles, no fired public alarms),
-    /// computed fresh otherwise.
-    fn pbsr_region(
+    /// The PBSR terminal payload for one (user, cell): the region computed
+    /// at height `eff` in the wire layout of `height`, the height the
+    /// client decodes with (`eff` is lower on a degraded admission).
+    /// Served from the public-bitmap cache when the user's view of the
+    /// cell equals the public view (no personal obstacles, no fired
+    /// public alarms), computed fresh otherwise.
+    fn pbsr_payload(
         &self,
         lane: usize,
         user: SubscriberId,
         cell: CellId,
-        cell_rect: Rect,
+        eff: u32,
         height: u32,
         trace: u64,
-    ) -> sa_core::BitmapSafeRegion {
-        let computer = PyramidComputer::new(PyramidConfig::three_by_three(height));
+    ) -> BitVec {
+        let computer = PyramidComputer::new(PyramidConfig::three_by_three(eff));
+        let cell_rect = self.grid.cell_rect(cell);
         let cell_index = self.grid.cell_index(cell);
         // Read *before* the snapshot is pinned: writers publish, then
         // bump, so an epoch read first can be older than the obstacles
@@ -1261,12 +1260,19 @@ impl Server {
         self.with_unfired_obstacles(user, cell_rect, |obstacles, public_view| {
             if !public_view {
                 self.metrics.region_computations.inc();
-                return computer.compute(cell_rect, obstacles);
+                return pad_bitmap_wire_bits(&computer.compute(cell_rect, obstacles), height);
             }
             // The user's obstacle set is exactly the cell's public set:
-            // the cacheable case the paper precomputes offline.
+            // the cacheable case the paper precomputes offline. At the
+            // asked height a hit is the payload as it is; a degraded
+            // admission's coarser bitmap is decoded and padded.
             let lookup_started_ns = self.clock.now_ns();
-            let cached = self.cache.lookup(cell_index, height);
+            let cached = if eff == height {
+                self.cache.lookup_wire(cell_index, height)
+            } else {
+                let coarse = self.cache.lookup(cell_index, eff);
+                coarse.map(|region| pad_bitmap_wire_bits(&region, height))
+            };
             self.metrics
                 .cache_lookup
                 .record_duration(self.clock.elapsed_since(lookup_started_ns));
@@ -1278,13 +1284,14 @@ impl Server {
                 cell_index,
                 u64::from(cached.is_some()),
             );
-            if let Some(region) = cached {
-                return region;
+            if let Some(bits) = cached {
+                return bits;
             }
             self.metrics.region_computations.inc();
             let region = computer.compute(cell_rect, obstacles);
-            self.cache.insert(cell_index, height, epoch, region.clone());
-            region
+            let bits = pad_bitmap_wire_bits(&region, height);
+            self.cache.insert(cell_index, eff, epoch, region);
+            bits
         })
     }
 }
@@ -1388,6 +1395,65 @@ mod tests {
         let native = region(3, &[alarm]);
         assert_eq!(pad_bitmap_wire_bits(&native, 3), native.to_wire_bits());
         assert_eq!(pad_bitmap_wire_bits(&native, 2), native.to_wire_bits());
+    }
+
+    /// A `BitmapInstall` carries, bit for bit, the padded encoding of a
+    /// region computed fresh from the cell's obstacles — whether the
+    /// cache missed, hit, was bumped by a public install, or served a
+    /// degraded admission from its decoded coarse bitmap.
+    #[test]
+    fn pbsr_installs_carry_the_bits_of_a_fresh_computation() {
+        const HEIGHT: u32 = 4;
+        let grid = Grid::new(Rect::new(0.0, 0.0, 10_000.0, 10_000.0).unwrap(), 1_000.0).unwrap();
+        let first = Rect::new(1_200.0, 1_300.0, 1_400.0, 1_450.0).unwrap();
+        let second = Rect::new(1_550.0, 1_100.0, 1_900.0, 1_250.0).unwrap();
+        let public = AlarmScope::Public { owner: SubscriberId(99) };
+        let target = AlarmTarget::Static(first.center());
+        let alarm = SpatialAlarm::new(AlarmId(0), first, target, public);
+        let server = Server::start(grid.clone(), vec![alarm], 30.0, ServerConfig::default());
+        let pos = Point::new(1_700.0, 1_700.0);
+        let cell = grid.cell_of(pos);
+        let fresh = |obstacles: &[Rect], eff: u32| {
+            let computer = PyramidComputer::new(PyramidConfig::three_by_three(eff));
+            pad_bitmap_wire_bits(&computer.compute(grid.cell_rect(cell), obstacles), HEIGHT)
+        };
+        let hello = |user, strategy| {
+            let session = server.open_session();
+            let resps = server.handle(session, Request::Hello { seq: 0, user, strategy });
+            assert_eq!(resps, vec![Response::Ack { seq: 0 }]);
+            session
+        };
+        let session = hello(7, StrategySpec::Pbsr { height: HEIGHT });
+        // A resync always answers with a full region refresh.
+        let (x_fx, y_fx) = (crate::wire::quantize_m(pos.x), crate::wire::quantize_m(pos.y));
+        let resync = Request::Resync { seq: 1, x_fx, y_fx, motion: 0, acked: 0 };
+        let refresh = || match server.handle(session, resync.clone()).pop() {
+            Some(Response::BitmapInstall { bits, .. }) => bits,
+            other => panic!("a PBSR resync must install a bitmap, got {other:?}"),
+        };
+        let hits_and_misses = || (server.cache_stats().hits, server.cache_stats().misses);
+
+        assert_eq!(refresh(), fresh(&[first], HEIGHT), "cache miss");
+        assert_eq!(hits_and_misses(), (0, 1));
+        assert_eq!(refresh(), fresh(&[first], HEIGHT), "cache hit");
+        assert_eq!(hits_and_misses(), (1, 1));
+
+        let admin = hello(99, StrategySpec::Mwpsr);
+        let rect = quantize_rect(second);
+        let install = Request::InstallAlarm { seq: 1, alarm: 1, flags: (99 << 1) | 1, rect };
+        assert_eq!(server.handle(admin, install), vec![Response::Ack { seq: 1 }]);
+        assert_eq!(refresh(), fresh(&[first, second], HEIGHT), "miss after the bump");
+        assert_eq!(refresh(), fresh(&[first, second], HEIGHT), "hit after the bump");
+        assert_eq!(hits_and_misses(), (2, 2));
+        // What `sa-benchmark`'s probe reads back: the inserted region.
+        let cached = server.cache.lookup(grid.cell_index(cell), HEIGHT).expect("a current entry");
+        assert_eq!(cached.to_wire_bits(), fresh(&[first, second], HEIGHT));
+
+        assert!(server.degrade_session(session, 2));
+        assert_eq!(refresh(), fresh(&[first, second], 2), "degraded miss");
+        assert_eq!(refresh(), fresh(&[first, second], 2), "degraded hit");
+        assert_eq!(hits_and_misses(), (4, 3));
+        assert_ne!(fresh(&[first, second], 2), fresh(&[first, second], HEIGHT));
     }
 
     #[test]

@@ -12,9 +12,11 @@
 //!
 //! A second body pins the region-refresh path the same way: a warm
 //! safe-period grant allocates nothing even for a subscriber with fired
-//! history, and what a warm MWPSR or cache-hit PBSR refresh allocates
-//! depends neither on the subscriber's own fired history nor on how
-//! many firings the server holds for everybody else.
+//! history, a warm cache-hit PBSR refresh allocates once (its payload,
+//! copied from the cache's encoded bits), and what a warm MWPSR (9) or
+//! cache-hit PBSR refresh allocates depends neither on the subscriber's
+//! own fired history nor on how many firings the server holds for
+//! everybody else.
 //!
 //! The whole file is ONE `#[test]` on purpose (as in `net_soak.rs`):
 //! the counter is process-wide, and libtest's main thread allocates
@@ -204,6 +206,11 @@ fn refresh_allocations_do_not_depend_on_anyones_fired_history() {
     let measure = |session| refresh_allocations(&server, session, &hops, ROUNDS);
     let quiet = (measure(period_7), measure(mwpsr_7), measure(pbsr_7));
     assert_eq!(quiet.0, 0, "a warm safe-period grant must not allocate");
+    // A cache hit's payload is a copy of the cached wire bits: one
+    // allocation per refresh (it was 19 while a hit cloned the cached
+    // region and re-encoded it).
+    let refreshes = u64::from(ROUNDS) * hops.len() as u64;
+    assert_eq!(quiet.2, refreshes, "a warm PBSR cache hit allocates only its payload");
     assert_eq!(quiet.1, measure(mwpsr_8), "MWPSR refresh: own fired history must cost no allocation");
     assert_eq!(quiet.2, measure(pbsr_8), "PBSR cache hit: own fired history must cost no allocation");
 
