@@ -5,9 +5,13 @@
 //! deterministic harness (virtual clock, chaos plans, batching, the
 //! transcript oracle), then the named federation schedules (partition
 //! handoff during a disconnect window, repartition during a batch
-//! cadence — each run twice for digest determinism). Any violation is
-//! minimized, rendered as a `#[test]` reproducer next to the report,
-//! and turns the exit code nonzero so the CI job fails loudly.
+//! cadence, three partitions under the lossy plan with a mid-run
+//! repartition — each run twice for digest determinism, each required
+//! to fire). Each federation case's merged trace is written next to the
+//! report as `TRACE_<case>.json`, and a failing case's flight bundle as
+//! `FLIGHT_<case>.txt`. Any schedule violation is minimized and rendered
+//! as a `#[test]` reproducer next to the report; any violation turns the
+//! exit code nonzero so the CI job fails loudly.
 //!
 //! Usage: `verify_fuzz [--seeds N] [--schedule-seeds N] [--start S]
 //! [--budget-s SECS] [--out PATH]`

@@ -6,8 +6,9 @@
 //! the crossing, so a regression that silently stops exercising the
 //! path fails loudly). [`run_fed_case`] executes a case **twice** and
 //! demands byte-identical digests plus an exact ground-truth match on
-//! both runs; `verify_fuzz` runs the same cases as its federation
-//! phase.
+//! both runs, and at least one firing: a run that fires nothing shows
+//! only that no spurious alarm fired. `verify_fuzz` runs the same cases
+//! as its federation phase.
 
 use crate::replay::{fed_replay, FedOutcome, FedReplayConfig};
 use sa_server::{FaultPlan, StrategySpec};
@@ -101,7 +102,7 @@ pub fn repartition_during_batch_case() -> FedCase {
             vehicles: 4,
             alarms: 24,
             steps: 48,
-            seed: 0xFED_0002,
+            seed: 0xFED_0004,
             plan: FaultPlan::clean(),
             batch_every: 2,
             repartition_at: Some(24),
@@ -117,9 +118,41 @@ pub fn repartition_during_batch_case() -> FedCase {
     }
 }
 
+/// The acceptance-gate shape: three partitions under the lossy plan
+/// (drops and duplicates on every leg, one disconnect window), vehicles
+/// handing off across boundaries and one mid-run repartition they learn
+/// of only through `WrongOwner` bounces.
+pub fn lossy_repartition_case() -> FedCase {
+    FedCase {
+        name: "lossy-repartition",
+        config: FedReplayConfig {
+            partitions: 3,
+            vehicles: 4,
+            alarms: 42,
+            steps: 96,
+            seed: 0xFED_BEEF,
+            plan: FaultPlan::lossy(0xFED_BEEF),
+            batch_every: 0,
+            repartition_at: Some(48),
+            strategies: vec![
+                StrategySpec::Mwpsr,
+                StrategySpec::Pbsr { height: 5 },
+                StrategySpec::Opt,
+                StrategySpec::SafePeriod,
+            ],
+        },
+        min_handoffs: 1,
+        expect_repartition: true,
+    }
+}
+
 /// The PR-gating federation schedule set.
 pub fn gating_cases() -> Vec<FedCase> {
-    vec![handoff_during_disconnect_case(), repartition_during_batch_case()]
+    vec![
+        handoff_during_disconnect_case(),
+        repartition_during_batch_case(),
+        lossy_repartition_case(),
+    ]
 }
 
 /// Runs `case` twice and checks determinism, exactness and scenario
@@ -177,6 +210,9 @@ fn check(case: &FedCase, first: &FedOutcome, second: &FedOutcome) -> Option<Stri
             first.digest, second.digest
         ));
     }
+    if first.fired.is_empty() {
+        return Some("scenario not exercised: the first run fired no alarm".to_string());
+    }
     if first.handoffs < case.min_handoffs {
         return Some(format!(
             "scenario not exercised: {} handoffs, expected at least {}",
@@ -205,5 +241,25 @@ mod tests {
         let outcome = run_fed_case(&repartition_during_batch_case());
         assert!(outcome.passed(), "{:?}", outcome.failure);
         assert!(outcome.repartitioned, "the mid-run repartition must have moved the cut");
+    }
+
+    #[test]
+    fn lossy_repartition_gates_green() {
+        let outcome = run_fed_case(&lossy_repartition_case());
+        assert!(outcome.passed(), "{:?}", outcome.failure);
+        assert!(outcome.handoffs >= 1 && outcome.repartitioned);
+        assert!(outcome.injected > 0, "the lossy plan must have injected something");
+    }
+
+    /// The batch case as first pinned (seed 0xFED_0002) hands off and
+    /// repartitions but fires nothing; the gate must refuse it.
+    #[test]
+    fn a_case_that_fires_nothing_fails_the_gate() {
+        let mut case = repartition_during_batch_case();
+        case.config.seed = 0xFED_0002;
+        let outcome = run_fed_case(&case);
+        assert!(outcome.verified && outcome.deterministic && outcome.repartitioned);
+        let failure = outcome.failure.expect("a run without a firing must fail");
+        assert!(failure.contains("fired no alarm"), "{failure}");
     }
 }

@@ -33,7 +33,7 @@
 //!   with idempotent, retried `InstallTopology` exchanges.
 //! * [`replay`] / [`fuzz`] — a deterministic federation replay driver
 //!   (virtual clock, seeded chaos on client links, mesh and coordinator
-//!   links, byte-level FNV digest) and the two named gating cases the
+//!   links, byte-level FNV digest) and the three named gating cases the
 //!   `verify_fuzz` PR gate runs.
 //! * [`stats`] — the federated scrape: [`federated_scrape`] renders
 //!   every member's metrics into one Prometheus document with a
@@ -56,8 +56,8 @@ pub mod topology;
 pub use coordinator::Coordinator;
 pub use federation::Federation;
 pub use fuzz::{
-    gating_cases, handoff_during_disconnect_case, repartition_during_batch_case, run_fed_case,
-    FedCase, FedCaseOutcome,
+    gating_cases, handoff_during_disconnect_case, lossy_repartition_case,
+    repartition_during_batch_case, run_fed_case, FedCase, FedCaseOutcome,
 };
 pub use handoff::HandoffChannel;
 pub use replay::{fed_replay, FedOutcome, FedReplayConfig};

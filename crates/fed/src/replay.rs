@@ -86,29 +86,6 @@ pub struct FedReplayConfig {
     pub strategies: Vec<StrategySpec>,
 }
 
-impl FedReplayConfig {
-    /// The acceptance-gate shape: 3 partitions, a lossy plan, one
-    /// mid-run repartition, mixed strategies.
-    pub fn gate(seed: u64) -> FedReplayConfig {
-        FedReplayConfig {
-            partitions: 3,
-            vehicles: 4,
-            alarms: 24,
-            steps: 48,
-            seed,
-            plan: FaultPlan::lossy(seed),
-            batch_every: 0,
-            repartition_at: Some(24),
-            strategies: vec![
-                StrategySpec::Mwpsr,
-                StrategySpec::Pbsr { height: 3 },
-                StrategySpec::Opt,
-                StrategySpec::SafePeriod,
-            ],
-        }
-    }
-}
-
 /// Everything one [`fed_replay`] execution produced.
 #[derive(Debug)]
 pub struct FedOutcome {

@@ -26,20 +26,17 @@
 //! `sa_chaos_injected_total{kind=…}` counters and through the
 //! [`InjectedCounts`] of the [`ChaosControls`] shared with the driver.
 //!
-//! [`chaos_replay_in_proc`] is the end-to-end harness: the one replay
-//! driver ([`crate::replay::drive`]) over resilient clients on faulty
-//! transports under the plan's disconnect windows — the paper's
-//! 100%-accuracy requirement must survive the fault plan.
+//! [`crate::replay::drive`] arms the links and throws the breaker at the
+//! plan's disconnect windows. `sa_verify::run_case` and
+//! `sa_fed::fed_replay` drive resilient clients over these transports on
+//! a virtual clock and diff the firings against the ground truth — the
+//! paper's 100%-accuracy requirement must survive the fault plan.
 
-use crate::client::{ClientStats, ResiliencePolicy};
 use crate::clock::{SharedClock, SystemClock};
-use crate::replay::{conclude, connect_fleet, drive, ReplayConfig, ReplayOutcome};
-use crate::server::Server;
-use crate::transport::{InProcTransport, Transport, TransportError};
+use crate::transport::{Transport, TransportError};
 use crate::wire::{Request, Response};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use sa_obs::{Counter, Registry};
-use sa_sim::SimulationHarness;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -123,18 +120,6 @@ impl FaultPlan {
             up: FaultLeg { drop: 0.0, duplicate: 0.25, delay: 0.0, max_delay: Duration::ZERO },
             down: FaultLeg { drop: 0.0, duplicate: 0.25, delay: 0.0, max_delay: Duration::ZERO },
             ..FaultPlan::default()
-        }
-    }
-
-    /// Looks up a preset by name (`clean`, `lossy`, `partitioned`,
-    /// `duplicating`).
-    pub fn preset(name: &str, seed: u64) -> Option<FaultPlan> {
-        match name {
-            "clean" => Some(FaultPlan::clean()),
-            "lossy" => Some(FaultPlan::lossy(seed)),
-            "partitioned" => Some(FaultPlan::partitioned(seed)),
-            "duplicating" => Some(FaultPlan::duplicating(seed)),
-            _ => None,
         }
     }
 
@@ -353,107 +338,12 @@ impl<T: Transport> Transport for FaultyTransport<T> {
     }
 }
 
-/// Chaos-specific sizing on top of a [`ReplayConfig`].
-#[derive(Debug, Clone, Default)]
-pub struct ChaosConfig {
-    /// Base replay shape (steps, server sizing, strategies).
-    pub replay: ReplayConfig,
-    /// The fault schedule.
-    pub plan: FaultPlan,
-    /// Per-client resilience knobs; `None` uses
-    /// [`ResiliencePolicy::standard`] seeded per client.
-    pub policy: Option<ResiliencePolicy>,
-}
-
-/// A [`ReplayOutcome`] plus the chaos-specific evidence.
-#[derive(Debug)]
-pub struct ChaosOutcome {
-    /// The underlying replay result (fired events, verification,
-    /// per-client and server stats, metric snapshot).
-    pub replay: ReplayOutcome,
-    /// Injected faults by kind.
-    pub injected: Vec<(&'static str, u64)>,
-    /// Total injected faults.
-    pub injected_total: u64,
-    /// Fraction of (client, step) samples processed in degraded mode.
-    pub degraded_fraction: f64,
-    /// Sum of client transient-failure retries.
-    pub retries: u64,
-    /// Sum of client resync exchanges.
-    pub resyncs: u64,
-}
-
-/// Replays `harness`'s trace through resilient clients on
-/// [`FaultyTransport`]-wrapped in-proc connections — the one step loop,
-/// [`drive`], under the plan's disconnect windows — and verifies the
-/// fired sequence against the ground truth.
-///
-/// # Errors
-///
-/// Fails when a client hits a non-transient transport error.
-///
-/// # Panics
-///
-/// Panics when the harness was built with moving-target alarms or no
-/// strategy was configured.
-pub fn chaos_replay_in_proc(
-    harness: &SimulationHarness,
-    cfg: &ChaosConfig,
-) -> Result<ChaosOutcome, TransportError> {
-    let (server, steps) = cfg.replay.start(harness, SystemClock::shared());
-    chaos_replay_on(harness, cfg, &server, steps)
-}
-
-/// [`chaos_replay_in_proc`] on an already started `server`.
-fn chaos_replay_on(
-    harness: &SimulationHarness,
-    cfg: &ChaosConfig,
-    server: &Arc<Server>,
-    steps: u32,
-) -> Result<ChaosOutcome, TransportError> {
-    let vehicles = 0..harness.config().fleet.vehicles as u32;
-    let link = ChaosControls::default();
-
-    let mut clients = connect_fleet(harness, &cfg.replay.strategies, vehicles.clone(), |v| {
-        let inner = InProcTransport::connect(Arc::clone(server));
-        let mut transport =
-            FaultyTransport::new(inner, cfg.plan.clone(), u64::from(v)).sharing(&link);
-        transport.instrument(server.registry());
-        Ok(transport)
-    })?;
-    for (v, client) in clients.iter_mut().enumerate() {
-        let policy =
-            cfg.policy.unwrap_or_else(|| ResiliencePolicy::standard(cfg.plan.seed ^ v as u64));
-        client.enable_resilience(policy);
-        client.instrument(server.registry());
-    }
-
-    let faults = Some((&cfg.plan, &link));
-    let driven = drive(harness, vehicles, steps, faults, None, &mut clients, |_, _, _| Ok(None))?;
-
-    let sum = |field: fn(&ClientStats) -> u64| -> u64 {
-        driven.clients.iter().map(|(_, _, stats)| field(stats)).sum()
-    };
-    let total_samples = u64::from(steps) * clients.len() as u64;
-    let degraded_fraction = sum(|s| s.degraded_steps) as f64 / total_samples.max(1) as f64;
-    let (retries, resyncs) = (sum(|s| s.retries), sum(|s| s.resyncs));
-    Ok(ChaosOutcome {
-        replay: conclude(harness, server, steps, driven),
-        injected: link.counts().by_kind(),
-        injected_total: link.counts().total(),
-        degraded_fraction,
-        retries,
-        resyncs,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::ServerConfig;
+    use crate::server::{Server, ServerConfig};
+    use crate::transport::InProcTransport;
     use crate::wire::StrategySpec;
-    use sa_obs::TraceMode;
-    use sa_sim::SimulationConfig;
     use sa_geometry::{Grid, Rect};
 
     fn tiny_server() -> Arc<Server> {
@@ -531,24 +421,5 @@ mod tests {
         assert!(failures > 0, "10% drop over 300 exchanges must fail sometimes");
         let by_kind = controls.counts().by_kind();
         assert!(by_kind[DROP_UP].1 + by_kind[DROP_DOWN].1 > 0);
-    }
-
-    #[test]
-    fn a_faulted_replay_honours_the_trace_mode() {
-        let harness = SimulationHarness::build(&SimulationConfig::smoke_test());
-        let cfg = ChaosConfig {
-            replay: ReplayConfig {
-                steps: Some(120),
-                trace_mode: TraceMode::Off,
-                ..ReplayConfig::default()
-            },
-            plan: FaultPlan::lossy(5),
-            policy: None,
-        };
-        let (server, steps) = cfg.replay.start(&harness, SystemClock::shared());
-        let outcome = chaos_replay_on(&harness, &cfg, &server, steps).expect("no fatal errors");
-        outcome.replay.assert_accurate();
-        assert!(outcome.injected_total > 0, "the lossy plan must have injected something");
-        assert!(server.spans().is_empty(), "TraceMode::Off must record no span");
     }
 }

@@ -36,8 +36,8 @@
 //! The layering, bottom-up:
 //!
 //! ```text
-//! chaos   ── FaultyTransport decorator; chaos replay = the replay
-//!            driver under a FaultPlan
+//! chaos   ── FaultyTransport decorator + FaultPlan; the replay driver
+//!            arms it, sa-verify / sa-fed replay through it
 //! transcript ─ RecordingTransport decorator: every exchange on every
 //!            link, digested — the determinism gates' witness
 //! replay  ── the one driver: drive (step loop) + BatchDriver (batched
@@ -80,10 +80,7 @@ pub mod transport;
 pub mod wire;
 
 pub use cache::{CacheStats, RegionCache};
-pub use chaos::{
-    chaos_replay_in_proc, ChaosConfig, ChaosControls, ChaosOutcome, FaultLeg, FaultPlan,
-    FaultyTransport, InjectedCounts,
-};
+pub use chaos::{ChaosControls, FaultLeg, FaultPlan, FaultyTransport, InjectedCounts};
 pub use client::{Backoff, Client, ClientStats, ResiliencePolicy};
 pub use clock::{Clock, SharedClock, SystemClock, VirtualClock};
 pub use netfront::{AdmissionConfig, FrameError, FrameReader, WriteQueue};

@@ -14,9 +14,10 @@
 //! and reply checks of a batched step) and [`verify_prefix`]
 //! (ground-truth-prefix diff, a [`FlightBundle`] on divergence).
 //! [`replay`], [`replay_tcp`], [`replay_batched_in_proc`],
-//! [`crate::chaos::chaos_replay_in_proc`], `sa_verify::run_case` and
-//! `sa_fed::fed_replay` supply only a transport factory, a fault plan,
-//! vehicle-range workers or a per-step hook.
+//! `sa_verify::run_case` and `sa_fed::fed_replay` supply only a
+//! transport factory, vehicle-range workers or a per-step hook; the last
+//! two also bring a fault plan and run on a virtual clock, the
+//! workspace's fault-injected replays.
 //!
 //! Only static alarms are replayed (the wire protocol carries no
 //! moving-target coordination); build the harness with
@@ -413,7 +414,7 @@ pub fn verify_prefix(
 }
 
 /// Verifies a single-server run and gathers the server's counters.
-pub(crate) fn conclude(
+fn conclude(
     harness: &SimulationHarness,
     server: &Arc<Server>,
     steps: u32,
@@ -633,6 +634,21 @@ mod tests {
             parent.trim_start().starts_with("update_dispatch "),
             "the trigger must nest under its update's dispatch, not {parent:?}"
         );
+    }
+
+    /// `scaling_curve` and `trace_overhead` price tracing by flipping
+    /// `ReplayConfig::trace_mode`: the mode must reach the server.
+    #[test]
+    fn a_replay_honours_the_trace_mode() {
+        let harness = SimulationHarness::build(&SimulationConfig::smoke_test());
+        let cfg =
+            ReplayConfig { steps: Some(120), trace_mode: TraceMode::Off, ..ReplayConfig::default() };
+        let (server, steps) = cfg.start(&harness, SystemClock::shared());
+        let link = |_| Ok(InProcTransport::connect(Arc::clone(&server)));
+        let outcome = replay(&harness, &cfg, &server, steps, link).expect("in-proc transport");
+        outcome.assert_accurate();
+        assert!(outcome.location_updates() > 0, "the replay must have reached the server");
+        assert!(server.spans().is_empty(), "TraceMode::Off must record no span");
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! A [`RecordingTransport`] wraps any [`Transport`] and appends every
 //! exchange — the encoded request body, and either the encoded response
 //! bodies or the failure kind — to a shared [`Transcript`]. Because the
-//! deterministic harnesses (`sa_verify::run_case`, `sa_fed::fed_replay`)
-//! drive one virtual-clocked run from a single thread, the transcript is
-//! a total order over every byte that crossed any link;
+//! deterministic harnesses (`sa_verify::run_case`, `sa_fed::fed_replay`
+//! — the workspace's fault-injected replays, faulty links recorded like
+//! any other) drive one virtual-clocked run from a single thread, the
+//! transcript is a total order over every byte that crossed any link;
 //! [`Transcript::digest`] folds it into one `u64`, and the determinism
 //! gates assert that the same case always produces the same digest,
 //! byte for byte.

@@ -5,10 +5,10 @@
 //! crossing, and exactly one delivery for the alarm that fired while
 //! the link was down.
 //!
-//! This promotes the reconnect path from in-proc chaos coverage
-//! (`chaos_replay`, where "disconnect" is a decorator flag) to a TCP
-//! integration test where the socket really dies: dials are refused
-//! while the listener is down, and the replacement reactor serves the
+//! This promotes the reconnect path from in-proc fault coverage
+//! (`sa-verify`'s fault presets, where "disconnect" is a decorator flag)
+//! to a TCP integration test where the socket really dies: dials are
+//! refused while the listener is down, and the replacement reactor serves the
 //! same `Server` (sessions were torn down with the connections, the
 //! fired set survived).
 

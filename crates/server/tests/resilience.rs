@@ -1,112 +1,20 @@
-//! End-to-end chaos: the smoke trace replayed through fault-injected
-//! transports and resilient clients must still fire *exactly* the
-//! ground-truth alarm sequence — no losses, no duplicates, no step
-//! drift — while the failure metrics prove faults actually flew.
+//! The client resilience machine and the fault injector, link by link:
+//! retry → degraded → resync → steady on one faulty link, the failure
+//! series on a live scrape, and an empty fault plan as a byte-identical
+//! passthrough. The fault-injected replays of a whole fleet against the
+//! ground truth are `sa-verify`'s (`crates/verify/tests/fault_presets.rs`)
+//! and `sa-fed`'s gating cases.
 
 use proptest::prelude::*;
-use sa_server::chaos::{chaos_replay_in_proc, ChaosConfig, FaultPlan, FaultyTransport};
+use sa_server::chaos::{FaultPlan, FaultyTransport};
 use sa_server::client::{Client, ResiliencePolicy};
-use sa_server::replay::ReplayConfig;
 use sa_server::server::{Server, ServerConfig};
 use sa_server::transport::{InProcTransport, Transport, TransportError};
 use sa_server::wire::{Request, Response, StrategySpec};
 use sa_alarms::SubscriberId;
 use sa_geometry::{Grid, Point, Rect};
-use sa_sim::{SimulationConfig, SimulationHarness};
 use std::sync::Arc;
 use std::time::Duration;
-
-fn smoke() -> SimulationHarness {
-    SimulationHarness::build(&SimulationConfig::smoke_test())
-}
-
-fn chaos_cfg(plan: FaultPlan) -> ChaosConfig {
-    ChaosConfig { replay: ReplayConfig::default(), plan, policy: None }
-}
-
-/// The PR's acceptance gate: ≥10% drops on both legs plus one
-/// 5-second disconnect window, exact ground truth, nonzero fault and
-/// retry counters on the metrics scrape.
-#[test]
-fn lossy_chaos_replay_fires_exactly_the_ground_truth_sequence() {
-    let harness = smoke();
-    let plan = FaultPlan::lossy(0xC0FFEE);
-    assert!(plan.up.drop >= 0.10 && plan.down.drop >= 0.10);
-    let window: u32 = plan.disconnect_steps.iter().map(|w| w.end - w.start).sum();
-    let dt = harness.config().sample_period_s;
-    assert!(window as f64 * dt >= 5.0, "the preset must cut the link for at least 5 s");
-
-    let outcome = chaos_replay_in_proc(&harness, &chaos_cfg(plan)).expect("no fatal errors");
-    outcome.replay.assert_accurate();
-
-    assert!(outcome.injected_total > 0, "the lossy plan must have injected something");
-    assert!(outcome.retries > 0, "drops must have forced retries");
-    assert!(outcome.resyncs > 0, "retries go over the wire as resyncs");
-    assert!(outcome.degraded_fraction > 0.0, "the window must have degraded someone");
-    assert!(outcome.degraded_fraction < 0.5, "degradation must stay the exception");
-
-    // The same evidence must be visible the way an operator sees it:
-    // on the metrics scrape (the snapshot is exactly what a live
-    // `Request::Stats` renders).
-    let m = &outcome.replay.metrics;
-    let injected: u64 = ["drop_up", "drop_down", "dup_up", "dup_down", "disconnect"]
-        .iter()
-        .filter_map(|kind| m.counter("sa_chaos_injected_total", &[("kind", kind)]))
-        .sum();
-    assert!(injected > 0, "sa_chaos_injected_total must be scrapeable and nonzero");
-    assert!(
-        m.counter("sa_client_retries_total", &[]).unwrap_or(0) > 0,
-        "sa_client_retries_total must be scrapeable and nonzero"
-    );
-    assert!(m.counter("sa_server_resyncs_total", &[]).unwrap_or(0) > 0);
-    let text = sa_obs::render_snapshot(m);
-    assert!(text.contains("sa_chaos_injected_total"));
-    assert!(text.contains("sa_client_retries_total"));
-    assert!(text.contains("sa_client_degraded_seconds"));
-}
-
-/// Pure partitions (no probabilistic faults): degraded mode plus
-/// resync alone must preserve exactness across two long windows.
-#[test]
-fn partitioned_chaos_replay_is_exact() {
-    let harness = smoke();
-    let outcome =
-        chaos_replay_in_proc(&harness, &chaos_cfg(FaultPlan::partitioned(7))).expect("no fatal");
-    outcome.replay.assert_accurate();
-    assert!(outcome.degraded_fraction > 0.0);
-    let buffered: u64 =
-        outcome.replay.clients.iter().map(|(_, _, s)| s.buffered_samples).sum();
-    assert!(buffered > 0, "long windows must have buffered crossings");
-}
-
-/// Heavy duplication on both legs: server idempotency and the client
-/// delivery dedup gate must absorb every duplicate.
-#[test]
-fn duplicating_chaos_replay_is_exact() {
-    let harness = smoke();
-    let outcome =
-        chaos_replay_in_proc(&harness, &chaos_cfg(FaultPlan::duplicating(11))).expect("no fatal");
-    outcome.replay.assert_accurate();
-    assert!(outcome.injected_total > 0, "25% duplication must have triggered");
-}
-
-/// The same seed must reproduce the same chaos run bit for bit — the
-/// whole point of deterministic injection.
-#[test]
-fn chaos_replays_are_reproducible() {
-    let harness = smoke();
-    let cfg = ChaosConfig {
-        replay: ReplayConfig { steps: Some(120), ..ReplayConfig::default() },
-        plan: FaultPlan::lossy(1234),
-        policy: None,
-    };
-    let a = chaos_replay_in_proc(&harness, &cfg).expect("no fatal");
-    let b = chaos_replay_in_proc(&harness, &cfg).expect("no fatal");
-    a.replay.assert_accurate();
-    b.replay.assert_accurate();
-    assert_eq!(a.injected, b.injected, "same seed, same injections");
-    assert_eq!(a.retries, b.retries);
-}
 
 /// Walks the client resilience machine through its edges one by one:
 /// steady → (breaker thrown, retries exhaust) → degraded → (breaker

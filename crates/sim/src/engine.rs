@@ -107,8 +107,7 @@ impl SimulationHarness {
             v_max,
             moving,
         };
-        let events = harness.replay(|_, _| {}, true);
-        harness.ground_truth = GroundTruth::new(events.1);
+        harness.ground_truth = GroundTruth::new(harness.replay());
         harness
     }
 
@@ -195,10 +194,6 @@ impl SimulationHarness {
 
     /// The grid overlay.
     pub fn grid(&self) -> &Grid {
-        self.grid_ref()
-    }
-
-    fn grid_ref(&self) -> &Grid {
         &self.grid
     }
 
@@ -319,13 +314,8 @@ impl SimulationHarness {
     }
 
     /// Ground-truth replay: evaluates every sample directly against the
-    /// index (strict trigger semantics), recording first firings. The
-    /// callback sees every sample (unused by default).
-    fn replay(
-        &self,
-        mut _observe: impl FnMut(u32, &sa_roadnet::TraceSample),
-        _parallel: bool,
-    ) -> ((), Vec<FiredEvent>) {
+    /// index (strict trigger semantics), recording first firings.
+    fn replay(&self) -> Vec<FiredEvent> {
         let shards = self.shard_ranges();
         let results: Vec<Vec<FiredEvent>> = std::thread::scope(|scope| {
             let handles: Vec<_> = shards
@@ -373,7 +363,7 @@ impl SimulationHarness {
                 .collect();
             handles.into_iter().map(|h| h.join().expect("shard panicked")).collect()
         });
-        ((), results.into_iter().flatten().collect())
+        results.into_iter().flatten().collect()
     }
 
     /// Splits the fleet into one contiguous id range per worker thread.

@@ -151,23 +151,6 @@ impl<'a> ServerCtx<'a> {
         (public, personal)
     }
 
-    /// Gathers `(id, region)` pairs of relevant, unfired alarms
-    /// intersecting `area`.
-    pub fn unfired_alarm_set_in(
-        &mut self,
-        user: SubscriberId,
-        area: Rect,
-    ) -> Vec<(AlarmId, Rect)> {
-        let (alarms, stats) = self.index.relevant_intersecting_with_stats(user, area);
-        self.metrics.server.region_query_nodes += stats.nodes_visited as u64;
-        self.metrics.server.region_query_entries += stats.entries_tested as u64;
-        alarms
-            .into_iter()
-            .filter(|a| !self.already_fired(user, a.id()))
-            .map(|a| (a.id(), a.region()))
-            .collect()
-    }
-
     /// Gathers `(id, region, relevant)` for **every** alarm intersecting
     /// `area` that has not fired for `user` — the OPT payload: "the client
     /// is fully aware of all alarms in its vicinity" (§4). This is what

@@ -18,11 +18,12 @@
 
 use crate::oracle::check_transcript;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
+use sa_alarms::SubscriberId;
 use sa_server::transcript::{RecordingTransport, SharedTranscript, Transcript, DRIVER_TAG};
 use sa_server::{
-    connect_fleet, drive, verify_prefix, BatchDriver, ChaosControls, Client, FaultLeg, FaultPlan,
-    FaultyTransport, InProcTransport, ReplayConfig, ResiliencePolicy, SharedClock, StrategySpec,
-    TraceMode, TransportError, VirtualClock,
+    connect_fleet, drive, verify_prefix, BatchDriver, ChaosControls, Client, ClientStats, FaultLeg,
+    FaultPlan, FaultyTransport, InProcTransport, ReplayConfig, ResiliencePolicy, SharedClock,
+    StrategySpec, TraceMode, TransportError, VirtualClock,
 };
 use sa_sim::{FiredEvent, SimulationConfig, SimulationHarness};
 use std::sync::{Arc, Mutex};
@@ -117,6 +118,9 @@ pub struct CaseOutcome {
     pub oracle: Result<(), String>,
     /// Total faults the chaos layer injected.
     pub injected_total: u64,
+    /// Per-client `(subscriber, strategy, counters)`: the retries,
+    /// resyncs, degraded steps and buffered samples the faults forced.
+    pub clients: Vec<(SubscriberId, StrategySpec, ClientStats)>,
     /// Steps actually driven.
     pub steps: u32,
 }
@@ -219,6 +223,7 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseOutcome, TransportError> {
         verification,
         oracle,
         injected_total: link.counts().total(),
+        clients: driven.clients,
         steps,
     })
 }
