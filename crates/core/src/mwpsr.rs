@@ -166,7 +166,14 @@ impl MwpsrComputer {
     /// each bound keeps the exact absolute coordinate it came from
     /// (obstacle or domain edge) so the final rectangle touches — never
     /// crosses — its constraints despite floating-point rounding.
+    ///
+    /// The uniform density weighs every direction alike, so it reads no
+    /// heading: otherwise float noise in the quadrant order and the sector
+    /// masses breaks perimeter ties differently per heading, and a client
+    /// whose heading crossed the wire in 16 bits would get another
+    /// rectangle than the same client with its exact heading.
     fn assemble(&self, user: Point, heading: f64, domain: Rect, corners: &[Vec<Corner>; 4]) -> Rect {
+        let heading = if self.pdf.is_uniform() { 0.0 } else { heading };
         let mut ext = [
             Bound { dist: domain.max_x() - user.x, abs: domain.max_x() },
             Bound { dist: domain.max_y() - user.y, abs: domain.max_y() },
@@ -580,6 +587,26 @@ mod tests {
         let p = c.weighted_perimeter([3.0, 4.0, 2.0, 1.0], 0.7);
         let expected = 2.0 * ((3.0 + 2.0) + (4.0 + 1.0));
         assert!((p - expected).abs() < 1e-9, "{p} vs {expected}");
+    }
+
+    #[test]
+    fn non_weighted_region_ignores_the_heading() {
+        // The wire's 16-bit heading, as `sa_server::wire`'s `pack_motion`
+        // / `unpack_motion` round trip leaves it.
+        let wire = |h: f64| {
+            (h.rem_euclid(FULL_TURN) / FULL_TURN * 65_535.0).round() / 65_535.0 * FULL_TURN
+        };
+        let c = MwpsrComputer::non_weighted();
+        let user = Point::new(382.0, 610.0);
+        let obstacles = [r(505.0, 657.0, 580.0, 716.0), r(784.0, 346.0, 834.0, 376.0)];
+        let north = c.compute(user, 0.0, cell(), &obstacles).rect();
+        for degrees in [0.0, 45.0, 90.0, 258.0, 300.0] {
+            let h = degrees * FULL_TURN / 360.0;
+            for heading in [h, wire(h)] {
+                let rect = c.compute(user, heading, cell(), &obstacles).rect();
+                assert_eq!(rect, north, "{degrees}°");
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Client-side strategy mirrors and the link-resilience state machine.
 //!
 //! Each [`Client`] owns one transport connection and reproduces the
-//! client half of a `sa-sim` strategy over the wire protocol:
+//! client half of a `sa-sim` strategy over the wire protocol, deciding
+//! with the simulator's own rules ([`sa_sim::Held`]):
 //!
 //! * **MWPSR** — silent while inside the installed rectangle, uplink on
 //!   exit, install the rectangle the server answers with.
@@ -62,10 +63,10 @@ use crate::wire::{
 };
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use sa_alarms::{AlarmId, SubscriberId};
-use sa_core::{BitmapSafeRegion, PyramidConfig, SafeRegion as _};
-use sa_geometry::{CellId, Grid, Point, Rect};
+use sa_core::BitmapSafeRegion;
+use sa_geometry::{CellId, Grid, Point};
 use sa_obs::{Counter, Histogram, Registry};
-use sa_sim::{silent_steps, FiredEvent};
+use sa_sim::{pbsr_pyramid, silent_steps, FiredEvent, Held, OptAlarm};
 use std::collections::{HashSet, VecDeque};
 use std::time::Duration;
 
@@ -242,22 +243,6 @@ pub struct ClientStats {
     pub redirects: u64,
 }
 
-/// An alarm the server pushed for local monitoring (OPT).
-#[derive(Debug, Clone, Copy)]
-struct LocalAlarm {
-    id: AlarmId,
-    relevant: bool,
-    rect: Rect,
-}
-
-#[derive(Debug)]
-enum State {
-    Rect { region: Option<Rect> },
-    Bitmap { region: Option<BitmapSafeRegion> },
-    Opt { last_cell: Option<CellId>, alarms: Vec<LocalAlarm> },
-    SafePeriod { until: u32 },
-}
-
 /// Context of an uplink staged by [`Client::poll_update`], consumed when
 /// [`Client::complete_update`] absorbs the batch round trip.
 #[derive(Debug, Clone, Copy)]
@@ -275,7 +260,9 @@ pub struct Client<T: Transport> {
     /// Simulation step length in seconds (converts safe periods to
     /// silent steps exactly like the simulator).
     dt: f64,
-    state: State,
+    /// What the last server answer left the client to monitor; `None`
+    /// before the first one.
+    held: Option<Held>,
     seq: u32,
     fired: Vec<FiredEvent>,
     /// Alarm ids already recorded as fired (delivered or local) — the
@@ -317,19 +304,13 @@ impl<T: Transport> Client<T> {
         if !matches!(resps.as_slice(), [Response::Ack { .. }]) {
             return Err(TransportError::Protocol("hello was not acknowledged"));
         }
-        let state = match strategy {
-            StrategySpec::Mwpsr => State::Rect { region: None },
-            StrategySpec::Pbsr { .. } => State::Bitmap { region: None },
-            StrategySpec::Opt => State::Opt { last_cell: None, alarms: Vec::new() },
-            StrategySpec::SafePeriod => State::SafePeriod { until: 0 },
-        };
         Ok(Client {
             transport,
             user,
             strategy,
             grid,
             dt,
-            state,
+            held: None,
             seq: 0,
             fired: Vec::new(),
             fired_alarms: HashSet::new(),
@@ -494,11 +475,8 @@ impl<T: Transport> Client<T> {
         );
         let cell = self.grid.cell_of(pos);
         if !self.uplink_needed(step, pos, cell) {
-            for id in self.local_opt_fires(pos) {
-                if self.record_fire(id.0 as u32, step) {
-                    self.stats.client_fires += 1;
-                }
-                if !self.resilient_notify(id.0 as u32)? {
+            for alarm in self.local_opt_fires(step, pos) {
+                if !self.resilient_notify(alarm)? {
                     return Err(TransportError::Protocol("notify failed on the batch path"));
                 }
                 self.stats.notifies += 1;
@@ -562,20 +540,14 @@ impl<T: Transport> Client<T> {
         let cell = self.grid.cell_of(pos);
         if !self.uplink_needed(step, pos, cell) {
             // OPT monitors its pushed set locally between cell changes.
-            let locally_fired = self.local_opt_fires(pos);
-            for (i, id) in locally_fired.iter().enumerate() {
-                if self.record_fire(id.0 as u32, step) {
-                    self.stats.client_fires += 1;
-                }
-                match self.resilient_notify(id.0 as u32)? {
+            let locally_fired = self.local_opt_fires(step, pos);
+            for (i, &alarm) in locally_fired.iter().enumerate() {
+                match self.resilient_notify(alarm)? {
                     true => self.stats.notifies += 1,
                     false => {
                         // Link is down: buffer this notify and the rest.
-                        for later in &locally_fired[i..] {
-                            if self.record_fire(later.0 as u32, step) {
-                                self.stats.client_fires += 1;
-                            }
-                            self.buffer(PendingOp::Notify { alarm: later.0 as u32 });
+                        for &later in &locally_fired[i..] {
+                            self.buffer(PendingOp::Notify { alarm: later });
                         }
                         self.go_degraded();
                         return Ok(());
@@ -603,11 +575,8 @@ impl<T: Transport> Client<T> {
                 // alarm entered right now would otherwise be detected a
                 // step late. The buffered replay re-fires it server-side
                 // at this same step, so the records agree.
-                for id in self.local_opt_fires(pos) {
-                    if self.record_fire(id.0 as u32, step) {
-                        self.stats.client_fires += 1;
-                    }
-                    self.buffer(PendingOp::Notify { alarm: id.0 as u32 });
+                for alarm in self.local_opt_fires(step, pos) {
+                    self.buffer(PendingOp::Notify { alarm });
                 }
                 Ok(())
             }
@@ -631,47 +600,26 @@ impl<T: Transport> Client<T> {
         // record a boundary-spanning alarm one step late. The buffered
         // replay re-fires it server-side at this same step, so the
         // records agree (deliveries dedup).
-        for id in self.local_opt_fires(pos) {
-            if self.record_fire(id.0 as u32, step) {
-                self.stats.client_fires += 1;
-            }
-            self.buffer(PendingOp::Notify { alarm: id.0 as u32 });
+        for alarm in self.local_opt_fires(step, pos) {
+            self.buffer(PendingOp::Notify { alarm });
         }
     }
 
-    /// Whether the current strategy state demands server contact for
-    /// this sample.
+    /// Whether this sample must reach the server ([`Held::must_uplink`]).
     fn uplink_needed(&self, step: u32, pos: Point, cell: CellId) -> bool {
-        match &self.state {
-            State::Rect { region } => !region.is_some_and(|r| r.contains_point(pos)),
-            State::Bitmap { region } => !region.as_ref().is_some_and(|r| r.contains(pos)),
-            State::Opt { last_cell, .. } => *last_cell != Some(cell),
-            State::SafePeriod { until } => step >= *until,
-        }
+        self.held.as_ref().is_none_or(|held| held.must_uplink(step, pos, cell))
     }
 
-    /// OPT local containment pass: removes spatially satisfied alarms
-    /// from the pushed set and returns the relevant hits.
-    fn local_opt_fires(&mut self, pos: Point) -> Vec<AlarmId> {
-        match &mut self.state {
-            State::Opt { alarms, .. } => {
-                let mut hits = Vec::new();
-                alarms.retain(|a| {
-                    if a.rect.contains_point_strict(pos) {
-                        // A spatially satisfied alarm leaves the set
-                        // whether or not it concerns this user.
-                        if a.relevant {
-                            hits.push(a.id);
-                        }
-                        false
-                    } else {
-                        true
-                    }
-                });
-                hits
-            }
-            _ => Vec::new(),
+    /// OPT's local check of the pushed set ([`Held::opt_check`]): records
+    /// the firings of the sample at `step` and returns their alarms, to
+    /// notify.
+    fn local_opt_fires(&mut self, step: u32, pos: Point) -> Vec<u32> {
+        let fired = self.held.as_mut().map_or_else(Vec::new, |held| held.opt_check(pos));
+        let alarms: Vec<u32> = fired.iter().map(|id| id.0 as u32).collect();
+        for &alarm in &alarms {
+            self.stats.client_fires += u64::from(self.record_fire(alarm, step));
         }
+        alarms
     }
 
     /// Records one firing unless the alarm already fired for this
@@ -940,7 +888,7 @@ impl<T: Transport> Client<T> {
             Response::RectInstall { rect, .. } => {
                 let region = dequantize_rect(rect)
                     .map_err(|_| TransportError::Protocol("degenerate safe-region rectangle"))?;
-                self.state = State::Rect { region: Some(region) };
+                self.held = Some(Held::Rect(region));
                 self.stats.region_installs += 1;
             }
             Response::BitmapInstall { cell: cell_word, bits, .. } => {
@@ -948,30 +896,27 @@ impl<T: Transport> Client<T> {
                     return Err(TransportError::Protocol("bitmap install for a non-PBSR client"));
                 };
                 let cell_rect = self.grid.cell_rect(self.cell_from_index(cell_word)?);
-                let region = BitmapSafeRegion::from_wire_bits(
-                    cell_rect,
-                    PyramidConfig::three_by_three(height),
-                    &bits,
-                )
-                .map_err(|_| TransportError::Protocol("malformed bitmap install"))?;
-                self.state = State::Bitmap { region: Some(region) };
+                let config = pbsr_pyramid(height);
+                let region = BitmapSafeRegion::from_wire_bits(cell_rect, config, &bits)
+                    .map_err(|_| TransportError::Protocol("malformed bitmap install"))?;
+                self.held = Some(Held::Bitmap(region));
                 self.stats.region_installs += 1;
             }
             Response::AlarmPush { alarms, .. } => {
                 let set = alarms
                     .iter()
                     .map(|a: &PushedAlarm| {
-                        let rect = dequantize_rect(a.rect)
+                        let region = dequantize_rect(a.rect)
                             .map_err(|_| TransportError::Protocol("degenerate pushed alarm"))?;
-                        Ok(LocalAlarm { id: AlarmId(a.alarm as u64), relevant: a.relevant, rect })
+                        Ok(OptAlarm { id: AlarmId(a.alarm as u64), region, relevant: a.relevant })
                     })
                     .collect::<Result<Vec<_>, TransportError>>()?;
-                self.state = State::Opt { last_cell: Some(cell), alarms: set };
+                self.held = Some(Held::Alarms { cell, alarms: set });
                 self.stats.alarm_pushes += 1;
             }
             Response::SafePeriodGrant { period_ms } => {
                 let silent = silent_steps(f64::from(period_ms) / 1_000.0, self.dt);
-                self.state = State::SafePeriod { until: step + silent };
+                self.held = Some(Held::SilentUntil(step + silent));
                 self.stats.grants += 1;
             }
             Response::Ack { .. } => {

@@ -32,22 +32,25 @@ use sa_alarms::{
     AlarmId, AlarmScope, AlarmSnapshot, AlarmTarget, SnapshotCache, SpatialAlarm, SubscriberId,
     VersionedAlarmIndex,
 };
-use sa_core::{BitVec, MwpsrComputer, PyramidComputer, PyramidConfig};
+use sa_core::{BitVec, PyramidComputer};
 use sa_geometry::{CellId, Grid, Point, Rect};
 use sa_obs::{
     client_root_span, dispatch_span, trace_id_for, Counter, Exemplars, Histogram, Registry, Span,
     SpanKind, SpanRecorder, TimeSource, TraceCtx, TraceMode,
 };
-use sa_sim::safe_period_s;
+use sa_sim::{
+    fires, is_obstacle, opt_entry, pbsr_pyramid, pbsr_refresh, region_cell, safe_period_s,
+    server_mwpsr,
+};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 thread_local! {
-    /// Per-thread scratch for the trigger check's hit list, reused
-    /// across updates so the steady-state case (no triggering alarms)
-    /// never touches the heap.
+    /// Per-thread scratch for the trigger check's newly fired alarms,
+    /// reused across updates so the steady-state case (no triggering
+    /// alarms) never touches the heap.
     static TRIGGER_SCRATCH: RefCell<Vec<AlarmId>> = const { RefCell::new(Vec::new()) };
     /// Per-thread copy of the refreshing subscriber's fired ids (sorted):
     /// the fired table's stripe lock is dropped before any compute runs.
@@ -994,13 +997,18 @@ impl Server {
         }
     }
 
-    /// Runs `f` on a per-thread copy of the subscriber's fired alarm ids
-    /// (sorted) — no table lock is held while `f` computes.
-    fn with_fired<R>(&self, user: SubscriberId, f: impl FnOnce(&[AlarmId]) -> R) -> R {
+    /// Runs `f` on the pinned alarm snapshot and on a per-thread copy of
+    /// the subscriber's fired alarm ids (sorted), taken first — no table
+    /// lock is held while `f` computes.
+    fn with_fired<R>(
+        &self,
+        user: SubscriberId,
+        f: impl FnOnce(&AlarmSnapshot, &[AlarmId]) -> R,
+    ) -> R {
         FIRED_SCRATCH.with(|scratch| {
             let mut fired = scratch.borrow_mut();
             self.fired.copy_into(user, &mut fired);
-            f(&fired)
+            self.with_global_snapshot(|snap| f(snap, &fired))
         })
     }
 
@@ -1050,8 +1058,7 @@ impl Server {
 
         let pos = self.clamped_position(x_fx, y_fx);
         let (heading, _speed) = unpack_motion(motion);
-        let cell = self.grid.cell_of(pos);
-        let cell_rect = self.grid.cell_rect(cell);
+        let (cell, cell_rect) = region_cell(&self.grid, pos);
         let cell_word = self.grid.cell_index(cell) as u32;
         self.cell_updates[cell_word as usize].inc();
 
@@ -1084,39 +1091,33 @@ impl Server {
             );
         }
 
-        // Server-side trigger check. Hits land in a per-thread scratch
+        // Server-side trigger check. Firings land in a per-thread scratch
         // buffer, so the steady-state case (no triggering alarms) queries
         // the pinned snapshot lock-free, finds nothing, and never
         // allocates — and the fired table is not touched at all.
         let fired_now = TRIGGER_SCRATCH.with(|scratch| {
-            let mut triggering = scratch.borrow_mut();
-            triggering.clear();
+            let mut newly_fired = scratch.borrow_mut();
+            newly_fired.clear();
             self.with_global_snapshot(|snap| {
                 snap.relevant_at_visit(user, pos, |a| {
-                    if a.triggers_at(pos) {
-                        triggering.push(a.id());
+                    if fires(a, user, pos, |id| self.fired.insert(user, id)) {
+                        newly_fired.push(a.id());
                     }
                 });
             });
-            if triggering.is_empty() {
-                return false;
-            }
-            let mut newly_fired = Vec::new();
-            for &id in triggering.iter() {
-                if self.fired.insert(user, id) {
-                    self.metrics.triggers.inc();
-                    let now_ns = self.clock.now_ns();
-                    self.worker_span(lane, trace, SpanKind::Trigger, now_ns, u64::from(user.0), id.0);
-                    newly_fired.push(id.0 as u32);
-                }
-            }
             if newly_fired.is_empty() {
                 return false;
             }
+            let now_ns = self.clock.now_ns();
+            for id in newly_fired.iter() {
+                self.metrics.triggers.inc();
+                self.worker_span(lane, trace, SpanKind::Trigger, now_ns, u64::from(user.0), id.0);
+            }
             // First-time firings join the session's delivery log so a
             // later resync can recover them if this response is lost.
-            self.sessions.with_mut(session, |s| s.delivery_log.extend_from_slice(&newly_fired));
-            out.extend(newly_fired.iter().map(|&alarm| Response::TriggerDelivery { seq, alarm }));
+            let alarms = newly_fired.iter().map(|id| id.0 as u32);
+            self.sessions.with_mut(session, |s| s.delivery_log.extend(alarms.clone()));
+            out.extend(alarms.map(|alarm| Response::TriggerDelivery { seq, alarm }));
             true
         });
 
@@ -1132,7 +1133,7 @@ impl Server {
                 self.metrics.region_computations.inc();
                 let (started_ns, region) =
                     self.with_unfired_obstacles(user, cell_rect, |obstacles, _| {
-                        let mwpsr = MwpsrComputer::non_weighted();
+                        let mwpsr = server_mwpsr();
                         (self.clock.now_ns(), mwpsr.compute(pos, heading, cell_rect, obstacles))
                     });
                 computed(started_ns);
@@ -1147,7 +1148,7 @@ impl Server {
                 // §4.2: inside the base cell the region is only refreshed
                 // when an alarm actually fired (the quick update); plain
                 // blocked-subcell reports get a bare acknowledgement.
-                if prev == Some(cell) && !fired_now {
+                if !pbsr_refresh(prev, cell, fired_now) {
                     out.push(Response::Ack { seq });
                 } else {
                     // A degraded admission computes the pyramid at a
@@ -1166,17 +1167,16 @@ impl Server {
                 let started_ns = self.clock.now_ns();
                 self.metrics.region_computations.inc();
                 let mut alarms = Vec::new();
-                self.with_fired(user, |fired| {
-                    self.with_global_snapshot(|s| {
-                        s.all_intersecting_visit(cell_rect, |a| {
-                            if fired.binary_search(&a.id()).is_err() {
-                                alarms.push(crate::wire::PushedAlarm {
-                                    alarm: a.id().0 as u32,
-                                    relevant: a.is_relevant_to(user),
-                                    rect: quantize_rect(a.region()),
-                                });
-                            }
-                        });
+                self.with_fired(user, |s, fired| {
+                    let has_fired = |id: AlarmId| fired.binary_search(&id).is_ok();
+                    s.all_intersecting_visit(cell_rect, |a| {
+                        if let Some(entry) = opt_entry(a, user, has_fired) {
+                            alarms.push(crate::wire::PushedAlarm {
+                                alarm: entry.id.0 as u32,
+                                relevant: entry.relevant,
+                                rect: quantize_rect(entry.region),
+                            });
+                        }
                     });
                 });
                 computed(started_ns);
@@ -1185,11 +1185,9 @@ impl Server {
             StrategySpec::SafePeriod => {
                 self.metrics.region_computations.inc();
                 let started_ns = self.clock.now_ns();
-                let nearest = self.with_fired(user, |fired| {
+                let nearest = self.with_fired(user, |g, fired| {
                     let unfired = |id: AlarmId| fired.binary_search(&id).is_err();
-                    self.with_global_snapshot(|g| {
-                        g.nearest_relevant_distance_unmetered(user, pos, unfired)
-                    })
+                    g.nearest_relevant_distance_unmetered(user, pos, unfired)
                 });
                 let period_s = safe_period_s(nearest, self.grid.universe(), self.v_max);
                 computed(started_ns);
@@ -1216,18 +1214,15 @@ impl Server {
             let mut obstacles = scratch.borrow_mut();
             obstacles.clear();
             let mut public_view = true;
-            self.with_fired(user, |fired| {
-                self.with_global_snapshot(|s| {
-                    s.all_intersecting_visit(cell_rect, |a| {
-                        if !a.is_relevant_to(user) {
-                            return;
-                        }
-                        let unfired = fired.binary_search(&a.id()).is_err();
-                        if unfired {
-                            obstacles.push(a.region());
-                        }
-                        public_view &= unfired == a.is_public();
-                    });
+            self.with_fired(user, |s, fired| {
+                let has_fired = |id: AlarmId| fired.binary_search(&id).is_ok();
+                s.all_intersecting_visit(cell_rect, |a| {
+                    let obstacle = is_obstacle(a, user, has_fired);
+                    if obstacle {
+                        obstacles.push(a.region());
+                    }
+                    // An alarm irrelevant to the user is never public.
+                    public_view &= obstacle == a.is_public();
                 });
             });
             f(&obstacles, public_view)
@@ -1249,7 +1244,7 @@ impl Server {
         height: u32,
         trace: u64,
     ) -> BitVec {
-        let computer = PyramidComputer::new(PyramidConfig::three_by_three(eff));
+        let computer = PyramidComputer::new(pbsr_pyramid(eff));
         let cell_rect = self.grid.cell_rect(cell);
         let cell_index = self.grid.cell_index(cell);
         // Read *before* the snapshot is pinned: writers publish, then
@@ -1355,7 +1350,7 @@ mod tests {
 
     fn region(height: u32, alarms: &[Rect]) -> BitmapSafeRegion {
         let cell = Rect::new(0.0, 0.0, 9.0, 9.0).unwrap();
-        PyramidComputer::new(PyramidConfig::three_by_three(height)).compute(cell, alarms)
+        PyramidComputer::new(pbsr_pyramid(height)).compute(cell, alarms)
     }
 
     #[test]
@@ -1366,7 +1361,7 @@ mod tests {
         let bits = pad_bitmap_wire_bits(&coarse, 5);
         let decoded = BitmapSafeRegion::from_wire_bits(
             cell,
-            PyramidConfig::three_by_three(5),
+            pbsr_pyramid(5),
             &bits,
         )
         .expect("padded bits must decode at the requested height");
@@ -1414,7 +1409,7 @@ mod tests {
         let pos = Point::new(1_700.0, 1_700.0);
         let cell = grid.cell_of(pos);
         let fresh = |obstacles: &[Rect], eff: u32| {
-            let computer = PyramidComputer::new(PyramidConfig::three_by_three(eff));
+            let computer = PyramidComputer::new(pbsr_pyramid(eff));
             pad_bitmap_wire_bits(&computer.compute(grid.cell_rect(cell), obstacles), HEIGHT)
         };
         let hello = |user, strategy| {
@@ -1464,7 +1459,7 @@ mod tests {
         let bits = pad_bitmap_wire_bits(&free, 6);
         assert_eq!(bits, free.to_wire_bits());
         let cell = Rect::new(0.0, 0.0, 9.0, 9.0).unwrap();
-        let decoded = BitmapSafeRegion::from_wire_bits(cell, PyramidConfig::three_by_three(6), &bits)
+        let decoded = BitmapSafeRegion::from_wire_bits(cell, pbsr_pyramid(6), &bits)
             .expect("root-free bits are height-independent");
         assert!(decoded.is_whole_cell_free());
     }

@@ -2,7 +2,7 @@ use crate::{
     EnergyModel, FiredEvent, GroundTruth, Metrics, ServerCostModel, ServerCtx, SimulationConfig,
     StrategyKind,
 };
-use sa_alarms::{AlarmIndex, AlarmWorkload, SubscriberId};
+use sa_alarms::{AlarmId, AlarmIndex, AlarmWorkload, SubscriberId};
 use sa_geometry::Grid;
 use sa_roadnet::{generate_network, Fleet, RoadClass, RoadNetwork};
 
@@ -122,7 +122,7 @@ impl SimulationHarness {
     ) -> crate::MovingAlarmTable {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
-        use sa_alarms::{AlarmId, AlarmScope, AlarmTarget, SpatialAlarm};
+        use sa_alarms::{AlarmScope, AlarmTarget, SpatialAlarm};
 
         let mut rng = SmallRng::seed_from_u64(config.workload.seed ^ 0x4D56_414C);
         let vehicles = config.fleet.vehicles as u32;
@@ -242,8 +242,7 @@ impl SimulationHarness {
     /// totals after the per-user runs (the per-user strategies only
     /// unicast personal overlays).
     fn charge_public_broadcast(&self, metrics: &mut Metrics, height: u32) {
-        use sa_core::{PyramidComputer, PyramidConfig};
-        let computer = PyramidComputer::new(PyramidConfig::three_by_three(height));
+        let computer = sa_core::PyramidComputer::new(crate::pbsr_pyramid(height));
         let public_rects: Vec<sa_geometry::Rect> = self
             .index
             .alarms()
@@ -322,7 +321,7 @@ impl SimulationHarness {
                 .into_iter()
                 .map(|range| {
                     scope.spawn(move || {
-                        let mut fired: std::collections::HashSet<(SubscriberId, u64)> =
+                        let mut fired: std::collections::HashSet<(SubscriberId, AlarmId)> =
                             std::collections::HashSet::new();
                         let mut events = Vec::new();
                         let mut fleet =
@@ -334,9 +333,8 @@ impl SimulationHarness {
                                 let user = SubscriberId(s.vehicle.0);
                                 let (candidates, _) = self.index.relevant_at(user, s.pos);
                                 for alarm in candidates {
-                                    if alarm.triggers_at(s.pos)
-                                        && fired.insert((user, alarm.id().0))
-                                    {
+                                    let first = |id| fired.insert((user, id));
+                                    if crate::fires(alarm, user, s.pos, first) {
                                         events.push(FiredEvent {
                                             subscriber: user,
                                             alarm: alarm.id(),
@@ -346,7 +344,7 @@ impl SimulationHarness {
                                 }
                                 if let Some(table) = &self.moving {
                                     for alarm in table.triggering(user, s.pos, step) {
-                                        if fired.insert((user, alarm.0)) {
+                                        if fired.insert((user, alarm)) {
                                             events.push(FiredEvent {
                                                 subscriber: user,
                                                 alarm,

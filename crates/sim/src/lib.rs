@@ -55,7 +55,10 @@ pub use config::SimulationConfig;
 pub use energy::EnergyModel;
 pub use engine::{RunReport, SimulationHarness};
 pub use ground_truth::{FiredEvent, GroundTruth};
-pub use message::{payload, safe_period_s, silent_steps};
+pub use message::{
+    fires, is_obstacle, opt_entry, payload, pbsr_pyramid, pbsr_refresh, region_cell,
+    safe_period_s, server_mwpsr, silent_steps, Held, OptAlarm,
+};
 pub use moving::{MovingAlarmTable, MovingAwareStrategy, MovingCoordinator};
 pub use metrics::{Metrics, ServerOps};
 pub use server::ServerCtx;

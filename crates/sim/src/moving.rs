@@ -208,7 +208,8 @@ impl<'a> MovingCoordinator<'a> {
                 server.metrics.uplink_messages += 1;
                 let true_region = self.table.region_at(idx, step);
                 if true_region.contains_point_strict(pos) {
-                    server.record_client_fire(step, user, alarm.id());
+                    server.record_fire(step, user, alarm.id());
+                    server.send_downlink(payload::TRIGGER_DELIVERY_BITS);
                     continue;
                 }
                 true_region.distance_to_point(pos)
@@ -267,10 +268,6 @@ impl crate::strategy::Strategy for MovingAwareStrategy<'_> {
             self.deadlines.insert(user, step.saturating_add(grant));
         }
         self.inner.on_sample(step, sample, server);
-    }
-
-    fn name(&self) -> &'static str {
-        self.inner.name()
     }
 }
 

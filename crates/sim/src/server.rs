@@ -1,6 +1,6 @@
-use crate::message::{payload, safe_period_s};
+use crate::message::{fires, is_obstacle, opt_entry, payload, safe_period_s, OptAlarm};
 use crate::{FiredEvent, Metrics};
-use sa_alarms::{AlarmId, AlarmIndex, SubscriberId};
+use sa_alarms::{AlarmId, AlarmIndex, SpatialAlarm, SubscriberId};
 use sa_geometry::{Grid, Point, Rect};
 use std::collections::{HashMap, HashSet};
 
@@ -46,16 +46,6 @@ impl<'a> ServerCtx<'a> {
         self.grid
     }
 
-    /// The alarm index.
-    pub fn index(&self) -> &AlarmIndex {
-        self.index
-    }
-
-    /// Pessimistic maximum client speed in m/s.
-    pub fn v_max(&self) -> f64 {
-        self.v_max
-    }
-
     /// The location sampling period in seconds.
     pub fn sample_period_s(&self) -> f64 {
         self.sample_period_s
@@ -77,8 +67,8 @@ impl<'a> ServerCtx<'a> {
     }
 
     /// Server-side trigger check for one location update: fires every
-    /// relevant, unfired alarm whose region strictly contains `pos`, and
-    /// delivers the trigger downstream. Charged to *alarm processing*.
+    /// alarm the trigger rule ([`fires`]) fires, and delivers each trigger
+    /// downstream. Charged to *alarm processing*.
     pub fn check_triggers(&mut self, step: u32, user: SubscriberId, pos: Point) -> Vec<AlarmId> {
         let (candidates, stats) = self.index.relevant_at(user, pos);
         self.metrics.server.alarm_query_nodes += stats.nodes_visited as u64;
@@ -86,88 +76,56 @@ impl<'a> ServerCtx<'a> {
         self.metrics.server.location_updates += 1;
         let mut fired_now = Vec::new();
         for alarm in candidates {
-            if alarm.triggers_at(pos) && !self.already_fired(user, alarm.id()) {
-                self.record_fire(step, user, alarm.id());
+            if fires(alarm, user, pos, |id| self.fired.entry(user).or_default().insert(id)) {
+                self.log_fire(step, user, alarm.id());
+                self.send_downlink(payload::TRIGGER_DELIVERY_BITS);
                 fired_now.push(alarm.id());
             }
         }
         fired_now
     }
 
-    /// Records a firing detected *client-side* (the OPT strategy evaluates
-    /// alarms on the device and notifies the server).
-    pub fn record_client_fire(&mut self, step: u32, user: SubscriberId, alarm: AlarmId) {
-        debug_assert!(!self.already_fired(user, alarm), "client double-fired {alarm}");
-        self.record_fire(step, user, alarm);
+    /// Records a firing detected outside the trigger check, and charges no
+    /// downlink: an OPT client's notify is answered by a bare
+    /// acknowledgement, and the moving-target coordinator charges its own
+    /// delivery.
+    pub fn record_fire(&mut self, step: u32, user: SubscriberId, alarm: AlarmId) {
+        let first = self.fired.entry(user).or_default().insert(alarm);
+        debug_assert!(first, "{alarm} fired twice for {user}");
+        self.log_fire(step, user, alarm);
     }
 
-    fn record_fire(&mut self, step: u32, user: SubscriberId, alarm: AlarmId) {
-        self.fired.entry(user).or_default().insert(alarm);
+    fn log_fire(&mut self, step: u32, user: SubscriberId, alarm: AlarmId) {
         self.fired_events.push(FiredEvent { subscriber: user, alarm, step });
         self.metrics.triggers += 1;
-        // Trigger delivery to the subscriber.
-        self.metrics.downlink_messages += 1;
-        self.metrics.downlink_bits += payload::TRIGGER_DELIVERY_BITS as u64;
     }
 
-    /// Gathers the regions of relevant, *unfired* alarms intersecting
-    /// `area` — the obstacle set for a safe-region computation. Charged to
-    /// *safe region computation*.
-    pub fn unfired_obstacles_in(&mut self, user: SubscriberId, area: Rect) -> Vec<Rect> {
-        let (alarms, stats) = self.index.relevant_intersecting_with_stats(user, area);
+    /// Gathers the obstacles ([`is_obstacle`]) intersecting `area`, in
+    /// index order — the obstacle set of a safe-region computation.
+    /// Charged to *safe region computation*.
+    pub fn unfired_obstacles_in(
+        &mut self,
+        user: SubscriberId,
+        area: Rect,
+    ) -> Vec<&'a SpatialAlarm> {
+        let index = self.index;
+        let (mut alarms, stats) = index.relevant_intersecting_with_stats(user, area);
         self.metrics.server.region_query_nodes += stats.nodes_visited as u64;
         self.metrics.server.region_query_entries += stats.entries_tested as u64;
+        alarms.retain(|a| is_obstacle(a, user, |id| self.already_fired(user, id)));
         alarms
-            .into_iter()
-            .filter(|a| !self.already_fired(user, a.id()))
-            .map(|a| a.region())
-            .collect()
     }
 
-    /// Like [`ServerCtx::unfired_obstacles_in`] but split into (public,
-    /// personal) obstacle sets — the §4.2 broadcast optimization
-    /// precomputes and broadcasts the public part per cell and unicasts
-    /// only the personal overlay.
-    pub fn unfired_obstacles_split(
-        &mut self,
-        user: SubscriberId,
-        area: Rect,
-    ) -> (Vec<Rect>, Vec<Rect>) {
-        let (alarms, stats) = self.index.relevant_intersecting_with_stats(user, area);
-        self.metrics.server.region_query_nodes += stats.nodes_visited as u64;
-        self.metrics.server.region_query_entries += stats.entries_tested as u64;
-        let mut public = Vec::new();
-        let mut personal = Vec::new();
-        for a in alarms {
-            if self.already_fired(user, a.id()) {
-                continue;
-            }
-            if a.is_public() {
-                public.push(a.region());
-            } else {
-                personal.push(a.region());
-            }
-        }
-        (public, personal)
-    }
-
-    /// Gathers `(id, region, relevant)` for **every** alarm intersecting
-    /// `area` that has not fired for `user` — the OPT payload: "the client
-    /// is fully aware of all alarms in its vicinity" (§4). This is what
-    /// makes OPT heavy on downstream bandwidth and client energy at high
-    /// alarm densities.
-    pub fn all_unfired_alarm_set_in(
-        &mut self,
-        user: SubscriberId,
-        area: Rect,
-    ) -> Vec<(AlarmId, Rect, bool)> {
+    /// Gathers the OPT push ([`opt_entry`]) of every alarm intersecting
+    /// `area`. This is what makes OPT heavy on downstream bandwidth and
+    /// client energy at high alarm densities.
+    pub fn opt_push_in(&mut self, user: SubscriberId, area: Rect) -> Vec<OptAlarm> {
         let (alarms, stats) = self.index.all_intersecting_with_stats(area);
         self.metrics.server.region_query_nodes += stats.nodes_visited as u64;
         self.metrics.server.region_query_entries += stats.entries_tested as u64;
         alarms
             .into_iter()
-            .filter(|a| !self.already_fired(user, a.id()))
-            .map(|a| (a.id(), a.region(), a.is_relevant_to(user)))
+            .filter_map(|a| opt_entry(a, user, |id| self.already_fired(user, id)))
             .collect()
     }
 
@@ -229,17 +187,11 @@ mod tests {
         assert_eq!(server.check_triggers(1, user, inside), vec![]);
         // A different subscriber fires independently.
         assert_eq!(server.check_triggers(2, SubscriberId(8), inside), vec![AlarmId(0)]);
+        // Exactly on alarm 0's boundary (x = 600) nothing fires.
+        assert!(server.check_triggers(3, SubscriberId(3), Point::new(600.0, 500.0)).is_empty());
         assert_eq!(server.metrics.triggers, 2);
         assert_eq!(server.fired_events().len(), 2);
-    }
-
-    #[test]
-    fn boundary_position_does_not_trigger() {
-        let (index, grid) = setup();
-        let mut server = ServerCtx::new(&index, &grid, 30.0, 1.0);
-        // Exactly on alarm 0's boundary (x = 600).
-        let boundary = Point::new(600.0, 500.0);
-        assert!(server.check_triggers(0, SubscriberId(3), boundary).is_empty());
+        assert_eq!(server.metrics.downlink_messages, 2, "one delivery per firing");
     }
 
     #[test]

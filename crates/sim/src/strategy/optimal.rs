@@ -1,13 +1,9 @@
-use crate::message::payload;
+use crate::message::{payload, region_cell, Held};
 use crate::strategy::Strategy;
 use crate::ServerCtx;
-use sa_alarms::{AlarmId, SubscriberId};
-use sa_geometry::{CellId, Rect};
+use sa_alarms::SubscriberId;
 use sa_roadnet::TraceSample;
 use std::collections::HashMap;
-
-/// Pushed alarm-set entry: `(alarm, region, relevant)`.
-type PushedAlarm = (AlarmId, Rect, bool);
 
 /// OPT — the optimal baseline described at the start of §4: the server
 /// pushes the grid cell and every alarm overlapping it, giving the client
@@ -22,74 +18,47 @@ type PushedAlarm = (AlarmId, Rect, bool);
 /// like any other but never fire for this subscriber.
 #[derive(Debug, Default)]
 pub struct OptimalStrategy {
-    /// Per subscriber: current cell and pushed `(alarm, region, relevant)`
-    /// entries.
-    sets: HashMap<SubscriberId, (CellId, Vec<PushedAlarm>)>,
-}
-
-impl OptimalStrategy {
-    /// Creates the strategy.
-    pub fn new() -> OptimalStrategy {
-        OptimalStrategy::default()
-    }
+    /// Per subscriber: the cell and the alarms of the last push.
+    sets: HashMap<SubscriberId, Held>,
 }
 
 impl Strategy for OptimalStrategy {
     fn on_sample(&mut self, step: u32, sample: &TraceSample, server: &mut ServerCtx<'_>) {
         server.metrics.samples += 1;
         let user = SubscriberId(sample.vehicle.0);
-        let cell_now = server.grid().cell_of(sample.pos);
+        let (cell, cell_rect) = region_cell(server.grid(), sample.pos);
 
-        let known = self.sets.get(&user).map(|(cell, _)| *cell);
-        if known != Some(cell_now) {
-            // Cell transition: the server evaluates this sample and pushes
-            // the new cell's relevant unfired alarms.
-            server.metrics.uplink_messages += 1;
-            server.check_triggers(step, user, sample.pos);
-            let rect = server.grid().cell_rect(cell_now);
-            let set = server.all_unfired_alarm_set_in(user, rect);
-            server.metrics.server.region_computations += 1;
-            server.send_downlink(payload::REGION_HEADER_BITS + set.len() * payload::ALARM_PUSH_BITS);
-            self.sets.insert(user, (cell_now, set));
-            return;
-        }
-
-        // Client-side evaluation of the full pushed alarm set.
-        let (_, set) = self.sets.get_mut(&user).expect("set exists for known cell");
-        server.metrics.client_checks += 1;
-        server.metrics.client_check_ops += 4 * set.len() as u64;
-        let mut fired: Vec<AlarmId> = Vec::new();
-        set.retain(|(id, region, relevant)| {
-            if region.contains_point_strict(sample.pos) {
-                if *relevant {
-                    fired.push(*id);
+        if let Some(held) = self.sets.get_mut(&user) {
+            let (uplink, ops) = held.probe(step, sample.pos, cell);
+            if !uplink {
+                // Client-side evaluation of the full pushed alarm set; each
+                // firing is notified to the server.
+                server.metrics.client_checks += 1;
+                server.metrics.client_check_ops += ops;
+                for id in held.opt_check(sample.pos) {
+                    server.metrics.uplink_messages += 1;
+                    server.record_fire(step, user, id);
                 }
-                // Spatially satisfied alarms leave the working set either
-                // way: relevant ones fired, irrelevant ones can never fire
-                // for this subscriber.
-                false
-            } else {
-                true
+                return;
             }
-        });
-        for id in fired {
-            // Trigger notification to the server.
-            server.metrics.uplink_messages += 1;
-            let _ = payload::TRIGGER_NOTIFY_BITS;
-            server.record_client_fire(step, user, id);
         }
-    }
 
-    fn name(&self) -> &'static str {
-        "OPT"
+        // Cell transition (or first contact): the server evaluates this
+        // sample and pushes the new cell's unfired alarms.
+        server.metrics.uplink_messages += 1;
+        server.check_triggers(step, user, sample.pos);
+        let alarms = server.opt_push_in(user, cell_rect);
+        server.metrics.server.region_computations += 1;
+        server.send_downlink(payload::REGION_HEADER_BITS + alarms.len() * payload::ALARM_PUSH_BITS);
+        self.sets.insert(user, Held::Alarms { cell, alarms });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sa_alarms::{AlarmIndex, AlarmScope, SpatialAlarm};
-    use sa_geometry::{Grid, Point};
+    use sa_alarms::{AlarmId, AlarmIndex, AlarmScope, SpatialAlarm};
+    use sa_geometry::{Grid, Point, Rect};
     use sa_roadnet::VehicleId;
 
     fn world() -> (AlarmIndex, Grid) {
@@ -115,7 +84,7 @@ mod tests {
     }
 
     fn drive(server: &mut ServerCtx<'_>, path: impl Iterator<Item = (f64, f64)>) {
-        let mut strategy = OptimalStrategy::new();
+        let mut strategy = OptimalStrategy::default();
         for (step, (x, y)) in path.enumerate() {
             let sample = TraceSample {
                 time: step as f64,
@@ -138,8 +107,9 @@ mod tests {
         // x = 2000 (then none until x = 2400 end... path ends at 2390).
         assert_eq!(server.metrics.triggers, 2);
         assert_eq!(server.metrics.uplink_messages, 4);
-        // Two downlink alarm-set pushes + 2 trigger deliveries.
-        assert_eq!(server.metrics.downlink_messages, 4);
+        // Downlink: the two alarm-set pushes only. A notify is answered by
+        // a bare acknowledgement, not a trigger delivery.
+        assert_eq!(server.metrics.downlink_messages, 2);
     }
 
     #[test]

@@ -1,4 +1,3 @@
-use crate::message::payload;
 use crate::strategy::Strategy;
 use crate::ServerCtx;
 use sa_alarms::SubscriberId;
@@ -9,27 +8,13 @@ use sa_roadnet::TraceSample;
 /// one against the alarm index. Simple, accurate, and responsible for the
 /// ~60 million messages per trace the paper reports.
 #[derive(Debug, Default)]
-pub struct PeriodicStrategy {
-    _private: (),
-}
-
-impl PeriodicStrategy {
-    /// Creates the strategy.
-    pub fn new() -> PeriodicStrategy {
-        PeriodicStrategy::default()
-    }
-}
+pub struct PeriodicStrategy;
 
 impl Strategy for PeriodicStrategy {
     fn on_sample(&mut self, step: u32, sample: &TraceSample, server: &mut ServerCtx<'_>) {
         server.metrics.samples += 1;
         server.metrics.uplink_messages += 1;
-        let _ = payload::LOCATION_UPDATE_BITS; // uplink is counted, not weighed
         server.check_triggers(step, SubscriberId(sample.vehicle.0), sample.pos);
-    }
-
-    fn name(&self) -> &'static str {
-        "PRD"
     }
 }
 
@@ -52,7 +37,7 @@ mod tests {
         .unwrap()]);
         let grid = Grid::new(universe, 500.0).unwrap();
         let mut server = ServerCtx::new(&index, &grid, 30.0, 1.0);
-        let mut strategy = PeriodicStrategy::new();
+        let mut strategy = PeriodicStrategy;
         for step in 0..10u32 {
             let sample = TraceSample {
                 time: step as f64,

@@ -1,4 +1,4 @@
-use crate::message::{payload, silent_steps};
+use crate::message::{payload, silent_steps, Held};
 use crate::strategy::Strategy;
 use crate::ServerCtx;
 use sa_alarms::SubscriberId;
@@ -16,25 +16,18 @@ use std::collections::HashMap;
 /// `v_max` toward the nearest alarm, so the granted periods are short.
 #[derive(Debug, Default)]
 pub struct SafePeriodStrategy {
-    /// Per-subscriber step before which the client stays silent.
-    silent_until: HashMap<SubscriberId, u32>,
-}
-
-impl SafePeriodStrategy {
-    /// Creates the strategy.
-    pub fn new() -> SafePeriodStrategy {
-        SafePeriodStrategy::default()
-    }
+    /// Per subscriber: the step before which the client stays silent.
+    silent_until: HashMap<SubscriberId, Held>,
 }
 
 impl Strategy for SafePeriodStrategy {
     fn on_sample(&mut self, step: u32, sample: &TraceSample, server: &mut ServerCtx<'_>) {
         server.metrics.samples += 1;
         let user = SubscriberId(sample.vehicle.0);
-        if let Some(&until) = self.silent_until.get(&user) {
-            if step < until {
-                return;
-            }
+        let cell = server.grid().cell_of(sample.pos);
+        let held = self.silent_until.get(&user);
+        if held.is_some_and(|held| !held.must_uplink(step, sample.pos, cell)) {
+            return;
         }
         // Safe period expired: report, let the server evaluate and grant a
         // new period.
@@ -42,12 +35,8 @@ impl Strategy for SafePeriodStrategy {
         server.check_triggers(step, user, sample.pos);
         let period_s = server.compute_safe_period(user, sample.pos);
         let silent = silent_steps(period_s, server.sample_period_s());
-        self.silent_until.insert(user, step + silent);
+        self.silent_until.insert(user, Held::SilentUntil(step + silent));
         server.send_downlink(payload::SAFE_PERIOD_BITS);
-    }
-
-    fn name(&self) -> &'static str {
-        "SP"
     }
 }
 
@@ -91,7 +80,7 @@ mod tests {
         let empty = AlarmIndex::build(Vec::new());
         for index in [&index, &empty] {
             let mut server = ServerCtx::new(index, &grid, 30.0, 1.0);
-            let mut strategy = SafePeriodStrategy::new();
+            let mut strategy = SafePeriodStrategy::default();
             for step in 0..200u32 {
                 strategy.on_sample(step, &sample_at(step, 100.0, 100.0), &mut server);
             }
@@ -114,7 +103,7 @@ mod tests {
             (20.0, 1),  // period < dt: the next sample, never zero
         ] {
             let mut server = ServerCtx::new(&index, &grid, 30.0, 1.0);
-            let mut strategy = SafePeriodStrategy::new();
+            let mut strategy = SafePeriodStrategy::default();
             for step in 0..50u32 {
                 strategy.on_sample(step, &sample_at(step, 8_900.0 - gap_m, 9_000.0), &mut server);
             }
@@ -136,7 +125,7 @@ mod tests {
     fn entering_the_region_fires_exactly_once() {
         let (index, grid) = world();
         let mut server = ServerCtx::new(&index, &grid, 30.0, 1.0);
-        let mut strategy = SafePeriodStrategy::new();
+        let mut strategy = SafePeriodStrategy::default();
         // Drive straight into the alarm region at 25 m/s (within v_max).
         for step in 0..120u32 {
             let x = 6_500.0 + step as f64 * 25.0;

@@ -1,9 +1,9 @@
-use crate::message::payload;
+use crate::message::{payload, pbsr_refresh, region_cell, Held};
 use crate::strategy::Strategy;
 use crate::ServerCtx;
 use sa_alarms::SubscriberId;
-use sa_core::{BitmapSafeRegion, PyramidComputer, SafeRegion};
-use sa_geometry::CellId;
+use sa_core::{PyramidComputer, SafeRegion};
+use sa_geometry::{CellId, Rect};
 use sa_roadnet::TraceSample;
 use std::collections::HashMap;
 
@@ -35,7 +35,8 @@ use std::collections::HashMap;
 pub struct BitmapStrategy {
     computer: PyramidComputer,
     broadcast_public: bool,
-    regions: HashMap<SubscriberId, (CellId, BitmapSafeRegion)>,
+    /// Per subscriber: the base cell and the installed bitmap.
+    regions: HashMap<SubscriberId, (CellId, Held)>,
 }
 
 impl BitmapStrategy {
@@ -56,15 +57,17 @@ impl BitmapStrategy {
         server: &mut ServerCtx<'_>,
         user: SubscriberId,
         cell: CellId,
-        cell_rect: sa_geometry::Rect,
+        cell_rect: Rect,
         quick_update: bool,
     ) {
         if self.broadcast_public {
-            let (public, personal) = server.unfired_obstacles_split(user, cell_rect);
+            let (mut all, mut personal) = (Vec::new(), Vec::new());
+            for a in server.unfired_obstacles_in(user, cell_rect) {
+                if a.is_public() { &mut all } else { &mut personal }.push(a.region());
+            }
             // The client monitors the conjunction of the broadcast public
             // bitmap and its personal overlay, which is semantically the
             // combined bitmap.
-            let mut all = public;
             all.extend_from_slice(&personal);
             let (region, _) = self.computer.compute_with_cost(cell_rect, &all);
             // Server-side online work: only the personal overlay (the
@@ -78,14 +81,15 @@ impl BitmapStrategy {
             } else {
                 server.send_downlink(payload::REGION_HEADER_BITS + overlay.bitmap_size());
             }
-            self.regions.insert(user, (cell, region));
+            self.regions.insert(user, (cell, Held::Bitmap(region)));
         } else {
-            let obstacles = server.unfired_obstacles_in(user, cell_rect);
+            let obstacles: Vec<Rect> =
+                server.unfired_obstacles_in(user, cell_rect).iter().map(|a| a.region()).collect();
             let (region, ops) = self.computer.compute_with_cost(cell_rect, &obstacles);
             server.metrics.server.region_cell_tests += ops;
             server.metrics.server.region_computations += 1;
             server.send_downlink(payload::REGION_HEADER_BITS + region.encoded_bits());
-            self.regions.insert(user, (cell, region));
+            self.regions.insert(user, (cell, Held::Bitmap(region)));
         }
     }
 }
@@ -95,41 +99,26 @@ impl Strategy for BitmapStrategy {
         server.metrics.samples += 1;
         let user = SubscriberId(sample.vehicle.0);
 
-        if let Some((cell, region)) = self.regions.get(&user) {
-            let (inside, levels) = region.contains_with_cost(sample.pos);
-            server.metrics.client_checks += 1;
-            server.metrics.client_check_ops += 4 + levels as u64;
-            if inside {
-                return;
-            }
-            let cell_now = server.grid().cell_of(sample.pos);
-            if cell_now == *cell {
-                // Blocked sub-cell of the same base cell: report so the
-                // server can evaluate, but only refresh the region when an
-                // alarm fired (§4.2 quick update).
-                server.metrics.uplink_messages += 1;
-                let fired = server.check_triggers(step, user, sample.pos);
-                if !fired.is_empty() {
-                    let rect = server.grid().cell_rect(cell_now);
-                    self.recompute(server, user, cell_now, rect, true);
+        let (cell, cell_rect) = region_cell(server.grid(), sample.pos);
+        let prev_cell = match self.regions.get(&user) {
+            Some((prev_cell, held)) => {
+                let (uplink, ops) = held.probe(step, sample.pos, cell);
+                server.metrics.client_checks += 1;
+                server.metrics.client_check_ops += ops;
+                if !uplink {
+                    return;
                 }
-                return;
+                Some(*prev_cell)
             }
-        }
+            None => None,
+        };
 
-        // First contact or base-cell exit: full recomputation.
+        // A blocked sub-cell, a base-cell exit or the first contact: report,
+        // and recompute as the §4.2 quick-update rule says.
         server.metrics.uplink_messages += 1;
-        server.check_triggers(step, user, sample.pos);
-        let cell_now = server.grid().cell_of(sample.pos);
-        let rect = server.grid().cell_rect(cell_now);
-        self.recompute(server, user, cell_now, rect, false);
-    }
-
-    fn name(&self) -> &'static str {
-        if self.broadcast_public {
-            "PBSR-broadcast"
-        } else {
-            "PBSR"
+        let fired = server.check_triggers(step, user, sample.pos);
+        if pbsr_refresh(prev_cell, cell, !fired.is_empty()) {
+            self.recompute(server, user, cell, cell_rect, prev_cell == Some(cell));
         }
     }
 }

@@ -1,8 +1,9 @@
-use crate::message::payload;
+use crate::message::{payload, region_cell, Held};
 use crate::strategy::Strategy;
 use crate::ServerCtx;
 use sa_alarms::SubscriberId;
-use sa_core::{MwpsrComputer, RectSafeRegion, SafeRegion};
+use sa_core::{MwpsrComputer, SafeRegion};
+use sa_geometry::Rect;
 use sa_roadnet::TraceSample;
 use std::collections::HashMap;
 
@@ -20,7 +21,7 @@ pub struct RectStrategy {
     /// variant *misses alarms* under overlapping / axis-straddling
     /// regions, exactly as §5 claims).
     legacy: bool,
-    regions: HashMap<SubscriberId, RectSafeRegion>,
+    regions: HashMap<SubscriberId, Held>,
 }
 
 impl RectStrategy {
@@ -41,11 +42,14 @@ impl Strategy for RectStrategy {
         server.metrics.samples += 1;
         let user = SubscriberId(sample.vehicle.0);
 
+        let (cell, cell_rect) = region_cell(server.grid(), sample.pos);
+
         // Client-side containment detection.
-        if let Some(region) = self.regions.get(&user) {
+        if let Some(held) = self.regions.get(&user) {
+            let (uplink, ops) = held.probe(step, sample.pos, cell);
             server.metrics.client_checks += 1;
-            server.metrics.client_check_ops += region.worst_case_check_ops() as u64;
-            if region.contains(sample.pos) {
+            server.metrics.client_check_ops += ops;
+            if !uplink {
                 return;
             }
         }
@@ -54,9 +58,8 @@ impl Strategy for RectStrategy {
         server.metrics.uplink_messages += 1;
         server.check_triggers(step, user, sample.pos);
 
-        let grid = server.grid();
-        let cell = grid.cell_rect(grid.cell_of(sample.pos));
-        let obstacles = server.unfired_obstacles_in(user, cell);
+        let obstacles: Vec<Rect> =
+            server.unfired_obstacles_in(user, cell_rect).iter().map(|a| a.region()).collect();
         // Charge the skyline construction: candidates in four quadrants
         // plus sorting (≈ n log n) plus the greedy pass.
         let n = obstacles.len() as u64;
@@ -65,16 +68,12 @@ impl Strategy for RectStrategy {
         server.metrics.server.region_computations += 1;
 
         let region = if self.legacy {
-            self.computer.compute_hu_xu_lee(sample.pos, sample.heading, cell, &obstacles)
+            self.computer.compute_hu_xu_lee(sample.pos, sample.heading, cell_rect, &obstacles)
         } else {
-            self.computer.compute(sample.pos, sample.heading, cell, &obstacles)
+            self.computer.compute(sample.pos, sample.heading, cell_rect, &obstacles)
         };
         server.send_downlink(payload::REGION_HEADER_BITS + region.encoded_bits());
-        self.regions.insert(user, region);
-    }
-
-    fn name(&self) -> &'static str {
-        "MWPSR"
+        self.regions.insert(user, Held::Rect(region.rect()));
     }
 }
 

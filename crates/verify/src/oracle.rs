@@ -24,11 +24,11 @@
 use sa_server::transcript::{Transcript, DRIVER_TAG};
 use sa_alarms::{SpatialAlarm, SubscriberId};
 use sa_core::oracle::{check_bitmap_against_mask, check_sound};
-use sa_core::{BitmapSafeRegion, PyramidConfig};
+use sa_core::BitmapSafeRegion;
 use sa_geometry::{CellId, Grid, Point, Rect};
 use sa_server::wire::{dequantize_m, dequantize_rect, PushedAlarm};
 use sa_server::{Request, Response, StrategySpec};
-use sa_sim::SimulationHarness;
+use sa_sim::{pbsr_pyramid, SimulationHarness};
 use std::collections::{HashMap, HashSet};
 
 /// Slack applied to every geometric comparison against wire-decoded
@@ -127,9 +127,8 @@ impl OracleState<'_> {
             ));
         };
         let cell_rect = wire_cell_rect(self.grid, cell)?;
-        let region =
-            BitmapSafeRegion::from_wire_bits(cell_rect, PyramidConfig::three_by_three(height), bits)
-                .map_err(|e| format!("bitmap for user#{user} does not decode: {e}"))?;
+        let region = BitmapSafeRegion::from_wire_bits(cell_rect, pbsr_pyramid(height), bits)
+            .map_err(|e| format!("bitmap for user#{user} does not decode: {e}"))?;
         let obstacles: Vec<Rect> = self
             .unfired_relevant(user)
             .iter()
