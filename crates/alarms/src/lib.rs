@@ -17,16 +17,23 @@
 //! - [`AlarmWorkload`] / [`WorkloadConfig`] — the seeded workload generator
 //!   replicating the paper's default setup (10,000 alarms uniform over the
 //!   universe, 10% public, private:shared = 2:1),
-//! - [`AlarmIndex`] — the server-side R*-tree over installed alarm regions
-//!   with per-subscriber relevance filtering,
-//! - [`VersionedAlarmIndex`] — epoch-versioned copy-on-write generations
-//!   of the index, so trigger checks read lock-free while publishers
+//! - [`AlarmIndex`] — one build of the server-side R*-tree over alarm
+//!   regions (paper §5.1) and the per-subscriber alarm lists; it holds
+//!   the trees and reads none of them,
+//! - [`AlarmSnapshot`] — the one read surface: every spatial read (the
+//!   trigger check, the region gathers, the safe-period nearest search)
+//!   is a snapshot method filtering by relevance and liveness, and each
+//!   tree walk returns its [`sa_index::QueryStats`], which the simulator
+//!   charges to its server-load model and the live server ignores.
+//!   `AlarmSnapshot::from(index)` reads a static alarm set,
+//! - [`VersionedAlarmIndex`] — epoch-versioned copy-on-write snapshot
+//!   generations, so trigger checks read lock-free while publishers
 //!   install and cancel alarms concurrently.
 //!
 //! # Example
 //!
 //! ```
-//! use sa_alarms::{AlarmIndex, AlarmWorkload, SubscriberId, WorkloadConfig};
+//! use sa_alarms::{AlarmIndex, AlarmSnapshot, AlarmWorkload, SubscriberId, WorkloadConfig};
 //! use sa_geometry::{Point, Rect};
 //!
 //! # fn main() -> Result<(), sa_geometry::GeometryError> {
@@ -37,11 +44,15 @@
 //!     universe,
 //!     ..WorkloadConfig::default()
 //! });
-//! let index = AlarmIndex::build(workload.alarms().to_vec());
+//! let alarms = AlarmSnapshot::from(AlarmIndex::build(workload.alarms().to_vec()));
 //!
 //! let user = SubscriberId(3);
-//! let nearby = index.relevant_intersecting(user, Rect::new(0.0, 0.0, 2_000.0, 2_000.0)?);
-//! for alarm in nearby {
+//! let cell = Rect::new(0.0, 0.0, 2_000.0, 2_000.0)?;
+//! let stats = alarms.all_intersecting_visit(cell, |alarm| {
+//!     assert!(alarm.region().intersects(&cell));
+//! });
+//! assert!(stats.nodes_visited >= 1);
+//! for alarm in alarms.relevant_intersecting(user, cell) {
 //!     assert!(alarm.is_relevant_to(user));
 //! }
 //! # Ok(())

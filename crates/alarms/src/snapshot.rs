@@ -89,6 +89,12 @@ impl AlarmSnapshot {
         self.len() == 0
     }
 
+    /// The index this generation's base was built as: every alarm of a
+    /// one-generation snapshot, otherwise the live alarms of the last fold.
+    pub fn base(&self) -> &AlarmIndex {
+        &self.base
+    }
+
     /// The live alarm `id` (base or delta); `None` for a dead or unknown
     /// id.
     pub fn get(&self, id: AlarmId) -> Option<&SpatialAlarm> {
@@ -131,53 +137,60 @@ impl AlarmSnapshot {
         }
     }
 
-    /// Visits each alarm relevant to `user` containing `pos` without
-    /// materializing a vector — the allocation-free trigger check the
-    /// server runs per position update.
-    pub fn relevant_at_visit(
-        &self,
+    /// Visits each live alarm relevant to `user` whose region contains
+    /// `pos` and returns the base tree walk's [`QueryStats`]: the trigger
+    /// check, which the server runs per position update (ignoring the
+    /// stats) and the simulator charges to *alarm processing*.
+    pub fn relevant_at_visit<'a>(
+        &'a self,
         user: SubscriberId,
         pos: Point,
-        mut f: impl FnMut(&SpatialAlarm),
-    ) {
-        self.base.relevant_at_visit(user, pos, |a| {
-            if self.live(a.id()) {
-                f(a);
-            }
-        });
-        for a in &self.delta {
-            if a.contains(pos) && a.is_relevant_to(user) && self.live(a.id()) {
-                f(a);
-            }
-        }
+        f: impl FnMut(&'a SpatialAlarm),
+    ) -> QueryStats {
+        self.visit(Rect::point(pos), |a| a.is_relevant_to(user), f)
     }
 
     /// Visits every live alarm (regardless of subscriber) whose region
-    /// intersects `area` without materializing a vector — base in
-    /// [`AlarmIndex::all_intersecting_visit`]'s order, then the delta in
-    /// install order. The live server's region refreshes (MWPSR/PBSR
-    /// obstacles, the OPT push list) read the index through this.
-    pub fn all_intersecting_visit<'a>(&'a self, area: Rect, mut f: impl FnMut(&'a SpatialAlarm)) {
-        self.base.all_intersecting_visit(area, |a| {
-            if self.live(a.id()) {
+    /// intersects `area` and returns the base tree walk's [`QueryStats`]:
+    /// the read behind every region refresh (MWPSR/PBSR obstacles, the
+    /// OPT push list), in the server and the simulator alike.
+    pub fn all_intersecting_visit<'a>(
+        &'a self,
+        area: Rect,
+        f: impl FnMut(&'a SpatialAlarm),
+    ) -> QueryStats {
+        self.visit(area, |_| true, f)
+    }
+
+    /// The one spatial walk: each live alarm passing `keep` whose region
+    /// intersects `area` (closed boundaries), base in tree order, then
+    /// the delta in install order; returns the base tree walk's stats.
+    fn visit<'a>(
+        &'a self,
+        area: Rect,
+        keep: impl Fn(&SpatialAlarm) -> bool,
+        mut f: impl FnMut(&'a SpatialAlarm),
+    ) -> QueryStats {
+        let base = &*self.base;
+        let stats = base.tree.visit_intersecting(area, |_, &p| {
+            let a = &base.alarms[p];
+            if keep(a) && self.live(a.id()) {
                 f(a);
             }
         });
         for a in &self.delta {
-            if a.region().intersects(&area) && self.live(a.id()) {
+            if a.region().intersects(&area) && keep(a) && self.live(a.id()) {
                 f(a);
             }
         }
+        stats
     }
 
-    /// Alarms relevant to `user` intersecting `area` — safe-region scoping.
+    /// Alarms relevant to `user` intersecting `area`, in
+    /// [`AlarmSnapshot::all_intersecting_visit`]'s order.
     pub fn relevant_intersecting(&self, user: SubscriberId, area: Rect) -> Vec<&SpatialAlarm> {
         let mut hits = Vec::new();
-        self.all_intersecting_visit(area, |a| {
-            if a.is_relevant_to(user) {
-                hits.push(a);
-            }
-        });
+        self.visit(area, |a| a.is_relevant_to(user), |a| hits.push(a));
         hits
     }
 
@@ -188,53 +201,78 @@ impl AlarmSnapshot {
         hits
     }
 
-    /// Distance from `pos` to the nearest alarm relevant to `user`
-    /// passing `keep` — the safe-period baseline's core query. Dead
-    /// alarms are excluded everywhere, including the personal-list scan.
+    /// Distance from `pos` to the nearest live alarm relevant to `user`
+    /// passing `keep` — the safe-period baseline's core query: a filtered
+    /// best-first search of the all-alarm tree for public alarms, then a
+    /// scan of the subscriber's personal alarms and the delta. The stats
+    /// count the tree walk even when it finds nothing (the Figure 4(b)/6(d)
+    /// load model must see a fruitless walk) plus every alarm scanned.
     pub fn nearest_relevant_distance<F: Fn(AlarmId) -> bool>(
         &self,
         user: SubscriberId,
         pos: Point,
         keep: F,
     ) -> (Option<f64>, QueryStats) {
-        let (best, mut stats) =
-            self.base.nearest_relevant_distance(user, pos, |id| self.live(id) && keep(id));
-        stats.entries_tested += self.delta.len();
-        (self.delta_nearest(user, pos, &keep, best), stats)
+        let base = &*self.base;
+        let (public, mut stats) = base.tree.nearest_matching(pos, |&p| {
+            let a = &base.alarms[p];
+            a.is_public() && self.live(a.id()) && keep(a.id())
+        });
+        stats.entries_tested += base.personal_alarms(user).len() + self.delta.len();
+        (self.nearest_personal(user, pos, &keep, public.map(|(_, _, d)| d)), stats)
     }
 
     /// The distance [`AlarmSnapshot::nearest_relevant_distance`] reports,
-    /// without its [`QueryStats`] and without touching the heap.
+    /// without its [`QueryStats`] and without touching the heap — the
+    /// form the live server's safe-period grant runs per update. It
+    /// searches the public-only tree, so the walk never meets another
+    /// subscriber's alarm; the metered form keeps walking the all-alarm
+    /// tree because the simulator's load model charges that walk.
     pub fn nearest_relevant_distance_unmetered<F: Fn(AlarmId) -> bool>(
         &self,
         user: SubscriberId,
         pos: Point,
         keep: F,
     ) -> Option<f64> {
-        let best = self
-            .base
-            .nearest_relevant_distance_unmetered(user, pos, |id| self.live(id) && keep(id));
-        self.delta_nearest(user, pos, &keep, best)
+        let base = &*self.base;
+        let public = base.public.nearest_distance_matching(pos, |&p| {
+            let id = base.alarms[p].id();
+            self.live(id) && keep(id)
+        });
+        self.nearest_personal(user, pos, &keep, public)
     }
 
-    /// `best`, or the distance to a nearer delta alarm relevant to `user`
-    /// passing `keep`. Cheapest test first: the scope compare, then the
-    /// distance (a `hypot` call), and the dead-set lookup last.
-    fn delta_nearest(
+    /// `best`, or the distance to a nearer live alarm passing `keep`
+    /// among `user`'s personal alarms in the base and the delta's alarms
+    /// relevant to `user` — the scan both nearest forms share.
+    fn nearest_personal(
         &self,
         user: SubscriberId,
         pos: Point,
         keep: impl Fn(AlarmId) -> bool,
         best: Option<f64>,
     ) -> Option<f64> {
-        self.delta.iter().filter(|a| a.is_relevant_to(user)).fold(best, |best, a| {
-            let d = a.region().distance_to_point(pos);
-            if best.is_none_or(|b| d < b) && keep(a.id()) && self.live(a.id()) {
-                Some(d)
-            } else {
-                best
-            }
-        })
+        let delta = self.delta.iter().filter(|a| a.is_relevant_to(user));
+        self.base
+            .personal_alarms(user)
+            .chain(delta)
+            .filter(|a| keep(a.id()) && self.live(a.id()))
+            .map(|a| a.region().distance_to_point(pos))
+            .fold(best, |best, d| if best.is_none_or(|b| d < b) { Some(d) } else { best })
+    }
+}
+
+impl From<AlarmIndex> for AlarmSnapshot {
+    /// The one-generation snapshot of `index` (no delta, nothing dead): how
+    /// the simulator reads its static alarms, and a [`VersionedAlarmIndex`]'s
+    /// first generation.
+    fn from(index: AlarmIndex) -> AlarmSnapshot {
+        AlarmSnapshot {
+            next: index.len() as u64,
+            base: Arc::new(index),
+            delta: Vec::new(),
+            dead: HashSet::new(),
+        }
     }
 }
 
@@ -294,17 +332,11 @@ impl VersionedAlarmIndex {
         alarms: Vec<SpatialAlarm>,
         merge_threshold: usize,
     ) -> Result<VersionedAlarmIndex, NonDenseIdError> {
-        let next = alarms.len() as u64;
-        let base = AlarmIndex::try_build(alarms)?;
+        let first = AlarmSnapshot::from(AlarmIndex::try_build(alarms)?);
         Ok(VersionedAlarmIndex {
             id: CELL_IDS.fetch_add(1, Ordering::Relaxed),
             epoch: AtomicU64::new(1),
-            slot: RwLock::new(Arc::new(AlarmSnapshot {
-                base: Arc::new(base),
-                delta: Vec::new(),
-                dead: HashSet::new(),
-                next,
-            })),
+            slot: RwLock::new(Arc::new(first)),
             writer: Mutex::new(()),
             merge_threshold: merge_threshold.max(1),
         })
@@ -438,11 +470,176 @@ mod tests {
         .unwrap()
     }
 
+    /// Public alarm 0 and private alarm 1 (user 1's) share a spot; shared
+    /// alarm 2 (user 2's, shared with 3) overlaps them; public alarm 3 is
+    /// far away.
+    fn build_small() -> AlarmSnapshot {
+        let mk = |id: u64, x: f64, y: f64, scope: AlarmScope| {
+            SpatialAlarm::around_static_target(AlarmId(id), Point::new(x, y), 50.0, scope).unwrap()
+        };
+        let user = SubscriberId;
+        AlarmSnapshot::from(AlarmIndex::build(vec![
+            mk(0, 100.0, 100.0, AlarmScope::Public { owner: user(0) }),
+            mk(1, 100.0, 100.0, AlarmScope::Private { owner: user(1) }),
+            mk(2, 105.0, 105.0, AlarmScope::shared(user(2), vec![user(3)])),
+            mk(3, 5_000.0, 5_000.0, AlarmScope::Public { owner: user(0) }),
+        ]))
+    }
+
     fn ids_at(snap: &AlarmSnapshot, user: u32, x: f64, y: f64) -> Vec<u64> {
         let mut v = Vec::new();
         snap.relevant_at_visit(SubscriberId(user), Point::new(x, y), |a| v.push(a.id().0));
         v.sort_unstable();
         v
+    }
+
+    #[test]
+    fn relevant_at_per_user_breakdown() {
+        let snap = build_small();
+        // Public alarm 0 for everyone, plus each user's own private or
+        // shared alarms: alarm 2's shared list is {2, 3}.
+        assert_eq!(ids_at(&snap, 0, 100.0, 100.0), vec![0]);
+        assert_eq!(ids_at(&snap, 1, 100.0, 100.0), vec![0, 1]);
+        assert_eq!(ids_at(&snap, 2, 100.0, 100.0), vec![0, 2]);
+        assert_eq!(ids_at(&snap, 3, 100.0, 100.0), vec![0, 2]);
+        assert_eq!(ids_at(&snap, 9, 100.0, 100.0), vec![0]);
+    }
+
+    #[test]
+    fn relevant_intersecting_scopes_to_area() {
+        let snap = build_small();
+        let cell = Rect::new(0.0, 0.0, 1_000.0, 1_000.0).unwrap();
+        let mut ids: Vec<u64> =
+            snap.relevant_intersecting(SubscriberId(3), cell).iter().map(|a| a.id().0).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, vec![0, 2]); // alarm 3 is far away, alarm 1 is private to user 1
+    }
+
+    #[test]
+    fn all_intersecting_ignores_scope() {
+        let snap = build_small();
+        let cell = Rect::new(0.0, 0.0, 1_000.0, 1_000.0).unwrap();
+        let mut seen = 0;
+        let stats = snap.all_intersecting_visit(cell, |_| seen += 1);
+        assert_eq!((seen, stats.matches), (3, 3));
+        assert!(stats.nodes_visited >= 1);
+    }
+
+    #[test]
+    fn relevant_at_agrees_with_linear_scan_on_generated_workload() {
+        let workload = crate::AlarmWorkload::generate(&crate::WorkloadConfig {
+            alarms: 500,
+            subscribers: 100,
+            universe: Rect::new(0.0, 0.0, 10_000.0, 10_000.0).unwrap(),
+            ..crate::WorkloadConfig::default()
+        });
+        let snap = AlarmSnapshot::from(AlarmIndex::build(workload.alarms().to_vec()));
+        for k in 0..20 {
+            let (x, y) = (k as f64 * 500.0, (19 - k) as f64 * 500.0);
+            let p = Point::new(x, y);
+            let expected: Vec<u64> = workload
+                .alarms()
+                .iter()
+                .filter(|a| a.contains(p) && a.is_relevant_to(SubscriberId(17)))
+                .map(|a| a.id().0)
+                .collect();
+            assert_eq!(ids_at(&snap, 17, x, y), expected);
+        }
+    }
+
+    /// The nearest distance by brute force: the minimum over every alarm
+    /// relevant to `user` that passes `keep`.
+    fn brute_nearest(
+        alarms: &[SpatialAlarm],
+        user: SubscriberId,
+        pos: Point,
+        keep: impl Fn(AlarmId) -> bool,
+    ) -> Option<f64> {
+        alarms
+            .iter()
+            .filter(|a| a.is_relevant_to(user) && keep(a.id()))
+            .map(|a| a.region().distance_to_point(pos))
+            .min_by(f64::total_cmp)
+    }
+
+    /// Both nearest forms — the metered walk of the all-alarm tree and
+    /// the unmetered walk of the public-only tree — give the brute-force
+    /// minimum, to the bit.
+    #[test]
+    fn nearest_relevant_distance_matches_brute_force() {
+        let universe = Rect::new(0.0, 0.0, 10_000.0, 10_000.0).unwrap();
+        let mixed = crate::AlarmWorkload::generate(&crate::WorkloadConfig {
+            alarms: 400,
+            subscribers: 40,
+            universe,
+            seed: 99,
+            ..crate::WorkloadConfig::default()
+        })
+        .alarms()
+        .to_vec();
+        let all_public: Vec<SpatialAlarm> = mixed
+            .iter()
+            .map(|a| {
+                let scope = AlarmScope::Public { owner: SubscriberId(0) };
+                SpatialAlarm::new(a.id(), a.region(), a.target(), scope)
+            })
+            .collect();
+        // No alarm, one public alarm, only public alarms, and the
+        // generator's mix, where most alarms are not public.
+        let cases = [Vec::new(), all_public[..1].to_vec(), all_public, mixed];
+        for alarms in cases {
+            let snap = AlarmSnapshot::from(AlarmIndex::build(alarms.clone()));
+            for u in [0u32, 7, 23] {
+                let user = SubscriberId(u);
+                for k in 0..40u32 {
+                    let pos = Point::new(
+                        f64::from(k * 997 % 10_300) - 150.0,
+                        f64::from(k * 773 % 10_300) - 150.0,
+                    );
+                    for modulus in [1, 2, 5] {
+                        let keep = |id: AlarmId| id.0.is_multiple_of(modulus);
+                        let want = brute_nearest(&alarms, user, pos, keep);
+                        let (metered, _) = snap.nearest_relevant_distance(user, pos, keep);
+                        let unmetered = snap.nearest_relevant_distance_unmetered(user, pos, keep);
+                        let case = format!("{} alarms, user {u}, {pos:?}", alarms.len());
+                        assert_eq!(metered, want, "metered, {case}");
+                        assert_eq!(unmetered, want, "unmetered, {case}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nearest_stats_survive_a_fruitless_probe() {
+        // Predicate rejects everything: the probe returns None, but the
+        // traversal work it did must still be charged to the load model
+        // (the stats used to be dropped on this branch).
+        let alarms = (0..6).map(|i| public(i, 100.0 * i as f64, 500.0)).collect();
+        let snap = AlarmSnapshot::from(AlarmIndex::build(alarms));
+        let (none, stats) =
+            snap.nearest_relevant_distance(SubscriberId(9), Point::new(0.0, 0.0), |_| false);
+        assert!(none.is_none());
+        assert!(stats.nodes_visited >= 1, "visited {}", stats.nodes_visited);
+        assert!(stats.entries_tested >= 6, "tested {}", stats.entries_tested);
+        assert_eq!(stats.matches, 0);
+    }
+
+    #[test]
+    fn nearest_relevant_distance_respects_filter() {
+        let snap = AlarmSnapshot::from(AlarmIndex::build(vec![
+            public(0, 300.0, 500.0),
+            public(1, 800.0, 500.0),
+        ]));
+        let (user, pos) = (SubscriberId(5), Point::new(150.0, 500.0));
+        let (all, _) = snap.nearest_relevant_distance(user, pos, |_| true);
+        assert!((all.unwrap() - 50.0).abs() < 1e-9); // alarm 0's edge at x=200
+        // Excluding alarm 0 (e.g. already fired) falls back to alarm 1.
+        let (filtered, _) = snap.nearest_relevant_distance(user, pos, |id| id != AlarmId(0));
+        assert!((filtered.unwrap() - 550.0).abs() < 1e-9);
+        // Excluding everything yields none.
+        let (none, _) = snap.nearest_relevant_distance(user, pos, |_| false);
+        assert!(none.is_none());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based equivalence: an epoch-pinned [`AlarmSnapshot`] must
 //! answer `relevant_at_visit` / `relevant_intersecting` /
-//! `all_intersecting` / the nearest-distance queries exactly like a
+//! `all_intersecting_visit` / the nearest-distance queries exactly like a
 //! linear scan over the surviving alarm set, and address exactly the
 //! surviving alarms by id, across
 //! randomized interleavings of install / deactivate / query — and a
@@ -115,21 +115,30 @@ fn verify(snap: &AlarmSnapshot, installed: &[SpatialAlarm], dead: &[AlarmId]) {
             assert_eq!(got, want, "relevant_intersecting diverged for user {user:?}");
         }
     }
+    // With no delta and nothing dead the base tree holds every alarm, so
+    // the walk's stats count exactly the alarms it emitted.
+    let base_only = dead.is_empty() && snap.base().len() == snap.len();
     for &area in &rects {
-        let mut got: Vec<u64> = snap.all_intersecting(area).iter().map(|a| a.id().0).collect();
+        let mut got: Vec<u64> = Vec::new();
+        let stats = snap.all_intersecting_visit(area, |a| got.push(a.id().0));
+        if base_only {
+            assert_eq!(stats.matches, got.len(), "stats over {area:?}");
+        }
         got.sort_unstable();
         let want = reference.ids(|a| a.region().intersects(&area));
-        assert_eq!(got, want, "all_intersecting diverged over {area:?}");
+        assert_eq!(got, want, "all_intersecting_visit diverged over {area:?}");
     }
 }
 
 /// Builds an index over the installs of `base` (STR-loaded, public tree
-/// included), applies `ops` to it, and checks the final generation and
-/// one pinned mid-sequence against the linear scan.
+/// included), applies `ops` to it, and checks the first generation, the
+/// final one and one pinned mid-sequence against the linear scan.
 fn run(base: &[Op], ops: Vec<Op>, merge_threshold: usize) {
     let mut installed: Vec<SpatialAlarm> =
         base.iter().enumerate().map(|(id, op)| make_alarm(id as u64, op)).collect();
     let v = VersionedAlarmIndex::with_merge_threshold(installed.clone(), merge_threshold).unwrap();
+    // The first generation is its base alone.
+    verify(&v.snapshot(), &installed, &[]);
     let mut dead: Vec<AlarmId> = Vec::new();
     // Pinned mid-sequence: the generation plus the state it saw.
     let mut pinned: Option<(Arc<AlarmSnapshot>, Vec<SpatialAlarm>, Vec<AlarmId>)> = None;

@@ -6,14 +6,14 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sa_alarms::{AlarmIndex, AlarmWorkload, SubscriberId, WorkloadConfig};
+use sa_alarms::{AlarmIndex, AlarmSnapshot, AlarmWorkload, SubscriberId, WorkloadConfig};
 use sa_geometry::{Point, Rect};
 use sa_index::RStarTree;
 use std::hint::black_box;
 
-fn paper_index() -> AlarmIndex {
+fn paper_index() -> AlarmSnapshot {
     let workload = AlarmWorkload::generate(&WorkloadConfig::default());
-    AlarmIndex::build(workload.alarms().to_vec())
+    AlarmSnapshot::from(AlarmIndex::build(workload.alarms().to_vec()))
 }
 
 fn bench_point_queries(c: &mut Criterion) {
@@ -26,8 +26,9 @@ fn bench_point_queries(c: &mut Criterion) {
         let mut i = 0usize;
         b.iter(|| {
             i = (i + 1) % points.len();
-            let (hits, _) = index.relevant_at(SubscriberId(42), black_box(points[i]));
-            black_box(hits.len())
+            let mut hits = 0usize;
+            index.relevant_at_visit(SubscriberId(42), black_box(points[i]), |_| hits += 1);
+            black_box(hits)
         })
     });
 }

@@ -40,7 +40,7 @@ fn main() {
         use sa_geometry::{Point, Rect};
 
         let grid = harness.grid();
-        let index = harness.index();
+        let alarms = harness.snapshot();
         let computer = MwpsrComputer::non_weighted();
         let mut rng = SmallRng::seed_from_u64(0xAB1A_0001);
         let universe = grid.universe();
@@ -54,7 +54,7 @@ fn main() {
                 rng.gen_range(universe.min_y()..universe.max_y()),
             );
             let cell = grid.cell_rect(grid.cell_of(pos));
-            let obstacles: Vec<Rect> = index
+            let obstacles: Vec<Rect> = alarms
                 .relevant_intersecting(user, cell)
                 .iter()
                 .map(|a| a.region())

@@ -9,9 +9,10 @@
 //! query answers exactly what an R*-tree over the same entries answers;
 //! packing only gives it the minimum height and fuller nodes. Queries:
 //!
-//! - point and range search, allocation-free ([`RStarTree::visit_point`],
-//!   [`RStarTree::visit_intersecting`]) or with [`QueryStats`] for the
-//!   simulator's server-load model,
+//! - point and range search as visitors ([`RStarTree::visit_point`],
+//!   [`RStarTree::visit_intersecting`]): allocation-free, and each
+//!   returns the [`QueryStats`] of its walk, which the simulator's
+//!   server-load model charges and the live server ignores,
 //! - filtered best-first nearest neighbour ([`RStarTree::nearest_matching`])
 //!   and its heap-free distance-only form
 //!   ([`RStarTree::nearest_distance_matching`]).
@@ -28,8 +29,9 @@
 //!     (Rect::new(5.0, 5.0, 6.0, 6.0)?, 2),
 //! ]);
 //!
-//! let (hits, _) = tree.search_intersecting_with_stats(Rect::new(0.5, 0.5, 5.5, 5.5)?);
-//! assert_eq!(hits.len(), 2);
+//! let mut hits = Vec::new();
+//! let stats = tree.visit_intersecting(Rect::new(0.5, 0.5, 5.5, 5.5)?, |_, &item| hits.push(item));
+//! assert_eq!((hits.len(), stats.matches), (2, 2));
 //!
 //! let mut here = Vec::new();
 //! tree.visit_point(Point::new(0.5, 0.5), |&item| here.push(item));

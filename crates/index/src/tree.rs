@@ -102,39 +102,31 @@ impl<T> RStarTree<T> {
         RStarTree { root, root_level, size, params }
     }
 
-    /// Every `(rect, item)` whose rectangle intersects `query`
-    /// (closed-boundary semantics), with the traversal statistics.
-    pub fn search_intersecting_with_stats(&self, query: Rect) -> (Vec<(Rect, &T)>, QueryStats) {
-        let mut out = Vec::new();
-        let mut stats = QueryStats::default();
-        search_rec(&self.root, query, &mut |r, item| out.push((r, item)), &mut stats);
-        (out, stats)
-    }
-
     /// Every item whose rectangle contains `p`, with the traversal
-    /// statistics.
+    /// statistics: [`RStarTree::visit_point`] collected into a vector.
     pub fn search_point_with_stats(&self, p: Point) -> (Vec<&T>, QueryStats) {
         let mut out = Vec::new();
-        let mut stats = QueryStats::default();
-        search_rec(&self.root, Rect::point(p), &mut |_, item| out.push(item), &mut stats);
+        let stats = self.visit_point(p, |item| out.push(item));
         (out, stats)
     }
 
     /// Visits every item whose rectangle intersects `query` (closed
-    /// boundaries) without materializing a result vector — the
-    /// zero-allocation counterpart of
-    /// [`RStarTree::search_intersecting_with_stats`] for hot paths that
-    /// must not touch the heap.
-    pub fn visit_intersecting(&self, query: Rect, mut emit: impl FnMut(Rect, &T)) {
+    /// boundaries) without allocating, and returns the walk's statistics:
+    /// the one range search, for hot paths and the server-load model alike.
+    pub fn visit_intersecting<'a>(
+        &'a self,
+        query: Rect,
+        mut emit: impl FnMut(Rect, &'a T),
+    ) -> QueryStats {
         let mut stats = QueryStats::default();
-        search_rec(&self.root, query, &mut |r, item| emit(r, item), &mut stats);
+        search_rec(&self.root, query, &mut emit, &mut stats);
+        stats
     }
 
-    /// Visits every item whose rectangle contains `p` without allocating —
-    /// the zero-allocation counterpart of
-    /// [`RStarTree::search_point_with_stats`].
-    pub fn visit_point(&self, p: Point, mut emit: impl FnMut(&T)) {
-        self.visit_intersecting(Rect::point(p), |_, item| emit(item));
+    /// Visits every item whose rectangle contains `p` without allocating,
+    /// and returns the traversal statistics of the walk.
+    pub fn visit_point<'a>(&'a self, p: Point, mut emit: impl FnMut(&'a T)) -> QueryStats {
+        self.visit_intersecting(Rect::point(p), |_, item| emit(item))
     }
 
     /// Best-first nearest-neighbor search restricted to items satisfying
@@ -443,10 +435,10 @@ fn search_rec<'a, T>(
     stats: &mut QueryStats,
 ) {
     stats.nodes_visited += 1;
+    stats.entries_tested += node.len();
     match node {
         Node::Leaf(es) => {
             for e in es {
-                stats.entries_tested += 1;
                 if e.rect.intersects(&query) {
                     stats.matches += 1;
                     emit(e.rect, &e.item);
@@ -455,7 +447,6 @@ fn search_rec<'a, T>(
         }
         Node::Internal(es) => {
             for e in es {
-                stats.entries_tested += 1;
                 if e.rect.intersects(&query) {
                     search_rec(&e.child, query, emit, stats);
                 }
@@ -485,8 +476,8 @@ mod tests {
     }
 
     fn range_hits(tree: &RStarTree<usize>, query: Rect) -> Vec<usize> {
-        let mut hits: Vec<usize> =
-            tree.search_intersecting_with_stats(query).0.into_iter().map(|(_, &i)| i).collect();
+        let mut hits = Vec::new();
+        tree.visit_intersecting(query, |_, &i| hits.push(i));
         hits.sort_unstable();
         hits
     }
@@ -542,8 +533,8 @@ mod tests {
     #[test]
     fn query_stats_reflect_pruning() {
         let tree = grid_tree(400);
-        let (_, broad) = tree.search_intersecting_with_stats(tree.bounding_box().unwrap());
-        let (_, narrow) = tree.search_intersecting_with_stats(r(0.0, 0.0, 4.0, 4.0));
+        let broad = tree.visit_intersecting(tree.bounding_box().unwrap(), |_, _| {});
+        let narrow = tree.visit_intersecting(r(0.0, 0.0, 4.0, 4.0), |_, _| {});
         assert!(narrow.nodes_visited < broad.nodes_visited);
         assert_eq!(broad.matches, 400);
         assert_eq!(narrow.matches, 1);

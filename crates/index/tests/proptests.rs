@@ -48,25 +48,22 @@ fn check_against_scan(rects: &[Rect], max_entries: usize, ranges: &[Rect], point
 
     // Range queries: arbitrary rects plus some entries' own rects.
     for q in ranges.iter().chain(rects.iter().take(5)) {
-        let (hits, stats) = tree.search_intersecting_with_stats(*q);
-        let mut got: Vec<usize> = hits.into_iter().map(|(_, &i)| i).collect();
-        got.sort_unstable();
+        let mut got: Vec<usize> = Vec::new();
+        let stats = tree.visit_intersecting(*q, |r, &i| {
+            assert_eq!(r, rects[i], "visitor emitted a foreign rect");
+            got.push(i);
+        });
         assert_eq!(stats.matches, got.len());
-        let mut visited: Vec<usize> = Vec::new();
-        tree.visit_intersecting(*q, |_, &i| visited.push(i));
-        visited.sort_unstable();
-        assert_eq!(&visited, &got, "visit and search disagree on {:?}", q);
+        got.sort_unstable();
         assert_eq!(got, scan(rects, |r| r.intersects(q)), "range answers diverged on {:?}", q);
     }
 
     // Point queries: arbitrary points plus some entries' centers.
     for p in points.iter().copied().chain(rects.iter().take(5).map(Rect::center)) {
-        let mut got: Vec<usize> = tree.search_point_with_stats(p).0.into_iter().copied().collect();
+        let mut got: Vec<usize> = Vec::new();
+        let stats = tree.visit_point(p, |&i| got.push(i));
+        assert_eq!(stats.matches, got.len());
         got.sort_unstable();
-        let mut visited: Vec<usize> = Vec::new();
-        tree.visit_point(p, |&i| visited.push(i));
-        visited.sort_unstable();
-        assert_eq!(&visited, &got, "visit and search disagree at {:?}", p);
         assert_eq!(got, scan(rects, |r| r.contains_point(p)), "point answers diverged at {:?}", p);
 
         // Nearest neighbour under dense, sparse and empty (modulus 0)
@@ -128,8 +125,9 @@ proptest! {
     fn query_stats_are_consistent(rects in prop::collection::vec(arb_rect(), 1..200), q in arb_rect()) {
         let tree: RStarTree<usize> =
             RStarTree::bulk_load(rects.iter().copied().enumerate().map(|(i, r)| (r, i)).collect());
-        let (hits, stats) = tree.search_intersecting_with_stats(q);
-        prop_assert_eq!(hits.len(), stats.matches);
+        let mut hits = 0usize;
+        let stats = tree.visit_intersecting(q, |_, _| hits += 1);
+        prop_assert_eq!(hits, stats.matches);
         prop_assert!(stats.nodes_visited >= 1);
         prop_assert!(stats.entries_tested >= stats.matches);
     }

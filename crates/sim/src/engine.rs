@@ -2,9 +2,10 @@ use crate::{
     EnergyModel, FiredEvent, GroundTruth, Metrics, ServerCostModel, ServerCtx, SimulationConfig,
     StrategyKind,
 };
-use sa_alarms::{AlarmId, AlarmIndex, AlarmWorkload, SubscriberId};
+use sa_alarms::{AlarmId, AlarmIndex, AlarmSnapshot, AlarmWorkload, SubscriberId};
 use sa_geometry::Grid;
 use sa_roadnet::{generate_network, Fleet, RoadClass, RoadNetwork};
+use std::sync::Arc;
 
 /// The result of running one strategy over the shared trace.
 #[derive(Debug, Clone)]
@@ -61,14 +62,14 @@ impl RunReport {
     }
 }
 
-/// The shared world of one evaluation: road network, alarm index, grid
+/// The shared world of one evaluation: road network, alarm snapshot, grid
 /// overlay and the ground-truth alarm sequence. Build once, run every
 /// strategy against it.
 #[derive(Debug)]
 pub struct SimulationHarness {
     config: SimulationConfig,
     network: RoadNetwork,
-    index: AlarmIndex,
+    alarms: Arc<AlarmSnapshot>,
     grid: Grid,
     ground_truth: GroundTruth,
     v_max: f64,
@@ -88,7 +89,7 @@ impl SimulationHarness {
         config.validate();
         let network = generate_network(&config.network);
         let workload = AlarmWorkload::generate(&config.workload);
-        let index = AlarmIndex::build(workload.alarms().to_vec());
+        let alarms = Arc::new(AlarmSnapshot::from(AlarmIndex::build(workload.alarms().to_vec())));
         let grid = Grid::with_cell_area_km2(config.universe(), config.cell_area_km2)
             .expect("cell area is validated positive");
         let v_max = RoadClass::Highway.speed_mps() * config.fleet.max_speed_factor;
@@ -101,7 +102,7 @@ impl SimulationHarness {
         let mut harness = SimulationHarness {
             config: config.clone(),
             network,
-            index,
+            alarms,
             grid,
             ground_truth: GroundTruth::default(),
             v_max,
@@ -179,7 +180,7 @@ impl SimulationHarness {
         SimulationHarness {
             config,
             network: self.network.clone(),
-            index: AlarmIndex::build(self.index.alarms().to_vec()),
+            alarms: Arc::clone(&self.alarms),
             grid,
             ground_truth: self.ground_truth.clone(),
             v_max: self.v_max,
@@ -187,9 +188,14 @@ impl SimulationHarness {
         }
     }
 
-    /// The alarm index (shared, read-only).
+    /// The alarm index (shared, read-only): every static alarm.
     pub fn index(&self) -> &AlarmIndex {
-        &self.index
+        self.alarms.base()
+    }
+
+    /// The snapshot every spatial read of this world goes through.
+    pub fn snapshot(&self) -> &AlarmSnapshot {
+        &self.alarms
     }
 
     /// The grid overlay.
@@ -244,7 +250,7 @@ impl SimulationHarness {
     fn charge_public_broadcast(&self, metrics: &mut Metrics, height: u32) {
         let computer = sa_core::PyramidComputer::new(crate::pbsr_pyramid(height));
         let public_rects: Vec<sa_geometry::Rect> = self
-            .index
+            .index()
             .alarms()
             .iter()
             .filter(|a| a.is_public())
@@ -282,7 +288,7 @@ impl SimulationHarness {
                             None => kind.build(),
                         };
                         let mut server = ServerCtx::new(
-                            &self.index,
+                            &self.alarms,
                             &self.grid,
                             self.v_max,
                             self.config.sample_period_s,
@@ -313,7 +319,7 @@ impl SimulationHarness {
     }
 
     /// Ground-truth replay: evaluates every sample directly against the
-    /// index (strict trigger semantics), recording first firings.
+    /// snapshot (strict trigger semantics), recording first firings.
     fn replay(&self) -> Vec<FiredEvent> {
         let shards = self.shard_ranges();
         let results: Vec<Vec<FiredEvent>> = std::thread::scope(|scope| {
@@ -331,8 +337,7 @@ impl SimulationHarness {
                             fleet.step_into(self.config.sample_period_s, &mut samples);
                             for s in &samples {
                                 let user = SubscriberId(s.vehicle.0);
-                                let (candidates, _) = self.index.relevant_at(user, s.pos);
-                                for alarm in candidates {
+                                self.alarms.relevant_at_visit(user, s.pos, |alarm| {
                                     let first = |id| fired.insert((user, id));
                                     if crate::fires(alarm, user, s.pos, first) {
                                         events.push(FiredEvent {
@@ -341,7 +346,7 @@ impl SimulationHarness {
                                             step,
                                         });
                                     }
-                                }
+                                });
                                 if let Some(table) = &self.moving {
                                     for alarm in table.triggering(user, s.pos, step) {
                                         if fired.insert((user, alarm)) {

@@ -339,7 +339,7 @@ mod tests {
         let cfg = FleetConfig { vehicles: 2, seed: 5, ..FleetConfig::default() };
         let table = table_with(&network, &cfg, 10);
         let universe = network.bounding_box();
-        let index = sa_alarms::AlarmIndex::build(vec![]);
+        let index = sa_alarms::AlarmSnapshot::from(sa_alarms::AlarmIndex::build(vec![]));
         let grid = sa_geometry::Grid::new(universe, 2_000.0).unwrap();
         let mut server = ServerCtx::new(&index, &grid, 35.0, 1.0);
         let mut coord = MovingCoordinator::new(&table, 35.0);
@@ -359,7 +359,7 @@ mod tests {
         let network = generate_network(&NetworkConfig::small_test());
         let cfg = FleetConfig { vehicles: 2, seed: 5, ..FleetConfig::default() };
         let table = table_with(&network, &cfg, 10);
-        let index = sa_alarms::AlarmIndex::build(vec![]);
+        let index = sa_alarms::AlarmSnapshot::from(sa_alarms::AlarmIndex::build(vec![]));
         let grid = sa_geometry::Grid::new(network.bounding_box(), 1_000.0).unwrap();
         let mut server = ServerCtx::new(&index, &grid, 35.0, 1.0);
         let mut coord = MovingCoordinator::new(&table, 35.0);

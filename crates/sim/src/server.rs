@@ -1,20 +1,22 @@
 use crate::message::{fires, is_obstacle, opt_entry, payload, safe_period_s, OptAlarm};
 use crate::{FiredEvent, Metrics};
-use sa_alarms::{AlarmId, AlarmIndex, SpatialAlarm, SubscriberId};
+use sa_alarms::{AlarmId, AlarmSnapshot, SpatialAlarm, SubscriberId};
 use sa_geometry::{Grid, Point, Rect};
 use std::collections::{HashMap, HashSet};
 
 /// The server side of the distributed architecture, as seen by one
-/// simulation shard: the alarm index, the grid overlay, per-subscriber
+/// simulation shard: the alarm snapshot, the grid overlay, per-subscriber
 /// fired-alarm state, and the metric counters every operation charges.
 ///
 /// All strategy implementations funnel their server interactions through
 /// this type so the cost accounting is uniform: trigger checks charge
 /// *alarm processing*, gathering/geometry work charges *safe region
-/// computation* (the two bars of Figures 4(b) and 6(d)).
+/// computation* (the two bars of Figures 4(b) and 6(d)). Every index read
+/// is an [`AlarmSnapshot`] visitor, the one the live server runs, and the
+/// charge is the [`sa_index::QueryStats`] the visitor returns.
 #[derive(Debug)]
 pub struct ServerCtx<'a> {
-    index: &'a AlarmIndex,
+    index: &'a AlarmSnapshot,
     grid: &'a Grid,
     /// Pessimistic maximum client speed (m/s) used by the safe-period
     /// baseline.
@@ -28,7 +30,7 @@ pub struct ServerCtx<'a> {
 
 impl<'a> ServerCtx<'a> {
     /// Creates the server context for one shard.
-    pub fn new(index: &'a AlarmIndex, grid: &'a Grid, v_max: f64, sample_period_s: f64) -> ServerCtx<'a> {
+    pub fn new(index: &'a AlarmSnapshot, grid: &'a Grid, v_max: f64, sample_period_s: f64) -> ServerCtx<'a> {
         assert!(v_max > 0.0, "maximum speed must be positive");
         ServerCtx {
             index,
@@ -70,18 +72,17 @@ impl<'a> ServerCtx<'a> {
     /// alarm the trigger rule ([`fires`]) fires, and delivers each trigger
     /// downstream. Charged to *alarm processing*.
     pub fn check_triggers(&mut self, step: u32, user: SubscriberId, pos: Point) -> Vec<AlarmId> {
-        let (candidates, stats) = self.index.relevant_at(user, pos);
-        self.metrics.server.alarm_query_nodes += stats.nodes_visited as u64;
-        self.metrics.server.alarm_query_entries += stats.entries_tested as u64;
-        self.metrics.server.location_updates += 1;
         let mut fired_now = Vec::new();
-        for alarm in candidates {
+        let stats = self.index.relevant_at_visit(user, pos, |alarm| {
             if fires(alarm, user, pos, |id| self.fired.entry(user).or_default().insert(id)) {
                 self.log_fire(step, user, alarm.id());
                 self.send_downlink(payload::TRIGGER_DELIVERY_BITS);
                 fired_now.push(alarm.id());
             }
-        }
+        });
+        self.metrics.server.alarm_query_nodes += stats.nodes_visited as u64;
+        self.metrics.server.alarm_query_entries += stats.entries_tested as u64;
+        self.metrics.server.location_updates += 1;
         fired_now
     }
 
@@ -108,25 +109,28 @@ impl<'a> ServerCtx<'a> {
         user: SubscriberId,
         area: Rect,
     ) -> Vec<&'a SpatialAlarm> {
-        let index = self.index;
-        let (mut alarms, stats) = index.relevant_intersecting_with_stats(user, area);
+        let mut obstacles = Vec::new();
+        let stats = self.index.all_intersecting_visit(area, |a| {
+            if is_obstacle(a, user, |id| self.already_fired(user, id)) {
+                obstacles.push(a);
+            }
+        });
         self.metrics.server.region_query_nodes += stats.nodes_visited as u64;
         self.metrics.server.region_query_entries += stats.entries_tested as u64;
-        alarms.retain(|a| is_obstacle(a, user, |id| self.already_fired(user, id)));
-        alarms
+        obstacles
     }
 
     /// Gathers the OPT push ([`opt_entry`]) of every alarm intersecting
     /// `area`. This is what makes OPT heavy on downstream bandwidth and
     /// client energy at high alarm densities.
     pub fn opt_push_in(&mut self, user: SubscriberId, area: Rect) -> Vec<OptAlarm> {
-        let (alarms, stats) = self.index.all_intersecting_with_stats(area);
+        let mut push = Vec::new();
+        let stats = self.index.all_intersecting_visit(area, |a| {
+            push.extend(opt_entry(a, user, |id| self.already_fired(user, id)));
+        });
         self.metrics.server.region_query_nodes += stats.nodes_visited as u64;
         self.metrics.server.region_query_entries += stats.entries_tested as u64;
-        alarms
-            .into_iter()
-            .filter_map(|a| opt_entry(a, user, |id| self.already_fired(user, id)))
-            .collect()
+        push
     }
 
     /// Computes the safe-period baseline's silent window for a subscriber
@@ -161,18 +165,18 @@ impl<'a> ServerCtx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sa_alarms::{AlarmScope, SpatialAlarm};
+    use sa_alarms::{AlarmIndex, AlarmScope, SpatialAlarm};
 
-    fn setup() -> (AlarmIndex, Grid) {
+    fn setup() -> (AlarmSnapshot, Grid) {
         let universe = Rect::new(0.0, 0.0, 10_000.0, 10_000.0).unwrap();
         let mk = |id: u64, x: f64, y: f64, r: f64, scope: AlarmScope| {
             SpatialAlarm::around_static_target(AlarmId(id), Point::new(x, y), r, scope).unwrap()
         };
-        let index = AlarmIndex::build(vec![
+        let index = AlarmSnapshot::from(AlarmIndex::build(vec![
             mk(0, 500.0, 500.0, 100.0, AlarmScope::Public { owner: SubscriberId(0) }),
             mk(1, 600.0, 500.0, 50.0, AlarmScope::Private { owner: SubscriberId(1) }),
             mk(2, 9_000.0, 9_000.0, 200.0, AlarmScope::Public { owner: SubscriberId(0) }),
-        ]);
+        ]));
         let grid = Grid::new(universe, 1_000.0).unwrap();
         (index, grid)
     }
@@ -219,13 +223,14 @@ mod tests {
     #[test]
     fn safe_period_caps_when_no_relevant_alarms() {
         let universe = Rect::new(0.0, 0.0, 10_000.0, 10_000.0).unwrap();
-        let index = AlarmIndex::build(vec![SpatialAlarm::around_static_target(
+        let alarm = SpatialAlarm::around_static_target(
             AlarmId(0),
             Point::new(5_000.0, 5_000.0),
             100.0,
             AlarmScope::Private { owner: SubscriberId(0) },
         )
-        .unwrap()]);
+        .unwrap();
+        let index = AlarmSnapshot::from(AlarmIndex::build(vec![alarm]));
         let grid = Grid::new(universe, 1_000.0).unwrap();
         let mut server = ServerCtx::new(&index, &grid, 30.0, 1.0);
         // User 5 has no relevant alarms at all.

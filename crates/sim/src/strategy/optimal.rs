@@ -57,11 +57,11 @@ impl Strategy for OptimalStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sa_alarms::{AlarmId, AlarmIndex, AlarmScope, SpatialAlarm};
+    use sa_alarms::{AlarmId, AlarmIndex, AlarmScope, AlarmSnapshot, SpatialAlarm};
     use sa_geometry::{Grid, Point, Rect};
     use sa_roadnet::VehicleId;
 
-    fn world() -> (AlarmIndex, Grid) {
+    fn world() -> (AlarmSnapshot, Grid) {
         let universe = Rect::new(0.0, 0.0, 8_000.0, 8_000.0).unwrap();
         let index = AlarmIndex::build(vec![
             SpatialAlarm::around_static_target(
@@ -80,7 +80,7 @@ mod tests {
             .unwrap(),
         ]);
         let grid = Grid::new(universe, 2_000.0).unwrap();
-        (index, grid)
+        (AlarmSnapshot::from(index), grid)
     }
 
     fn drive(server: &mut ServerCtx<'_>, path: impl Iterator<Item = (f64, f64)>) {
@@ -133,7 +133,7 @@ mod tests {
         let mut dense = ServerCtx::new(&index, &grid, 30.0, 1.0);
         // Stay in the alarm-dense cell.
         drive(&mut dense, (0..100).map(|i| (300.0, 300.0 + (i % 7) as f64)));
-        let empty_index = AlarmIndex::build(vec![]);
+        let empty_index = AlarmSnapshot::from(AlarmIndex::build(vec![]));
         let mut sparse = ServerCtx::new(&empty_index, &grid, 30.0, 1.0);
         drive(&mut sparse, (0..100).map(|i| (300.0, 300.0 + (i % 7) as f64)));
         assert!(dense.metrics.client_check_ops > sparse.metrics.client_check_ops);

@@ -21,7 +21,7 @@ impl Strategy for PeriodicStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sa_alarms::{AlarmId, AlarmIndex, AlarmScope, SpatialAlarm};
+    use sa_alarms::{AlarmId, AlarmIndex, AlarmScope, AlarmSnapshot, SpatialAlarm};
     use sa_geometry::{Grid, Point, Rect};
     use sa_roadnet::VehicleId;
 
@@ -35,6 +35,7 @@ mod tests {
             AlarmScope::Public { owner: SubscriberId(0) },
         )
         .unwrap()]);
+        let index = AlarmSnapshot::from(index);
         let grid = Grid::new(universe, 500.0).unwrap();
         let mut server = ServerCtx::new(&index, &grid, 30.0, 1.0);
         let mut strategy = PeriodicStrategy;

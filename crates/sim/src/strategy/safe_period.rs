@@ -43,11 +43,11 @@ impl Strategy for SafePeriodStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sa_alarms::{AlarmId, AlarmIndex, AlarmScope, SpatialAlarm};
+    use sa_alarms::{AlarmId, AlarmIndex, AlarmScope, AlarmSnapshot, SpatialAlarm};
     use sa_geometry::{Grid, Point, Rect};
     use sa_roadnet::VehicleId;
 
-    fn world() -> (AlarmIndex, Grid) {
+    fn world() -> (AlarmSnapshot, Grid) {
         let universe = Rect::new(0.0, 0.0, 10_000.0, 10_000.0).unwrap();
         let index = AlarmIndex::build(vec![SpatialAlarm::around_static_target(
             AlarmId(0),
@@ -57,7 +57,7 @@ mod tests {
         )
         .unwrap()]);
         let grid = Grid::new(universe, 1_000.0).unwrap();
-        (index, grid)
+        (AlarmSnapshot::from(index), grid)
     }
 
     fn sample_at(step: u32, x: f64, y: f64) -> TraceSample {
@@ -77,7 +77,7 @@ mod tests {
         // no alarm at all, where the grant is the fallback horizon
         // (2 × 10 km at 30 m/s = 666 whole samples): one report, then
         // silence for the whole run.
-        let empty = AlarmIndex::build(Vec::new());
+        let empty = AlarmSnapshot::from(AlarmIndex::build(Vec::new()));
         for index in [&index, &empty] {
             let mut server = ServerCtx::new(index, &grid, 30.0, 1.0);
             let mut strategy = SafePeriodStrategy::default();

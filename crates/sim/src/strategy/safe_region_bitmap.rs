@@ -126,12 +126,12 @@ impl Strategy for BitmapStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sa_alarms::{AlarmId, AlarmIndex, AlarmScope, SpatialAlarm};
+    use sa_alarms::{AlarmId, AlarmIndex, AlarmScope, AlarmSnapshot, SpatialAlarm};
     use sa_core::PyramidConfig;
     use sa_geometry::{Grid, Point, Rect};
     use sa_roadnet::VehicleId;
 
-    fn world() -> (AlarmIndex, Grid) {
+    fn world() -> (AlarmSnapshot, Grid) {
         let universe = Rect::new(0.0, 0.0, 9_000.0, 9_000.0).unwrap();
         let index = AlarmIndex::build(vec![SpatialAlarm::around_static_target(
             AlarmId(0),
@@ -141,7 +141,7 @@ mod tests {
         )
         .unwrap()]);
         let grid = Grid::new(universe, 3_000.0).unwrap();
-        (index, grid)
+        (AlarmSnapshot::from(index), grid)
     }
 
     fn run_path(

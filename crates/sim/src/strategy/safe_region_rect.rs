@@ -80,11 +80,11 @@ impl Strategy for RectStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sa_alarms::{AlarmId, AlarmIndex, AlarmScope, SpatialAlarm};
+    use sa_alarms::{AlarmId, AlarmIndex, AlarmScope, AlarmSnapshot, SpatialAlarm};
     use sa_geometry::{Grid, MotionPdf, Point, Rect};
     use sa_roadnet::VehicleId;
 
-    fn world() -> (AlarmIndex, Grid) {
+    fn world() -> (AlarmSnapshot, Grid) {
         let universe = Rect::new(0.0, 0.0, 10_000.0, 10_000.0).unwrap();
         let index = AlarmIndex::build(vec![
             SpatialAlarm::around_static_target(
@@ -103,7 +103,7 @@ mod tests {
             .unwrap(),
         ]);
         let grid = Grid::new(universe, 2_000.0).unwrap();
-        (index, grid)
+        (AlarmSnapshot::from(index), grid)
     }
 
     fn drive(strategy: &mut RectStrategy, server: &mut ServerCtx<'_>, path: impl Iterator<Item = (f64, f64)>) {

@@ -7,7 +7,9 @@
 //!
 //! Run with: `cargo run --release --example heterogeneous_clients`
 
-use spatial_alarms::alarms::{AlarmIndex, AlarmWorkload, SubscriberId, WorkloadConfig};
+use spatial_alarms::alarms::{
+    AlarmIndex, AlarmSnapshot, AlarmWorkload, SubscriberId, WorkloadConfig,
+};
 use spatial_alarms::core::{MwpsrComputer, PyramidComputer, PyramidConfig, SafeRegion};
 use spatial_alarms::geometry::{Grid, MotionPdf, Point, Rect};
 use rand::rngs::SmallRng;
@@ -33,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         public_fraction: 0.15,
         ..WorkloadConfig::default()
     });
-    let index = AlarmIndex::build(workload.alarms().to_vec());
+    let alarms = AlarmSnapshot::from(AlarmIndex::build(workload.alarms().to_vec()));
     let grid = Grid::with_cell_area_km2(universe, 2.5)?;
     let mut rng = SmallRng::seed_from_u64(11);
 
@@ -52,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let user = SubscriberId(user_id);
         let pos = Point::new(rng.gen_range(2_000.0..18_000.0), rng.gen_range(2_000.0..18_000.0));
         let cell = grid.cell_rect(grid.cell_of(pos));
-        let obstacles: Vec<Rect> = index
+        let obstacles: Vec<Rect> = alarms
             .relevant_intersecting(user, cell)
             .iter()
             .map(|a| a.region())

@@ -5,7 +5,9 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use spatial_alarms::alarms::{AlarmId, AlarmIndex, AlarmScope, SpatialAlarm, SubscriberId};
+use spatial_alarms::alarms::{
+    AlarmId, AlarmIndex, AlarmScope, AlarmSnapshot, SpatialAlarm, SubscriberId,
+};
 use spatial_alarms::core::{MwpsrComputer, SafeRegion};
 use spatial_alarms::geometry::{Grid, MotionPdf, Point, Rect};
 
@@ -37,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             AlarmScope::Private { owner: SubscriberId(9) },
         )?,
     ];
-    let index = AlarmIndex::build(alarms);
+    let index = AlarmSnapshot::from(AlarmIndex::build(alarms));
 
     // The subscriber drives east through the first grid cell.
     let position = Point::new(2_100.0, 3_000.0);

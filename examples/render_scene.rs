@@ -5,7 +5,9 @@
 //!
 //! Run with: `cargo run --example render_scene`
 
-use spatial_alarms::alarms::{AlarmIndex, AlarmWorkload, SubscriberId, WorkloadConfig};
+use spatial_alarms::alarms::{
+    AlarmIndex, AlarmSnapshot, AlarmWorkload, SubscriberId, WorkloadConfig,
+};
 use spatial_alarms::core::{MwpsrComputer, PyramidComputer, PyramidConfig};
 use spatial_alarms::geometry::{Grid, MotionPdf, Point, Rect};
 use spatial_alarms::roadnet::{generate_network, NetworkConfig};
@@ -23,13 +25,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         region_half_extent_m: (80.0, 220.0),
         ..WorkloadConfig::default()
     });
-    let index = AlarmIndex::build(workload.alarms().to_vec());
+    let alarms = AlarmSnapshot::from(AlarmIndex::build(workload.alarms().to_vec()));
 
     let user = SubscriberId(3);
     let pos = Point::new(1_450.0, 2_350.0);
     let cell = grid.cell_rect(grid.cell_of(pos));
     let obstacles: Vec<Rect> =
-        index.relevant_intersecting(user, cell).iter().map(|a| a.region()).collect();
+        alarms.relevant_intersecting(user, cell).iter().map(|a| a.region()).collect();
 
     let rect_region =
         MwpsrComputer::new(MotionPdf::new(1.0, 32)?).compute(pos, 0.6, cell, &obstacles);

@@ -31,3 +31,8 @@ pub use sa_roadnet as roadnet;
 pub use sa_server as server;
 pub use sa_sim as sim;
 pub use sa_viz as viz;
+
+/// The README's library example, compiled and run as a doctest.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

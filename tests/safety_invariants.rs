@@ -4,11 +4,13 @@
 //! unfired alarm regions — so a silent client can never miss an alarm.
 
 use proptest::prelude::*;
-use spatial_alarms::alarms::{AlarmIndex, AlarmWorkload, SubscriberId, WorkloadConfig};
+use spatial_alarms::alarms::{
+    AlarmIndex, AlarmSnapshot, AlarmWorkload, SubscriberId, WorkloadConfig,
+};
 use spatial_alarms::core::{MwpsrComputer, PyramidComputer, PyramidConfig, SafeRegion};
 use spatial_alarms::geometry::{Grid, MotionPdf, Point, Rect};
 
-fn workload(seed: u64, alarms: usize, public_fraction: f64) -> AlarmIndex {
+fn workload(seed: u64, alarms: usize, public_fraction: f64) -> AlarmSnapshot {
     let universe = Rect::new(0.0, 0.0, 10_000.0, 10_000.0).unwrap();
     let w = AlarmWorkload::generate(&WorkloadConfig {
         alarms,
@@ -18,7 +20,7 @@ fn workload(seed: u64, alarms: usize, public_fraction: f64) -> AlarmIndex {
         seed,
         ..WorkloadConfig::default()
     });
-    AlarmIndex::build(w.alarms().to_vec())
+    AlarmSnapshot::from(AlarmIndex::build(w.alarms().to_vec()))
 }
 
 proptest! {
@@ -106,7 +108,8 @@ proptest! {
     ) {
         let index = workload(seed, 300, 0.1);
         let user = SubscriberId(user_id);
-        let (hits, _) = index.relevant_at(user, Point::new(x, y));
+        let mut hits = Vec::new();
+        index.relevant_at_visit(user, Point::new(x, y), |alarm| hits.push(alarm));
         for alarm in hits {
             prop_assert!(alarm.is_relevant_to(user));
             prop_assert!(alarm.contains(Point::new(x, y)));
