@@ -2,8 +2,9 @@
 //!
 //! Runs the cheap differential oracle over a wide seed range, then
 //! drives a slice of end-to-end schedule seeds through the full
-//! deterministic harness (virtual clock, chaos plans, batching, the
-//! transcript oracle), then the named federation schedules (partition
+//! deterministic harness (virtual clock, chaos plans, batching,
+//! federations of one to three members with mid-run repartitions, the
+//! transcript oracle), then the named federation cases (partition
 //! handoff during a disconnect window, repartition during a batch
 //! cadence, three partitions under the lossy plan with a mid-run
 //! repartition — each run twice for digest determinism, each required
@@ -20,8 +21,11 @@
 //! the budget are skipped (and counted in the report) rather than
 //! failing the run, so a slow CI runner degrades coverage, not health.
 
-use sa_fed::{gating_cases, run_fed_case};
-use sa_verify::{differential_seed, fuzz_schedule};
+use sa_obs::chrome_trace_json;
+use sa_verify::{
+    differential_seed, federation_cases, fuzz_schedule, pinned_failure, run_case, CaseOutcome,
+    FuzzCase,
+};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -101,43 +105,65 @@ fn main() {
     let schedule_started = Instant::now();
     let mut report = sa_verify::FuzzReport::default();
     let mut skipped = 0u64;
+    let mut federated = 0u64;
     for seed in opts.start..opts.start.saturating_add(opts.schedule_seeds) {
         if schedule_started.elapsed().as_secs_f64() > opts.budget_s {
             skipped = opts.start + opts.schedule_seeds - seed;
             break;
         }
+        federated += u64::from(FuzzCase::from_seed(seed).partitions > 1);
         let one = fuzz_schedule([seed], true);
         report.seeds_run += one.seeds_run;
         report.failures.extend(one.failures);
     }
     let schedule_seconds = schedule_started.elapsed().as_secs_f64();
 
-    // Phase 3: the named federation schedules. Pinned configs, each run
-    // twice inside `run_fed_case` (exactness + digest determinism +
+    // Phase 3: the named federation cases, each run twice and gated by
+    // `pinned_failure` (exactness + oracle + digest determinism +
     // scenario coverage); small enough that the budget is not consulted.
     let fed_started = Instant::now();
     let mut fed_failures: Vec<String> = Vec::new();
-    let mut fed_cases: Vec<(sa_fed::FedCaseOutcome, bool)> = Vec::new();
-    for case in gating_cases() {
-        let outcome = run_fed_case(&case);
-        let passed = outcome.passed();
-        // Keep each case's causal trace as a CI artifact, pass or fail.
-        if !outcome.trace_json.is_empty() {
-            let path = opts.out.with_file_name(format!("TRACE_{}.json", outcome.name));
-            std::fs::write(&path, &outcome.trace_json).expect("writing the trace artifact");
-        }
-        if let Some(failure) = &outcome.failure {
+    let mut fed_rows: Vec<String> = Vec::new();
+    for (name, case) in federation_cases() {
+        let runs = run_case(&case).and_then(|first| Ok((run_case(&case)?, first)));
+        let failure = match &runs {
+            Ok((second, first)) => pinned_failure(&case, first, second),
+            Err(e) => Some(format!("transport error escaped the harness: {e}")),
+        };
+        if let Some(failure) = &failure {
             // A divergence failure carries the rendered flight bundle
             // (span trees, registry snapshots) — persist it whole rather
             // than losing it to a truncated log line.
-            let path = opts.out.with_file_name(format!("FLIGHT_{}.txt", outcome.name));
+            let path = opts.out.with_file_name(format!("FLIGHT_{name}.txt"));
             std::fs::write(&path, failure).expect("writing the flight bundle");
-            let v = format!("federation case '{}': {failure}", outcome.name);
+            let v = format!("federation case '{name}': {failure}");
             eprintln!("FEDERATION VIOLATION: {v}");
             eprintln!("flight bundle: {}", path.display());
             fed_failures.push(v);
         }
-        fed_cases.push((outcome, passed));
+        let (first, deterministic) = match &runs {
+            Ok((second, first)) => {
+                // Keep each case's causal trace as a CI artifact, pass or
+                // fail.
+                let path = opts.out.with_file_name(format!("TRACE_{name}.json"));
+                std::fs::write(&path, chrome_trace_json(&first.spans))
+                    .expect("writing the trace artifact");
+                (Some(first), first.digest == second.digest)
+            }
+            Err(_) => (None, false),
+        };
+        let field = |f: fn(&CaseOutcome) -> u64| first.map_or(0, f);
+        fed_rows.push(format!(
+            "{{ \"name\": \"{name}\", \"passed\": {}, \"digest\": \"{:#018x}\", \
+             \"deterministic\": {deterministic}, \"handoffs\": {}, \"redirects\": {}, \
+             \"repartitioned\": {}, \"injected\": {} }}",
+            failure.is_none(),
+            field(|o| o.digest),
+            field(|o| o.handoffs),
+            field(|o| o.redirects),
+            first.is_some_and(|o| o.repartitioned),
+            field(|o| o.injected_total),
+        ));
     }
     let fed_seconds = fed_started.elapsed().as_secs_f64();
 
@@ -156,25 +182,11 @@ fn main() {
     let _ = writeln!(json, "  \"schedule_seeds_run\": {},", report.seeds_run);
     let _ = writeln!(json, "  \"schedule_seeds_skipped_budget\": {skipped},");
     let _ = writeln!(json, "  \"schedule_seconds\": {schedule_seconds:.3},");
+    let _ = writeln!(json, "  \"schedule_federated\": {federated},");
     let _ = writeln!(json, "  \"start\": {},", opts.start);
     let _ = writeln!(json, "  \"federation_seconds\": {fed_seconds:.3},");
     let _ = writeln!(json, "  \"federation_cases\": [");
-    for (i, (outcome, passed)) in fed_cases.iter().enumerate() {
-        let comma = if i + 1 == fed_cases.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{ \"name\": \"{}\", \"passed\": {passed}, \"digest\": \"{:#018x}\", \
-             \"deterministic\": {}, \"handoffs\": {}, \"redirects\": {}, \
-             \"repartitioned\": {}, \"injected\": {} }}{comma}",
-            outcome.name,
-            outcome.digest,
-            outcome.deterministic,
-            outcome.handoffs,
-            outcome.redirects,
-            outcome.repartitioned,
-            outcome.injected
-        );
-    }
+    let _ = writeln!(json, "    {}", fed_rows.join(",\n    "));
     let _ = writeln!(json, "  ],");
     let _ = writeln!(json, "  \"failures\": [");
     let all: Vec<String> = differential_failures
@@ -194,13 +206,14 @@ fn main() {
     let clean = all.is_empty();
     println!(
         "verify_fuzz: {} differential seeds in {:.1}s, {} schedule seeds in {:.1}s \
-         ({} skipped by budget), {} federation cases in {:.1}s, {} violations → {}",
+         ({} federated, {} skipped by budget), {} federation cases in {:.1}s, {} violations → {}",
         opts.seeds,
         differential_seconds,
         report.seeds_run,
         schedule_seconds,
+        federated,
         skipped,
-        fed_cases.len(),
+        fed_rows.len(),
         fed_seconds,
         all.len(),
         opts.out.display()

@@ -31,36 +31,31 @@
 //!   counters (`sa_cell_updates_total`) off every member, rebalances
 //!   the map by observed load, and pushes the next epoch to all members
 //!   with idempotent, retried `InstallTopology` exchanges.
-//! * [`replay`] / [`fuzz`] — a deterministic federation replay driver
-//!   (virtual clock, seeded chaos on client links, mesh and coordinator
-//!   links, byte-level FNV digest) and the three named gating cases the
-//!   `verify_fuzz` PR gate runs.
 //! * [`stats`] — the federated scrape: [`federated_scrape`] renders
 //!   every member's metrics into one Prometheus document with a
 //!   `member` label, merges histograms into federation-level roll-ups,
 //!   and adds coordinator gauges (epoch, per-member owned cells, load
 //!   imbalance) plus p99 trace exemplars.
+//!
+//! This crate holds the federation itself, not a harness for it: the
+//! seed-reproducible, fault-injected run of a federation is
+//! `sa_verify::run_case` over a `FuzzCase` with `partitions > 1`, which
+//! wires these pieces over chaos links on a virtual clock and checks
+//! the run against the ground truth and the transcript oracle.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod coordinator;
 pub mod federation;
-pub mod fuzz;
 pub mod handoff;
-pub mod replay;
 pub mod router;
 pub mod stats;
 pub mod topology;
 
 pub use coordinator::Coordinator;
 pub use federation::Federation;
-pub use fuzz::{
-    gating_cases, handoff_during_disconnect_case, lossy_repartition_case,
-    repartition_during_batch_case, run_fed_case, FedCase, FedCaseOutcome,
-};
 pub use handoff::HandoffChannel;
-pub use replay::{fed_replay, FedOutcome, FedReplayConfig};
 pub use router::FedTransport;
 pub use stats::federated_scrape;
 pub use topology::PartitionMap;

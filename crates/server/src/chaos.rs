@@ -27,10 +27,11 @@
 //! [`InjectedCounts`] of the [`ChaosControls`] shared with the driver.
 //!
 //! [`crate::replay::drive`] arms the links and throws the breaker at the
-//! plan's disconnect windows. `sa_verify::run_case` and
-//! `sa_fed::fed_replay` drive resilient clients over these transports on
-//! a virtual clock and diff the firings against the ground truth — the
-//! paper's 100%-accuracy requirement must survive the fault plan.
+//! plan's disconnect windows. `sa_verify::run_case`, the workspace's one
+//! fault-injected replay, drives resilient clients over these transports
+//! — to one server or to a federation of them — on a virtual clock and
+//! diffs the firings against the ground truth: the paper's
+//! 100%-accuracy requirement must survive the fault plan.
 
 use crate::clock::{SharedClock, SystemClock};
 use crate::transport::{Transport, TransportError};

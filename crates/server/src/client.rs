@@ -623,7 +623,13 @@ impl<T: Transport> Client<T> {
     }
 
     /// Records one firing unless the alarm already fired for this
-    /// client. Returns whether the event was recorded.
+    /// client, in which case the recorded step moves back to `step` if
+    /// that is earlier: after an outage, a local OPT check of the
+    /// current sample can fire an alarm (against a set a reconciled
+    /// sample just pushed) before a still-buffered earlier sample that
+    /// was already inside it is replayed, and that replay's delivery,
+    /// attributed to its own step, dates the firing. Returns whether
+    /// the event was new.
     fn record_fire(&mut self, alarm: u32, step: u32) -> bool {
         if self.fired_alarms.insert(alarm) {
             self.fired.push(FiredEvent {
@@ -631,10 +637,12 @@ impl<T: Transport> Client<T> {
                 alarm: AlarmId(alarm as u64),
                 step,
             });
-            true
-        } else {
-            false
+            return true;
         }
+        if let Some(event) = self.fired.iter_mut().find(|e| e.alarm.0 == u64::from(alarm)) {
+            event.step = event.step.min(step);
+        }
+        false
     }
 
     /// The uplink for one sample: a plain `LocationUpdate` first, then

@@ -37,13 +37,13 @@
 //!
 //! ```text
 //! chaos   ── FaultyTransport decorator + FaultPlan; the replay driver
-//!            arms it, sa-verify / sa-fed replay through it
+//!            arms it, sa-verify's run_case replays through it
 //! transcript ─ RecordingTransport decorator: every exchange on every
 //!            link, digested — the determinism gates' witness
 //! replay  ── the one driver: drive (step loop) + BatchDriver (batched
 //!            exchange) + verify_prefix (GroundTruth diff → FlightBundle);
 //!            per-request / TCP / batched multi-worker are thin callers,
-//!            as are sa-verify's run_case and sa-fed's fed_replay
+//!            as is sa-verify's run_case
 //! client  ── per-strategy mirrors (MWPSR / PBSR / OPT / safe-period)
 //!            + retry → degraded → resync → steady resilience machine
 //! transport ─ InProc | Tcp, both framing through the wire codec

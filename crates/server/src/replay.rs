@@ -13,11 +13,12 @@
 //! exchange per request or batched → drain), [`BatchDriver`] (chunking
 //! and reply checks of a batched step) and [`verify_prefix`]
 //! (ground-truth-prefix diff, a [`FlightBundle`] on divergence).
-//! [`replay`], [`replay_tcp`], [`replay_batched_in_proc`],
-//! `sa_verify::run_case` and `sa_fed::fed_replay` supply only a
-//! transport factory, vehicle-range workers or a per-step hook; the last
-//! two also bring a fault plan and run on a virtual clock, the
-//! workspace's fault-injected replays.
+//! [`replay`], [`replay_tcp`], [`replay_batched_in_proc`] and
+//! `sa_verify::run_case` supply only a transport factory, vehicle-range
+//! workers or a per-step hook; `run_case` also brings a fault plan and a
+//! federation of one or more members and runs on a virtual clock — the
+//! workspace's one fault-injected replay, which batches through
+//! [`exchange_batch`] per member rather than through a [`BatchDriver`].
 //!
 //! Only static alarms are replayed (the wire protocol carries no
 //! moving-target coordination); build the harness with

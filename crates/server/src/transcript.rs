@@ -3,10 +3,10 @@
 //! A [`RecordingTransport`] wraps any [`Transport`] and appends every
 //! exchange — the encoded request body, and either the encoded response
 //! bodies or the failure kind — to a shared [`Transcript`]. Because the
-//! deterministic harnesses (`sa_verify::run_case`, `sa_fed::fed_replay`
-//! — the workspace's fault-injected replays, faulty links recorded like
-//! any other) drive one virtual-clocked run from a single thread, the
-//! transcript is a total order over every byte that crossed any link;
+//! deterministic harness (`sa_verify::run_case`, the workspace's one
+//! fault-injected replay, faulty links recorded like any other) drives
+//! one virtual-clocked run from a single thread, the transcript is a
+//! total order over every byte that crossed any link;
 //! [`Transcript::digest`] folds it into one `u64`, and the determinism
 //! gates assert that the same case always produces the same digest,
 //! byte for byte.
@@ -18,9 +18,10 @@ use std::sync::{Arc, Mutex};
 /// One recorded exchange: who spoke, what was sent, what came back.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TranscriptEntry {
-    /// Connection tag: the client index, or [`DRIVER_TAG`] for the
-    /// batch driver connection (`sa-verify`); a per-link salt over
-    /// (kind, client, member) in the federation replay.
+    /// Connection tag: which link spoke. `sa_verify::run_case` tags
+    /// every link with a salt over (kind, client, member) — client,
+    /// handoff mesh, coordinator or batch driver — and its transcript
+    /// oracle decodes the same layout.
     pub tag: u64,
     /// The encoded request body.
     pub request: Vec<u8>,
@@ -28,9 +29,6 @@ pub struct TranscriptEntry {
     /// kind when the exchange errored.
     pub outcome: Result<Vec<Vec<u8>>, &'static str>,
 }
-
-/// Tag of the batch driver connection in [`TranscriptEntry::tag`].
-pub const DRIVER_TAG: u64 = u64::MAX;
 
 /// The ordered exchange log of one harness run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

@@ -2,8 +2,8 @@
 //! retry → degraded → resync → steady on one faulty link, the failure
 //! series on a live scrape, and an empty fault plan as a byte-identical
 //! passthrough. The fault-injected replays of a whole fleet against the
-//! ground truth are `sa-verify`'s (`crates/verify/tests/fault_presets.rs`)
-//! and `sa-fed`'s gating cases.
+//! ground truth are `sa-verify`'s (`crates/verify/tests/fault_presets.rs`,
+//! and `federation_cases.rs` for federations).
 
 use proptest::prelude::*;
 use sa_server::chaos::{FaultPlan, FaultyTransport};

@@ -11,11 +11,16 @@
 //!   a [`FuzzCase`] and drives the whole server/fleet/chaos stack
 //!   through [`run_case`]; any invariant violation is shrunk to a
 //!   minimal case and rendered as a `#[test]` reproducer.
+//!
+//! Beside the sweeps, [`federation_cases`] pins three federated cases,
+//! each chosen so the run provably crosses the scenario it is named
+//! for; [`pinned_failure`] is their gate.
 
-use crate::harness::{run_case, FuzzCase};
+use crate::harness::{run_case, CaseOutcome, FuzzCase};
 use crate::minimize::{reproducer, shrink_case};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use sa_geometry::{Point, Rect};
+use sa_server::{FaultPlan, StrategySpec};
 
 /// One fuzzed schedule failure, minimized and rendered.
 #[derive(Debug, Clone)]
@@ -83,6 +88,85 @@ pub fn fuzz_schedule(seeds: impl IntoIterator<Item = u64>, minimize: bool) -> Fu
         });
     }
     report
+}
+
+/// The named federation cases `verify_fuzz` gates on, each over three
+/// members with the four strategies round-robin:
+///
+/// * `handoff-during-disconnect` — a vehicle loses its radio while
+///   drifting across a partition boundary: the handoff and the
+///   disconnect-window resync overlap, and the pending firings must
+///   come out exactly once on the new owner.
+/// * `repartition-during-batch` — the coordinator re-cuts the map in
+///   the middle of a batched step cadence: in-flight batch entries
+///   bounce with `WrongOwner`, re-route through a handoff, and must
+///   neither duplicate nor drop a staged update.
+/// * `lossy-repartition` — the lossy plan on every leg, vehicles handing
+///   off across boundaries, and one mid-run repartition they learn of
+///   only through `WrongOwner` bounces.
+pub fn federation_cases() -> Vec<(&'static str, FuzzCase)> {
+    let case = |seed, alarms, steps, height, plan, batch_every, repartition_at| FuzzCase {
+        seed,
+        vehicles: 4,
+        alarms,
+        steps,
+        strategies: vec![
+            StrategySpec::Mwpsr,
+            StrategySpec::Pbsr { height },
+            StrategySpec::Opt,
+            StrategySpec::SafePeriod,
+        ],
+        plan,
+        batch_every,
+        partitions: 3,
+        repartition_at,
+    };
+    let disconnect = FaultPlan {
+        disconnect_steps: std::iter::once(20..27).collect(),
+        ..FaultPlan::lossy(0xFED_0001)
+    };
+    vec![
+        ("handoff-during-disconnect", case(0xFED_0001, 24, 48, 3, disconnect, 0, None)),
+        (
+            "repartition-during-batch",
+            case(0xFED_0004, 24, 48, 3, FaultPlan::clean(), 2, Some(24)),
+        ),
+        (
+            "lossy-repartition",
+            case(0xFED_BEEF, 42, 96, 5, FaultPlan::lossy(0xFED_BEEF), 0, Some(48)),
+        ),
+    ]
+}
+
+/// The gate of a pinned case, given two runs of it: `None` when both
+/// runs are clean and byte-identical and the first fired at least once,
+/// handed off at least once (when federated) and, when the case
+/// repartitions, moved the cut. A run that fires nothing shows only
+/// that no spurious alarm fired; one that no longer hands off or
+/// repartitions has silently stopped exercising its scenario.
+pub fn pinned_failure(case: &FuzzCase, first: &CaseOutcome, second: &CaseOutcome) -> Option<String> {
+    if let Some(e) = first.failure() {
+        return Some(format!("first run: {e}"));
+    }
+    if let Some(e) = second.failure() {
+        return Some(format!("second run: {e}"));
+    }
+    if first.digest != second.digest {
+        return Some(format!(
+            "nondeterministic transcript: {:#018x} vs {:#018x}",
+            first.digest, second.digest
+        ));
+    }
+    if first.fired.is_empty() {
+        return Some("scenario not exercised: the first run fired no alarm".to_string());
+    }
+    if case.partitions > 1 && first.handoffs == 0 {
+        return Some("scenario not exercised: no session handed off".to_string());
+    }
+    if case.repartition_at.is_some() && !first.repartitioned {
+        return Some("scenario not exercised: the mid-run repartition was a no-op".to_string());
+    }
+    None
 }
 
 /// Builds the random per-cell differential case of `seed` and runs

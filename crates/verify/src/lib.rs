@@ -8,21 +8,26 @@
 //! This crate closes the loop with simulation testing in the
 //! FoundationDB style:
 //!
-//! * **Determinism** — the server, transports and chaos machinery are
-//!   driven off a [`sa_server::VirtualClock`] from a single thread, so
-//!   an entire run (fleet, faults, batching, retries) is a pure
-//!   function of one `u64` seed. [`Transcript`] records every byte
-//!   that crossed the wire; equal seeds must produce byte-identical
+//! * **Determinism** — [`run_case`], the workspace's one
+//!   fault-injected replay, drives a federation of one or more servers
+//!   (`sa-fed`; one member behaves as a standalone server), their
+//!   transports and the chaos machinery off a
+//!   [`sa_server::VirtualClock`] from a single thread, so an entire run
+//!   (fleet, faults, batching, retries, handoffs, repartitions) is a
+//!   pure function of one `u64` seed. [`Transcript`] records every byte
+//!   that crossed any link; equal seeds must produce byte-identical
 //!   transcripts.
 //! * **Brute-force oracles** — [`check_transcript`] replays a recorded
 //!   run against exhaustive checkers: every installed safe region (all
 //!   three algorithms) must avoid every unfired relevant alarm region,
 //!   every alarm push must be complete, every safe period must be
-//!   reachable-distance sound.
+//!   reachable-distance sound — on every member of a federation.
 //! * **Fuzzing + minimization** — [`fuzz_schedule`] derives random
-//!   fleet slices, fault plans, batch mixes and visit orders from a
-//!   seed; on violation, [`shrink_case`] greedily reduces the case and
-//!   [`reproducer`] renders it as a paste-ready `#[test]`.
+//!   fleet slices, fault plans, batch mixes, federation sizes,
+//!   repartition steps and visit orders from a seed; on violation,
+//!   [`shrink_case`] greedily reduces the case and [`reproducer`]
+//!   renders it as a paste-ready `#[test]`. [`federation_cases`] pins
+//!   three federated cases that [`pinned_failure`] gates.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,10 +37,13 @@ mod harness;
 mod minimize;
 mod oracle;
 
-pub use fuzz::{differential_seed, fuzz_differential, fuzz_schedule, FuzzFailure, FuzzReport};
+pub use fuzz::{
+    differential_seed, federation_cases, fuzz_differential, fuzz_schedule, pinned_failure,
+    FuzzFailure, FuzzReport,
+};
 pub use harness::{run_case, CaseOutcome, FuzzCase};
 pub use minimize::{reproducer, shrink_case, shrink_elements, test_artifact};
 pub use oracle::{check_transcript, strictly_inside, GEOMETRY_TOL_M};
 pub use sa_server::transcript::{
-    error_kind, RecordingTransport, SharedTranscript, Transcript, TranscriptEntry, DRIVER_TAG,
+    error_kind, RecordingTransport, SharedTranscript, Transcript, TranscriptEntry,
 };

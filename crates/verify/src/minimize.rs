@@ -4,8 +4,9 @@
 //! the story: a 6-vehicle, 48-alarm, 72-step run with a lossy fault
 //! plan usually shrinks to a couple of vehicles over a handful of steps
 //! with no faults at all. [`shrink_case`] walks the case's dimensions
-//! greedily — drop the fault plan, drop batching, halve steps, halve
-//! the fleet and workload, thin the strategy mix —
+//! greedily — drop the fault plan, drop batching, collapse the
+//! federation to one member and drop its repartition, halve steps,
+//! halve the fleet and workload, thin the strategy mix —
 //! keeping each reduction only if the failure survives, until a full
 //! pass makes no progress. [`shrink_elements`] is the same idea for
 //! plain element sets (the obstacle lists of the region oracles).
@@ -66,6 +67,9 @@ fn candidates(case: &FuzzCase) -> Vec<FuzzCase> {
     push(&|c| c.plan = FaultPlan::clean());
     push(&|c| c.plan.disconnect_steps.clear());
     push(&|c| c.batch_every = 0);
+    push(&|c| c.partitions = 1);
+    push(&|c| c.partitions = c.partitions.saturating_sub(1).max(1));
+    push(&|c| c.repartition_at = None);
     push(&|c| c.steps = (c.steps / 2).max(1));
     push(&|c| c.steps = c.steps.saturating_sub(1).max(1));
     push(&|c| c.vehicles = (c.vehicles / 2).max(1));
@@ -185,6 +189,8 @@ pub fn reproducer(case: &FuzzCase, violation: &str) -> String {
          \x20   strategies: vec![{strategies}],\n\
          \x20   plan: {plan},\n\
          \x20   batch_every: {batch_every},\n\
+         \x20   partitions: {partitions},\n\
+         \x20   repartition_at: {repartition_at:?},\n\
          }};\n\
          let outcome = sa_verify::run_case(&case).expect(\"transport must hold\");\n\
          outcome.assert_clean();",
@@ -194,6 +200,8 @@ pub fn reproducer(case: &FuzzCase, violation: &str) -> String {
         steps = case.steps,
         plan = plan_literal(&case.plan),
         batch_every = case.batch_every,
+        partitions = case.partitions,
+        repartition_at = case.repartition_at,
     );
     test_artifact(&format!("sa_verify_minimized_seed_{}", case.seed), violation, &body)
 }
@@ -228,6 +236,8 @@ mod tests {
         assert_eq!(shrunk.alarms, 1);
         assert_eq!(shrunk.plan, FaultPlan::clean());
         assert_eq!(shrunk.batch_every, 0);
+        assert_eq!(shrunk.partitions, 1);
+        assert_eq!(shrunk.repartition_at, None);
         assert_eq!(shrunk.strategies.len(), 1);
     }
 
@@ -239,6 +249,14 @@ mod tests {
         assert!(art.contains("sa_verify::run_case"));
         assert!(art.contains("// second line"));
         assert!(art.contains(&format!("seed: {},", case.seed)));
+        assert!(art.contains(&format!("partitions: {},", case.partitions)));
+        assert!(art.contains(&format!("repartition_at: {:?},", case.repartition_at)));
+        let mut federated = case.clone();
+        federated.partitions = 3;
+        federated.repartition_at = Some(12);
+        let art = reproducer(&federated, "x");
+        assert!(art.contains("partitions: 3,"));
+        assert!(art.contains("repartition_at: Some(12),"));
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! comparisons against the unquantized workload would flag phantom
 //! sub-micrometer overlaps.
 
-use sa_server::transcript::{Transcript, DRIVER_TAG};
+use sa_server::transcript::Transcript;
 use sa_alarms::{SpatialAlarm, SubscriberId};
 use sa_core::oracle::{check_bitmap_against_mask, check_sound};
 use sa_core::BitmapSafeRegion;
@@ -230,8 +230,14 @@ impl OracleState<'_> {
 
 /// Replays `transcript` through the brute-force oracles.
 ///
-/// `sessions[i]` and `strategies[i]` describe client `i` (subscriber id
-/// `i`); batch reply groups are routed to clients by session.
+/// `sessions[i][m]` is client `i`'s session on federation member `m`,
+/// and `strategies[i]` its strategy (subscriber id `i`). Entries are
+/// attributed by their tag, laid out as
+/// `kind << 48 | client << 16 | member`: a client link (kind 0) speaks
+/// for its client, batch reply groups on a member's driver link (kind
+/// 3) are attributed by `(member, session)`, and the handoff mesh (1)
+/// and coordinator (2) links carry no subscriber's answers, so they are
+/// skipped.
 ///
 /// # Errors
 ///
@@ -240,12 +246,17 @@ impl OracleState<'_> {
 pub fn check_transcript(
     transcript: &Transcript,
     harness: &SimulationHarness,
-    sessions: &[u32],
+    sessions: &[Vec<u32>],
     strategies: &[StrategySpec],
 ) -> Result<(), String> {
-    assert_eq!(sessions.len(), strategies.len(), "one session per client");
-    let by_session: HashMap<u32, usize> =
-        sessions.iter().enumerate().map(|(i, &s)| (s, i)).collect();
+    assert_eq!(sessions.len(), strategies.len(), "one session list per client");
+    let by_session: HashMap<(u32, u32), usize> = sessions
+        .iter()
+        .enumerate()
+        .flat_map(|(i, per_member)| {
+            per_member.iter().enumerate().map(move |(m, &s)| ((m as u32, s), i))
+        })
+        .collect();
     let mut state = OracleState {
         grid: harness.grid(),
         alarms: harness.index().alarms(),
@@ -254,16 +265,19 @@ pub fn check_transcript(
     };
 
     for (n, entry) in transcript.entries().iter().enumerate() {
+        let (kind, client, member) =
+            (entry.tag >> 48, (entry.tag >> 16) as u32 as usize, (entry.tag & 0xFFFF) as u32);
+        if kind == 1 || kind == 2 {
+            continue;
+        }
         let req = Request::decode(&entry.request)
             .map_err(|e| format!("entry {n}: recorded request does not decode: {e}"))?;
         // Client-side trigger detection counts as fired the moment it is
         // attempted: marking on a lost notify only shrinks the expected
         // set (conservative), while missing a delivered one would flag
         // phantom violations.
-        if let Request::TriggerNotify { alarm, .. } = req {
-            if entry.tag != DRIVER_TAG {
-                state.fired.insert((entry.tag as u32, u64::from(alarm)));
-            }
+        if let (0, Request::TriggerNotify { alarm, .. }) = (kind, &req) {
+            state.fired.insert((client as u32, u64::from(*alarm)));
         }
         let Ok(frames) = &entry.outcome else { continue };
         let responses: Vec<Response> = frames
@@ -272,7 +286,7 @@ pub fn check_transcript(
             .collect::<Result<_, _>>()
             .map_err(|e| format!("entry {n}: recorded response does not decode: {e}"))?;
 
-        if entry.tag == DRIVER_TAG {
+        if kind == 3 {
             let Request::Batch { updates, .. } = &req else {
                 continue;
             };
@@ -285,9 +299,9 @@ pub fn check_transcript(
             for resp in &responses {
                 let Response::Batch { replies, .. } = resp else { continue };
                 for group in replies {
-                    let Some(&client) = by_session.get(&group.session) else {
+                    let Some(&client) = by_session.get(&(member, group.session)) else {
                         return Err(format!(
-                            "entry {n}: batch reply for unknown session {}",
+                            "entry {n}: batch reply for unknown session {} on member {member}",
                             group.session
                         ));
                     };
@@ -302,9 +316,8 @@ pub fn check_transcript(
                 }
             }
         } else {
-            let client = entry.tag as usize;
-            if client >= strategies.len() {
-                return Err(format!("entry {n}: unknown connection tag {}", entry.tag));
+            if kind != 0 || client >= strategies.len() {
+                return Err(format!("entry {n}: unknown connection tag {:#x}", entry.tag));
             }
             let pos = req
                 .position_fx()
@@ -320,6 +333,114 @@ pub fn check_transcript(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::link_salt;
+    use sa_server::transcript::TranscriptEntry;
+    use sa_server::wire::{pack_motion, quantize_m, quantize_rect, BatchReply, BatchedUpdate};
+    use sa_sim::SimulationConfig;
+
+    /// Client `i`'s session on member `m` is `SESSIONS[i][m]`: session 7
+    /// is client 0's on member 2 and client 1's on member 1.
+    const SESSIONS: [[u32; 3]; 3] = [[3, 4, 7], [5, 7, 8], [6, 9, 10]];
+
+    fn sessions() -> Vec<Vec<u32>> {
+        SESSIONS.iter().map(|s| s.to_vec()).collect()
+    }
+
+    /// An alarm relevant to subscriber `yes` and not to `no`.
+    fn alarm_for(harness: &SimulationHarness, yes: u32, no: u32) -> &SpatialAlarm {
+        harness
+            .index()
+            .alarms()
+            .iter()
+            .find(|a| a.is_relevant_to(SubscriberId(yes)) && !a.is_relevant_to(SubscriberId(no)))
+            .expect("the workload carries private alarms")
+    }
+
+    /// An update at the centre of `alarm` and the unsound install that
+    /// answers it: a 1 m square around that centre, inside its cell.
+    fn unsound_exchange(harness: &SimulationHarness, alarm: &SpatialAlarm) -> (Point, Response) {
+        let c = alarm.region().center();
+        let grid = harness.grid();
+        let cell = grid.cell_of(c);
+        let rect = Rect::new(c.x - 0.5, c.y - 0.5, c.x + 0.5, c.y + 0.5).unwrap();
+        assert!(grid.cell_rect(cell).contains_rect(&rect), "the square must sit inside its cell");
+        let install =
+            Response::RectInstall { seq: 1, cell: grid.cell_index(cell) as u32, rect: quantize_rect(rect) };
+        (c, install)
+    }
+
+    fn update(pos: Point) -> Request {
+        let (x_fx, y_fx) = (quantize_m(pos.x), quantize_m(pos.y));
+        Request::LocationUpdate { seq: 1, x_fx, y_fx, motion: pack_motion(0.0, 10.0) }
+    }
+
+    fn entry(tag: u64, req: &Request, resp: &Response) -> TranscriptEntry {
+        TranscriptEntry {
+            tag,
+            request: req.encode().to_vec(),
+            outcome: Ok(vec![resp.encode().to_vec()]),
+        }
+    }
+
+    fn harness() -> SimulationHarness {
+        SimulationHarness::build(&SimulationConfig::fuzz_slice(3, 48, 20, 0x0AC1E))
+    }
+
+    fn check(harness: &SimulationHarness, entries: Vec<TranscriptEntry>) -> Result<(), String> {
+        let mut transcript = Transcript::new();
+        entries.into_iter().for_each(|e| transcript.push(e));
+        let strategies = [StrategySpec::Mwpsr; 3];
+        check_transcript(&transcript, harness, &sessions(), &strategies)
+    }
+
+    #[test]
+    fn an_unsound_install_on_a_members_client_link_is_flagged_for_its_subscriber() {
+        let harness = harness();
+        let (pos, install) = unsound_exchange(&harness, alarm_for(&harness, 1, 0));
+        let err = check(&harness, vec![entry(link_salt(0, 1, 1), &update(pos), &install)])
+            .expect_err("an install overlapping an unfired relevant alarm is unsound");
+        assert!(err.contains("rect install for user#1 overlaps unfired"), "{err}");
+        // The same bytes answering client 0, to whom the alarm is
+        // irrelevant, are sound.
+        check(&harness, vec![entry(link_salt(0, 0, 1), &update(pos), &install)])
+            .expect("the alarm is not client 0's");
+    }
+
+    #[test]
+    fn batch_reply_groups_are_attributed_by_member_and_session() {
+        let harness = harness();
+        let (pos, install) = unsound_exchange(&harness, alarm_for(&harness, 0, 1));
+        let batch = |member: u32| {
+            let session = 7;
+            let (x_fx, y_fx) = (quantize_m(pos.x), quantize_m(pos.y));
+            let updates =
+                vec![BatchedUpdate { session, seq: 1, x_fx, y_fx, motion: pack_motion(0.0, 10.0) }];
+            let replies = vec![BatchReply { session, responses: vec![install.clone()] }];
+            let tag = link_salt(3, u32::MAX, member);
+            entry(tag, &Request::Batch { seq: 1, updates }, &Response::Batch { seq: 1, replies })
+        };
+        // Session 7 on member 2 is client 0, whose alarm the install
+        // overlaps; on member 1 it is client 1, to whom it is irrelevant.
+        let err = check(&harness, vec![batch(2)]).expect_err("client 0's install is unsound");
+        assert!(err.contains("user#0"), "{err}");
+        check(&harness, vec![batch(1)]).expect("client 1's install is sound");
+        let err = check(&harness, vec![batch(0)]).expect_err("no client has session 7 on member 0");
+        assert!(err.contains("unknown session 7 on member 0"), "{err}");
+    }
+
+    #[test]
+    fn mesh_and_coordinator_links_are_skipped() {
+        let harness = harness();
+        let (pos, install) = unsound_exchange(&harness, alarm_for(&harness, 1, 0));
+        let trunks = vec![
+            entry(link_salt(1, 1, 1), &update(pos), &install),
+            entry(link_salt(2, u32::MAX, 1), &update(pos), &install),
+        ];
+        check(&harness, trunks).expect("server-to-server links answer no subscriber");
+        let err = check(&harness, vec![entry(link_salt(4, 1, 1), &update(pos), &install)])
+            .expect_err("an unknown link kind is a protocol-shape surprise");
+        assert!(err.contains("unknown connection tag"), "{err}");
+    }
 
     #[test]
     fn strictly_inside_respects_the_tolerance_band() {

@@ -1,10 +1,27 @@
 //! The determinism gate: a [`sa_verify::FuzzCase`] is a pure function
 //! of its seed. Same seed ⇒ byte-identical transcript (not merely an
-//! equal digest), including under an armed chaos fault plan; different
-//! seeds must diverge.
+//! equal digest), including under an armed chaos fault plan, over a
+//! federation, across a mid-run repartition; different seeds must
+//! diverge.
 
-use sa_server::FaultPlan;
+use sa_server::{FaultPlan, StrategySpec};
 use sa_verify::{run_case, CaseOutcome, FuzzCase};
+
+/// A small fleet — three vehicles, twelve alarms, 32 steps — over a
+/// federation of `partitions` members.
+fn federated(seed: u64, partitions: u32, plan: FaultPlan, batch_every: u32) -> FuzzCase {
+    FuzzCase {
+        seed,
+        vehicles: 3,
+        alarms: 12,
+        steps: 32,
+        strategies: vec![StrategySpec::Mwpsr, StrategySpec::Pbsr { height: 2 }, StrategySpec::Opt],
+        plan,
+        batch_every,
+        partitions,
+        repartition_at: None,
+    }
+}
 
 fn run(case: &FuzzCase) -> CaseOutcome {
     run_case(case).expect("transport must hold under the harness")
@@ -40,6 +57,11 @@ fn clean_runs_are_byte_identical() {
         case.plan = FaultPlan::clean();
         assert_reproducible(&case);
     }
+    // A mid-run repartition the clients learn of only by bouncing.
+    let mut case = federated(21, 3, FaultPlan::clean(), 0);
+    case.steps = 40;
+    case.repartition_at = Some(16);
+    assert_reproducible(&case);
 }
 
 #[test]
@@ -54,6 +76,8 @@ fn chaos_runs_are_byte_identical() {
     case.plan.disconnect_steps = vec![10..14, 25..28];
     case.batch_every = 0;
     assert_reproducible(&case);
+    // Chaos on client, handoff mesh and coordinator links alike.
+    assert_reproducible(&federated(11, 3, FaultPlan::lossy(11), 0));
 }
 
 #[test]
@@ -62,6 +86,8 @@ fn batched_runs_are_byte_identical() {
     case.plan = FaultPlan::clean();
     case.batch_every = 2;
     assert_reproducible(&case);
+    // One batch frame per member, entries routed to their owners.
+    assert_reproducible(&federated(31, 2, FaultPlan::clean(), 2));
 }
 
 #[test]
@@ -77,4 +103,7 @@ fn different_seeds_produce_different_transcripts() {
     let b = run(&FuzzCase::from_seed(1001));
     assert_ne!(a.digest, b.digest, "distinct seeds should not collide");
     assert_ne!(a.transcript, b.transcript);
+    let a = run(&federated(11, 3, FaultPlan::lossy(11), 0));
+    let b = run(&federated(12, 3, FaultPlan::lossy(12), 0));
+    assert_ne!(a.digest, b.digest, "distinct federated seeds should not collide");
 }

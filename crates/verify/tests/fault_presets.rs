@@ -23,6 +23,8 @@ fn preset_case(seed: u64, plan: FaultPlan) -> FuzzCase {
         ],
         plan,
         batch_every: 0,
+        partitions: 1,
+        repartition_at: None,
     }
 }
 

@@ -8,14 +8,14 @@
 //! alarm id, under the dispatch of the update that fired it. The same
 //! run must export loadable Chrome trace-event JSON carrying all of it.
 
-use sa_fed::{fed_replay, handoff_during_disconnect_case};
-use sa_obs::{assemble, render_tree, SpanKind, TraceTree};
+use sa_obs::{assemble, chrome_trace_json, render_tree, SpanKind, TraceTree};
+use sa_verify::{federation_cases, run_case};
 
 fn has(tree: &TraceTree, kind: SpanKind) -> bool {
     tree.spans.iter().any(|s| s.kind == kind)
 }
 
-/// Members below the replay driver's pseudo-member range (client
+/// Members below the harness's pseudo-member range (client
 /// routers start at 100) are real federation members.
 fn real_members(tree: &TraceTree) -> usize {
     tree.members().iter().filter(|&&m| m < 100).count()
@@ -23,9 +23,12 @@ fn real_members(tree: &TraceTree) -> usize {
 
 #[test]
 fn handoff_case_assembles_one_connected_multi_member_trace() {
-    let case = handoff_during_disconnect_case();
-    let out = fed_replay(&case.config).expect("transport must hold");
-    out.verification.as_ref().expect("the gate case must stay exact");
+    let (_, case) = federation_cases()
+        .into_iter()
+        .find(|(name, _)| *name == "handoff-during-disconnect")
+        .expect("the handoff case is pinned");
+    let out = run_case(&case).expect("transport must hold");
+    out.assert_clean();
     assert!(out.handoffs >= 1, "the case must migrate at least one session");
 
     let trees = assemble(&out.spans);
@@ -95,9 +98,10 @@ fn handoff_case_assembles_one_connected_multi_member_trace() {
     assert_eq!(traced, observed, "one trigger span per observed firing");
 
     // The exported Chrome JSON carries the same record.
+    let trace_json = chrome_trace_json(&out.spans);
     for name in ["handoff_export", "handoff_import", "client_update", "redelivery", "trigger"] {
         assert!(
-            out.trace_json.contains(&format!("\"name\":\"{name}\"")),
+            trace_json.contains(&format!("\"name\":\"{name}\"")),
             "trace JSON must carry {name} events"
         );
     }

@@ -19,6 +19,8 @@ fn fixed_case() -> FuzzCase {
         ],
         plan: FaultPlan::clean(),
         batch_every: 3,
+        partitions: 1,
+        repartition_at: None,
     }
 }
 
