@@ -4,7 +4,7 @@
 //! This binary answers "can the runtime carry the paper's §5.1
 //! workload?": a proportional fraction of the full hour (10,000 vehicles
 //! × 10,000 alarms at `--scale 1.0`, the CI default `--scale 0.1` being
-//! 1,000 × 1,000) driven through [`sa_server::replay_batched_in_proc`]
+//! 1,000 × 1,000) driven through [`sa_verify::replay_batched_in_proc`]
 //! by N parallel workers, one `Request::Batch` frame per worker per
 //! step. Every firing is still cross-checked against the simulator's
 //! ground truth before anything is reported.
@@ -27,10 +27,9 @@
 //!                      [--out PATH]`
 
 use sa_server::wire::StrategySpec;
-use sa_server::{
-    quarter_us_per_update, replay_batched_in_proc, replay_in_proc, ReplayConfig, TraceMode,
-};
+use sa_server::TraceMode;
 use sa_sim::{SimulationConfig, SimulationHarness};
+use sa_verify::{quarter_us_per_update, replay_batched_in_proc, replay_in_proc, ReplayConfig};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;

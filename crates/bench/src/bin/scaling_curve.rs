@@ -35,8 +35,9 @@ use sa_bench::{fit_power_law, render_table, PowerLawFit};
 use sa_core::BitVec;
 use sa_obs::{render_snapshot, Registry};
 use sa_server::wire::StrategySpec;
-use sa_server::{replay_batched_in_proc, ReplayConfig, TraceMode};
+use sa_server::TraceMode;
 use sa_sim::{SimulationConfig, SimulationHarness};
+use sa_verify::{replay_batched_in_proc, ReplayConfig};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;

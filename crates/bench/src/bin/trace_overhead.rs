@@ -15,8 +15,9 @@
 //!   [--out PATH]`
 
 use sa_server::wire::StrategySpec;
-use sa_server::{replay_in_proc, ReplayConfig, TraceMode};
+use sa_server::TraceMode;
 use sa_sim::{SimulationConfig, SimulationHarness};
+use sa_verify::{replay_in_proc, ReplayConfig};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;

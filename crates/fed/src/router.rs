@@ -121,8 +121,8 @@ impl FedTransport {
         self.map.epoch
     }
 
-    /// This client's session id on member `id` — batch drivers need it
-    /// to address `Request::Batch` entries.
+    /// This client's session id on member `id` — the batched exchange
+    /// needs it to address `Request::Batch` entries.
     ///
     /// # Panics
     ///
@@ -133,8 +133,8 @@ impl FedTransport {
 
     /// Routes `pos`: ensures the owning member holds the session
     /// (migrating it if ownership changed) and returns that member.
-    /// This is the batch driver's entry point — per-request routing
-    /// calls it internally.
+    /// `sa-verify`'s batched exchange routes each entry through it;
+    /// per-request routing calls it internally.
     ///
     /// # Errors
     ///
@@ -158,7 +158,7 @@ impl FedTransport {
     }
 
     /// Records a `WrongOwner` bounce observed outside the router (the
-    /// batch driver sees them in reply groups) and refreshes the map
+    /// batched exchange sees them in reply groups) and refreshes the map
     /// from the bouncing member.
     ///
     /// # Errors

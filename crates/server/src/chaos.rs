@@ -26,7 +26,7 @@
 //! `sa_chaos_injected_total{kind=…}` counters and through the
 //! [`InjectedCounts`] of the [`ChaosControls`] shared with the driver.
 //!
-//! [`crate::replay::drive`] arms the links and throws the breaker at the
+//! `sa-verify`'s step loop arms the links and throws the breaker at the
 //! plan's disconnect windows. `sa_verify::run_case`, the workspace's one
 //! fault-injected replay, drives resilient clients over these transports
 //! — to one server or to a federation of them — on a virtual clock and

@@ -377,9 +377,9 @@ impl<T: Transport> Client<T> {
         self.resilience.as_ref().map_or(0, |r| r.pending.len())
     }
 
-    /// Mutable access to the underlying transport — the federation
-    /// batch driver needs it to steer ownership (topology refresh,
-    /// session handoff) between polls without tearing the client down.
+    /// Mutable access to the underlying transport — `sa-verify`'s batched
+    /// exchange needs it to steer ownership (topology refresh, session
+    /// handoff) between polls without tearing the client down.
     pub fn transport_mut(&mut self) -> &mut T {
         &mut self.transport
     }

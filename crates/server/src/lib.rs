@@ -9,8 +9,8 @@
 //! safe-region bitmaps ([`cache`]), two interchangeable transports —
 //! in-process and TCP ([`transport`]) — one event-driven TCP front
 //! end ([`reactor`], [`netfront`]), and client-side strategy mirrors
-//! plus the one trace replay driver that cross-checks every firing
-//! against the simulator's ground truth ([`client`], [`mod@replay`]).
+//! ([`client`]). Trace replays against the simulator's ground truth
+//! live in `sa-verify`.
 //!
 //! Every layer is instrumented through `sa-obs`: one registry per server
 //! holds the cache/router counters, the reactor's connection gauges, and
@@ -36,14 +36,9 @@
 //! The layering, bottom-up:
 //!
 //! ```text
-//! chaos   ── FaultyTransport decorator + FaultPlan; the replay driver
-//!            arms it, sa-verify's run_case replays through it
-//! transcript ─ RecordingTransport decorator: every exchange on every
-//!            link, digested — the determinism gates' witness
-//! replay  ── the one driver: drive (step loop) + BatchDriver (batched
-//!            exchange) + verify_prefix (GroundTruth diff → FlightBundle);
-//!            per-request / TCP / batched multi-worker are thin callers,
-//!            as is sa-verify's run_case
+//! chaos   ── FaultyTransport decorator + FaultPlan; sa-verify's replay
+//!            driver arms it, and sa-fed's and this crate's tests wrap
+//!            links in it
 //! client  ── per-strategy mirrors (MWPSR / PBSR / OPT / safe-period)
 //!            + retry → degraded → resync → steady resilience machine
 //! transport ─ InProc | Tcp, both framing through the wire codec
@@ -73,9 +68,7 @@ pub mod netfront;
 #[allow(unsafe_code)]
 mod poller;
 pub mod reactor;
-pub mod replay;
 pub mod server;
-pub mod transcript;
 pub mod transport;
 pub mod wire;
 
@@ -85,11 +78,6 @@ pub use client::{Backoff, Client, ClientStats, ResiliencePolicy};
 pub use clock::{Clock, SharedClock, SystemClock, VirtualClock};
 pub use netfront::{AdmissionConfig, FrameError, FrameReader, WriteQueue};
 pub use reactor::{Reactor, ReactorConfig};
-pub use replay::{
-    connect_fleet, drive, exchange_batch, quarter_us_per_update, replay, replay_batched_in_proc,
-    replay_in_proc, replay_tcp, verify_prefix, BatchDriver, Driven, ReplayConfig, ReplayOutcome,
-    StepCost,
-};
 pub use sa_obs::TraceMode;
 pub use server::{Server, ServerConfig};
 pub use transport::{

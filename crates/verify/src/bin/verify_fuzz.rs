@@ -156,11 +156,12 @@ fn main() {
         fed_rows.push(format!(
             "{{ \"name\": \"{name}\", \"passed\": {}, \"digest\": \"{:#018x}\", \
              \"deterministic\": {deterministic}, \"handoffs\": {}, \"redirects\": {}, \
-             \"repartitioned\": {}, \"injected\": {} }}",
+             \"batch_bounces\": {}, \"repartitioned\": {}, \"injected\": {} }}",
             failure.is_none(),
             field(|o| o.digest),
             field(|o| o.handoffs),
             field(|o| o.redirects),
+            field(|o| o.batch_bounces),
             first.is_some_and(|o| o.repartitioned),
             field(|o| o.injected_total),
         ));

@@ -129,7 +129,7 @@ pub fn federation_cases() -> Vec<(&'static str, FuzzCase)> {
         ("handoff-during-disconnect", case(0xFED_0001, 24, 48, 3, disconnect, 0, None)),
         (
             "repartition-during-batch",
-            case(0xFED_0004, 24, 48, 3, FaultPlan::clean(), 2, Some(24)),
+            case(0xFED_0007, 24, 48, 3, FaultPlan::clean(), 2, Some(24)),
         ),
         (
             "lossy-repartition",
@@ -140,10 +140,11 @@ pub fn federation_cases() -> Vec<(&'static str, FuzzCase)> {
 
 /// The gate of a pinned case, given two runs of it: `None` when both
 /// runs are clean and byte-identical and the first fired at least once,
-/// handed off at least once (when federated) and, when the case
-/// repartitions, moved the cut. A run that fires nothing shows only
-/// that no spurious alarm fired; one that no longer hands off or
-/// repartitions has silently stopped exercising its scenario.
+/// handed off at least once (when federated), moved the cut when the
+/// case repartitions, and bounced a batch entry when it also batches. A
+/// run that fires nothing shows only that no spurious alarm fired; one
+/// that no longer hands off, repartitions or bounces has silently
+/// stopped exercising its scenario.
 pub fn pinned_failure(case: &FuzzCase, first: &CaseOutcome, second: &CaseOutcome) -> Option<String> {
     if let Some(e) = first.failure() {
         return Some(format!("first run: {e}"));
@@ -165,6 +166,9 @@ pub fn pinned_failure(case: &FuzzCase, first: &CaseOutcome, second: &CaseOutcome
     }
     if case.repartition_at.is_some() && !first.repartitioned {
         return Some("scenario not exercised: the mid-run repartition was a no-op".to_string());
+    }
+    if case.batch_every > 0 && case.repartition_at.is_some() && first.batch_bounces == 0 {
+        return Some("scenario not exercised: no batch entry bounced with WrongOwner".to_string());
     }
     None
 }

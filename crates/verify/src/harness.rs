@@ -15,7 +15,7 @@
 //! [`Transcript`], is a pure function of the case.
 //!
 //! The transcript records **every** exchange on every link — client,
-//! handoff mesh, coordinator and batch driver — tagged by
+//! handoff mesh, coordinator and batched exchange — tagged by
 //! [`link_salt`], in driver order; [`check_transcript`] decodes the same
 //! tags. Mid-run, at `repartition_at`, the driver reads the
 //! federation-wide per-cell load counters and lets the [`Coordinator`]
@@ -29,18 +29,15 @@
 //! timing.
 
 use crate::oracle::check_transcript;
+use crate::replay::{connect_fleet, drive, verify_prefix, BatchExchange};
+use crate::transcript::{RecordingTransport, SharedTranscript, Transcript};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use sa_alarms::SubscriberId;
 use sa_fed::{Coordinator, FedTransport, Federation, HandoffChannel};
-use sa_geometry::Point;
 use sa_obs::{Span, SpanRecorder, TimeSource};
-use sa_roadnet::TraceSample;
-use sa_server::transcript::{RecordingTransport, SharedTranscript, Transcript};
-use sa_server::wire::{BatchedUpdate, SEQ_MASK};
 use sa_server::{
-    connect_fleet, drive, exchange_batch, verify_prefix, ChaosControls, Client, ClientStats,
-    FaultLeg, FaultPlan, FaultyTransport, InProcTransport, ResiliencePolicy, Response,
-    SharedClock, StrategySpec, Transport, TransportError, VirtualClock,
+    ChaosControls, Client, ClientStats, FaultLeg, FaultPlan, FaultyTransport, InProcTransport,
+    ResiliencePolicy, SharedClock, StrategySpec, Transport, TransportError, VirtualClock,
 };
 use sa_sim::{FiredEvent, SimulationConfig, SimulationHarness};
 use std::sync::{Arc, Mutex};
@@ -58,11 +55,6 @@ const ROUTER_MEMBER_BASE: u32 = 100;
 
 /// Pseudo-member id of the coordinator in merged span records.
 const COORDINATOR_MEMBER: u32 = 200;
-
-/// Re-route rounds per batched step before the driver gives up — a
-/// livelock guard against members that keep bouncing an entry with
-/// `WrongOwner`, far above the one or two rounds a repartition costs.
-const MAX_REROUTE_ROUNDS: u32 = 10_000;
 
 /// One fully-specified fuzz run: everything [`run_case`] needs, and
 /// nothing it reads from anywhere else.
@@ -185,6 +177,9 @@ pub struct CaseOutcome {
     /// `WrongOwner` bounces the clients' routers and batch entries
     /// absorbed.
     pub redirects: u64,
+    /// The batch entries among [`Self::redirects`]: entries a member
+    /// bounced out of a `Request::Batch` frame, re-routed next round.
+    pub batch_bounces: u64,
     /// Whether the mid-run repartition moved the cut.
     pub repartitioned: bool,
     /// Every span the run recorded — members, client routers and the
@@ -216,9 +211,9 @@ impl CaseOutcome {
     }
 }
 
-/// Executes one [`FuzzCase`] end to end — `sa-server`'s one replay
-/// driver over a federation on a [`VirtualClock`], every link recorded —
-/// and returns its outcome.
+/// Executes one [`FuzzCase`] end to end — the one replay driver over a
+/// federation on a [`VirtualClock`], every link recorded — and returns
+/// its outcome.
 ///
 /// # Errors
 ///
@@ -261,8 +256,8 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseOutcome, TransportError> {
     // Client links run the plan under the switches the step loop flips.
     // Inter-server legs (mesh, coordinator) reuse the plan's
     // probabilistic faults, always armed, but not the breaker windows:
-    // radio outages hit vehicles, not trunks. The batch driver speaks to
-    // each member over clean links — batching never rides chaos.
+    // radio outages hit vehicles, not trunks. The batched exchange speaks
+    // to each member over clean links — batching never rides chaos.
     let link = ChaosControls::default();
     let trunk = ChaosControls::default();
     trunk.set_armed(true);
@@ -310,7 +305,7 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseOutcome, TransportError> {
         client.set_clock(Arc::clone(&clock));
         client.enable_resilience(ResiliencePolicy::standard(case.seed ^ 0xBACC_0FF5 ^ v as u64));
     }
-    let mut driver_links = trunks(3, u32::MAX, None);
+    let mut batches = BatchExchange::new(trunks(3, u32::MAX, None), 0);
     let coordinator_links = trunks(2, u32::MAX, trunk_chaos);
     let mut coordinator =
         Coordinator::new(coordinator_links, fed.initial_map().clone(), Arc::clone(&clock));
@@ -318,7 +313,6 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseOutcome, TransportError> {
     coordinator_spans.set_member(COORDINATOR_MEMBER);
     coordinator.set_spans(Arc::clone(&coordinator_spans));
 
-    let mut batch_seq = 0u32;
     let mut repartitioned = false;
     let hook = |step, clients: &mut [_], samples: &[_]| {
         vclock.advance(dt);
@@ -327,7 +321,7 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseOutcome, TransportError> {
             repartitioned = coordinator.maybe_repartition(fed.grid(), &loads)?;
         }
         if case.batch_every > 0 && step % case.batch_every == 0 {
-            drive_batched_step(clients, &mut driver_links, samples, step, &mut batch_seq).map(Some)
+            batches.step(clients, step, samples).map(Some)
         } else {
             Ok(None)
         }
@@ -375,84 +369,15 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseOutcome, TransportError> {
         steps,
         handoffs,
         redirects,
+        batch_bounces: batches.bounces,
         repartitioned,
         spans,
     })
 }
 
-/// One batched step: poll every client, route each staged entry to its
-/// owner, send one `Request::Batch` per member, absorb replies. A
-/// `WrongOwner` terminal re-routes that entry (refresh + migrate) and
-/// retries it next round. Returns the number of updates staged.
-fn drive_batched_step(
-    clients: &mut [Client<FedTransport>],
-    driver_links: &mut [Box<dyn Transport + Send>],
-    samples: &[TraceSample],
-    step: u32,
-    batch_seq: &mut u32,
-) -> Result<u32, TransportError> {
-    // (vehicle, entry, pos) staged this step, routing re-resolved each
-    // round.
-    let mut staged: Vec<(usize, BatchedUpdate, Point)> = Vec::new();
-    for s in samples {
-        let v = s.vehicle.0 as usize;
-        let owner = clients[v].transport_mut().route_for(s.pos)?;
-        let session = clients[v].transport_mut().session_on(owner);
-        if let Some(entry) = clients[v].poll_update(session, step, s.pos, s.heading, s.speed)? {
-            staged.push((v, entry, s.pos));
-        }
-    }
-    let updates = staged.len() as u32;
-    let mut rounds = 0u32;
-    while !staged.is_empty() {
-        rounds += 1;
-        if rounds > MAX_REROUTE_ROUNDS {
-            return Err(TransportError::Protocol("batched step failed to converge"));
-        }
-        // Group the staged entries by owning member, preserving order.
-        let mut per_member: Vec<Vec<usize>> = vec![Vec::new(); driver_links.len()];
-        for (slot, (v, entry, pos)) in staged.iter_mut().enumerate() {
-            let owner = clients[*v].transport_mut().route_for(*pos)?;
-            entry.session = clients[*v].transport_mut().session_on(owner);
-            per_member[owner].push(slot);
-        }
-        let mut retry_slots = Vec::new();
-        for (member, slots) in per_member.iter().enumerate() {
-            if slots.is_empty() {
-                continue;
-            }
-            let updates: Vec<BatchedUpdate> = slots.iter().map(|&i| staged[i].1).collect();
-            *batch_seq = (*batch_seq + 1) & SEQ_MASK;
-            let replies = exchange_batch(&mut *driver_links[member], *batch_seq, &updates)?;
-            for (reply, &slot) in replies.into_iter().zip(slots) {
-                let (v, entry, _) = staged[slot];
-                match reply.responses.last() {
-                    Some(Response::WrongOwner { .. }) => {
-                        // The member's map is newer: refresh from it and
-                        // re-route this entry next round (the client's
-                        // staged state stays pending).
-                        clients[v].transport_mut().note_bounce(member, entry.seq)?;
-                        retry_slots.push(slot);
-                    }
-                    _ => {
-                        if !clients[v].complete_update(reply.responses)? {
-                            return Err(TransportError::Protocol(
-                                "batched update answered Overloaded",
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        retry_slots.sort_unstable();
-        staged = retry_slots.into_iter().map(|i| staged[i]).collect();
-    }
-    Ok(updates)
-}
-
 /// The transcript tag and chaos salt of one link, decorrelated per
 /// (kind, client, member) — kind 0: client link, 1: handoff mesh link,
-/// 2: coordinator link, 3: batch driver (the last two with client
+/// 2: coordinator link, 3: batch link (the last two with client
 /// `u32::MAX`). [`check_transcript`] decodes the same layout.
 pub(crate) fn link_salt(kind: u32, client: u32, member: u32) -> u64 {
     (u64::from(kind) << 48) | (u64::from(client) << 16) | u64::from(member)

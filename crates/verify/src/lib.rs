@@ -8,6 +8,11 @@
 //! This crate closes the loop with simulation testing in the
 //! FoundationDB style:
 //!
+//! * **Ground-truth replays** — [`replay`], [`replay_tcp`] and
+//!   [`replay_batched_in_proc`] stream the simulator's trace through a
+//!   live server and diff every firing against the ground truth. They
+//!   and [`run_case`] share one step loop and one batched exchange, of
+//!   which a standalone server is the one-member case.
 //! * **Determinism** — [`run_case`], the workspace's one
 //!   fault-injected replay, drives a federation of one or more servers
 //!   (`sa-fed`; one member behaves as a standalone server), their
@@ -36,6 +41,8 @@ mod fuzz;
 mod harness;
 mod minimize;
 mod oracle;
+mod replay;
+mod transcript;
 
 pub use fuzz::{
     differential_seed, federation_cases, fuzz_differential, fuzz_schedule, pinned_failure,
@@ -44,6 +51,8 @@ pub use fuzz::{
 pub use harness::{run_case, CaseOutcome, FuzzCase};
 pub use minimize::{reproducer, shrink_case, shrink_elements, test_artifact};
 pub use oracle::{check_transcript, strictly_inside, GEOMETRY_TOL_M};
-pub use sa_server::transcript::{
-    error_kind, RecordingTransport, SharedTranscript, Transcript, TranscriptEntry,
+pub use replay::{
+    quarter_us_per_update, replay, replay_batched_in_proc, replay_in_proc, replay_tcp,
+    ReplayConfig, ReplayOutcome, StepCost,
 };
+pub use transcript::{Transcript, TranscriptEntry};

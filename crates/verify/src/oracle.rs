@@ -21,7 +21,7 @@
 //! comparisons against the unquantized workload would flag phantom
 //! sub-micrometer overlaps.
 
-use sa_server::transcript::Transcript;
+use crate::transcript::Transcript;
 use sa_alarms::{SpatialAlarm, SubscriberId};
 use sa_core::oracle::{check_bitmap_against_mask, check_sound};
 use sa_core::BitmapSafeRegion;
@@ -334,7 +334,7 @@ pub fn check_transcript(
 mod tests {
     use super::*;
     use crate::harness::link_salt;
-    use sa_server::transcript::TranscriptEntry;
+    use crate::transcript::TranscriptEntry;
     use sa_server::wire::{pack_motion, quantize_m, quantize_rect, BatchReply, BatchedUpdate};
     use sa_sim::SimulationConfig;
 

@@ -1,41 +1,34 @@
-//! Trace replay through the live server: the one driver.
+//! Trace replay through the live server: the workspace's one driver.
 //!
-//! Rebuilds the simulator's world (road network, fleet, alarms), starts
-//! a [`Server`] over it, connects one [`Client`] per vehicle through a
-//! caller-chosen transport, and streams the deterministic `sa-roadnet`
-//! trace through the live stack. Every firing observed by any client is
-//! collected and diffed against the simulator's [`GroundTruth`] — the
-//! live runtime must reproduce the paper's 100%-accuracy requirement,
+//! Starts a [`Server`] over the simulator's world, connects one
+//! [`Client`] per vehicle, streams the deterministic `sa-roadnet` trace
+//! through the live stack and diffs every firing against the
+//! simulator's [`GroundTruth`] — the paper's 100%-accuracy requirement,
 //! end to end through real message encoding and real threads.
 //!
-//! Every replay in the workspace is the same three routines: [`drive`]
-//! (arm the faulty links → per step: toggle the link, step the fleet,
-//! exchange per request or batched → drain), [`BatchDriver`] (chunking
-//! and reply checks of a batched step) and [`verify_prefix`]
-//! (ground-truth-prefix diff, a [`FlightBundle`] on divergence).
-//! [`replay`], [`replay_tcp`], [`replay_batched_in_proc`] and
-//! `sa_verify::run_case` supply only a transport factory, vehicle-range
-//! workers or a per-step hook; `run_case` also brings a fault plan and a
-//! federation of one or more members and runs on a virtual clock — the
-//! workspace's one fault-injected replay, which batches through
-//! [`exchange_batch`] per member rather than through a [`BatchDriver`].
+//! Every replay is three routines: `drive` (the step loop, arming any
+//! faulty links), `BatchExchange` (a batched step, each entry sent to
+//! the member its client routes to) and `verify_prefix` (the
+//! ground-truth diff, a [`FlightBundle`] on divergence). [`replay`],
+//! [`replay_tcp`], [`replay_batched_in_proc`] and [`crate::run_case`]
+//! supply only transports, workers or a per-step hook.
 //!
 //! Only static alarms are replayed (the wire protocol carries no
 //! moving-target coordination); build the harness with
 //! `config.moving_alarms == 0`.
 
-use crate::chaos::{ChaosControls, FaultPlan};
-use crate::client::{Client, ClientStats};
-use crate::clock::{SharedClock, SystemClock};
-use crate::reactor::{Reactor, ReactorConfig};
-use crate::server::Server;
-use crate::transport::{InProcTransport, TcpTransport, Transport, TransportError};
-use crate::wire::{BatchReply, BatchedUpdate, Request, Response, StrategySpec, SEQ_MASK};
-use crate::CacheStats;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use sa_alarms::SubscriberId;
+use sa_fed::FedTransport;
+use sa_geometry::Point;
 use sa_obs::{FlightBundle, Snapshot, Span, TraceMode};
 use sa_roadnet::{Fleet, TraceSample};
+use sa_server::wire::{BatchReply, BatchedUpdate, SEQ_MASK};
+use sa_server::{
+    CacheStats, ChaosControls, Client, ClientStats, FaultPlan, InProcTransport, Reactor,
+    ReactorConfig, Request, Response, Server, SharedClock, StrategySpec, SystemClock, TcpTransport,
+    Transport, TransportError,
+};
 use sa_sim::{FiredEvent, GroundTruth, SimulationHarness};
 use std::ops::Range;
 use std::sync::Arc;
@@ -93,7 +86,7 @@ impl ReplayConfig {
     }
 }
 
-/// What [`drive`] spent on one batched step.
+/// What the step loop spent on one batched step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepCost {
     /// The step.
@@ -168,8 +161,13 @@ impl ReplayOutcome {
 
 /// Hard cap on entries per [`Request::Batch`] frame, keeping the worst
 /// case reply frame (a height-5 bitmap install for *every* entry) well
-/// under [`crate::wire::MAX_FRAME_LEN`].
+/// under [`sa_server::wire::MAX_FRAME_LEN`].
 const MAX_BATCH_ENTRIES: usize = 1024;
+
+/// Re-route rounds per batched step before the exchange gives up — a
+/// livelock guard against members that keep bouncing an entry with
+/// `WrongOwner`, far above the one or two rounds a repartition costs.
+const MAX_REROUTE_ROUNDS: u32 = 10_000;
 
 /// Salt of the seeded visiting order's RNG stream.
 const ORDER_SALT: u64 = 0x0D0E_0A0D_0F00_D5ED;
@@ -193,7 +191,7 @@ fn shuffle<T>(items: &mut [T], rng: &mut SmallRng) {
 /// # Panics
 ///
 /// Panics when `strategies` is empty.
-pub fn connect_fleet<T: Transport>(
+pub(crate) fn connect_fleet<T: Transport>(
     harness: &SimulationHarness,
     strategies: &[StrategySpec],
     vehicles: Range<u32>,
@@ -211,13 +209,13 @@ pub fn connect_fleet<T: Transport>(
 
 /// What [`drive`] observed.
 #[derive(Debug, Default)]
-pub struct Driven {
+pub(crate) struct Driven {
     /// Every firing observed by the driven clients, unsorted.
-    pub fired: Vec<FiredEvent>,
+    pub(crate) fired: Vec<FiredEvent>,
     /// Per-client `(subscriber, strategy, counters)`.
-    pub clients: Vec<(SubscriberId, StrategySpec, ClientStats)>,
+    pub(crate) clients: Vec<(SubscriberId, StrategySpec, ClientStats)>,
     /// Cost of every batched step.
-    pub step_costs: Vec<StepCost>,
+    pub(crate) step_costs: Vec<StepCost>,
 }
 
 /// The one trace-replay step loop: streams `steps` steps of the trace of
@@ -243,7 +241,7 @@ pub struct Driven {
 ///
 /// Fails when a client's transport breaks non-transiently or `hook`
 /// fails.
-pub fn drive<T, H>(
+pub(crate) fn drive<T, H>(
     harness: &SimulationHarness,
     vehicles: Range<u32>,
     steps: u32,
@@ -301,87 +299,147 @@ where
     Ok(driven)
 }
 
-/// One [`Request::Batch`] round trip on `link`, unwrapped to its reply
-/// groups: one per update, in order, each on its update's session.
-///
-/// # Errors
-///
-/// Fails when the link breaks or the server answers outside the batch
-/// protocol.
-pub fn exchange_batch<D: Transport + ?Sized>(
-    link: &mut D,
-    seq: u32,
-    updates: &[BatchedUpdate],
-) -> Result<Vec<BatchReply>, TransportError> {
-    let resps = link.request(Request::Batch { seq, updates: updates.to_vec() })?;
-    let replies = match resps.into_iter().next() {
-        Some(Response::Batch { seq: echoed, replies }) if echoed == seq => replies,
-        _ => return Err(TransportError::Protocol("batch request answered without a batch reply")),
-    };
-    if replies.len() != updates.len() {
-        return Err(TransportError::Protocol("batch reply count mismatch"));
-    }
-    if replies.iter().zip(updates).any(|(reply, update)| reply.session != update.session) {
-        return Err(TransportError::Protocol("batch reply session mismatch"));
-    }
-    Ok(replies)
+/// The routing seam of [`BatchExchange`]: which member a client's entry
+/// goes to, and what a `WrongOwner` bounce of it means.
+pub(crate) trait BatchRoute {
+    /// The member `pos` belongs to and this client's session there.
+    fn route(&mut self, pos: Point) -> Result<(usize, u32), TransportError>;
+
+    /// Absorbs member `member`'s `WrongOwner` bounce of entry `seq`.
+    fn bounce(&mut self, member: usize, seq: u32) -> Result<(), TransportError>;
 }
 
-/// The batched exchange of a single-server replay: a driver connection
-/// that submits a whole step of [`drive`]'s clients as
-/// [`Request::Batch`] frames instead of one request/RTT per vehicle.
-pub struct BatchDriver<D: Transport> {
-    link: D,
-    seq: u32,
-    /// `sessions[i]` is the session of `clients[i]`.
-    sessions: Vec<u32>,
+/// A standalone server is member 0, reached on the client's own session;
+/// it owns every cell, so a bounce is a protocol violation.
+impl BatchRoute for InProcTransport {
+    fn route(&mut self, _: Point) -> Result<(usize, u32), TransportError> {
+        Ok((0, self.session()))
+    }
+
+    fn bounce(&mut self, _: usize, _: u32) -> Result<(), TransportError> {
+        Err(TransportError::Protocol("a standalone server bounced a batch entry"))
+    }
+}
+
+/// A federation member is the owner under the router's cached map (the
+/// session migrates there first); a bounce refreshes that map from the
+/// bouncing member.
+impl BatchRoute for FedTransport {
+    fn route(&mut self, pos: Point) -> Result<(usize, u32), TransportError> {
+        let member = self.route_for(pos)?;
+        Ok((member, self.session_on(member)))
+    }
+
+    fn bounce(&mut self, member: usize, seq: u32) -> Result<(), TransportError> {
+        self.note_bounce(member, seq)
+    }
+}
+
+/// The one batched exchange: submits a whole step of [`drive`]'s
+/// clients as [`Request::Batch`] frames — one per member per
+/// [`MAX_BATCH_ENTRIES`] chunk — instead of one request per vehicle.
+pub(crate) struct BatchExchange {
+    links: Vec<Box<dyn Transport + Send>>,
     /// The vehicle id of `clients[0]`.
     first_vehicle: u32,
+    seq: u32,
+    /// Entries a member bounced with `WrongOwner`.
+    pub(crate) bounces: u64,
 }
 
-impl<D: Transport> BatchDriver<D> {
-    /// A driver over `link` for the clients speaking on `sessions`, the
-    /// first of them vehicle `first_vehicle`.
-    pub fn new(link: D, sessions: Vec<u32>, first_vehicle: u32) -> BatchDriver<D> {
-        BatchDriver { link, seq: 0, sessions, first_vehicle }
+impl BatchExchange {
+    /// An exchange over `links[m]` to member `m`, for clients from vehicle `first_vehicle` on.
+    pub(crate) fn new(links: Vec<Box<dyn Transport + Send>>, first_vehicle: u32) -> BatchExchange {
+        BatchExchange { links, first_vehicle, seq: 0, bounces: 0 }
     }
 
-    /// Exchanges one step: polls every sample's client, sends the staged
-    /// entries (chunked at `MAX_BATCH_ENTRIES`) and hands each client its
-    /// reply group. Returns the updates sent.
+    /// Exchanges one step and returns the updates staged. An entry
+    /// bounced with `WrongOwner` stays pending on its client and goes
+    /// out again, re-routed, in the next round.
     ///
     /// # Errors
     ///
-    /// Fails when a transport breaks or the server answers outside the
-    /// batch protocol — an `Overloaded` entry included.
-    pub fn exchange_step<T: Transport>(
+    /// Fails when a transport or a migration breaks, the server answers
+    /// outside the batch protocol (`Overloaded` included), or bounces
+    /// outlast [`MAX_REROUTE_ROUNDS`].
+    pub(crate) fn step<T: Transport + BatchRoute>(
         &mut self,
         clients: &mut [Client<T>],
         step: u32,
         samples: &[TraceSample],
     ) -> Result<u32, TransportError> {
-        let mut entries: Vec<BatchedUpdate> = Vec::new();
-        let mut owners: Vec<usize> = Vec::new();
+        // (client, entry, position) of every staged update.
+        let mut staged: Vec<(usize, BatchedUpdate, Point)> = Vec::new();
         for s in samples {
             let local = (s.vehicle.0 - self.first_vehicle) as usize;
-            let (client, session) = (&mut clients[local], self.sessions[local]);
+            let client = &mut clients[local];
+            let (_, session) = client.transport_mut().route(s.pos)?;
             if let Some(entry) = client.poll_update(session, step, s.pos, s.heading, s.speed)? {
-                entries.push(entry);
-                owners.push(local);
+                staged.push((local, entry, s.pos));
             }
         }
-        for (chunk, chunk_owners) in
-            entries.chunks(MAX_BATCH_ENTRIES).zip(owners.chunks(MAX_BATCH_ENTRIES))
-        {
-            self.seq = (self.seq + 1) & SEQ_MASK;
-            let replies = exchange_batch(&mut self.link, self.seq, chunk)?;
-            for (reply, &owner) in replies.into_iter().zip(chunk_owners) {
-                if !clients[owner].complete_update(reply.responses)? {
-                    return Err(TransportError::Protocol("batched update answered Overloaded"));
+        let updates = staged.len() as u32;
+        let mut rounds = 0u32;
+        while !staged.is_empty() {
+            rounds += 1;
+            if rounds > MAX_REROUTE_ROUNDS {
+                return Err(TransportError::Protocol("batched step failed to converge"));
+            }
+            // Group by member, preserving order; a bounce may have moved
+            // the route since the entry was staged.
+            let mut per_member: Vec<Vec<usize>> = vec![Vec::new(); self.links.len()];
+            for (slot, (local, entry, pos)) in staged.iter_mut().enumerate() {
+                let (member, session) = clients[*local].transport_mut().route(*pos)?;
+                entry.session = session;
+                per_member[member].push(slot);
+            }
+            let mut bounced = Vec::new();
+            for (member, slots) in per_member.iter().enumerate() {
+                for chunk in slots.chunks(MAX_BATCH_ENTRIES) {
+                    let replies =
+                        self.frame(member, chunk.iter().map(|&i| staged[i].1).collect())?;
+                    for (reply, &slot) in replies.into_iter().zip(chunk) {
+                        let (local, entry, _) = staged[slot];
+                        let client = &mut clients[local];
+                        let bounce =
+                            matches!(reply.responses.last(), Some(Response::WrongOwner { .. }));
+                        if reply.session != entry.session {
+                            return Err(TransportError::Protocol("batch reply session mismatch"));
+                        } else if bounce {
+                            client.transport_mut().bounce(member, entry.seq)?;
+                            self.bounces += 1;
+                            bounced.push(slot);
+                        } else if !client.complete_update(reply.responses)? {
+                            return Err(TransportError::Protocol(
+                                "batched update answered Overloaded",
+                            ));
+                        }
+                    }
                 }
             }
+            bounced.sort_unstable();
+            staged = bounced.into_iter().map(|i| staged[i]).collect();
         }
-        Ok(entries.len() as u32)
+        Ok(updates)
+    }
+
+    /// One [`Request::Batch`] frame to `member`, unwrapped to its reply
+    /// groups: one per entry, in order.
+    fn frame(
+        &mut self,
+        member: usize,
+        updates: Vec<BatchedUpdate>,
+    ) -> Result<Vec<BatchReply>, TransportError> {
+        self.seq = (self.seq + 1) & SEQ_MASK;
+        let (seq, entries) = (self.seq, updates.len());
+        match self.links[member].request(Request::Batch { seq, updates })?.into_iter().next() {
+            Some(Response::Batch { seq: echoed, replies })
+                if echoed == seq && replies.len() == entries =>
+            {
+                Ok(replies)
+            }
+            _ => Err(TransportError::Protocol("batch frame not answered in kind")),
+        }
     }
 }
 
@@ -395,7 +453,7 @@ impl<D: Transport> BatchDriver<D> {
 /// # Errors
 ///
 /// Describes the first missed, mistimed or spurious firing.
-pub fn verify_prefix(
+pub(crate) fn verify_prefix(
     harness: &SimulationHarness,
     steps: u32,
     fired: &[FiredEvent],
@@ -487,9 +545,9 @@ pub fn replay_tcp(
 
 /// The multi-worker batched replay: splits the fleet into `workers`
 /// contiguous vehicle-id ranges, drives each range on its own thread,
-/// and submits each worker's step through its own [`BatchDriver`] over
-/// in-proc transport. Firings are still cross-checked against the
-/// simulator's [`GroundTruth`] exactly.
+/// and submits each worker's step as batch frames over an in-proc link
+/// of its own. Firings are still cross-checked against the simulator's
+/// [`GroundTruth`] exactly.
 ///
 /// Free-running workers are sound because alarms fire per (subscriber,
 /// alarm): one vehicle's firings never depend on another vehicle's
@@ -513,18 +571,9 @@ pub fn replay_batched_in_proc(
     // each, the remainder spread over the first workers.
     let cut = |w: u32| w * (vehicles / workers) + w.min(vehicles % workers);
 
-    let worker = |range: Range<u32>| -> Result<Driven, TransportError> {
-        let mut sessions = Vec::with_capacity(range.len());
-        let mut clients = connect_fleet(harness, &cfg.strategies, range.clone(), |_| {
-            let transport = InProcTransport::connect(Arc::clone(&server));
-            sessions.push(transport.session());
-            Ok(transport)
-        })?;
-        let link = InProcTransport::connect(Arc::clone(&server));
-        let mut driver = BatchDriver::new(link, sessions, range.start);
-        drive(harness, range, steps, None, None, &mut clients, |step, clients, samples| {
-            driver.exchange_step(clients, step, samples).map(Some)
-        })
+    let worker = |range: Range<u32>| {
+        let link = Box::new(InProcTransport::connect(Arc::clone(&server)));
+        drive_batched(harness, cfg, &server, range, steps, link)
     };
     let results: Vec<Result<Driven, TransportError>> = std::thread::scope(|scope| {
         let (worker, cut) = (&worker, &cut);
@@ -543,10 +592,43 @@ pub fn replay_batched_in_proc(
     Ok(conclude(harness, &server, steps, driven))
 }
 
+/// One batch worker: connects the clients of `vehicles` to `server` and
+/// drives every step of theirs as batch frames over `link`.
+fn drive_batched(
+    harness: &SimulationHarness,
+    cfg: &ReplayConfig,
+    server: &Arc<Server>,
+    vehicles: Range<u32>,
+    steps: u32,
+    link: Box<dyn Transport + Send>,
+) -> Result<Driven, TransportError> {
+    let connect = |_| Ok(InProcTransport::connect(Arc::clone(server)));
+    let mut clients = connect_fleet(harness, &cfg.strategies, vehicles.clone(), connect)?;
+    let mut batches = BatchExchange::new(vec![link], vehicles.start);
+    drive(harness, vehicles, steps, None, None, &mut clients, |step, clients, samples| {
+        batches.step(clients, step, samples).map(Some)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transcript::{RecordingTransport, SharedTranscript};
     use sa_sim::SimulationConfig;
+
+    /// Uplinks, region installs and deliveries summed over the clients.
+    fn totals(o: &ReplayOutcome) -> (u64, u64, u64) {
+        o.clients.iter().fold((0, 0, 0), |(u, i, d), (_, _, s)| {
+            (u + s.uplinks, i + s.region_installs, d + s.deliveries)
+        })
+    }
+
+    /// The firings in a canonical order.
+    fn fired(o: &ReplayOutcome) -> Vec<FiredEvent> {
+        let mut fired = o.fired.clone();
+        fired.sort_by_key(|e| (e.step, e.subscriber.0, e.alarm.0));
+        fired
+    }
 
     #[test]
     fn batched_replay_matches_ground_truth_and_per_request_traffic() {
@@ -558,16 +640,6 @@ mod tests {
         // Batching and the reactor's sockets change the framing, not the
         // strategies: the same uplinks, installs, deliveries and firings
         // whichever way the trace reaches the server.
-        let totals = |o: &ReplayOutcome| {
-            o.clients.iter().fold((0u64, 0u64, 0u64), |(u, i, d), (_, _, s)| {
-                (u + s.uplinks, i + s.region_installs, d + s.deliveries)
-            })
-        };
-        let fired = |o: &ReplayOutcome| {
-            let mut fired = o.fired.clone();
-            fired.sort_by_key(|e| (e.step, e.subscriber.0, e.alarm.0));
-            fired
-        };
         for outcome in [&batched, &per_request, &tcp] {
             outcome.assert_accurate();
             assert_eq!(outcome.steps, 120);
@@ -587,6 +659,39 @@ mod tests {
         let metered: u64 = batched.step_costs.iter().map(|c| u64::from(c.updates)).sum();
         assert_eq!(metered, totals(&batched).0);
         assert!(per_request.step_costs.is_empty() && tcp.step_costs.is_empty());
+    }
+
+    /// A step with more uplinks than one frame holds goes out as several
+    /// frames. At step 0 no client holds a region yet, so each of 1,100
+    /// vehicles uplinks: one frame of 1,024 entries, then one of 76.
+    #[test]
+    fn a_step_past_the_frame_cap_splits_into_two_frames() {
+        let harness = SimulationHarness::build(&SimulationConfig::fuzz_slice(1100, 48, 3, 7));
+        let cfg = ReplayConfig::default();
+        let (server, steps) = cfg.start(&harness, SystemClock::shared());
+        let log = SharedTranscript::default();
+        let link = InProcTransport::connect(Arc::clone(&server));
+        let link = Box::new(RecordingTransport::new(link, 0, Arc::clone(&log)));
+        let driven = drive_batched(&harness, &cfg, &server, 0..1100, steps, link)
+            .expect("in-proc transport must hold");
+        let transcript = log.lock().expect("transcript lock poisoned");
+        let frames: Vec<usize> = transcript
+            .entries()
+            .iter()
+            .map(|e| match Request::decode(&e.request) {
+                Ok(Request::Batch { updates, .. }) => updates.len(),
+                other => panic!("the batch link sent {other:?}"),
+            })
+            .collect();
+        assert_eq!(frames[..2], [MAX_BATCH_ENTRIES, 76]);
+        assert_eq!(driven.step_costs[0].updates, 1100);
+
+        let batched = conclude(&harness, &server, steps, driven);
+        let per_request = replay_in_proc(&harness, &cfg).expect("in-proc transport must hold");
+        batched.assert_accurate();
+        per_request.assert_accurate();
+        assert_eq!(totals(&batched), totals(&per_request));
+        assert_eq!(fired(&batched), fired(&per_request));
     }
 
     /// A forced divergence: the run is exact, then the latest firing is

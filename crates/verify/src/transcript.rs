@@ -3,7 +3,7 @@
 //! A [`RecordingTransport`] wraps any [`Transport`] and appends every
 //! exchange — the encoded request body, and either the encoded response
 //! bodies or the failure kind — to a shared [`Transcript`]. Because the
-//! deterministic harness (`sa_verify::run_case`, the workspace's one
+//! deterministic harness ([`crate::run_case`], the workspace's one
 //! fault-injected replay, faulty links recorded like any other) drives
 //! one virtual-clocked run from a single thread, the transcript is a
 //! total order over every byte that crossed any link;
@@ -11,17 +11,16 @@
 //! gates assert that the same case always produces the same digest,
 //! byte for byte.
 
-use crate::transport::{Transport, TransportError};
-use crate::wire::{Request, Response};
+use sa_server::{Request, Response, Transport, TransportError};
 use std::sync::{Arc, Mutex};
 
 /// One recorded exchange: who spoke, what was sent, what came back.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TranscriptEntry {
-    /// Connection tag: which link spoke. `sa_verify::run_case` tags
-    /// every link with a salt over (kind, client, member) — client,
-    /// handoff mesh, coordinator or batch driver — and its transcript
-    /// oracle decodes the same layout.
+    /// Connection tag: which link spoke. [`crate::run_case`] tags every
+    /// link with a salt over (kind, client, member) — client, handoff
+    /// mesh, coordinator or batch link — and its transcript oracle
+    /// decodes the same layout.
     pub tag: u64,
     /// The encoded request body.
     pub request: Vec<u8>,
@@ -91,12 +90,12 @@ impl Transcript {
 }
 
 /// A [`Transcript`] shared between the harness and its transports.
-pub type SharedTranscript = Arc<Mutex<Transcript>>;
+pub(crate) type SharedTranscript = Arc<Mutex<Transcript>>;
 
 /// Maps a [`TransportError`] to the stable kind string recorded in the
 /// transcript (the error payloads carry non-deterministic detail like OS
 /// error text; the kind is what determinism is asserted over).
-pub fn error_kind(e: &TransportError) -> &'static str {
+fn error_kind(e: &TransportError) -> &'static str {
     match e {
         TransportError::Io(_) => "io",
         TransportError::Wire(_) => "wire",
@@ -111,7 +110,7 @@ pub fn error_kind(e: &TransportError) -> &'static str {
 
 /// A [`Transport`] decorator that appends every exchange to a shared
 /// [`Transcript`] and passes the result through untouched.
-pub struct RecordingTransport<T: Transport> {
+pub(crate) struct RecordingTransport<T: Transport> {
     inner: T,
     tag: u64,
     log: SharedTranscript,
@@ -119,7 +118,7 @@ pub struct RecordingTransport<T: Transport> {
 
 impl<T: Transport> RecordingTransport<T> {
     /// Wraps `inner`, recording under `tag` into `log`.
-    pub fn new(inner: T, tag: u64, log: SharedTranscript) -> RecordingTransport<T> {
+    pub(crate) fn new(inner: T, tag: u64, log: SharedTranscript) -> RecordingTransport<T> {
         RecordingTransport { inner, tag, log }
     }
 }

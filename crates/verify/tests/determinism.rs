@@ -5,7 +5,7 @@
 //! diverge.
 
 use sa_server::{FaultPlan, StrategySpec};
-use sa_verify::{run_case, CaseOutcome, FuzzCase};
+use sa_verify::{federation_cases, run_case, CaseOutcome, FuzzCase};
 
 /// A small fleet — three vehicles, twelve alarms, 32 steps — over a
 /// federation of `partitions` members.
@@ -106,4 +106,46 @@ fn different_seeds_produce_different_transcripts() {
     let a = run(&federated(11, 3, FaultPlan::lossy(11), 0));
     let b = run(&federated(12, 3, FaultPlan::lossy(12), 0));
     assert_ne!(a.digest, b.digest, "distinct federated seeds should not collide");
+}
+
+/// The bytes themselves, pinned: the tests above compare a run with a
+/// rerun of itself, so only fixed digests catch a change that moves
+/// what crosses a link — in the pinned federation cases, a one-member
+/// batched case and a federated batched case.
+#[test]
+fn transcript_digests_are_pinned() {
+    let one_member_batched = FuzzCase {
+        seed: 11,
+        vehicles: 2,
+        alarms: 8,
+        steps: 20,
+        strategies: vec![StrategySpec::Mwpsr, StrategySpec::Pbsr { height: 2 }],
+        plan: FaultPlan::clean(),
+        batch_every: 2,
+        partitions: 1,
+        repartition_at: None,
+    };
+    let pinned = [
+        ("handoff-during-disconnect", 0x5078_9a12_16ca_560e),
+        ("repartition-during-batch", 0xbd0f_f7ff_fb6a_ae24),
+        ("lossy-repartition", 0x591f_2868_2e9d_800b),
+    ];
+    let mut cases: Vec<(String, FuzzCase, u64)> = federation_cases()
+        .into_iter()
+        .map(|(name, case)| {
+            let digest = pinned.iter().find(|(n, _)| *n == name).expect("a pinned digest").1;
+            (name.to_string(), case, digest)
+        })
+        .collect();
+    cases.push(("one-member batched".into(), one_member_batched, 0x6a48_31a3_c63a_ba2e));
+    cases.push((
+        "federated batched".into(),
+        federated(31, 2, FaultPlan::clean(), 2),
+        0xc778_c058_1c15_b3cc,
+    ));
+    for (name, case, digest) in cases {
+        let outcome = run(&case);
+        outcome.assert_clean();
+        assert_eq!(outcome.digest, digest, "{name}: {:#018x}", outcome.digest);
+    }
 }

@@ -34,6 +34,7 @@ fn repartition_during_batch_gates_green() {
     let (out, _, failure) = gate(&named("repartition-during-batch"));
     assert_eq!(failure, None);
     assert!(out.repartitioned, "the mid-run repartition must have moved the cut");
+    assert!(out.batch_bounces >= 1, "an in-flight batch entry must have bounced");
 }
 
 #[test]
@@ -57,4 +58,20 @@ fn a_case_that_fires_nothing_fails_the_gate() {
     assert!(first.handoffs >= 1 && first.repartitioned);
     let failure = failure.expect("a run without a firing must fail");
     assert!(failure.contains("fired no alarm"), "{failure}");
+}
+
+/// The batch case as pinned until its bounces were counted (seed
+/// 0xFED_0004) fires, hands off and repartitions, but every batch entry
+/// reaches its owner first time; the gate must refuse it. Its digest is
+/// the one that case was pinned with.
+#[test]
+fn a_batch_case_that_bounces_nothing_fails_the_gate() {
+    let mut case = named("repartition-during-batch");
+    case.seed = 0xFED_0004;
+    let (first, _, failure) = gate(&case);
+    assert_eq!(first.digest, 0xd17d_8be0_f784_0726);
+    assert!(!first.fired.is_empty() && first.handoffs >= 1 && first.repartitioned);
+    assert_eq!(first.batch_bounces, 0);
+    let failure = failure.expect("a batch case without a bounce must fail");
+    assert!(failure.contains("no batch entry bounced"), "{failure}");
 }

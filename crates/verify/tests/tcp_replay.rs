@@ -3,8 +3,9 @@
 //! exactly the simulator's ground-truth alarm sequence.
 
 use sa_server::wire::StrategySpec;
-use sa_server::{replay_tcp, ReplayConfig, TraceMode};
+use sa_server::TraceMode;
 use sa_sim::{SimulationConfig, SimulationHarness};
+use sa_verify::{replay_tcp, ReplayConfig};
 
 #[test]
 fn tcp_loopback_replay_fires_exactly_the_ground_truth_sequence() {

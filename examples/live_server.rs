@@ -9,8 +9,9 @@
 //! Run with: `cargo run --release --example live_server`
 
 use spatial_alarms::server::wire::StrategySpec;
-use spatial_alarms::server::{replay_in_proc, ReplayConfig, TraceMode};
+use spatial_alarms::server::TraceMode;
 use spatial_alarms::sim::{SimulationConfig, SimulationHarness};
+use spatial_alarms::verify::{replay_in_proc, ReplayConfig};
 
 fn main() {
     // The smoke-test town with exactly three vehicles — one per client.

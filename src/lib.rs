@@ -14,6 +14,8 @@
 //! - [`server`] — the live safe-region service runtime,
 //! - [`fed`] — multi-server federation: partitioned cell ownership,
 //!   session handoff and live repartitioning,
+//! - [`verify`] — trace replays against the ground truth, the
+//!   fault-injected schedule harness and its oracles,
 //! - [`viz`] — SVG rendering of networks, workloads and safe regions.
 //!
 //! See the repository README for a quickstart and `DESIGN.md` for the system
@@ -30,6 +32,7 @@ pub use sa_obs as obs;
 pub use sa_roadnet as roadnet;
 pub use sa_server as server;
 pub use sa_sim as sim;
+pub use sa_verify as verify;
 pub use sa_viz as viz;
 
 /// The README's library example, compiled and run as a doctest.

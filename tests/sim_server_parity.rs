@@ -12,8 +12,9 @@
 
 use spatial_alarms::server::transport::{InProcTransport, Transport, TransportError};
 use spatial_alarms::server::wire::{Request, Response, StrategySpec};
-use spatial_alarms::server::{replay, ReplayConfig, SystemClock, TraceMode};
+use spatial_alarms::server::{SystemClock, TraceMode};
 use spatial_alarms::sim::{FiredEvent, SimulationConfig, SimulationHarness, StrategyKind};
+use spatial_alarms::verify::{replay, ReplayConfig};
 use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::Arc;

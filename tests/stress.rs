@@ -4,8 +4,9 @@
 //! `cargo test --release --test stress -- --ignored` (a few minutes).
 
 use spatial_alarms::server::wire::StrategySpec;
-use spatial_alarms::server::{replay_batched_in_proc, ReplayConfig, TraceMode};
+use spatial_alarms::server::TraceMode;
 use spatial_alarms::sim::{SimulationConfig, SimulationHarness, StrategyKind};
+use spatial_alarms::verify::{replay_batched_in_proc, ReplayConfig};
 
 /// A tenth of the paper's workload (1,000 vehicles × 1,000 alarms) for
 /// the full simulated hour, driven through the live server's
