@@ -19,10 +19,6 @@
 //! 100k-subscriber sweep, 100.0 = 1M) with the universe held fixed —
 //! rising density, the regime the exponent probes.
 //!
-//! The report also carries a word-parallel vs bit-at-a-time
-//! `BitVec::intersection_ones` micro-benchmark, pinning the measured
-//! speedup of the u64-block hot path the region pipeline runs on.
-//!
 //! Sweep usage:
 //! `scaling_curve [--scales F,F,..] [--workers N,N,..] [--steps N]
 //!                [--out PATH] [--prom PATH]`
@@ -32,7 +28,6 @@
 //! `scaling_curve --check PATH --min-exponent F`
 
 use sa_bench::{fit_power_law, render_table, PowerLawFit};
-use sa_core::BitVec;
 use sa_obs::{render_snapshot, Registry};
 use sa_server::wire::StrategySpec;
 use sa_server::TraceMode;
@@ -127,47 +122,6 @@ impl CurvePoint {
     fn per_core(&self) -> f64 {
         self.updates_per_sec / self.workers as f64
     }
-}
-
-/// Word-parallel vs bit-at-a-time `intersection_ones` over the same
-/// pseudo-random pair, best-of-3 timing each way.
-fn bitvec_microbench() -> (usize, u32, f64, f64) {
-    const BITS: usize = 100_000;
-    const REPS: u32 = 200;
-    let mut seed = 0x5CA1_AB1E_u64;
-    let mut next = move || {
-        seed ^= seed << 13;
-        seed ^= seed >> 7;
-        seed ^= seed << 17;
-        seed
-    };
-    let mut a = BitVec::with_capacity(BITS);
-    let mut b = BitVec::with_capacity(BITS);
-    for _ in 0..BITS {
-        a.push(next() % 3 == 0);
-        b.push(next() % 2 == 0);
-    }
-    let time_best_of_3 = |f: &dyn Fn() -> usize| -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let started = Instant::now();
-            let mut checksum = 0usize;
-            for _ in 0..REPS {
-                checksum = checksum.wrapping_add(f());
-            }
-            let ns = started.elapsed().as_nanos() as f64 / f64::from(REPS);
-            assert!(checksum > 0, "the benched intersection must be non-empty");
-            best = best.min(ns);
-        }
-        best
-    };
-    let word_parallel_ns = time_best_of_3(&|| a.intersection_ones(&b));
-    let scalar_ns = time_best_of_3(&|| {
-        (0..BITS)
-            .filter(|&i| a.get(i).unwrap_or(false) && b.get(i).unwrap_or(false))
-            .count()
-    });
-    (BITS, REPS, word_parallel_ns, scalar_ns)
 }
 
 /// Pulls `"worst_exponent": <float>` out of a report this binary wrote.
@@ -296,9 +250,6 @@ fn main() {
         .map(|(_, f)| f.exponent)
         .fold(f64::INFINITY, f64::min);
 
-    let (bits, reps, word_parallel_ns, scalar_ns) = bitvec_microbench();
-    let bitvec_speedup = scalar_ns / word_parallel_ns.max(1e-9);
-
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"steps\": {},", opts.steps);
     let _ = writeln!(
@@ -343,14 +294,8 @@ fn main() {
         );
     }
     json.push_str("  ],\n");
-    let _ = writeln!(json, "  \"worst_exponent\": {worst:.6},");
-    let _ = writeln!(json, "  \"bitvec_intersection\": {{");
-    let _ = writeln!(json, "    \"bits\": {bits},");
-    let _ = writeln!(json, "    \"reps\": {reps},");
-    let _ = writeln!(json, "    \"word_parallel_ns\": {word_parallel_ns:.1},");
-    let _ = writeln!(json, "    \"scalar_ns\": {scalar_ns:.1},");
-    let _ = writeln!(json, "    \"speedup\": {bitvec_speedup:.2}");
-    json.push_str("  }\n}\n");
+    let _ = writeln!(json, "  \"worst_exponent\": {worst:.6}");
+    json.push_str("}\n");
     std::fs::write(&opts.out, &json).expect("writing the scaling report");
     std::fs::write(&opts.prom, render_snapshot(&registry.snapshot()))
         .expect("writing the per-scale histogram dump");
@@ -382,9 +327,5 @@ fn main() {
             fit.coefficient, fit.exponent, fit.r_squared
         );
     }
-    println!(
-        "worst exponent {worst:.4}; bitvec intersection word-parallel {word_parallel_ns:.0}ns \
-         vs scalar {scalar_ns:.0}ns ({bitvec_speedup:.1}× speedup) → {}",
-        opts.out.display()
-    );
+    println!("worst exponent {worst:.4} → {}", opts.out.display());
 }

@@ -180,116 +180,6 @@ impl BitVec {
         out
     }
 
-    /// Asserts the two vectors cover the same bit count (set operations
-    /// are defined over equal-length universes).
-    fn check_same_len(&self, other: &BitVec) {
-        assert_eq!(
-            self.len, other.len,
-            "bit-set operation over mismatched lengths"
-        );
-    }
-
-    /// Word-parallel intersection (`self & other`).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the lengths differ.
-    pub fn intersect(&self, other: &BitVec) -> BitVec {
-        let mut out = self.clone();
-        out.intersect_assign(other);
-        out
-    }
-
-    /// In-place word-parallel intersection — the allocation-free form for
-    /// hot paths that reuse a scratch vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the lengths differ.
-    pub fn intersect_assign(&mut self, other: &BitVec) {
-        self.check_same_len(other);
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= b;
-        }
-    }
-
-    /// Word-parallel union (`self | other`).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the lengths differ.
-    pub fn union(&self, other: &BitVec) -> BitVec {
-        let mut out = self.clone();
-        out.union_assign(other);
-        out
-    }
-
-    /// In-place word-parallel union.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the lengths differ.
-    pub fn union_assign(&mut self, other: &BitVec) {
-        self.check_same_len(other);
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
-
-    /// Word-parallel difference (`self & !other`).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the lengths differ.
-    pub fn difference(&self, other: &BitVec) -> BitVec {
-        let mut out = self.clone();
-        out.difference_assign(other);
-        out
-    }
-
-    /// In-place word-parallel difference (`self &= !other`). The bits past
-    /// `len` in the last word stay clear because they are clear in `self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the lengths differ.
-    pub fn difference_assign(&mut self, other: &BitVec) {
-        self.check_same_len(other);
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= !b;
-        }
-    }
-
-    /// Popcount of the intersection without materializing it — the
-    /// membership-overlap count used by cache checks.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the lengths differ.
-    pub fn intersection_ones(&self, other: &BitVec) -> usize {
-        self.check_same_len(other);
-        self.words
-            .iter()
-            .zip(&other.words)
-            .map(|(a, b)| (a & b).count_ones() as usize)
-            .sum()
-    }
-
-    /// Iterates over the indices of set bits, word by word (each clear
-    /// word costs one test, each set bit two bit-tricks).
-    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            std::iter::successors(
-                if w == 0 { None } else { Some(w) },
-                |&rest| {
-                    let rest = rest & (rest - 1);
-                    if rest == 0 { None } else { Some(rest) }
-                },
-            )
-            .map(move |rest| wi * 64 + rest.trailing_zeros() as usize)
-        })
-    }
-
     /// Number of set bits.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -606,40 +496,6 @@ mod tests {
                 assert_eq!(appended.get(3 + i), src.get(start + i), "bit {i}");
             }
         }
-    }
-
-    #[test]
-    fn set_operations_match_per_bit_logic() {
-        let a: BitVec = (0..200).map(|i| i % 3 == 0).collect();
-        let b: BitVec = (0..200).map(|i| i % 5 == 0).collect();
-        let and = a.intersect(&b);
-        let or = a.union(&b);
-        let diff = a.difference(&b);
-        for i in 0..200 {
-            let (x, y) = (a.get(i).unwrap(), b.get(i).unwrap());
-            assert_eq!(and.get(i), Some(x && y), "and {i}");
-            assert_eq!(or.get(i), Some(x || y), "or {i}");
-            assert_eq!(diff.get(i), Some(x && !y), "diff {i}");
-        }
-        assert_eq!(a.intersection_ones(&b), and.count_ones());
-        // Difference keeps the tail bits of the last word clear.
-        assert_eq!(diff.count_ones() + a.intersection_ones(&b), a.count_ones());
-    }
-
-    #[test]
-    #[should_panic(expected = "mismatched lengths")]
-    fn set_operations_reject_length_mismatch() {
-        let a: BitVec = (0..10).map(|_| true).collect();
-        let b: BitVec = (0..11).map(|_| true).collect();
-        a.intersect(&b);
-    }
-
-    #[test]
-    fn iter_ones_yields_set_indices_in_order() {
-        let bv: BitVec = (0..200).map(|i| i % 31 == 2).collect();
-        let expected: Vec<usize> = (0..200).filter(|i| i % 31 == 2).collect();
-        assert_eq!(bv.iter_ones().collect::<Vec<_>>(), expected);
-        assert_eq!(BitVec::new().iter_ones().count(), 0);
     }
 
     #[test]

@@ -30,14 +30,6 @@ fn build(len: usize, seed: u64) -> BitVec {
         .collect()
 }
 
-/// Scalar reference: per-bit zip of two equal-length vectors.
-fn scalar_zip(a: &BitVec, b: &BitVec, f: impl Fn(bool, bool) -> bool) -> BitVec {
-    assert_eq!(a.len(), b.len());
-    (0..a.len())
-        .map(|i| f(a.get(i).unwrap(), b.get(i).unwrap()))
-        .collect()
-}
-
 /// Scalar reference: MSB-first octet packing, bit by bit.
 fn scalar_to_bytes(bits: &BitVec) -> Vec<u8> {
     let mut out = vec![0u8; bits.len().div_ceil(8)];
@@ -51,34 +43,6 @@ fn scalar_to_bytes(bits: &BitVec) -> Vec<u8> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn set_ops_match_scalar_zip(len in ragged_len(), seed in 0u64..u64::MAX) {
-        let a = build(len, seed);
-        let b = build(len, seed.rotate_left(17) ^ 0xDEAD_BEEF);
-        prop_assert_eq!(a.intersect(&b), scalar_zip(&a, &b, |x, y| x && y));
-        prop_assert_eq!(a.union(&b), scalar_zip(&a, &b, |x, y| x || y));
-        prop_assert_eq!(a.difference(&b), scalar_zip(&a, &b, |x, y| x && !y));
-        let and_ones = (0..len)
-            .filter(|&i| a.get(i).unwrap() && b.get(i).unwrap())
-            .count();
-        prop_assert_eq!(a.intersection_ones(&b), and_ones);
-    }
-
-    #[test]
-    fn assign_ops_match_pure_ops(len in ragged_len(), seed in 0u64..u64::MAX) {
-        let a = build(len, seed);
-        let b = build(len, !seed);
-        let mut x = a.clone();
-        x.intersect_assign(&b);
-        prop_assert_eq!(&x, &a.intersect(&b));
-        let mut y = a.clone();
-        y.union_assign(&b);
-        prop_assert_eq!(&y, &a.union(&b));
-        let mut z = a.clone();
-        z.difference_assign(&b);
-        prop_assert_eq!(&z, &a.difference(&b));
-    }
 
     #[test]
     fn bulk_pushes_match_single_bit_pushes(
@@ -153,12 +117,5 @@ proptest! {
             prop_assert_eq!(bits.rank_zeros(probe), expected);
             prop_assert_eq!(ranked.rank_zeros(probe), expected);
         }
-    }
-
-    #[test]
-    fn iter_ones_matches_filtered_indices(len in ragged_len(), seed in 0u64..u64::MAX) {
-        let bits = build(len, seed);
-        let expected: Vec<usize> = (0..len).filter(|&i| bits.get(i).unwrap()).collect();
-        prop_assert_eq!(bits.iter_ones().collect::<Vec<_>>(), expected);
     }
 }

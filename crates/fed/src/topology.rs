@@ -14,7 +14,7 @@
 //! reordered coordinator pushes are harmless.
 
 use sa_geometry::Grid;
-use sa_server::wire::CellRange;
+use sa_server::wire::{owner_of, CellRange};
 
 /// An epoch-versioned assignment of Morton key ranges to members.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,9 +61,7 @@ impl PartitionMap {
     /// outside every range (possible only for maps not covering the
     /// full key space).
     pub fn owner_of(&self, key: u64) -> Option<u32> {
-        let i = self.ranges.partition_point(|r| r.start <= key);
-        let r = self.ranges.get(i.checked_sub(1)?)?;
-        (key < r.end).then_some(r.owner)
+        owner_of(&self.ranges, key)
     }
 
     /// Re-cuts the ranges so each member carries a (nearly) equal share

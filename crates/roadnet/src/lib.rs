@@ -43,10 +43,8 @@ mod fleet;
 mod generator;
 mod graph;
 mod route;
-mod trace;
 
 pub use fleet::{Fleet, FleetConfig, TraceSample, Vehicle, VehicleId};
 pub use generator::{generate_network, NetworkConfig};
 pub use graph::{EdgeId, NodeId, RoadClass, RoadEdge, RoadNetwork, RoadNode};
 pub use route::Router;
-pub use trace::{TraceError, TraceLog};

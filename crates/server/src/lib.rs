@@ -41,14 +41,16 @@
 //!            links in it
 //! client  ── per-strategy mirrors (MWPSR / PBSR / OPT / safe-period)
 //!            + retry → degraded → resync → steady resilience machine
-//! transport ─ InProc | Tcp, both framing through the wire codec
+//! transport ─ InProc | Tcp, both framing through the wire codec; Tcp
+//!            re-dials and replays Hello after any failed exchange
 //! reactor ── the one TCP server: per-worker epoll (poller), one
 //!            edge-triggered registration per connection, FrameReader /
 //!            WriteQueue (netfront), admission, deadline-sweep reaping
 //! server  ── router + sessions + the one VersionedAlarmIndex;
 //!            LocationUpdate and every Batch entry, in frame order →
 //!            process_into on the caller's thread
-//! fired   ── per-subscriber fired-alarm lists (exactly-once state)
+//! striped ── the striped-lock map behind the session table and the
+//!            per-subscriber fired lists (exactly-once state)
 //! cache   ── (cell, height) → public bitmap, epoch-invalidated
 //! wire    ── Request/Response codec, sizes == sa-sim payload constants
 //! ```
@@ -63,7 +65,7 @@ pub mod cache;
 pub mod chaos;
 pub mod client;
 pub mod clock;
-mod fired;
+mod striped;
 pub mod netfront;
 #[allow(unsafe_code)]
 mod poller;
@@ -80,9 +82,7 @@ pub use netfront::{AdmissionConfig, FrameError, FrameReader, WriteQueue};
 pub use reactor::{Reactor, ReactorConfig};
 pub use sa_obs::TraceMode;
 pub use server::{Server, ServerConfig};
-pub use transport::{
-    InProcTransport, ReconnectingTcpTransport, TcpTransport, Transport, TransportError,
-};
+pub use transport::{InProcTransport, TcpTransport, Transport, TransportError};
 pub use wire::{
     quantize_rect, CellRange, Request, Response, SessionState, StrategySpec, WireError,
 };

@@ -22,10 +22,11 @@
 
 use crate::cache::{CacheStats, RegionCache};
 use crate::clock::{SharedClock, SystemClock};
-use crate::fired::FiredTable;
+use crate::striped::Striped;
 use crate::wire::{
-    dequantize_m, dequantize_rect, quantize_rect, unpack_motion, BatchReply, CellRange, Request,
-    Response, SessionState, StrategySpec, TraceCtxExt, SEQ_MASK,
+    dequantize_m, dequantize_rect, owner_of, quantize_rect, unpack_motion, BatchReply,
+    BatchedUpdate, CellRange, Request, Response, SessionState, StrategySpec, TraceCtxExt,
+    SEQ_MASK,
 };
 use parking_lot::RwLock;
 use sa_alarms::{
@@ -43,7 +44,6 @@ use sa_sim::{
     server_mwpsr,
 };
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -100,70 +100,11 @@ struct Session {
     degraded_height_cap: Option<u32>,
 }
 
-/// Stripe count of the [`SessionTable`] — a power of two comfortably
-/// above the reactor's worker count, so session ids spread across
-/// stripes and concurrent callers and the federation handoff exporter
-/// almost always lock different stripes.
-pub(crate) const SESSION_STRIPES: usize = 16;
-
-/// The session registry, striped by session id so no single lock
-/// serializes every session touch the way the old
-/// `RwLock<HashMap<u32, Session>>` did.
-struct SessionTable {
-    stripes: Vec<RwLock<HashMap<u32, Session>>>,
-}
-
-impl SessionTable {
-    fn new() -> SessionTable {
-        SessionTable {
-            stripes: (0..SESSION_STRIPES).map(|_| RwLock::new(HashMap::new())).collect(),
-        }
-    }
-
-    fn stripe(&self, session: u32) -> &RwLock<HashMap<u32, Session>> {
-        &self.stripes[session as usize % SESSION_STRIPES]
-    }
-
-    fn insert(&self, session: u32, s: Session) {
-        self.stripe(session).write().insert(session, s);
-    }
-
-    fn remove(&self, session: u32) -> Option<Session> {
-        self.stripe(session).write().remove(&session)
-    }
-
-    fn contains(&self, session: u32) -> bool {
-        self.stripe(session).read().contains_key(&session)
-    }
-
-    /// Copies the cheap per-session header (subscriber, strategy,
-    /// degraded-admission height cap).
-    fn peek(&self, session: u32) -> Option<(SubscriberId, StrategySpec, Option<u32>)> {
-        self.stripe(session)
-            .read()
-            .get(&session)
-            .map(|s| (s.user, s.strategy, s.degraded_height_cap))
-    }
-
-    /// Live sessions across every stripe.
-    fn len(&self) -> usize {
-        self.stripes.iter().map(|s| s.read().len()).sum()
-    }
-
-    /// Runs `f` on the session under its stripe's write lock.
-    fn with_mut<R>(&self, session: u32, f: impl FnOnce(&mut Session) -> R) -> Option<R> {
-        self.stripe(session).write().get_mut(&session).map(f)
-    }
-
-    /// Clones the migratable fields of a session (the handoff export).
-    fn snapshot(
-        &self,
-        session: u32,
-    ) -> Option<(SubscriberId, StrategySpec, Option<CellId>, Vec<u32>)> {
-        self.stripe(session)
-            .read()
-            .get(&session)
-            .map(|s| (s.user, s.strategy, s.last_cell, s.delivery_log.clone()))
+impl Session {
+    /// The cheap per-session header an update reads: subscriber,
+    /// strategy, degraded-admission height cap.
+    fn header(&self) -> (SubscriberId, StrategySpec, Option<u32>) {
+        (self.user, self.strategy, self.degraded_height_cap)
     }
 }
 
@@ -175,17 +116,6 @@ struct FedState {
     epoch: u64,
     /// Ownership ranges over the grid's Morton keys, sorted by start.
     ranges: Vec<CellRange>,
-}
-
-impl FedState {
-    /// The owner of Morton key `key`, or `None` when the map has a gap
-    /// there (a malformed map; the caller treats the cell as local
-    /// rather than bouncing traffic into a void).
-    fn owner_of(&self, key: u64) -> Option<u32> {
-        let idx = self.ranges.partition_point(|r| r.start <= key);
-        let r = &self.ranges[idx.checked_sub(1)?];
-        (key < r.end).then_some(r.owner)
-    }
 }
 
 /// Pre-resolved handles onto the server's registry: one registry lock at
@@ -278,10 +208,11 @@ pub struct Server {
     /// Epoch-versioned: readers pin snapshots, installs publish new
     /// generations.
     global_index: VersionedAlarmIndex,
-    /// Which alarms already fired for which subscriber — alarms fire
+    /// Which alarms already fired for which subscriber id — alarms fire
     /// once, for the lifetime of the server.
-    fired: FiredTable,
-    sessions: SessionTable,
+    fired: Striped<Vec<AlarmId>>,
+    /// Live sessions by session id.
+    sessions: Striped<Session>,
     /// Federation membership, when [`Server::enable_federation`] was
     /// called; `None` on a standalone server (no ownership checks).
     fed: RwLock<Option<FedState>>,
@@ -369,8 +300,8 @@ impl Server {
         Arc::new(Server {
             v_max,
             global_index: VersionedAlarmIndex::new(alarms).unwrap_or_else(|e| panic!("{e}")),
-            fired: FiredTable::new(),
-            sessions: SessionTable::new(),
+            fired: Striped::new(),
+            sessions: Striped::new(),
             fed: RwLock::new(None),
             cell_updates,
             cache: RegionCache::with_registry(&registry),
@@ -598,21 +529,21 @@ impl Server {
                 // suppress an already-fired alarm, never add a firing.
                 let started_ns = self.clock.now_ns();
                 self.sessions.remove(target);
-                self.control_span(
-                    SpanKind::HandoffRelease,
-                    control_ctx(trace, session, seq),
-                    started_ns,
-                    u64::from(target),
-                    0,
-                );
+                let trace = control_ctx(trace, session, seq);
+                let kind = SpanKind::HandoffRelease;
+                self.span(SPAN_LANES, trace, kind, started_ns, u64::from(target), 0);
                 out.push(Response::Ack { seq });
             }
             Request::InstallTopology { seq, epoch, ranges, trace } => {
                 let trace = control_ctx(trace, session, seq);
                 out.extend(self.install_topology(seq, epoch, ranges, trace));
             }
-            req @ (Request::LocationUpdate { .. } | Request::Resync { .. }) => {
-                self.update_into(session, &req, out);
+            Request::LocationUpdate { seq, x_fx, y_fx, motion } => {
+                self.process_into(BatchedUpdate { session, seq, x_fx, y_fx, motion }, None, out);
+            }
+            Request::Resync { seq, x_fx, y_fx, motion, acked } => {
+                let update = BatchedUpdate { session, seq, x_fx, y_fx, motion };
+                self.process_into(update, Some(acked), out);
             }
             // Each entry's responses are its own vector — the
             // allocation-free invariant covers the single-update path;
@@ -622,13 +553,7 @@ impl Server {
                     .into_iter()
                     .map(|u| {
                         let mut responses = Vec::new();
-                        let req = Request::LocationUpdate {
-                            seq: u.seq,
-                            x_fx: u.x_fx,
-                            y_fx: u.y_fx,
-                            motion: u.motion,
-                        };
-                        self.update_into(u.session, &req, &mut responses);
+                        self.process_into(u, None, &mut responses);
                         BatchReply { session: u.session, responses }
                     })
                     .collect();
@@ -671,7 +596,8 @@ impl Server {
         if public {
             self.bump_cells(region);
         }
-        self.router_event(SpanKind::AlarmInstall, session, seq, id.0, u64::from(session));
+        let (ctx, now_ns) = (derived_ctx(trace_id_for(session, seq)), self.clock.now_ns());
+        self.span(SPAN_LANES, ctx, SpanKind::AlarmInstall, now_ns, id.0, u64::from(session));
         vec![Response::Ack { seq }]
     }
 
@@ -693,7 +619,8 @@ impl Server {
         if public {
             self.bump_cells(region);
         }
-        self.router_event(SpanKind::AlarmRemove, session, seq, id.0, u64::from(session));
+        let (ctx, now_ns) = (derived_ctx(trace_id_for(session, seq)), self.clock.now_ns());
+        self.span(SPAN_LANES, ctx, SpanKind::AlarmRemove, now_ns, id.0, u64::from(session));
         vec![Response::Ack { seq }]
     }
 
@@ -705,7 +632,7 @@ impl Server {
     pub fn shutdown(&self) {}
 
     fn session_exists(&self, session: u32) -> bool {
-        self.sessions.contains(session)
+        self.sessions.read(session, |_| ()).is_some()
     }
 
     /// Runs `f` against this thread's pinned generation of the alarm
@@ -718,139 +645,59 @@ impl Server {
         })
     }
 
-    /// Answers one position-bearing request — a `LocationUpdate`, a
-    /// `Resync`, or one entry of a batch frame — on the calling thread:
-    /// the ownership check, the session check, [`Server::process_into`],
-    /// then the round-trip sample, its exemplar and the dispatch span.
-    fn update_into(&self, session: u32, req: &Request, out: &mut Vec<Response>) {
-        let seq = req.seq();
-        let (x_fx, y_fx) = req.position_fx().expect("position-bearing requests carry coordinates");
-        let entered_ns = self.clock.now_ns();
-        let pos = self.clamped_position(x_fx, y_fx);
-        let cell = self.grid.cell_of(pos);
-        // Ownership precedes the session check: mid-handoff the old
-        // owner has released the session, and the useful answer there is
-        // the redirect, not NO_SESSION.
-        if let Some(bounce) = self.wrong_owner(cell, session, seq) {
-            out.push(bounce);
-            return;
-        }
-        if !self.session_exists(session) {
-            out.push(Response::Error { seq, code: error_code::NO_SESSION });
-            return;
-        }
-        let lane = (self.grid.cell_index(cell) % SPAN_LANES as u64) as usize;
-        self.process_into(lane, session, req, out);
-        let elapsed = self.clock.elapsed_since(entered_ns);
-        self.metrics.update_rtt.record_duration(elapsed);
-        let trace = trace_id_for(session, seq);
-        self.rtt_exemplars.observe(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX), trace);
-        self.record_dispatch(lane as u32, trace, entered_ns, session, seq);
-    }
-
-    /// Records the member's dispatch span for one routed update on the
-    /// router lane, naming the update's data `lane`. Its id and its
-    /// parent (the client-side root) are *derived* from the trace id, so
-    /// the compute spans on this member and the root on the client join
-    /// up in assembly with no wire bytes spent.
-    fn record_dispatch(&self, lane: u32, trace: u64, entered_ns: u64, session: u32, seq: u32) {
-        if !self.spans.enabled(trace) {
+    /// Records one span of `kind`, `started_ns` to now, in `ctx`'s trace
+    /// under its parent, attributed to span lane `lane` (a data lane, or
+    /// [`SPAN_LANES`] for the router). A span draws a fresh id only when
+    /// it is recorded. The one exception is an update's dispatch span:
+    /// its id is *derived* from the trace id, so the compute spans on
+    /// this member and the root on the client join up in assembly with
+    /// no wire bytes spent, and it is kept on the router lane.
+    fn span(
+        &self,
+        lane: usize,
+        ctx: TraceCtxExt,
+        kind: SpanKind,
+        started_ns: u64,
+        a: u64,
+        b: u64,
+    ) {
+        if !self.spans.enabled(ctx.trace_id) {
             return;
         }
         let member = self.spans.member();
-        self.spans.record(
-            SPAN_LANES,
-            Span {
-                ctx: TraceCtx {
-                    trace_id: trace,
-                    span_id: dispatch_span(trace, member),
-                    parent: client_root_span(trace),
-                },
-                kind: SpanKind::UpdateDispatch,
-                start_us: entered_ns / 1_000,
-                dur_us: self.clock.elapsed_since(entered_ns).as_micros() as u64,
-                member,
-                shard: lane,
-                a: u64::from(session),
-                b: u64::from(seq),
-            },
-        );
-    }
-
-    /// Records a compute-side span on `lane` as a child of the update's
-    /// dispatch span, `started_ns` to now.
-    fn worker_span(&self, lane: usize, trace: u64, kind: SpanKind, started_ns: u64, a: u64, b: u64) {
-        if !self.spans.enabled(trace) {
-            return;
-        }
-        let member = self.spans.member();
-        self.spans.record(
-            lane,
-            Span {
-                ctx: TraceCtx {
-                    trace_id: trace,
-                    span_id: self.spans.fresh_span_id(),
-                    parent: dispatch_span(trace, member),
-                },
-                kind,
-                start_us: started_ns / 1_000,
-                dur_us: self.clock.elapsed_since(started_ns).as_micros() as u64,
-                member,
-                shard: lane as u32,
-                a,
-                b,
-            },
-        );
-    }
-
-    /// Records a router-lane span under an explicit context: a
-    /// federation control exchange's (see [`control_ctx`]) or a derived
-    /// one ([`Server::router_event`]).
-    fn control_span(&self, kind: SpanKind, trace: TraceCtxExt, started_ns: u64, a: u64, b: u64) {
-        if !self.spans.enabled(trace.trace_id) {
-            return;
-        }
-        self.spans.record(
-            SPAN_LANES,
-            Span {
-                ctx: TraceCtx {
-                    trace_id: trace.trace_id,
-                    span_id: self.spans.fresh_span_id(),
-                    parent: trace.parent_span,
-                },
-                kind,
-                start_us: started_ns / 1_000,
-                dur_us: self.clock.elapsed_since(started_ns).as_micros() as u64,
-                member: self.spans.member(),
-                shard: SPAN_LANES as u32,
-                a,
-                b,
-            },
-        );
-    }
-
-    /// Records a zero-duration router-side event — a bounce, an alarm
-    /// write, a client-reported firing — in the trace of the exchange
-    /// `(session, seq)`, under its derived client root: these exchanges
-    /// have no dispatch span to hang from.
-    fn router_event(&self, kind: SpanKind, session: u32, seq: u32, a: u64, b: u64) {
-        self.control_span(kind, derived_ctx(session, seq), self.clock.now_ns(), a, b);
+        let (span_id, kept_on) = match kind {
+            SpanKind::UpdateDispatch => (dispatch_span(ctx.trace_id, member), SPAN_LANES),
+            _ => (self.spans.fresh_span_id(), lane),
+        };
+        let span = Span {
+            ctx: TraceCtx { trace_id: ctx.trace_id, span_id, parent: ctx.parent_span },
+            kind,
+            start_us: started_ns / 1_000,
+            dur_us: self.clock.elapsed_since(started_ns).as_micros() as u64,
+            member,
+            shard: lane as u32,
+            a,
+            b,
+        };
+        self.spans.record(kept_on, span);
     }
 
     /// When federation is enabled and `cell` belongs to another member,
-    /// the `WrongOwner` bounce for it; `None` means "process locally"
-    /// (standalone server, locally owned cell, or a map gap — the last
-    /// treated as local so a malformed map degrades to the
-    /// single-server behavior instead of bouncing traffic into a void).
-    fn wrong_owner(&self, cell: CellId, session: u32, seq: u32) -> Option<Response> {
+    /// the `WrongOwner` bounce for it, recorded in the update's trace;
+    /// `None` means "process locally" (standalone server, locally owned
+    /// cell, or a map gap — the last treated as local so a malformed map
+    /// degrades to the single-server behavior instead of bouncing
+    /// traffic into a void).
+    fn wrong_owner(&self, cell: CellId, seq: u32, trace: u64) -> Option<Response> {
         let fed = self.fed.read();
         let fed = fed.as_ref()?;
-        let owner = fed.owner_of(self.grid.morton_of(cell)).unwrap_or(fed.self_id);
+        let owner = owner_of(&fed.ranges, self.grid.morton_of(cell)).unwrap_or(fed.self_id);
         if owner == fed.self_id {
             return None;
         }
         self.metrics.wrong_owner.inc();
-        self.router_event(SpanKind::WrongOwner, session, seq, u64::from(owner), fed.epoch);
+        let (ctx, now_ns) = (derived_ctx(trace), self.clock.now_ns());
+        self.span(SPAN_LANES, ctx, SpanKind::WrongOwner, now_ns, u64::from(owner), fed.epoch);
         Some(Response::WrongOwner { seq, owner, epoch: fed.epoch })
     }
 
@@ -859,26 +706,22 @@ impl Server {
     /// sorted, so the blob's encoding is deterministic).
     fn export_session(&self, seq: u32, target: u32, trace: TraceCtxExt) -> Vec<Response> {
         let started_ns = self.clock.now_ns();
-        let Some((user, strategy, last_cell, delivery_log)) = self.sessions.snapshot(target)
+        let snapshot = |s: &Session| (s.user, s.strategy, s.last_cell, s.delivery_log.clone());
+        let Some((user, strategy, last_cell, delivery_log)) = self.sessions.read(target, snapshot)
         else {
             // A retried handoff whose release already happened lands
             // here; the mesh treats NO_SESSION as "already moved".
             return vec![Response::Error { seq, code: error_code::NO_SESSION }];
         };
         self.metrics.handoff_exports.inc();
-        self.control_span(
-            SpanKind::HandoffExport,
-            trace,
-            started_ns,
-            u64::from(target),
-            u64::from(user.0),
-        );
+        let (a, b) = (u64::from(target), u64::from(user.0));
+        self.span(SPAN_LANES, trace, SpanKind::HandoffExport, started_ns, a, b);
         let state = SessionState {
             user: user.0,
             strategy,
             last_cell: last_cell.map(|c| self.grid.cell_index(c) as u32),
             delivery_log,
-            fired: self.fired.sorted_u32(user),
+            fired: self.fired.fired_u32(user.0),
         };
         vec![Response::SessionState { seq, state }]
     }
@@ -910,7 +753,7 @@ impl Server {
             return vec![Response::Error { seq, code: error_code::BAD_REQUEST }];
         }
         let user = SubscriberId(state.user);
-        self.fired.extend(user, state.fired.iter().map(|&alarm| AlarmId(u64::from(alarm))));
+        self.fired.fire_all(user.0, state.fired.iter().map(|&alarm| AlarmId(u64::from(alarm))));
         self.sessions.insert(
             target,
             Session {
@@ -925,13 +768,8 @@ impl Server {
             },
         );
         self.metrics.handoff_imports.inc();
-        self.control_span(
-            SpanKind::HandoffImport,
-            trace,
-            started_ns,
-            u64::from(target),
-            u64::from(user.0),
-        );
+        let (a, b) = (u64::from(target), u64::from(user.0));
+        self.span(SPAN_LANES, trace, SpanKind::HandoffImport, started_ns, a, b);
         vec![Response::Ack { seq }]
     }
 
@@ -959,13 +797,8 @@ impl Server {
                 if epoch > state.epoch {
                     state.epoch = epoch;
                     state.ranges = ranges;
-                    self.control_span(
-                        SpanKind::TopologyInstall,
-                        trace,
-                        started_ns,
-                        epoch,
-                        num_ranges,
-                    );
+                    let kind = SpanKind::TopologyInstall;
+                    self.span(SPAN_LANES, trace, kind, started_ns, epoch, num_ranges);
                 }
                 vec![Response::Ack { seq }]
             }
@@ -1007,7 +840,7 @@ impl Server {
     ) -> R {
         FIRED_SCRATCH.with(|scratch| {
             let mut fired = scratch.borrow_mut();
-            self.fired.copy_into(user, &mut fired);
+            self.fired.copy_fired(user.0, &mut fired);
             self.with_global_snapshot(|snap| f(snap, &fired))
         })
     }
@@ -1017,50 +850,58 @@ impl Server {
     /// issued is refused, so a subscriber's list stays bounded by the
     /// alarm count.
     fn notify_trigger(&self, session: u32, seq: u32, alarm: u32) -> Vec<Response> {
-        let user = match self.sessions.peek(session) {
-            Some((user, _, _)) => user,
-            None => return vec![Response::Error { seq, code: error_code::NO_SESSION }],
+        let Some(user) = self.sessions.read(session, |s| s.user) else {
+            return vec![Response::Error { seq, code: error_code::NO_SESSION }];
         };
         if alarm as usize >= self.global_index.len() {
             return vec![Response::Error { seq, code: error_code::UNKNOWN_ALARM }];
         }
-        if self.fired.insert(user, AlarmId(alarm as u64)) {
+        if self.fired.fire(user.0, AlarmId(alarm as u64)) {
             self.metrics.triggers.inc();
-            self.router_event(SpanKind::Trigger, session, seq, u64::from(user.0), u64::from(alarm));
+            let (ctx, now_ns) = (derived_ctx(trace_id_for(session, seq)), self.clock.now_ns());
+            let (a, b) = (u64::from(user.0), u64::from(alarm));
+            self.span(SPAN_LANES, ctx, SpanKind::Trigger, now_ns, a, b);
         }
         vec![Response::Ack { seq }]
     }
 
-    /// Evaluates one location update or post-failure resync, appending
-    /// the response sequence to `out`. `lane` is the span lane.
-    fn process_into(&self, lane: usize, session: u32, req: &Request, out: &mut Vec<Response>) {
-        let (seq, x_fx, y_fx, motion, resync_acked) = match *req {
-            Request::LocationUpdate { seq, x_fx, y_fx, motion } => {
-                (seq, x_fx, y_fx, motion, None)
-            }
-            Request::Resync { seq, x_fx, y_fx, motion, acked } => {
-                (seq, x_fx, y_fx, motion, Some(acked))
-            }
-            _ => {
-                out.push(Response::Error { seq: req.seq(), code: error_code::BAD_REQUEST });
-                return;
-            }
-        };
-        let (user, strategy, degraded_cap) = match self.sessions.peek(session) {
-            Some(header) => header,
-            None => {
-                out.push(Response::Error { seq, code: error_code::NO_SESSION });
-                return;
-            }
+    /// Answers one position-bearing request — a `LocationUpdate`, a
+    /// post-failure `Resync` (`resync_acked` is its delivery cursor), or
+    /// one entry of a batch frame — on the calling thread, appending the
+    /// response sequence to `out`: the ownership check, one session
+    /// read, the trigger check and the strategy arm, then the round-trip
+    /// sample, its exemplar and the dispatch span.
+    fn process_into(
+        &self,
+        update: BatchedUpdate,
+        resync_acked: Option<u32>,
+        out: &mut Vec<Response>,
+    ) {
+        let BatchedUpdate { session, seq, x_fx, y_fx, motion } = update;
+        let entered_ns = self.clock.now_ns();
+        let pos = self.clamped_position(x_fx, y_fx);
+        let (cell, cell_rect) = region_cell(&self.grid, pos);
+        let trace = trace_id_for(session, seq);
+        // Ownership precedes the session read: mid-handoff the old owner
+        // has released the session, and the useful answer there is the
+        // redirect, not NO_SESSION.
+        if let Some(bounce) = self.wrong_owner(cell, seq, trace) {
+            out.push(bounce);
+            return;
+        }
+        let Some((user, strategy, degraded_cap)) = self.sessions.read(session, Session::header)
+        else {
+            out.push(Response::Error { seq, code: error_code::NO_SESSION });
+            return;
         };
         self.metrics.location_updates.inc();
-        let trace = trace_id_for(session, seq);
-
-        let pos = self.clamped_position(x_fx, y_fx);
         let (heading, _speed) = unpack_motion(motion);
-        let (cell, cell_rect) = region_cell(&self.grid, pos);
         let cell_word = self.grid.cell_index(cell) as u32;
         self.cell_updates[cell_word as usize].inc();
+        let lane = cell_word as usize % SPAN_LANES;
+        // The update's compute spans hang from this member's dispatch span.
+        let parent_span = dispatch_span(trace, self.spans.member());
+        let ctx = TraceCtxExt { trace_id: trace, parent_span };
 
         let before = out.len();
         if let Some(acked) = resync_acked {
@@ -1081,14 +922,8 @@ impl Server {
             // Recorded even when nothing was pending: the redelivery
             // leg ran, and a post-handoff resync delivering 0 is as
             // causally interesting as one delivering 5 (b = count).
-            self.worker_span(
-                lane,
-                trace,
-                SpanKind::Redelivery,
-                redeliver_started_ns,
-                session as u64,
-                (out.len() - before) as u64,
-            );
+            let (a, b) = (u64::from(session), (out.len() - before) as u64);
+            self.span(lane, ctx, SpanKind::Redelivery, redeliver_started_ns, a, b);
         }
 
         // Server-side trigger check. Firings land in a per-thread scratch
@@ -1100,7 +935,7 @@ impl Server {
             newly_fired.clear();
             self.with_global_snapshot(|snap| {
                 snap.relevant_at_visit(user, pos, |a| {
-                    if fires(a, user, pos, |id| self.fired.insert(user, id)) {
+                    if fires(a, user, pos, |id| self.fired.fire(user.0, id)) {
                         newly_fired.push(a.id());
                     }
                 });
@@ -1111,7 +946,7 @@ impl Server {
             let now_ns = self.clock.now_ns();
             for id in newly_fired.iter() {
                 self.metrics.triggers.inc();
-                self.worker_span(lane, trace, SpanKind::Trigger, now_ns, u64::from(user.0), id.0);
+                self.span(lane, ctx, SpanKind::Trigger, now_ns, u64::from(user.0), id.0);
             }
             // First-time firings join the session's delivery log so a
             // later resync can recover them if this response is lost.
@@ -1126,7 +961,7 @@ impl Server {
             let elapsed = self.clock.elapsed_since(started_ns);
             self.metrics.compute_hist(strategy).record_duration(elapsed);
             let (a, b) = (session as u64, cell_word as u64);
-            self.worker_span(lane, trace, SpanKind::RegionCompute, started_ns, a, b);
+            self.span(lane, ctx, SpanKind::RegionCompute, started_ns, a, b);
         };
         match strategy {
             StrategySpec::Mwpsr => {
@@ -1158,7 +993,7 @@ impl Server {
                     // cheaper (DESIGN.md S18).
                     let eff = degraded_cap.map_or(height, |cap| height.min(cap.max(1)));
                     let started_ns = self.clock.now_ns();
-                    let bits = self.pbsr_payload(lane, user, cell, eff, height, trace);
+                    let bits = self.pbsr_payload(lane, user, cell, eff, height, ctx);
                     computed(started_ns);
                     out.push(Response::BitmapInstall { seq, cell: cell_word, bits });
                 }
@@ -1197,6 +1032,11 @@ impl Server {
                 out.push(Response::SafePeriodGrant { period_ms });
             }
         }
+        let elapsed = self.clock.elapsed_since(entered_ns);
+        self.metrics.update_rtt.record_duration(elapsed);
+        self.rtt_exemplars.observe(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX), trace);
+        let (a, b) = (u64::from(session), u64::from(seq));
+        self.span(lane, derived_ctx(trace), SpanKind::UpdateDispatch, entered_ns, a, b);
     }
 
     /// Runs `f` on the regions of the unfired alarms relevant to `user`
@@ -1242,7 +1082,7 @@ impl Server {
         cell: CellId,
         eff: u32,
         height: u32,
-        trace: u64,
+        ctx: TraceCtxExt,
     ) -> BitVec {
         let computer = PyramidComputer::new(pbsr_pyramid(eff));
         let cell_rect = self.grid.cell_rect(cell);
@@ -1271,14 +1111,8 @@ impl Server {
             self.metrics
                 .cache_lookup
                 .record_duration(self.clock.elapsed_since(lookup_started_ns));
-            self.worker_span(
-                lane,
-                trace,
-                SpanKind::CacheLookup,
-                lookup_started_ns,
-                cell_index,
-                u64::from(cached.is_some()),
-            );
+            let (a, b) = (cell_index, u64::from(cached.is_some()));
+            self.span(lane, ctx, SpanKind::CacheLookup, lookup_started_ns, a, b);
             if let Some(bits) = cached {
                 return bits;
             }
@@ -1325,9 +1159,11 @@ pub(crate) fn pad_bitmap_wire_bits(
 }
 
 /// The context a data-plane exchange's router-side spans record under:
-/// the trace derived from `(session, seq)`, parented on its client root.
-fn derived_ctx(session: u32, seq: u32) -> TraceCtxExt {
-    let trace_id = trace_id_for(session, seq);
+/// its derived trace (see [`trace_id_for`]), parented on the client
+/// root. The update's dispatch span hangs here, and so do the
+/// zero-duration router events — a bounce, an alarm write, a
+/// client-reported firing — whose exchanges have no dispatch span.
+fn derived_ctx(trace_id: u64) -> TraceCtxExt {
     TraceCtxExt { trace_id, parent_span: client_root_span(trace_id) }
 }
 
@@ -1337,7 +1173,7 @@ fn derived_ctx(session: u32, seq: u32) -> TraceCtxExt {
 /// sent it.
 fn control_ctx(wire: TraceCtxExt, session: u32, seq: u32) -> TraceCtxExt {
     if wire.trace_id == 0 {
-        derived_ctx(session, seq)
+        derived_ctx(trace_id_for(session, seq))
     } else {
         wire
     }

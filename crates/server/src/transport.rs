@@ -4,7 +4,8 @@
 //! every message through the wire codec, so in-process tests exercise
 //! exactly the bytes a socket would carry. [`TcpTransport`] speaks
 //! length-prefixed frames over a [`std::net::TcpStream`] to the one TCP
-//! front end, [`crate::reactor::Reactor`].
+//! front end, [`crate::reactor::Reactor`], and re-dials after a failed
+//! exchange.
 //!
 //! A request's response sequence is zero or more
 //! [`Response::TriggerDelivery`] frames followed by exactly one terminal
@@ -15,7 +16,6 @@ use crate::server::Server;
 use crate::wire::{frame, read_frame, Request, Response, WireError};
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Failure while exchanging one request.
@@ -168,127 +168,90 @@ fn exchange(stream: &mut TcpStream, req: &Request) -> Result<Vec<Response>, Tran
     }
 }
 
-/// Loopback TCP client endpoint.
+/// Dials `addr` with Nagle off: every exchange is one small request
+/// awaiting its answer.
+fn dial(addr: SocketAddr) -> std::io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
+/// Loopback TCP client endpoint that survives broken links and server
+/// restarts: after any failed exchange it drops the stream, and the next
+/// request re-dials and replays the cached `Hello`, so the fresh
+/// connection's session is registered before the request goes out.
+///
+/// Every failure drops the stream, not only a transient one: a frame
+/// that fails to decode mid-response-sequence leaves the stream position
+/// unknown as surely as a broken socket does, and a kept stream would
+/// answer the next request with a stale frame.
+/// [`TransportError::is_transient`] only tells the caller whether a
+/// retry is worth attempting.
+///
+/// Pairs with the client's [`crate::client::ResiliencePolicy`] machine:
+/// the client backs off and re-issues the failed request, and this
+/// transport turns that retry into dial → `Hello` → request. One caveat
+/// is inherited from the per-connection session model: the new session
+/// starts with an empty delivery log, so redeliveries recovered by
+/// `Resync` can only cover losses *after* the reconnect (see
+/// `DESIGN.md` S18).
 pub struct TcpTransport {
-    stream: TcpStream,
+    addr: SocketAddr,
+    stream: Option<TcpStream>,
+    /// The last `Hello` sent, replayed on every re-dial.
+    hello: Option<Request>,
+    reconnects: u64,
 }
 
 impl TcpTransport {
     /// Connects to a listening front end's address
-    /// ([`crate::reactor::Reactor::addr`]).
+    /// ([`crate::reactor::Reactor::addr`]) now; later re-dials are lazy
+    /// (on the next request after a failure).
     pub fn connect(addr: SocketAddr) -> std::io::Result<TcpTransport> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(TcpTransport { stream })
-    }
-}
-
-impl Transport for TcpTransport {
-    fn request(&mut self, req: Request) -> Result<Vec<Response>, TransportError> {
-        exchange(&mut self.stream, &req)
-    }
-}
-
-/// A TCP endpoint that survives server restarts: on a transport error it
-/// tears the socket down, and the next request transparently re-dials
-/// and replays the cached `Hello` so the fresh connection's session is
-/// registered before the request goes out.
-///
-/// Pairs with the client's [`crate::client::ResiliencePolicy`] machine:
-/// the client backs off and re-issues the failed request, and this
-/// transport turns that retry into dial → `Hello` → request. One
-/// caveat is inherited from the per-connection session model: the new
-/// session starts with an empty delivery log, so redeliveries recovered
-/// by `Resync` can only cover losses *after* the reconnect (see
-/// `DESIGN.md` S18).
-pub struct ReconnectingTcpTransport {
-    addr: SocketAddr,
-    stream: Option<TcpStream>,
-    hello: Option<Request>,
-    reconnects: Arc<AtomicU64>,
-}
-
-impl ReconnectingTcpTransport {
-    /// Connects to `addr` now; later reconnects are lazy (on the next
-    /// request after a failure).
-    pub fn connect(addr: SocketAddr) -> std::io::Result<ReconnectingTcpTransport> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(ReconnectingTcpTransport {
-            addr,
-            stream: Some(stream),
-            hello: None,
-            reconnects: Arc::new(AtomicU64::new(0)),
-        })
+        Ok(TcpTransport { addr, stream: Some(dial(addr)?), hello: None, reconnects: 0 })
     }
 
-    /// A shareable handle onto the reconnect counter (dials after the
-    /// initial connect).
-    pub fn reconnect_counter(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.reconnects)
+    /// Re-dials made after the initial connect.
+    pub fn reconnects(&self) -> u64 {
+        self.reconnects
     }
 
-    /// Returns a live socket, dialing and replaying the cached `Hello`
-    /// when the previous one died. `dialing_for_hello` suppresses the
-    /// replay when the request about to be sent is itself a `Hello`.
-    fn ensure_connected(
-        &mut self,
-        dialing_for_hello: bool,
-    ) -> Result<&mut TcpStream, TransportError> {
+    /// The live stream, or a fresh dial that has replayed the cached
+    /// `Hello` (unless `req` is itself a `Hello`).
+    fn stream_for(&mut self, req: &Request) -> Result<&mut TcpStream, TransportError> {
         if self.stream.is_none() {
-            let stream = TcpStream::connect(self.addr)?;
-            stream.set_nodelay(true)?;
-            self.stream = Some(stream);
-            self.reconnects.fetch_add(1, Ordering::Relaxed);
-            if !dialing_for_hello {
-                if let Some(hello) = self.hello.clone() {
-                    let stream = self.stream.as_mut().expect("just connected");
-                    match exchange(stream, &hello) {
-                        // The replay must actually re-register the
-                        // session: any other terminal than `Ack` means
-                        // the fresh connection has no session, so the
-                        // reconnect failed — surface that here
-                        // rather than letting the next request die with
-                        // a confusing NO_SESSION.
-                        Ok(responses)
-                            if matches!(responses.last(), Some(Response::Ack { .. })) => {}
-                        Ok(_) => {
-                            self.stream = None;
-                            return Err(TransportError::Protocol(
-                                "hello replay was not acknowledged",
-                            ));
-                        }
-                        Err(e) => {
-                            self.stream = None;
-                            return Err(e);
-                        }
-                    }
+            let mut stream = dial(self.addr)?;
+            self.reconnects += 1;
+            if let Some(hello) = self.hello.as_ref().filter(|_| !is_hello(req)) {
+                // The replay must re-register the session: any terminal
+                // other than `Ack` means the fresh connection has none,
+                // so the reconnect failed — say so here rather than let
+                // the request die with a confusing NO_SESSION.
+                let replayed = exchange(&mut stream, hello)?;
+                if !matches!(replayed.last(), Some(Response::Ack { .. })) {
+                    return Err(TransportError::Protocol("hello replay was not acknowledged"));
                 }
             }
+            self.stream = Some(stream);
         }
         Ok(self.stream.as_mut().expect("connected above"))
     }
 }
 
-impl Transport for ReconnectingTcpTransport {
+fn is_hello(req: &Request) -> bool {
+    matches!(req, Request::Hello { .. })
+}
+
+impl Transport for TcpTransport {
     fn request(&mut self, req: Request) -> Result<Vec<Response>, TransportError> {
-        let is_hello = matches!(req, Request::Hello { .. });
-        if is_hello {
+        if is_hello(&req) {
             self.hello = Some(req.clone());
         }
-        let stream = self.ensure_connected(is_hello)?;
-        match exchange(stream, &req) {
-            Ok(out) => Ok(out),
-            Err(e) => {
-                // Any failed exchange leaves the stream position
-                // unknown — a decode error mid-response-sequence
-                // desynchronizes the framing just as surely as a broken
-                // socket — so always drop it; `is_transient` only tells
-                // the caller whether a retry is worth attempting.
-                self.stream = None;
-                Err(e)
-            }
+        let result = self.stream_for(&req).and_then(|stream| exchange(stream, &req));
+        if result.is_err() {
+            self.stream = None;
         }
+        result
     }
 }
 
@@ -342,42 +305,47 @@ mod tests {
         assert!(TransportError::TimedOut.is_transient());
     }
 
+    /// Reads one request frame off `stream` and decodes it.
+    fn read_request(stream: &mut TcpStream) -> Request {
+        Request::decode(&read_frame(stream).unwrap().expect("a request frame")).unwrap()
+    }
+
     #[test]
-    fn reconnecting_transport_drops_the_stream_on_decode_garbage() {
-        // First connection answers the Hello with Ack, then answers the
-        // next request with an undecodable frame; the second connection
-        // (the redial) acks the replayed Hello and the retried request.
+    fn a_failed_exchange_never_reuses_its_stream() {
+        // The first connection acks the Hello, then answers the next
+        // request with an undecodable frame *followed by a valid Ack*;
+        // the second connection (the re-dial) must see the replayed
+        // Hello and then the next request, which gets its own answer.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let peer = std::thread::spawn(move || {
             let (mut first, _) = listener.accept().unwrap();
-            let _ = read_frame(&mut first).unwrap();
+            assert_eq!(read_request(&mut first), hello(1));
             write_frame(&mut first, &Response::Ack { seq: 1 }.encode()).unwrap();
-            let _ = read_frame(&mut first).unwrap();
+            assert_eq!(read_request(&mut first), Request::Stats { seq: 2 });
             // A framing-valid 2-byte body: too short to even hold the
             // response head word, so decode fails with Truncated.
             first.write_all(&2u32.to_be_bytes()).unwrap();
             first.write_all(&[0xff, 0xff]).unwrap();
-            // Keep `first` open: a desynchronized-but-live stream is the
-            // case where caching the socket would read stale bytes.
+            // The stale frame a kept stream would hand the next request.
+            write_frame(&mut first, &Response::Ack { seq: 2 }.encode()).unwrap();
             let (mut second, _) = listener.accept().unwrap();
-            let _ = read_frame(&mut second).unwrap(); // replayed Hello
+            assert_eq!(read_request(&mut second), hello(1), "the re-dial replays Hello");
             write_frame(&mut second, &Response::Ack { seq: 1 }.encode()).unwrap();
-            let _ = read_frame(&mut second).unwrap(); // retried Stats
-            write_frame(&mut second, &Response::Ack { seq: 2 }.encode()).unwrap();
+            assert_eq!(read_request(&mut second), Request::Stats { seq: 3 });
+            write_frame(&mut second, &Response::Ack { seq: 3 }.encode()).unwrap();
             drop(first);
         });
 
-        let mut t = ReconnectingTcpTransport::connect(addr).unwrap();
-        let reconnects = t.reconnect_counter();
+        let mut t = TcpTransport::connect(addr).unwrap();
         assert_eq!(t.request(hello(1)).unwrap(), vec![Response::Ack { seq: 1 }]);
         let err = t.request(Request::Stats { seq: 2 }).unwrap_err();
         assert!(matches!(err, TransportError::Wire(_)), "got {err}");
-        // A Wire error is not transient, but the poisoned socket must
-        // still be gone: the next request redials instead of reading
-        // from the middle of the old stream.
-        assert_eq!(t.request(Request::Stats { seq: 2 }).unwrap(), vec![Response::Ack { seq: 2 }]);
-        assert_eq!(reconnects.load(Ordering::Relaxed), 1);
+        // A Wire error is not transient, but the poisoned stream must
+        // still be gone: the next request re-dials instead of reading
+        // the stale Ack from the middle of the old stream.
+        assert_eq!(t.request(Request::Stats { seq: 3 }).unwrap(), vec![Response::Ack { seq: 3 }]);
+        assert_eq!(t.reconnects(), 1);
         peer.join().unwrap();
     }
 
@@ -404,7 +372,7 @@ mod tests {
             write_frame(&mut third, &Response::Ack { seq: 2 }.encode()).unwrap();
         });
 
-        let mut t = ReconnectingTcpTransport::connect(addr).unwrap();
+        let mut t = TcpTransport::connect(addr).unwrap();
         assert_eq!(t.request(hello(1)).unwrap(), vec![Response::Ack { seq: 1 }]);
         // Connection 1 is gone: this request fails transiently.
         assert!(t.request(Request::Stats { seq: 2 }).unwrap_err().is_transient());
@@ -418,6 +386,7 @@ mod tests {
         );
         // And the bounced stream was dropped: the next retry redials.
         assert_eq!(t.request(Request::Stats { seq: 2 }).unwrap(), vec![Response::Ack { seq: 2 }]);
+        assert_eq!(t.reconnects(), 2);
         peer.join().unwrap();
     }
 

@@ -200,6 +200,14 @@ pub struct CellRange {
     pub owner: u32,
 }
 
+/// The owner of Morton key `key` under `ranges` (sorted by start), or
+/// `None` where the ranges leave a gap — only a map that does not cover
+/// the whole key space has one.
+pub fn owner_of(ranges: &[CellRange], key: u64) -> Option<u32> {
+    let r = ranges.get(ranges.partition_point(|r| r.start <= key).checked_sub(1)?)?;
+    (key < r.end).then_some(r.owner)
+}
+
 /// The explicit trace-context extension the federation *control plane*
 /// carries: 16 bytes naming the trace and the parent span the exchange
 /// causally belongs to.

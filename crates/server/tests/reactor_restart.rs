@@ -1,6 +1,6 @@
 //! The client resilience machine against a *real* listener death: kill
 //! the reactor mid-run, restart it on the same port, and assert the
-//! [`ReconnectingTcpTransport`] + [`ResiliencePolicy`] pair recovers —
+//! [`TcpTransport`] + [`ResiliencePolicy`] pair recovers —
 //! re-dial, `Hello` replay, `Resync` reconciliation of the buffered
 //! crossing, and exactly one delivery for the alarm that fired while
 //! the link was down.
@@ -13,8 +13,8 @@
 //! fired set survived).
 
 use sa_server::{
-    Client, Reactor, ReactorConfig, ReconnectingTcpTransport, ResiliencePolicy, Server,
-    ServerConfig, StrategySpec,
+    Client, Reactor, ReactorConfig, ResiliencePolicy, Server, ServerConfig, StrategySpec,
+    TcpTransport,
 };
 use sa_alarms::{AlarmId, AlarmScope, AlarmTarget, SpatialAlarm, SubscriberId};
 use sa_geometry::{Grid, Point, Rect};
@@ -49,8 +49,7 @@ fn listener_death_and_restart_recovers_via_resync() {
         Reactor::bind(Arc::clone(&server), cfg.clone()).expect("bind the first reactor");
     let addr = reactor.addr();
 
-    let transport = ReconnectingTcpTransport::connect(addr).expect("dial the reactor");
-    let reconnects = transport.reconnect_counter();
+    let transport = TcpTransport::connect(addr).expect("dial the reactor");
     let mut client =
         Client::connect(transport, SubscriberId(7), StrategySpec::Pbsr { height: 3 }, grid, 1.0)
             .expect("hello over the reactor");
@@ -105,7 +104,7 @@ fn listener_death_and_restart_recovers_via_resync() {
     );
 
     let stats = client.stats();
-    assert!(reconnects.load(std::sync::atomic::Ordering::Relaxed) >= 1, "no re-dial happened");
+    assert!(client.transport_mut().reconnects() >= 1, "no re-dial happened");
     assert!(stats.resyncs >= 1, "recovery must go through Resync: {stats:?}");
     assert!(stats.retries >= 1, "the outage must have cost at least one retry");
     assert_eq!(stats.deliveries, 1, "exactly one trigger delivery: {stats:?}");
