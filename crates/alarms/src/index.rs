@@ -4,8 +4,9 @@ use sa_index::RStarTree;
 use std::collections::HashMap;
 
 /// An alarm id broke the dense `0..len` id space [`AlarmIndex`] requires
-/// (ids double as vector indexes). Returned by [`AlarmIndex::try_build`]
-/// and [`crate::VersionedAlarmIndex::try_install`]; the server maps it to a
+/// (ids double as vector indexes). Returned by [`AlarmIndex::try_build`],
+/// [`crate::AlarmStore::try_install`] and
+/// [`crate::VersionedAlarmIndex::try_install`]; the server maps it to a
 /// wire-level error response instead of panicking on a malformed install
 /// frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,10 +30,11 @@ impl std::fmt::Display for NonDenseIdError {
 impl std::error::Error for NonDenseIdError {}
 
 /// The alarms of one index build: an R*-tree over their regions (paper
-/// §5.1), a second tree over the public ones alone, and per-subscriber
-/// lists of the private and shared ones. Immutable once built: a changed
-/// alarm set is a new index ([`crate::VersionedAlarmIndex`] builds one per
-/// fold).
+/// §5.1) and per-subscriber lists of the private and shared ones.
+/// Immutable once built: a changed alarm set is a new index
+/// ([`crate::VersionedAlarmIndex`] builds one per fold). The simulator
+/// reads one to price the paper's index; the live server keeps its
+/// alarms in an [`AlarmStore`](crate::AlarmStore) instead.
 ///
 /// An `AlarmIndex` holds the trees but does not read them by space:
 /// every spatial read goes through an [`AlarmSnapshot`](crate::AlarmSnapshot),
@@ -43,10 +45,6 @@ pub struct AlarmIndex {
     /// Items are positions in `alarms`, so the tree never assumes an
     /// alarm's id is its position.
     pub(crate) tree: RStarTree<usize>,
-    /// The public alarms' positions alone: the entries a safe-period
-    /// nearest search can return from a spatial query, so the unmetered
-    /// search never opens a leaf of other subscribers' alarms.
-    pub(crate) public: RStarTree<usize>,
     /// In ascending id order: exactly `0..len` on an index from
     /// [`AlarmIndex::try_build`], the live alarms of a snapshot
     /// generation on one from [`AlarmIndex::from_live`].
@@ -93,17 +91,14 @@ impl AlarmIndex {
         debug_assert!(alarms.windows(2).all(|w| w[0].id() < w[1].id()));
         let entries: Vec<(Rect, usize)> =
             alarms.iter().enumerate().map(|(p, a)| (a.region(), p)).collect();
-        let public_entries =
-            entries.iter().filter(|&&(_, p)| alarms[p].is_public()).copied().collect();
         let tree = RStarTree::bulk_load(entries);
-        let public = RStarTree::bulk_load(public_entries);
         let mut personal: HashMap<SubscriberId, Vec<usize>> = HashMap::new();
         for (p, a) in alarms.iter().enumerate() {
             for s in personal_subscribers(a.scope()) {
                 personal.entry(*s).or_default().push(p);
             }
         }
-        AlarmIndex { tree, public, alarms, personal }
+        AlarmIndex { tree, alarms, personal }
     }
 
     /// The subscriber's private/shared alarms (none for subscribers who
@@ -149,8 +144,8 @@ impl AlarmIndex {
 }
 
 /// The subscribers whose personal lists carry an alarm of this scope
-/// (none for a public alarm — the tree serves those).
-fn personal_subscribers(scope: &AlarmScope) -> &[SubscriberId] {
+/// (none for a public alarm — the trees serve those).
+pub(crate) fn personal_subscribers(scope: &AlarmScope) -> &[SubscriberId] {
     match scope {
         AlarmScope::Private { owner } => std::slice::from_ref(owner),
         AlarmScope::Shared { subscribers, .. } => subscribers,

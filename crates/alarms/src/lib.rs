@@ -17,18 +17,24 @@
 //! - [`AlarmWorkload`] / [`WorkloadConfig`] — the seeded workload generator
 //!   replicating the paper's default setup (10,000 alarms uniform over the
 //!   universe, 10% public, private:shared = 2:1),
-//! - [`AlarmIndex`] — one build of the server-side R*-tree over alarm
-//!   regions (paper §5.1) and the per-subscriber alarm lists; it holds
-//!   the trees and reads none of them,
-//! - [`AlarmSnapshot`] — the one read surface: every spatial read (the
-//!   trigger check, the region gathers, the safe-period nearest search)
-//!   is a snapshot method filtering by relevance and liveness, and each
-//!   tree walk returns its [`sa_index::QueryStats`], which the simulator
-//!   charges to its server-load model and the live server ignores.
-//!   `AlarmSnapshot::from(index)` reads a static alarm set,
-//! - [`VersionedAlarmIndex`] — epoch-versioned copy-on-write snapshot
-//!   generations, so trigger checks read lock-free while publishers
-//!   install and cancel alarms concurrently.
+//! - [`AlarmIndex`] — one build of the paper's server-side R*-tree over
+//!   alarm regions (§5.1) and the per-subscriber alarm lists; it holds
+//!   the tree and reads none of it,
+//! - [`AlarmSnapshot`] — the simulator's read surface over an index:
+//!   every spatial read (the trigger check, the region gathers, the
+//!   safe-period nearest search) is a snapshot method filtering by
+//!   relevance, and each tree walk returns its [`sa_index::QueryStats`],
+//!   which the simulator charges to its server-load model, so Figures
+//!   4(b) and 6(d) price the paper's index. `AlarmSnapshot::from(index)`
+//!   reads a static alarm set,
+//! - [`AlarmStore`] — the live server's alarm state: the grid is the
+//!   index. Each copy-on-write [`StoreGeneration`] holds one bucket per
+//!   grid cell, striped personal lists and a public-only tree; a cell
+//!   read is one bucket, a write copies only the cells and the stripe it
+//!   touches, and readers pin generations lock-free while publishers
+//!   install and remove alarms,
+//! - [`VersionedAlarmIndex`] — the tree index with a delta, a dead set
+//!   and folds, kept only because `sa-benchmark`'s probe mirror reads it.
 //!
 //! # Example
 //!
@@ -65,9 +71,11 @@
 mod alarm;
 mod index;
 mod snapshot;
+mod store;
 mod workload;
 
 pub use alarm::{AlarmId, AlarmScope, AlarmTarget, SpatialAlarm, SubscriberId};
 pub use index::{AlarmIndex, NonDenseIdError};
-pub use snapshot::{AlarmSnapshot, SnapshotCache, VersionedAlarmIndex};
+pub use snapshot::{AlarmSnapshot, VersionedAlarmIndex};
+pub use store::{cells_covering, AlarmStore, GenerationCache, StoreGeneration};
 pub use workload::{AlarmWorkload, WorkloadConfig};

@@ -1,28 +1,22 @@
-//! Epoch-versioned copy-on-write snapshots of the alarm index.
+//! The tree-index snapshots: the simulator's read surface, and the
+//! versioned tree index `sa-benchmark`'s probe mirror reads.
 //!
-//! The paper's server model (§5.1) treats the alarm R*-tree as static, but
-//! production publishers install and cancel alarms continuously. Guarding
-//! the index with a reader-writer lock makes every install stall every
-//! reader's trigger checks. This module removes the contention:
+//! - [`AlarmSnapshot`] reads the paper's R*-tree (§5.1). Every visitor
+//!   returns the [`QueryStats`] of its tree walk, which the simulator
+//!   charges to its server-load model, so Figures 4(b) and 6(d) price
+//!   the paper's index. `AlarmSnapshot::from(AlarmIndex)` is a static
+//!   alarm set: how the simulator reads its alarms.
+//! - [`VersionedAlarmIndex`] is a copy-on-write sequence of snapshot
+//!   generations, each a tree base plus a small delta of installs and a
+//!   dead set of removals, folded into a freshly bulk-loaded base every
+//!   `DEFAULT_MERGE_THRESHOLD` writes. The live server no longer reads it
+//!   — its alarms live in an [`AlarmStore`](crate::AlarmStore), whose
+//!   writes copy only the cells they touch. `sa-benchmark`'s probe mirror
+//!   (`VersionedAlarmIndex::{new, snapshot, try_install, deactivate,
+//!   len}` and the four tree visitors) is its only non-test user, and
+//!   ROADMAP 2(g) lists it for deletion by the next change to that crate.
 //!
-//! - [`VersionedAlarmIndex`] keeps the current generation as an immutable
-//!   [`AlarmSnapshot`] behind an epoch counter. Writers (installs,
-//!   deactivations) build the *next* generation — usually by cloning a
-//!   small delta fringe, occasionally by folding it into an
-//!   STR-bulk-rebuilt base — and publish it with an `Arc` swap plus an
-//!   epoch bump.
-//! - A generation holds live alarms only. A fold rebuilds the base from
-//!   the alarms still live and drops the dead ones, metadata included, so
-//!   a fold costs O(live alarms), not O(every alarm ever installed).
-//!   Ids stay dense — [`AlarmSnapshot::len`] is the next id an install
-//!   must carry, and dead alarms still count in it — but a dead id is not
-//!   addressable: [`AlarmSnapshot::get`] answers `None` for it.
-//! - Readers pin a generation via a per-thread [`SnapshotCache`]: the
-//!   steady state is a single atomic epoch load and a pointer deref — no
-//!   lock, no allocation — so trigger checks proceed at full speed during
-//!   sustained churn.
-//!
-//! A reader may observe a snapshot that is one publish stale. That is
+//! A reader may observe a generation that is one publish stale. That is
 //! sound under the safe-region invariant: a *new* alarm only becomes
 //! eligible to fire after the server invalidates the safe regions it
 //! intersects (which happens on the writer side, after publish), and a
@@ -35,31 +29,7 @@ use parking_lot::{Mutex, RwLock};
 use sa_geometry::{Point, Rect};
 use sa_index::QueryStats;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Process-wide counter handing each [`VersionedAlarmIndex`] a distinct
-/// identity, so a [`SnapshotCache`] carried across indexes (e.g. a thread
-/// serving two servers in tests) never returns another index's snapshot.
-static CELL_IDS: AtomicU64 = AtomicU64::new(1);
-
-/// Per-thread (or per-worker) cache of the last generation loaded from a
-/// [`VersionedAlarmIndex`]. Construct once with [`SnapshotCache::new`] —
-/// e.g. in a `thread_local!` — and pass to
-/// [`VersionedAlarmIndex::load_cached`].
-#[derive(Debug, Default)]
-pub struct SnapshotCache {
-    cell: u64,
-    epoch: u64,
-    snap: Option<Arc<AlarmSnapshot>>,
-}
-
-impl SnapshotCache {
-    /// An empty cache; the first `load_cached` through it always refreshes.
-    pub const fn new() -> SnapshotCache {
-        SnapshotCache { cell: 0, epoch: 0, snap: None }
-    }
-}
 
 /// One immutable generation of the alarm index: an STR-bulk-loaded base
 /// of the alarms live when it was built, a small ordered delta of alarms
@@ -194,7 +164,9 @@ impl AlarmSnapshot {
         hits
     }
 
-    /// All alarms intersecting `area`, regardless of subscriber.
+    /// All alarms intersecting `area`, regardless of subscriber. Only
+    /// `sa-benchmark`'s probe mirror reads it outside tests; ROADMAP 2(g)
+    /// lists it for deletion with [`VersionedAlarmIndex`].
     pub fn all_intersecting(&self, area: Rect) -> Vec<&SpatialAlarm> {
         let mut hits = Vec::new();
         self.all_intersecting_visit(area, |a| hits.push(a));
@@ -222,29 +194,9 @@ impl AlarmSnapshot {
         (self.nearest_personal(user, pos, &keep, public.map(|(_, _, d)| d)), stats)
     }
 
-    /// The distance [`AlarmSnapshot::nearest_relevant_distance`] reports,
-    /// without its [`QueryStats`] and without touching the heap — the
-    /// form the live server's safe-period grant runs per update. It
-    /// searches the public-only tree, so the walk never meets another
-    /// subscriber's alarm; the metered form keeps walking the all-alarm
-    /// tree because the simulator's load model charges that walk.
-    pub fn nearest_relevant_distance_unmetered<F: Fn(AlarmId) -> bool>(
-        &self,
-        user: SubscriberId,
-        pos: Point,
-        keep: F,
-    ) -> Option<f64> {
-        let base = &*self.base;
-        let public = base.public.nearest_distance_matching(pos, |&p| {
-            let id = base.alarms[p].id();
-            self.live(id) && keep(id)
-        });
-        self.nearest_personal(user, pos, &keep, public)
-    }
-
     /// `best`, or the distance to a nearer live alarm passing `keep`
     /// among `user`'s personal alarms in the base and the delta's alarms
-    /// relevant to `user` — the scan both nearest forms share.
+    /// relevant to `user`.
     fn nearest_personal(
         &self,
         user: SubscriberId,
@@ -282,19 +234,15 @@ impl From<AlarmIndex> for AlarmSnapshot {
 /// enough that rebuilds amortize.
 const DEFAULT_MERGE_THRESHOLD: usize = 64;
 
-/// The churn-tolerant alarm index: an epoch-versioned sequence of
-/// immutable [`AlarmSnapshot`] generations. Readers pin a generation
-/// ([`VersionedAlarmIndex::snapshot`] or, on hot paths,
-/// [`VersionedAlarmIndex::load_cached`]) and query it lock-free; writers
-/// ([`VersionedAlarmIndex::try_install`],
+/// The tree index under churn: a sequence of immutable [`AlarmSnapshot`]
+/// generations. Readers pin a generation ([`VersionedAlarmIndex::snapshot`])
+/// and query it lock-free; writers ([`VersionedAlarmIndex::try_install`],
 /// [`VersionedAlarmIndex::deactivate`]) serialize on an internal mutex,
-/// build the next generation, and publish it with an `Arc` swap plus an
-/// epoch bump.
+/// build the next generation, and publish it with an `Arc` swap.
+///
+/// Only `sa-benchmark`'s probe mirror reads it (see the module docs); the
+/// live server's alarm state is an [`AlarmStore`](crate::AlarmStore).
 pub struct VersionedAlarmIndex {
-    /// This index's identity in a [`SnapshotCache`], from `CELL_IDS`.
-    id: u64,
-    /// The publish count: a cached generation is current while it matches.
-    epoch: AtomicU64,
     /// The current generation. The write lock is held only for the
     /// pointer swap.
     slot: RwLock<Arc<AlarmSnapshot>>,
@@ -305,8 +253,6 @@ pub struct VersionedAlarmIndex {
 impl std::fmt::Debug for VersionedAlarmIndex {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("VersionedAlarmIndex")
-            .field("id", &self.id)
-            .field("epoch", &self.epoch())
             .field("merge_threshold", &self.merge_threshold)
             .finish_non_exhaustive()
     }
@@ -334,8 +280,6 @@ impl VersionedAlarmIndex {
     ) -> Result<VersionedAlarmIndex, NonDenseIdError> {
         let first = AlarmSnapshot::from(AlarmIndex::try_build(alarms)?);
         Ok(VersionedAlarmIndex {
-            id: CELL_IDS.fetch_add(1, Ordering::Relaxed),
-            epoch: AtomicU64::new(1),
             slot: RwLock::new(Arc::new(first)),
             writer: Mutex::new(()),
             merge_threshold: merge_threshold.max(1),
@@ -348,30 +292,6 @@ impl VersionedAlarmIndex {
         Arc::clone(&self.slot.read())
     }
 
-    /// The hot-path read: the cached generation while the epoch is
-    /// unchanged (one atomic load, no lock, no allocation), refreshing the
-    /// cache from the slot otherwise.
-    pub fn load_cached<'a>(&self, cache: &'a mut SnapshotCache) -> &'a AlarmSnapshot {
-        let epoch = self.epoch.load(Ordering::Acquire);
-        if cache.cell != self.id || cache.epoch != epoch || cache.snap.is_none() {
-            cache.snap = Some(self.snapshot());
-            cache.cell = self.id;
-            cache.epoch = epoch;
-        }
-        cache.snap.as_deref().expect("cache was just refilled")
-    }
-
-    /// Non-blocking peek at the current generation: `None` only while a
-    /// writer is mid-publish. For contexts that must never wait (`fmt`).
-    pub fn try_peek(&self) -> Option<Arc<AlarmSnapshot>> {
-        self.slot.try_read().as_deref().map(Arc::clone)
-    }
-
-    /// The publish count (starts at 1, +1 per install/deactivate).
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
     /// The next dense id of the current generation ([`AlarmSnapshot::len`]).
     pub fn len(&self) -> usize {
         self.snapshot().len()
@@ -382,10 +302,9 @@ impl VersionedAlarmIndex {
         self.len() == 0
     }
 
-    /// Publishes `next` as the current generation and bumps the epoch.
+    /// Publishes `next` as the current generation.
     fn publish(&self, next: AlarmSnapshot) {
         *self.slot.write() = Arc::new(next);
-        self.epoch.fetch_add(1, Ordering::Release);
     }
 
     /// Installs `alarm` into the next generation and publishes it.
@@ -562,9 +481,7 @@ mod tests {
             .min_by(f64::total_cmp)
     }
 
-    /// Both nearest forms — the metered walk of the all-alarm tree and
-    /// the unmetered walk of the public-only tree — give the brute-force
-    /// minimum, to the bit.
+    /// The nearest search gives the brute-force minimum, to the bit.
     #[test]
     fn nearest_relevant_distance_matches_brute_force() {
         let universe = Rect::new(0.0, 0.0, 10_000.0, 10_000.0).unwrap();
@@ -599,11 +516,9 @@ mod tests {
                     for modulus in [1, 2, 5] {
                         let keep = |id: AlarmId| id.0.is_multiple_of(modulus);
                         let want = brute_nearest(&alarms, user, pos, keep);
-                        let (metered, _) = snap.nearest_relevant_distance(user, pos, keep);
-                        let unmetered = snap.nearest_relevant_distance_unmetered(user, pos, keep);
+                        let (got, _) = snap.nearest_relevant_distance(user, pos, keep);
                         let case = format!("{} alarms, user {u}, {pos:?}", alarms.len());
-                        assert_eq!(metered, want, "metered, {case}");
-                        assert_eq!(unmetered, want, "unmetered, {case}");
+                        assert_eq!(got, want, "{case}");
                     }
                 }
             }
@@ -718,43 +633,11 @@ mod tests {
     #[test]
     fn install_rejects_gapped_ids_with_a_typed_error() {
         let v = VersionedAlarmIndex::new(vec![public(0, 0.0, 0.0)]).unwrap();
-        let before = v.epoch();
+        let before = v.snapshot();
         let err = v.try_install(public(7, 1.0, 1.0)).unwrap_err();
         assert_eq!(err, NonDenseIdError { expected: 1, got: 7 });
-        assert_eq!(v.epoch(), before, "a rejected install publishes nothing");
+        assert!(Arc::ptr_eq(&before, &v.snapshot()), "a rejected install publishes nothing");
         v.try_install(public(1, 1.0, 1.0)).unwrap();
-    }
-
-    #[test]
-    fn cached_loads_refresh_only_on_publish() {
-        let v = VersionedAlarmIndex::new(vec![public(0, 0.0, 0.0)]).unwrap();
-        let mut cache = SnapshotCache::new();
-        let len_before = v.load_cached(&mut cache).len();
-        assert_eq!(len_before, 1);
-        // Unchanged epoch: the cache answers (same generation observable
-        // via the stored Arc pointer).
-        let first = Arc::clone(cache.snap.as_ref().unwrap());
-        let again = v.load_cached(&mut cache);
-        assert!(std::ptr::eq(again, first.as_ref()));
-        v.try_install(public(1, 10.0, 10.0)).unwrap();
-        assert_eq!(v.load_cached(&mut cache).len(), 2, "publish invalidates the cache");
-    }
-
-    #[test]
-    fn caches_never_leak_across_cells() {
-        let a = VersionedAlarmIndex::new(vec![public(0, 0.0, 0.0)]).unwrap();
-        let b = VersionedAlarmIndex::new(Vec::new()).unwrap();
-        let mut cache = SnapshotCache::new();
-        assert_eq!(a.load_cached(&mut cache).len(), 1);
-        // Same epoch value on both indexes — their ids must disambiguate.
-        assert_eq!(b.load_cached(&mut cache).len(), 0);
-        assert_eq!(a.load_cached(&mut cache).len(), 1);
-    }
-
-    #[test]
-    fn try_peek_only_fails_mid_publish() {
-        let v = VersionedAlarmIndex::new(vec![public(0, 0.0, 0.0)]).unwrap();
-        assert_eq!(v.try_peek().expect("no writer active").len(), 1);
     }
 
     #[test]
@@ -775,9 +658,8 @@ mod tests {
             .map(|_| {
                 let v = Arc::clone(&v);
                 std::thread::spawn(move || {
-                    let mut cache = SnapshotCache::new();
                     for k in 0..2_000u64 {
-                        let snap = v.load_cached(&mut cache);
+                        let snap = v.snapshot();
                         let p = Point::new((k % 100) as f64 * 10.0, 500.0);
                         // Every hit must come from a consistent generation:
                         // its id addressable, its region containing p.

@@ -97,13 +97,12 @@ fn verify(snap: &AlarmSnapshot, installed: &[SpatialAlarm], dead: &[AlarmId]) {
             got.sort_unstable();
             let want = reference.ids(|a| a.contains(p) && a.is_relevant_to(user));
             assert_eq!(got, want, "relevant_at_visit diverged for user {user:?} at {p:?}");
-            // Both nearest forms agree with each other and the reference,
-            // with and without a filter.
+            // The nearest search agrees with the reference, with and
+            // without a filter.
             for modulus in [1, 2] {
                 let keep = |id: AlarmId| id.0.is_multiple_of(modulus);
-                let metered = snap.nearest_relevant_distance(user, p, keep).0;
-                assert_eq!(snap.nearest_relevant_distance_unmetered(user, p, keep), metered);
-                assert_eq!(metered, reference.nearest(user, p, keep));
+                let got = snap.nearest_relevant_distance(user, p, keep).0;
+                assert_eq!(got, reference.nearest(user, p, keep));
             }
         }
         for &area in &rects {
@@ -130,8 +129,7 @@ fn verify(snap: &AlarmSnapshot, installed: &[SpatialAlarm], dead: &[AlarmId]) {
     }
 }
 
-/// Builds an index over the installs of `base` (STR-loaded, public tree
-/// included), applies `ops` to it, and checks the first generation, the
+/// Builds an index over the installs of `base` (STR-loaded), applies `ops` to it, and checks the first generation, the
 /// final one and one pinned mid-sequence against the linear scan.
 fn run(base: &[Op], ops: Vec<Op>, merge_threshold: usize) {
     let mut installed: Vec<SpatialAlarm> =
@@ -184,10 +182,10 @@ fn install(x: f64, y: f64, scope: u8) -> Op {
     Op::Install { x, y, r: 40.0, scope, owner: 2 }
 }
 
-/// The safe-period nearest search walks the base's public-only tree,
-/// then the delta, with the dead set filtering both. Each place a public
-/// alarm can sit is pinned here, with exact `f64` equality against the
-/// metered search and the linear scan (`verify`).
+/// The safe-period nearest search walks the base tree, then the delta,
+/// with the dead set filtering both. Each place a public alarm can sit is
+/// pinned here, with exact `f64` equality against the linear scan
+/// (`verify`).
 #[test]
 fn nearest_reads_public_alarms_in_the_base_the_delta_and_the_dead_set() {
     // A 4 × 4 base cycling public / private / shared: alarms 0, 3, 6, 9,
@@ -239,8 +237,8 @@ proptest! {
         base in prop::collection::vec(arb_op(), 0..30),
         ops in prop::collection::vec(arb_op(), 1..20),
     ) {
-        // The base is STR-loaded, so its public alarms sit in the public
-        // tree before any fold; removes of them land in the dead set.
+        // The base is STR-loaded, so its alarms sit in the base tree
+        // before any fold; removes of them land in the dead set.
         let base: Vec<Op> =
             base.into_iter().filter(|op| matches!(op, Op::Install { .. })).collect();
         run(&base, ops, 64);

@@ -1,16 +1,18 @@
 //! The alarm-index churn bench: how much does live install/deactivate
 //! traffic cost concurrent readers? Writes `BENCH_index_churn.json`.
 //!
-//! A [`VersionedAlarmIndex`] serves the server's real read mix through
-//! an epoch-cached snapshot: one grid-cell `relevant_intersecting` (the
-//! read every MWPSR/PBSR/OPT safe-region computation issues) followed by
-//! a point `relevant_at_visit` trigger probe, each timed. The p50/p99
-//! per-read latency is measured twice — index quiescent, then with a
-//! paced writer thread pushing install/deactivate ops at `--churn-rate`
-//! per second. Readers never take a lock on the steady path (one atomic
-//! epoch load per query), so the p99 ratio between the two runs is the
-//! whole cost of snapshot churn: delta scans, cache refreshes after each
-//! publish, and the memory traffic of generation merges.
+//! The live server's [`AlarmStore`] serves its real read mix through an
+//! epoch-cached generation: one grid cell's bucket filtered to a
+//! subscriber's alarms (the read every MWPSR/PBSR/OPT safe-region
+//! computation issues) followed by a point `relevant_at_visit` trigger
+//! probe, each timed. The p50/p99 per-read latency is measured twice —
+//! store quiescent, then with a paced writer thread pushing
+//! install/remove ops at `--churn-rate` per second, each write timed.
+//! Readers never take a lock on the steady path (one atomic epoch load
+//! per query), so the p99 ratio between the two runs is the whole cost
+//! of churn to readers: cache refreshes after each publish and the
+//! memory traffic of the copied buckets. The report also gives the
+//! install p50/p99 and the p50 read slowdown.
 //!
 //! Sweep usage:
 //! `index_churn [--base N] [--churn-rate N] [--seconds F] [--out PATH]`
@@ -18,10 +20,8 @@
 //! Gate usage (fails the run in place, for CI):
 //! `index_churn ... --max-churn-ratio F`
 
-use sa_alarms::{
-    AlarmId, AlarmScope, SnapshotCache, SpatialAlarm, SubscriberId, VersionedAlarmIndex,
-};
-use sa_geometry::{Point, Rect};
+use sa_alarms::{AlarmId, AlarmScope, AlarmStore, GenerationCache, SpatialAlarm, SubscriberId};
+use sa_geometry::{CellId, Grid, Point, Rect};
 use sa_obs::Registry;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -31,6 +31,10 @@ use std::time::{Duration, Instant};
 /// Universe edge in metres (100 km, matching the paper's road-network
 /// extent order of magnitude).
 const UNIVERSE_M: f64 = 100_000.0;
+
+/// Grid cell side in metres: the store's bucket grid and the cells the
+/// region reads ask for.
+const CELL_M: f64 = 1_000.0;
 
 struct Opts {
     /// Alarm count the churn phase starts from.
@@ -62,8 +66,7 @@ fn parse_args() -> Opts {
             "--seconds" => opts.seconds = value().parse().expect("--seconds expects a float"),
             "--out" => opts.out = PathBuf::from(value()),
             "--max-churn-ratio" => {
-                opts.max_churn_ratio =
-                    value().parse().expect("--max-churn-ratio expects a float");
+                opts.max_churn_ratio = value().parse().expect("--max-churn-ratio expects a float");
             }
             "--help" | "-h" => {
                 eprintln!(
@@ -109,8 +112,8 @@ fn alarm_rect(rng: &mut Rng) -> Rect {
 fn alarm(id: u64, rng: &mut Rng) -> SpatialAlarm {
     let region = alarm_rect(rng);
     let owner = SubscriberId((rng.next() % 8) as u32);
-    // Mostly public so reader probes do real tree work; a private tail
-    // keeps the per-subscriber path warm too.
+    // Mostly public, as the reads see them; a private tail keeps the
+    // per-subscriber relevance filter honest.
     let scope = if rng.next().is_multiple_of(4) {
         AlarmScope::Private { owner }
     } else {
@@ -122,21 +125,24 @@ fn alarm(id: u64, rng: &mut Rng) -> SpatialAlarm {
 
 /// One churn-phase measurement: per-read-kind latency quantiles over
 /// `seconds` of probes, with an optional paced writer alongside. The
-/// region read (one grid cell of `relevant_intersecting`) is the
-/// gated number — it is what every safe-region computation pays; the
-/// point trigger probe is reported alongside.
+/// region read (one grid cell's bucket, filtered to the subscriber) is
+/// the gated number — it is what every safe-region computation pays; the
+/// point trigger probe and the writer's own install latency are reported
+/// alongside.
 struct ChurnRun {
     queries: u64,
     region_p50_ns: u64,
     region_p99_ns: u64,
     probe_p50_ns: u64,
     probe_p99_ns: u64,
+    install_p50_ns: u64,
+    install_p99_ns: u64,
     write_ops: u64,
     achieved_rate: f64,
 }
 
 fn churn_run(
-    index: &VersionedAlarmIndex,
+    store: &AlarmStore,
     next_id: &AtomicU64,
     seconds: f64,
     churn_rate: Option<u64>,
@@ -144,6 +150,7 @@ fn churn_run(
     let registry = Registry::new();
     let region_hist = registry.histogram("index_churn_region_read_ns");
     let probe_hist = registry.histogram("index_churn_trigger_probe_ns");
+    let install_hist = registry.histogram("index_churn_install_ns");
     let stop = AtomicBool::new(false);
     let write_ops = AtomicU64::new(0);
     let deadline = Duration::from_secs_f64(seconds);
@@ -153,11 +160,11 @@ fn churn_run(
     std::thread::scope(|scope| {
         if let Some(rate) = churn_rate {
             let achieved = &mut achieved_rate;
-            let (stop, write_ops) = (&stop, &write_ops);
+            let (stop, write_ops, install_hist) = (&stop, &write_ops, &install_hist);
             scope.spawn(move || {
                 // Paced writer: batches of ops against a wall-clock
-                // schedule, alternating installs with deactivates of a
-                // pseudo-random live id.
+                // schedule, alternating installs with removes of a
+                // pseudo-random id.
                 let mut rng = Rng(0xC0FF_EE00_DEAD_0003);
                 let batch = 64u64.min(rate);
                 let started = Instant::now();
@@ -166,12 +173,13 @@ fn churn_run(
                     for k in 0..batch {
                         if k % 2 == 0 {
                             let id = next_id.fetch_add(1, Ordering::Relaxed);
-                            index
-                                .try_install(alarm(id, &mut rng))
-                                .expect("writer ids are dense by construction");
+                            let alarm = alarm(id, &mut rng);
+                            let t = Instant::now();
+                            store.try_install(alarm).expect("writer ids are dense by construction");
+                            install_hist.record_duration(t.elapsed());
                         } else {
                             let live = next_id.load(Ordering::Relaxed);
-                            index.deactivate(AlarmId(rng.next() % live));
+                            store.remove(AlarmId(rng.next() % live));
                         }
                     }
                     done += batch;
@@ -187,43 +195,36 @@ fn churn_run(
             });
         }
 
-        let mut cache = SnapshotCache::new();
+        let mut cache = GenerationCache::new();
         let mut rng = Rng(0xFACE_0FF0_0000_0002);
         let mut sink = 0usize;
-        const CELL_M: f64 = 1_000.0;
-        let cells = (UNIVERSE_M / CELL_M) as u64;
-        // Unrecorded warmup: fault in the index pages and warm the
+        let cells = (UNIVERSE_M / CELL_M) as u32;
+        // Unrecorded warmup: fault in the store's pages and warm the
         // allocator so the measured tail is churn, not cold-start.
         let warmup = Instant::now();
         while warmup.elapsed() < deadline.mul_f64(0.15) {
             let p = Point::new(rng.range(0.0, UNIVERSE_M), rng.range(0.0, UNIVERSE_M));
-            let snap = index.load_cached(&mut cache);
-            snap.relevant_at_visit(SubscriberId(0), p, |_| sink += 1);
+            let generation = store.load_cached(&mut cache);
+            generation.relevant_at_visit(SubscriberId(0), p, |_| sink += 1);
         }
         let started = Instant::now();
         while started.elapsed() < deadline {
             let user = SubscriberId((rng.next() % 8) as u32);
             // One safe-region cell read plus one trigger probe inside
-            // it — the per-update alarm-index traffic of a live server.
-            let (cx, cy) = (rng.next() % cells, rng.next() % cells);
-            let cell = Rect::new(
-                cx as f64 * CELL_M,
-                cy as f64 * CELL_M,
-                (cx + 1) as f64 * CELL_M,
-                (cy + 1) as f64 * CELL_M,
-            )
-            .expect("grid cells are valid rects");
-            let p = Point::new(
-                rng.range(cell.min_x(), cell.max_x()),
-                rng.range(cell.min_y(), cell.max_y()),
-            );
+            // it — the per-update alarm traffic of a live server.
+            let cell = CellId {
+                col: (rng.next() % u64::from(cells)) as u32,
+                row: (rng.next() % u64::from(cells)) as u32,
+            };
+            let (min_x, min_y) = (f64::from(cell.col) * CELL_M, f64::from(cell.row) * CELL_M);
+            let p = Point::new(rng.range(min_x, min_x + CELL_M), rng.range(min_y, min_y + CELL_M));
             let q = Instant::now();
-            let snap = index.load_cached(&mut cache);
-            sink += snap.relevant_intersecting(user, cell).len();
+            let generation = store.load_cached(&mut cache);
+            generation.cell_visit(cell, |a| sink += usize::from(a.is_relevant_to(user)));
             region_hist.record_duration(q.elapsed());
             let q = Instant::now();
-            let snap = index.load_cached(&mut cache);
-            snap.relevant_at_visit(user, p, |_| sink += 1);
+            let generation = store.load_cached(&mut cache);
+            generation.relevant_at_visit(user, p, |_| sink += 1);
             probe_hist.record_duration(q.elapsed());
             queries += 2;
         }
@@ -234,12 +235,15 @@ fn churn_run(
 
     let region = region_hist.snapshot();
     let probe = probe_hist.snapshot();
+    let install = install_hist.snapshot();
     ChurnRun {
         queries,
         region_p50_ns: region.p50,
         region_p99_ns: region.p99,
         probe_p50_ns: probe.p50,
         probe_p99_ns: probe.p99,
+        install_p50_ns: install.p50,
+        install_p99_ns: install.p99,
         write_ops: write_ops.load(Ordering::Relaxed),
         achieved_rate,
     }
@@ -251,10 +255,13 @@ fn main() {
     eprintln!("churn phase: {} base alarms, {:.1}s per mode", opts.base, opts.seconds);
     let mut rng = Rng(0x5EED_0000_0000_0004);
     let base: Vec<SpatialAlarm> = (0..opts.base).map(|i| alarm(i as u64, &mut rng)).collect();
-    let index = VersionedAlarmIndex::new(base).expect("base ids are dense by construction");
+    let universe =
+        Rect::new(0.0, 0.0, UNIVERSE_M, UNIVERSE_M).expect("the universe is a valid rect");
+    let grid = Grid::new(universe, CELL_M).expect("the cell side is positive");
+    let store = AlarmStore::new(grid, base).expect("base ids are dense by construction");
     let next_id = AtomicU64::new(opts.base as u64);
 
-    let quiet = churn_run(&index, &next_id, opts.seconds, None);
+    let quiet = churn_run(&store, &next_id, opts.seconds, None);
     eprintln!(
         "  churn off: {} reads, region p50 {}ns p99 {}ns, probe p50 {}ns p99 {}ns",
         quiet.queries,
@@ -263,20 +270,23 @@ fn main() {
         quiet.probe_p50_ns,
         quiet.probe_p99_ns
     );
-    let churned = churn_run(&index, &next_id, opts.seconds, Some(opts.churn_rate));
+    let churned = churn_run(&store, &next_id, opts.seconds, Some(opts.churn_rate));
     eprintln!(
         "  churn on:  {} reads, region p50 {}ns p99 {}ns, probe p50 {}ns p99 {}ns \
-         ({} write ops, {:.0}/s achieved)",
+         ({} write ops, {:.0}/s achieved; install p50 {}ns p99 {}ns)",
         churned.queries,
         churned.region_p50_ns,
         churned.region_p99_ns,
         churned.probe_p50_ns,
         churned.probe_p99_ns,
         churned.write_ops,
-        churned.achieved_rate
+        churned.achieved_rate,
+        churned.install_p50_ns,
+        churned.install_p99_ns
     );
     let ratio = churned.region_p99_ns as f64 / (quiet.region_p99_ns as f64).max(1.0);
     let probe_ratio = churned.probe_p99_ns as f64 / (quiet.probe_p99_ns as f64).max(1.0);
+    let read_slowdown = churned.region_p50_ns as f64 / (quiet.region_p50_ns as f64).max(1.0);
 
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"churn\": {{");
@@ -285,6 +295,8 @@ fn main() {
     let _ = writeln!(json, "    \"target_write_ops_per_sec\": {},", opts.churn_rate);
     let _ = writeln!(json, "    \"achieved_write_ops_per_sec\": {:.0},", churned.achieved_rate);
     let _ = writeln!(json, "    \"write_ops\": {},", churned.write_ops);
+    let _ = writeln!(json, "    \"install_p50_ns\": {},", churned.install_p50_ns);
+    let _ = writeln!(json, "    \"install_p99_ns\": {},", churned.install_p99_ns);
     let _ = writeln!(json, "    \"reads_off\": {},", quiet.queries);
     let _ = writeln!(json, "    \"reads_on\": {},", churned.queries);
     let _ = writeln!(json, "    \"region_p50_off_ns\": {},", quiet.region_p50_ns);
@@ -296,22 +308,25 @@ fn main() {
     let _ = writeln!(json, "    \"probe_p50_on_ns\": {},", churned.probe_p50_ns);
     let _ = writeln!(json, "    \"probe_p99_on_ns\": {},", churned.probe_p99_ns);
     let _ = writeln!(json, "    \"probe_p99_ratio\": {probe_ratio:.3},");
+    let _ = writeln!(json, "    \"read_slowdown_p50\": {read_slowdown:.3},");
     let _ = writeln!(json, "    \"p99_ratio\": {ratio:.3}");
     let _ = writeln!(json, "  }}");
     json.push_str("}\n");
     std::fs::write(&opts.out, &json).expect("writing the churn report");
     println!(
         "churn-on region-read p99 {}ns = {ratio:.2}× \
-         churn-off {}ns → {}",
+         churn-off {}ns (p50 slowdown {read_slowdown:.2}×, install p50 {}ns p99 {}ns) → {}",
         churned.region_p99_ns,
         quiet.region_p99_ns,
+        churned.install_p50_ns,
+        churned.install_p99_ns,
         opts.out.display()
     );
 
     if ratio > opts.max_churn_ratio {
         eprintln!(
             "CHURN REGRESSION: churn-on region-read p99 is {ratio:.2}× the quiescent p99, \
-             above the ceiling {:.2}× — snapshot publishes are bleeding into the read path",
+             above the ceiling {:.2}× — store publishes are bleeding into the read path",
             opts.max_churn_ratio
         );
         std::process::exit(1);

@@ -46,7 +46,7 @@
 //! reactor ── the one TCP server: per-worker epoll (poller), one
 //!            edge-triggered registration per connection, FrameReader /
 //!            WriteQueue (netfront), admission, deadline-sweep reaping
-//! server  ── router + sessions + the one VersionedAlarmIndex;
+//! server  ── router + sessions + the one AlarmStore (a bucket per cell);
 //!            LocationUpdate and every Batch entry, in frame order →
 //!            process_into on the caller's thread
 //! striped ── the striped-lock map behind the session table and the

@@ -14,11 +14,11 @@
 //! control and read throttling are the overload response.
 //!
 //! Lock discipline: every thread that processes a request takes at most
-//! one lock at a time. Alarm-index reads never lock at all — each thread
-//! pins an epoch-versioned snapshot through a per-thread cache (see
-//! [`sa_alarms::VersionedAlarmIndex`]) and queries it while the install
-//! path publishes the next generation; no writer ever takes a second
-//! lock, so no cycle exists.
+//! one lock at a time. Alarm reads never lock at all — each thread pins
+//! an epoch-versioned generation of the grid-keyed alarm store through a
+//! per-thread cache (see [`sa_alarms::AlarmStore`]) and reads its cell's
+//! bucket while the install path publishes the next generation; no writer
+//! ever takes a second lock, so no cycle exists.
 
 use crate::cache::{CacheStats, RegionCache};
 use crate::clock::{SharedClock, SystemClock};
@@ -30,8 +30,8 @@ use crate::wire::{
 };
 use parking_lot::RwLock;
 use sa_alarms::{
-    AlarmId, AlarmScope, AlarmSnapshot, AlarmTarget, SnapshotCache, SpatialAlarm, SubscriberId,
-    VersionedAlarmIndex,
+    cells_covering, AlarmId, AlarmScope, AlarmStore, AlarmTarget, GenerationCache, SpatialAlarm,
+    StoreGeneration, SubscriberId,
 };
 use sa_core::{BitVec, PyramidComputer};
 use sa_geometry::{CellId, Grid, Point, Rect};
@@ -57,10 +57,10 @@ thread_local! {
     static FIRED_SCRATCH: RefCell<Vec<AlarmId>> = const { RefCell::new(Vec::new()) };
     /// Per-thread obstacle list of the region refresh in progress.
     static OBSTACLE_SCRATCH: RefCell<Vec<Rect>> = const { RefCell::new(Vec::new()) };
-    /// Per-thread pinned generation of the alarm index. While no
-    /// install/deactivate has published, a refresh is one atomic epoch
-    /// load — no lock, no allocation.
-    static GLOBAL_SNAP: RefCell<SnapshotCache> = const { RefCell::new(SnapshotCache::new()) };
+    /// Per-thread pinned generation of the alarm store. While no
+    /// install/remove has published, a read is one atomic epoch load — no
+    /// lock, no allocation.
+    static ALARMS: RefCell<GenerationCache> = const { RefCell::new(GenerationCache::new()) };
 }
 
 /// Error codes carried by [`Response::Error`].
@@ -204,10 +204,9 @@ const SPAN_LANES: usize = 4;
 pub struct Server {
     grid: Grid,
     v_max: f64,
-    /// The one alarm index (dense ids) every caller reads.
-    /// Epoch-versioned: readers pin snapshots, installs publish new
-    /// generations.
-    global_index: VersionedAlarmIndex,
+    /// The alarms (dense ids), one bucket per grid cell. Epoch-versioned:
+    /// readers pin generations, writes publish new ones.
+    alarms: AlarmStore,
     /// Which alarms already fired for which subscriber id — alarms fire
     /// once, for the lifetime of the server.
     fired: Striped<Vec<AlarmId>>,
@@ -239,19 +238,12 @@ pub struct Server {
 
 impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut s = f.debug_struct("Server");
-        // fmt must never block: debug-logging a server while a writer is
-        // mid-publish degrades to a placeholder instead of deadlocking.
-        match self.global_index.try_peek() {
-            Some(snap) => s.field("alarms", &snap.len()),
-            None => s.field("alarms", &"<locked>"),
-        };
-        s.finish()
+        f.debug_struct("Server").field("alarms", &self.alarms).finish()
     }
 }
 
 impl Server {
-    /// Bulk-loads the alarm index from `alarms`.
+    /// Builds the alarm store of `alarms` over `grid`.
     ///
     /// # Panics
     ///
@@ -299,7 +291,7 @@ impl Server {
             .collect();
         Arc::new(Server {
             v_max,
-            global_index: VersionedAlarmIndex::new(alarms).unwrap_or_else(|e| panic!("{e}")),
+            alarms: AlarmStore::new(grid.clone(), alarms).unwrap_or_else(|e| panic!("{e}")),
             fired: Striped::new(),
             sessions: Striped::new(),
             fed: RwLock::new(None),
@@ -562,9 +554,9 @@ impl Server {
         }
     }
 
-    /// Installs a static-target alarm: one index publish, then — for a
-    /// public alarm — the epoch bump (cache invalidation) of every
-    /// intersecting cell. Moving-target alarms are not part of wire
+    /// Installs a static-target alarm: one store publish, then — for a
+    /// public alarm — the epoch bump (cache invalidation) of every cell
+    /// it covers. Moving-target alarms are not part of wire
     /// protocol v1.
     fn install_alarm(&self, session: u32, seq: u32, alarm: u32, flags: u32, rect: [u32; 4]) -> Vec<Response> {
         if !self.session_exists(session) {
@@ -590,7 +582,7 @@ impl Server {
         // frame: reject it with a typed error mapped to a response, never
         // a panic on a worker or router thread.
         let (id, public) = (alarm.id(), alarm.is_public());
-        if self.global_index.try_install(alarm).is_err() {
+        if self.alarms.try_install(alarm).is_err() {
             return vec![Response::Error { seq, code: error_code::UNKNOWN_ALARM }];
         }
         if public {
@@ -601,23 +593,18 @@ impl Server {
         vec![Response::Ack { seq }]
     }
 
-    /// Deactivates an alarm (one index publish), then — for a public
-    /// alarm — invalidates the cached regions of every cell it
-    /// intersected.
+    /// Removes an alarm (one store publish), then — for a public alarm —
+    /// invalidates the cached regions of every cell it covered.
     fn remove_alarm(&self, session: u32, seq: u32, alarm: u32) -> Vec<Response> {
         if !self.session_exists(session) {
             return vec![Response::Error { seq, code: error_code::NO_SESSION }];
         }
         let id = AlarmId(alarm as u64);
-        let live = self.with_global_snapshot(|g| g.get(id).map(|a| (a.region(), a.is_public())));
-        let Some((region, public)) = live else {
+        let Some(removed) = self.alarms.remove(id) else {
             return vec![Response::Error { seq, code: error_code::UNKNOWN_ALARM }];
         };
-        if !self.global_index.deactivate(id) {
-            return vec![Response::Error { seq, code: error_code::UNKNOWN_ALARM }];
-        }
-        if public {
-            self.bump_cells(region);
+        if removed.is_public() {
+            self.bump_cells(removed.region());
         }
         let (ctx, now_ns) = (derived_ctx(trace_id_for(session, seq)), self.clock.now_ns());
         self.span(SPAN_LANES, ctx, SpanKind::AlarmRemove, now_ns, id.0, u64::from(session));
@@ -636,12 +623,12 @@ impl Server {
     }
 
     /// Runs `f` against this thread's pinned generation of the alarm
-    /// index. Steady state (no publish since the last call on this
+    /// store. Steady state (no publish since the last call on this
     /// thread) is one atomic load — no lock, no allocation.
-    fn with_global_snapshot<R>(&self, f: impl FnOnce(&AlarmSnapshot) -> R) -> R {
-        GLOBAL_SNAP.with(|c| {
+    fn with_alarms<R>(&self, f: impl FnOnce(&StoreGeneration) -> R) -> R {
+        ALARMS.with(|c| {
             let mut cache = c.borrow_mut();
-            f(self.global_index.load_cached(&mut cache))
+            f(self.alarms.load_cached(&mut cache))
         })
     }
 
@@ -744,10 +731,10 @@ impl Server {
             Some(w) => Some(self.grid.cell_at_index(u64::from(w))),
             None => None,
         };
-        // An id the index never issued is a malformed blob: in the fired
+        // An id the store never issued is a malformed blob: in the fired
         // list it would grow the table past the alarm count, in the
         // delivery log a later `Resync` would deliver it.
-        let alarm_count = self.global_index.len();
+        let alarm_count = self.with_alarms(StoreGeneration::len);
         let ids = state.fired.iter().chain(&state.delivery_log);
         if ids.copied().any(|alarm| alarm as usize >= alarm_count) {
             return vec![Response::Error { seq, code: error_code::BAD_REQUEST }];
@@ -816,7 +803,8 @@ impl Server {
         )
     }
 
-    /// Invalidates the cached bitmaps of every cell `region` touches.
+    /// Invalidates the cached bitmaps of every cell whose bucket holds an
+    /// alarm over `region`.
     /// Writers call it after they publish a *public* alarm write, never
     /// before: `pbsr_payload` reads the epoch before it pins a snapshot,
     /// so a refresh that raced the publish stamps its bitmap with the
@@ -825,35 +813,35 @@ impl Server {
     /// alarm takes its subscribers off the public view
     /// (`with_unfired_obstacles`), so no cached bitmap can depend on one.
     fn bump_cells(&self, region: Rect) {
-        for cell in self.grid.cells_intersecting(region) {
+        for cell in cells_covering(&self.grid, region) {
             self.cache.bump_epoch(self.grid.cell_index(cell));
         }
     }
 
-    /// Runs `f` on the pinned alarm snapshot and on a per-thread copy of
+    /// Runs `f` on the pinned alarm generation and on a per-thread copy of
     /// the subscriber's fired alarm ids (sorted), taken first — no table
     /// lock is held while `f` computes.
     fn with_fired<R>(
         &self,
         user: SubscriberId,
-        f: impl FnOnce(&AlarmSnapshot, &[AlarmId]) -> R,
+        f: impl FnOnce(&StoreGeneration, &[AlarmId]) -> R,
     ) -> R {
         FIRED_SCRATCH.with(|scratch| {
             let mut fired = scratch.borrow_mut();
             self.fired.copy_fired(user.0, &mut fired);
-            self.with_global_snapshot(|snap| f(snap, &fired))
+            self.with_alarms(|alarms| f(alarms, &fired))
         })
     }
 
     /// OPT client-side trigger notification: record the firing (routed
-    /// inline — it only touches the fired table). An id the index never
+    /// inline — it only touches the fired table). An id the store never
     /// issued is refused, so a subscriber's list stays bounded by the
     /// alarm count.
     fn notify_trigger(&self, session: u32, seq: u32, alarm: u32) -> Vec<Response> {
         let Some(user) = self.sessions.read(session, |s| s.user) else {
             return vec![Response::Error { seq, code: error_code::NO_SESSION }];
         };
-        if alarm as usize >= self.global_index.len() {
+        if alarm as usize >= self.with_alarms(StoreGeneration::len) {
             return vec![Response::Error { seq, code: error_code::UNKNOWN_ALARM }];
         }
         if self.fired.fire(user.0, AlarmId(alarm as u64)) {
@@ -927,14 +915,14 @@ impl Server {
         }
 
         // Server-side trigger check. Firings land in a per-thread scratch
-        // buffer, so the steady-state case (no triggering alarms) queries
-        // the pinned snapshot lock-free, finds nothing, and never
+        // buffer, so the steady-state case (no triggering alarms) reads
+        // the cell's bucket lock-free, finds nothing, and never
         // allocates — and the fired table is not touched at all.
         let fired_now = TRIGGER_SCRATCH.with(|scratch| {
             let mut newly_fired = scratch.borrow_mut();
             newly_fired.clear();
-            self.with_global_snapshot(|snap| {
-                snap.relevant_at_visit(user, pos, |a| {
+            self.with_alarms(|alarms| {
+                alarms.relevant_at_visit(user, pos, |a| {
                     if fires(a, user, pos, |id| self.fired.fire(user.0, id)) {
                         newly_fired.push(a.id());
                     }
@@ -967,7 +955,7 @@ impl Server {
             StrategySpec::Mwpsr => {
                 self.metrics.region_computations.inc();
                 let (started_ns, region) =
-                    self.with_unfired_obstacles(user, cell_rect, |obstacles, _| {
+                    self.with_unfired_obstacles(user, cell, |obstacles, _| {
                         let mwpsr = server_mwpsr();
                         (self.clock.now_ns(), mwpsr.compute(pos, heading, cell_rect, obstacles))
                     });
@@ -1004,7 +992,7 @@ impl Server {
                 let mut alarms = Vec::new();
                 self.with_fired(user, |s, fired| {
                     let has_fired = |id: AlarmId| fired.binary_search(&id).is_ok();
-                    s.all_intersecting_visit(cell_rect, |a| {
+                    s.cell_visit(cell, |a| {
                         if let Some(entry) = opt_entry(a, user, has_fired) {
                             alarms.push(crate::wire::PushedAlarm {
                                 alarm: entry.id.0 as u32,
@@ -1022,7 +1010,7 @@ impl Server {
                 let started_ns = self.clock.now_ns();
                 let nearest = self.with_fired(user, |g, fired| {
                     let unfired = |id: AlarmId| fired.binary_search(&id).is_err();
-                    g.nearest_relevant_distance_unmetered(user, pos, unfired)
+                    g.nearest_relevant_distance(user, pos, unfired)
                 });
                 let period_s = safe_period_s(nearest, self.grid.universe(), self.v_max);
                 computed(started_ns);
@@ -1040,14 +1028,14 @@ impl Server {
     }
 
     /// Runs `f` on the regions of the unfired alarms relevant to `user`
-    /// that intersect `cell_rect` — collected straight from the index
-    /// visitor into per-thread scratch — and on whether that obstacle
-    /// set is exactly the cell's public one (no personal obstacle, no
-    /// fired public alarm).
+    /// that meet `cell` — collected straight from the cell's bucket into
+    /// per-thread scratch — and on whether that obstacle set is exactly
+    /// the cell's public one (no personal obstacle, no fired public
+    /// alarm).
     fn with_unfired_obstacles<R>(
         &self,
         user: SubscriberId,
-        cell_rect: Rect,
+        cell: CellId,
         f: impl FnOnce(&[Rect], bool) -> R,
     ) -> R {
         OBSTACLE_SCRATCH.with(|scratch| {
@@ -1056,7 +1044,7 @@ impl Server {
             let mut public_view = true;
             self.with_fired(user, |s, fired| {
                 let has_fired = |id: AlarmId| fired.binary_search(&id).is_ok();
-                s.all_intersecting_visit(cell_rect, |a| {
+                s.cell_visit(cell, |a| {
                     let obstacle = is_obstacle(a, user, has_fired);
                     if obstacle {
                         obstacles.push(a.region());
@@ -1092,7 +1080,7 @@ impl Server {
         // (a rejected insert) but never newer (a cached bitmap missing
         // an alarm the epoch claims to cover).
         let epoch = self.cache.epoch(cell_index);
-        self.with_unfired_obstacles(user, cell_rect, |obstacles, public_view| {
+        self.with_unfired_obstacles(user, cell, |obstacles, public_view| {
             if !public_view {
                 self.metrics.region_computations.inc();
                 return pad_bitmap_wire_bits(&computer.compute(cell_rect, obstacles), height);

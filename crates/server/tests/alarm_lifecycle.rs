@@ -211,8 +211,8 @@ fn an_installed_alarm_reaches_every_strategy_in_every_cell_and_removal_reverts_i
         vec![Response::Error { seq: 5, code: error_code::UNKNOWN_ALARM }]
     );
 
-    // 64 further writes fold the index, which drops the dead alarm from
-    // it altogether: a repeated remove is still refused the same way.
+    // 64 further writes leave the removed alarm removed: a repeated
+    // remove is still refused the same way.
     let far = quantize_rect(Rect::new(8_000.0, 8_000.0, 8_100.0, 8_100.0).unwrap());
     for (seq, alarm) in (6..).zip(ALARM + 1..=ALARM + 64) {
         let private = Request::InstallAlarm { seq, alarm, flags: 999 << 1, rect: far };

@@ -18,6 +18,12 @@
 //! own fired history nor on how many firings the server holds for
 //! everybody else.
 //!
+//! A third body pins the write path: the same public and private
+//! install + remove pairs on servers holding 1,000 and 20,000 alarms on
+//! one grid make the same number of allocations — a write copies the
+//! buckets it covers and the store's spine, never anything sized by the
+//! alarm count.
+//!
 //! The whole file is ONE `#[test]` on purpose (as in `net_soak.rs`):
 //! the counter is process-wide, and libtest's main thread allocates
 //! when it records a finished test's result — with two tests, inside
@@ -77,6 +83,7 @@ fn public_alarm(id: u64, min_x: f64, min_y: f64, side: f64) -> SpatialAlarm {
 fn steady_state_paths_allocate_nothing_they_should_not() {
     steady_state_update_path_allocates_nothing();
     refresh_allocations_do_not_depend_on_anyones_fired_history();
+    write_allocations_do_not_grow_with_the_index();
 }
 
 fn steady_state_update_path_allocates_nothing() {
@@ -235,4 +242,56 @@ fn refresh_allocations_do_not_depend_on_anyones_fired_history() {
     }
     let loaded = (measure(period_7), measure(mwpsr_7), measure(pbsr_7));
     assert_eq!(loaded, quiet, "(safe period, MWPSR, PBSR) allocations moved with foreign firings");
+}
+
+/// Allocations (process-wide) of 64 public and 64 private install +
+/// remove pairs, each over the same 2 × 2 cells, on a server holding
+/// `alarms` alarms spread over a 10 × 10 grid — measured after one
+/// unmeasured pair of each. 256 writes: enough that any rebuild every
+/// so many writes would show.
+fn write_allocations(alarms: u64) -> u64 {
+    let universe = Rect::new(0.0, 0.0, 10_000.0, 10_000.0).unwrap();
+    let spread = (0..alarms)
+        .map(|id| {
+            public_alarm(id, (id * 7_919 % 9_950) as f64, (id * 104_729 % 9_950) as f64, 40.0)
+        })
+        .collect();
+    let server =
+        Server::start(Grid::new(universe, 1_000.0).unwrap(), spread, 30.0, ServerConfig::default());
+    server.set_trace_mode(TraceMode::Off);
+    let admin = server.open_session();
+    let hello = Request::Hello { seq: 0, user: 99, strategy: StrategySpec::Mwpsr };
+    assert_eq!(server.handle(admin, hello), vec![Response::Ack { seq: 0 }]);
+    let rect = sa_server::quantize_rect(Rect::new(4_500.0, 4_500.0, 5_500.0, 5_500.0).unwrap());
+    let mut out = Vec::new();
+    let mut next = alarms as u32;
+    let mut pairs = |out: &mut Vec<Response>| {
+        for flags in [(99 << 1) | 1, 99 << 1] {
+            let alarm = next;
+            next += 1;
+            out.clear();
+            server.handle_into(admin, Request::InstallAlarm { seq: 1, alarm, flags, rect }, out);
+            server.handle_into(admin, Request::RemoveAlarm { seq: 2, alarm }, out);
+        }
+    };
+    pairs(&mut out);
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    for _ in 0..64 {
+        pairs(&mut out);
+    }
+    let delta = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    assert_eq!(
+        out,
+        vec![Response::Ack { seq: 1 }, Response::Ack { seq: 2 }],
+        "the last pair must succeed"
+    );
+    delta
+}
+
+fn write_allocations_do_not_grow_with_the_index() {
+    let (small, large) = (write_allocations(1_000), write_allocations(20_000));
+    assert_eq!(
+        small, large,
+        "install + remove allocations grew with the index: {small} vs {large}"
+    );
 }

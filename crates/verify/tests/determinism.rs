@@ -128,7 +128,7 @@ fn transcript_digests_are_pinned() {
     let pinned = [
         ("handoff-during-disconnect", 0x5078_9a12_16ca_560e),
         ("repartition-during-batch", 0xbd0f_f7ff_fb6a_ae24),
-        ("lossy-repartition", 0x591f_2868_2e9d_800b),
+        ("lossy-repartition", 0x7919_8948_d602_f29b),
     ];
     let mut cases: Vec<(String, FuzzCase, u64)> = federation_cases()
         .into_iter()
