@@ -572,60 +572,9 @@ mod tests {
         Grid::new(Rect::new(0.0, 0.0, 1_000.0, 1_000.0).unwrap(), 100.0).unwrap()
     }
 
-    fn alarm(id: u64, rect: Rect, scope: AlarmScope) -> SpatialAlarm {
-        SpatialAlarm::new(AlarmId(id), rect, crate::AlarmTarget::Static(rect.center()), scope)
-    }
-
     fn public(id: u64, rect: Rect) -> SpatialAlarm {
-        alarm(id, rect, AlarmScope::Public { owner: SubscriberId(0) })
-    }
-
-    fn ids_at(g: &StoreGeneration, user: u32, x: f64, y: f64) -> Vec<u64> {
-        let mut v = Vec::new();
-        g.relevant_at_visit(SubscriberId(user), Point::new(x, y), |a| v.push(a.id().0));
-        v
-    }
-
-    #[test]
-    fn an_alarm_on_a_cell_edge_sits_in_both_cells() {
-        let edge = Rect::new(150.0, 150.0, 200.0, 180.0).unwrap();
-        let store = AlarmStore::new(grid(), vec![public(0, edge)]).unwrap();
-        let g = store.snapshot();
-        // x = 200 is the edge of columns 1 and 2; `cell_of` puts the point
-        // in column 2, whose bucket must hold the alarm.
-        assert_eq!(ids_at(&g, 5, 200.0, 160.0), vec![0]);
-        let mut seen = Vec::new();
-        for col in 0..4 {
-            g.cell_visit(CellId { col, row: 1 }, |a| seen.push((col, a.id().0)));
-        }
-        assert_eq!(seen, vec![(1, 0), (2, 0)]);
-    }
-
-    #[test]
-    fn writes_publish_new_generations_and_pinned_ones_keep_their_answers() {
-        let a = Rect::new(10.0, 10.0, 20.0, 20.0).unwrap();
-        let store = AlarmStore::new(grid(), vec![public(0, a)]).unwrap();
-        let pinned = store.snapshot();
-        let private = AlarmScope::Private { owner: SubscriberId(7) };
-        store.try_install(alarm(1, a, private)).unwrap();
-        assert_eq!(ids_at(&pinned, 7, 15.0, 15.0), vec![0]);
-        assert_eq!(ids_at(&store.snapshot(), 7, 15.0, 15.0), vec![0, 1]);
-        assert_eq!(ids_at(&store.snapshot(), 8, 15.0, 15.0), vec![0]);
-        let removed = store.remove(AlarmId(0)).expect("alarm 0 is live");
-        assert!(removed.is_public());
-        assert!(store.remove(AlarmId(0)).is_none(), "a repeat remove is a no-op");
-        assert!(store.remove(AlarmId(9)).is_none(), "unknown ids are refused");
-        let g = store.snapshot();
-        assert_eq!(ids_at(&g, 7, 15.0, 15.0), vec![1]);
-        assert_eq!(
-            g.nearest_relevant_distance(SubscriberId(7), Point::new(30.0, 15.0), |_| true),
-            Some(10.0)
-        );
-        assert_eq!(
-            g.nearest_relevant_distance(SubscriberId(8), Point::new(30.0, 15.0), |_| true),
-            None
-        );
-        assert_eq!((g.len(), pinned.len()), (2, 1));
+        let scope = AlarmScope::Public { owner: SubscriberId(0) };
+        SpatialAlarm::new(AlarmId(id), rect, crate::AlarmTarget::Static(rect.center()), scope)
     }
 
     #[test]
