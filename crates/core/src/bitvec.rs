@@ -90,7 +90,7 @@ impl BitVec {
     /// Appends the low `nbits` bits of `word` (LSB first) in one or two
     /// word operations — the primitive every word-parallel append builds
     /// on.
-    fn push_word(&mut self, word: u64, nbits: usize) {
+    pub(crate) fn push_word(&mut self, word: u64, nbits: usize) {
         debug_assert!(nbits <= 64);
         if nbits == 0 {
             return;
@@ -192,8 +192,8 @@ impl BitVec {
 
     /// Number of **clear** bits strictly before `index` — the rank query
     /// used to locate a blocked cell's child block in the next pyramid
-    /// level. Linear scan; build a [`RankedBits`] for O(1) queries on a
-    /// frozen bitmap.
+    /// level. Linear scan; a [`crate::BitmapSafeRegion`] keeps its own
+    /// rank directory for O(1) queries.
     ///
     /// # Panics
     ///
@@ -213,18 +213,14 @@ impl BitVec {
         index - ones
     }
 
-    /// Freezes the bitmap with a per-word rank directory for O(1)
-    /// [`RankedBits::rank_zeros`] queries — what the client builds once per
-    /// received pyramid level so each containment descent stays cheap.
-    pub fn into_ranked(self) -> RankedBits {
-        let mut prefix_ones = Vec::with_capacity(self.words.len() + 1);
-        let mut acc = 0u64;
-        prefix_ones.push(0);
-        for w in &self.words {
-            acc += w.count_ones() as u64;
-            prefix_ones.push(acc);
-        }
-        RankedBits { bits: self, prefix_ones }
+    /// The backing words, LSB first; bits past `len` are clear.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// The backing words, handed over without a copy.
+    pub(crate) fn into_words(self) -> Vec<u64> {
+        self.words
     }
 
     /// Iterates over the bits in order.
@@ -298,67 +294,6 @@ impl BitVec {
             }
         }
         Some(BitVec { words, len })
-    }
-}
-
-/// A frozen bit vector with an O(1) zero-rank directory.
-///
-/// Built once per pyramid level when a [`crate::BitmapSafeRegion`] is
-/// assembled; every client containment descent then locates its child
-/// block in constant time instead of scanning the level.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RankedBits {
-    bits: BitVec,
-    /// `prefix_ones[w]` = set bits in words `0..w`.
-    prefix_ones: Vec<u64>,
-}
-
-impl RankedBits {
-    /// Number of stored bits.
-    pub fn len(&self) -> usize {
-        self.bits.len()
-    }
-
-    /// True when no bits are stored.
-    pub fn is_empty(&self) -> bool {
-        self.bits.is_empty()
-    }
-
-    /// The bit at `index`, or `None` past the end.
-    pub fn get(&self, index: usize) -> Option<bool> {
-        self.bits.get(index)
-    }
-
-    /// Number of set bits.
-    pub fn count_ones(&self) -> usize {
-        *self.prefix_ones.last().expect("prefix has a sentinel") as usize
-    }
-
-    /// Number of clear bits.
-    pub fn count_zeros(&self) -> usize {
-        self.len() - self.count_ones()
-    }
-
-    /// Number of clear bits strictly before `index`, in O(1).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `index > len`.
-    pub fn rank_zeros(&self, index: usize) -> usize {
-        assert!(index <= self.bits.len, "rank index {index} out of bounds {}", self.bits.len);
-        let word = index / 64;
-        let rem = index % 64;
-        let mut ones = self.prefix_ones[word];
-        if rem > 0 {
-            let mask = (1u64 << rem) - 1;
-            ones += (self.bits.words[word] & mask).count_ones() as u64;
-        }
-        index - ones as usize
-    }
-
-    /// Read access to the underlying bits.
-    pub fn as_bitvec(&self) -> &BitVec {
-        &self.bits
     }
 }
 
@@ -520,41 +455,5 @@ mod tests {
         let mut extended = back.clone();
         extended.push(true);
         assert_eq!(extended.count_ones(), 12);
-    }
-}
-
-#[cfg(test)]
-mod ranked_tests {
-    use super::*;
-
-    #[test]
-    fn ranked_rank_matches_linear_rank() {
-        let bv: BitVec = (0..500).map(|i| (i * 13) % 7 < 3).collect();
-        let linear: Vec<usize> = (0..=500).map(|i| bv.rank_zeros(i)).collect();
-        let ranked = bv.into_ranked();
-        for (i, &expected) in linear.iter().enumerate() {
-            assert_eq!(ranked.rank_zeros(i), expected, "rank at {i}");
-        }
-        assert_eq!(ranked.count_ones() + ranked.count_zeros(), 500);
-    }
-
-    #[test]
-    fn ranked_preserves_bits() {
-        let bv: BitVec = "0110010111".chars().map(|c| c == '1').collect();
-        let ranked = bv.clone().into_ranked();
-        assert_eq!(ranked.len(), bv.len());
-        for i in 0..bv.len() {
-            assert_eq!(ranked.get(i), bv.get(i));
-        }
-        assert_eq!(ranked.as_bitvec(), &bv);
-        assert!(!ranked.is_empty());
-    }
-
-    #[test]
-    fn empty_ranked_bits() {
-        let ranked = BitVec::new().into_ranked();
-        assert!(ranked.is_empty());
-        assert_eq!(ranked.rank_zeros(0), 0);
-        assert_eq!(ranked.count_ones(), 0);
     }
 }

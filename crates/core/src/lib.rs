@@ -58,8 +58,8 @@ mod mwpsr;
 pub mod oracle;
 mod pyramid;
 
-pub use bitvec::{BitVec, RankedBits};
+pub use bitvec::BitVec;
 pub use monitor::{RectSafeRegion, SafeRegion};
 pub use mwpsr::MwpsrComputer;
 pub use oracle::{differential_check, OracleViolation};
-pub use pyramid::{BitmapSafeRegion, PyramidComputer, PyramidConfig};
+pub use pyramid::{BitmapSafeRegion, FreeBlock, PyramidComputer, PyramidConfig};

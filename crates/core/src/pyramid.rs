@@ -1,5 +1,49 @@
-use crate::{BitVec, RankedBits, SafeRegion};
+//! Bitmap-encoded safe regions: the pyramid computer (§4) and the region
+//! it produces.
+//!
+//! # Layout
+//!
+//! A [`BitmapSafeRegion`] is one `u64` allocation, so a client installs
+//! a bitmap with a single allocation and a containment descent reads one
+//! contiguous block:
+//!
+//! ```text
+//! header (8 words)        cell rect, split factors, height, flags, bit counts
+//! level table (5 / level) first bit, zeros before it, first split flag,
+//!                         zeros before that, phantom zeros
+//! bit pairs               (word, ones before the word) for every level's
+//!                         bits back to back, plus a sentinel pair
+//! split pairs             the same for the split flags (computed regions)
+//! ```
+//!
+//! Pairing each word with its rank directory entry puts a bit and its
+//! rank in one cache line. A region decoded from the wire
+//! ([`BitmapSafeRegion::from_wire_bits`]) takes over the decoded
+//! [`BitVec`]'s words in place — its bits are the wire bits, root bit
+//! first — and stores no split flags: on the wire every zero above the
+//! deepest level splits.
+//!
+//! [`BitmapSafeRegion::grant`] also names the pyramid cell that granted
+//! a point, as a [`FreeBlock`], so a client can test later samples
+//! against that box and descend only when one leaves it.
+
+use crate::{BitVec, SafeRegion};
 use sa_geometry::{Point, Rect, RectilinearRegion};
+
+/// Words of a region's header.
+const HEADER: usize = 8;
+/// Header word: split factors, `split_u | split_v << 32`.
+const H_SPLITS: usize = 4;
+/// Header word: `height | root_free << 32 | implicit_splits << 33`.
+const H_SHAPE: usize = 5;
+/// Header word: bits stored across all levels.
+const H_BITS: usize = 6;
+/// Header word: split flags stored across all levels.
+const H_SPLIT_BITS: usize = 7;
+/// Level-table words per level.
+const LEVEL_WORDS: usize = 5;
+/// Inward ulp steps [`BitmapSafeRegion::grant`] tries per block corner.
+const CORNER_NUDGES: usize = 4;
 
 /// Parameters of the bitmap-encoded safe-region pyramid (§4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,6 +89,79 @@ impl PyramidConfig {
     }
 }
 
+/// A rectangle as `[min_x, min_y, max_x, max_y]`, for the descent's
+/// arithmetic without [`Rect`]'s validation.
+type Bounds = [f64; 4];
+
+/// The bounds of child (`col`, `row_from_top`) of `parent` under a
+/// `u × v` split with child sides `w × h`. Shared edges between siblings
+/// are computed with identical expressions so the children tile the
+/// parent exactly despite floating-point rounding.
+fn child_bounds(
+    parent: Bounds,
+    (w, h): (f64, f64),
+    (u, v): (usize, usize),
+    col: usize,
+    row_from_top: usize,
+) -> Bounds {
+    let x_edge = |c: usize| if c == u { parent[2] } else { parent[0] + c as f64 * w };
+    let y_edge = |r: usize| if r == v { parent[1] } else { parent[3] - r as f64 * h };
+    [x_edge(col), y_edge(row_from_top + 1), x_edge(col + 1), y_edge(row_from_top)]
+}
+
+fn bounds_of(r: Rect) -> Bounds {
+    [r.min_x(), r.min_y(), r.max_x(), r.max_y()]
+}
+
+fn rect_of(b: Bounds) -> Rect {
+    Rect::new(b[0], b[1], b[2], b[3]).expect("pyramid cell bounds are valid")
+}
+
+/// Bit `i` of the `(word, ones before)` pair array at `base`.
+#[inline]
+fn pair_bit(data: &[u64], base: usize, i: usize) -> bool {
+    (data[base + 2 * (i / 64)] >> (i % 64)) & 1 == 1
+}
+
+/// Clear bits strictly before `i` in the pair array at `base`, in O(1)
+/// (`i` may equal the bit count: the sentinel pair answers it).
+#[inline]
+fn pair_zeros_before(data: &[u64], base: usize, i: usize) -> usize {
+    let pair = base + 2 * (i / 64);
+    let below = data[pair] & ((1u64 << (i % 64)) - 1);
+    i - (data[pair + 1] as usize + below.count_ones() as usize)
+}
+
+/// Up to 64 bits starting at bit `start` of the pair array at `base`,
+/// LSB first.
+fn pair_word(data: &[u64], base: usize, start: usize, nbits: usize) -> u64 {
+    let word = start / 64;
+    let off = start % 64;
+    let mut w = data[base + 2 * word] >> off;
+    if off != 0 {
+        // The next pair exists: the sentinel follows the last word.
+        w |= data[base + 2 * (word + 1)] << (64 - off);
+    }
+    if nbits < 64 {
+        w &= (1u64 << nbits) - 1;
+    }
+    w
+}
+
+/// Writes the `(word, ones before)` pairs of `words` plus the sentinel
+/// pair into `out` (`2 · (words.len() + 1)` words).
+fn write_pairs(out: &mut [u64], words: &[u64]) {
+    let mut ones = 0u64;
+    for (pair, &word) in out.chunks_exact_mut(2).zip(words) {
+        pair[0] = word;
+        pair[1] = ones;
+        ones += u64::from(word.count_ones());
+    }
+    let sentinel = 2 * words.len();
+    out[sentinel] = 0;
+    out[sentinel + 1] = ones;
+}
+
 /// Computes bitmap-encoded safe regions (GBSR for height 1, PBSR for
 /// height ≥ 2) for a subscriber's grid cell.
 ///
@@ -66,20 +183,6 @@ impl PyramidConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PyramidComputer {
     config: PyramidConfig,
-}
-
-/// One materialized pyramid level.
-#[derive(Debug, Clone, PartialEq)]
-struct Level {
-    /// One bit per materialized cell (1 = safe).
-    bits: RankedBits,
-    /// One bit per *zero* of `bits`, in zero order: 1 when the blocked cell
-    /// splits into materialized children at the next level, 0 when it is
-    /// solid (fully inside one alarm region) or at the deepest level.
-    split: RankedBits,
-    /// Number of virtual (all-zero) bits this level contributes to the
-    /// nominal wire encoding from solid ancestors.
-    phantom_zeros: u64,
 }
 
 impl PyramidComputer {
@@ -117,175 +220,333 @@ impl PyramidComputer {
             .collect();
         let mut ops = alarm_regions.len() as u64 + 1;
 
-        let root_free = !obstacles.iter().any(|o| cell.intersects_interior(o));
-        let mut levels: Vec<Level> = Vec::new();
-        if !root_free {
-            let fanout = self.config.fanout();
-            // Frontier of split (blocked, non-solid) cells with the indices
-            // of the obstacles that intersect them.
-            let all: Vec<u32> = (0..obstacles.len() as u32).collect();
-            let mut frontier: Vec<(Rect, Vec<u32>)> = vec![(cell, all)];
-            // Solid-or-phantom zero count at the previous level.
-            let mut dark_parents: u64 = 0;
-            for depth in 0..self.config.height {
-                let is_last = depth + 1 == self.config.height;
-                let mut bits = BitVec::with_capacity(frontier.len() * fanout);
-                let mut split = BitVec::new();
-                let mut next: Vec<(Rect, Vec<u32>)> = Vec::new();
-                let mut dark_here: u64 = dark_parents * fanout as u64;
-                for (parent, relevant) in &frontier {
-                    for idx in 0..fanout {
-                        let child = self.child_rect(*parent, idx);
-                        let mut blocked = false;
-                        let mut solid = false;
-                        let mut child_obs: Vec<u32> = Vec::new();
-                        for &oi in relevant {
-                            ops += 1;
-                            let o = &obstacles[oi as usize];
-                            if child.intersects_interior(o) {
-                                blocked = true;
-                                if o.contains_rect(&child) {
-                                    solid = true;
-                                    break;
-                                }
-                                child_obs.push(oi);
+        if !obstacles.iter().any(|o| cell.intersects_interior(o)) {
+            let region = BitmapSafeRegion::assemble(cell, self.config, true, BitVec::new(), None);
+            return (region, ops);
+        }
+        let fanout = self.config.fanout();
+        // Every level's bits and split flags, back to back, and where
+        // each level starts in them.
+        let mut bits = BitVec::new();
+        let mut split = BitVec::new();
+        let mut starts: Vec<(usize, usize, u64)> = Vec::with_capacity(self.config.height as usize);
+        // Frontier of split (blocked, non-solid) cells with the indices
+        // of the obstacles that intersect them.
+        let all: Vec<u32> = (0..obstacles.len() as u32).collect();
+        let mut frontier: Vec<(Rect, Vec<u32>)> = vec![(cell, all)];
+        // Solid-or-phantom zero count at the previous level.
+        let mut dark_parents: u64 = 0;
+        for depth in 0..self.config.height {
+            let is_last = depth + 1 == self.config.height;
+            starts.push((bits.len(), split.len(), dark_parents * fanout as u64));
+            let mut next: Vec<(Rect, Vec<u32>)> = Vec::new();
+            let mut dark_here: u64 = dark_parents * fanout as u64;
+            for (parent, relevant) in &frontier {
+                for idx in 0..fanout {
+                    let child = self.child_rect(*parent, idx);
+                    let mut blocked = false;
+                    let mut solid = false;
+                    let mut child_obs: Vec<u32> = Vec::new();
+                    for &oi in relevant {
+                        ops += 1;
+                        let o = &obstacles[oi as usize];
+                        if child.intersects_interior(o) {
+                            blocked = true;
+                            if o.contains_rect(&child) {
+                                solid = true;
+                                break;
                             }
+                            child_obs.push(oi);
                         }
-                        bits.push(!blocked);
-                        if blocked {
-                            if solid || is_last {
-                                split.push(false);
-                                if !is_last {
-                                    dark_here += 1;
-                                }
-                            } else {
-                                split.push(true);
-                                next.push((child, child_obs));
+                    }
+                    bits.push(!blocked);
+                    if blocked {
+                        if solid || is_last {
+                            split.push(false);
+                            if !is_last {
+                                dark_here += 1;
                             }
+                        } else {
+                            split.push(true);
+                            next.push((child, child_obs));
                         }
                     }
                 }
-                levels.push(Level {
-                    bits: bits.into_ranked(),
-                    split: split.into_ranked(),
-                    phantom_zeros: dark_parents * fanout as u64,
-                });
-                // Dark parents for the next level: solid zeros here plus all
-                // phantom zeros here.
-                dark_parents = dark_here;
-                frontier = next;
             }
+            // Dark parents for the next level: solid zeros here plus all
+            // phantom zeros here.
+            dark_parents = dark_here;
+            frontier = next;
         }
-        (BitmapSafeRegion { cell, config: self.config, root_free, levels }, ops)
+        let mut region = BitmapSafeRegion::assemble(cell, self.config, false, bits, Some(&split));
+        for (depth, &(bit_start, split_start, phantom_zeros)) in starts.iter().enumerate() {
+            region.set_level(depth, bit_start, split_start, phantom_zeros);
+        }
+        (region, ops)
     }
 
-    /// Raster index (top row first) of the child of `parent` containing
-    /// `p`, clamped to the child grid.
-    fn child_index(&self, parent: Rect, p: Point) -> usize {
-        let u = self.config.split_u as usize;
-        let v = self.config.split_v as usize;
-        let w = parent.width() / u as f64;
-        let h = parent.height() / v as f64;
-        let col = (((p.x - parent.min_x()) / w) as usize).min(u - 1);
-        let row_from_bottom = (((p.y - parent.min_y()) / h) as usize).min(v - 1);
-        let row_from_top = v - 1 - row_from_bottom;
-        row_from_top * u + col
-    }
-
-    /// The rect of child `index` (raster order) of `parent`. Shared edges
-    /// between siblings are computed with identical expressions so the
-    /// children tile the parent exactly despite floating-point rounding.
+    /// The rect of child `index` (raster order, top row first) of
+    /// `parent`.
     fn child_rect(&self, parent: Rect, index: usize) -> Rect {
-        let u = self.config.split_u as usize;
-        let v = self.config.split_v as usize;
-        let w = parent.width() / u as f64;
-        let h = parent.height() / v as f64;
-        let row_from_top = index / u;
-        let col = index % u;
-        let x_edge = |c: usize| {
-            if c == u { parent.max_x() } else { parent.min_x() + c as f64 * w }
-        };
-        let y_edge = |r: usize| {
-            if r == v { parent.min_y() } else { parent.max_y() - r as f64 * h }
-        };
-        Rect::new(
-            x_edge(col),
-            y_edge(row_from_top + 1),
-            x_edge(col + 1),
-            y_edge(row_from_top),
-        )
-        .expect("child rect is valid")
+        let (u, v) = (self.config.split_u as usize, self.config.split_v as usize);
+        let side = (parent.width() / u as f64, parent.height() / v as f64);
+        rect_of(child_bounds(bounds_of(parent), side, (u, v), index % u, index / u))
     }
+}
+
+/// A pyramid cell that granted a point ([`BitmapSafeRegion::grant`]):
+/// a closed box every point of which the region grants at the same
+/// descent depth.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FreeBlock {
+    min_x: f64,
+    min_y: f64,
+    max_x: f64,
+    max_y: f64,
+}
+
+impl FreeBlock {
+    /// The block that contains no point.
+    pub const NONE: FreeBlock = FreeBlock {
+        min_x: f64::INFINITY,
+        min_y: f64::INFINITY,
+        max_x: f64::NEG_INFINITY,
+        max_y: f64::NEG_INFINITY,
+    };
+
+    /// Whether `p` lies in the block (boundary included).
+    #[inline]
+    pub fn contains(&self, p: Point) -> bool {
+        p.x >= self.min_x && p.x <= self.max_x && p.y >= self.min_y && p.y <= self.max_y
+    }
+
+    /// The block's lower-left corner.
+    pub fn min_corner(&self) -> Point {
+        Point::new(self.min_x, self.min_y)
+    }
+
+    /// The block's upper-right corner.
+    pub fn max_corner(&self) -> Point {
+        Point::new(self.max_x, self.max_y)
+    }
+}
+
+/// One level's entry in the level table.
+#[derive(Debug, Clone, Copy)]
+struct Level {
+    /// First bit of the level in the bit pairs.
+    bit_start: usize,
+    /// Bits the level stores.
+    bit_len: usize,
+    /// Zeros in the bit pairs before `bit_start`.
+    zeros_before: usize,
+    /// First split flag of the level in the split pairs.
+    split_start: usize,
+    /// Virtual (all-zero) bits this level contributes to the nominal wire
+    /// encoding from solid ancestors.
+    phantom_zeros: u64,
+    /// Whether this is the deepest level.
+    last: bool,
 }
 
 /// A bitmap-encoded safe region (Definition 1): the wire object the server
-/// ships to the client, supporting bounded-cost containment checks.
+/// ships to the client, supporting bounded-cost containment checks. Its
+/// storage is one allocation (see the module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BitmapSafeRegion {
-    cell: Rect,
-    config: PyramidConfig,
-    /// True when the whole base cell is alarm-free (bitmap is the single
-    /// bit `1`).
-    root_free: bool,
-    levels: Vec<Level>,
+    data: Box<[u64]>,
 }
 
 impl BitmapSafeRegion {
+    /// A region of `cell` whose level bits are `bits` (words taken over,
+    /// not copied) and whose split flags are `split` (`None`: implicit, as
+    /// on the wire). The level table is left for [`Self::set_level`].
+    fn assemble(
+        cell: Rect,
+        config: PyramidConfig,
+        root_free: bool,
+        bits: BitVec,
+        split: Option<&BitVec>,
+    ) -> BitmapSafeRegion {
+        let levels = if root_free { 0 } else { config.height as usize };
+        let bits_len = bits.len();
+        let base = HEADER + LEVEL_WORDS * levels;
+        let bit_pairs = 2 * (bits_len.div_ceil(64) + 1);
+        let split_pairs = split.map_or(0, |s| 2 * (s.len().div_ceil(64) + 1));
+        let total = base + bit_pairs + split_pairs;
+        let mut data = bits.into_words();
+        let nwords = data.len();
+        data.reserve_exact(total - nwords);
+        data.resize(total, 0);
+        // Spread the words into pairs back to front: word `i` moves to
+        // `base + 2i > i`, past every word still waiting to move.
+        for i in (0..nwords).rev() {
+            data[base + 2 * i] = data[i];
+        }
+        let mut ones = 0u64;
+        for i in 0..nwords {
+            data[base + 2 * i + 1] = ones;
+            ones += u64::from(data[base + 2 * i].count_ones());
+        }
+        data[base + 2 * nwords] = 0;
+        data[base + 2 * nwords + 1] = ones;
+        if let Some(split) = split {
+            write_pairs(&mut data[base + bit_pairs..], split.words());
+        }
+        data[..base].fill(0);
+        data[..4].copy_from_slice(&bounds_of(cell).map(f64::to_bits));
+        data[H_SPLITS] = u64::from(config.split_u) | u64::from(config.split_v) << 32;
+        data[H_SHAPE] = u64::from(config.height)
+            | u64::from(root_free) << 32
+            | u64::from(split.is_none()) << 33;
+        data[H_BITS] = bits_len as u64;
+        data[H_SPLIT_BITS] = split.map_or(0, |s| s.len() as u64);
+        BitmapSafeRegion { data: data.into_boxed_slice() }
+    }
+
+    /// Fills level `depth`'s table entry.
+    fn set_level(
+        &mut self,
+        depth: usize,
+        bit_start: usize,
+        split_start: usize,
+        phantom_zeros: u64,
+    ) {
+        let zeros_before = pair_zeros_before(&self.data, self.bits_base(), bit_start);
+        let split_zeros_before = if self.implicit_splits() {
+            0
+        } else {
+            pair_zeros_before(&self.data, self.split_base(), split_start)
+        };
+        let entry = HEADER + LEVEL_WORDS * depth;
+        self.data[entry..entry + LEVEL_WORDS].copy_from_slice(&[
+            bit_start as u64,
+            zeros_before as u64,
+            split_start as u64,
+            split_zeros_before as u64,
+            phantom_zeros,
+        ]);
+    }
+
+    fn cell_bounds(&self) -> Bounds {
+        [0, 1, 2, 3].map(|i| f64::from_bits(self.data[i]))
+    }
+
+    fn implicit_splits(&self) -> bool {
+        self.data[H_SHAPE] >> 33 & 1 == 1
+    }
+
+    fn bits_len(&self) -> usize {
+        self.data[H_BITS] as usize
+    }
+
+    fn bits_base(&self) -> usize {
+        HEADER + LEVEL_WORDS * self.level_count()
+    }
+
+    fn split_base(&self) -> usize {
+        self.bits_base() + 2 * (self.bits_len().div_ceil(64) + 1)
+    }
+
+    fn level(&self, depth: usize) -> Level {
+        let entry = HEADER + LEVEL_WORDS * depth;
+        let word = |i: usize| self.data[entry + i];
+        let last = depth + 1 == self.level_count();
+        let end = if last { self.bits_len() } else { self.data[entry + LEVEL_WORDS] as usize };
+        Level {
+            bit_start: word(0) as usize,
+            bit_len: end - word(0) as usize,
+            zeros_before: word(1) as usize,
+            split_start: word(2) as usize,
+            phantom_zeros: word(4),
+            last,
+        }
+    }
+
+    /// Bit `i` of `level`.
+    fn bit(&self, level: &Level, i: usize) -> bool {
+        pair_bit(&self.data, self.bits_base(), level.bit_start + i)
+    }
+
+    /// Zeros of `level` before its bit `i`.
+    fn rank_zeros(&self, level: &Level, i: usize) -> usize {
+        pair_zeros_before(&self.data, self.bits_base(), level.bit_start + i) - level.zeros_before
+    }
+
+    /// Whether zero `z` of `level` splits into a child block at the next
+    /// level (0: solid, or the deepest level).
+    fn splits(&self, level: &Level, z: usize) -> bool {
+        if self.implicit_splits() {
+            return !level.last;
+        }
+        pair_bit(&self.data, self.split_base(), level.split_start + z)
+    }
+
     /// The base grid cell this region refines.
     pub fn cell(&self) -> Rect {
-        self.cell
+        rect_of(self.cell_bounds())
     }
 
     /// The pyramid configuration used to encode the region.
     pub fn config(&self) -> PyramidConfig {
-        self.config
+        PyramidConfig {
+            split_u: self.data[H_SPLITS] as u32,
+            split_v: (self.data[H_SPLITS] >> 32) as u32,
+            height: self.data[H_SHAPE] as u32,
+        }
     }
 
     /// True when the whole cell is safe (no intersecting alarms).
     pub fn is_whole_cell_free(&self) -> bool {
-        self.root_free
+        self.data[H_SHAPE] >> 32 & 1 == 1
     }
 
     /// Number of encoded pyramid levels (0 when the whole cell is free).
     pub fn level_count(&self) -> usize {
-        self.levels.len()
+        if self.is_whole_cell_free() {
+            0
+        } else {
+            self.data[H_SHAPE] as u32 as usize
+        }
     }
 
     /// Nominal bit count per level of the paper's wire encoding (including
     /// the all-zero blocks under solid cells).
     pub fn nominal_level_bits(&self) -> Vec<u64> {
-        self.levels
-            .iter()
-            .map(|l| l.bits.len() as u64 + l.phantom_zeros)
+        (0..self.level_count())
+            .map(|d| self.level(d))
+            .map(|l| l.bit_len as u64 + l.phantom_zeros)
             .collect()
     }
 
     /// Nominal zero count per level (materialized and phantom).
     pub fn nominal_level_zeros(&self) -> Vec<u64> {
-        self.levels
-            .iter()
-            .map(|l| l.bits.count_zeros() as u64 + l.phantom_zeros)
+        (0..self.level_count())
+            .map(|d| self.level(d))
+            .map(|l| self.rank_zeros(&l, l.bit_len) as u64 + l.phantom_zeros)
             .collect()
     }
 
     /// Number of bits actually materialized in memory (the sparse
     /// representation's footprint).
     pub fn materialized_bits(&self) -> usize {
-        self.levels.iter().map(|l| l.bits.len()).sum()
+        (0..self.level_count()).map(|d| self.level(d).bit_len).sum()
     }
 
     /// Coverage η(Ψs): ratio of safe-region area to grid-cell area
     /// (paper §4.2). Computed exactly from the bit structure.
     pub fn coverage(&self) -> f64 {
-        if self.root_free {
+        if self.is_whole_cell_free() {
             return 1.0;
         }
-        let fanout = self.config.fanout() as f64;
+        let fanout = self.config().fanout() as f64;
         let mut covered = 0.0;
         let mut level_cell_fraction = 1.0;
-        for level in &self.levels {
+        for depth in 0..self.level_count() {
+            let level = self.level(depth);
+            let ones = level.bit_len - self.rank_zeros(&level, level.bit_len);
             level_cell_fraction /= fanout;
-            covered += level.bits.count_ones() as f64 * level_cell_fraction;
+            covered += ones as f64 * level_cell_fraction;
         }
         covered
     }
@@ -294,29 +555,27 @@ impl BitmapSafeRegion {
     /// "pyramid bitmap decoding to obtain a geometrical shape" step the
     /// client runs once on receipt.
     pub fn decode(&self) -> RectilinearRegion {
-        let computer = PyramidComputer::new(self.config);
+        let config = self.config();
+        let computer = PyramidComputer::new(config);
         let mut rects = Vec::new();
-        if self.root_free {
-            rects.push(self.cell);
+        if self.is_whole_cell_free() {
+            rects.push(self.cell());
             return RectilinearRegion::from_rects(rects);
         }
         // Walk the materialized (split) tree; solid subtrees decode to
         // nothing (they are blocked).
-        let mut frontier: Vec<Rect> = vec![self.cell];
-        for level in &self.levels {
+        let mut frontier: Vec<Rect> = vec![self.cell()];
+        for depth in 0..self.level_count() {
+            let level = self.level(depth);
             let mut next = Vec::new();
             let mut bit = 0usize;
             for parent in &frontier {
-                for idx in 0..self.config.fanout() {
-                    let free = level.bits.get(bit).expect("level sized to frontier");
+                for idx in 0..config.fanout() {
                     let rect = computer.child_rect(*parent, idx);
-                    if free {
+                    if self.bit(&level, bit) {
                         rects.push(rect);
-                    } else {
-                        let zrank = level.bits.rank_zeros(bit);
-                        if level.split.get(zrank).expect("one split flag per zero") {
-                            next.push(rect);
-                        }
+                    } else if self.splits(&level, self.rank_zeros(&level, bit)) {
+                        next.push(rect);
                     }
                     bit += 1;
                 }
@@ -340,30 +599,29 @@ impl BitmapSafeRegion {
     /// examples and tests on small regions.
     pub fn to_bitstring(&self) -> String {
         let mut s = String::with_capacity(self.bitmap_size());
-        s.push(if self.root_free { '1' } else { '0' });
-        // Parents at the current level, in nominal order: Some(materialized
-        // split marker) is implicit — we track, per nominal zero, whether it
-        // splits (materialized children) or is dark (phantom children).
+        s.push(if self.is_whole_cell_free() { '1' } else { '0' });
+        // Per nominal zero of the level above: whether it splits
+        // (materialized children) or is dark (phantom children).
         #[derive(Clone, Copy)]
         enum ParentKind {
             Split,
             Dark,
         }
-        let fanout = self.config.fanout();
-        let mut parents = if self.root_free { vec![] } else { vec![ParentKind::Split] };
-        for level in &self.levels {
+        let fanout = self.config().fanout();
+        let mut parents =
+            if self.is_whole_cell_free() { vec![] } else { vec![ParentKind::Split] };
+        for depth in 0..self.level_count() {
+            let level = self.level(depth);
             let mut next_parents = Vec::new();
             let mut bit = 0usize;
             for parent in &parents {
                 match parent {
                     ParentKind::Split => {
                         for _ in 0..fanout {
-                            let free = level.bits.get(bit).expect("bit in range");
+                            let free = self.bit(&level, bit);
                             s.push(if free { '1' } else { '0' });
                             if !free {
-                                let zrank = level.bits.rank_zeros(bit);
-                                let splits =
-                                    level.split.get(zrank).expect("one split flag per zero");
+                                let splits = self.splits(&level, self.rank_zeros(&level, bit));
                                 next_parents
                                     .push(if splits { ParentKind::Split } else { ParentKind::Dark });
                             }
@@ -388,17 +646,18 @@ impl BitmapSafeRegion {
     /// a [`BitVec`] of exactly [`BitmapSafeRegion::bitmap_size`] bits — the
     /// payload a live server ships over a real transport.
     ///
-    /// Word-parallel: materialized child blocks are appended via
-    /// [`BitVec::extend_range`] (64 bits per shift pair), phantom zero
-    /// blocks under solid cells via [`BitVec::push_zeros`], and parents are
-    /// tracked as `(is_split, count)` runs so the walk's memory stays
-    /// proportional to the materialized boundary, not the nominal encoding.
+    /// Word-parallel: materialized child blocks are appended 64 bits at a
+    /// time, phantom zero blocks under solid cells via
+    /// [`BitVec::push_zeros`], and parents are tracked as `(is_split,
+    /// count)` runs so the walk's memory stays proportional to the
+    /// materialized boundary, not the nominal encoding.
     /// [`BitmapSafeRegion::to_bitstring`] keeps the bit-by-bit walk and the
     /// tests pin the two paths equal.
     pub fn to_wire_bits(&self) -> BitVec {
         let mut bits = BitVec::with_capacity(self.bitmap_size());
-        bits.push(self.root_free);
-        let fanout = self.config.fanout();
+        bits.push(self.is_whole_cell_free());
+        let fanout = self.config().fanout();
+        let base = self.bits_base();
         fn push_run(runs: &mut Vec<(bool, u64)>, is_split: bool, count: u64) {
             if count == 0 {
                 return;
@@ -412,8 +671,9 @@ impl BitmapSafeRegion {
         // encoded; consecutive split parents own contiguous materialized
         // child blocks, so a whole run is appended in one bulk copy.
         let mut parents: Vec<(bool, u64)> =
-            if self.root_free { Vec::new() } else { vec![(true, 1)] };
-        for level in &self.levels {
+            if self.is_whole_cell_free() { Vec::new() } else { vec![(true, 1)] };
+        for depth in 0..self.level_count() {
+            let level = self.level(depth);
             let mut next_parents: Vec<(bool, u64)> = Vec::new();
             let mut bit = 0usize;
             for &(is_split, run) in &parents {
@@ -424,14 +684,18 @@ impl BitmapSafeRegion {
                     continue;
                 }
                 let block = run as usize * fanout;
-                bits.extend_range(level.bits.as_bitvec(), bit, block);
+                let mut copied = 0;
+                while copied < block {
+                    let take = (block - copied).min(64);
+                    let start = level.bit_start + bit + copied;
+                    bits.push_word(pair_word(&self.data, base, start, take), take);
+                    copied += take;
+                }
                 for i in bit..bit + block {
-                    if level.bits.get(i).expect("bit in range") {
-                        continue;
+                    if !self.bit(&level, i) {
+                        let splits = self.splits(&level, self.rank_zeros(&level, i));
+                        push_run(&mut next_parents, splits, 1);
                     }
-                    let zrank = level.bits.rank_zeros(i);
-                    let splits = level.split.get(zrank).expect("one split flag per zero");
-                    push_run(&mut next_parents, splits, 1);
                 }
                 bit += block;
             }
@@ -442,7 +706,8 @@ impl BitmapSafeRegion {
 
     /// Reconstructs a region from the nominal wire bits produced by
     /// [`BitmapSafeRegion::to_wire_bits`] for the given cell and
-    /// configuration.
+    /// configuration, taking over `bits`' words: the region is the one
+    /// allocation that grows them by the header and rank directory.
     ///
     /// The wire layout does not distinguish solid (all-descendants-dark)
     /// cells from blocked cells whose children were all individually
@@ -461,48 +726,35 @@ impl BitmapSafeRegion {
     pub fn from_wire_bits(
         cell: Rect,
         config: PyramidConfig,
-        bits: &BitVec,
+        bits: BitVec,
     ) -> Result<BitmapSafeRegion, String> {
         config.validate();
+        let len = bits.len();
         let root_free = bits.get(0).ok_or_else(|| "empty bitmap".to_string())?;
-        if root_free {
-            if bits.len() != 1 {
-                return Err(format!("free-cell bitmap must be 1 bit, got {}", bits.len()));
-            }
-            return Ok(BitmapSafeRegion { cell, config, root_free: true, levels: Vec::new() });
+        if root_free && len != 1 {
+            return Err(format!("free-cell bitmap must be 1 bit, got {len}"));
         }
+        let mut region = BitmapSafeRegion::assemble(cell, config, root_free, bits, None);
         let fanout = config.fanout();
+        let base = region.bits_base();
+        // Level `depth` holds one child block per zero of the level above
+        // (the root bit counts as level 0).
         let mut pos = 1usize;
         let mut prev_zeros = 1usize;
-        let mut levels = Vec::with_capacity(config.height as usize);
-        for depth in 0..config.height {
+        for depth in 0..region.level_count() {
             let expect = prev_zeros * fanout;
-            if pos + expect > bits.len() {
-                return Err(format!("bitmap truncated at bit {}", bits.len()));
+            if pos + expect > len {
+                return Err(format!("bitmap truncated at bit {len}"));
             }
-            // Word-parallel level extraction: one bulk copy plus a popcount
-            // instead of `expect` single-bit reads.
-            let level_bits = bits.slice(pos, expect);
+            region.set_level(depth, pos, 0, 0);
+            prev_zeros = pair_zeros_before(&region.data, base, pos + expect)
+                - pair_zeros_before(&region.data, base, pos);
             pos += expect;
-            let zeros = level_bits.count_zeros();
-            let is_last = depth + 1 == config.height;
-            let mut split = BitVec::with_capacity(zeros);
-            if is_last {
-                split.push_zeros(zeros);
-            } else {
-                split.push_ones(zeros);
-            }
-            levels.push(Level {
-                bits: level_bits.into_ranked(),
-                split: split.into_ranked(),
-                phantom_zeros: 0,
-            });
-            prev_zeros = zeros;
         }
-        if pos != bits.len() {
-            return Err(format!("bitmap has {} trailing bits", bits.len() - pos));
+        if pos != len {
+            return Err(format!("bitmap has {} trailing bits", len - pos));
         }
-        Ok(BitmapSafeRegion { cell, config, root_free: false, levels })
+        Ok(region)
     }
 
     /// Containment check with pyramid descent: at most `height` levels are
@@ -510,36 +762,112 @@ impl BitmapSafeRegion {
     /// computations"). Returns the number of levels descended alongside the
     /// verdict.
     pub fn contains_with_cost(&self, p: Point) -> (bool, usize) {
-        if !self.cell.contains_point(p) {
-            return (false, 1);
+        let (inside, levels, _, _) = self.descend(p);
+        (inside, levels)
+    }
+
+    /// [`BitmapSafeRegion::contains_with_cost`], plus the pyramid cell
+    /// that granted `p` as a [`FreeBlock`] (or [`FreeBlock::NONE`] when
+    /// `p` is outside): every point of the block gets the same answer —
+    /// inside, at the same number of levels — so
+    /// a client tests later samples against the block alone and descends
+    /// again only when one leaves it.
+    ///
+    /// The block is the granting cell's rect, shrunk until its two corners
+    /// descend to that same cell. Each level of a descent picks a column
+    /// from `x` and a row from `y`, each monotone in its coordinate, so the
+    /// points that descend to one cell form a box, and a box whose
+    /// corners descend there lies in it whole. When a corner cannot be
+    /// confirmed within a few ulps the block is [`FreeBlock::NONE`]:
+    /// later samples then descend, exactly as without a block.
+    pub fn grant(&self, p: Point) -> (bool, usize, FreeBlock) {
+        let (inside, levels, bit, cell) = self.descend(p);
+        if !inside {
+            return (false, levels, FreeBlock::NONE);
         }
-        if self.root_free {
-            return (true, 1);
+        let same = |q: Point| {
+            let (inside, at, at_bit, _) = self.descend(q);
+            inside && at == levels && at_bit == bit
+        };
+        let settle = |mut corner: Point, step: fn(f64) -> f64| {
+            for _ in 0..CORNER_NUDGES {
+                if same(corner) {
+                    return Some(corner);
+                }
+                corner = Point::new(step(corner.x), step(corner.y));
+            }
+            None
+        };
+        // A pyramid cell's top and right edges belong to its neighbours
+        // unless it is the last of its row or column: start one ulp in.
+        let hi = if bit == usize::MAX {
+            Point::new(cell[2], cell[3])
+        } else {
+            Point::new(cell[2].next_down(), cell[3].next_down())
+        };
+        let block = settle(Point::new(cell[0], cell[1]), f64::next_up)
+            .zip(settle(hi, f64::next_down))
+            .filter(|(lo, hi)| lo.x <= hi.x && lo.y <= hi.y)
+            .map_or(FreeBlock::NONE, |(lo, hi)| FreeBlock {
+                min_x: lo.x,
+                min_y: lo.y,
+                max_x: hi.x,
+                max_y: hi.y,
+            });
+        (true, levels, block)
+    }
+
+    /// One containment descent: the verdict, the levels examined, the bit
+    /// that decided it (`usize::MAX` when the base cell did) and the
+    /// bounds of the pyramid cell that bit stands for.
+    fn descend(&self, p: Point) -> (bool, usize, usize, Bounds) {
+        let cell = self.cell_bounds();
+        if !(p.x >= cell[0] && p.x <= cell[2] && p.y >= cell[1] && p.y <= cell[3]) {
+            return (false, 1, usize::MAX, cell);
         }
-        let computer = PyramidComputer::new(self.config);
-        let fanout = self.config.fanout();
-        let mut parent = self.cell;
+        if self.is_whole_cell_free() {
+            return (true, 1, usize::MAX, cell);
+        }
+        let config = self.config();
+        let (u, v) = (config.split_u as usize, config.split_v as usize);
+        let levels = self.level_count();
+        let implicit = self.implicit_splits();
+        let (bits, splits) = (self.bits_base(), self.split_base());
+        let data = &self.data[..];
+        let mut parent = cell;
         // Bit offset of the current parent's child block within its level.
         let mut block_start = 0usize;
-        for (depth, level) in self.levels.iter().enumerate() {
-            let idx = computer.child_index(parent, p);
-            let bit = block_start + idx;
-            if level.bits.get(bit).expect("descent stays within the level") {
-                return (true, depth + 1);
+        for depth in 0..levels {
+            let entry = HEADER + LEVEL_WORDS * depth;
+            let side = ((parent[2] - parent[0]) / u as f64, (parent[3] - parent[1]) / v as f64);
+            let col = (((p.x - parent[0]) / side.0) as usize).min(u - 1);
+            let row_from_bottom = (((p.y - parent[1]) / side.1) as usize).min(v - 1);
+            let row_from_top = v - 1 - row_from_bottom;
+            let child = child_bounds(parent, side, (u, v), col, row_from_top);
+            let bit = data[entry] as usize + block_start + row_from_top * u + col;
+            if pair_bit(data, bits, bit) {
+                return (true, depth + 1, bit, child);
             }
-            let zrank = level.bits.rank_zeros(bit);
-            if !level.split.get(zrank).expect("one split flag per zero") {
-                // Solid blocked cell or deepest level: conservatively
-                // outside the safe region.
-                return (false, depth + 1);
-            }
-            // The child block at the next level comes after the blocks of
-            // all earlier *split* zeros.
-            let splits_before = zrank - level.split.rank_zeros(zrank);
-            block_start = splits_before * fanout;
-            parent = computer.child_rect(parent, idx);
+            let zrank = pair_zeros_before(data, bits, bit) - data[entry + 1] as usize;
+            // Solid blocked cell or deepest level: conservatively outside
+            // the safe region. Otherwise the child block at the next level
+            // comes after the blocks of all earlier *split* zeros.
+            let splits_before = if implicit {
+                if depth + 1 == levels {
+                    return (false, depth + 1, bit, child);
+                }
+                zrank
+            } else {
+                let flag = data[entry + 2] as usize + zrank;
+                if !pair_bit(data, splits, flag) {
+                    return (false, depth + 1, bit, child);
+                }
+                zrank - (pair_zeros_before(data, splits, flag) - data[entry + 3] as usize)
+            };
+            block_start = splits_before * u * v;
+            parent = child;
         }
-        (false, self.levels.len().max(1))
+        (false, levels.max(1), usize::MAX, parent)
     }
 }
 
@@ -555,7 +883,7 @@ impl SafeRegion for BitmapSafeRegion {
     fn worst_case_check_ops(&self) -> usize {
         // Cell bounds check (4 comparisons) plus one indexed bit probe per
         // pyramid level.
-        4 + self.config.height as usize
+        4 + self.config().height as usize
     }
 }
 
@@ -839,7 +1167,7 @@ mod tests {
             let wire = region.to_wire_bits();
             assert_eq!(wire.len(), region.bitmap_size(), "h={h}");
             assert_eq!(wire.to_bitstring(), region.to_bitstring(), "h={h}");
-            let back = BitmapSafeRegion::from_wire_bits(cell, config, &wire).unwrap();
+            let back = BitmapSafeRegion::from_wire_bits(cell, config, wire.clone()).unwrap();
             assert_eq!(back.bitmap_size(), region.bitmap_size());
             assert_eq!(back.to_bitstring(), region.to_bitstring());
             for i in 0..30 {
@@ -859,7 +1187,7 @@ mod tests {
         let alarms = vec![r(-1.0, -1.0, 6.0, 6.0), r(7.0, 7.0, 8.5, 8.8)];
         let config = PyramidConfig::three_by_three(3);
         let region = PyramidComputer::new(config).compute(cell, &alarms);
-        let back = BitmapSafeRegion::from_wire_bits(cell, config, &region.to_wire_bits()).unwrap();
+        let back = BitmapSafeRegion::from_wire_bits(cell, config, region.to_wire_bits()).unwrap();
         assert!((back.coverage() - region.coverage()).abs() < 1e-12);
         assert_eq!(back.decode().area(), region.decode().area());
         assert!(back.materialized_bits() >= region.materialized_bits());
@@ -869,18 +1197,18 @@ mod tests {
     fn malformed_wire_bits_are_rejected() {
         let cell = r(0.0, 0.0, 9.0, 9.0);
         let config = PyramidConfig::three_by_three(2);
-        assert!(BitmapSafeRegion::from_wire_bits(cell, config, &BitVec::new()).is_err());
+        assert!(BitmapSafeRegion::from_wire_bits(cell, config, BitVec::new()).is_err());
         // A free root with trailing bits is malformed.
         let mut bits = BitVec::new();
         bits.push(true);
         bits.push(false);
-        assert!(BitmapSafeRegion::from_wire_bits(cell, config, &bits).is_err());
+        assert!(BitmapSafeRegion::from_wire_bits(cell, config, bits).is_err());
         // A blocked root with too few level bits is truncated.
         let mut bits = BitVec::new();
         bits.push(false);
         for _ in 0..5 {
             bits.push(true);
         }
-        assert!(BitmapSafeRegion::from_wire_bits(cell, config, &bits).is_err());
+        assert!(BitmapSafeRegion::from_wire_bits(cell, config, bits).is_err());
     }
 }

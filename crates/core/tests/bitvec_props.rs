@@ -111,11 +111,9 @@ proptest! {
     #[test]
     fn rank_matches_linear_count(len in ragged_len(), seed in 0u64..u64::MAX) {
         let bits = build(len, seed);
-        let ranked = bits.clone().into_ranked();
         for probe in 0..=len {
             let expected = (0..probe).filter(|&i| !bits.get(i).unwrap()).count();
             prop_assert_eq!(bits.rank_zeros(probe), expected);
-            prop_assert_eq!(ranked.rank_zeros(probe), expected);
         }
     }
 }

@@ -6,7 +6,7 @@
 //! with any alarm region that does not already contain the subscriber.
 
 use proptest::prelude::*;
-use sa_core::{MwpsrComputer, PyramidComputer, PyramidConfig, SafeRegion};
+use sa_core::{BitmapSafeRegion, MwpsrComputer, PyramidComputer, PyramidConfig, SafeRegion};
 use sa_geometry::{MotionPdf, Point, Rect};
 
 const CELL: f64 = 1_000.0;
@@ -180,6 +180,54 @@ proptest! {
             });
             if !on_boundary {
                 prop_assert_eq!(region.contains(p), decoded.contains_point(p), "at {}", p);
+            }
+        }
+    }
+
+    #[test]
+    fn pbsr_granted_blocks_answer_like_a_descent(
+        alarms in arb_alarms(),
+        height in 1u32..7,
+        probes in prop::collection::vec((0u32..729, 0u32..729, 0u32..3), 24),
+    ) {
+        let config = PyramidConfig::three_by_three(height);
+        let computed = PyramidComputer::new(config).compute(cell(), &alarms);
+        let decoded = BitmapSafeRegion::from_wire_bits(cell(), config, computed.to_wire_bits())
+            .unwrap();
+        // Probes on the finest pyramid lattice, its edges nudged by an ulp.
+        let step = CELL / 729.0;
+        for region in [&computed, &decoded] {
+            for &(i, j, nudge) in &probes {
+                let at = |k: u32| match nudge {
+                    0 => f64::from(k) * step,
+                    1 => (f64::from(k) * step).next_down(),
+                    _ => (f64::from(k) * step).next_up(),
+                };
+                let p = Point::new(at(i), at(j));
+                let (inside, levels, block) = region.grant(p);
+                prop_assert_eq!((inside, levels), region.contains_with_cost(p));
+                if !inside {
+                    continue;
+                }
+                // Every point the block claims descends to the same answer:
+                // its corners, one ulp past them, and the probe's own lines.
+                let (lo, hi) = (block.min_corner(), block.max_corner());
+                let xs = [lo.x, lo.x.next_down(), p.x, hi.x, hi.x.next_up()];
+                let ys = [lo.y, lo.y.next_down(), p.y, hi.y, hi.y.next_up()];
+                for &x in &xs {
+                    for &y in &ys {
+                        let q = Point::new(x, y);
+                        if block.contains(q) {
+                            prop_assert_eq!(
+                                region.contains_with_cost(q),
+                                (true, levels),
+                                "{} via {}",
+                                q,
+                                p
+                            );
+                        }
+                    }
+                }
             }
         }
     }

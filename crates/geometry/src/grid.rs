@@ -134,8 +134,10 @@ impl Grid {
     /// the nearest boundary cell, so vehicles that wander marginally off the
     /// map (floating-point drift at the edges) still resolve to a cell.
     pub fn cell_of(&self, p: Point) -> CellId {
-        let col = ((p.x - self.universe.min_x()) / self.cell_size).floor();
-        let row = ((p.y - self.universe.min_y()) / self.cell_size).floor();
+        // Truncating a non-negative quotient is its floor, and `max`
+        // sends negatives and NaN to 0, so no `floor` call is needed.
+        let col = (p.x - self.universe.min_x()) / self.cell_size;
+        let row = (p.y - self.universe.min_y()) / self.cell_size;
         CellId {
             col: (col.max(0.0) as u32).min(self.cols - 1),
             row: (row.max(0.0) as u32).min(self.rows - 1),
@@ -297,6 +299,29 @@ mod tests {
             }
         }
         assert!((total - universe().area()).abs() < 1e-6);
+    }
+
+    #[test]
+    fn cell_of_matches_the_floored_quotient() {
+        let g = Grid::with_cell_area_km2(Rect::new(-250.5, 17.25, 9_000.0, 7_000.0).unwrap(), 2.5)
+            .unwrap();
+        let floored = |v: f64, origin: f64, count: u32| {
+            (((v - origin) / g.cell_size()).floor().max(0.0) as u32).min(count - 1)
+        };
+        let u = g.universe();
+        let mut xs = vec![f64::NAN, -1.0e300, 1.0e300, -0.0, u.min_x() - 0.5, u.max_x() + 3.0];
+        for k in 0..=g.cols() {
+            let edge = u.min_x() + f64::from(k) * g.cell_size();
+            xs.extend([edge, edge.next_down(), edge.next_up(), edge - 1.0e-9, edge + 1.0e-9]);
+        }
+        for &x in &xs {
+            for &y in &xs {
+                let y = y - u.min_x() + u.min_y();
+                let cell = g.cell_of(Point::new(x, y));
+                assert_eq!(cell.col, floored(x, u.min_x(), g.cols()), "x {x}");
+                assert_eq!(cell.row, floored(y, u.min_y(), g.rows()), "y {y}");
+            }
+        }
     }
 
     #[test]

@@ -130,7 +130,7 @@ impl RegionCache {
     /// the cell's current epoch, decoded from its wire bits.
     pub fn lookup(&self, cell: u64, height: u32) -> Option<BitmapSafeRegion> {
         self.hit(cell, height, |entry| {
-            BitmapSafeRegion::from_wire_bits(entry.cell, entry.config, &entry.bits)
+            BitmapSafeRegion::from_wire_bits(entry.cell, entry.config, entry.bits.clone())
                 .expect("cached bits were encoded from a region of this cell and config")
         })
     }

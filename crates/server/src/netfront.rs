@@ -1,14 +1,12 @@
 //! Per-connection protocol machinery for the readiness-driven TCP
 //! front end ([`crate::reactor`]).
 //!
-//! The blocking loopback transport ([`crate::transport`]) can lean on
-//! [`crate::wire::read_frame`], which parks the thread until a whole
-//! frame arrives. A readiness-driven reactor cannot: a nonblocking
-//! `read()` hands over whatever bytes the kernel has — half a length
+//! A `read()` hands over whatever bytes the kernel has — half a length
 //! prefix, three frames and a tail, anything. This module holds the
 //! incremental state machines one connection needs, kept separate from
 //! the event loop so they are unit- and property-testable without a
-//! socket:
+//! socket. The blocking client endpoint ([`crate::transport::TcpTransport`])
+//! reassembles its responses through the same [`FrameReader`]:
 //!
 //! * [`FrameReader`] — reassembles length-prefixed frames from
 //!   arbitrarily split byte chunks, enforcing

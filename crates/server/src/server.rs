@@ -1186,7 +1186,7 @@ mod tests {
         let decoded = BitmapSafeRegion::from_wire_bits(
             cell,
             pbsr_pyramid(5),
-            &bits,
+            bits.clone(),
         )
         .expect("padded bits must decode at the requested height");
         assert!(
@@ -1283,7 +1283,7 @@ mod tests {
         let bits = pad_bitmap_wire_bits(&free, 6);
         assert_eq!(bits, free.to_wire_bits());
         let cell = Rect::new(0.0, 0.0, 9.0, 9.0).unwrap();
-        let decoded = BitmapSafeRegion::from_wire_bits(cell, pbsr_pyramid(6), &bits)
+        let decoded = BitmapSafeRegion::from_wire_bits(cell, pbsr_pyramid(6), bits)
             .expect("root-free bits are height-independent");
         assert!(decoded.is_whole_cell_free());
     }

@@ -12,9 +12,10 @@
 //! frame; [`Transport::request`] reads until the terminal and returns
 //! the whole sequence.
 
+use crate::netfront::FrameReader;
 use crate::server::Server;
-use crate::wire::{frame, read_frame, Request, Response, WireError};
-use std::io::Write as _;
+use crate::wire::{frame, Request, Response, WireError};
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 
@@ -151,19 +152,44 @@ impl Transport for InProcTransport {
     }
 }
 
+/// Bytes one `read` may take: a response group of the size a refresh
+/// carries arrives in one call.
+const READ_CHUNK: usize = 8 * 1024;
+
 /// One blocking exchange on `stream`: writes the framed request, then
-/// reads response frames up to and including the terminal one.
-fn exchange(stream: &mut TcpStream, req: &Request) -> Result<Vec<Response>, TransportError> {
+/// reads response frames up to and including the terminal one. Reads go
+/// through a [`FrameReader`] — the reassembler the reactor uses — in
+/// chunks, so a response group that arrived whole costs one `read`. A
+/// request has exactly one answer: bytes after its terminal frame are a
+/// protocol error.
+fn exchange(
+    stream: &mut (impl std::io::Read + Write),
+    req: &Request,
+) -> Result<Vec<Response>, TransportError> {
     stream.write_all(&frame(&req.encode()))?;
-    stream.flush()?;
+    let mut reader = FrameReader::new();
     let mut out = Vec::new();
+    let mut chunk = [0u8; READ_CHUNK];
     loop {
-        let body = read_frame(stream)?.ok_or(TransportError::Closed)?;
-        let resp = Response::decode(&body)?;
-        let terminal = resp.is_terminal();
-        out.push(resp);
-        if terminal {
-            return Ok(out);
+        while let Some(body) = reader
+            .next_frame(0)
+            .map_err(|_| TransportError::Protocol("oversized response frame"))?
+        {
+            let resp = Response::decode(&body)?;
+            let terminal = resp.is_terminal();
+            out.push(resp);
+            if terminal {
+                if reader.has_partial() {
+                    return Err(TransportError::Protocol("bytes after the terminal response"));
+                }
+                return Ok(out);
+            }
+        }
+        match stream.read(&mut chunk) {
+            Ok(0) => return Err(TransportError::Closed),
+            Ok(n) => reader.push(&chunk[..n], 0),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
         }
     }
 }
@@ -260,7 +286,7 @@ mod tests {
     use super::*;
     use crate::reactor::{Reactor, ReactorConfig};
     use crate::server::ServerConfig;
-    use crate::wire::{write_frame, StrategySpec};
+    use crate::wire::{read_frame, write_frame, StrategySpec};
     use sa_geometry::{Grid, Rect};
     use std::net::TcpListener;
 
@@ -387,6 +413,101 @@ mod tests {
         // And the bounced stream was dropped: the next retry redials.
         assert_eq!(t.request(Request::Stats { seq: 2 }).unwrap(), vec![Response::Ack { seq: 2 }]);
         assert_eq!(t.reconnects(), 2);
+        peer.join().unwrap();
+    }
+
+    /// A stream that answers every read from a script of chunks and
+    /// counts the reads.
+    struct Scripted {
+        chunks: std::collections::VecDeque<Vec<u8>>,
+        reads: usize,
+    }
+
+    impl std::io::Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            let Some(chunk) = self.chunks.pop_front() else { return Ok(0) };
+            buf[..chunk.len()].copy_from_slice(&chunk);
+            Ok(chunk.len())
+        }
+    }
+
+    impl Write for Scripted {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Two deliveries and their terminal, framed back to back.
+    fn response_group() -> (Vec<Response>, Vec<u8>) {
+        let group = vec![
+            Response::TriggerDelivery { seq: 4, alarm: 17 },
+            Response::TriggerDelivery { seq: 4, alarm: 23 },
+            Response::Ack { seq: 4 },
+        ];
+        let bytes = group.iter().flat_map(|r| frame(&r.encode()).to_vec()).collect();
+        (group, bytes)
+    }
+
+    #[test]
+    fn a_response_group_parses_from_any_split() {
+        let (group, bytes) = response_group();
+        let req = Request::Stats { seq: 4 };
+        // Whole, in one read.
+        let mut whole = Scripted { chunks: [bytes.clone()].into(), reads: 0 };
+        assert_eq!(exchange(&mut whole, &req).unwrap(), group);
+        assert_eq!(whole.reads, 1, "a group that arrived whole takes one read");
+        // Split at every byte boundary.
+        for cut in 1..bytes.len() {
+            let chunks = [bytes[..cut].to_vec(), bytes[cut..].to_vec()].into();
+            let mut split = Scripted { chunks, reads: 0 };
+            assert_eq!(exchange(&mut split, &req).unwrap(), group, "cut at {cut}");
+            assert_eq!(split.reads, 2, "cut at {cut}: one read per chunk");
+        }
+    }
+
+    #[test]
+    fn bytes_after_the_terminal_fail_the_exchange() {
+        let (_, mut bytes) = response_group();
+        bytes.push(0);
+        let mut trailing = Scripted { chunks: [bytes].into(), reads: 0 };
+        let err = exchange(&mut trailing, &Request::Stats { seq: 4 }).unwrap_err();
+        assert!(matches!(err, TransportError::Protocol(_)), "got {err}");
+    }
+
+    #[test]
+    fn a_trailing_byte_drops_the_stream_and_the_next_request_redials() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut first, _) = listener.accept().unwrap();
+            assert_eq!(read_request(&mut first), hello(1));
+            write_frame(&mut first, &Response::Ack { seq: 1 }.encode()).unwrap();
+            assert_eq!(read_request(&mut first), Request::Stats { seq: 2 });
+            // The answer, then one byte no request asked for, in one write.
+            let mut answer = frame(&Response::Ack { seq: 2 }.encode()).to_vec();
+            answer.push(0);
+            first.write_all(&answer).unwrap();
+            let (mut second, _) = listener.accept().unwrap();
+            assert_eq!(read_request(&mut second), hello(1), "the re-dial replays Hello");
+            write_frame(&mut second, &Response::Ack { seq: 1 }.encode()).unwrap();
+            assert_eq!(read_request(&mut second), Request::Stats { seq: 3 });
+            write_frame(&mut second, &Response::Ack { seq: 3 }.encode()).unwrap();
+            drop(first);
+        });
+
+        let mut t = TcpTransport::connect(addr).unwrap();
+        assert_eq!(t.request(hello(1)).unwrap(), vec![Response::Ack { seq: 1 }]);
+        let err = t.request(Request::Stats { seq: 2 }).unwrap_err();
+        assert!(
+            matches!(err, TransportError::Protocol("bytes after the terminal response")),
+            "got {err}"
+        );
+        assert_eq!(t.request(Request::Stats { seq: 3 }).unwrap(), vec![Response::Ack { seq: 3 }]);
+        assert_eq!(t.reconnects(), 1);
         peer.join().unwrap();
     }
 

@@ -112,7 +112,7 @@ fn ask(server: &Server, first_user: u32, pos: Point) -> Answers {
         panic!("PBSR must answer a BitmapInstall");
     };
     let pbsr =
-        BitmapSafeRegion::from_wire_bits(cell_rect, PyramidConfig::three_by_three(HEIGHT), &bits)
+        BitmapSafeRegion::from_wire_bits(cell_rect, PyramidConfig::three_by_three(HEIGHT), bits)
             .unwrap();
     let Response::AlarmPush { alarms, .. } = terminal(2, StrategySpec::Opt) else {
         panic!("OPT must answer an AlarmPush");

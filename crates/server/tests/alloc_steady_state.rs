@@ -24,6 +24,11 @@
 //! buckets it covers and the store's spine, never anything sized by the
 //! alarm count.
 //!
+//! A fourth body pins the client: a warm silent `poll_update` of an
+//! MWPSR, PBSR, OPT or SP client allocates nothing, and a PBSR bitmap
+//! install through `complete_update` allocates at most once (the region's
+//! one block, grown from the decoded bits).
+//!
 //! The whole file is ONE `#[test]` on purpose (as in `net_soak.rs`):
 //! the counter is process-wide, and libtest's main thread allocates
 //! when it records a finished test's result — with two tests, inside
@@ -31,9 +36,11 @@
 //! serialises them, not the harness.
 
 use sa_alarms::{AlarmId, AlarmScope, AlarmTarget, SpatialAlarm, SubscriberId};
-use sa_geometry::{Grid, Rect};
-use sa_server::wire::{quantize_m, Request, Response, SessionState, StrategySpec};
-use sa_server::{Server, ServerConfig, TraceMode};
+use sa_core::PyramidComputer;
+use sa_geometry::{CellId, Grid, Point, Rect};
+use sa_server::wire::{quantize_m, PushedAlarm, Request, Response, SessionState, StrategySpec};
+use sa_server::{quantize_rect, Client, Server, ServerConfig, TraceMode, Transport, TransportError};
+use sa_sim::pbsr_pyramid;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -84,6 +91,7 @@ fn steady_state_paths_allocate_nothing_they_should_not() {
     steady_state_update_path_allocates_nothing();
     refresh_allocations_do_not_depend_on_anyones_fired_history();
     write_allocations_do_not_grow_with_the_index();
+    client_silent_samples_and_bitmap_installs_allocate_at_most_their_region();
 }
 
 fn steady_state_update_path_allocates_nothing() {
@@ -294,4 +302,92 @@ fn write_allocations_do_not_grow_with_the_index() {
         small, large,
         "install + remove allocations grew with the index: {small} vs {large}"
     );
+}
+
+/// Acknowledges the client's `Hello`; a silent sample never reaches it.
+struct Acks;
+
+impl Transport for Acks {
+    fn request(&mut self, req: Request) -> Result<Vec<Response>, TransportError> {
+        Ok(vec![Response::Ack { seq: req.seq() }])
+    }
+}
+
+fn client_silent_samples_and_bitmap_installs_allocate_at_most_their_region() {
+    let grid = Grid::new(Rect::new(0.0, 0.0, 10_000.0, 10_000.0).unwrap(), 1_000.0).unwrap();
+    let home = grid.cell_rect(CellId { col: 0, row: 0 });
+    let obstacle = Rect::new(800.0, 800.0, 900.0, 950.0).unwrap();
+    let bitmap = |cell: Rect| {
+        PyramidComputer::new(pbsr_pyramid(5)).compute(cell, &[obstacle]).to_wire_bits()
+    };
+    // Samples crawl along y = 500 through free pyramid blocks, the OPT
+    // alarms' quiet space and the MWPSR rectangle.
+    let at = |i: u32| Point::new(100.0 + f64::from(i) * 0.75, 500.0);
+    const WARM: u32 = 64;
+    const MEASURED: u32 = 512;
+    for strategy in [
+        StrategySpec::Mwpsr,
+        StrategySpec::Pbsr { height: 5 },
+        StrategySpec::Opt,
+        StrategySpec::SafePeriod,
+    ] {
+        let mut client =
+            Client::connect(Acks, SubscriberId(7), strategy, grid.clone(), 1.0).unwrap();
+        assert!(client.poll_update(0, 0, at(0), 0.0, 0.0).unwrap().is_some(), "first contact");
+        let answer = match strategy {
+            StrategySpec::Mwpsr => Response::RectInstall {
+                seq: 1,
+                cell: 0,
+                rect: quantize_rect(Rect::new(50.0, 50.0, 700.0, 700.0).unwrap()),
+            },
+            StrategySpec::Pbsr { .. } => {
+                Response::BitmapInstall { seq: 1, cell: 0, bits: bitmap(home) }
+            }
+            StrategySpec::Opt => Response::AlarmPush {
+                seq: 1,
+                cell: 0,
+                alarms: vec![
+                    PushedAlarm { alarm: 1, relevant: true, rect: quantize_rect(obstacle) },
+                    PushedAlarm {
+                        alarm: 2,
+                        relevant: false,
+                        rect: quantize_rect(Rect::new(200.0, 600.0, 300.0, 700.0).unwrap()),
+                    },
+                ],
+            },
+            StrategySpec::SafePeriod => Response::SafePeriodGrant { period_ms: 10_000_000 },
+        };
+        assert!(client.complete_update(vec![answer]).unwrap());
+        for step in 1..=WARM {
+            assert!(client.poll_update(0, step, at(step), 0.0, 0.0).unwrap().is_none());
+        }
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        let mut silent = true;
+        for step in WARM + 1..=WARM + MEASURED {
+            silent &= matches!(client.poll_update(0, step, at(step), 0.0, 0.0), Ok(None));
+        }
+        let delta = ALLOCATIONS.load(Ordering::SeqCst) - before;
+        assert!(silent, "{strategy:?}: every measured sample must be silent");
+        assert_eq!(delta, 0, "{strategy:?}: {MEASURED} silent polls allocated {delta} times");
+    }
+
+    // Installs alternate between two cells (a bitmap with an obstacle,
+    // a free cell's one bit); each answer is built before the window.
+    let mut client =
+        Client::connect(Acks, SubscriberId(7), StrategySpec::Pbsr { height: 5 }, grid.clone(), 1.0)
+            .unwrap();
+    let hops = [(Point::new(500.0, 500.0), 0u32), (Point::new(1_500.0, 500.0), 1)];
+    const INSTALLS: u32 = 64;
+    let mut worst = 0;
+    for step in 0..INSTALLS {
+        let (pos, cell) = hops[step as usize % 2];
+        assert!(client.poll_update(0, step, pos, 0.0, 0.0).unwrap().is_some(), "a cell change");
+        let bits = bitmap(grid.cell_rect(grid.cell_at_index(u64::from(cell))));
+        let answer = vec![Response::BitmapInstall { seq: step, cell, bits }];
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        let done = client.complete_update(answer);
+        worst = worst.max(ALLOCATIONS.load(Ordering::SeqCst) - before);
+        assert!(done.unwrap());
+    }
+    assert!(worst <= 1, "a bitmap install allocated {worst} times");
 }

@@ -52,7 +52,7 @@ proptest! {
 
         let wire = region.to_wire_bits();
         prop_assert_eq!(wire.len(), region.bitmap_size());
-        let decoded = BitmapSafeRegion::from_wire_bits(cell, config, &wire)
+        let decoded = BitmapSafeRegion::from_wire_bits(cell, config, wire.clone())
             .expect("self-produced encoding must decode");
 
         use sa_core::SafeRegion as _;

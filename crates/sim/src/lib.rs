@@ -57,7 +57,7 @@ pub use engine::{RunReport, SimulationHarness};
 pub use ground_truth::{FiredEvent, GroundTruth};
 pub use message::{
     fires, is_obstacle, opt_entry, payload, pbsr_pyramid, pbsr_refresh, region_cell,
-    safe_period_s, server_mwpsr, silent_steps, Held, OptAlarm,
+    safe_period_s, server_mwpsr, silent_steps, Held, OptAlarm, PushedSet,
 };
 pub use moving::{MovingAlarmTable, MovingAwareStrategy, MovingCoordinator};
 pub use metrics::{Metrics, ServerOps};

@@ -26,7 +26,7 @@
 //! send the same messages.
 
 use sa_alarms::{AlarmId, SpatialAlarm, SubscriberId};
-use sa_core::{BitmapSafeRegion, MwpsrComputer, PyramidConfig};
+use sa_core::{BitmapSafeRegion, FreeBlock, MwpsrComputer, PyramidConfig};
 use sa_geometry::{CellId, Grid, Point, Rect};
 
 /// Payload sizes in bits.
@@ -78,7 +78,8 @@ pub fn safe_period_s(nearest_m: Option<f64>, universe: Rect, v_max: f64) -> f64 
 /// milliseconds first, as the wire's grant does, cannot change the
 /// result while `dt` is itself a whole number of milliseconds.
 pub fn silent_steps(period_s: f64, dt: f64) -> u32 {
-    ((period_s.max(0.0) / dt).floor() as u32).max(1)
+    // The quotient is not negative, so truncating it is its floor.
+    ((period_s.max(0.0) / dt) as u32).max(1)
 }
 
 /// The trigger rule (§2.1): `alarm` fires for `user` at `pos` when its
@@ -136,64 +137,206 @@ pub fn opt_entry(
 /// What a client holds from the server between two uplinks — the state
 /// the uplink rule reads. A client that holds nothing yet reports its
 /// first sample.
+///
+/// Laid out for the silent sample, which reads this and nothing else: 56
+/// bytes, with the rectangle, the pyramid block or the OPT quiet box
+/// inline and the bitmap and OPT set behind one pointer each.
 #[derive(Debug, Clone)]
 pub enum Held {
     /// MWPSR: the installed safe rectangle.
     Rect(Rect),
-    /// PBSR: the installed bitmap.
-    Bitmap(BitmapSafeRegion),
-    /// OPT: the cell of the last push and its alarms not yet satisfied.
-    Alarms {
-        /// The cell the push was for.
-        cell: CellId,
-        /// The pushed alarms still in the working set.
-        alarms: Vec<OptAlarm>,
+    /// PBSR: the installed bitmap ([`Held::bitmap`]).
+    Bitmap {
+        /// The bitmap.
+        region: BitmapSafeRegion,
+        /// The pyramid cell that granted the last sample it granted, so a
+        /// sample inside it skips the descent ([`BitmapSafeRegion::grant`]).
+        block: FreeBlock,
+        /// The levels the descent to `block` examined.
+        block_levels: u32,
     },
+    /// OPT: the cell of the last push and its alarms not yet satisfied
+    /// ([`Held::alarms`]).
+    Alarms(PushedSet),
     /// SP: the first step at which the client must report again.
     SilentUntil(u32),
 }
 
 impl Held {
-    /// The uplink rule: whether the sample at `step`, at `pos` in grid cell
-    /// `cell`, must reach the server. MWPSR and PBSR clients report on
-    /// leaving the installed region (a rectangle's edge is inside), OPT
-    /// clients on entering another cell, SP clients when the period ends.
-    pub fn must_uplink(&self, step: u32, pos: Point, cell: CellId) -> bool {
-        self.probe(step, pos, cell).0
+    /// A freshly installed bitmap.
+    pub fn bitmap(region: BitmapSafeRegion) -> Held {
+        Held::Bitmap { region, block: FreeBlock::NONE, block_levels: 0 }
+    }
+
+    /// A freshly pushed alarm set for `cell` of `grid`.
+    pub fn alarms(grid: &Grid, cell: CellId, alarms: Vec<OptAlarm>) -> Held {
+        Held::Alarms(PushedSet {
+            quiet: QUIET_NONE,
+            push: Box::new(Push { grid: grid.clone(), cell, alarms }),
+        })
+    }
+
+    /// The uplink rule: whether the sample at `step`, at `pos`, must reach
+    /// the server. MWPSR and PBSR clients report on leaving the installed
+    /// region (a rectangle's edge is inside), OPT clients on entering
+    /// another grid cell (as [`Grid::cell_of`] assigns it), SP clients when
+    /// the period ends.
+    #[inline]
+    pub fn must_uplink(&mut self, step: u32, pos: Point) -> bool {
+        self.probe(step, pos).0
+    }
+
+    /// Whether the state alone answers the sample at `step`, at `pos`:
+    /// it is silent and OPT's local check would fire and change nothing
+    /// — inside the rectangle, the remembered pyramid block or the OPT
+    /// quiet box, or before the period ends. Four comparisons or fewer,
+    /// reading nothing behind a pointer; `false` only means the full rule
+    /// ([`Held::must_uplink`], then [`Held::opt_check`]) has to run.
+    #[inline]
+    pub fn answers_silently(&self, step: u32, pos: Point) -> bool {
+        match self {
+            Held::Rect(rect) => rect.contains_point(pos),
+            Held::Bitmap { block, .. } => block.contains(pos),
+            Held::Alarms(set) => set.quiet_contains(pos),
+            Held::SilentUntil(until) => step < *until,
+        }
     }
 
     /// [`Held::must_uplink`], with the primitive comparisons the device
     /// spends on a silent sample — the energy model's input: four for a
-    /// rectangle, four plus one per pyramid level descended for a bitmap,
-    /// four per pushed alarm for OPT's local check ([`Held::opt_check`]),
-    /// none for SP.
-    pub fn probe(&self, step: u32, pos: Point, cell: CellId) -> (bool, u64) {
+    /// rectangle, four plus one per pyramid level descended for a bitmap
+    /// (the levels of the descent that grants the sample, whether or not
+    /// a remembered block skipped it), four per pushed alarm for OPT's
+    /// local check ([`Held::opt_check`]), none for SP.
+    #[inline]
+    pub fn probe(&mut self, step: u32, pos: Point) -> (bool, u64) {
         match self {
             Held::Rect(rect) => (!rect.contains_point(pos), 4),
-            Held::Bitmap(region) => {
-                let (inside, levels) = region.contains_with_cost(pos);
+            Held::Bitmap { region, block, block_levels } => {
+                if block.contains(pos) {
+                    return (false, 4 + u64::from(*block_levels));
+                }
+                let (inside, levels, granted) = region.grant(pos);
+                *block = granted;
+                *block_levels = levels as u32;
                 (!inside, 4 + levels as u64)
             }
-            Held::Alarms { cell: pushed, alarms } => (*pushed != cell, 4 * alarms.len() as u64),
+            Held::Alarms(set) => {
+                let push = &set.push;
+                let uplink = !set.quiet_contains(pos) && push.grid.cell_of(pos) != push.cell;
+                (uplink, 4 * set.push.alarms.len() as u64)
+            }
             Held::SilentUntil(until) => (step >= *until, 0),
         }
     }
 
     /// OPT's local check on a silent sample: every pushed alarm whose region
-    /// strictly contains `pos` leaves the set, fired or not, and the
-    /// relevant ones are returned for the client to notify.
-    pub fn opt_check(&mut self, pos: Point) -> Vec<AlarmId> {
-        let mut fired = Vec::new();
-        if let Held::Alarms { alarms, .. } = self {
-            alarms.retain(|a| {
-                let satisfied = a.region.contains_point_strict(pos);
-                if satisfied && a.relevant {
-                    fired.push(a.id);
-                }
-                !satisfied
-            });
+    /// strictly contains `pos` leaves the set, fired or not, and `fired` is
+    /// called with each relevant one, in push order. Any other holding
+    /// returns at once.
+    #[inline]
+    pub fn opt_check(&mut self, pos: Point, mut fired: impl FnMut(AlarmId)) {
+        let Held::Alarms(set) = self else { return };
+        if set.quiet_contains(pos) {
+            return;
         }
-        fired
+        set.push.alarms.retain(|a| {
+            let satisfied = a.region.contains_point_strict(pos);
+            if satisfied && a.relevant {
+                fired(a.id);
+            }
+            !satisfied
+        });
+        set.quiet = set.push.quiet_box(pos);
+    }
+}
+
+/// OPT's held state ([`Held::alarms`]): the pushed cell and alarms, and
+/// a quiet box.
+///
+/// The quiet box is a closed box inside the cell that meets no pushed
+/// alarm's interior, cut around the last sample whose check scanned the
+/// set. A sample inside it stays in the cell and strictly enters no
+/// alarm, so its uplink test and its local check are both decided by
+/// four comparisons; only a sample outside it pays for [`Grid::cell_of`]
+/// and the scan. Alarms leaving the set only widen the space the box
+/// must avoid, so it stays valid until the next push replaces the set.
+#[derive(Debug, Clone)]
+pub struct PushedSet {
+    /// `[min_x, min_y, max_x, max_y]`, or [`QUIET_NONE`].
+    quiet: [f64; 4],
+    push: Box<Push>,
+}
+
+/// The pushed part of a [`PushedSet`].
+#[derive(Debug, Clone)]
+struct Push {
+    grid: Grid,
+    /// The cell the push was for.
+    cell: CellId,
+    /// The pushed alarms still in the working set.
+    alarms: Vec<OptAlarm>,
+}
+
+/// Inward ulp steps a quiet box's corner may take to land in its cell.
+const QUIET_NUDGES: usize = 4;
+
+impl Push {
+    /// A quiet box around `pos`: the cell's rect with each alarm that
+    /// meets the box's interior cut away along the side of `pos` with the
+    /// most room, then shrunk until its two corners are in the cell as
+    /// [`Grid::cell_of`] assigns it (`cell_of` is monotone on each axis,
+    /// so then the whole box is). `pos` lies strictly inside none of the
+    /// alarms, so that side keeps it in the box unless `pos` is outside
+    /// the cell; the box may then be empty.
+    fn quiet_box(&self, pos: Point) -> [f64; 4] {
+        let rect = self.grid.cell_rect(self.cell);
+        let mut q = [rect.min_x(), rect.min_y(), rect.max_x(), rect.max_y()];
+        for a in &self.alarms {
+            let r = a.region;
+            if !(r.min_x() < q[2] && q[0] < r.max_x() && r.min_y() < q[3] && q[1] < r.max_y()) {
+                continue;
+            }
+            // Clear the alarm along the side of `pos` with the most room.
+            let room = [pos.x - r.max_x(), pos.y - r.max_y(), r.min_x() - pos.x, r.min_y() - pos.y];
+            let side = (0..4).fold(0, |best, k| if room[k] > room[best] { k } else { best });
+            match side {
+                0 => q[0] = r.max_x(),
+                1 => q[1] = r.max_y(),
+                2 => q[2] = r.min_x(),
+                _ => q[3] = r.min_y(),
+            }
+        }
+        let settle = |mut corner: Point, step: fn(f64) -> f64| {
+            for _ in 0..QUIET_NUDGES {
+                if self.grid.cell_of(corner) == self.cell {
+                    return Some(corner);
+                }
+                corner = Point::new(step(corner.x), step(corner.y));
+            }
+            None
+        };
+        let lo = settle(Point::new(q[0], q[1]), f64::next_up);
+        match (lo, settle(Point::new(q[2], q[3]), f64::next_down)) {
+            (Some(lo), Some(hi)) => [lo.x, lo.y, hi.x, hi.y],
+            _ => QUIET_NONE,
+        }
+    }
+}
+
+/// The quiet box that holds no point.
+const QUIET_NONE: [f64; 4] = [f64::INFINITY, f64::INFINITY, f64::NEG_INFINITY, f64::NEG_INFINITY];
+
+impl PushedSet {
+    /// The working set, to reuse its allocation for the next push.
+    pub fn into_alarms(self) -> Vec<OptAlarm> {
+        self.push.alarms
+    }
+
+    #[inline]
+    fn quiet_contains(&self, p: Point) -> bool {
+        let q = &self.quiet;
+        p.x >= q[0] && p.x <= q[2] && p.y >= q[1] && p.y <= q[3]
     }
 }
 
@@ -277,28 +420,53 @@ mod tests {
 
     #[test]
     fn clients_report_when_they_leave_what_they_hold() {
+        let grid = Grid::new(Rect::new(0.0, 0.0, 40.0, 20.0).unwrap(), 20.0).unwrap();
         let (cell, next) = (CellId { col: 0, row: 0 }, CellId { col: 1, row: 0 });
         let square = Rect::new(0.0, 0.0, 10.0, 10.0).unwrap();
-        let rect = Held::Rect(square);
-        assert!(!rect.must_uplink(0, Point::new(10.0, 10.0), cell), "a rectangle's edge is inside");
-        assert!(rect.must_uplink(0, Point::new(10.5, 10.0), cell));
-        let sp = Held::SilentUntil(5);
-        assert!(!sp.must_uplink(4, Point::new(50.0, 0.0), next));
-        assert!(sp.must_uplink(5, Point::new(0.0, 0.0), cell));
+        let mut rect = Held::Rect(square);
+        assert!(!rect.must_uplink(0, Point::new(10.0, 10.0)), "a rectangle's edge is inside");
+        assert!(rect.must_uplink(0, Point::new(10.5, 10.0)));
+        let mut sp = Held::SilentUntil(5);
+        assert!(!sp.must_uplink(4, Point::new(50.0, 0.0)));
+        assert!(sp.must_uplink(5, Point::new(0.0, 0.0)));
 
         let alarms = vec![
             OptAlarm { id: AlarmId(0), region: square, relevant: true },
             OptAlarm { id: AlarmId(1), region: square, relevant: false },
         ];
-        let mut opt = Held::Alarms { cell, alarms };
+        let mut opt = Held::alarms(&grid, cell, alarms);
         let edge = Point::new(10.0, 5.0);
-        assert_eq!(opt.probe(0, edge, cell), (false, 8));
-        assert!(opt.must_uplink(0, edge, next), "another cell");
+        assert_eq!(opt.probe(0, edge), (false, 8));
+        // The cell is half-open: its right edge is the next cell's.
+        assert_eq!(grid.cell_of(Point::new(20.0, 5.0)), next);
+        assert!(opt.must_uplink(0, Point::new(20.0, 5.0)), "another cell");
         // OPT's containment is strict: on the edge nothing fires and both
         // alarms stay; inside, the relevant one fires and both leave.
-        assert!(opt.opt_check(edge).is_empty());
-        assert_eq!(opt.opt_check(Point::new(5.0, 5.0)), vec![AlarmId(0)]);
-        assert_eq!(opt.probe(0, edge, cell), (false, 0));
+        let mut fired = Vec::new();
+        opt.opt_check(edge, |id| fired.push(id));
+        assert!(fired.is_empty());
+        opt.opt_check(Point::new(5.0, 5.0), |id| fired.push(id));
+        assert_eq!(fired, vec![AlarmId(0)]);
+        assert_eq!(opt.probe(0, edge), (false, 0));
+        rect.opt_check(edge, |_| panic!("only OPT fires locally"));
+    }
+
+    #[test]
+    fn a_remembered_block_answers_like_the_descent() {
+        let cell = Rect::new(0.0, 0.0, 9.0, 9.0).unwrap();
+        let blocked = Rect::new(6.0, 6.0, 9.0, 9.0).unwrap();
+        let region = sa_core::PyramidComputer::new(pbsr_pyramid(2)).compute(cell, &[blocked]);
+        let mut held = Held::bitmap(region.clone());
+        for p in [(1.0, 1.0), (2.0, 2.0), (7.0, 7.0), (2.9, 0.5), (3.0, 0.5), (9.0, 0.0)] {
+            let p = Point::new(p.0, p.1);
+            let (inside, levels) = region.contains_with_cost(p);
+            assert_eq!(held.probe(0, p), (!inside, 4 + levels as u64), "at {p}");
+        }
+    }
+
+    #[test]
+    fn the_silent_state_leaves_room_in_a_cache_line() {
+        assert!(std::mem::size_of::<Option<Held>>() <= 56);
     }
 
     #[test]

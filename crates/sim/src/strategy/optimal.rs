@@ -29,16 +29,16 @@ impl Strategy for OptimalStrategy {
         let (cell, cell_rect) = region_cell(server.grid(), sample.pos);
 
         if let Some(held) = self.sets.get_mut(&user) {
-            let (uplink, ops) = held.probe(step, sample.pos, cell);
+            let (uplink, ops) = held.probe(step, sample.pos);
             if !uplink {
                 // Client-side evaluation of the full pushed alarm set; each
                 // firing is notified to the server.
                 server.metrics.client_checks += 1;
                 server.metrics.client_check_ops += ops;
-                for id in held.opt_check(sample.pos) {
+                held.opt_check(sample.pos, |id| {
                     server.metrics.uplink_messages += 1;
                     server.record_fire(step, user, id);
-                }
+                });
                 return;
             }
         }
@@ -50,7 +50,7 @@ impl Strategy for OptimalStrategy {
         let alarms = server.opt_push_in(user, cell_rect);
         server.metrics.server.region_computations += 1;
         server.send_downlink(payload::REGION_HEADER_BITS + alarms.len() * payload::ALARM_PUSH_BITS);
-        self.sets.insert(user, Held::Alarms { cell, alarms });
+        self.sets.insert(user, Held::alarms(server.grid(), cell, alarms));
     }
 }
 

@@ -24,9 +24,8 @@ impl Strategy for SafePeriodStrategy {
     fn on_sample(&mut self, step: u32, sample: &TraceSample, server: &mut ServerCtx<'_>) {
         server.metrics.samples += 1;
         let user = SubscriberId(sample.vehicle.0);
-        let cell = server.grid().cell_of(sample.pos);
-        let held = self.silent_until.get(&user);
-        if held.is_some_and(|held| !held.must_uplink(step, sample.pos, cell)) {
+        let held = self.silent_until.get_mut(&user);
+        if held.is_some_and(|held| !held.must_uplink(step, sample.pos)) {
             return;
         }
         // Safe period expired: report, let the server evaluate and grant a

@@ -81,7 +81,7 @@ impl BitmapStrategy {
             } else {
                 server.send_downlink(payload::REGION_HEADER_BITS + overlay.bitmap_size());
             }
-            self.regions.insert(user, (cell, Held::Bitmap(region)));
+            self.regions.insert(user, (cell, Held::bitmap(region)));
         } else {
             let obstacles: Vec<Rect> =
                 server.unfired_obstacles_in(user, cell_rect).iter().map(|a| a.region()).collect();
@@ -89,7 +89,7 @@ impl BitmapStrategy {
             server.metrics.server.region_cell_tests += ops;
             server.metrics.server.region_computations += 1;
             server.send_downlink(payload::REGION_HEADER_BITS + region.encoded_bits());
-            self.regions.insert(user, (cell, Held::Bitmap(region)));
+            self.regions.insert(user, (cell, Held::bitmap(region)));
         }
     }
 }
@@ -100,9 +100,9 @@ impl Strategy for BitmapStrategy {
         let user = SubscriberId(sample.vehicle.0);
 
         let (cell, cell_rect) = region_cell(server.grid(), sample.pos);
-        let prev_cell = match self.regions.get(&user) {
+        let prev_cell = match self.regions.get_mut(&user) {
             Some((prev_cell, held)) => {
-                let (uplink, ops) = held.probe(step, sample.pos, cell);
+                let (uplink, ops) = held.probe(step, sample.pos);
                 server.metrics.client_checks += 1;
                 server.metrics.client_check_ops += ops;
                 if !uplink {

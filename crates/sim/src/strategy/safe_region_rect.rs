@@ -42,11 +42,9 @@ impl Strategy for RectStrategy {
         server.metrics.samples += 1;
         let user = SubscriberId(sample.vehicle.0);
 
-        let (cell, cell_rect) = region_cell(server.grid(), sample.pos);
-
         // Client-side containment detection.
-        if let Some(held) = self.regions.get(&user) {
-            let (uplink, ops) = held.probe(step, sample.pos, cell);
+        if let Some(held) = self.regions.get_mut(&user) {
+            let (uplink, ops) = held.probe(step, sample.pos);
             server.metrics.client_checks += 1;
             server.metrics.client_check_ops += ops;
             if !uplink {
@@ -58,6 +56,7 @@ impl Strategy for RectStrategy {
         server.metrics.uplink_messages += 1;
         server.check_triggers(step, user, sample.pos);
 
+        let (_, cell_rect) = region_cell(server.grid(), sample.pos);
         let obstacles: Vec<Rect> =
             server.unfired_obstacles_in(user, cell_rect).iter().map(|a| a.region()).collect();
         // Charge the skyline construction: candidates in four quadrants

@@ -127,7 +127,7 @@ impl OracleState<'_> {
             ));
         };
         let cell_rect = wire_cell_rect(self.grid, cell)?;
-        let region = BitmapSafeRegion::from_wire_bits(cell_rect, pbsr_pyramid(height), bits)
+        let region = BitmapSafeRegion::from_wire_bits(cell_rect, pbsr_pyramid(height), bits.clone())
             .map_err(|e| format!("bitmap for user#{user} does not decode: {e}"))?;
         let obstacles: Vec<Rect> = self
             .unfired_relevant(user)
